@@ -939,6 +939,18 @@ let relink () =
 
 (* -- micro benchmarks (bechamel) ----------------------------------------------------------- *)
 
+(* Two set-up instructions, 5000 iterations of sub + jnz, and a halt:
+   10,003 instructions. *)
+let svm_loop =
+  Svm.Encode.assemble
+    [
+      Svm.Isa.Movi (1, 5000l);
+      Svm.Isa.Movi (2, 1l);
+      Svm.Isa.Sub (1, 1, 2);
+      Svm.Isa.Jnz (1, -16l);
+      Svm.Isa.Halt;
+    ]
+
 let micro () =
   section "bechamel micro-benchmarks (real wall-clock, not simulated)";
   let open Bechamel in
@@ -980,22 +992,33 @@ let micro () =
                   (List.init 64 (fun i -> Omos.Stubs.import_of_name (Printf.sprintf "f%d" i))))));
       Test.make ~name:"deltablue: chain n=100"
         (Staged.stage (fun () -> ignore (Constraints.Deltablue.chain_test 100)));
-      Test.make ~name:"svm: 10k-instruction loop"
+      Test.make ~name:"svm: 10k-instruction loop, flat memory"
         (Staged.stage
            (let mem, buf = Svm.Cpu.flat_mem 0x1000 in
-            let code =
-              Svm.Encode.assemble
-                [
-                  Svm.Isa.Movi (1, 2500l);
-                  Svm.Isa.Movi (2, 1l);
-                  Svm.Isa.Sub (1, 1, 2);
-                  Svm.Isa.Jnz (1, -16l);
-                  Svm.Isa.Halt;
-                ]
-            in
-            Bytes.blit code 0 buf 0 (Bytes.length code);
+            Bytes.blit svm_loop 0 buf 0 (Bytes.length svm_loop);
             fun () ->
               let cpu = Svm.Cpu.create mem in
+              ignore (Svm.Cpu.run ~fuel:100_000 cpu)));
+      (* the same loop through page tables, as every simulated program
+         runs: shared text plus a private stack, pages already touched *)
+      Test.make ~name:"svm: 10k-instruction loop, mapped memory"
+        (Staged.stage
+           (let phys = Simos.Phys.create () in
+            let space =
+              Simos.Addr_space.create ~phys ~clock:(Simos.Clock.create ()) ~cost:Simos.Cost.hpux ()
+            in
+            let text = 0x10000 in
+            Simos.Addr_space.map_shared space ~vaddr:text ~bytes:svm_loop
+              ~frames:(Simos.Phys.alloc phys ~label:"text" ~bytes:(Bytes.length svm_loop))
+              ~backing:{ Simos.Addr_space.resident = [||] } ~label:"text" ();
+            Simos.Addr_space.map_private space
+              ~vaddr:(Simos.Kernel.stack_top - Simos.Kernel.stack_size)
+              ~size:Simos.Kernel.stack_size ~label:"stack" ();
+            let mem = Simos.Addr_space.mem space in
+            fun () ->
+              let cpu = Svm.Cpu.create mem in
+              cpu.Svm.Cpu.pc <- text;
+              Svm.Cpu.set_reg cpu Svm.Isa.reg_sp (Int32.of_int (Simos.Kernel.stack_top - 16));
               ignore (Svm.Cpu.run ~fuel:100_000 cpu)));
     ]
   in

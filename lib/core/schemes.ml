@@ -126,8 +126,7 @@ let handle_bind (rt : t) (k : Simos.Kernel.t) (p : Simos.Proc.t) (cpu : Svm.Cpu.
           Simos.Kernel.charge_user k cost.Simos.Cost.dispatch_patch);
       (match st.resolve imp.Stubs.imp_name with
       | Some addr ->
-          cpu.Svm.Cpu.mem.Svm.Cpu.store32 (st.slot_addr imp.Stubs.imp_name)
-            (Int32.of_int addr);
+          cpu.Svm.Cpu.mem.Svm.Cpu.store32 (st.slot_addr imp.Stubs.imp_name) addr;
           st.binds <- st.binds + 1;
           Svm.Cpu.set_reg cpu Svm.Isa.reg_ret (Int32.of_int addr)
       | None ->

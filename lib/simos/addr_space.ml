@@ -8,8 +8,9 @@
     each page charges a soft fault (resident backing) or a disk read
     (first-ever load of a segment that is still "on disk").
 
-    Instruction fetch goes through a per-region decode cache so
-    simulated execution stays fast. *)
+    Instruction fetch goes through a per-region decode cache, and every
+    access first tries the region the previous access of its kind hit,
+    so simulated execution stays fast. *)
 
 exception Fault of string
 
@@ -30,7 +31,7 @@ type region = {
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state; (* residency of the segment's source *)
   frames : Phys.frame_group;
-  decode : Svm.Isa.instr option array; (* instruction cache *)
+  decode : Svm.Isa.instr option array; (* instruction cache; empty if writable *)
   (* extra user-time charge on first touch of each page: models
      deferred (page-wise lazy) relocation work a traditional dynamic
      loader performs in the client, per process *)
@@ -44,6 +45,10 @@ type stats = {
 
 type t = {
   mutable regions : region list; (* sorted by lo *)
+  (* The region the last fetch and the last data access hit. Any change
+     to the map resets both to [no_region]. *)
+  mutable code : region;
+  mutable data : region;
   phys : Phys.t;
   clock : Clock.t;
   cost : Cost.t;
@@ -51,9 +56,28 @@ type t = {
   page_size : int;
 }
 
+(* Contains no address, so a lookup through it always falls back to
+   the region list. *)
+let no_region : region =
+  {
+    lo = 0;
+    hi = 0;
+    bytes = Bytes.empty;
+    writable = false;
+    shared = false;
+    label = "";
+    touched = [||];
+    backing = { resident = [||] };
+    frames = { Phys.id = -1; label = ""; pages = 0; refs = 0 };
+    decode = [||];
+    touch_user_cost = 0.0;
+  }
+
 let create ~(phys : Phys.t) ~(clock : Clock.t) ~(cost : Cost.t) () : t =
   {
     regions = [];
+    code = no_region;
+    data = no_region;
     phys;
     clock;
     cost;
@@ -81,12 +105,17 @@ let check_overlap (t : t) lo hi label =
                 hi r.label r.lo r.hi)))
     t.regions
 
+let set_regions (t : t) (regions : region list) =
+  t.regions <- regions;
+  t.code <- no_region;
+  t.data <- no_region
+
 let insert (t : t) (r : region) =
   let rec go = function
     | [] -> [ r ]
     | x :: rest -> if r.lo < x.lo then r :: x :: rest else x :: go rest
   in
-  t.regions <- go t.regions
+  set_regions t (go t.regions)
 
 (** [map_shared t ~vaddr ~bytes ~frames ~backing ~label] maps a
     read-only shared segment: backing bytes and frames are referenced.
@@ -136,14 +165,14 @@ let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
       touched = Array.make npages false;
       backing = (match backing with Some b -> b | None -> resident_backing ());
       frames = Phys.alloc t.phys ~label ~bytes:size;
-      decode = Array.make (max 1 (size / Svm.Isa.width)) None;
+      decode = [||];
       touch_user_cost;
     }
 
 (** Release all mappings (process teardown). *)
 let destroy (t : t) : unit =
   List.iter (fun r -> Phys.decref t.phys r.frames) t.regions;
-  t.regions <- []
+  set_regions t []
 
 (** [unmap t ~lo] removes the region starting at [lo] (dynamic
     unlinking). Raises {!Fault} if no region starts there. *)
@@ -151,36 +180,58 @@ let unmap (t : t) ~(lo : int) : unit =
   match List.find_opt (fun r -> r.lo = lo) t.regions with
   | Some r ->
       Phys.decref t.phys r.frames;
-      t.regions <- List.filter (fun r' -> r'.lo <> lo) t.regions
+      set_regions t (List.filter (fun r' -> r'.lo <> lo) t.regions)
   | None -> raise (Fault (Printf.sprintf "unmap: no region at 0x%x" lo))
 
-let find_region (t : t) (addr : int) : region =
-  let rec go = function
-    | [] -> raise (Fault (Printf.sprintf "unmapped address 0x%x" addr))
-    | r :: rest -> if addr >= r.lo && addr < r.hi then r else go rest
-  in
-  go t.regions
+let rec find_region (addr : int) : region list -> region = function
+  | [] -> raise (Fault (Printf.sprintf "unmapped address 0x%x" addr))
+  | r :: rest -> if addr >= r.lo && addr < r.hi then r else find_region addr rest
+
+let[@inline] data_region (t : t) (addr : int) : region =
+  let r = t.data in
+  if addr >= r.lo && addr < r.hi then r
+  else begin
+    let r = find_region addr t.regions in
+    t.data <- r;
+    r
+  end
+
+let[@inline] code_region (t : t) (addr : int) : region =
+  let r = t.code in
+  if addr >= r.lo && addr < r.hi then r
+  else begin
+    let r = find_region addr t.regions in
+    t.code <- r;
+    r
+  end
+
+(* [Cost.page_size] and [Svm.Isa.width] as shifts, so that the
+   per-access page and decode-slot indices need no division. *)
+let page_shift = 12
+let width_shift = 3
+let () = assert (Cost.page_size = 1 lsl page_shift && Svm.Isa.width = 1 lsl width_shift)
 
 (* Demand-paging charge on first touch of a page. *)
-let touch (t : t) (r : region) (off : int) : unit =
-  let page = off / t.page_size in
-  if not r.touched.(page) then begin
-    r.touched.(page) <- true;
-    if r.touch_user_cost > 0.0 then Clock.charge_user t.clock r.touch_user_cost;
-    let on_disk =
-      page < Array.length r.backing.resident && not r.backing.resident.(page)
-    in
-    if on_disk then begin
-      r.backing.resident.(page) <- true;
-      t.stats.disk_faults <- t.stats.disk_faults + 1;
-      Clock.charge_system t.clock t.cost.Cost.soft_fault;
-      Clock.charge_io t.clock t.cost.Cost.disk_read_page
-    end
-    else begin
-      t.stats.soft_faults <- t.stats.soft_faults + 1;
-      Clock.charge_system t.clock t.cost.Cost.soft_fault
-    end
+let first_touch (t : t) (r : region) (page : int) : unit =
+  r.touched.(page) <- true;
+  if r.touch_user_cost > 0.0 then Clock.charge_user t.clock r.touch_user_cost;
+  let on_disk =
+    page < Array.length r.backing.resident && not r.backing.resident.(page)
+  in
+  if on_disk then begin
+    r.backing.resident.(page) <- true;
+    t.stats.disk_faults <- t.stats.disk_faults + 1;
+    Clock.charge_system t.clock t.cost.Cost.soft_fault;
+    Clock.charge_io t.clock t.cost.Cost.disk_read_page
   end
+  else begin
+    t.stats.soft_faults <- t.stats.soft_faults + 1;
+    Clock.charge_system t.clock t.cost.Cost.soft_fault
+  end
+
+let[@inline] touch (t : t) (r : region) (off : int) : unit =
+  let page = off lsr page_shift in
+  if not r.touched.(page) then first_touch t r page
 
 (** Pages touched in regions whose label satisfies [pred] — the working
     set measure used by the reordering experiment. *)
@@ -197,50 +248,52 @@ let fault_stats (t : t) : int * int = (t.stats.soft_faults, t.stats.disk_faults)
 (* -- accessors wired into the CPU -------------------------------------- *)
 
 let load8 (t : t) (addr : int) : int =
-  let r = find_region t addr in
+  let r = data_region t addr in
   let off = addr - r.lo in
   touch t r off;
   Bytes.get_uint8 r.bytes off
 
 let store8 (t : t) (addr : int) (v : int) : unit =
-  let r = find_region t addr in
+  let r = data_region t addr in
   if not r.writable then
     raise (Fault (Printf.sprintf "write to read-only %s at 0x%x" r.label addr));
   let off = addr - r.lo in
   touch t r off;
   Bytes.set_uint8 r.bytes off (v land 0xff)
 
-let load32 (t : t) (addr : int) : int32 =
-  let r = find_region t addr in
+let load32 (t : t) (addr : int) : int =
+  let r = data_region t addr in
   let off = addr - r.lo in
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "load32 spans end of %s at 0x%x" r.label addr));
   touch t r off;
-  Bytes.get_int32_le r.bytes off
+  Int32.to_int (Bytes.get_int32_le r.bytes off)
 
-let store32 (t : t) (addr : int) (v : int32) : unit =
-  let r = find_region t addr in
+let store32 (t : t) (addr : int) (v : int) : unit =
+  let r = data_region t addr in
   if not r.writable then
     raise (Fault (Printf.sprintf "write to read-only %s at 0x%x" r.label addr));
   let off = addr - r.lo in
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "store32 spans end of %s at 0x%x" r.label addr));
   touch t r off;
-  Bytes.set_int32_le r.bytes off v
+  Bytes.set_int32_le r.bytes off (Int32.of_int v)
 
 (* Writable regions can be modified (lazy-binding patches), so their
    decode cache must be invalidated on store; rather than tracking
-   that, only read-only regions use the cache. *)
+   that, only read-only regions have one. *)
 let fetch (t : t) (addr : int) : Svm.Isa.instr =
-  let r = find_region t addr in
+  let r = code_region t addr in
   let off = addr - r.lo in
   touch t r off;
-  if off mod Svm.Isa.width <> 0 || off + Svm.Isa.width > Bytes.length r.bytes then
+  if off land (Svm.Isa.width - 1) <> 0 || off + Svm.Isa.width > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" addr));
-  let idx = off / Svm.Isa.width in
   if r.writable then Svm.Encode.decode_at r.bytes off
   else
-    match r.decode.(idx) with
+    (* in bounds: the check above puts [off] inside [bytes], which has
+       one decode slot per instruction *)
+    let idx = off lsr width_shift in
+    match Array.unsafe_get r.decode idx with
     | Some i -> i
     | None ->
         let i = Svm.Encode.decode_at r.bytes off in
@@ -250,9 +303,11 @@ let fetch (t : t) (addr : int) : Svm.Isa.instr =
 (** CPU memory interface for this address space. *)
 let mem (t : t) : Svm.Cpu.mem =
   {
-    Svm.Cpu.load8 = load8 t;
-    store8 = store8 t;
-    load32 = load32 t;
-    store32 = store32 t;
-    fetch = fetch t;
+    (* closures that call the accessors directly: partial applications
+       would add a currying hop to every simulated access *)
+    Svm.Cpu.load8 = (fun a -> load8 t a);
+    store8 = (fun a v -> store8 t a v);
+    load32 = (fun a -> load32 t a);
+    store32 = (fun a v -> store32 t a v);
+    fetch = (fun a -> fetch t a);
   }

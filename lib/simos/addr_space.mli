@@ -25,7 +25,7 @@ type region = {
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state;
   frames : Phys.frame_group;
-  decode : Svm.Isa.instr option array; (* instruction cache *)
+  decode : Svm.Isa.instr option array; (* instruction cache; empty if writable *)
   touch_user_cost : float;
 }
 
@@ -79,12 +79,15 @@ val touched_pages : t -> ?pred:(string -> bool) -> unit -> int
 (** (soft faults, disk faults) so far. *)
 val fault_stats : t -> int * int
 
-(** Raw accessors (each may fault and charges demand-paging costs). *)
+(** Raw accessors (each may fault and charges demand-paging costs).
+    Words are ints: [load32] sign-extends, [store32] stores the low 32
+    bits. A fault raises before any page is charged, except that
+    [fetch] charges its page before checking alignment. *)
 
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit
-val load32 : t -> int -> int32
-val store32 : t -> int -> int32 -> unit
+val load32 : t -> int -> int
+val store32 : t -> int -> int -> unit
 val fetch : t -> int -> Svm.Isa.instr
 
 (** CPU memory interface for this address space. *)

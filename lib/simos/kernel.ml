@@ -128,12 +128,12 @@ let do_stat (k : t) (cpu : Svm.Cpu.t) : unit =
   charge_sys k (k.cost.Cost.open_file *. 0.6);
   match Fs.stat k.fs path with
   | Some (`File size) ->
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 0l;
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) (Int32.of_int size);
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 0;
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) size;
       ret cpu 0
   | Some (`Dir n) ->
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 1l;
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) (Int32.of_int n);
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 1;
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) n;
       ret cpu 0
   | None -> ret cpu (-1)
 

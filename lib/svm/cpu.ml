@@ -9,14 +9,15 @@ exception Trap of string
 
 (** Memory interface supplied by the environment. Addresses are
     non-negative ints (32-bit address space). Implementations may raise
-    {!Trap} on unmapped accesses. [fetch] returns the decoded
-    instruction at an address; environments typically back it with a
-    per-page decode cache. *)
+    {!Trap} on unmapped accesses. [load32] returns the word
+    sign-extended; [store32] stores the low 32 bits of its argument.
+    [fetch] returns the decoded instruction at an address; environments
+    typically back it with a per-page decode cache. *)
 type mem = {
   load8 : int -> int;
   store8 : int -> int -> unit;
-  load32 : int -> int32;
-  store32 : int -> int32 -> unit;
+  load32 : int -> int;
+  store32 : int -> int -> unit;
   fetch : int -> Isa.instr;
 }
 
@@ -32,8 +33,8 @@ let flat_mem (size : int) : mem * Bytes.t =
     {
       load8 = (fun a -> check a 1; Bytes.get_uint8 buf a);
       store8 = (fun a v -> check a 1; Bytes.set_uint8 buf a (v land 0xff));
-      load32 = (fun a -> check a 4; Bytes.get_int32_le buf a);
-      store32 = (fun a v -> check a 4; Bytes.set_int32_le buf a v);
+      load32 = (fun a -> check a 4; Int32.to_int (Bytes.get_int32_le buf a));
+      store32 = (fun a v -> check a 4; Bytes.set_int32_le buf a (Int32.of_int v));
       fetch =
         (fun a ->
           check a Isa.width;
@@ -48,7 +49,7 @@ type sys_result = Sys_continue | Sys_exit of int
 type outcome = Running | Halted | Exited of int
 
 type t = {
-  regs : int32 array;
+  regs : int array;
   mutable pc : int;
   mutable instr_count : int;
   mutable outcome : outcome;
@@ -58,7 +59,7 @@ type t = {
 
 let create ?(sys = fun _ _ -> Sys_continue) (mem : mem) : t =
   {
-    regs = Array.make Isa.nregs 0l;
+    regs = Array.make Isa.nregs 0;
     pc = 0;
     instr_count = 0;
     outcome = Running;
@@ -66,13 +67,19 @@ let create ?(sys = fun _ _ -> Sys_continue) (mem : mem) : t =
     sys;
   }
 
-let get_reg (cpu : t) (r : int) : int32 = cpu.regs.(r)
-let set_reg (cpu : t) (r : int) (v : int32) : unit = cpu.regs.(r) <- v
+let get_reg (cpu : t) (r : int) : int32 = Int32.of_int cpu.regs.(r)
+let set_reg (cpu : t) (r : int) (v : int32) : unit = cpu.regs.(r) <- Int32.to_int v
 
-(** Interpret an int32 register value as an unsigned 32-bit address. *)
-let addr_of (v : int32) : int = Int32.to_int v land 0xFFFFFFFF
+(* Registers hold 32-bit values sign-extended into an OCaml int, so
+   signed comparison and the bitwise operations need no fix-up; results
+   that can leave the 32-bit range wrap through [wrap]. *)
+let[@inline] wrap (v : int) : int = (v lsl 31) asr 31
 
-let bool32 b = if b then 1l else 0l
+(* A register or immediate read as an unsigned 32-bit address. *)
+let[@inline] addr (v : int) : int = v land 0xFFFFFFFF
+
+let[@inline] divisor (v : int) : int =
+  if v = 0 then raise (Trap "division by zero") else v
 
 (** Execute one instruction. No-op once the CPU has halted or exited. *)
 let step (cpu : t) : unit =
@@ -83,54 +90,45 @@ let step (cpu : t) : unit =
       let next = cpu.pc + Isa.width in
       cpu.instr_count <- cpu.instr_count + 1;
       let r = cpu.regs in
-      let binop rd a b f = r.(rd) <- f r.(a) r.(b) in
-      let nonzero_div rd a b f =
-        if r.(b) = 0l then raise (Trap "division by zero")
-        else r.(rd) <- f r.(a) r.(b)
-      in
       cpu.pc <- next;
       match i with
       | Isa.Halt -> cpu.outcome <- Halted
       | Isa.Nop -> ()
-      | Isa.Movi (rd, imm) | Isa.Lea (rd, imm) -> r.(rd) <- imm
+      | Isa.Movi (rd, imm) | Isa.Lea (rd, imm) -> r.(rd) <- Int32.to_int imm
       | Isa.Mov (rd, rs1) -> r.(rd) <- r.(rs1)
-      | Isa.Add (rd, a, b) -> binop rd a b Int32.add
-      | Isa.Sub (rd, a, b) -> binop rd a b Int32.sub
-      | Isa.Mul (rd, a, b) -> binop rd a b Int32.mul
-      | Isa.Div (rd, a, b) -> nonzero_div rd a b Int32.div
-      | Isa.Mod (rd, a, b) -> nonzero_div rd a b Int32.rem
-      | Isa.And_ (rd, a, b) -> binop rd a b Int32.logand
-      | Isa.Or_ (rd, a, b) -> binop rd a b Int32.logor
-      | Isa.Xor (rd, a, b) -> binop rd a b Int32.logxor
-      | Isa.Shl (rd, a, b) ->
-          r.(rd) <- Int32.shift_left r.(a) (Int32.to_int r.(b) land 31)
-      | Isa.Shr (rd, a, b) ->
-          r.(rd) <- Int32.shift_right_logical r.(a) (Int32.to_int r.(b) land 31)
-      | Isa.Addi (rd, a, imm) -> r.(rd) <- Int32.add r.(a) imm
-      | Isa.Cmpeq (rd, a, b) -> r.(rd) <- bool32 (r.(a) = r.(b))
-      | Isa.Cmplt (rd, a, b) -> r.(rd) <- bool32 (Int32.compare r.(a) r.(b) < 0)
-      | Isa.Cmple (rd, a, b) -> r.(rd) <- bool32 (Int32.compare r.(a) r.(b) <= 0)
-      | Isa.Ld (rd, a, imm) ->
-          r.(rd) <- cpu.mem.load32 (addr_of (Int32.add r.(a) imm))
-      | Isa.St (a, s, imm) ->
-          cpu.mem.store32 (addr_of (Int32.add r.(a) imm)) r.(s)
-      | Isa.Ldb (rd, a, imm) ->
-          r.(rd) <- Int32.of_int (cpu.mem.load8 (addr_of (Int32.add r.(a) imm)))
+      | Isa.Add (rd, a, b) -> r.(rd) <- wrap (r.(a) + r.(b))
+      | Isa.Sub (rd, a, b) -> r.(rd) <- wrap (r.(a) - r.(b))
+      | Isa.Mul (rd, a, b) -> r.(rd) <- wrap (r.(a) * r.(b))
+      (* truncating, as Int32.div: only min_int / -1 leaves the range *)
+      | Isa.Div (rd, a, b) -> r.(rd) <- wrap (r.(a) / divisor r.(b))
+      | Isa.Mod (rd, a, b) -> r.(rd) <- r.(a) mod divisor r.(b)
+      | Isa.And_ (rd, a, b) -> r.(rd) <- r.(a) land r.(b)
+      | Isa.Or_ (rd, a, b) -> r.(rd) <- r.(a) lor r.(b)
+      | Isa.Xor (rd, a, b) -> r.(rd) <- r.(a) lxor r.(b)
+      | Isa.Shl (rd, a, b) -> r.(rd) <- wrap (r.(a) lsl (r.(b) land 31))
+      | Isa.Shr (rd, a, b) -> r.(rd) <- wrap (addr r.(a) lsr (r.(b) land 31))
+      | Isa.Addi (rd, a, imm) -> r.(rd) <- wrap (r.(a) + Int32.to_int imm)
+      | Isa.Cmpeq (rd, a, b) -> r.(rd) <- (if r.(a) = r.(b) then 1 else 0)
+      | Isa.Cmplt (rd, a, b) -> r.(rd) <- (if r.(a) < r.(b) then 1 else 0)
+      | Isa.Cmple (rd, a, b) -> r.(rd) <- (if r.(a) <= r.(b) then 1 else 0)
+      | Isa.Ld (rd, a, imm) -> r.(rd) <- cpu.mem.load32 (addr (r.(a) + Int32.to_int imm))
+      | Isa.St (a, s, imm) -> cpu.mem.store32 (addr (r.(a) + Int32.to_int imm)) r.(s)
+      | Isa.Ldb (rd, a, imm) -> r.(rd) <- cpu.mem.load8 (addr (r.(a) + Int32.to_int imm))
       | Isa.Stb (a, s, imm) ->
-          cpu.mem.store8 (addr_of (Int32.add r.(a) imm)) (Int32.to_int r.(s) land 0xff)
-      | Isa.Jmp imm -> cpu.pc <- addr_of imm
+          cpu.mem.store8 (addr (r.(a) + Int32.to_int imm)) (r.(s) land 0xff)
+      | Isa.Jmp imm -> cpu.pc <- addr (Int32.to_int imm)
       | Isa.Br imm -> cpu.pc <- next + Int32.to_int imm
-      | Isa.Jz (a, imm) -> if r.(a) = 0l then cpu.pc <- next + Int32.to_int imm
-      | Isa.Jnz (a, imm) -> if r.(a) <> 0l then cpu.pc <- next + Int32.to_int imm
+      | Isa.Jz (a, imm) -> if r.(a) = 0 then cpu.pc <- next + Int32.to_int imm
+      | Isa.Jnz (a, imm) -> if r.(a) <> 0 then cpu.pc <- next + Int32.to_int imm
       | Isa.Call imm ->
-          r.(Isa.reg_ra) <- Int32.of_int next;
-          cpu.pc <- addr_of imm
+          r.(Isa.reg_ra) <- wrap next;
+          cpu.pc <- addr (Int32.to_int imm)
       | Isa.Callr a ->
-          let target = addr_of r.(a) in
-          r.(Isa.reg_ra) <- Int32.of_int next;
+          let target = addr r.(a) in
+          r.(Isa.reg_ra) <- wrap next;
           cpu.pc <- target
-      | Isa.Jmpr a -> cpu.pc <- addr_of r.(a)
-      | Isa.Ret -> cpu.pc <- addr_of r.(Isa.reg_ra)
+      | Isa.Jmpr a -> cpu.pc <- addr r.(a)
+      | Isa.Ret -> cpu.pc <- addr r.(Isa.reg_ra)
       | Isa.Sys imm -> (
           match cpu.sys cpu (Int32.to_int imm) with
           | Sys_continue -> ()

@@ -9,14 +9,15 @@ exception Trap of string
 
 (** Memory interface supplied by the environment. Addresses are
     non-negative ints (32-bit address space). Implementations may raise
-    {!Trap} on unmapped accesses. [fetch] returns the decoded
-    instruction at an address; environments typically back it with a
-    per-page decode cache. *)
+    {!Trap} on unmapped accesses. [load32] returns the word
+    sign-extended; [store32] stores the low 32 bits of its argument.
+    [fetch] returns the decoded instruction at an address; environments
+    typically back it with a per-page decode cache. *)
 type mem = {
   load8 : int -> int;
   store8 : int -> int -> unit;
-  load32 : int -> int32;
-  store32 : int -> int32 -> unit;
+  load32 : int -> int;
+  store32 : int -> int -> unit;
   fetch : int -> Isa.instr;
 }
 
@@ -30,7 +31,9 @@ type sys_result = Sys_continue | Sys_exit of int
 type outcome = Running | Halted | Exited of int
 
 type t = {
-  regs : int32 array;
+  regs : int array;
+      (** each register's 32-bit value, sign-extended; use {!get_reg} and
+          {!set_reg} outside the interpreter *)
   mutable pc : int;
   mutable instr_count : int;
   mutable outcome : outcome;
@@ -41,9 +44,6 @@ type t = {
 val create : ?sys:(t -> int -> sys_result) -> mem -> t
 val get_reg : t -> int -> int32
 val set_reg : t -> int -> int32 -> unit
-
-(** Interpret an int32 register value as an unsigned 32-bit address. *)
-val addr_of : int32 -> int
 
 (** Execute one instruction. No-op once the CPU has halted or exited.
     @raise Trap on division by zero or a memory fault. *)

@@ -69,7 +69,7 @@ let test_pcrel_in_data () =
   Linker.Image.load_into_flat img buf;
   let rel_addr = Option.get (Linker.Image.find_symbol img "rel_ptr") in
   let tgt_addr = Option.get (Linker.Image.find_symbol img "target") in
-  let stored = Int32.to_int (mem.Svm.Cpu.load32 rel_addr) in
+  let stored = mem.Svm.Cpu.load32 rel_addr in
   Alcotest.(check int) "self-relative distance" (tgt_addr - rel_addr) stored
 
 (* -- __icall ------------------------------------------------------------------ *)

@@ -56,7 +56,7 @@ let test_link_and_run () =
   Alcotest.(check bool) "entry found" true (img.Linker.Image.entry = 0x1000);
   let cpu = run_image img in
   let out_addr = Option.get (Linker.Image.find_symbol img "out") in
-  Alcotest.(check int32) "g()+10 stored" 42l (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
+  Alcotest.(check int) "g()+10 stored" 42 (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
 
 let test_undefined_raises () =
   try
@@ -86,7 +86,7 @@ let test_weak_loses_to_global () =
   let img, _ = Linker.Link.link ~layout [ main_frag (); f_frag (); weak_g; g_frag () ] in
   let cpu = run_image img in
   let out_addr = Option.get (Linker.Image.find_symbol img "out") in
-  Alcotest.(check int32) "strong g used" 42l (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
+  Alcotest.(check int) "strong g used" 42 (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
 
 let test_weak_used_when_alone () =
   let weak_g =
@@ -98,7 +98,7 @@ let test_weak_used_when_alone () =
   let img, _ = Linker.Link.link ~layout [ main_frag (); f_frag (); weak_g ] in
   let cpu = run_image img in
   let out_addr = Option.get (Linker.Image.find_symbol img "out") in
-  Alcotest.(check int32) "weak g used" 15l (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
+  Alcotest.(check int) "weak g used" 15 (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
 
 let test_local_resolution_is_per_fragment () =
   (* two fragments each with a Local `c` data word holding different
@@ -144,7 +144,7 @@ let test_external_image_binding () =
   cpu.Svm.Cpu.pc <- img.Linker.Image.entry;
   ignore (Svm.Cpu.run ~fuel:10_000 cpu);
   let out_addr = Option.get (Linker.Image.find_symbol img "out") in
-  Alcotest.(check int32) "bound across images" 42l (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
+  Alcotest.(check int) "bound across images" 42 (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
 
 let test_reloc_work_counted () =
   let _, stats = Linker.Link.link ~layout [ main_frag (); f_frag (); g_frag () ] in
@@ -186,7 +186,7 @@ let test_combine_then_link () =
   let img, _ = Linker.Link.link ~layout [ main_frag (); lib ] in
   let cpu = run_image img in
   let out_addr = Option.get (Linker.Image.find_symbol img "out") in
-  Alcotest.(check int32) "combined lib works" 42l (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
+  Alcotest.(check int) "combined lib works" 42 (cpu.Svm.Cpu.mem.Svm.Cpu.load32 out_addr)
 
 let test_combine_mangles_locals () =
   (* two fragments with same-named locals must not collide *)
@@ -245,7 +245,7 @@ let test_combine_is_associative_behaviour () =
     let cpu = run_image img in
     cpu.Svm.Cpu.mem.Svm.Cpu.load32 (Option.get (Linker.Image.find_symbol img "out"))
   in
-  Alcotest.(check int32) "same behaviour" (run img1) (run img2)
+  Alcotest.(check int) "same behaviour" (run img1) (run img2)
 
 (* -- properties --------------------------------------------------------- *)
 

@@ -191,6 +191,93 @@ let test_static_install_pays_write_io () =
   Alcotest.(check bool) "static writes big binary" true (static_io > 100_000.0);
   Alcotest.(check bool) "omos writes nothing" true (sc_io < static_io /. 10.0)
 
+(* -- exact execution identity ---------------------------------------------------- *)
+
+(* One invocation, reduced to everything the simulation decides: exit
+   code, stdout digest, the deterministic counters, and the clock's
+   running totals printed exactly. *)
+let run_exact (w : Omos.World.t) (prog : Omos.Schemes.program) ~args : string =
+  let k = w.Omos.World.kernel and rt = w.Omos.World.rt in
+  let sc0 = k.Simos.Kernel.syscall_count in
+  let p = prog.Omos.Schemes.launch ~args in
+  let code = Simos.Kernel.run k p () in
+  let out = Simos.Proc.stdout_contents p in
+  let instrs = (Simos.Proc.cpu_exn p).Svm.Cpu.instr_count in
+  let soft, disk = Simos.Addr_space.fault_stats p.Simos.Proc.aspace in
+  let binds =
+    match Hashtbl.find_opt rt.Omos.Schemes.table p.Simos.Proc.pid with
+    | Some r -> r.Omos.Schemes.binds
+    | None -> 0
+  in
+  Hashtbl.remove rt.Omos.Schemes.table p.Simos.Proc.pid;
+  Simos.Kernel.reap k p;
+  let c = k.Simos.Kernel.clock in
+  Printf.sprintf "exit %d md5 %s instrs %d syscalls %d faults %d/%d binds %d clock %h %h %h" code
+    (Digest.to_hex (Digest.string out))
+    instrs
+    (k.Simos.Kernel.syscall_count - sc0)
+    soft disk binds c.Simos.Clock.user c.Simos.Clock.system c.Simos.Clock.io
+
+(* Captured before the interpreter was made allocation-free: a host-side
+   speed-up must leave every simulated cost and counter byte-identical. *)
+let expected_exact =
+  [
+    "ls_single/static cold exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1428 syscalls 10 faults 3/6 binds 0 clock 0x1.56b851eb851ebp+5 0x1.40a41c1eb851fp+13 0x1.79bcp+16";
+    "ls_single/static warm exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1428 syscalls 10 faults 9/0 binds 0 clock 0x1.56b851eb851ebp+6 0x1.bd59d1d70a3d8p+13 0x1.79bcp+16";
+    "ls_single/dynamic cold exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1496 syscalls 18 faults 7/3 binds 8 clock 0x1.81aa0238814bcp+10 0x1.17bd35147ae15p+14 0x1.8448p+16";
+    "ls_single/dynamic warm exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1496 syscalls 18 faults 10/0 binds 8 clock 0x1.76f43fa925228p+11 0x1.50cd813d70a3ep+14 0x1.8448p+16";
+    "ls_single/omos-bootstrap cold exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1428 syscalls 10 faults 10/0 binds 0 clock 0x1.7c4f20f0d337p+11 0x1.a19610999999ap+14 0x1.8b5p+16";
+    "ls_single/omos-bootstrap warm exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1428 syscalls 10 faults 10/0 binds 0 clock 0x1.81aa0238814b8p+11 0x1.f25e9ff5c28f6p+14 0x1.8b5p+16";
+    "ls_single/omos-integrated cold exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1428 syscalls 10 faults 10/0 binds 0 clock 0x1.8704e3802f6p+11 0x1.0c2b97a8f5c29p+15 0x1.8b5p+16";
+    "ls_single/omos-integrated warm exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1428 syscalls 10 faults 10/0 binds 0 clock 0x1.8c5fc4c7dd748p+11 0x1.1f27df570a3d7p+15 0x1.8b5p+16";
+    "ls_single/omos-partial cold exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1496 syscalls 18 faults 7/3 binds 8 clock 0x1.9548ba8a6cd06p+11 0x1.48484a451eb85p+15 0x1.95dcp+16";
+    "ls_single/omos-partial warm exit 0 md5 a165b0c48efd38c3c2725a282922c6f1 instrs 1496 syscalls 18 faults 10/0 binds 8 clock 0x1.9e31b04cfc2c4p+11 0x1.7168b53333333p+15 0x1.95dcp+16";
+    "ls_laf/static cold exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 438686 syscalls 1029 faults 9/7 binds 0 clock 0x1.016887f524a44p+14 0x1.0c0d01f47adb7p+16 0x1.ae78p+16";
+    "ls_laf/static warm exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 438686 syscalls 1029 faults 16/0 binds 0 clock 0x1.cf0ad9e0a9c3p+14 0x1.5f65a94f5c2ddp+16 0x1.ae78p+16";
+    "ls_laf/dynamic cold exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 443388 syscalls 1043 faults 19/0 binds 14 clock 0x1.6e5415778c85cp+15 0x1.b1e5acfd70b36p+16 0x1.ae78p+16";
+    "ls_laf/dynamic warm exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 443388 syscalls 1043 faults 19/0 binds 14 clock 0x1.f522bdfec429ap+15 0x1.0232d855c29afp+17 0x1.ae78p+16";
+    "ls_laf/omos-bootstrap cold exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 438686 syscalls 1029 faults 19/0 binds 0 clock 0x1.2df9f37a435c8p+16 0x1.2e45e2933330bp+17 0x1.ae78p+16";
+    "ls_laf/omos-bootstrap warm exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 438686 syscalls 1029 faults 19/0 binds 0 clock 0x1.616287f524a43p+16 0x1.5a58ecd0a3c67p+17 0x1.ae78p+16";
+    "ls_laf/omos-integrated cold exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 438686 syscalls 1029 faults 19/0 binds 0 clock 0x1.94cb1c7005ebep+16 0x1.8111f70e145c3p+17 0x1.ae78p+16";
+    "ls_laf/omos-integrated warm exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 438686 syscalls 1029 faults 19/0 binds 0 clock 0x1.c833b0eae7339p+16 0x1.a7cb014b84f1fp+17 0x1.ae78p+16";
+    "ls_laf/omos-partial cold exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 443388 syscalls 1043 faults 19/0 binds 14 clock 0x1.fc5787f524a46p+16 0x1.d4311458f587bp+17 0x1.ae78p+16";
+    "ls_laf/omos-partial warm exit 0 md5 71dd0190931d711c5943700ce972c0ea instrs 443388 syscalls 1043 faults 19/0 binds 14 clock 0x1.183daf7fb10aap+17 0x1.004b93b3330f3p+18 0x1.ae78p+16";
+    "codegen/static cold exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1025087 syscalls 13 faults 6/46 binds 0 clock 0x1.544dfd942bebep+17 0x1.37196d19478a1p+18 0x1.a068p+19";
+    "codegen/static warm exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1025087 syscalls 13 faults 52/0 binds 0 clock 0x1.905e4ba8a6cd2p+17 0x1.3de4d34c28d1cp+18 0x1.a068p+19";
+    "codegen/dynamic cold exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1033706 syscalls 22 faults 16/38 binds 9 clock 0x1.d7981c080f76cp+17 0x1.45e72eef0a197p+18 0x1.b11bp+19";
+    "codegen/dynamic warm exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1033706 syscalls 22 faults 54/0 binds 9 clock 0x1.0f68f633bc103p+18 0x1.4de98a91eb612p+18 0x1.b11bp+19";
+    "codegen/omos-bootstrap cold exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1025087 syscalls 13 faults 54/0 binds 0 clock 0x1.2d711d3df980dp+18 0x1.54e41f0ccca8dp+18 0x1.b11bp+19";
+    "codegen/omos-bootstrap warm exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1025087 syscalls 13 faults 54/0 binds 0 clock 0x1.4b79444836f17p+18 0x1.5bdeb387adf08p+18 0x1.b11bp+19";
+    "codegen/omos-integrated cold exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1025087 syscalls 13 faults 54/0 binds 0 clock 0x1.69816b5274621p+18 0x1.602c48028f383p+18 0x1.b11bp+19";
+    "codegen/omos-integrated warm exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1025087 syscalls 13 faults 54/0 binds 0 clock 0x1.8789925cb1d2bp+18 0x1.6479dc7d707fep+18 0x1.b11bp+19";
+    "codegen/omos-partial cold exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1033706 syscalls 22 faults 16/38 binds 9 clock 0x1.a5d9caae9d57bp+18 0x1.6d74d72851c79p+18 0x1.c1cep+19";
+    "codegen/omos-partial warm exit 0 md5 c630502b0df0f5b13f4e8607628f0dc8 instrs 1033706 syscalls 22 faults 54/0 binds 9 clock 0x1.c42a030088dcbp+18 0x1.766fd1d3330f4p+18 0x1.c1cep+19";
+  ]
+
+let test_exact_execution_identity () =
+  let w = Omos.World.create () in
+  let runs =
+    List.concat_map
+      (fun (pname, name, client, libs, args) ->
+        List.concat_map
+          (fun prog ->
+            let label = pname ^ "/" ^ prog.Omos.Schemes.scheme in
+            let cold = run_exact w prog ~args in
+            let warm = run_exact w prog ~args in
+            [ label ^ " cold " ^ cold; label ^ " warm " ^ warm ])
+          (all_schemes w ~name ~client ~libs))
+      [
+        ("ls_single", "ls", Omos.World.ls_client w, Omos.World.ls_libs, Omos.World.ls_single_args);
+        ("ls_laf", "ls", Omos.World.ls_client w, Omos.World.ls_libs, Omos.World.ls_laf_args);
+        ( "codegen",
+          "codegen",
+          Omos.World.codegen_client w,
+          Omos.World.codegen_libs,
+          Omos.World.codegen_args );
+      ]
+  in
+  Alcotest.(check (list string)) "exact runs" expected_exact runs
+
 let () =
   Alcotest.run "schemes"
     [
@@ -212,4 +299,6 @@ let () =
           Alcotest.test_case "small ls: parity" `Quick test_ls_small_roughly_par;
           Alcotest.test_case "static link io" `Quick test_static_install_pays_write_io;
         ] );
+      ( "identity",
+        [ Alcotest.test_case "exact costs and counters" `Quick test_exact_execution_identity ] );
     ]

@@ -151,6 +151,39 @@ let test_overlap_rejected () =
     Alcotest.fail "expected fault"
   with Simos.Addr_space.Fault _ -> ()
 
+(* Fetches and data accesses are answered from the region the last
+   access of their kind hit; unmapping, remapping and destroying must
+   each drop that region. *)
+let test_region_cache_follows_map () =
+  let space, _, phys = mk_space () in
+  let map_code imm =
+    let bytes = Bytes.make 0x1000 '\000' in
+    Bytes.blit (Svm.Encode.encode (Svm.Isa.Movi (1, imm))) 0 bytes 0 Svm.Isa.width;
+    let frames = Simos.Phys.alloc phys ~label:"text" ~bytes:0x1000 in
+    Simos.Addr_space.map_shared space ~vaddr:0x4000 ~bytes ~frames
+      ~backing:{ Simos.Addr_space.resident = [||] } ~label:"text" ()
+  in
+  let faults () = fst (Simos.Addr_space.fault_stats space) in
+  let must_fault what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ ": expected fault")
+    | exception Simos.Addr_space.Fault _ -> ()
+  in
+  map_code 1l;
+  Alcotest.(check int) "imm byte" 1 (Simos.Addr_space.load8 space 0x4004);
+  Alcotest.(check bool) "fetch" true (Simos.Addr_space.fetch space 0x4000 = Svm.Isa.Movi (1, 1l));
+  Simos.Addr_space.unmap space ~lo:0x4000;
+  must_fault "load after unmap" (fun () -> Simos.Addr_space.load8 space 0x4004);
+  must_fault "fetch after unmap" (fun () -> ignore (Simos.Addr_space.fetch space 0x4000));
+  map_code 2l;
+  let before = faults () in
+  Alcotest.(check int) "new imm byte" 2 (Simos.Addr_space.load8 space 0x4004);
+  Alcotest.(check int) "fresh first-touch fault" (before + 1) (faults ());
+  Alcotest.(check bool) "new fetch" true (Simos.Addr_space.fetch space 0x4000 = Svm.Isa.Movi (1, 2l));
+  Simos.Addr_space.destroy space;
+  must_fault "load after destroy" (fun () -> Simos.Addr_space.load8 space 0x4004);
+  must_fault "fetch after destroy" (fun () -> ignore (Simos.Addr_space.fetch space 0x4000))
+
 let test_touched_pages_working_set () =
   let space, _, _ = mk_space () in
   Simos.Addr_space.map_private space ~vaddr:0x10000 ~size:0x10000 ~label:"lib.text" ();
@@ -300,6 +333,7 @@ let () =
           Alcotest.test_case "unmapped" `Quick test_unmapped_fault;
           Alcotest.test_case "overlap" `Quick test_overlap_rejected;
           Alcotest.test_case "working set" `Quick test_touched_pages_working_set;
+          Alcotest.test_case "region cache follows map" `Quick test_region_cache_follows_map;
         ] );
       ( "kernel",
         [

@@ -206,6 +206,65 @@ let prop_opcode_range =
   QCheck.Test.make ~count:500 ~name:"opcode within range" arb_instr (fun i ->
       Isa.opcode i >= 0 && Isa.opcode i <= Isa.max_opcode)
 
+(* Every register-to-register opcode and [Addi], against an [Int32]
+   reference evaluator: (name, instruction computing r3 from r1 and
+   operand b, reference). [Addi] takes b as its immediate. *)
+let alu_ops : (string * (int32 -> Isa.instr) * (int32 -> int32 -> int32)) list =
+  let rr i _ = i in
+  let shift f a b = f a (Int32.to_int b land 31) in
+  let flag p a b = if p (Int32.compare a b) then 1l else 0l in
+  [
+    ("add", rr (Isa.Add (3, 1, 2)), Int32.add);
+    ("sub", rr (Isa.Sub (3, 1, 2)), Int32.sub);
+    ("mul", rr (Isa.Mul (3, 1, 2)), Int32.mul);
+    ("div", rr (Isa.Div (3, 1, 2)), Int32.div);
+    ("mod", rr (Isa.Mod (3, 1, 2)), Int32.rem);
+    ("and", rr (Isa.And_ (3, 1, 2)), Int32.logand);
+    ("or", rr (Isa.Or_ (3, 1, 2)), Int32.logor);
+    ("xor", rr (Isa.Xor (3, 1, 2)), Int32.logxor);
+    ("shl", rr (Isa.Shl (3, 1, 2)), shift Int32.shift_left);
+    ("shr", rr (Isa.Shr (3, 1, 2)), shift Int32.shift_right_logical);
+    ("cmpeq", rr (Isa.Cmpeq (3, 1, 2)), flag (fun c -> c = 0));
+    ("cmplt", rr (Isa.Cmplt (3, 1, 2)), flag (fun c -> c < 0));
+    ("cmple", rr (Isa.Cmple (3, 1, 2)), flag (fun c -> c <= 0));
+    ("addi", (fun b -> Isa.Addi (3, 1, b)), Int32.add);
+  ]
+
+(* Operands biased towards the edges of the 32-bit range and towards
+   shift counts past 31. *)
+let gen_operand : int32 QCheck.Gen.t =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0l; 1l; -1l; Int32.min_int; Int32.max_int ]);
+        (1, map Int32.of_int (int_range 0 63));
+        (3, int32);
+      ])
+
+let arb_alu =
+  QCheck.make
+    ~print:(fun (k, a, b) ->
+      let name, _, _ = List.nth alu_ops k in
+      Printf.sprintf "%s %ld %ld" name a b)
+    QCheck.Gen.(triple (int_bound (List.length alu_ops - 1)) gen_operand gen_operand)
+
+let prop_alu_matches_int32 =
+  QCheck.Test.make ~count:3000 ~name:"alu matches Int32 reference" arb_alu (fun (k, a, b) ->
+      let _, instr, reference = List.nth alu_ops k in
+      let want = try Some (reference a b) with Division_by_zero -> None in
+      let got =
+        try
+          let cpu, _ =
+            run_program [ Isa.Movi (1, a); Isa.Movi (2, b); instr b; Isa.Halt ]
+          in
+          (* the raw register holds the value sign-extended *)
+          if cpu.Cpu.regs.(3) <> Int32.to_int (Cpu.get_reg cpu 3) then
+            QCheck.Test.fail_report "register not sign-extended";
+          Some (Cpu.get_reg cpu 3)
+        with Cpu.Trap _ -> None
+      in
+      got = want)
+
 let () =
   Alcotest.run "svm"
     [
@@ -232,7 +291,8 @@ let () =
           Alcotest.test_case "read_cstring" `Quick test_read_cstring;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_opcode_range ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_roundtrip; prop_opcode_range; prop_alu_matches_int32 ] );
     ]
 
 (* silence unused warnings for helpers *)
