@@ -821,26 +821,40 @@ let blame () =
 
 (* One-module edit to a ~1000-module library: the dependence analyzer
    proves every subtree off the edit's root-path reusable, so the
-   rebuild respins only the spine — O(depth), not O(library). *)
-let relink () =
-  section "E_relink: one-module edit to a 1000-module library";
+   rebuild respins only the spine — O(depth), not O(library). The
+   hidden variant wraps every fourth 16-leaf group in a hide or a
+   freeze of a function only that group calls (the interposition shape
+   of the paper's Figure 2): those subtrees must be reused as well. *)
+let relink_run ~(hidden : bool) =
   let n_modules = 1000 in
   let frag_path i = Printf.sprintf "/relink/m%d.o" i in
-  (* a fanout-4 merge tree over the module leaves, as blueprint source *)
-  let rec merge_tree (leaves : string list) : string =
-    match leaves with
-    | [ one ] -> one
-    | _ ->
-        let rec chunk acc cur n = function
-          | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-          | x :: rest ->
-              if n = 4 then chunk (List.rev cur :: acc) [ x ] 1 rest
-              else chunk acc (x :: cur) (n + 1) rest
-        in
-        merge_tree
-          (List.map
-             (fun group -> "(merge " ^ String.concat " " group ^ ")")
-             (chunk [] [] 0 leaves))
+  let chunk4 xs =
+    let rec go acc cur n = function
+      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+      | x :: rest ->
+          if n = 4 then go (List.rev cur :: acc) [ x ] 1 rest
+          else go acc (x :: cur) (n + 1) rest
+    in
+    go [] [] 0 xs
+  in
+  let merge group = "(merge " ^ String.concat " " group ^ ")" in
+  let wrap g body =
+    if (not hidden) || g mod 4 <> 0 then body
+    else
+      Printf.sprintf "(%s \"^relink_fn_%d$\" %s)"
+        (if g / 4 mod 2 = 0 then "hide" else "freeze")
+        ((16 * g) + 5) body
+  in
+  (* a fanout-4 merge tree over the module leaves, as blueprint source;
+     level-2 merges cover 16 leaves each *)
+  let merge_tree (leaves : string list) : string =
+    let level1 = List.map merge (chunk4 leaves) in
+    let level2 = List.mapi (fun g c -> wrap g (merge c)) (chunk4 level1) in
+    let rec up = function
+      | [ one ] -> one
+      | xs -> up (List.map merge (chunk4 xs))
+    in
+    up level2
   in
   let setup () =
     let w = Omos.World.create () in
@@ -914,8 +928,9 @@ let relink () =
     | None -> ());
     !n
   in
-  Printf.printf "  library: %d modules, %d analyzed nodes (fanout-4 merge tree)\n"
-    n_modules nodes;
+  Printf.printf "  library: %d modules, %d analyzed nodes (fanout-4 merge tree%s)\n"
+    n_modules nodes
+    (if hidden then ", every fourth 16-leaf group under hide/freeze" else "");
   Printf.printf "  cold build:                    %10.2f ms\n" cold_ms;
   Printf.printf "  one-module edit, incremental:  %10.2f ms\n" incr_ms;
   Printf.printf "  one-module edit, from scratch: %10.2f ms\n" scratch_ms;
@@ -926,6 +941,13 @@ let relink () =
   Printf.printf "  respins bounded by the spine: %s (%d <= %d)\n"
     (if respun <= spine then "yes" else "NO (O(world) respin - regression?)")
     respun spine;
+  (n_modules, nodes, spine, reused, respun, (cold_ms, incr_ms, scratch_ms))
+
+let relink () =
+  section "E_relink: one-module edit to a 1000-module library";
+  let n_modules, nodes, spine, reused, respun, (cold_ms, incr_ms, scratch_ms) =
+    relink_run ~hidden:false
+  in
   Telemetry.Gauge.set "bench.relink.modules" (float_of_int n_modules);
   Telemetry.Gauge.set "bench.relink.nodes" (float_of_int nodes);
   Telemetry.Gauge.set "bench.relink.spine" (float_of_int spine);
@@ -935,7 +957,14 @@ let relink () =
      bench.* namespace (compare reports only simulated costs) *)
   Telemetry.Gauge.set "relink.wall.cold_ms" cold_ms;
   Telemetry.Gauge.set "relink.wall.incr_ms" incr_ms;
-  Telemetry.Gauge.set "relink.wall.scratch_ms" scratch_ms
+  Telemetry.Gauge.set "relink.wall.scratch_ms" scratch_ms;
+  Printf.printf "\n  hidden variant:\n";
+  let _, _, spine, reused, respun, _ = relink_run ~hidden:true in
+  Telemetry.Gauge.set "bench.relink.hidden.spine" (float_of_int spine);
+  Telemetry.Gauge.set "bench.relink.hidden.respun" (float_of_int respun);
+  (* bench/compare gates every bench.* gauge as lower-is-better, which
+     a reuse count is not *)
+  Telemetry.Gauge.set "relink.hidden.reused" (float_of_int reused)
 
 (* -- micro benchmarks (bechamel) ----------------------------------------------------------- *)
 

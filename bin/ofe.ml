@@ -240,13 +240,15 @@ let compile_cmd =
 
 let pat_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"PATTERN" ~doc:"symbol regexp")
 
-let unary_op name doc f =
+(* [op pat input] is the one-operator m-graph evaluated over the input,
+   so hide/show/freeze mint the aliases the same blueprint would. *)
+let unary_op name doc (op : string -> Blueprint.Mgraph.node -> Blueprint.Mgraph.node) =
   let input = Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"input SOF") in
   let out = Arg.(required & pos 2 (some string) None & info [] ~docv:"OUTPUT" ~doc:"output SOF") in
   let run pat input out =
     handle (fun () ->
-        let m = Jigsaw.Module_ops.of_object (read_obj input) in
-        let m' = f (Jigsaw.Select.compile pat) m in
+        let graph = op pat (Blueprint.Mgraph.Leaf (read_obj input)) in
+        let m' = (Blueprint.Mgraph.eval (Blueprint.Mgraph.make_env ()) graph).Blueprint.Mgraph.m in
         write_obj out (Jigsaw.Module_ops.to_object ~name:out m');
         Printf.printf "wrote %s\n" out)
   in
@@ -610,7 +612,8 @@ let impact_cmd =
          & info [ "all" ]
              ~doc:"self-diff every meta-object bound in the quickstart world \
                    (each against itself); with $(b,--verify) this discharges \
-                   the byte-identity obligation of every stable subtree")
+                   the byte-identity obligation of every fully modeled \
+                   subtree")
   in
   let json =
     Arg.(value & flag
@@ -804,8 +807,9 @@ let impact_cmd =
          "subtree dependence analysis for incremental relinking: compare the \
           pre- and post-edit blueprints' content-addressed interface \
           summaries and report, per operator node, whether its materialized \
-          view is provably reusable ($(b,reuse): equal stable digest in the \
-          old tree) or must be rebuilt ($(b,respin): the first differing \
+          view is provably reusable ($(b,reuse): equal digest of a fully \
+          modeled subtree in the old tree) or must be rebuilt \
+          ($(b,respin): the first differing \
           interface fact is named). The respun set is the edit's spine — a \
           one-module edit to a large library respins O(depth) nodes, not \
           O(library). $(b,--verify) discharges the proofs by from-scratch \
@@ -1818,11 +1822,16 @@ let main =
       compile_cmd; convert_cmd; rename_cmd; copy_as_cmd; merge_cmd;
       lint_cmd; impact_cmd; trace_cmd; stats_cmd; explain_cmd; profile_cmd; hotspots_cmd;
       blame_cmd; workload_cmd; top_cmd; health_cmd; fuzz_cmd;
-      unary_op "hide" "hide definitions, freezing internal references" Jigsaw.Module_ops.hide;
-      unary_op "restrict" "virtualize definitions (remove, keep references)" Jigsaw.Module_ops.restrict;
-      unary_op "show" "hide all but the selected definitions" Jigsaw.Module_ops.show;
-      unary_op "project" "virtualize all but the selected definitions" Jigsaw.Module_ops.project;
-      unary_op "freeze" "make current bindings permanent" Jigsaw.Module_ops.freeze;
+      unary_op "hide" "hide definitions, freezing internal references"
+        (fun p x -> Blueprint.Mgraph.Hide (p, x));
+      unary_op "restrict" "virtualize definitions (remove, keep references)"
+        (fun p x -> Blueprint.Mgraph.Restrict (p, x));
+      unary_op "show" "hide all but the selected definitions"
+        (fun p x -> Blueprint.Mgraph.Show (p, x));
+      unary_op "project" "virtualize all but the selected definitions"
+        (fun p x -> Blueprint.Mgraph.Project (p, x));
+      unary_op "freeze" "make current bindings permanent"
+        (fun p x -> Blueprint.Mgraph.Freeze (p, x));
     ]
 
 (* Every run arms the flight recorder's auto-dump: on any non-zero exit

@@ -1,12 +1,9 @@
 (** Subtree dependence analysis — see impact.mli for the contract.
 
-    The walker below mirrors {!Lint.go_node} case for case: same
-    operand order, same flattening of [list] operands, same
-    mangling-id draw points (one per freeze, one per hide, one per
-    show victim — whatever {!Symflow} actually draws is measured by
-    sampling the counter around the subtree). Keeping the two
-    traversals in lock-step is what lets the lint differential
-    self-check vouch for the summaries computed here. *)
+    The operator semantics live in {!Lint.walk}: this module only
+    annotates each walked node with its interface summary and digest,
+    so the lint findings and the summaries come out of one abstract
+    interpretation. *)
 
 module S = Symflow.S
 module Mg = Blueprint.Mgraph
@@ -19,7 +16,6 @@ type summary = {
   s_frozen : string list;
   s_hidden : string list;
   s_prefs : string list;
-  s_gensym : int;
 }
 
 type info = {
@@ -28,7 +24,7 @@ type info = {
   i_summary : summary;
   i_digest : string;
   i_modeled : bool;
-  i_stable : bool;
+  i_keyed : bool;
   i_children : info list;
 }
 
@@ -62,56 +58,9 @@ let reloc_names (m : Symflow.t) : string list =
        (fun acc f -> S.union acc f.Symflow.f_relocs)
        S.empty m.Symflow.frags)
 
-let seg_str = function Mg.Seg_text -> "T" | Mg.Seg_data -> "D"
-
 let pref_str (c : Mg.constraint_pref) : string =
-  Format.asprintf "%s/%d:%a" (seg_str c.Mg.seg) c.Mg.priority
+  Format.asprintf "%s/%d:%a" (Mg.seg_to_string c.Mg.seg) c.Mg.priority
     Constraints.Placement.pp_pref c.Mg.pref
-
-let scope_str = function
-  | Jigsaw.Module_ops.Defs_only -> "defs"
-  | Jigsaw.Module_ops.Refs_only -> "refs"
-  | Jigsaw.Module_ops.Both -> "both"
-
-let rec value_key = function
-  | Mg.Vstr s -> "s:" ^ s
-  | Mg.Vnum n -> "n:" ^ string_of_int n
-  | Mg.Vlist vs -> "l:[" ^ String.concat "," (List.map value_key vs) ^ "]"
-  | Mg.Vnode n -> "g:" ^ Mg.digest n
-
-(* Digest-side operator key. Deliberately path-free for [Name]: the
-   digest addresses *content*, so rebinding identical content under a
-   new server path still reuses. The display key (s_op, from
-   {!Mg.op_name}) keeps the path for humans. *)
-let op_digest_key (n : Mg.node) : string =
-  match n with
-  | Mg.Leaf _ -> "leaf"
-  | Mg.Name _ -> "name"
-  | Mg.Merge _ -> "merge"
-  | Mg.Override _ -> "override"
-  | Mg.Freeze (p, _) -> "freeze:" ^ p
-  | Mg.Restrict (p, _) -> "restrict:" ^ p
-  | Mg.Project (p, _) -> "project:" ^ p
-  | Mg.Copy_as (p, t, _) -> "copy-as:" ^ p ^ ":" ^ t
-  | Mg.Hide (p, _) -> "hide:" ^ p
-  | Mg.Show (p, _) -> "show:" ^ p
-  | Mg.Rename (sc, p, t, _) -> "rename:" ^ scope_str sc ^ ":" ^ p ^ ":" ^ t
-  | Mg.Initializers _ -> "initializers"
-  | Mg.Source (lang, _) -> "source:" ^ lang
-  | Mg.Specialize (style, args, _) ->
-      "specialize:" ^ style ^ ":"
-      ^ String.concat "," (List.map value_key args)
-  | Mg.Constrain (seg, addr, _) ->
-      Printf.sprintf "constrain:%s:0x%x" (seg_str seg) addr
-  | Mg.Lst _ -> "list"
-
-(* Node-local content that is not captured by children digests. *)
-let content_key (n : Mg.node) : string =
-  match n with
-  | Mg.Leaf o -> Sof.Codec.digest o
-  | Mg.Source (lang, text) ->
-      Digest.to_hex (Digest.string (lang ^ "\x00" ^ text))
-  | _ -> ""
 
 let summary_key (s : summary) : string =
   let b = Buffer.create 256 in
@@ -130,72 +79,23 @@ let summary_key (s : summary) : string =
   strs "f:" s.s_frozen;
   strs "h:" s.s_hidden;
   strs "p:" s.s_prefs;
-  Buffer.add_string b ("g:" ^ string_of_int s.s_gensym);
   Buffer.contents b
 
-let node_digest ~(op : string) ~(content : string)
+(* The digest chains the node's own operator and content, its
+   occurrence key when it mints aliases, the operand digests and the
+   summary: a key anywhere below ties the digest to one occurrence. *)
+let node_digest ~(local : string) ~(key : string option)
     ~(children : string list) (s : summary) : string =
   Digest.to_hex
     (Digest.string
        (String.concat "\x01"
-          ("impact.v1" :: op :: content
-          :: String.concat "," children
-          :: [ summary_key s ])))
+          [ "impact.v2"; local; Option.value key ~default:"";
+            String.concat "," children; summary_key s ]))
 
-(* -- the walker ------------------------------------------------------------- *)
+(* -- the per-node annotation ------------------------------------------------- *)
 
-type state = {
-  resolve : string -> (Mg.node, string) result;
-  gensym : int ref;
-  mutable visiting : string list;
-}
-
-let draw (st : state) () : int =
-  incr st.gensym;
-  !(st.gensym)
-
-let child (path : string) ?idx (n : Mg.node) : string =
-  let parent =
-    match idx with None -> path | Some i -> Printf.sprintf "%s[%d]" path i
-  in
-  parent ^ "." ^ Mg.op_name n
-
-let rec flatten (ns : Mg.node list) : Mg.node list =
-  List.concat_map (function Mg.Lst xs -> flatten xs | n -> [ n ]) ns
-
-(* A selector or rewrite template the operator can apply; [None] means
-   the operator is a no-op for the flow (mirrors lint's E006 path). *)
-let compile_sel (pattern : string) : Jigsaw.Select.t option =
-  match Jigsaw.Select.compile_res pattern with
-  | Ok sel -> Some sel
-  | Error _ -> None
-
-let guarded_map (bad : bool ref) (map : string -> string option) :
-    string -> string option =
- fun n ->
-  try map n
-  with _ ->
-    bad := true;
-    None
-
-(* Kept in sync with {!Lint}'s specializer model. *)
-let known_specializers =
-  [
-    "lib-constrained"; "lib-static"; "identity"; "lib-dynamic";
-    "lib-dynamic-impl"; "monitor";
-  ]
-
-let unmodeled_specializers = [ "lib-dynamic"; "monitor" ]
-
-(* Walk one node. Returns the symbol flow and prefs (the operator
-   semantics, identical to lint's) plus the annotated info whose
-   [i_stable] is provisionally [i_modeled] — the dual-base zip below
-   replaces it with the replay-invariance verdict. *)
-let rec walk (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list * info =
-  let g0 = !(st.gensym) in
-  let m, prefs, children, ok = step st path n in
-  let consumed = !(st.gensym) - g0 in
+let annotate ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
+    (prefs : Mg.constraint_pref list) (children : info list) : info =
   let summary =
     {
       s_op = Mg.op_name n;
@@ -205,183 +105,20 @@ let rec walk (st : state) (path : string) (n : Mg.node) :
       s_frozen = S.elements m.Symflow.frozen;
       s_hidden = S.elements m.Symflow.hidden;
       s_prefs = List.map pref_str prefs;
-      s_gensym = consumed;
     }
   in
-  let modeled =
-    ok && List.for_all (fun c -> c.i_modeled) children
-  in
-  let digest =
-    node_digest ~op:(op_digest_key n) ~content:(content_key n)
-      ~children:(List.map (fun c -> c.i_digest) children)
-      summary
-  in
-  ( m,
-    prefs,
-    {
-      i_path = path;
-      i_node = n;
-      i_summary = summary;
-      i_digest = digest;
-      i_modeled = modeled;
-      i_stable = modeled;
-      i_children = children;
-    } )
-
-and step (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list * info list * bool =
-  match n with
-  | Mg.Leaf o -> (Symflow.of_object o, [], [], true)
-  | Mg.Name p ->
-      if List.mem p st.visiting then (Symflow.empty, [], [], false)
-      else begin
-        match st.resolve p with
-        | Error _ -> (Symflow.empty, [], [], false)
-        | Ok sub ->
-            st.visiting <- p :: st.visiting;
-            let m, prefs, i = walk st path sub in
-            st.visiting <- List.tl st.visiting;
-            (m, prefs, [ i ], true)
-      end
-  | Mg.Merge operands -> (
-      match flatten operands with
-      | [] -> (Symflow.empty, [], [], false)
-      | flat ->
-          let rs =
-            List.mapi (fun i x -> walk st (child path ~idx:i x) x) flat
-          in
-          let parts = List.map (fun (m, _, _) -> m) rs in
-          let m =
-            match parts with
-            | p :: rest -> List.fold_left Symflow.merge p rest
-            | [] -> assert false
-          in
-          ( m,
-            List.concat_map (fun (_, p, _) -> p) rs,
-            List.map (fun (_, _, i) -> i) rs,
-            true ))
-  | Mg.Override (a, b) ->
-      let ma, pa, ia = walk st (child path ~idx:0 a) a in
-      let mb, pb, ib = walk st (child path ~idx:1 b) b in
-      let b_exports = Symflow.exports mb in
-      let a' = Symflow.restrict (fun n -> List.mem n b_exports) ma in
-      (Symflow.merge a' mb, pa @ pb, [ ia; ib ], true)
-  | Mg.Freeze (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          ( Symflow.freeze ~gensym:(draw st) (Jigsaw.Select.matches sel) mx,
-            px,
-            [ ix ],
-            true ))
-  | Mg.Restrict (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel -> (Symflow.restrict (Jigsaw.Select.matches sel) mx, px, [ ix ], true))
-  | Mg.Project (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel -> (Symflow.project (Jigsaw.Select.matches sel) mx, px, [ ix ], true))
-  | Mg.Copy_as (p, template, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          let bad = ref false in
-          let map = guarded_map bad (Jigsaw.Select.rewrite sel template) in
-          let m' = Symflow.copy_as map mx in
-          (m', px, [ ix ], not !bad))
-  | Mg.Hide (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          ( Symflow.hide ~gensym:(draw st) (Jigsaw.Select.matches sel) mx,
-            px,
-            [ ix ],
-            true ))
-  | Mg.Show (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          ( Symflow.show ~gensym:(draw st) (Jigsaw.Select.matches sel) mx,
-            px,
-            [ ix ],
-            true ))
-  | Mg.Rename (scope, p, template, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          let bad = ref false in
-          let map = guarded_map bad (Jigsaw.Select.rewrite sel template) in
-          let m' = Symflow.rename scope map mx in
-          (m', px, [ ix ], not !bad))
-  | Mg.Initializers x ->
-      let mx, px, ix = walk st (child path x) x in
-      (Symflow.initializers mx, px, [ ix ], true)
-  | Mg.Source (lang, text) -> (
-      match lang with
-      | "c" | "C" -> (
-          match Minic.Driver.compile ~name:"(source)" text with
-          | o -> (Symflow.of_object o, [], [], true)
-          | exception _ -> (Symflow.empty, [], [], false))
-      | _ -> (Symflow.empty, [], [], false))
-  | Mg.Specialize (style, args, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match style with
-      | "lib-constrained" -> (
-          let flat =
-            List.concat_map
-              (function Mg.Vlist vs -> vs | v -> [ v ])
-              args
-          in
-          let rec pairs = function
-            | Mg.Vstr seg :: Mg.Vnum addr :: rest -> (
-                match Mg.seg_of_string seg with
-                | s ->
-                    Option.map
-                      (fun tail ->
-                        {
-                          Mg.seg = s;
-                          priority = 6;
-                          pref = Constraints.Placement.At addr;
-                        }
-                        :: {
-                             Mg.seg = s;
-                             priority = 3;
-                             pref = Constraints.Placement.Near addr;
-                           }
-                        :: tail)
-                      (pairs rest)
-                | exception Mg.Eval_error _ -> None)
-            | [] -> Some []
-            | _ -> None
-          in
-          match pairs flat with
-          | Some ps -> (mx, ps @ px, [ ix ], true)
-          | None -> (mx, px, [ ix ], false))
-      | "lib-static" | "identity" | "lib-dynamic-impl" -> (mx, px, [ ix ], true)
-      | _ when List.mem style unmodeled_specializers ->
-          (* stub generation / wrapper interposition rewrite the module
-             in ways only evaluation can see: the summary describes the
-             operand only, so reuse cannot be proven *)
-          (mx, px, [ ix ], false)
-      | _ when List.mem style known_specializers -> (mx, px, [ ix ], true)
-      | _ -> (mx, px, [ ix ], false))
-  | Mg.Constrain (seg, addr, x) ->
-      let mx, px, ix = walk st (child path x) x in
-      ( mx,
-        { Mg.seg; priority = 6; pref = Constraints.Placement.At addr }
-        :: { Mg.seg; priority = 3; pref = Constraints.Placement.Near addr }
-        :: px,
-        [ ix ],
-        true )
-  | Mg.Lst _ -> (Symflow.empty, [], [], false)
+  {
+    i_path = path;
+    i_node = n;
+    i_summary = summary;
+    i_digest =
+      node_digest ~local:(Mg.local_key n) ~key
+        ~children:(List.map (fun c -> c.i_digest) children)
+        summary;
+    i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
+    i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
+    i_children = children;
+  }
 
 (* -- entry points ------------------------------------------------------------ *)
 
@@ -398,36 +135,20 @@ let fallback_info (root : Mg.node) : info =
         s_frozen = [];
         s_hidden = [];
         s_prefs = [];
-        s_gensym = 0;
       };
     i_digest = "(analysis-error)";
     i_modeled = false;
-    i_stable = false;
+    i_keyed = false;
     i_children = [];
   }
 
-let run_once ~resolve ~(gensym_base : int) (root : Mg.node) : info =
-  let st = { resolve; gensym = ref gensym_base; visiting = [] } in
-  match walk st (Mg.op_name root) root with
-  | _, _, i -> i
-  | exception _ -> fallback_info root
+let analyze_and_lint ~(resolve : string -> (Mg.node, string) result)
+    (root : Mg.node) : tree * Lint.report =
+  let report, info = Lint.walk ~resolve ~annotate root in
+  let t_root = Option.value info ~default:(fallback_info root) in
+  ({ t_root; t_approximate = not t_root.i_modeled }, report)
 
-let rec force_unstable (i : info) : info =
-  {
-    i with
-    i_stable = false;
-    i_children = List.map force_unstable i.i_children;
-  }
-
-(* Zip the two replays: a node is stable iff it is fully modeled and
-   its digest did not move when the whole analysis started from a
-   different mangling base. *)
-let rec zip (a : info) (b : info) : info =
-  {
-    a with
-    i_stable = a.i_modeled && String.equal a.i_digest b.i_digest;
-    i_children = List.map2 zip a.i_children b.i_children;
-  }
+let analyze ~resolve root = fst (analyze_and_lint ~resolve root)
 
 let iter_infos (f : info -> unit) (t : tree) : unit =
   let rec go i =
@@ -435,18 +156,6 @@ let iter_infos (f : info -> unit) (t : tree) : unit =
     List.iter go i.i_children
   in
   go t.t_root
-
-let analyze ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
-    tree =
-  let r0 = run_once ~resolve ~gensym_base:0 root in
-  let r1 = run_once ~resolve ~gensym_base:1_000_003 root in
-  let zipped =
-    try zip r0 r1 with Invalid_argument _ -> force_unstable r0
-  in
-  let approx = ref false in
-  let t = { t_root = zipped; t_approximate = false } in
-  iter_infos (fun i -> if not i.i_modeled then approx := true) t;
-  { t with t_approximate = !approx }
 
 (* -- diff -------------------------------------------------------------------- *)
 
@@ -486,57 +195,24 @@ let first_list_diff ~(what : string) (old_l : string list)
   go old_l new_l
 
 let summary_reason (so : summary) (sn : summary) : string option =
-  let exports s =
-    List.map (fun (n, b) -> Printf.sprintf "%s (%s)" n b) s.s_exports
-  in
   if not (String.equal so.s_op sn.s_op) then
     Some (Printf.sprintf "operator changed: %s -> %s" so.s_op sn.s_op)
   else
-    match first_list_diff ~what:"export" (exports so) (exports sn) with
-    | Some r -> Some r
-    | None -> (
-        match
-          first_list_diff ~what:"undefined reference" so.s_undefined
-            sn.s_undefined
-        with
-        | Some r -> Some r
-        | None -> (
-            match
-              first_list_diff ~what:"relocation target" so.s_relocs sn.s_relocs
-            with
-            | Some r -> Some r
-            | None -> (
-                match
-                  first_list_diff ~what:"frozen binding" so.s_frozen sn.s_frozen
-                with
-                | Some r -> Some r
-                | None -> (
-                    match
-                      first_list_diff ~what:"hidden name" so.s_hidden
-                        sn.s_hidden
-                    with
-                    | Some r -> Some r
-                    | None -> (
-                        match
-                          first_list_diff ~what:"constraint preference"
-                            so.s_prefs sn.s_prefs
-                        with
-                        | Some r -> Some r
-                        | None ->
-                            if so.s_gensym <> sn.s_gensym then
-                              Some
-                                (Printf.sprintf
-                                   "mangling-id consumption changed: %d -> %d"
-                                   so.s_gensym sn.s_gensym)
-                            else None)))))
+    List.find_map
+      (fun (what, facts) -> first_list_diff ~what (facts so) (facts sn))
+      [
+        ("export", fun s -> List.map (fun (n, b) -> Printf.sprintf "%s (%s)" n b) s.s_exports);
+        ("undefined reference", fun s -> s.s_undefined);
+        ("relocation target", fun s -> s.s_relocs);
+        ("frozen binding", fun s -> s.s_frozen);
+        ("hidden name", fun s -> s.s_hidden);
+        ("constraint preference", fun s -> s.s_prefs);
+      ]
 
 let respin_reason (old_opt : info option) (ni : info) : string =
   if not ni.i_modeled then
     "subtree not fully modeled (unresolved name, bad selector, source \
      error, or opaque specializer); reuse cannot be proven"
-  else if not ni.i_stable then
-    "interface summary depends on gensym ordering (a live freeze/hide/show \
-     leaks minted aliases into the exports)"
   else
     match old_opt with
     | None -> "new subtree: no counterpart at this position in the old blueprint"
@@ -546,16 +222,16 @@ let respin_reason (old_opt : info option) (ni : info) : string =
         | None -> "operand content changed (interface identical)")
 
 let diff ~(old_tree : tree) ~(new_tree : tree) : diff =
-  let old_stable : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let reusable : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   iter_infos
-    (fun i -> if i.i_stable then Hashtbl.replace old_stable i.i_digest ())
+    (fun i -> if i.i_modeled then Hashtbl.replace reusable i.i_digest ())
     old_tree;
   let nodes = ref [] in
   let reused = ref 0 in
   let respun = ref 0 in
   let spine = ref [] in
   let rec go (old_opt : info option) (ni : info) : unit =
-    if ni.i_stable && Hashtbl.mem old_stable ni.i_digest then begin
+    if ni.i_modeled && Hashtbl.mem reusable ni.i_digest then begin
       incr reused;
       nodes :=
         {

@@ -2,32 +2,27 @@
     over m-graphs, and the reuse/respin verdicts that make incremental
     relinking sound.
 
-    Built on {!Symflow}: per operator node the analyzer computes a
-    canonical {e interface summary} — exports with binding and
-    multiplicity, undefined references, reloc shape (referenced names),
-    frozen/hidden sets, accumulated constraint preferences, and the
-    number of mangling ids the subtree consumes — plus a structural
-    digest that chains leaf content digests, operator parameters, child
-    digests and the summary. Two subtrees with equal digests are
-    provably link-equivalent: same construction content, same interface,
-    same placement preferences.
+    Built on {!Lint.walk} over {!Symflow}: per operator node the
+    analyzer computes a canonical {e interface summary} — exports with
+    binding and multiplicity, undefined references, reloc shape
+    (referenced names), frozen/hidden sets and accumulated constraint
+    preferences — plus a structural digest that chains leaf content
+    digests, operator parameters, the occurrence key of a live
+    freeze/hide/show, child digests and the summary. Two subtrees with
+    equal digests are provably link-equivalent: same construction
+    content, same minted aliases, same interface, same placement
+    preferences.
 
-    Stability is established by {e dual-base replay}: the whole analysis
-    runs twice from two distinct gensym bases, and a node whose digest
-    differs between the runs has an interface that leaks minted
-    [n$frzI]/[n$hidI] names (a live freeze/hide/show anywhere in the
-    subtree). Unstable subtrees can never be reused — their
-    materialization depends on where in the global mangling sequence
-    evaluation happens to start. Stable subtrees contain no minted name
-    at all, so their materialization is byte-identical across replays
-    (dead freezes still {e consume} ids, which is why the summary
-    carries the consumed-id count: reuse must skip them).
+    A live freeze/hide/show names its aliases after its occurrence, so
+    its digest, and every ancestor's, is {e keyed}: it holds only where
+    the node sits. Digests without a key hold anywhere.
 
     {!diff} compares an old/new analysis: each node of the new tree is
-    either [Reused] (digest present in the old tree {e and} stable —
-    the proof obligations) or [Respin] with the first differing
-    interface fact as a human-readable reason. Verdicts are pre-order
-    and pruned: below a reused node nothing needs a verdict.
+    either [Reused] (fully modeled, and its digest present among the
+    old tree's fully modeled nodes — the proof obligations) or [Respin]
+    with the first differing interface fact as a human-readable reason.
+    Verdicts are pre-order and pruned: below a reused node nothing
+    needs a verdict.
 
     Like {!Lint}, the analyzer materializes no view and charges nothing
     to the simulated clock. *)
@@ -46,7 +41,6 @@ type summary = {
   s_frozen : string list;
   s_hidden : string list;
   s_prefs : string list;  (** rendered constraint preferences *)
-  s_gensym : int;  (** mangling ids the subtree consumes *)
 }
 
 (** Annotated analysis of one node. *)
@@ -55,30 +49,35 @@ type info = {
   i_node : Mg.node;
   i_summary : summary;
   i_digest : string;
-      (** content digest: leaf content + params + child digests +
-          summary, chained bottom-up *)
+      (** content digest: leaf content + params + occurrence key of a
+          live freeze/hide/show + child digests + summary, chained
+          bottom-up *)
   i_modeled : bool;
       (** the whole subtree is fully modeled: every name resolves
           acyclically, every selector/template compiles, every source
-          compiles, every specializer has a modeled semantics *)
-  i_stable : bool;
-      (** digest invariant under gensym-base replay, and every node in
-          the subtree fully modeled (no unresolved name, bad selector,
-          or unmodeled specializer) *)
+          compiles, every specializer has a modeled semantics. Only
+          such subtrees can be reused. *)
+  i_keyed : bool;
+      (** a live freeze/hide/show in the subtree mints aliases named
+          after its occurrence: the digest holds only at [i_path] *)
   i_children : info list;
 }
 
 type tree = {
   t_root : info;
   t_approximate : bool;
-      (** some node could not be modeled precisely; those nodes (and
-          their ancestors) are marked unstable *)
+      (** some node could not be modeled precisely; it and its
+          ancestors can never be reused *)
 }
 
 (** Analyze a graph. Never raises; unmodelable nodes are marked
-    unstable rather than failing. *)
+    unmodeled rather than failing. *)
 val analyze :
   resolve:(string -> (Mg.node, string) result) -> Mg.node -> tree
+
+(** {!analyze} and {!Lint.analyze} from one walk of the graph. *)
+val analyze_and_lint :
+  resolve:(string -> (Mg.node, string) result) -> Mg.node -> tree * Lint.report
 
 (** Pre-order walk over an info tree. *)
 val iter_infos : (info -> unit) -> tree -> unit
@@ -86,8 +85,8 @@ val iter_infos : (info -> unit) -> tree -> unit
 (** Verdict for one node of the {e new} tree. *)
 type verdict =
   | Reused of { digest : string }
-      (** an equal-digest stable subtree exists in the old tree; its
-          materialization can be reused byte-for-byte *)
+      (** an equal-digest, fully modeled subtree exists in the old
+          tree; its materialization can be reused byte-for-byte *)
   | Respin of { reason : string }
       (** must be rebuilt; [reason] names the first differing
           interface fact *)
@@ -122,9 +121,11 @@ type verify_outcome = {
 }
 
 (** [verify ~eval ~old_tree ~new_tree d] — [eval] evaluates a node in
-    the caller's environment (e.g. the server's). Subtrees whose
-    evaluation raises identically on both sides are vacuously ok (they
-    can never have been materialized). *)
+    the caller's environment (e.g. the server's), as a root: equal
+    digests imply equal occurrence keys, so both sides mint the same
+    aliases there too. Subtrees whose evaluation raises identically on
+    both sides are vacuously ok (they can never have been
+    materialized). *)
 val verify :
   eval:(Mg.node -> Jigsaw.Module_ops.t) ->
   old_tree:tree ->

@@ -2,10 +2,11 @@
 
     An abstract interpretation of an m-graph that walks the node tree
     exactly as {!Blueprint.Mgraph.eval} would (same operand order, same
-    mangling-id sequence) but computes on {!Symflow} name sets instead
-    of materializing views — so it is safe to run at meta-object
-    registration time, costs nothing on the simulated clock, and can
-    diagnose graphs whose evaluation would raise.
+    occurrence paths, hence the same freeze/hide/show aliases) but
+    computes on {!Symflow} name sets instead of materializing views — so
+    it is safe to run at meta-object registration time, costs nothing on
+    the simulated clock, and can diagnose graphs whose evaluation would
+    raise. {!Impact} annotates the same walk with interface summaries.
 
     Stable diagnostic codes:
 
@@ -36,11 +37,7 @@
     - [W103] freeze-of-already-frozen — freezing symbols whose bindings
       are already permanent (mints a useless extra alias).
     - [W104] shadowed-weak-definition — a weak definition permanently
-      shadowed by a global one in a [merge].
-    - [W105] unstable-subtree — a live [freeze]/[hide]/[show] mints
-      [n$frzI]/[n$hidI] aliases into the exported namespace, so the
-      node's interface summary depends on the global mangling-id
-      sequence: {!Impact} can never prove such a subtree reusable. *)
+      shadowed by a global one in a [merge]. *)
 
 module S = Symflow.S
 module Mg = Blueprint.Mgraph
@@ -85,9 +82,19 @@ let finding_to_string (f : finding) : string =
 
 (* -- driver state ----------------------------------------------------------- *)
 
-type state = {
+type 'a annotate =
+  path:string ->
+  key:string option ->
+  modeled:bool ->
+  Mg.node ->
+  Symflow.t ->
+  Mg.constraint_pref list ->
+  'a list ->
+  'a
+
+type 'a state = {
   resolve : string -> (Mg.node, string) result;
-  gensym : int ref;
+  annotate : 'a annotate;
   mutable findings : finding list;  (* newest first *)
   mutable ever_defined : S.t;  (* names defined anywhere, at any point *)
   mutable visiting : string list;  (* Name cycle detection *)
@@ -95,30 +102,49 @@ type state = {
   mutable eval_fails : bool;
 }
 
-let emit (st : state) ~code ~title ~severity ~path ?(symbols = []) message :
+(* One node's walk: its flow and preferences, its operands'
+   annotations, whether its own semantics are modeled exactly, and its
+   occurrence key when it minted freeze/hide/show aliases. *)
+type 'a step = {
+  flow : Symflow.t;
+  prefs : Mg.constraint_pref list;
+  children : 'a list;
+  modeled : bool;
+  key : string option;
+}
+
+(* A node the analyzer cannot model (unresolved name, broken source,
+   malformed graph): nothing flows out of it. *)
+let opaque =
+  { flow = Symflow.empty; prefs = []; children = []; modeled = false; key = None }
+
+(* The step of a node with one operand, walked as [(_, prefs, ann)]. *)
+let over ?(modeled = true) ?key
+    ((_, prefs, ann) : Symflow.t * Mg.constraint_pref list * 'a)
+    (flow : Symflow.t) : 'a step =
+  { flow; prefs; children = [ ann ]; modeled; key }
+
+(* A freeze/hide/show: aliases are keyed by the node's occurrence, and
+   the node carries its key only when it actually mints. *)
+let mint ~path ~live operand (apply : key:string -> Symflow.t) =
+  let key = Mg.occurrence_key path in
+  over ?key:(if live then Some key else None) operand (apply ~key)
+
+let emit (st : _ state) ~code ~title ~severity ~path ?(symbols = []) message :
     unit =
   st.findings <-
     { code; title; severity; path; symbols; message } :: st.findings
 
-let fails (st : state) ~code ~title ~path ?symbols message : unit =
+let fails (st : _ state) ~code ~title ~path ?symbols message : unit =
   st.eval_fails <- true;
   emit st ~code ~title ~severity:Error ~path ?symbols message
 
-let draw (st : state) () : int =
-  incr st.gensym;
-  !(st.gensym)
-
-(* Child-path addressing: unary children extend the dotted path;
-   positional operands index the parent segment. *)
-let child (path : string) ?idx (n : Mg.node) : string =
-  let parent =
-    match idx with None -> path | Some i -> Printf.sprintf "%s[%d]" path i
-  in
-  parent ^ "." ^ Mg.op_name n
+let malformed st ~path message =
+  fails st ~code:"E008" ~title:"malformed-graph" ~path message
 
 (* A selector that failed to compile: report E006 once and treat the
    operator as a no-op so analysis can continue. *)
-let compile_sel (st : state) ~path (pattern : string) : Jigsaw.Select.t option
+let compile_sel (st : _ state) ~path (pattern : string) : Jigsaw.Select.t option
     =
   match Jigsaw.Select.compile_res pattern with
   | Ok sel -> Some sel
@@ -128,20 +154,22 @@ let compile_sel (st : state) ~path (pattern : string) : Jigsaw.Select.t option
       None
 
 (* A rewrite map whose template may fail to apply ([\1] without a
-   group): report E006 on first failure, then behave as non-matching. *)
-let guarded_map (st : state) ~path ~(pattern : string) ~(template : string)
-    (map : string -> string option) : string -> string option =
-  let reported = ref false in
-  fun n ->
-    try map n
-    with e ->
-      if not !reported then begin
-        reported := true;
-        fails st ~code:"E006" ~title:"invalid-selector" ~path
-          (Printf.sprintf "template %S does not apply to %S (%s)" template
-             pattern (Printexc.to_string e))
-      end;
-      None
+   group): report E006 on first failure, then behave as non-matching.
+   The flag records the failure: the node is no longer modeled. *)
+let guarded_map (st : _ state) ~path ~(pattern : string) ~(template : string)
+    (map : string -> string option) : (string -> string option) * bool ref =
+  let bad = ref false in
+  ( (fun n ->
+      try map n
+      with e ->
+        if not !bad then begin
+          bad := true;
+          fails st ~code:"E006" ~title:"invalid-selector" ~path
+            (Printf.sprintf "template %S does not apply to %S (%s)" template
+               pattern (Printexc.to_string e))
+        end;
+        None),
+    bad )
 
 (* Duplicate-global names within a single module (what its own merge
    nodes already reported), used to report only dups a node creates. *)
@@ -149,7 +177,7 @@ let own_dup_names (m : Symflow.t) : S.t =
   S.of_list
     (List.map (fun (n, _, _) -> n) (Symflow.duplicate_globals m.Symflow.frags))
 
-let check_merge_conflicts (st : state) ~path (parts : Symflow.t list)
+let check_merge_conflicts (st : _ state) ~path (parts : Symflow.t list)
     (result : Symflow.t) : unit =
   let inherited =
     List.fold_left (fun acc p -> S.union acc (own_dup_names p)) S.empty parts
@@ -186,7 +214,7 @@ let check_merge_conflicts (st : state) ~path (parts : Symflow.t list)
 
 (* Globals created by a defs-side rewrite that now collide (E003): names
    whose global multiplicity grew to >= 2. *)
-let check_rename_collision (st : state) ~path ~(op : string)
+let check_rename_collision (st : _ state) ~path ~(op : string)
     (before : Symflow.t) (after : Symflow.t) : unit =
   let counts (m : Symflow.t) : (string, int) Hashtbl.t =
     let h = Hashtbl.create 32 in
@@ -214,83 +242,60 @@ let check_rename_collision (st : state) ~path ~(op : string)
         (Printf.sprintf
            "%s mints a global definition name that collides with another" op)
 
-(* A freeze/hide/show whose selection is live mints gensym-numbered
-   aliases into the exported namespace: the subtree's interface digest
-   moves with the global mangling base, so incremental relinking can
-   never reuse it (W105). *)
-let warn_unstable (st : state) ~path ~(op : string) (minted_for : string list)
-    : unit =
-  emit st ~code:"W105" ~title:"unstable-subtree" ~severity:Warning ~path
-    ~symbols:(List.sort_uniq compare minted_for)
-    (Printf.sprintf
-       "%s mints mangling-dependent aliases into the exported namespace; \
-        the subtree's interface depends on gensym ordering and can never \
-        be reused by incremental relinking"
-       op)
-
-let known_specializers =
-  [
-    "lib-constrained"; "lib-static"; "identity"; "lib-dynamic";
-    "lib-dynamic-impl"; "monitor";
-  ]
-
 let unmodeled_specializers = [ "lib-dynamic"; "monitor" ]
 
 (* -- the abstract evaluator ------------------------------------------------- *)
 
-let rec go (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list =
-  let m, prefs = go_node st path n in
+let rec go (st : 'a state) (path : string) (n : Mg.node) :
+    Symflow.t * Mg.constraint_pref list * 'a =
+  let s = step st path n in
   st.ever_defined <-
-    S.union st.ever_defined (S.of_list (Symflow.defined_any m));
-  (m, prefs)
+    S.union st.ever_defined (S.of_list (Symflow.defined_any s.flow));
+  ( s.flow,
+    s.prefs,
+    st.annotate ~path ~key:s.key ~modeled:s.modeled n s.flow s.prefs s.children )
 
-and go_node (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list =
+and operand st path ?idx x = go st (Mg.child_path path ?idx x) x
+
+and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
   match n with
-  | Mg.Leaf o -> (Symflow.of_object o, [])
-  | Mg.Name p ->
-      if List.mem p st.visiting then begin
+  | Mg.Leaf o -> { opaque with flow = Symflow.of_object o; modeled = true }
+  | Mg.Name p -> (
+      let unknown msg =
         fails st ~code:"E005" ~title:"unknown-server-object" ~path
-          ~symbols:[ p ]
-          (Printf.sprintf "cyclic meta-object reference through %s" p);
-        (Symflow.empty, [])
-      end
-      else begin
+          ~symbols:[ p ] msg;
+        opaque
+      in
+      if List.mem p st.visiting then
+        unknown (Printf.sprintf "cyclic meta-object reference through %s" p)
+      else
         match st.resolve p with
-        | Error msg ->
-            fails st ~code:"E005" ~title:"unknown-server-object" ~path
-              ~symbols:[ p ] msg;
-            (Symflow.empty, [])
+        | Error msg -> unknown msg
         | Ok sub ->
             st.visiting <- p :: st.visiting;
-            let r = go st path sub in
+            let ((m, _, _) as r) = go st path sub in
             st.visiting <- List.tl st.visiting;
-            r
-      end
+            over r m)
   | Mg.Merge operands -> (
-      match flatten st operands with
+      match Mg.flatten_operands operands with
       | [] ->
-          fails st ~code:"E008" ~title:"malformed-graph" ~path
-            "merge: no operands";
-          (Symflow.empty, [])
+          malformed st ~path "merge: no operands";
+          opaque
       | flat ->
-          let rs =
-            List.mapi (fun i x -> go st (child path ~idx:i x) x) flat
-          in
-          let parts = List.map fst rs in
-          let m =
-            match parts with
-            | [ m ] -> m
-            | p :: rest -> List.fold_left Symflow.merge p rest
-            | [] -> assert false
-          in
-          if List.length parts > 1 then
-            check_merge_conflicts st ~path parts m;
-          (m, List.concat_map snd rs))
+          let rs = List.mapi (fun i x -> operand st path ~idx:i x) flat in
+          let parts = List.map (fun (m, _, _) -> m) rs in
+          let m = List.fold_left Symflow.merge (List.hd parts) (List.tl parts) in
+          if List.length parts > 1 then check_merge_conflicts st ~path parts m;
+          {
+            flow = m;
+            prefs = List.concat_map (fun (_, p, _) -> p) rs;
+            children = List.map (fun (_, _, a) -> a) rs;
+            modeled = true;
+            key = None;
+          })
   | Mg.Override (a, b) ->
-      let ma, pa = go st (child path ~idx:0 a) a in
-      let mb, pb = go st (child path ~idx:1 b) b in
+      let ma, pa, ia = operand st path ~idx:0 a in
+      let mb, pb, ib = operand st path ~idx:1 b in
       let a_exports = S.of_list (Symflow.exports ma) in
       let b_exports = Symflow.exports mb in
       if not (List.exists (fun n -> S.mem n a_exports) b_exports) then
@@ -298,16 +303,14 @@ and go_node (st : state) (path : string) (n : Mg.node) :
           ~severity:Warning ~path
           "the right operand exports nothing the left operand defines; \
            override replaces no binding";
-      let a' =
-        Symflow.restrict (fun n -> List.mem n b_exports) ma
-      in
+      let a' = Symflow.restrict (fun n -> List.mem n b_exports) ma in
       let m = Symflow.merge a' mb in
       check_merge_conflicts st ~path [ a'; mb ] m;
-      (m, pa @ pb)
+      { flow = m; prefs = pa @ pb; children = [ ia; ib ]; modeled = true; key = None }
   | Mg.Freeze (p, x) -> (
-      let mx, px = go st (child path x) x in
+      let ((mx, _, _) as r) = operand st path x in
       match compile_sel st ~path p with
-      | None -> (mx, px)
+      | None -> over ~modeled:false r mx
       | Some sel ->
           let selected = Jigsaw.Select.selected sel (Symflow.exports mx) in
           let refrozen =
@@ -318,23 +321,23 @@ and go_node (st : state) (path : string) (n : Mg.node) :
               ~severity:Warning ~path ~symbols:refrozen
               "these bindings are already permanent; refreezing mints a \
                useless extra alias";
-          if selected <> [] then warn_unstable st ~path ~op:"freeze" selected;
-          (Symflow.freeze ~gensym:(draw st) (Jigsaw.Select.matches sel) mx, px))
+          mint ~path ~live:(selected <> []) r
+            (Symflow.freeze (Jigsaw.Select.matches sel) mx))
   | Mg.Restrict (p, x) -> (
-      let mx, px = go st (child path x) x in
+      let ((mx, _, _) as r) = operand st path x in
       match compile_sel st ~path p with
-      | None -> (mx, px)
+      | None -> over ~modeled:false r mx
       | Some sel ->
           let pred = Jigsaw.Select.matches sel in
           if Symflow.touched pred mx = [] then
             emit st ~code:"W101" ~title:"dead-restrict" ~severity:Warning ~path
               (Printf.sprintf
                  "selector %S matches no definition; restrict has no effect" p);
-          (Symflow.restrict pred mx, px))
+          over r (Symflow.restrict pred mx))
   | Mg.Project (p, x) -> (
-      let mx, px = go st (child path x) x in
+      let ((mx, _, _) as r) = operand st path x in
       match compile_sel st ~path p with
-      | None -> (mx, px)
+      | None -> over ~modeled:false r mx
       | Some sel ->
           let pred = Jigsaw.Select.matches sel in
           if Symflow.touched (fun n -> not (pred n)) mx = [] then
@@ -342,145 +345,101 @@ and go_node (st : state) (path : string) (n : Mg.node) :
               (Printf.sprintf
                  "selector %S matches every definition; project has no effect"
                  p);
-          (Symflow.project pred mx, px))
+          over r (Symflow.project pred mx))
   | Mg.Copy_as (p, template, x) -> (
-      let mx, px = go st (child path x) x in
+      let ((mx, _, _) as r) = operand st path x in
       match compile_sel st ~path p with
-      | None -> (mx, px)
+      | None -> over ~modeled:false r mx
       | Some sel ->
-          let map =
+          let map, bad =
             guarded_map st ~path ~pattern:p ~template
               (Jigsaw.Select.rewrite sel template)
           in
           let m' = Symflow.copy_as map mx in
           check_rename_collision st ~path ~op:"copy-as" mx m';
-          (m', px))
+          over ~modeled:(not !bad) r m')
   | Mg.Hide (p, x) -> (
-      let mx, px = go st (child path x) x in
+      let ((mx, _, _) as r) = operand st path x in
       match compile_sel st ~path p with
-      | None -> (mx, px)
+      | None -> over ~modeled:false r mx
       | Some sel ->
           let pred = Jigsaw.Select.matches sel in
-          (match List.filter pred (Symflow.exports mx) with
-          | [] ->
-              emit st ~code:"W101" ~title:"dead-hide" ~severity:Warning ~path
-                (Printf.sprintf
-                   "selector %S matches no export; hide has no effect" p)
-          | hidden -> warn_unstable st ~path ~op:"hide" hidden);
-          (Symflow.hide ~gensym:(draw st) pred mx, px))
+          let live = List.exists pred (Symflow.exports mx) in
+          if not live then
+            emit st ~code:"W101" ~title:"dead-hide" ~severity:Warning ~path
+              (Printf.sprintf
+                 "selector %S matches no export; hide has no effect" p);
+          mint ~path ~live r (Symflow.hide pred mx))
   | Mg.Show (p, x) -> (
-      let mx, px = go st (child path x) x in
+      let ((mx, _, _) as r) = operand st path x in
       match compile_sel st ~path p with
-      | None -> (mx, px)
+      | None -> over ~modeled:false r mx
       | Some sel ->
           let pred = Jigsaw.Select.matches sel in
-          let victims =
-            List.filter (fun n -> not (pred n)) (Symflow.exports mx)
-          in
-          if victims = [] then
+          let live = List.exists (fun n -> not (pred n)) (Symflow.exports mx) in
+          if not live then
             emit st ~code:"W101" ~title:"dead-show" ~severity:Warning ~path
               (Printf.sprintf
-                 "selector %S matches every export; show has no effect" p)
-          else warn_unstable st ~path ~op:"show" victims;
-          (Symflow.show ~gensym:(draw st) pred mx, px))
+                 "selector %S matches every export; show has no effect" p);
+          mint ~path ~live r (Symflow.show pred mx))
   | Mg.Rename (scope, p, template, x) -> (
-      let mx, px = go st (child path x) x in
+      let ((mx, _, _) as r) = operand st path x in
       match compile_sel st ~path p with
-      | None -> (mx, px)
+      | None -> over ~modeled:false r mx
       | Some sel ->
-          let map =
+          let map, bad =
             guarded_map st ~path ~pattern:p ~template
               (Jigsaw.Select.rewrite sel template)
           in
           let m' = Symflow.rename scope map mx in
           if scope <> Jigsaw.Module_ops.Refs_only then
             check_rename_collision st ~path ~op:"rename" mx m';
-          (m', px))
+          over ~modeled:(not !bad) r m')
   | Mg.Initializers x ->
-      let mx, px = go st (child path x) x in
-      (Symflow.initializers mx, px)
+      let ((mx, _, _) as r) = operand st path x in
+      over r (Symflow.initializers mx)
   | Mg.Source (lang, text) -> (
+      let broken msg =
+        fails st ~code:"E007" ~title:"source-compile-error" ~path msg;
+        opaque
+      in
       match lang with
       | "c" | "C" -> (
           match Minic.Driver.compile ~name:"(source)" text with
-          | o -> (Symflow.of_object o, [])
+          | o -> { opaque with flow = Symflow.of_object o; modeled = true }
           | exception Minic.Driver.Compile_error msg ->
-              fails st ~code:"E007" ~title:"source-compile-error" ~path
-                (Printf.sprintf "source: %s" msg);
-              (Symflow.empty, []))
-      | other ->
-          fails st ~code:"E007" ~title:"source-compile-error" ~path
-            (Printf.sprintf "source: unsupported language %S" other);
-          (Symflow.empty, []))
+              broken (Printf.sprintf "source: %s" msg))
+      | other -> broken (Printf.sprintf "source: unsupported language %S" other))
   | Mg.Specialize (style, args, x) -> (
+      let ((mx, px, _) as r) = operand st path x in
       match style with
       | "lib-constrained" -> (
-          let mx, px = go st (child path x) x in
-          let flat =
-            List.concat_map
-              (function Mg.Vlist vs -> vs | v -> [ v ])
-              args
-          in
-          let rec pairs = function
-            | Mg.Vstr seg :: Mg.Vnum addr :: rest -> (
-                match Mg.seg_of_string seg with
-                | s ->
-                    Option.map
-                      (fun tail ->
-                        { Mg.seg = s; priority = 6;
-                          pref = Constraints.Placement.At addr }
-                        :: { Mg.seg = s; priority = 3;
-                             pref = Constraints.Placement.Near addr }
-                        :: tail)
-                      (pairs rest)
-                | exception Mg.Eval_error msg ->
-                    fails st ~code:"E008" ~title:"malformed-graph" ~path msg;
-                    None)
-            | [] -> Some []
-            | _ ->
-                fails st ~code:"E008" ~title:"malformed-graph" ~path
-                  "lib-constrained: expected alternating segment/address \
-                   arguments";
-                None
-          in
-          match pairs flat with
-          | Some ps -> (mx, ps @ px)
-          | None -> (mx, px))
-      | "lib-static" | "identity" | "lib-dynamic-impl" ->
-          go st (child path x) x
+          match Mg.lib_constrained_prefs args with
+          | Ok prefs -> { (over r mx) with prefs = prefs @ px }
+          | Error msg ->
+              malformed st ~path msg;
+              over ~modeled:false r mx)
+      | "lib-static" | "identity" | "lib-dynamic-impl" -> over r mx
       | _ when List.mem style unmodeled_specializers ->
           (* stub generation / wrapper interposition rewrite the module
              in ways only evaluation can see; keep the operand's flow
              and mark the report approximate *)
           st.approximate <- true;
-          go st (child path x) x
-      | _ when List.mem style known_specializers -> go st (child path x) x
+          over ~modeled:false r mx
       | other ->
-          fails st ~code:"E008" ~title:"malformed-graph" ~path
-            (Printf.sprintf "unknown specialization %S" other);
-          go st (child path x) x)
+          malformed st ~path (Printf.sprintf "unknown specialization %S" other);
+          over ~modeled:false r mx)
   | Mg.Constrain (seg, addr, x) ->
-      let mx, px = go st (child path x) x in
-      ( mx,
-        { Mg.seg; priority = 6; pref = Constraints.Placement.At addr }
-        :: { Mg.seg; priority = 3; pref = Constraints.Placement.Near addr }
-        :: px )
+      let ((mx, px, _) as r) = operand st path x in
+      { (over r mx) with prefs = Mg.address_prefs seg addr @ px }
   | Mg.Lst _ ->
-      fails st ~code:"E008" ~title:"malformed-graph" ~path
+      malformed st ~path
         "list is only meaningful as an operand of another operation";
-      (Symflow.empty, [])
-
-(* Lst operands flatten into the surrounding merge, as in eval. *)
-and flatten (st : state) (ns : Mg.node list) : Mg.node list =
-  List.concat_map
-    (function Mg.Lst xs -> flatten st xs | n -> [ n ])
-    ns
+      opaque
 
 (* -- root checks ------------------------------------------------------------ *)
 
-let seg_name = function Mg.Seg_text -> "T" | Mg.Seg_data -> "D"
-
-let check_constraints (st : state) ~path (prefs : Mg.constraint_pref list) :
+let check_constraints (st : _ state) ~path (prefs : Mg.constraint_pref list) :
     unit =
   (* distinct At addresses for the same segment at equal priority *)
   let tbl : (string * int, int list) Hashtbl.t = Hashtbl.create 8 in
@@ -488,7 +447,7 @@ let check_constraints (st : state) ~path (prefs : Mg.constraint_pref list) :
     (fun (c : Mg.constraint_pref) ->
       match c.pref with
       | Constraints.Placement.At addr ->
-          let k = (seg_name c.seg, c.priority) in
+          let k = (Mg.seg_to_string c.seg, c.priority) in
           let prev = Option.value (Hashtbl.find_opt tbl k) ~default:[] in
           if not (List.mem addr prev) then Hashtbl.replace tbl k (addr :: prev)
       | _ -> ())
@@ -512,7 +471,7 @@ let check_constraints (st : state) ~path (prefs : Mg.constraint_pref list) :
               (List.map (Printf.sprintf "0x%x") addrs))))
     conflicts
 
-let check_unresolved (st : state) ~path (m : Symflow.t) : unit =
+let check_unresolved (st : _ state) ~path (m : Symflow.t) : unit =
   let lost =
     List.filter (fun n -> S.mem n st.ever_defined) (Symflow.undefined m)
   in
@@ -524,12 +483,12 @@ let check_unresolved (st : state) ~path (m : Symflow.t) : unit =
 
 (* -- entry points ------------------------------------------------------------ *)
 
-let analyze ~(resolve : string -> (Mg.node, string) result)
-    ?(gensym_base = 0) (root : Mg.node) : report =
+let walk ~(resolve : string -> (Mg.node, string) result)
+    ~(annotate : 'a annotate) (root : Mg.node) : report * 'a option =
   let st =
     {
       resolve;
-      gensym = ref gensym_base;
+      annotate;
       findings = [];
       ever_defined = S.empty;
       visiting = [];
@@ -538,32 +497,38 @@ let analyze ~(resolve : string -> (Mg.node, string) result)
     }
   in
   let root_path = Mg.op_name root in
-  let m, prefs =
-    try go st root_path root
-    with e ->
-      (* the analyzer must never take down registration or the CLI *)
-      st.approximate <- true;
-      emit st ~code:"E999" ~title:"analyzer-internal-error" ~severity:Error
-        ~path:root_path (Printexc.to_string e);
-      (Symflow.empty, [])
+  let m, prefs, ann =
+    match go st root_path root with
+    | m, prefs, a -> (m, prefs, Some a)
+    | exception e ->
+        (* the analyzer must never take down registration or the CLI *)
+        st.approximate <- true;
+        emit st ~code:"E999" ~title:"analyzer-internal-error" ~severity:Error
+          ~path:root_path (Printexc.to_string e);
+        (Symflow.empty, [], None)
   in
   check_unresolved st ~path:root_path m;
   check_constraints st ~path:root_path prefs;
-  {
-    findings = List.rev st.findings;
-    exports = Symflow.exports m;
-    undefined = Symflow.undefined m;
-    frozen = S.elements m.Symflow.frozen;
-    hidden = S.elements m.Symflow.hidden;
-    prefs;
-    approximate = st.approximate;
-    eval_fails = st.eval_fails;
-  }
+  ( {
+      findings = List.rev st.findings;
+      exports = Symflow.exports m;
+      undefined = Symflow.undefined m;
+      frozen = S.elements m.Symflow.frozen;
+      hidden = S.elements m.Symflow.hidden;
+      prefs;
+      approximate = st.approximate;
+      eval_fails = st.eval_fails;
+    },
+    ann )
+
+let analyze ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
+    report =
+  fst (walk ~resolve ~annotate:(fun ~path:_ ~key:_ ~modeled:_ _ _ _ _ -> ()) root)
 
 let analyze_meta ~(resolve : string -> (Mg.node, string) result)
-    ?(spec : (string * Mg.value list) option = None) ?gensym_base
-    (meta : Blueprint.Meta.t) : report =
-  analyze ~resolve ?gensym_base (Blueprint.Meta.effective_graph meta ~spec)
+    ?(spec : (string * Mg.value list) option = None) (meta : Blueprint.Meta.t) :
+    report =
+  analyze ~resolve (Blueprint.Meta.effective_graph meta ~spec)
 
 (* -- differential self-check ------------------------------------------------- *)
 
@@ -581,9 +546,7 @@ type verify_outcome =
 let verify_against ~(eval : Mg.node -> Mg.result)
     ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
     report * verify_outcome =
-  let report =
-    analyze ~resolve ~gensym_base:(Jigsaw.Module_ops.gensym_current ()) root
-  in
+  let report = analyze ~resolve root in
   if report.eval_fails then (report, Skipped "analysis predicts evaluation failure")
   else if report.approximate then
     (report, Skipped "unmodeled specialization; predicted sets are approximate")

@@ -1,9 +1,10 @@
 (** Blueprint lint: the diagnostics pass over the {!Symflow} lattice.
 
     [analyze] walks an m-graph exactly as {!Blueprint.Mgraph.eval}
-    would (same operand order, same freeze/hide mangling-id sequence)
-    but on abstract name sets — no view is materialized and no
-    simulated cost is charged — and reports findings with stable codes:
+    would (same operand order, same occurrence paths, hence the same
+    freeze/hide/show aliases) but on abstract name sets — no view is
+    materialized and no simulated cost is charged — and reports
+    findings with stable codes:
 
     {v
     E001 unresolved-at-root      E005 unknown-server-object
@@ -14,7 +15,6 @@
     W102 override-overrides-nothing
     W103 freeze-of-already-frozen
     W104 shadowed-weak-definition
-    W105 unstable-subtree
     v} *)
 
 type severity = Error | Warning
@@ -51,12 +51,9 @@ val finding_to_string : finding -> string
 
 (** [analyze ~resolve root] runs the abstract interpretation. [resolve]
     maps server-object paths to sub-graphs ([Error msg] yields an E005
-    finding). [gensym_base] seeds the replayed mangling-id counter —
-    pass {!Jigsaw.Module_ops.gensym_current} when predicted names must
-    match an evaluation that follows. Never raises. *)
+    finding). Never raises. *)
 val analyze :
   resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
-  ?gensym_base:int ->
   Blueprint.Mgraph.node ->
   report
 
@@ -65,12 +62,35 @@ val analyze :
 val analyze_meta :
   resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
   ?spec:(string * Blueprint.Mgraph.value list) option ->
-  ?gensym_base:int ->
   Blueprint.Meta.t ->
   report
 
-(** Differential self-check: analysis first (seeded from the live
-    gensym counter), then real evaluation, then set comparison. *)
+(** The walk behind {!analyze}, open to a second consumer. [annotate]
+    runs once per node, operands first, with the node's m-graph path,
+    its occurrence key when it minted freeze/hide/show aliases, whether
+    its own semantics are modeled exactly (its name resolves
+    acyclically, its selector and template apply, its source compiles,
+    its specializer is modeled), its symbol flow and preferences, and
+    its operands' annotations. Returns the report and the root's
+    annotation, [None] when the analyzer failed internally (the report
+    then carries an E999 finding). Never raises. {!Impact} builds its
+    interface summaries this way, so one walk yields both. *)
+val walk :
+  resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
+  annotate:
+    (path:string ->
+    key:string option ->
+    modeled:bool ->
+    Blueprint.Mgraph.node ->
+    Symflow.t ->
+    Blueprint.Mgraph.constraint_pref list ->
+    'a list ->
+    'a) ->
+  Blueprint.Mgraph.node ->
+  report * 'a option
+
+(** Differential self-check: analysis first, then real evaluation, then
+    set comparison. *)
 type verify_outcome =
   | Verified of { exports : int; undefined : int }
   | Skipped of string

@@ -5,8 +5,8 @@
     defined, referenced and constructor names — without holding section
     bytes, views, or relocation details. Every operator below replays
     the exact semantics of its concrete counterpart (including the
-    [n$frzI]/[n$hidI] freeze manglings, whose ids are minted from a
-    caller-supplied counter), so the predicted {!exports} and
+    freeze/hide/show aliases, minted from the caller's occurrence key),
+    so the predicted {!exports} and
     {!undefined} of a blueprint equal what evaluation would produce —
     with no view materialized and no simulated cost charged. *)
 
@@ -220,39 +220,29 @@ let rename (scope : Jigsaw.Module_ops.rename_scope)
   | Jigsaw.Module_ops.Refs_only -> rename_refs g m
   | Jigsaw.Module_ops.Both -> rename_refs g (rename_defs g m)
 
-(** The shared freeze/hide mirror. [gensym] must replay the id sequence
-    {!Jigsaw.Module_ops} will mint — it is drawn unconditionally, even
-    when the selection is empty, exactly like the concrete operator. *)
-let freeze_like ~(keep_public : bool) ~(gensym : unit -> int)
-    (sel : string -> bool) (m : t) : t =
-  let id = gensym () in
-  let selected = List.filter sel (exports m) in
-  if selected = [] then m
-  else begin
-    let alias = Hashtbl.create 8 in
-    List.iter
-      (fun n ->
-        Hashtbl.replace alias n
-          (Printf.sprintf "%s$%s%d" n (if keep_public then "frz" else "hid") id))
-      selected;
-    let g n = Hashtbl.find_opt alias n in
-    let m = rename_refs g m in
-    let m = if keep_public then copy_defs g m else rename_defs g m in
-    if keep_public then { m with frozen = S.union m.frozen (S.of_list selected) }
-    else { m with hidden = S.union m.hidden (S.of_list selected) }
-  end
+(** The shared freeze/hide/show mirror: each selected export moves to
+    its {!Jigsaw.Module_ops.alias} at [key], the operator's occurrence
+    key. *)
+let freeze_like ~(keep_public : bool) ~(key : string) (sel : string -> bool)
+    (m : t) : t =
+  match List.filter sel (exports m) with
+  | [] -> m
+  | selected ->
+      let aliases = Hashtbl.create 8 in
+      List.iter
+        (fun n ->
+          Hashtbl.replace aliases n
+            (Jigsaw.Module_ops.alias ~frozen:keep_public ~key n))
+        selected;
+      let g n = Hashtbl.find_opt aliases n in
+      let m = rename_refs g m in
+      if keep_public then
+        { (copy_defs g m) with frozen = S.union m.frozen (S.of_list selected) }
+      else { (rename_defs g m) with hidden = S.union m.hidden (S.of_list selected) }
 
-let freeze ~gensym sel m = freeze_like ~keep_public:true ~gensym sel m
-let hide ~gensym sel m = freeze_like ~keep_public:false ~gensym sel m
-
-(** [show sel m] hides every export {e not} selected, one victim at a
-    time (one mangling id each), in sorted-export order — the concrete
-    operator's fold. *)
-let show ~(gensym : unit -> int) (sel : string -> bool) (m : t) : t =
-  let victims = List.filter (fun n -> not (sel n)) (exports m) in
-  List.fold_left
-    (fun acc n -> freeze_like ~keep_public:false ~gensym (String.equal n) acc)
-    m victims
+let freeze ~key sel m = freeze_like ~keep_public:true ~key sel m
+let hide ~key sel m = freeze_like ~keep_public:false ~key sel m
+let show ~key sel m = hide ~key (fun n -> not (sel n)) m
 
 (** The static-initializer driver: a synthetic fragment exporting
     [__init] and referencing each constructor, overriding the operand

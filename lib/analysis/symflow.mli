@@ -4,7 +4,7 @@
     operators work at — per-fragment sets of defined, referenced and
     constructor names — without section bytes, views, or relocations.
     Every operator replays the exact semantics of its concrete
-    counterpart (including the [n$frzI]/[n$hidI] freeze manglings), so
+    counterpart (including the freeze/hide/show aliases), so
     the predicted {!exports}/{!undefined} of a blueprint equal what
     evaluation would produce, with no view materialized and no
     simulated cost charged. *)
@@ -75,15 +75,14 @@ val copy_as : (string -> string option) -> t -> t
 val rename :
   Jigsaw.Module_ops.rename_scope -> (string -> string option) -> t -> t
 
-(** [gensym] must replay the mangling-id sequence the concrete
-    evaluation will mint — it is drawn unconditionally, even when the
-    selection is empty, exactly like {!Jigsaw.Module_ops.freeze}. *)
-val freeze : gensym:(unit -> int) -> (string -> bool) -> t -> t
+(** [key] is the operator's occurrence key: selected exports move to
+    their {!Jigsaw.Module_ops.alias} at it, exactly as in
+    {!Jigsaw.Module_ops.freeze}. *)
+val freeze : key:string -> (string -> bool) -> t -> t
 
-val hide : gensym:(unit -> int) -> (string -> bool) -> t -> t
+val hide : key:string -> (string -> bool) -> t -> t
 
-(** Hides every export {e not} selected, one victim (and one mangling
-    id) at a time, in sorted-export order. *)
-val show : gensym:(unit -> int) -> (string -> bool) -> t -> t
+(** Hides every export {e not} selected. *)
+val show : key:string -> (string -> bool) -> t -> t
 
 val initializers : t -> t

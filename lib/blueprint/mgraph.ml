@@ -25,6 +25,8 @@ let seg_of_string = function
   | "D" | "d" | "data" -> Seg_data
   | s -> fail "unknown segment %S (expected \"T\" or \"D\")" s
 
+let seg_to_string = function Seg_text -> "T" | Seg_data -> "D"
+
 type constraint_pref = {
   seg : seg;
   priority : int;
@@ -54,20 +56,27 @@ and value = Vstr of string | Vnum of int | Vlist of value list | Vnode of node
 (** Result of evaluating a node. *)
 type result = { m : Jigsaw.Module_ops.t; constraints : constraint_pref list }
 
+(** Where a node sits in the graph: the operand steps from the root,
+    innermost first, each with its operand index under a [merge] or an
+    [override]. A [Name] and the graph it resolves to share one
+    occurrence. *)
+type occurrence = (int option * node) list
+
 (** Subtree-reuse hooks (see {!eval_memo}): [lookup] may answer a node
-    with a previously materialized result, short-circuiting its whole
-    subtree; [store] observes every freshly evaluated node. The hooks
-    decide soundness (which nodes are safe to memoize) — evaluation
-    only threads them. *)
+    at an occurrence with a previously materialized result,
+    short-circuiting its whole subtree; [store] observes every freshly
+    evaluated node. The hooks decide soundness (which nodes are safe to
+    memoize, and where) — evaluation only threads them. *)
 type memo_hooks = {
-  lookup : node -> result option;
-  store : node -> result -> unit;
+  lookup : occurrence -> node -> result option;
+  store : occurrence -> node -> result -> unit;
 }
 
 type env = {
   resolve : string -> node;
   specializers : (string, specializer) Hashtbl.t;
   mutable visiting : string list; (* cycle detection for Name *)
+  mutable occ : occurrence; (* the node under evaluation; [] between evaluations *)
   mutable memo : memo_hooks option; (* engaged by eval_memo only *)
 }
 
@@ -138,6 +147,27 @@ and of_op (op : string) (args : Sexp.t list) : node =
 (** Parse a single blueprint expression into an m-graph. *)
 let parse (src : string) : node = of_sexp (Sexp.parse_one src)
 
+(** Surface-syntax operator name of a node — the vocabulary of m-graph
+    path addressing in lint findings and occurrence keys. *)
+let op_name (n : node) : string =
+  match n with
+  | Leaf o -> "leaf:" ^ o.Sof.Object_file.name
+  | Name p -> p
+  | Merge _ -> "merge"
+  | Override _ -> "override"
+  | Freeze _ -> "freeze"
+  | Restrict _ -> "restrict"
+  | Project _ -> "project"
+  | Copy_as _ -> "copy-as"
+  | Hide _ -> "hide"
+  | Show _ -> "show"
+  | Rename _ -> "rename"
+  | Initializers _ -> "initializers"
+  | Source (lang, _) -> "source:" ^ lang
+  | Specialize (style, _, _) -> "specialize:" ^ style
+  | Constrain _ -> "constrain"
+  | Lst _ -> "list"
+
 (* -- evaluation ----------------------------------------------------------- *)
 
 let no_constraints (m : Jigsaw.Module_ops.t) : result = { m; constraints = [] }
@@ -146,18 +176,71 @@ let no_constraints (m : Jigsaw.Module_ops.t) : result = { m; constraints = [] }
 let rec flatten_operands (ns : node list) : node list =
   List.concat_map (function Lst xs -> flatten_operands xs | n -> [ n ]) ns
 
+(* [constrain] and "lib-constrained" prefer the exact base (priority 6)
+   and fall back to a nearby one (priority 3). *)
+let address_prefs (seg : seg) (addr : int) : constraint_pref list =
+  [
+    { seg; priority = 6; pref = Constraints.Placement.At addr };
+    { seg; priority = 3; pref = Constraints.Placement.Near addr };
+  ]
+
+let lib_constrained_prefs (args : value list) :
+    (constraint_pref list, string) Stdlib.result =
+  let rec pairs = function
+    | Vstr seg :: Vnum addr :: rest -> (
+        match seg_of_string seg with
+        | seg -> Result.map (fun tail -> address_prefs seg addr @ tail) (pairs rest)
+        | exception Eval_error msg -> Error msg)
+    | [] -> Ok []
+    | _ -> Error "lib-constrained: expected alternating segment/address arguments"
+  in
+  pairs (List.concat_map (function Vlist vs -> vs | v -> [ v ]) args)
+
+(* Occurrence paths: the root's [op_name], then one [child_path] step
+   per operand descended into. *)
+let child_path (parent : string) ?idx (n : node) : string =
+  let parent =
+    match idx with None -> parent | Some i -> Printf.sprintf "%s[%d]" parent i
+  in
+  parent ^ "." ^ op_name n
+
+let path (occ : occurrence) : string =
+  match List.rev occ with
+  | [] -> ""
+  | (_, root) :: steps ->
+      List.fold_left (fun p (idx, n) -> child_path p ?idx n) (op_name root) steps
+
+let occurrence_key (path : string) : string =
+  String.sub (Digest.to_hex (Digest.string path)) 0 8
+
+(* The alias key of the freeze/hide/show under evaluation. *)
+let key_here (env : env) : string = occurrence_key (path env.occ)
+
+(* Run [k] with the occurrence cursor on operand [x] of the node under
+   evaluation. No restore on exceptions: the root {!eval} resets the
+   cursor instead. *)
+let descend (env : env) ?idx (x : node) (k : unit -> 'a) : 'a =
+  let parent = env.occ in
+  env.occ <- (idx, x) :: parent;
+  let r = k () in
+  env.occ <- parent;
+  r
+
 let tm_source_compiles = Telemetry.Counter.make "blueprint.source_compiles"
 
 let rec eval_node (env : env) (n : node) : result =
   match env.memo with
   | None -> eval_node_uncached env n
   | Some h -> (
-      match h.lookup n with
+      match h.lookup env.occ n with
       | Some r -> r
       | None ->
           let r = eval_node_uncached env n in
-          h.store n r;
+          h.store env.occ n r;
           r)
+
+and eval_operand (env : env) ?idx (x : node) : result =
+  descend env ?idx x (fun () -> eval_node env x)
 
 and eval_node_uncached (env : env) (n : node) : result =
   match n with
@@ -175,24 +258,26 @@ and eval_node_uncached (env : env) (n : node) : result =
       env.visiting <- List.tl env.visiting;
       r
   | Merge operands ->
-      let rs = List.map (eval_node env) (flatten_operands operands) in
+      let rs =
+        List.mapi (fun i x -> eval_operand env ~idx:i x) (flatten_operands operands)
+      in
       let m = Jigsaw.Module_ops.merge_list (List.map (fun r -> r.m) rs) in
       { m; constraints = List.concat_map (fun r -> r.constraints) rs }
   | Override (a, b) ->
-      (* sequential on purpose: freeze/hide mangling ids are minted in
-         traversal order, and the symbol-flow analyzer predicts them by
-         replaying the same left-to-right walk *)
-      let ra = eval_node env a in
-      let rb = eval_node env b in
+      let ra = eval_operand env ~idx:0 a in
+      let rb = eval_operand env ~idx:1 b in
       { m = Jigsaw.Module_ops.override ra.m rb.m;
         constraints = ra.constraints @ rb.constraints }
-  | Freeze (p, x) -> map_module env x (Jigsaw.Module_ops.freeze (Jigsaw.Select.compile p))
+  | Freeze (p, x) ->
+      map_module env x (Jigsaw.Module_ops.freeze ~key:(key_here env) (Jigsaw.Select.compile p))
   | Restrict (p, x) -> map_module env x (Jigsaw.Module_ops.restrict (Jigsaw.Select.compile p))
   | Project (p, x) -> map_module env x (Jigsaw.Module_ops.project (Jigsaw.Select.compile p))
   | Copy_as (p, name, x) ->
       map_module env x (Jigsaw.Module_ops.copy_as (Jigsaw.Select.compile p) name)
-  | Hide (p, x) -> map_module env x (Jigsaw.Module_ops.hide (Jigsaw.Select.compile p))
-  | Show (p, x) -> map_module env x (Jigsaw.Module_ops.show (Jigsaw.Select.compile p))
+  | Hide (p, x) ->
+      map_module env x (Jigsaw.Module_ops.hide ~key:(key_here env) (Jigsaw.Select.compile p))
+  | Show (p, x) ->
+      map_module env x (Jigsaw.Module_ops.show ~key:(key_here env) (Jigsaw.Select.compile p))
   | Rename (scope, p, t, x) ->
       map_module env x (Jigsaw.Module_ops.rename ~scope (Jigsaw.Select.compile p) t)
   | Initializers x -> map_module env x Jigsaw.Module_ops.initializers
@@ -212,32 +297,38 @@ and eval_node_uncached (env : env) (n : node) : result =
   | Specialize (style, args, x) -> (
       match Hashtbl.find_opt env.specializers style with
       | Some f ->
+          (* the specializer re-enters [eval] for its operand [x] *)
           Telemetry.with_span "blueprint.specialize"
             ~attrs:[ ("style", Telemetry.S style) ]
-            (fun () -> f env args x)
+            (fun () -> descend env x (fun () -> f env args x))
       | None -> fail "unknown specialization %S" style)
   | Constrain (seg, addr, x) ->
-      let r = eval_node env x in
-      let prefs =
-        [
-          { seg; priority = 6; pref = Constraints.Placement.At addr };
-          { seg; priority = 3; pref = Constraints.Placement.Near addr };
-        ]
-      in
-      { r with constraints = prefs @ r.constraints }
+      let r = eval_operand env x in
+      { r with constraints = address_prefs seg addr @ r.constraints }
   | Lst _ -> fail "list is only meaningful as an operand of another operation"
 
 and map_module env (x : node) (f : Jigsaw.Module_ops.t -> Jigsaw.Module_ops.t) : result =
-  let r = eval_node env x in
+  let r = eval_operand env x in
   try { r with m = f r.m }
   with Jigsaw.Module_ops.Module_error msg -> fail "%s" msg
 
 (** Evaluate an m-graph. The public entry point wraps the recursive
     evaluator in a ["blueprint.eval"] span, so every specializer that
     re-enters through it (the server's library styles do) nests a fresh
-    span under its ["blueprint.specialize"] parent. *)
+    span under its ["blueprint.specialize"] parent. Re-entered, it
+    evaluates the specializer's operand at the operand's occurrence;
+    otherwise [n] is the root. *)
 let eval (env : env) (n : node) : result =
-  Telemetry.with_span "blueprint.eval" (fun () -> eval_node env n)
+  Telemetry.with_span "blueprint.eval" @@ fun () ->
+  match env.occ with
+  | _ :: _ -> eval_node env n
+  | [] ->
+      env.occ <- [ (None, n) ];
+      Fun.protect
+        ~finally:(fun () ->
+          env.occ <- [];
+          env.visiting <- [])
+        (fun () -> eval_node env n)
 
 (** [eval_memo env hooks n] evaluates with the subtree-reuse hooks
     engaged for the duration of this evaluation (restoring whatever was
@@ -258,17 +349,9 @@ let eval_memo (env : env) (hooks : memo_hooks) (n : node) : result =
 let lib_constrained : specializer =
  fun env args x ->
   let r = eval env x in
-  let rec pairs = function
-    | Vstr seg :: Vnum addr :: rest ->
-        let seg = seg_of_string seg in
-        { seg; priority = 6; pref = Constraints.Placement.At addr }
-        :: { seg; priority = 3; pref = Constraints.Placement.Near addr }
-        :: pairs rest
-    | [] -> []
-    | _ -> fail "lib-constrained: expected alternating segment/address arguments"
-  in
-  let flat = List.concat_map (function Vlist vs -> vs | v -> [ v ]) args in
-  { r with constraints = pairs flat @ r.constraints }
+  match lib_constrained_prefs args with
+  | Ok prefs -> { r with constraints = prefs @ r.constraints }
+  | Error msg -> raise (Eval_error msg)
 
 (* "lib-static": mark for fully static inclusion — the module passes
    through; the scheme choice happens in the server. *)
@@ -286,7 +369,7 @@ let base_specializers () : (string, specializer) Hashtbl.t =
     server-object paths to sub-graphs (the server supplies its
     namespace); the default refuses all names. *)
 let make_env ?(resolve = fun path -> fail "unknown server object %s" path) () : env =
-  { resolve; specializers = base_specializers (); visiting = []; memo = None }
+  { resolve; specializers = base_specializers (); visiting = []; occ = []; memo = None }
 
 (** Register an additional specialization style. *)
 let register (env : env) (style : string) (f : specializer) : unit =
@@ -316,27 +399,6 @@ let rec map_nodes (f : node -> node option) (n : node) : node =
       | Constrain (s, a, x) -> Constrain (s, a, map_nodes f x)
       | Lst xs -> Lst (List.map (map_nodes f) xs))
 
-(** Surface-syntax operator name of a node — the vocabulary of m-graph
-    path addressing in lint findings. *)
-let op_name (n : node) : string =
-  match n with
-  | Leaf o -> "leaf:" ^ o.Sof.Object_file.name
-  | Name p -> p
-  | Merge _ -> "merge"
-  | Override _ -> "override"
-  | Freeze _ -> "freeze"
-  | Restrict _ -> "restrict"
-  | Project _ -> "project"
-  | Copy_as _ -> "copy-as"
-  | Hide _ -> "hide"
-  | Show _ -> "show"
-  | Rename _ -> "rename"
-  | Initializers _ -> "initializers"
-  | Source (lang, _) -> "source:" ^ lang
-  | Specialize (style, _, _) -> "specialize:" ^ style
-  | Constrain _ -> "constrain"
-  | Lst _ -> "list"
-
 (** The selector pattern a node carries, if its operator takes one. *)
 let selector_of (n : node) : string option =
   match n with
@@ -359,6 +421,11 @@ let rec names (n : node) : string list =
   | Specialize (_, _, x) | Constrain (_, _, x) ->
       names x
 
+let scope_code = function
+  | Jigsaw.Module_ops.Defs_only -> "d"
+  | Jigsaw.Module_ops.Refs_only -> "r"
+  | Jigsaw.Module_ops.Both -> "b"
+
 (** Stable digest of a graph (part of the image-cache key). *)
 let rec digest_string (n : node) : string =
   match n with
@@ -375,21 +442,14 @@ let rec digest_string (n : node) : string =
   | Hide (p, x) -> Printf.sprintf "hide(%s,%s)" p (digest_string x)
   | Show (p, x) -> Printf.sprintf "show(%s,%s)" p (digest_string x)
   | Rename (sc, p, t, x) ->
-      let s = match sc with
-        | Jigsaw.Module_ops.Defs_only -> "d"
-        | Jigsaw.Module_ops.Refs_only -> "r"
-        | Jigsaw.Module_ops.Both -> "b"
-      in
-      Printf.sprintf "rename%s(%s,%s,%s)" s p t (digest_string x)
+      Printf.sprintf "rename%s(%s,%s,%s)" (scope_code sc) p t (digest_string x)
   | Initializers x -> Printf.sprintf "init(%s)" (digest_string x)
   | Specialize (st, vs, x) ->
       Printf.sprintf "spec(%s,%s,%s)" st
         (String.concat "," (List.map digest_value vs))
         (digest_string x)
   | Constrain (seg, a, x) ->
-      Printf.sprintf "constrain(%s,%x,%s)"
-        (match seg with Seg_text -> "T" | Seg_data -> "D")
-        a (digest_string x)
+      Printf.sprintf "constrain(%s,%x,%s)" (seg_to_string seg) a (digest_string x)
 
 and digest_value = function
   | Vstr s -> "s:" ^ s
@@ -398,3 +458,21 @@ and digest_value = function
   | Vnode n -> "g(" ^ digest_string n ^ ")"
 
 let digest (n : node) : string = Digest.to_hex (Digest.string (digest_string n))
+
+(** A node's own operator, parameters and content (leaf and source
+    content by digest), operands excluded. Path-free for [Name]: what a
+    name resolves to is content, not the name. *)
+let local_key (n : node) : string =
+  match n with
+  | Leaf o -> "leaf:" ^ Sof.Codec.digest o
+  | Name _ -> "name"
+  | Source (lang, text) ->
+      Printf.sprintf "source:%s:%s" lang (Digest.to_hex (Digest.string text))
+  | Merge _ | Override _ | Initializers _ | Lst _ -> op_name n
+  | Freeze (p, _) | Restrict (p, _) | Project (p, _) | Hide (p, _) | Show (p, _) ->
+      op_name n ^ ":" ^ p
+  | Copy_as (p, t, _) -> Printf.sprintf "copy-as:%s:%s" p t
+  | Rename (sc, p, t, _) -> Printf.sprintf "rename%s:%s:%s" (scope_code sc) p t
+  | Specialize (st, vs, _) ->
+      Printf.sprintf "specialize:%s:%s" st (String.concat "," (List.map digest_value vs))
+  | Constrain (seg, a, _) -> Printf.sprintf "constrain:%s:0x%x" (seg_to_string seg) a

@@ -14,6 +14,9 @@ type seg = Seg_text | Seg_data
 (** @raise Eval_error on anything but "T"/"D" (case-insensitive). *)
 val seg_of_string : string -> seg
 
+(** ["T"] or ["D"]. *)
+val seg_to_string : seg -> string
+
 type constraint_pref = {
   seg : seg;
   priority : int;
@@ -43,19 +46,27 @@ and value = Vstr of string | Vnum of int | Vlist of value list | Vnode of node
 (** Result of evaluating a node. *)
 type result = { m : Jigsaw.Module_ops.t; constraints : constraint_pref list }
 
-(** Subtree-reuse hooks for {!eval_memo}: [lookup] may answer a node
-    with a previously materialized result (short-circuiting its whole
-    subtree), [store] observes every freshly evaluated node. The hooks
-    own the soundness argument — evaluation only threads them. *)
+(** Where a node sits in the graph: the operand steps from the root,
+    innermost first, each with its operand index under a [merge]
+    (after {!flatten_operands}) or an [override]. A [Name] and the
+    graph it resolves to share one occurrence. *)
+type occurrence = (int option * node) list
+
+(** Subtree-reuse hooks for {!eval_memo}: [lookup] may answer a node at
+    an occurrence with a previously materialized result
+    (short-circuiting its whole subtree), [store] observes every
+    freshly evaluated node. The hooks own the soundness argument —
+    evaluation only threads them. *)
 type memo_hooks = {
-  lookup : node -> result option;
-  store : node -> result -> unit;
+  lookup : occurrence -> node -> result option;
+  store : occurrence -> node -> result -> unit;
 }
 
 type env = {
   resolve : string -> node;
   specializers : (string, specializer) Hashtbl.t;
   mutable visiting : string list; (* cycle detection for Name *)
+  mutable occ : occurrence; (* the node under evaluation; [] between evaluations *)
   mutable memo : memo_hooks option; (* engaged by eval_memo only *)
 }
 
@@ -74,7 +85,11 @@ val parse : string -> node
 
 (** [eval env n] executes the graph: resolves names, applies module
     operators, compiles [source] text, dispatches specializations, and
-    collects address-space preferences.
+    collects address-space preferences. Each freeze/hide/show mints its
+    aliases under the {!occurrence_key} of its own {!path}, so the
+    result does not depend on what was evaluated before. A specializer
+    re-entering [eval] for its operand continues the occurrence it was
+    called at.
     @raise Eval_error on unknown names/styles, cyclic meta-object
     references, or module errors. *)
 val eval : env -> node -> result
@@ -101,10 +116,47 @@ val register : env -> string -> specializer -> unit
     the transformation hook specializations use. *)
 val map_nodes : (node -> node option) -> node -> node
 
+(** Lst operands spliced into the surrounding operand list, as
+    [merge] evaluates them: [(merge a (list b c))] merges a, b and c. *)
+val flatten_operands : node list -> node list
+
+(** The preference pair an address expands to in [constrain] and
+    ["lib-constrained"]: exactly there at priority 6, near it at
+    priority 3. *)
+val address_prefs : seg -> int -> constraint_pref list
+
+(** The preferences ["lib-constrained"]'s arguments ask for:
+    alternating segment/address values, [list]s flattened. [Error]
+    names the first malformed argument. *)
+val lib_constrained_prefs : value list -> (constraint_pref list, string) Stdlib.result
+
 (** Surface-syntax operator name of a node — the vocabulary of m-graph
     path addressing in lint findings ("merge", "override", "rename",
     "specialize:STYLE", "leaf:NAME", …). *)
 val op_name : node -> string
+
+(** {1 Occurrence paths}
+
+    The addressing lint findings, impact verdicts and freeze/hide/show
+    aliases share: the root's {!op_name}, then one [child_path] step
+    per operand. *)
+
+(** [child_path parent ?idx n]: the path of operand [n] (at index
+    [idx] of a [merge] or [override]) under the node at [parent], e.g.
+    ["merge[1].hide"]. *)
+val child_path : string -> ?idx:int -> node -> string
+
+(** The rendered path of an occurrence. *)
+val path : occurrence -> string
+
+(** The alias key of the freeze/hide/show at a path (8 hex digits of
+    its MD5). *)
+val occurrence_key : string -> string
+
+(** A node's own operator, parameters and content (leaf and source
+    content by digest), operands excluded — path-free for [Name]. The
+    local part of an interface digest. *)
+val local_key : node -> string
 
 (** The selector pattern a node carries, if its operator takes one. *)
 val selector_of : node -> string option

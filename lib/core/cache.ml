@@ -49,13 +49,10 @@ type entry = {
 
 (** One memoized subtree materialization: the evaluated module (and
     its accumulated constraints) keyed by {!Analysis.Impact} interface
-    digest, plus the number of mangling ids the subtree's evaluation
-    consumed — a reuse must skip that many so downstream freeze/hide
-    operators keep minting the aliases a from-scratch build would. *)
+    digest. *)
 type memo_entry = {
   m_digest : string;
   m_result : Blueprint.Mgraph.result;
-  m_gensym : int;
   mutable m_hits : int;
 }
 
@@ -143,17 +140,21 @@ let memo_find (t : t) (digest : string) : memo_entry option =
       Some e
   | None -> None
 
-let memo_mem (t : t) (digest : string) : bool = Hashtbl.mem t.memos digest
-
-let memo_insert (t : t) ~(digest : string) ~(gensym : int)
-    (result : Blueprint.Mgraph.result) : unit =
+let memo_insert (t : t) ~(digest : string) (result : Blueprint.Mgraph.result) :
+    unit =
   if not (Hashtbl.mem t.memos digest) then begin
     Hashtbl.replace t.memos digest
-      { m_digest = digest; m_result = result; m_gensym = gensym; m_hits = 0 };
+      { m_digest = digest; m_result = result; m_hits = 0 };
     Telemetry.Counter.incr tm_memo_insertions
   end
 
 let memo_count (t : t) : int = Hashtbl.length t.memos
+
+let memo_retain (t : t) (keep : string -> bool) : unit =
+  let before = Hashtbl.length t.memos in
+  Hashtbl.filter_map_inplace (fun d e -> if keep d then Some e else None) t.memos;
+  let dropped = before - Hashtbl.length t.memos in
+  if dropped > 0 then Telemetry.Counter.incr tm_memo_evictions ~by:dropped
 
 (* The memo table is derived data: entries reference module views that
    may share structure with cached images, so whenever the image cache

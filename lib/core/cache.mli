@@ -67,24 +67,20 @@ val invalidate : t -> string -> unit
 type memo_entry = {
   m_digest : string;  (** interface digest (the memo key) *)
   m_result : Blueprint.Mgraph.result;  (** materialized views + prefs *)
-  m_gensym : int;
-      (** mangling ids the subtree's evaluation consumed; a reuse must
-          skip that many ({!Jigsaw.Module_ops.gensym_skip}) so later
-          freeze/hide operators mint from-scratch-identical aliases *)
   mutable m_hits : int;
 }
 
 (** Memoized materialization of a subtree, counting a memo hit. *)
 val memo_find : t -> string -> memo_entry option
 
-(** Membership without counting. *)
-val memo_mem : t -> string -> bool
-
 (** Idempotent: the first materialization of a digest wins. *)
-val memo_insert :
-  t -> digest:string -> gensym:int -> Blueprint.Mgraph.result -> unit
+val memo_insert : t -> digest:string -> Blueprint.Mgraph.result -> unit
 
 val memo_count : t -> int
+
+(** [memo_retain t keep] drops every entry whose digest [keep] rejects
+    (counted as [cache.memo_evictions]). *)
+val memo_retain : t -> (string -> bool) -> unit
 
 (** Drop the whole memo table (counts the dropped entries as
     [cache.memo_evictions]). *)

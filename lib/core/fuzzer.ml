@@ -213,13 +213,9 @@ let build_sig (b : Server.built) : string =
     (String.concat "; " link_events)
 
 (* One full history: install the case, build every library, install the
-   edited blueprints over the same bindings, rebuild every library.
-   [gensym0] aligns the global mangling counter so both runs mint
-   comparable freeze/hide aliases. *)
-let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool)
-    ~(gensym0 : int) :
+   edited blueprints over the same bindings, rebuild every library. *)
+let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool) :
     string list * (int * int * string) list * (int * int * string) list =
-  Jigsaw.Module_ops.gensym_set gensym0;
   let w = World.create () in
   let s = w.World.server in
   Server.set_subtree_reuse s reuse;
@@ -242,14 +238,13 @@ let incremental_equivalence (c : Fuzz.case) : (int, string) result =
   match Fuzz.mutate ~seed:c.Fuzz.f_seed c with
   | None -> Ok 0
   | Some (c', edit) ->
-      let gensym0 = Jigsaw.Module_ops.gensym_current () in
       let prov0 = Telemetry.Provenance.is_enabled () in
       Telemetry.Provenance.set_enabled true;
       Fun.protect
         ~finally:(fun () -> Telemetry.Provenance.set_enabled prov0)
         (fun () ->
-          let a, ta, da = incremental_run c c' ~reuse:true ~gensym0 in
-          let b, tb, db = incremental_run c c' ~reuse:false ~gensym0 in
+          let a, ta, da = incremental_run c c' ~reuse:true in
+          let b, tb, db = incremental_run c c' ~reuse:false in
           let show_intervals ivs =
             String.concat ", "
               (List.map

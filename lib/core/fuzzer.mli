@@ -24,8 +24,8 @@
       lists must be byte-identical (costs included) — the
       DiOS-style replay guarantee.
     + {b incremental-relink} — {!Workloads.Fuzz.mutate} derives a
-      single-edit variant of the case; the edited world is built twice
-      from a common gensym baseline, once with subtree reuse on
+      single-edit variant of the case; the edited world is built
+      twice, once with subtree reuse on
       (register the original, build, re-register the edited metas,
       rebuild) and once with reuse off. The link-level facts — image
       digests, segment bases, Bind/Reloc provenance events, and the

@@ -41,14 +41,17 @@ type conflict = {
   c_got : int;
 }
 
-(* One node of the current reuse plan: the {!Analysis.Impact} verdict
-   for a graph node, keyed (in [t.impact_plan]) by the node's own
-   path-addressed digest so evaluation can find it in O(1) without
-   re-walking the subtree. *)
+(* One node of the current reuse plan: the {!Analysis.Impact} interface
+   digest of a fully modeled graph node, listed (in [t.impact_plan])
+   under the node's construction digest so evaluation can find it in
+   O(1) without re-walking the subtree. *)
 type plan_entry = {
   pe_digest : string; (* interface digest (memo key) *)
-  pe_stable : bool; (* provably replay-invariant; only these memoize *)
-  pe_gensym : int; (* mangling ids the subtree consumes *)
+  pe_path : string option;
+      (* [Some p]: the digest embeds occurrence keys (a live
+         freeze/hide/show below mints aliases named after where it
+         sits), so the entry answers only the node at path [p]; [None]:
+         it answers the node wherever it occurs *)
 }
 
 (* One request moving through the staged pipeline (parse → lint → eval
@@ -125,8 +128,8 @@ type t = {
       (* registration-time dependence analysis per meta-object path *)
   impact_diffs : (string, Analysis.Impact.diff) Hashtbl.t;
       (* verdicts of the latest re-registration of each meta path *)
-  impact_plan : (string, plan_entry) Hashtbl.t;
-      (* graph-node digest -> reuse verdict, rebuilt on registration *)
+  impact_plan : (string, plan_entry list) Hashtbl.t;
+      (* graph-node digest -> reuse plan, rebuilt on registration *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
   mutable conflicts : conflict list;
   (* charge server-side build work to the simulated clock? The paper's
@@ -301,38 +304,65 @@ let resolve_graph (t : t) (path : string) :
   | Some (Namespace.Directory _) -> Error (path ^ " is a directory")
   | None -> Error ("unknown server object " ^ path)
 
-(* Re-run the subtree dependence analysis over every bound meta-object
-   and rebuild the reuse plan from the resulting trees. Re-analyzing
-   the whole namespace (not just the edited meta) keeps plan entries
-   fresh for metas that reference the edited path through [Name] nodes:
-   their interface digests move with the content they resolve to. The
-   analysis is abstract (symbol flow only, no view materialized), so
-   this is cheap relative to a single link. *)
-let refresh_impact (t : t) : unit =
+(* Enter one analyzed node into the reuse plan. Leaves are free to
+   re-make and unmodeled nodes can never be proven reusable. An
+   identical subtree reached twice keeps one keyed entry per
+   occurrence: each mints its own aliases. *)
+let plan_node (t : t) (i : Analysis.Impact.info) : unit =
+  match i.Analysis.Impact.i_node with
+  | Blueprint.Mgraph.Leaf _ -> ()
+  | n when i.Analysis.Impact.i_modeled ->
+      let pe =
+        {
+          pe_digest = i.Analysis.Impact.i_digest;
+          pe_path =
+            (if i.Analysis.Impact.i_keyed then Some i.Analysis.Impact.i_path
+             else None);
+        }
+      in
+      let k = Blueprint.Mgraph.digest n in
+      let others =
+        Option.value (Hashtbl.find_opt t.impact_plan k) ~default:[]
+        |> List.filter (fun e -> e.pe_path <> pe.pe_path)
+      in
+      Hashtbl.replace t.impact_plan k (pe :: others)
+  | _ -> ()
+
+(* Re-run the analysis over every bound meta-object — one walk per meta
+   yields its lint report and its {!Analysis.Impact} tree — and rebuild
+   the reuse plan from the trees. Re-analyzing the whole namespace (not
+   just the edited meta) keeps plan entries fresh for metas that
+   reference the edited path through [Name] nodes: their interface
+   digests move with the content they resolve to. The analysis is
+   abstract (symbol flow only, no view materialized), so this is cheap
+   relative to a single link. Memo entries the new plan no longer names
+   (the spine an edit replaced) are dropped, so the memo table tracks
+   the bound blueprints rather than their edit history. Returns
+   [path]'s lint report. *)
+let refresh_analysis (t : t) (path : string) : Analysis.Lint.report option =
   Hashtbl.reset t.impact_plan;
-  List.iter
-    (fun path ->
-      match Namespace.lookup t.ns path with
-      | Some (Namespace.Meta m) ->
-          let tree =
-            Analysis.Impact.analyze ~resolve:(resolve_graph t)
-              (Blueprint.Meta.effective_graph m ~spec:None)
-          in
-          Hashtbl.replace t.impact_trees path tree;
-          Analysis.Impact.iter_infos
-            (fun i ->
-              match i.Analysis.Impact.i_node with
-              | Blueprint.Mgraph.Leaf _ -> () (* leaves are free to re-make *)
-              | n ->
-                  Hashtbl.replace t.impact_plan (Blueprint.Mgraph.digest n)
-                    {
-                      pe_digest = i.Analysis.Impact.i_digest;
-                      pe_stable = i.Analysis.Impact.i_stable;
-                      pe_gensym = i.Analysis.Impact.i_summary.Analysis.Impact.s_gensym;
-                    })
-            tree
-      | _ -> ())
-    (Namespace.all_metas t.ns)
+  let report =
+    List.fold_left
+      (fun report p ->
+        match Namespace.lookup t.ns p with
+        | Some (Namespace.Meta m) ->
+            let tree, lint =
+              Analysis.Impact.analyze_and_lint ~resolve:(resolve_graph t)
+                (Blueprint.Meta.effective_graph m ~spec:None)
+            in
+            Hashtbl.replace t.impact_trees p tree;
+            Analysis.Impact.iter_infos (plan_node t) tree;
+            if p = path then Some lint else report
+        | _ -> report)
+      None (Namespace.all_metas t.ns)
+  in
+  let planned = Hashtbl.create 256 in
+  Hashtbl.iter
+    (fun _ entries ->
+      List.iter (fun e -> Hashtbl.replace planned e.pe_digest ()) entries)
+    t.impact_plan;
+  Cache.memo_retain t.cache (Hashtbl.mem planned);
+  report
 
 (** Bind a meta-object and lint it: the symbol-flow analyzer runs at
     registration (no view materialized, no simulated cost charged), the
@@ -350,13 +380,14 @@ let refresh_impact (t : t) : unit =
 let register_meta (t : t) (path : string) (m : Blueprint.Meta.t) : unit =
   let old_tree = Hashtbl.find_opt t.impact_trees path in
   Namespace.bind_meta t.ns path m;
-  let report = Analysis.Lint.analyze_meta ~resolve:(resolve_graph t) m in
-  Hashtbl.replace t.lints path report;
-  let errs = Analysis.Lint.errors report
-  and warns = Analysis.Lint.warnings report in
-  if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
-  if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings;
-  refresh_impact t;
+  (match refresh_analysis t path with
+  | Some report ->
+      Hashtbl.replace t.lints path report;
+      let errs = Analysis.Lint.errors report
+      and warns = Analysis.Lint.warnings report in
+      if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
+      if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings
+  | None -> ());
   match (old_tree, Hashtbl.find_opt t.impact_trees path) with
   | Some ot, Some nt ->
       Hashtbl.replace t.impact_diffs path
@@ -411,41 +442,43 @@ let find_meta (t : t) (path : string) : Blueprint.Meta.t =
 
 (* -- evaluation & linking -------------------------------------------------- *)
 
-(* The subtree-reuse hooks evaluation runs under. Lookup: a node whose
-   reuse plan entry is stable may be answered from the memo table —
-   skipping the mangling ids its evaluation would have drawn, so every
-   later freeze/hide downstream mints exactly the aliases a from-scratch
-   build would. Store: every freshly materialized stable node enters
-   the memo table (first materialization of a digest wins). Unstable
-   nodes (live freeze/hide/show below them) are never memoized: their
-   bytes depend on the global mangling sequence. *)
+(* The subtree-reuse hooks evaluation runs under. Lookup: a planned
+   node may be answered from the memo table. Store: every freshly
+   materialized planned node enters it (first materialization of a
+   digest wins). A keyed entry answers only its own occurrence, so the
+   path is rendered only when no occurrence-free entry exists. *)
 let memo_hooks (t : t) : Blueprint.Mgraph.memo_hooks =
-  let plan_of n =
+  let plan_of occ n =
     match n with
-    | Blueprint.Mgraph.Leaf _ -> None (* leaves are free to re-make *)
-    | n -> Hashtbl.find_opt t.impact_plan (Blueprint.Mgraph.digest n)
+    | Blueprint.Mgraph.Leaf _ -> None
+    | n -> (
+        match Hashtbl.find_opt t.impact_plan (Blueprint.Mgraph.digest n) with
+        | None -> None
+        | Some entries -> (
+            match List.find_opt (fun e -> e.pe_path = None) entries with
+            | Some _ as anywhere -> anywhere
+            | None ->
+                let here = Some (Blueprint.Mgraph.path occ) in
+                List.find_opt (fun e -> e.pe_path = here) entries))
   in
   {
     lookup =
-      (fun n ->
-        match plan_of n with
-        | Some pe when pe.pe_stable -> (
+      (fun occ n ->
+        match plan_of occ n with
+        | Some pe -> (
             match Cache.memo_find t.cache pe.pe_digest with
             | Some me ->
-                Jigsaw.Module_ops.gensym_skip me.Cache.m_gensym;
                 Telemetry.Counter.incr tm_impact_reused;
                 Telemetry.Provenance.record_reused ~digest:pe.pe_digest;
                 Some me.Cache.m_result
             | None -> None)
-        | _ -> None);
+        | None -> None);
     store =
-      (fun n r ->
-        match plan_of n with
+      (fun occ n r ->
+        match plan_of occ n with
         | Some pe ->
             Telemetry.Counter.incr tm_impact_respun;
-            if pe.pe_stable && not (Cache.memo_mem t.cache pe.pe_digest) then
-              Cache.memo_insert t.cache ~digest:pe.pe_digest
-                ~gensym:pe.pe_gensym r
+            Cache.memo_insert t.cache ~digest:pe.pe_digest r
         | None -> ());
   }
 

@@ -240,54 +240,36 @@ let copy_as (sel : Select.t) (new_name : string) (m : t) : t =
   let m' = push_all m (Sof.View.Copy_defs (Select.rewrite sel new_name)) in
   { m' with label }
 
-(* Fresh-name generation for freeze/hide manglings. *)
-let gensym_counter = ref 0
+(** The private alias freeze ([frozen]) or hide/show gives [n] at the
+    operator occurrence [key]. The one spelling of a minted name: the
+    symbol-flow analyzer predicts aliases through it too. *)
+let alias ~frozen ~(key : string) (n : string) : string =
+  n ^ (if frozen then "$frz" else "$hid") ^ key
 
-let gensym () =
-  incr gensym_counter;
-  !gensym_counter
+(** Kept only because the host-clock benchmark still calls them:
+    aliases no longer come from a counter, so there is nothing to read
+    or align. *)
+let gensym_current () = 0
 
-(** The current value of the freeze/hide mangling counter. The symbol-
-    flow analyzer snapshots it to predict the exact [n$frzI]/[n$hidI]
-    alias names the next evaluation will mint. *)
-let gensym_current () = !gensym_counter
+let gensym_set (_ : int) : unit = ()
 
-(** Advance the mangling counter by [n] ids without minting any name.
-    Subtree reuse skips the operators of a memoized subtree; skipping
-    the ids that subtree would have drawn keeps every {e later}
-    freeze/hide minting exactly the aliases a from-scratch evaluation
-    would, so partial reuse stays byte-identical downstream. *)
-let gensym_skip (n : int) : unit =
-  if n > 0 then gensym_counter := !gensym_counter + n
+(* Shared machinery of freeze/hide/show: rename all references to the
+   selected exported names to their private alias at [key];
+   [keep_public] decides whether the public definition survives
+   (freeze) or is renamed away (hide). *)
+let freeze_like ~keep_public ~key (selects : string -> bool) (m : t) : t =
+  match List.filter selects (exports m) with
+  | [] -> m
+  | selected ->
+      let aliases = Hashtbl.create 8 in
+      List.iter
+        (fun n -> Hashtbl.replace aliases n (alias ~frozen:keep_public ~key n))
+        selected;
+      let ref_map n = Hashtbl.find_opt aliases n in
+      let m = push_all m (Sof.View.Rename_refs ref_map) in
+      if keep_public then push_all m (Sof.View.Copy_defs ref_map)
+      else push_all m (Sof.View.Rename_defs ref_map)
 
-(** Set the mangling counter outright (differential harnesses align
-    two runs to a common baseline so both mint comparable aliases). *)
-let gensym_set (n : int) : unit = gensym_counter := n
-
-(* Shared machinery of freeze/hide: rename all references to the
-   selected exported names to a fresh private alias; [keep_public]
-   decides whether the public definition survives (freeze) or is
-   renamed away (hide). *)
-let freeze_like ~keep_public (sel : Select.t) (m : t) : t =
-  let id = gensym () in
-  let selected = List.filter (Select.matches sel) (exports m) in
-  if selected = [] then m
-  else begin
-    let alias = Hashtbl.create 8 in
-    List.iter
-      (fun n -> Hashtbl.replace alias n (Printf.sprintf "%s$%s%d" n
-                                           (if keep_public then "frz" else "hid") id))
-      selected;
-    let ref_map n = Hashtbl.find_opt alias n in
-    let m = push_all m (Sof.View.Rename_refs ref_map) in
-    if keep_public then push_all m (Sof.View.Copy_defs ref_map)
-    else push_all m (Sof.View.Rename_defs ref_map)
-  end
-
-(** [freeze sel m] makes the current binding of the selected symbols
-    permanent: intra-module references can no longer be rebound by
-    later [override]/[restrict], while the public definition remains
-    exported. *)
 (* Journal the exported names an operator affected. *)
 let record_selected ~op ~action (sel : Select.t) (m : t) : unit =
   if prov () then
@@ -297,44 +279,45 @@ let record_selected ~op ~action (sel : Select.t) (m : t) : unit =
           Telemetry.Provenance.record_sym ~op ~symbol:n action)
       (exports m)
 
-let freeze (sel : Select.t) (m : t) : t =
+(** [freeze ~key sel m] makes the current binding of the selected
+    symbols permanent: intra-module references can no longer be
+    rebound by later [override]/[restrict], while the public definition
+    remains exported. *)
+let freeze ~key (sel : Select.t) (m : t) : t =
   traced "freeze" @@ fun () ->
   let label = Printf.sprintf "(freeze %s %s)" (Select.pattern sel) m.label in
   if prov () then Telemetry.Provenance.record_op ~op:"freeze" ~detail:label;
   record_selected ~op:"freeze" ~action:"binding made permanent (still exported)"
     sel m;
-  let m' = freeze_like ~keep_public:true sel m in
+  let m' = freeze_like ~keep_public:true ~key (Select.matches sel) m in
   { m' with label }
 
-(** [hide sel m] removes the selected definitions from the exported
-    symbol table, freezing internal references to them in the process. *)
-let hide (sel : Select.t) (m : t) : t =
+(** [hide ~key sel m] removes the selected definitions from the
+    exported symbol table, freezing internal references to them in the
+    process. *)
+let hide ~key (sel : Select.t) (m : t) : t =
   traced "hide" @@ fun () ->
   let label = Printf.sprintf "(hide %s %s)" (Select.pattern sel) m.label in
   if prov () then Telemetry.Provenance.record_op ~op:"hide" ~detail:label;
   record_selected ~op:"hide"
     ~action:"definition hidden under a private alias" sel m;
-  let m' = freeze_like ~keep_public:false sel m in
+  let m' = freeze_like ~keep_public:false ~key (Select.matches sel) m in
   { m' with label }
 
-(** [show sel m] hides all but the selected definitions. *)
-let show (sel : Select.t) (m : t) : t =
+(** [show ~key sel m] hides all but the selected definitions. *)
+let show ~key (sel : Select.t) (m : t) : t =
   traced "show" @@ fun () ->
   let label = Printf.sprintf "(show %s %s)" (Select.pattern sel) m.label in
   if prov () then Telemetry.Provenance.record_op ~op:"show" ~detail:label;
-  let keep = Select.matches sel in
-  let victims = List.filter (fun n -> not (keep n)) (exports m) in
+  let victim n = not (Select.matches sel n) in
   if prov () then
     List.iter
       (fun n ->
-        Telemetry.Provenance.record_sym ~op:"show" ~symbol:n
-          "definition hidden under a private alias")
-      victims;
-  let m' =
-    List.fold_left
-      (fun acc n -> freeze_like ~keep_public:false (Select.compile ("^" ^ Str.quote n ^ "$")) acc)
-      m victims
-  in
+        if victim n then
+          Telemetry.Provenance.record_sym ~op:"show" ~symbol:n
+            "definition hidden under a private alias")
+      (exports m);
+  let m' = freeze_like ~keep_public:false ~key victim m in
   { m' with label }
 
 (** Which side of the namespace [rename] rewrites. *)

@@ -61,19 +61,27 @@ val override : t -> t -> t
     references against [sel]). *)
 val copy_as : Select.t -> string -> t -> t
 
-(** [freeze sel m] makes the current binding of the selected symbols
-    permanent: intra-module references can no longer be rebound by a
-    later [override]/[restrict], while the public definition remains
-    exported. *)
-val freeze : Select.t -> t -> t
+(** [alias ~frozen ~key n] is the private alias [n$frzKEY] (freeze) or
+    [n$hidKEY] (hide/show) minted for [n] by the operator occurrence
+    [key]. Distinct occurrences in one m-graph have distinct keys, so
+    their aliases never collide. *)
+val alias : frozen:bool -> key:string -> string -> string
 
-(** [hide sel m] removes the selected definitions from the exported
-    symbol table, freezing internal references to them in the
-    process. *)
-val hide : Select.t -> t -> t
+(** [freeze ~key sel m] makes the current binding of the selected
+    symbols permanent: intra-module references can no longer be
+    rebound by a later [override]/[restrict], while the public
+    definition remains exported. References move to the
+    {!alias}[ ~frozen:true ~key] of each selected name. *)
+val freeze : key:string -> Select.t -> t -> t
 
-(** [show sel m] hides all but the selected definitions. *)
-val show : Select.t -> t -> t
+(** [hide ~key sel m] removes the selected definitions from the
+    exported symbol table, freezing internal references to them in the
+    process: definitions and references move to their
+    {!alias}[ ~frozen:false ~key]. *)
+val hide : key:string -> Select.t -> t -> t
+
+(** [show ~key sel m] hides all but the selected definitions. *)
+val show : key:string -> Select.t -> t -> t
 
 (** Which side of the namespace {!rename} rewrites — the paper's §10
     "discrimination between symbol references and definitions". *)
@@ -84,21 +92,13 @@ type rename_scope = Defs_only | Refs_only | Both
     both (the default). *)
 val rename : ?scope:rename_scope -> Select.t -> string -> t -> t
 
-(** The current value of the private freeze/hide mangling counter
-    (monotone, process-global). The symbol-flow analyzer snapshots it
-    to predict the exact [n$frzI]/[n$hidI] alias names the next
-    evaluation will mint. *)
+(** Compatibility no-ops for the host-clock benchmark
+    ([perfbench/relink_edit.ml], [perfbench/build_cold.ml]), which
+    saves and restores a mangling counter that no longer exists:
+    aliases are keyed by occurrence, so evaluation order cannot change
+    them. [gensym_current ()] is always [0]. *)
 val gensym_current : unit -> int
 
-(** Advance the mangling counter by [n] ids without minting any name.
-    Used by subtree reuse: skipping a memoized subtree's draws keeps
-    every later freeze/hide minting exactly the aliases a from-scratch
-    evaluation would. [n <= 0] is a no-op. *)
-val gensym_skip : int -> unit
-
-(** Set the mangling counter outright. For differential harnesses only
-    (two runs aligned to a common baseline mint comparable aliases);
-    never call while an evaluation is in flight. *)
 val gensym_set : int -> unit
 
 (** [initializers m] generates the static-initializer driver for the

@@ -24,7 +24,7 @@ let base_obj () =
   Sof.Asm.finish a
 
 let no_resolve _ = Error "no resolver"
-let analyze ?gensym_base g = L.analyze ~resolve:no_resolve ?gensym_base g
+let analyze g = L.analyze ~resolve:no_resolve g
 
 let codes (r : L.report) : string list =
   List.map (fun (f : L.finding) -> f.L.code) r.L.findings
@@ -168,9 +168,8 @@ let test_w103_refreeze () =
   let g = Mg.Freeze ("^f$", Mg.Freeze ("^f$", Mg.Leaf o)) in
   let f = find_code (analyze g) "W103" in
   Alcotest.(check (list string)) "symbol" [ "f" ] f.L.symbols;
-  (* a single live freeze is W103-clean (only the W105 instability
-     warning remains: it mints a mangling-dependent alias) *)
-  Alcotest.(check (list string)) "single freeze clean" [ "W105" ]
+  (* a single live freeze is clean *)
+  Alcotest.(check (list string)) "single freeze clean" []
     (codes (analyze (Mg.Freeze ("^f$", Mg.Leaf o))))
 
 let test_w104_shadowed_weak () =
@@ -208,35 +207,6 @@ let test_verify_all_world_metas () =
             (String.concat " " actual)
       | L.Eval_raised msg -> Alcotest.failf "%s: eval raised: %s" path msg)
     metas
-
-let test_gensym_replay_after_prior_evals () =
-  (* the analyzer predicts mangled freeze/hide aliases exactly even when
-     earlier evaluations already advanced the global mangling counter *)
-  let o =
-    obj "/t/fgh.o"
-      [ ("f", Sof.Symbol.Global); ("g", Sof.Symbol.Global); ("h", Sof.Symbol.Global) ]
-  in
-  ignore
-    (Jigsaw.Module_ops.freeze
-       (Jigsaw.Select.compile "f")
-       (Jigsaw.Module_ops.of_object o));
-  let graph = Mg.Show ("^f$", Mg.Freeze ("^g$", Mg.Leaf o)) in
-  let env = Blueprint.Mgraph.make_env () in
-  let report, outcome =
-    L.verify_against ~eval:(Blueprint.Mgraph.eval env) ~resolve:no_resolve graph
-  in
-  (match outcome with
-  | L.Verified _ -> ()
-  | L.Skipped r -> Alcotest.failf "skipped: %s" r
-  | L.Mismatch { field; predicted; actual } ->
-      Alcotest.failf "%s mismatch: predicted [%s] actual [%s]" field
-        (String.concat " " predicted)
-        (String.concat " " actual)
-  | L.Eval_raised m -> Alcotest.failf "eval raised: %s" m);
-  Alcotest.(check bool) "f stays public" true (List.mem "f" report.L.exports);
-  Alcotest.(check bool) "g demoted" false (List.mem "g" report.L.exports);
-  Alcotest.(check bool) "h demoted" false (List.mem "h" report.L.exports);
-  Alcotest.(check bool) "g tracked frozen" true (List.mem "g" report.L.frozen)
 
 let test_analysis_is_free () =
   let w = Omos.World.create () in
@@ -349,7 +319,7 @@ let prop_dead_hide_noop =
       (not (List.mem "W101" (codes rep)))
       ||
       let m = Jigsaw.Module_ops.of_object o in
-      let m' = Jigsaw.Module_ops.hide (Jigsaw.Select.compile sel_s) m in
+      let m' = Jigsaw.Module_ops.hide ~key:"0" (Jigsaw.Select.compile sel_s) m in
       Jigsaw.Module_ops.exports m' = Jigsaw.Module_ops.exports m)
 
 (* -- subtree dependence (impact) ---------------------------------------------- *)
@@ -359,48 +329,36 @@ module I = Analysis.Impact
 let ianalyze g = I.analyze ~resolve:no_resolve g
 let iroot g = (ianalyze g).I.t_root
 
-let test_w105_unstable_subtree () =
-  let o = obj "/t/fg.o" [ ("f", Sof.Symbol.Global); ("g", Sof.Symbol.Global) ] in
-  (* a live freeze mints a mangling-dependent alias: W105 names the
-     selected symbols *)
-  let f = find_code (analyze (Mg.Freeze ("^f$", Mg.Leaf o))) "W105" in
-  Alcotest.(check (list string)) "freeze symbols" [ "f" ] f.L.symbols;
-  ignore (find_code (analyze (Mg.Hide ("^g$", Mg.Leaf o))) "W105");
-  (* show warns on the victims it hides, not the survivors *)
-  let f = find_code (analyze (Mg.Show ("^f$", Mg.Leaf o))) "W105" in
-  Alcotest.(check (list string)) "show victims" [ "g" ] f.L.symbols;
-  (* a dead freeze mints nothing: fully clean (it only burns an id) *)
-  let r = analyze (Mg.Freeze ("^zz", Mg.Leaf o)) in
-  Alcotest.(check (list string)) "dead freeze clean" [] (codes r);
-  (* non-minting operators stay quiet *)
-  Alcotest.(check bool) "restrict no W105" false
-    (List.mem "W105" (codes (analyze (Mg.Restrict ("^f$", Mg.Leaf o)))))
-
 let test_impact_digests_and_stability () =
   let a = obj "/t/ia.o" [ ("f", Sof.Symbol.Global) ] in
   let b = obj "/t/ib.o" [ ("g", Sof.Symbol.Global) ] in
   let g = Mg.Merge [ Mg.Leaf a; Mg.Leaf b ] in
   let r1 = iroot g and r2 = iroot g in
   Alcotest.(check string) "digest deterministic" r1.I.i_digest r2.I.i_digest;
-  Alcotest.(check bool) "merge of plain leaves is stable" true r1.I.i_stable;
+  Alcotest.(check bool) "plain merge holds anywhere" false r1.I.i_keyed;
   Alcotest.(check int) "two children" 2 (List.length r1.I.i_children);
   (* content-addressed: same shape, different leaf content *)
   let b' = obj "/t/ib.o" [ ("h", Sof.Symbol.Global) ] in
   let r3 = iroot (Mg.Merge [ Mg.Leaf a; Mg.Leaf b' ]) in
   Alcotest.(check bool) "content moves the digest" true
     (r1.I.i_digest <> r3.I.i_digest);
-  (* a live freeze leaks its minted alias: unstable, one id drawn *)
+  (* a live freeze mints aliases named after its occurrence: its digest
+     is keyed, and the same freeze elsewhere is another interface *)
   let rf = iroot (Mg.Freeze ("^f$", Mg.Leaf a)) in
-  Alcotest.(check bool) "live freeze unstable" false rf.I.i_stable;
-  Alcotest.(check int) "one id consumed" 1 rf.I.i_summary.I.s_gensym;
-  (* a dead freeze consumes the id but mints no name: stable *)
+  Alcotest.(check bool) "live freeze keyed" true rf.I.i_keyed;
+  let nested = List.hd (iroot (Mg.Merge [ Mg.Freeze ("^f$", Mg.Leaf a) ])).I.i_children in
+  Alcotest.(check bool) "occurrence moves a keyed digest" true
+    (nested.I.i_digest <> rf.I.i_digest);
+  (* a dead freeze mints nothing: its digest holds anywhere *)
   let rd = iroot (Mg.Freeze ("^zz", Mg.Leaf a)) in
-  Alcotest.(check bool) "dead freeze stable" true rd.I.i_stable;
-  Alcotest.(check int) "id still consumed" 1 rd.I.i_summary.I.s_gensym;
-  (* an unresolvable name poisons stability up the spine *)
+  Alcotest.(check bool) "dead freeze unkeyed" false rd.I.i_keyed;
+  let nested = List.hd (iroot (Mg.Merge [ Mg.Freeze ("^zz", Mg.Leaf a) ])).I.i_children in
+  Alcotest.(check string) "unkeyed digest holds anywhere" rd.I.i_digest
+    nested.I.i_digest;
+  (* an unresolvable name leaves the spine above it unmodeled *)
   let t = ianalyze (Mg.Merge [ Mg.Leaf a; Mg.Name "/no/such" ]) in
   Alcotest.(check bool) "approximate tree" true t.I.t_approximate;
-  Alcotest.(check bool) "root unstable" false t.I.t_root.I.i_stable
+  Alcotest.(check bool) "root unmodeled" false t.I.t_root.I.i_modeled
 
 let test_impact_diff_verdicts () =
   let a = obj "/t/ia.o" [ ("f", Sof.Symbol.Global) ] in
@@ -451,61 +409,102 @@ let asm_obj name defs =
     defs;
   Sof.Asm.finish a
 
-(* A dead freeze in a reusable subtree consumes a mangling id without
-   minting a name; reusing that subtree must still skip the id so the
-   live freeze downstream mints exactly the alias a from-scratch
-   evaluation would. Exports (aliases included) and the flattened
-   object must come out byte-identical. *)
-let test_gensym_replay_after_partial_reuse () =
+let server () = (Omos.World.create ()).Omos.World.server
+
+let meta_graph s path =
+  Blueprint.Meta.effective_graph (Omos.Server.find_meta s path) ~spec:None
+
+(* exports (aliases included) and the flattened object's digest *)
+let built s path =
+  let m = (Omos.Server.eval s (meta_graph s path)).Blueprint.Mgraph.m in
+  (Jigsaw.Module_ops.exports m, Sof.Codec.digest (Jigsaw.Module_ops.to_object m))
+
+(* Aliases are a function of where an operator sits, not of what was
+   evaluated before it: two servers in one process evaluating the same
+   hide/freeze blueprints in opposite orders build identical modules,
+   and the analyzer predicts them without being told anything. *)
+let test_evaluation_order () =
+  let install s =
+    Omos.Server.add_fragment s "/t/ea.o"
+      (asm_obj "/t/ea.o" [ ("ea", None); ("ea_caller", Some "ea") ]);
+    Omos.Server.add_fragment s "/t/eb.o"
+      (asm_obj "/t/eb.o" [ ("eb", None); ("eb_caller", Some "eb") ]);
+    Omos.Server.register_meta_source s "/t/frozen" "(freeze \"^ea$\" /t/ea.o)";
+    Omos.Server.register_meta_source s "/t/hidden"
+      "(merge (hide \"^eb$\" /t/eb.o) (show \"^ea_caller$\" /t/frozen))"
+  in
+  let sa = server () and sb = server () in
+  install sa;
+  install sb;
+  let paths = [ "/t/frozen"; "/t/hidden" ] in
+  let a = List.map (built sa) paths in
+  let b = List.rev (List.map (built sb) (List.rev paths)) in
+  Alcotest.(check (list (pair (list string) string))) "same modules" a b;
+  Alcotest.(check bool) "freeze alias exported" true
+    (List.exists
+       (fun n -> Astring.String.is_prefix ~affix:"ea$frz" n)
+       (fst (List.hd a)));
+  List.iter
+    (fun path ->
+      match
+        snd
+          (L.verify_against ~eval:(Omos.Server.eval sb)
+             ~resolve:(Omos.Server.resolve_graph sb) (meta_graph sb path))
+      with
+      | L.Verified _ -> ()
+      | _ -> Alcotest.failf "%s: analyzer and evaluator disagree" path)
+    paths
+
+(* A live freeze/hide subtree beside an edit is reused, and the
+   incremental module is byte-identical to a from-scratch build in a
+   fresh server. *)
+let test_hidden_subtree_reuse () =
   let source tail =
     Printf.sprintf
-      "(merge (freeze \"^zz$\" /t/ra.o) (freeze \"^bb$\" /t/rb.o) %s)" tail
+      "(merge (freeze \"^zz$\" /t/ra.o) (freeze \"^bb$\" /t/rb.o) (hide \"^cc$\" \
+       (merge /t/rc.o /t/rcu.o)) %s)"
+      tail
   in
   let install s =
     Omos.Server.add_fragment s "/t/ra.o" (asm_obj "/t/ra.o" [ ("ra", None) ]);
     Omos.Server.add_fragment s "/t/rb.o"
       (asm_obj "/t/rb.o" [ ("bb", None); ("bb_caller", Some "bb") ]);
     Omos.Server.add_fragment s "/t/rc.o" (asm_obj "/t/rc.o" [ ("cc", None) ]);
-    Omos.Server.add_fragment s "/t/rd.o" (asm_obj "/t/rd.o" [ ("dd", None) ])
+    Omos.Server.add_fragment s "/t/rcu.o" (asm_obj "/t/rcu.o" [ ("cc_user", Some "cc") ]);
+    Omos.Server.add_fragment s "/t/rd.o" (asm_obj "/t/rd.o" [ ("dd", None) ]);
+    Omos.Server.add_fragment s "/t/re.o" (asm_obj "/t/re.o" [ ("ee", None) ])
   in
-  let graph s = Blueprint.Meta.effective_graph (Omos.Server.find_meta s "/t/rlib") ~spec:None in
   (* world A: cold build fills the memo table, then an edited sibling *)
-  let sa = (Omos.World.create ()).Omos.World.server in
+  let sa = server () in
   install sa;
-  Omos.Server.register_meta_source sa "/t/rlib" (source "/t/rc.o");
-  ignore (Omos.Server.eval sa (graph sa));
   Omos.Server.register_meta_source sa "/t/rlib" (source "/t/rd.o");
+  ignore (built sa "/t/rlib");
+  Omos.Server.register_meta_source sa "/t/rlib" (source "/t/re.o");
   (match Omos.Server.impact_diff sa "/t/rlib" with
   | None -> Alcotest.fail "no impact diff after re-registration"
   | Some d ->
-      Alcotest.(check bool) "dead-freeze subtree reused" true
-        (List.exists
-           (fun v ->
-             match v.I.v_verdict with
-             | I.Reused _ -> v.I.v_op <> "leaf" && v.I.v_op <> "name"
-             | I.Respin _ -> false)
-           d.I.d_nodes));
-  let g0 = Jigsaw.Module_ops.gensym_current () in
-  let m_incr = (Omos.Server.eval sa (graph sa)).Blueprint.Mgraph.m in
-  (* world B: same edited blueprint from scratch, reuse off, aligned to
-     the same mangling baseline *)
-  let sb = (Omos.World.create ()).Omos.World.server in
+      List.iter
+        (fun path ->
+          match List.find_opt (fun v -> v.I.v_path = path) d.I.d_nodes with
+          | Some { I.v_verdict = I.Reused _; _ } -> ()
+          | _ -> Alcotest.failf "%s not reused" path)
+        [ "merge[1].freeze"; "merge[2].hide" ]);
+  let reused0 = Telemetry.Counter.get "impact.reused" in
+  let incremental = built sa "/t/rlib" in
+  Alcotest.(check bool) "memo served the reused subtrees" true
+    (Telemetry.Counter.get "impact.reused" - reused0 >= 3);
+  (* world B: the edited blueprint from scratch, reuse off *)
+  let sb = server () in
   Omos.Server.set_subtree_reuse sb false;
   install sb;
-  Omos.Server.register_meta_source sb "/t/rlib" (source "/t/rd.o");
-  let gb = graph sb in
-  Jigsaw.Module_ops.gensym_set g0;
-  let m_scratch = (Omos.Server.eval sb gb).Blueprint.Mgraph.m in
-  Alcotest.(check (list string)) "exports identical (aliases included)"
-    (Jigsaw.Module_ops.exports m_scratch)
-    (Jigsaw.Module_ops.exports m_incr);
+  Omos.Server.register_meta_source sb "/t/rlib" (source "/t/re.o");
+  Alcotest.(check (pair (list string) string))
+    "incremental = from scratch (aliases included)" (built sb "/t/rlib")
+    incremental;
   Alcotest.(check bool) "minted alias present" true
     (List.exists
        (fun n -> Astring.String.is_prefix ~affix:"bb$frz" n)
-       (Jigsaw.Module_ops.exports m_incr));
-  Alcotest.(check string) "flattened object byte-identical"
-    (Sof.Codec.digest (Jigsaw.Module_ops.to_object m_scratch))
-    (Sof.Codec.digest (Jigsaw.Module_ops.to_object m_incr))
+       (fst incremental))
 
 (* every Reused verdict over a fuzzed single-edit pair materializes
    byte-identically — the proof obligation discharged over the same
@@ -572,15 +571,12 @@ let () =
             test_w102_override_overrides_nothing;
           Alcotest.test_case "W103 refreeze" `Quick test_w103_refreeze;
           Alcotest.test_case "W104 shadowed weak" `Quick test_w104_shadowed_weak;
-          Alcotest.test_case "W105 unstable subtree" `Quick
-            test_w105_unstable_subtree;
         ] );
       ( "exactness",
         [
           Alcotest.test_case "verify all world metas" `Quick
             test_verify_all_world_metas;
-          Alcotest.test_case "gensym replay" `Quick
-            test_gensym_replay_after_prior_evals;
+          Alcotest.test_case "evaluation order" `Quick test_evaluation_order;
           Alcotest.test_case "analysis is free" `Quick test_analysis_is_free;
         ] );
       ( "registration",
@@ -594,8 +590,8 @@ let () =
             test_impact_digests_and_stability;
           Alcotest.test_case "diff verdicts + verify" `Quick
             test_impact_diff_verdicts;
-          Alcotest.test_case "gensym replay after partial reuse" `Quick
-            test_gensym_replay_after_partial_reuse;
+          Alcotest.test_case "hide/freeze subtree reuse" `Quick
+            test_hidden_subtree_reuse;
         ] );
       ( "properties",
         [

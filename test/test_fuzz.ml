@@ -138,6 +138,18 @@ let test_corpus_replays () =
             f.Fuzzer.fz_detail)
     cases
 
+(* A fully hidden library reached twice in one graph must build: its two
+   occurrences mint distinct aliases, so every library stays clean. *)
+let test_diamond_hidden_dep () =
+  let ic = open_in_bin (Filename.concat corpus_dir "diamond_hidden_dep.fuzzcase") in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Fuzzer.run_case (Fz.of_string text) with
+  | Fuzzer.Pass { clean_libs; _ } ->
+      Alcotest.(check int) "every library clean" 4 clean_libs
+  | Fuzzer.Fail f ->
+      Alcotest.failf "oracle %s: %s" f.Fuzzer.fz_oracle f.Fuzzer.fz_detail
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -161,5 +173,9 @@ let () =
           Alcotest.test_case "reduce keeps oracle" `Quick
             test_reduce_keeps_failure_oracle;
         ] );
-      ("corpus", [ Alcotest.test_case "replays" `Quick test_corpus_replays ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "replays" `Quick test_corpus_replays;
+          Alcotest.test_case "diamond hidden dep" `Quick test_diamond_hidden_dep;
+        ] );
     ]

@@ -124,7 +124,7 @@ let test_freeze_prevents_rebinding () =
   (* freeze _malloc inside libc first: util's internal call is fixed;
      a later override replaces the public malloc only *)
   let libc = Jigsaw.Module_ops.of_object (libc_frag ()) in
-  let frozen = Jigsaw.Module_ops.freeze (sel "^_malloc$") libc in
+  let frozen = Jigsaw.Module_ops.freeze ~key:"0" (sel "^_malloc$") libc in
   let m =
     Jigsaw.Module_ops.merge
       (Jigsaw.Module_ops.of_object (main_frag ()))
@@ -139,7 +139,7 @@ let test_freeze_prevents_rebinding () =
 
 let test_hide_removes_export_keeps_internal () =
   let libc = Jigsaw.Module_ops.of_object (libc_frag ()) in
-  let hidden = Jigsaw.Module_ops.hide (sel "^_malloc$") libc in
+  let hidden = Jigsaw.Module_ops.hide ~key:"0" (sel "^_malloc$") libc in
   Alcotest.(check bool) "not exported" true
     (not (List.mem "_malloc" (Jigsaw.Module_ops.exports hidden)));
   (* client's _malloc reference is now unbound *)
@@ -158,7 +158,7 @@ let test_hide_removes_export_keeps_internal () =
 
 let test_show_complement () =
   let libc = Jigsaw.Module_ops.of_object (libc_frag ()) in
-  let shown = Jigsaw.Module_ops.show (sel "^_malloc$") libc in
+  let shown = Jigsaw.Module_ops.show ~key:"0" (sel "^_malloc$") libc in
   let exports = Jigsaw.Module_ops.exports shown in
   Alcotest.(check bool) "malloc visible" true (List.mem "_malloc" exports);
   Alcotest.(check bool) "free hidden" false (List.mem "_free" exports);
@@ -223,7 +223,7 @@ let test_figure2_interposition () =
     Jigsaw.Module_ops.merge virtualized
       (Jigsaw.Module_ops.of_object (wrapper_malloc_frag ()))
   in
-  let final = Jigsaw.Module_ops.hide (sel "^_REAL_malloc$") merged in
+  let final = Jigsaw.Module_ops.hide ~key:"0" (sel "^_REAL_malloc$") merged in
   let cpu = run_module final in
   (* wrapper = REAL_malloc() + 1000 = 1100; client and util both go
      through the wrapper *)
@@ -299,8 +299,8 @@ let prop_hide_idempotent =
   QCheck.Test.make ~count:30 ~name:"hide is idempotent on exports" QCheck.unit
     (fun () ->
       let m = Jigsaw.Module_ops.of_object (libc_frag ()) in
-      let once = Jigsaw.Module_ops.hide (sel "^_malloc$") m in
-      let twice = Jigsaw.Module_ops.hide (sel "^_malloc$") once in
+      let once = Jigsaw.Module_ops.hide ~key:"0" (sel "^_malloc$") m in
+      let twice = Jigsaw.Module_ops.hide ~key:"0" (sel "^_malloc$") once in
       exports_of once = exports_of twice)
 
 let prop_merge_exports_commute =
