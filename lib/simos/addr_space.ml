@@ -8,9 +8,12 @@
     each page charges a soft fault (resident backing) or a disk read
     (first-ever load of a segment that is still "on disk").
 
-    Instruction fetch goes through a per-region decode cache, and every
-    access first tries the region the previous access of its kind hit,
-    so simulated execution stays fast. *)
+    The CPU runs code straight from the backing bytes. It holds two
+    windows, one for fetches and one for loads and stores, each onto a
+    single page that is already touched, so it serves most accesses
+    without calling in here. A miss comes here, first tries the region
+    the previous miss of its kind hit, pays any first touch, and
+    re-points the window at the page it touched. *)
 
 exception Fault of string
 
@@ -31,7 +34,6 @@ type region = {
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state; (* residency of the segment's source *)
   frames : Phys.frame_group;
-  decode : Svm.Isa.instr option array; (* instruction cache; empty if writable *)
   (* extra user-time charge on first touch of each page: models
      deferred (page-wise lazy) relocation work a traditional dynamic
      loader performs in the client, per process *)
@@ -45,10 +47,12 @@ type stats = {
 
 type t = {
   mutable regions : region list; (* sorted by lo *)
-  (* The region the last fetch and the last data access hit. Any change
-     to the map resets both to [no_region]. *)
+  (* The region the last fetch miss and the last data miss hit, and the
+     CPU's windows. Any change to the map resets all four. *)
   mutable code : region;
   mutable data : region;
+  code_window : Svm.Cpu.window;
+  data_window : Svm.Cpu.window;
   phys : Phys.t;
   clock : Clock.t;
   cost : Cost.t;
@@ -69,15 +73,25 @@ let no_region : region =
     touched = [||];
     backing = { resident = [||] };
     frames = { Phys.id = -1; label = ""; pages = 0; refs = 0 };
-    decode = [||];
     touch_user_cost = 0.0;
   }
+
+let empty_window () : Svm.Cpu.window =
+  { Svm.Cpu.bytes = Bytes.empty; base = 0; lo = 0; hi = 0; writable = false }
+
+(* Serves no address, so the next access through [w] misses. *)
+let clear (w : Svm.Cpu.window) =
+  w.bytes <- Bytes.empty;
+  w.lo <- 0;
+  w.hi <- 0
 
 let create ~(phys : Phys.t) ~(clock : Clock.t) ~(cost : Cost.t) () : t =
   {
     regions = [];
     code = no_region;
     data = no_region;
+    code_window = empty_window ();
+    data_window = empty_window ();
     phys;
     clock;
     cost;
@@ -108,7 +122,9 @@ let check_overlap (t : t) lo hi label =
 let set_regions (t : t) (regions : region list) =
   t.regions <- regions;
   t.code <- no_region;
-  t.data <- no_region
+  t.data <- no_region;
+  clear t.code_window;
+  clear t.data_window
 
 let insert (t : t) (r : region) =
   let rec go = function
@@ -138,7 +154,6 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t)
       touched = Array.make npages false;
       backing;
       frames;
-      decode = Array.make (max 1 (Bytes.length bytes / Svm.Isa.width)) None;
       touch_user_cost;
     }
 
@@ -165,7 +180,6 @@ let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
       touched = Array.make npages false;
       backing = (match backing with Some b -> b | None -> resident_backing ());
       frames = Phys.alloc t.phys ~label ~bytes:size;
-      decode = [||];
       touch_user_cost;
     }
 
@@ -205,11 +219,9 @@ let[@inline] code_region (t : t) (addr : int) : region =
     r
   end
 
-(* [Cost.page_size] and [Svm.Isa.width] as shifts, so that the
-   per-access page and decode-slot indices need no division. *)
+(* [Cost.page_size] as a shift, so that page indices need no division. *)
 let page_shift = 12
-let width_shift = 3
-let () = assert (Cost.page_size = 1 lsl page_shift && Svm.Isa.width = 1 lsl width_shift)
+let () = assert (Cost.page_size = 1 lsl page_shift)
 
 (* Demand-paging charge on first touch of a page. *)
 let first_touch (t : t) (r : region) (page : int) : unit =
@@ -229,9 +241,18 @@ let first_touch (t : t) (r : region) (page : int) : unit =
     Clock.charge_system t.clock t.cost.Cost.soft_fault
   end
 
-let[@inline] touch (t : t) (r : region) (off : int) : unit =
+(* Charge the first touch of the page holding [off], then point [w] at
+   that page, clipped to the region: every address it serves is now in
+   a touched page of a mapped region. *)
+let touch (t : t) (w : Svm.Cpu.window) (r : region) (off : int) : unit =
   let page = off lsr page_shift in
-  if not r.touched.(page) then first_touch t r page
+  if not r.touched.(page) then first_touch t r page;
+  let lo = r.lo + (page lsl page_shift) in
+  w.bytes <- r.bytes;
+  w.base <- r.lo;
+  w.lo <- lo;
+  w.hi <- min r.hi (lo + t.page_size);
+  w.writable <- r.writable
 
 (** Pages touched in regions whose label satisfies [pred] — the working
     set measure used by the reordering experiment. *)
@@ -247,10 +268,13 @@ let fault_stats (t : t) : int * int = (t.stats.soft_faults, t.stats.disk_faults)
 
 (* -- accessors wired into the CPU -------------------------------------- *)
 
+(* The CPU calls these only when its window does not serve the access;
+   each leaves the window on the page it touched. *)
+
 let load8 (t : t) (addr : int) : int =
   let r = data_region t addr in
   let off = addr - r.lo in
-  touch t r off;
+  touch t t.data_window r off;
   Bytes.get_uint8 r.bytes off
 
 let store8 (t : t) (addr : int) (v : int) : unit =
@@ -258,7 +282,7 @@ let store8 (t : t) (addr : int) (v : int) : unit =
   if not r.writable then
     raise (Fault (Printf.sprintf "write to read-only %s at 0x%x" r.label addr));
   let off = addr - r.lo in
-  touch t r off;
+  touch t t.data_window r off;
   Bytes.set_uint8 r.bytes off (v land 0xff)
 
 let load32 (t : t) (addr : int) : int =
@@ -266,7 +290,7 @@ let load32 (t : t) (addr : int) : int =
   let off = addr - r.lo in
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "load32 spans end of %s at 0x%x" r.label addr));
-  touch t r off;
+  touch t t.data_window r off;
   Int32.to_int (Bytes.get_int32_le r.bytes off)
 
 let store32 (t : t) (addr : int) (v : int) : unit =
@@ -276,38 +300,27 @@ let store32 (t : t) (addr : int) (v : int) : unit =
   let off = addr - r.lo in
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "store32 spans end of %s at 0x%x" r.label addr));
-  touch t r off;
+  touch t t.data_window r off;
   Bytes.set_int32_le r.bytes off (Int32.of_int v)
 
-(* Writable regions can be modified (lazy-binding patches), so their
-   decode cache must be invalidated on store; rather than tracking
-   that, only read-only regions have one. *)
-let fetch (t : t) (addr : int) : Svm.Isa.instr =
+(* A fetch charges its page before checking alignment. *)
+let fill_code (t : t) (addr : int) : unit =
   let r = code_region t addr in
   let off = addr - r.lo in
-  touch t r off;
+  touch t t.code_window r off;
   if off land (Svm.Isa.width - 1) <> 0 || off + Svm.Isa.width > Bytes.length r.bytes then
-    raise (Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" addr));
-  if r.writable then Svm.Encode.decode_at r.bytes off
-  else
-    (* in bounds: the check above puts [off] inside [bytes], which has
-       one decode slot per instruction *)
-    let idx = off lsr width_shift in
-    match Array.unsafe_get r.decode idx with
-    | Some i -> i
-    | None ->
-        let i = Svm.Encode.decode_at r.bytes off in
-        r.decode.(idx) <- Some i;
-        i
+    raise (Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" addr))
 
 (** CPU memory interface for this address space. *)
 let mem (t : t) : Svm.Cpu.mem =
   {
+    Svm.Cpu.code = t.code_window;
+    data = t.data_window;
     (* closures that call the accessors directly: partial applications
-       would add a currying hop to every simulated access *)
-    Svm.Cpu.load8 = (fun a -> load8 t a);
+       would add a currying hop to every miss *)
+    fill_code = (fun a -> fill_code t a);
+    load8 = (fun a -> load8 t a);
     store8 = (fun a v -> store8 t a v);
     load32 = (fun a -> load32 t a);
     store32 = (fun a v -> store32 t a v);
-    fetch = (fun a -> fetch t a);
   }

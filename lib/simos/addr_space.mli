@@ -6,7 +6,13 @@
     private copies. Every region is demand-paged: the first touch of
     each page charges a soft fault (resident backing) or a disk read
     (first-ever load of a segment still "on disk"), plus an optional
-    per-page user cost (deferred-relocation modelling). *)
+    per-page user cost (deferred-relocation modelling).
+
+    The CPU runs code straight from the backing bytes, through the two
+    windows that {!mem} hands it: one for fetches, one for loads and
+    stores, each onto one touched page. Only an access outside its
+    window calls in here, and that call pays any first touch and
+    re-points the window. *)
 
 exception Fault of string
 
@@ -25,7 +31,6 @@ type region = {
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state;
   frames : Phys.frame_group;
-  decode : Svm.Isa.instr option array; (* instruction cache; empty if writable *)
   touch_user_cost : float;
 }
 
@@ -81,14 +86,15 @@ val fault_stats : t -> int * int
 
 (** Raw accessors (each may fault and charges demand-paging costs).
     Words are ints: [load32] sign-extends, [store32] stores the low 32
-    bits. A fault raises before any page is charged, except that
-    [fetch] charges its page before checking alignment. *)
+    bits. A fault raises before any page is charged. *)
 
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit
 val load32 : t -> int -> int
 val store32 : t -> int -> int -> unit
-val fetch : t -> int -> Svm.Isa.instr
 
-(** CPU memory interface for this address space. *)
+(** CPU memory interface for this address space: its windows, these
+    accessors, and a fetch check that charges the page before it faults
+    a misaligned or out-of-range instruction. Every map change empties
+    the windows. *)
 val mem : t -> Svm.Cpu.mem

@@ -1,28 +1,55 @@
-(** The SVM processor: a fetch-decode-execute interpreter.
+(** The SVM processor: an interpreter that runs code straight from the
+    bytes of memory.
 
-    The CPU is parameterized over a {!mem} record so the same core runs
+    The CPU is parameterized over a {!mem} record so the same loop runs
     against a flat test memory or against [simos] page tables (where
     loads can fault, get charged to the simulated clock, and share
     physical frames between processes). *)
 
 exception Trap of string
 
-(** Memory interface supplied by the environment. Addresses are
-    non-negative ints (32-bit address space). Implementations may raise
-    {!Trap} on unmapped accesses. [load32] returns the word
-    sign-extended; [store32] stores the low 32 bits of its argument.
-    [fetch] returns the decoded instruction at an address; environments
-    typically back it with a per-page decode cache. *)
+(** A range of memory the interpreter reads and writes without calling
+    its environment: addresses [\[lo, hi)] are the bytes of [bytes] at
+    offset [address - base]. Every address in a window can be accessed
+    with no fault and no charge; stores go through only if [writable]. *)
+type window = {
+  mutable bytes : Bytes.t;
+  mutable base : int;
+  mutable lo : int;
+  mutable hi : int;
+  mutable writable : bool;
+}
+
+(** Memory interface supplied by the environment, which owns both
+    windows. Addresses are non-negative ints (32-bit address space).
+    The interpreter fetches from [code] and loads and stores through
+    [data]; an access that its window does not serve goes to the
+    environment instead:
+    - [fill_code pc] faults unless an instruction can be fetched at
+      [pc], charging what a fetch costs, then points [code] at bytes
+      that hold all {!Isa.width} bytes at [pc];
+    - the accessors perform the access, with whatever faults and
+      charges the environment imposes, and may re-point [data].
+      [load32] returns the word sign-extended; [store32] stores the low
+      32 bits.
+
+    Implementations may raise {!Trap}, or their own exception, on
+    unmapped accesses. An environment whose map changes empties both
+    windows. *)
 type mem = {
+  code : window;
+  data : window;
+  fill_code : int -> unit;
   load8 : int -> int;
   store8 : int -> int -> unit;
   load32 : int -> int;
   store32 : int -> int -> unit;
-  fetch : int -> Isa.instr;
 }
 
 (** [flat_mem size] is a simple linear memory for tests and standalone
-    program runs; also returns its backing buffer. *)
+    program runs; also returns its backing buffer. Both windows cover
+    all of it, and an instruction may be fetched at any in-range
+    address, aligned or not. *)
 val flat_mem : int -> mem * Bytes.t
 
 (** Result of a syscall as decided by the environment. *)
@@ -45,18 +72,23 @@ val create : ?sys:(t -> int -> sys_result) -> mem -> t
 val get_reg : t -> int -> int32
 val set_reg : t -> int -> int32 -> unit
 
-(** Execute one instruction. No-op once the CPU has halted or exited.
-    @raise Trap on division by zero or a memory fault. *)
-val step : t -> unit
-
-(** [run ~fuel cpu] steps until the CPU halts, exits, or [fuel]
-    instructions have executed ([Running] means the fuel ran out). *)
+(** [run ~fuel cpu] executes instructions until the CPU halts, exits, or
+    [fuel] instructions have executed ([Running] means the fuel ran
+    out). Does nothing once the CPU has halted or exited. An instruction
+    that raises is counted, with [pc] past it, unless it could not be
+    fetched or decoded.
+    @raise Trap on division by zero, or on a fault in flat memory
+    @raise Simos.Addr_space.Fault on a fault in mapped memory
+    @raise Encode.Bad_instruction on an unknown opcode or a register
+    field above r15 *)
 val run : ?fuel:int -> t -> outcome
 
 (** Read a NUL-terminated string from memory at an address. *)
 val read_cstring : t -> int -> string
 
-(** Read raw bytes from memory. *)
+(** Read raw bytes from memory. The result grows as bytes are read, so
+    a length that runs off mapped memory faults after allocating about
+    twice the bytes read at most. *)
 val read_bytes : t -> int -> int -> Bytes.t
 
 (** Write raw bytes into memory. *)

@@ -51,9 +51,22 @@ let encode (i : Isa.instr) : Bytes.t =
   encode_at buf 0 i;
   buf
 
+(** [check_fields op rd rs1 rs2] raises {!Bad_instruction} unless [op]
+    is an opcode and the three register fields name registers, checking
+    in that order. Unused register fields must hold a register too, as
+    the encoder writes 0 there. *)
+let check_fields op rd rs1 rs2 =
+  if op < 0 || op > Isa.max_opcode then
+    raise (Bad_instruction (Printf.sprintf "bad opcode %d" op));
+  check_reg rd;
+  check_reg rs1;
+  check_reg rs2
+
 (** [decode_fields op rd rs1 rs2 imm] rebuilds the instruction from its
-    raw fields. Raises {!Bad_instruction} on an unknown opcode. *)
+    raw fields. Raises {!Bad_instruction} on an unknown opcode or a bad
+    register, as {!check_fields}. *)
 let decode_fields op rd rs1 rs2 (imm : int32) : Isa.instr =
+  check_fields op rd rs1 rs2;
   match op with
   | 0 -> Halt
   | 1 -> Nop
@@ -87,7 +100,7 @@ let decode_fields op rd rs1 rs2 (imm : int32) : Isa.instr =
   | 29 -> Ret
   | 30 -> Sys imm
   | 31 -> Br imm
-  | n -> raise (Bad_instruction (Printf.sprintf "bad opcode %d" n))
+  | _ -> assert false (* check_fields admits opcodes 0-31 only *)
 
 (** [decode_at buf off] decodes the instruction stored at [off]. *)
 let decode_at (buf : Bytes.t) (off : int) : Isa.instr =

@@ -3,6 +3,7 @@
 exception Bad_instruction of string
 val check_reg : int -> unit
 val fields : Isa.instr -> int * int * int * int32
+val check_fields : int -> int -> int -> int -> unit
 val encode_at : Bytes.t -> int -> Isa.instr -> unit
 val encode : Isa.instr -> Bytes.t
 val decode_fields :

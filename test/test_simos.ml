@@ -151,38 +151,126 @@ let test_overlap_rejected () =
     Alcotest.fail "expected fault"
   with Simos.Addr_space.Fault _ -> ()
 
-(* Fetches and data accesses are answered from the region the last
-   access of their kind hit; unmapping, remapping and destroying must
-   each drop that region. *)
-let test_region_cache_follows_map () =
-  let space, _, phys = mk_space () in
-  let map_code imm =
+(* The CPU fetches and loads through windows onto touched pages; every
+   map change must empty them. [lib] maps at 0x4000 the code [movi r1,
+   imm; ret]; [main], at 0x8000, calls it, loads the immediate's low
+   byte, makes a syscall that changes the map (the dlclose shape), then
+   calls and loads again. *)
+let lib = 0x4000
+
+let map_lib ?(writable = false) space phys instrs =
+  let code = Svm.Encode.assemble instrs in
+  if writable then
+    Simos.Addr_space.map_private space ~vaddr:lib ~init:code ~size:0x1000 ~label:"lib" ()
+  else begin
     let bytes = Bytes.make 0x1000 '\000' in
-    Bytes.blit (Svm.Encode.encode (Svm.Isa.Movi (1, imm))) 0 bytes 0 Svm.Isa.width;
-    let frames = Simos.Phys.alloc phys ~label:"text" ~bytes:0x1000 in
-    Simos.Addr_space.map_shared space ~vaddr:0x4000 ~bytes ~frames
-      ~backing:{ Simos.Addr_space.resident = [||] } ~label:"text" ()
+    Bytes.blit code 0 bytes 0 (Bytes.length code);
+    let frames = Simos.Phys.alloc phys ~label:"lib" ~bytes:0x1000 in
+    Simos.Addr_space.map_shared space ~vaddr:lib ~bytes ~frames
+      ~backing:{ Simos.Addr_space.resident = [||] } ~label:"lib" ()
+  end
+
+let lib_code imm = [ Svm.Isa.Movi (1, imm); Svm.Isa.Ret ]
+
+let main_code =
+  Svm.Isa.
+    [
+      Call (Int32.of_int lib);
+      Ldb (2, 0, Int32.of_int (lib + 4));
+      Sys 1l;
+      Call (Int32.of_int lib);
+      Ldb (3, 0, Int32.of_int (lib + 4));
+      Sys 0l;
+    ]
+
+(* A space holding [main] and [lib imm], and a CPU at [main] whose
+   syscall 1 runs [change]. *)
+let dlclose_machine change =
+  let space, _, phys = mk_space () in
+  let main = Svm.Encode.assemble main_code in
+  Simos.Addr_space.map_shared space ~vaddr:0x8000 ~bytes:main
+    ~frames:(Simos.Phys.alloc phys ~label:"main" ~bytes:(Bytes.length main))
+    ~backing:{ Simos.Addr_space.resident = [||] } ~label:"main" ();
+  Simos.Addr_space.map_private space ~vaddr:0x10000 ~size:0x1000 ~label:"stack" ();
+  map_lib space phys (lib_code 1l);
+  let sys (cpu : Svm.Cpu.t) n =
+    if n = 0 then Svm.Cpu.Sys_exit 0
+    else begin
+      change space phys cpu;
+      Svm.Cpu.Sys_continue
+    end
   in
-  let faults () = fst (Simos.Addr_space.fault_stats space) in
-  let must_fault what f =
-    match f () with
-    | _ -> Alcotest.fail (what ^ ": expected fault")
-    | exception Simos.Addr_space.Fault _ -> ()
+  let cpu = Svm.Cpu.create ~sys (Simos.Addr_space.mem space) in
+  cpu.Svm.Cpu.pc <- 0x8000;
+  Svm.Cpu.set_reg cpu Svm.Isa.reg_sp 0x10ff0l;
+  (space, cpu)
+
+let must_fault what msg f =
+  Alcotest.check_raises what (Simos.Addr_space.Fault msg) (fun () -> ignore (f ()))
+
+let test_region_cache_follows_map () =
+  (* unmap: the next fetch from the library and the next load from it
+     fault, though both windows last served its page *)
+  let _, cpu = dlclose_machine (fun space _ _ -> Simos.Addr_space.unmap space ~lo:lib) in
+  must_fault "fetch after unmap" "unmapped address 0x4000" (fun () -> Svm.Cpu.run cpu);
+  Alcotest.(check int32) "ran before unmap" 1l (Svm.Cpu.get_reg cpu 1);
+  Alcotest.(check int32) "loaded before unmap" 1l (Svm.Cpu.get_reg cpu 2);
+  must_fault "load after unmap" "unmapped address 0x4004" (fun () ->
+      Svm.Cpu.read_bytes cpu (lib + 4) 1);
+  (* remap with new bytes: they run, and the fresh page pays its first
+     touch once *)
+  let faults_at_remap = ref 0 in
+  let space, cpu =
+    dlclose_machine (fun space phys _ ->
+        Simos.Addr_space.unmap space ~lo:lib;
+        map_lib space phys (lib_code 2l);
+        faults_at_remap := fst (Simos.Addr_space.fault_stats space))
   in
-  map_code 1l;
-  Alcotest.(check int) "imm byte" 1 (Simos.Addr_space.load8 space 0x4004);
-  Alcotest.(check bool) "fetch" true (Simos.Addr_space.fetch space 0x4000 = Svm.Isa.Movi (1, 1l));
-  Simos.Addr_space.unmap space ~lo:0x4000;
-  must_fault "load after unmap" (fun () -> Simos.Addr_space.load8 space 0x4004);
-  must_fault "fetch after unmap" (fun () -> ignore (Simos.Addr_space.fetch space 0x4000));
-  map_code 2l;
-  let before = faults () in
-  Alcotest.(check int) "new imm byte" 2 (Simos.Addr_space.load8 space 0x4004);
-  Alcotest.(check int) "fresh first-touch fault" (before + 1) (faults ());
-  Alcotest.(check bool) "new fetch" true (Simos.Addr_space.fetch space 0x4000 = Svm.Isa.Movi (1, 2l));
-  Simos.Addr_space.destroy space;
-  must_fault "load after destroy" (fun () -> Simos.Addr_space.load8 space 0x4004);
-  must_fault "fetch after destroy" (fun () -> ignore (Simos.Addr_space.fetch space 0x4000))
+  Alcotest.(check bool) "exits" true (Svm.Cpu.run cpu = Svm.Cpu.Exited 0);
+  Alcotest.(check int32) "new code runs" 2l (Svm.Cpu.get_reg cpu 1);
+  Alcotest.(check int32) "new bytes load" 2l (Svm.Cpu.get_reg cpu 3);
+  Alcotest.(check int) "fresh first-touch fault" (!faults_at_remap + 1)
+    (fst (Simos.Addr_space.fault_stats space));
+  (* destroy: the next fetch faults, and so does a load *)
+  let _, cpu = dlclose_machine (fun space _ _ -> Simos.Addr_space.destroy space) in
+  must_fault "fetch after destroy" "unmapped address 0x8018" (fun () -> Svm.Cpu.run cpu);
+  must_fault "load after destroy" "unmapped address 0x4004" (fun () ->
+      Svm.Cpu.read_bytes cpu (lib + 4) 1)
+
+(* A store that rewrites an instruction in a writable text region, as a
+   lazy-binding stub is patched, takes effect before it runs, though
+   the code window already holds its page. *)
+let test_patched_text_runs_patched () =
+  let space, _, phys = mk_space () in
+  let patched = Svm.Encode.encode (Svm.Isa.Movi (1, 7l)) in
+  map_lib ~writable:true space phys
+    Svm.Isa.
+      [
+        Movi (2, Bytes.get_int32_le patched 0);
+        Movi (3, Bytes.get_int32_le patched 4);
+        St (0, 2, Int32.of_int (lib + 32));
+        St (0, 3, Int32.of_int (lib + 36));
+        Sys 9l (* the bind trap the patch replaces *);
+        Halt;
+      ];
+  let sys _ n = Alcotest.failf "unpatched trap %d ran" n in
+  let cpu = Svm.Cpu.create ~sys (Simos.Addr_space.mem space) in
+  cpu.Svm.Cpu.pc <- lib;
+  Alcotest.(check bool) "halts" true (Svm.Cpu.run cpu = Svm.Cpu.Halted);
+  Alcotest.(check int32) "patched instruction ran" 7l (Svm.Cpu.get_reg cpu 1)
+
+(* A store into a read-only page faults even when the data window
+   already serves that page for loads. *)
+let test_store_to_readonly_window_page () =
+  let space, _, phys = mk_space () in
+  map_lib space phys
+    Svm.Isa.[ Ldb (1, 0, Int32.of_int lib); Stb (0, 1, Int32.of_int (lib + 1)); Halt ];
+  let cpu = Svm.Cpu.create (Simos.Addr_space.mem space) in
+  cpu.Svm.Cpu.pc <- lib;
+  must_fault "store" "write to read-only lib at 0x4001" (fun () -> Svm.Cpu.run cpu);
+  Alcotest.(check int) "ldb and stb counted" 2 cpu.Svm.Cpu.instr_count;
+  (* the ldb's rd field, not the opcode byte the store carried *)
+  Alcotest.(check int) "byte unchanged" 1 (Simos.Addr_space.load8 space (lib + 1))
 
 let test_touched_pages_working_set () =
   let space, _, _ = mk_space () in
@@ -334,6 +422,9 @@ let () =
           Alcotest.test_case "overlap" `Quick test_overlap_rejected;
           Alcotest.test_case "working set" `Quick test_touched_pages_working_set;
           Alcotest.test_case "region cache follows map" `Quick test_region_cache_follows_map;
+          Alcotest.test_case "patched text runs patched" `Quick test_patched_text_runs_patched;
+          Alcotest.test_case "store to read-only window page" `Quick
+            test_store_to_readonly_window_page;
         ] );
       ( "kernel",
         [

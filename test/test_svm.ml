@@ -1,5 +1,7 @@
 (* Tests of the SVM virtual machine: encoding round-trips, interpreter
-   semantics, and the call/stack conventions the compiler relies on. *)
+   semantics, the call/stack conventions the compiler relies on, and a
+   differential property that holds [Cpu.run] to a reference
+   interpreter on flat and on mapped memory. *)
 
 open Svm
 
@@ -49,6 +51,20 @@ let test_bad_register () =
   Alcotest.check_raises "bad register"
     (Encode.Bad_instruction "bad register r99")
     (fun () -> ignore (Encode.encode (Isa.Mov (99, 0))))
+
+(* The decoder rejects every register the encoder rejects, and running
+   such an instruction raises before it is counted. *)
+let test_decode_bad_register () =
+  let b = Encode.encode (Isa.Mov (1, 0)) in
+  Bytes.set_uint8 b 1 99;
+  let bad = Encode.Bad_instruction "bad register r99" in
+  Alcotest.check_raises "decode" bad (fun () -> ignore (Encode.decode b));
+  let mem, buf = Cpu.flat_mem 0x1000 in
+  Bytes.blit b 0 buf 0 Isa.width;
+  let cpu = Cpu.create mem in
+  Alcotest.check_raises "run" bad (fun () -> ignore (Cpu.run cpu));
+  Alcotest.(check int) "not counted" 0 cpu.Cpu.instr_count;
+  Alcotest.(check int) "pc stays" 0 cpu.Cpu.pc
 
 let test_truncated () =
   Alcotest.check_raises "truncated"
@@ -173,6 +189,118 @@ let test_read_cstring () =
   let cpu = Cpu.create mem in
   Alcotest.(check string) "cstring" "hello" (Cpu.read_cstring cpu 0x800)
 
+(* A guest length past the end of memory faults before the host
+   allocates for it: about twice the bytes actually read at most. *)
+let test_read_bytes_allocation () =
+  let big, big_buf = Cpu.flat_mem 0x3000 in
+  Bytes.iteri (fun i _ -> Bytes.set_uint8 big_buf i (i * 7 land 0xff)) big_buf;
+  Alcotest.(check string) "read past the first doubling" (Bytes.sub_string big_buf 0x10 0x2ff0)
+    (Bytes.to_string (Cpu.read_bytes (Cpu.create big) 0x10 0x2ff0));
+  let mem, buf = Cpu.flat_mem 0x1000 in
+  Bytes.blit_string "hello" 0 buf 0x10 5;
+  let cpu = Cpu.create mem in
+  Alcotest.(check string) "valid read" "hello" (Bytes.to_string (Cpu.read_bytes cpu 0x10 5));
+  let before = Gc.allocated_bytes () in
+  Alcotest.check_raises "faults at the end" (Cpu.Trap "memory access out of range: 0x1000")
+    (fun () -> ignore (Cpu.read_bytes cpu 0 0x10000000));
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let bound = 2 * 0x1000 / (Sys.word_size / 8) in
+  if words > float_of_int bound then
+    Alcotest.failf "allocated %.0f words for 4 KB of memory (bound %d)" words bound
+
+(* -- reference interpreter ---------------------------------------------- *)
+
+(* The interpreter [Cpu.run] replaced: decode each instruction into an
+   [Isa.instr], then match on it. It lives only here, as the reference
+   for the differential property below. [fetch] returns the instruction
+   at an address, with the faults and charges of the memory's fetch. *)
+module Reference = struct
+  let wrap v = (v lsl 31) asr 31
+  let addr v = v land 0xFFFFFFFF
+  let divisor v = if v = 0 then raise (Cpu.Trap "division by zero") else v
+
+  let step (fetch : int -> Isa.instr) (cpu : Cpu.t) : unit =
+    match cpu.Cpu.outcome with
+    | Cpu.Halted | Cpu.Exited _ -> ()
+    | Cpu.Running -> (
+        let i = fetch cpu.pc in
+        let next = cpu.pc + Isa.width in
+        cpu.instr_count <- cpu.instr_count + 1;
+        let r = cpu.regs and m = cpu.mem in
+        cpu.pc <- next;
+        match i with
+        | Isa.Halt -> cpu.outcome <- Cpu.Halted
+        | Isa.Nop -> ()
+        | Isa.Movi (rd, imm) | Isa.Lea (rd, imm) -> r.(rd) <- Int32.to_int imm
+        | Isa.Mov (rd, rs1) -> r.(rd) <- r.(rs1)
+        | Isa.Add (rd, a, b) -> r.(rd) <- wrap (r.(a) + r.(b))
+        | Isa.Sub (rd, a, b) -> r.(rd) <- wrap (r.(a) - r.(b))
+        | Isa.Mul (rd, a, b) -> r.(rd) <- wrap (r.(a) * r.(b))
+        | Isa.Div (rd, a, b) -> r.(rd) <- wrap (r.(a) / divisor r.(b))
+        | Isa.Mod (rd, a, b) -> r.(rd) <- r.(a) mod divisor r.(b)
+        | Isa.And_ (rd, a, b) -> r.(rd) <- r.(a) land r.(b)
+        | Isa.Or_ (rd, a, b) -> r.(rd) <- r.(a) lor r.(b)
+        | Isa.Xor (rd, a, b) -> r.(rd) <- r.(a) lxor r.(b)
+        | Isa.Shl (rd, a, b) -> r.(rd) <- wrap (r.(a) lsl (r.(b) land 31))
+        | Isa.Shr (rd, a, b) -> r.(rd) <- wrap (addr r.(a) lsr (r.(b) land 31))
+        | Isa.Addi (rd, a, imm) -> r.(rd) <- wrap (r.(a) + Int32.to_int imm)
+        | Isa.Cmpeq (rd, a, b) -> r.(rd) <- (if r.(a) = r.(b) then 1 else 0)
+        | Isa.Cmplt (rd, a, b) -> r.(rd) <- (if r.(a) < r.(b) then 1 else 0)
+        | Isa.Cmple (rd, a, b) -> r.(rd) <- (if r.(a) <= r.(b) then 1 else 0)
+        | Isa.Ld (rd, a, imm) -> r.(rd) <- m.load32 (addr (r.(a) + Int32.to_int imm))
+        | Isa.St (a, s, imm) -> m.store32 (addr (r.(a) + Int32.to_int imm)) r.(s)
+        | Isa.Ldb (rd, a, imm) -> r.(rd) <- m.load8 (addr (r.(a) + Int32.to_int imm))
+        | Isa.Stb (a, s, imm) -> m.store8 (addr (r.(a) + Int32.to_int imm)) (r.(s) land 0xff)
+        | Isa.Jmp imm -> cpu.pc <- addr (Int32.to_int imm)
+        | Isa.Br imm -> cpu.pc <- next + Int32.to_int imm
+        | Isa.Jz (a, imm) -> if r.(a) = 0 then cpu.pc <- next + Int32.to_int imm
+        | Isa.Jnz (a, imm) -> if r.(a) <> 0 then cpu.pc <- next + Int32.to_int imm
+        | Isa.Call imm ->
+            r.(Isa.reg_ra) <- wrap next;
+            cpu.pc <- addr (Int32.to_int imm)
+        | Isa.Callr a ->
+            let target = addr r.(a) in
+            r.(Isa.reg_ra) <- wrap next;
+            cpu.pc <- target
+        | Isa.Jmpr a -> cpu.pc <- addr r.(a)
+        | Isa.Ret -> cpu.pc <- addr r.(Isa.reg_ra)
+        | Isa.Sys imm -> (
+            match cpu.sys cpu (Int32.to_int imm) with
+            | Cpu.Sys_continue -> ()
+            | Cpu.Sys_exit code -> cpu.outcome <- Cpu.Exited code))
+
+  let run (fetch : int -> Isa.instr) ~fuel (cpu : Cpu.t) : Cpu.outcome =
+    let rec go budget =
+      match cpu.Cpu.outcome with
+      | Cpu.Running when budget > 0 ->
+          step fetch cpu;
+          go (budget - 1)
+      | o -> o
+    in
+    go fuel
+
+  (* flat memory: a range check, no alignment check *)
+  let flat_fetch (buf : Bytes.t) (a : int) : Isa.instr =
+    if a < 0 || a + Isa.width > Bytes.length buf then
+      raise (Cpu.Trap (Printf.sprintf "memory access out of range: 0x%x" a));
+    Encode.decode_at buf a
+
+  (* mapped memory: find the region and charge the page through [load8],
+     then fault a misaligned or out-of-range instruction *)
+  let mapped_fetch (space : Simos.Addr_space.t) (a : int) : Isa.instr =
+    ignore (Simos.Addr_space.load8 space a);
+    let r =
+      List.find
+        (fun (r : Simos.Addr_space.region) -> a >= r.lo && a < r.hi)
+        (Simos.Addr_space.regions space)
+    in
+    let off = a - r.lo in
+    if off land (Isa.width - 1) <> 0 || off + Isa.width > Bytes.length r.bytes then
+      raise
+        (Simos.Addr_space.Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" a));
+    Encode.decode_at r.bytes off
+end
+
 (* -- property tests ---------------------------------------------------- *)
 
 let arb_instr =
@@ -265,6 +393,190 @@ let prop_alu_matches_int32 =
       in
       got = want)
 
+(* -- differential property: Cpu.run against the reference ---------------- *)
+
+(* Both memories hold the program at [text], two data pages at [data]
+   and the stack below [stack_top]. Mapped memory has a read-only text
+   page read from disk, writable data pages charging user time on first
+   touch, an unmapped gap, and a two-page stack. *)
+let text = 0x1000
+let data = 0x2000
+let stack_lo = 0x5000
+let stack_top = 0x7000
+let data_init = Bytes.init 0x2000 (fun i -> Char.chr (i land 0xff))
+
+type case = { words : string list; (* 8 bytes each *) regs : int array; fuel : int }
+
+(* Values near page and region edges, page-sized strides, aligned code
+   addresses, short branch displacements, small and misaligned offsets,
+   zero, and anything at all. *)
+let gen_code = QCheck.Gen.map (fun k -> text + (8 * k)) (QCheck.Gen.int_range 0 70)
+let gen_displacement = QCheck.Gen.map (fun k -> 8 * k) (QCheck.Gen.int_range (-8) 8)
+
+let gen_value : int QCheck.Gen.t =
+  let open QCheck.Gen in
+  let near_page pages =
+    map2 (fun page d -> (page * 0x1000) + d) pages (oneofl [ -8; -4; -3; -1; 0; 1; 3; 4; 7; 8 ])
+  in
+  frequency
+    [
+      (3, near_page (int_range 0 8));
+      (1, near_page (int_range (-2) 2));
+      (2, gen_code);
+      (1, gen_displacement);
+      (3, int_range (-12) 12);
+      (1, oneof [ oneofl [ 0x7FFFFFFF; -0x80000000; -1 ]; map Int32.to_int int32 ]);
+    ]
+
+(* Branches mostly stay in the program, so that runs get long. *)
+let gen_imm (op : int) : int QCheck.Gen.t =
+  let open QCheck.Gen in
+  match op with
+  | 24 | 25 | 31 (* jz, jnz, br *) -> frequency [ (3, gen_displacement); (1, gen_value) ]
+  | 23 | 26 (* jmp, call *) -> frequency [ (3, gen_code); (1, gen_value) ]
+  | _ -> gen_value
+
+(* Mostly valid instructions with any register in any field; some with
+   an opcode or register just out of range; some raw random bytes. *)
+let gen_word : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let word op rd rs1 rs2 imm =
+    let b = Bytes.create Isa.width in
+    Bytes.set_uint8 b 0 op;
+    Bytes.set_uint8 b 1 rd;
+    Bytes.set_uint8 b 2 rs1;
+    Bytes.set_uint8 b 3 rs2;
+    Bytes.set_int32_le b 4 (Int32.of_int imm);
+    Bytes.to_string b
+  in
+  let fields op reg =
+    op >>= fun op ->
+    reg >>= fun rd ->
+    reg >>= fun rs1 ->
+    reg >>= fun rs2 -> map (word op rd rs1 rs2) (gen_imm op)
+  in
+  (* loads and stores (opcodes 18-21) make up about a third *)
+  frequency
+    [
+      (48, fields (int_range 0 Isa.max_opcode) (int_range 0 (Isa.nregs - 1)));
+      (12, fields (int_range 18 21) (int_range 0 (Isa.nregs - 1)));
+      (2, fields (int_range 0 40) (int_range 0 20));
+      (1, string_size ~gen:char (return Isa.width));
+    ]
+
+(* Registers start at 0 half the time, so that a base register plus an
+   edge immediate often lands on the edge; [ra] mostly holds a code
+   address. *)
+let gen_case : case QCheck.Gen.t =
+  let open QCheck.Gen in
+  list_size (int_range 1 64) gen_word >>= fun words ->
+  array_size (return Isa.nregs) (frequency [ (1, return 0); (1, gen_value) ]) >>= fun regs ->
+  frequency [ (3, gen_code); (1, gen_value) ] >>= fun ra ->
+  int_range 1 500 >|= fun fuel ->
+  regs.(Isa.reg_sp) <- stack_top - 16;
+  regs.(Isa.reg_ra) <- ra;
+  { words; regs; fuel }
+
+let print_case (c : case) =
+  let word w =
+    let b = Bytes.of_string w in
+    let hex =
+      String.concat "" (List.init Isa.width (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+    in
+    match Encode.decode b with
+    | i -> Printf.sprintf "%s  %s" hex (Disasm.instr_to_string i)
+    | exception Encode.Bad_instruction m -> Printf.sprintf "%s  (%s)" hex m
+  in
+  Printf.sprintf "fuel %d regs [%s]\n%s" c.fuel
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "0x%x") c.regs)))
+    (String.concat "\n" (List.map word c.words))
+
+let arb_case =
+  QCheck.make ~print:print_case
+    ~shrink:(fun c -> QCheck.Iter.map (fun words -> { c with words }) (QCheck.Shrink.list c.words))
+    gen_case
+
+(* Syscalls also exercise the host-side accessors: [n land 3] exits,
+   writes 4 bytes at r2, measures the string at r2, or returns [n]. *)
+let sys (cpu : Cpu.t) n =
+  let r2 = Int32.to_int (Cpu.get_reg cpu 2) land 0xFFFFFFFF in
+  match n land 3 with
+  | 0 -> Cpu.Sys_exit (Int32.to_int (Cpu.get_reg cpu 1) land 0xff)
+  | 1 ->
+      Cpu.write_bytes cpu r2 (Bytes.of_string "sys!");
+      Cpu.Sys_continue
+  | 2 ->
+      Cpu.set_reg cpu 0 (Int32.of_int (String.length (Cpu.read_cstring cpu r2)));
+      Cpu.Sys_continue
+  | _ ->
+      Cpu.set_reg cpu 0 (Int32.of_int n);
+      Cpu.Sys_continue
+
+let start (c : case) (mem : Cpu.mem) =
+  let cpu = Cpu.create ~sys mem in
+  Array.iteri (fun i v -> Cpu.set_reg cpu i (Int32.of_int v)) c.regs;
+  cpu.pc <- text;
+  cpu
+
+(* A fresh machine for [c]: the CPU, the reference's fetch, and a
+   summary of the memory and whatever else the memory accounts. *)
+let flat_machine (c : case) =
+  let mem, buf = Cpu.flat_mem stack_top in
+  Bytes.blit_string (String.concat "" c.words) 0 buf text (Isa.width * List.length c.words);
+  Bytes.blit data_init 0 buf data (Bytes.length data_init);
+  (start c mem, Reference.flat_fetch buf, fun () -> Digest.to_hex (Digest.bytes buf))
+
+let mapped_machine (c : case) =
+  let phys = Simos.Phys.create () and clock = Simos.Clock.create () in
+  let space = Simos.Addr_space.create ~phys ~clock ~cost:Simos.Cost.hpux () in
+  let code = Bytes.make 0x1000 '\000' in
+  Bytes.blit_string (String.concat "" c.words) 0 code 0 (Isa.width * List.length c.words);
+  Simos.Addr_space.map_shared space ~vaddr:text ~bytes:code
+    ~frames:(Simos.Phys.alloc phys ~label:"text" ~bytes:0x1000)
+    ~backing:(Simos.Addr_space.disk_backing ~bytes:0x1000) ~label:"text" ();
+  Simos.Addr_space.map_private space ~vaddr:data ~init:data_init ~touch_user_cost:0.5
+    ~size:(Bytes.length data_init) ~label:"data" ();
+  Simos.Addr_space.map_private space ~vaddr:stack_lo ~size:(stack_top - stack_lo)
+    ~label:"stack" ();
+  let summary () =
+    let soft, disk = Simos.Addr_space.fault_stats space in
+    let bytes =
+      List.map
+        (fun (r : Simos.Addr_space.region) -> Bytes.to_string r.bytes)
+        (Simos.Addr_space.regions space)
+    in
+    Printf.sprintf "faults %d/%d clock %h %h %h memory %s" soft disk clock.Simos.Clock.user
+      clock.system clock.io
+      (Digest.to_hex (Digest.string (String.concat "" bytes)))
+  in
+  (start c (Simos.Addr_space.mem space), Reference.mapped_fetch space, summary)
+
+(* Everything a run decides: how it ended (outcome, or the exception's
+   constructor and message), registers, pc, count, and the memory. *)
+let observe (cpu : Cpu.t) run summary =
+  let ending =
+    match run cpu with
+    | Cpu.Running -> "running"
+    | Cpu.Halted -> "halted"
+    | Cpu.Exited code -> Printf.sprintf "exited %d" code
+    | exception ((Cpu.Trap _ | Encode.Bad_instruction _ | Simos.Addr_space.Fault _) as e) ->
+        Printexc.to_string e
+  in
+  Printf.sprintf "%s pc 0x%x count %d regs [%s] %s" ending cpu.pc cpu.instr_count
+    (String.concat " " (Array.to_list (Array.map string_of_int cpu.regs)))
+    (summary ())
+
+let agrees machine (c : case) =
+  let cpu, _, summary = machine c in
+  let got = observe cpu (Cpu.run ~fuel:c.fuel) summary in
+  let cpu, fetch, summary = machine c in
+  let want = observe cpu (Reference.run fetch ~fuel:c.fuel) summary in
+  got = want || QCheck.Test.fail_reportf "run:       %s\nreference: %s" got want
+
+let prop_run_matches_reference =
+  QCheck.Test.make ~count:2000 ~long_factor:50 ~name:"run matches the reference interpreter"
+    arb_case (fun c -> agrees flat_machine c && agrees mapped_machine c)
+
 let () =
   Alcotest.run "svm"
     [
@@ -274,6 +586,7 @@ let () =
           Alcotest.test_case "assemble/disassemble" `Quick test_assemble_disassemble;
           Alcotest.test_case "bad opcode" `Quick test_bad_opcode;
           Alcotest.test_case "bad register" `Quick test_bad_register;
+          Alcotest.test_case "decode bad register" `Quick test_decode_bad_register;
           Alcotest.test_case "truncated" `Quick test_truncated;
         ] );
       ( "cpu",
@@ -289,10 +602,16 @@ let () =
           Alcotest.test_case "instr count" `Quick test_instr_count;
           Alcotest.test_case "shift masking" `Quick test_shifts_mask;
           Alcotest.test_case "read_cstring" `Quick test_read_cstring;
+          Alcotest.test_case "read_bytes allocation" `Quick test_read_bytes_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_opcode_range; prop_alu_matches_int32 ] );
+          [
+            prop_roundtrip;
+            prop_opcode_range;
+            prop_alu_matches_int32;
+            prop_run_matches_reference;
+          ] );
     ]
 
 (* silence unused warnings for helpers *)
