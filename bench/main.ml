@@ -901,7 +901,16 @@ let relink_run ~(hidden : bool) =
   in
   let reused0 = Telemetry.Counter.get "impact.reused" in
   let respun0 = Telemetry.Counter.get "impact.respun" in
-  Omos.Server.register_meta_source s "/relink/lib" (merge_tree leaves');
+  let work0 = Omos.Server.stats s in
+  let _, register_ms =
+    time (fun () ->
+        Omos.Server.register_meta_source s "/relink/lib" (merge_tree leaves'))
+  in
+  let work = Omos.Server.stats s in
+  let walked = work.Omos.Server.nodes_walked - work0.Omos.Server.nodes_walked in
+  let replayed =
+    work.Omos.Server.subtrees_replayed - work0.Omos.Server.subtrees_replayed
+  in
   let d =
     match Omos.Server.impact_diff s "/relink/lib" with
     | Some d -> d
@@ -932,20 +941,40 @@ let relink_run ~(hidden : bool) =
     n_modules nodes
     (if hidden then ", every fourth 16-leaf group under hide/freeze" else "");
   Printf.printf "  cold build:                    %10.2f ms\n" cold_ms;
+  Printf.printf "  re-registration (analysis):    %10.2f ms\n" register_ms;
   Printf.printf "  one-module edit, incremental:  %10.2f ms\n" incr_ms;
   Printf.printf "  one-module edit, from scratch: %10.2f ms\n" scratch_ms;
   Printf.printf "  verdicts: %d reused, %d respun (spine %d of %d nodes)\n"
     d.Analysis.Impact.d_reused d.Analysis.Impact.d_respun spine nodes;
   Printf.printf "  rebuild counters: impact.reused +%d, impact.respun +%d\n"
     reused respun;
+  Printf.printf "  registration: walked %d nodes, replayed %d subtrees\n" walked
+    replayed;
   Printf.printf "  respins bounded by the spine: %s (%d <= %d)\n"
     (if respun <= spine then "yes" else "NO (O(world) respin - regression?)")
     respun spine;
-  (n_modules, nodes, spine, reused, respun, (cold_ms, incr_ms, scratch_ms))
+  (* registration replays every subtree off the edit's path from the
+     previous walk: it walks the spine and the edited leaf, no more *)
+  Printf.printf "  walk bounded by the spine plus its leaf: %s (%d <= %d)\n"
+    (if walked <= spine + 1 then "yes" else "NO (O(library) walk - regression?)")
+    walked (spine + 1);
+  ( n_modules,
+    nodes,
+    spine,
+    reused,
+    respun,
+    walked,
+    (cold_ms, register_ms, incr_ms, scratch_ms) )
 
 let relink () =
   section "E_relink: one-module edit to a 1000-module library";
-  let n_modules, nodes, spine, reused, respun, (cold_ms, incr_ms, scratch_ms) =
+  let ( n_modules,
+        nodes,
+        spine,
+        reused,
+        respun,
+        walked,
+        (cold_ms, register_ms, incr_ms, scratch_ms) ) =
     relink_run ~hidden:false
   in
   Telemetry.Gauge.set "bench.relink.modules" (float_of_int n_modules);
@@ -953,15 +982,18 @@ let relink () =
   Telemetry.Gauge.set "bench.relink.spine" (float_of_int spine);
   Telemetry.Gauge.set "bench.relink.reused" (float_of_int reused);
   Telemetry.Gauge.set "bench.relink.respun" (float_of_int respun);
+  Telemetry.Gauge.set "bench.relink.rewalked" (float_of_int walked);
   (* wall-clock numbers are host-dependent: keep them out of the gated
      bench.* namespace (compare reports only simulated costs) *)
   Telemetry.Gauge.set "relink.wall.cold_ms" cold_ms;
+  Telemetry.Gauge.set "relink.wall.register_ms" register_ms;
   Telemetry.Gauge.set "relink.wall.incr_ms" incr_ms;
   Telemetry.Gauge.set "relink.wall.scratch_ms" scratch_ms;
   Printf.printf "\n  hidden variant:\n";
-  let _, _, spine, reused, respun, _ = relink_run ~hidden:true in
+  let _, _, spine, reused, respun, walked, _ = relink_run ~hidden:true in
   Telemetry.Gauge.set "bench.relink.hidden.spine" (float_of_int spine);
   Telemetry.Gauge.set "bench.relink.hidden.respun" (float_of_int respun);
+  Telemetry.Gauge.set "bench.relink.hidden.rewalked" (float_of_int walked);
   (* bench/compare gates every bench.* gauge as lower-is-better, which
      a reuse count is not *)
   Telemetry.Gauge.set "relink.hidden.reused" (float_of_int reused)

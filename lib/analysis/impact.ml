@@ -21,14 +21,19 @@ type summary = {
 type info = {
   i_path : string;
   i_node : Mg.node;
-  i_summary : summary;
+  i_flow : Symflow.t;
+  i_prefs : Mg.constraint_pref list;
   i_digest : string;
   i_modeled : bool;
   i_keyed : bool;
   i_children : info list;
 }
 
-type tree = { t_root : info; t_approximate : bool }
+type tree = {
+  t_root : info;
+  t_approximate : bool;
+  t_kept : info Lint.kept option;
+}
 
 (* -- canonical rendering ---------------------------------------------------- *)
 
@@ -94,27 +99,33 @@ let node_digest ~(local : string) ~(key : string option)
 
 (* -- the per-node annotation ------------------------------------------------- *)
 
+let summary_of (n : Mg.node) (m : Symflow.t) (prefs : Mg.constraint_pref list)
+    : summary =
+  {
+    s_op = Mg.op_name n;
+    s_exports = export_pairs m;
+    s_undefined = Symflow.undefined m;
+    s_relocs = reloc_names m;
+    s_frozen = S.elements m.Symflow.frozen;
+    s_hidden = S.elements m.Symflow.hidden;
+    s_prefs = List.map pref_str prefs;
+  }
+
+let summary (i : info) : summary = summary_of i.i_node i.i_flow i.i_prefs
+
+(* The summary is rendered for the digest and dropped: a kept tree holds
+   the flow it derives from, not both. *)
 let annotate ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
     (prefs : Mg.constraint_pref list) (children : info list) : info =
-  let summary =
-    {
-      s_op = Mg.op_name n;
-      s_exports = export_pairs m;
-      s_undefined = Symflow.undefined m;
-      s_relocs = reloc_names m;
-      s_frozen = S.elements m.Symflow.frozen;
-      s_hidden = S.elements m.Symflow.hidden;
-      s_prefs = List.map pref_str prefs;
-    }
-  in
   {
     i_path = path;
     i_node = n;
-    i_summary = summary;
+    i_flow = m;
+    i_prefs = prefs;
     i_digest =
       node_digest ~local:(Mg.local_key n) ~key
         ~children:(List.map (fun c -> c.i_digest) children)
-        summary;
+        (summary_of n m prefs);
     i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
     i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
     i_children = children;
@@ -126,27 +137,31 @@ let fallback_info (root : Mg.node) : info =
   {
     i_path = Mg.op_name root;
     i_node = root;
-    i_summary =
-      {
-        s_op = Mg.op_name root;
-        s_exports = [];
-        s_undefined = [];
-        s_relocs = [];
-        s_frozen = [];
-        s_hidden = [];
-        s_prefs = [];
-      };
+    i_flow = Symflow.empty;
+    i_prefs = [];
     i_digest = "(analysis-error)";
     i_modeled = false;
     i_keyed = false;
     i_children = [];
   }
 
+let tree_of (root : Mg.node) (info : info option) t_kept : tree =
+  let t_root = Option.value info ~default:(fallback_info root) in
+  { t_root; t_approximate = not t_root.i_modeled; t_kept }
+
 let analyze_and_lint ~(resolve : string -> (Mg.node, string) result)
     (root : Mg.node) : tree * Lint.report =
   let report, info = Lint.walk ~resolve ~annotate root in
-  let t_root = Option.value info ~default:(fallback_info root) in
-  ({ t_root; t_approximate = not t_root.i_modeled }, report)
+  (tree_of root info None, report)
+
+let reanalyze ~(resolve : string -> (Mg.node, string) result)
+    ~(prev : tree option) (root : Mg.node) : tree * info Lint.kept_walk =
+  let w =
+    Lint.rewalk ~resolve ~annotate
+      ~prev:(Option.bind prev (fun t -> t.t_kept))
+      root
+  in
+  (tree_of root w.Lint.root w.Lint.kept, w)
 
 let analyze ~resolve root = fst (analyze_and_lint ~resolve root)
 
@@ -217,7 +232,7 @@ let respin_reason (old_opt : info option) (ni : info) : string =
     match old_opt with
     | None -> "new subtree: no counterpart at this position in the old blueprint"
     | Some oi -> (
-        match summary_reason oi.i_summary ni.i_summary with
+        match summary_reason (summary oi) (summary ni) with
         | Some r -> r
         | None -> "operand content changed (interface identical)")
 
@@ -236,7 +251,7 @@ let diff ~(old_tree : tree) ~(new_tree : tree) : diff =
       nodes :=
         {
           v_path = ni.i_path;
-          v_op = ni.i_summary.s_op;
+          v_op = Mg.op_name ni.i_node;
           v_digest = ni.i_digest;
           v_verdict = Reused { digest = ni.i_digest };
         }
@@ -249,7 +264,7 @@ let diff ~(old_tree : tree) ~(new_tree : tree) : diff =
       nodes :=
         {
           v_path = ni.i_path;
-          v_op = ni.i_summary.s_op;
+          v_op = Mg.op_name ni.i_node;
           v_digest = ni.i_digest;
           v_verdict = Respin { reason = respin_reason old_opt ni };
         }

@@ -47,7 +47,8 @@ type summary = {
 type info = {
   i_path : string;  (** m-graph path, {!Lint}'s addressing vocabulary *)
   i_node : Mg.node;
-  i_summary : summary;
+  i_flow : Symflow.t;  (** the node's symbol flow; see {!summary} *)
+  i_prefs : Mg.constraint_pref list;  (** accumulated, evaluation order *)
   i_digest : string;
       (** content digest: leaf content + params + occurrence key of a
           live freeze/hide/show + child digests + summary, chained
@@ -63,11 +64,19 @@ type info = {
   i_children : info list;
 }
 
+(** A node's interface summary, rendered from its flow on demand: the
+    digest hashes it, and {!diff} names the first differing fact of a
+    respun node from it. *)
+val summary : info -> summary
+
 type tree = {
   t_root : info;
   t_approximate : bool;
       (** some node could not be modeled precisely; it and its
           ancestors can never be reused *)
+  t_kept : info Lint.kept option;
+      (** the walk behind the tree, kept by {!reanalyze} for the next
+          one to replay from; [None] from {!analyze} *)
 }
 
 (** Analyze a graph. Never raises; unmodelable nodes are marked
@@ -78,6 +87,17 @@ val analyze :
 (** {!analyze} and {!Lint.analyze} from one walk of the graph. *)
 val analyze_and_lint :
   resolve:(string -> (Mg.node, string) result) -> Mg.node -> tree * Lint.report
+
+(** {!analyze_and_lint} as a {!Lint.rewalk}: subtrees whose path and
+    content key are unchanged since [prev]'s walk are replayed from it,
+    and the result keeps its walk for the next call. The tree and the
+    report are exactly {!analyze_and_lint}'s; the kept walk also counts
+    the nodes walked and the subtrees replayed. *)
+val reanalyze :
+  resolve:(string -> (Mg.node, string) result) ->
+  prev:tree option ->
+  Mg.node ->
+  tree * info Lint.kept_walk
 
 (** Pre-order walk over an info tree. *)
 val iter_infos : (info -> unit) -> tree -> unit

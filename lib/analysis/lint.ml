@@ -100,6 +100,47 @@ type 'a state = {
   mutable visiting : string list;  (* Name cycle detection *)
   mutable approximate : bool;
   mutable eval_fails : bool;
+  mutable n_walked : int;  (* nodes a kept walk stepped through *)
+  mutable n_replayed : int;  (* subtrees a kept walk replayed *)
+}
+
+(* -- kept walks --------------------------------------------------------------- *)
+
+(* A subtree's content key, computed bottom-up before a kept walk: the
+   node's own content and its operands' keys, operands in walk order. *)
+type keys = { hash : string; kids : keys list }
+
+(* One node's walk, with its subtree's. *)
+type 'a walked = {
+  k_path : string;
+  k_node : Mg.node;
+  k_key : string;
+  k_flow : Symflow.t;
+  k_prefs : Mg.constraint_pref list;
+  k_ann : 'a;
+  k_findings : finding list;  (* the subtree's, traversal order *)
+  k_approximate : bool;
+  k_eval_fails : bool;
+  k_defined : S.t;  (* names any node of the subtree defined *)
+  k_kids : 'a walked list;  (* operands, walk order *)
+}
+
+type 'a kept = { k_root : 'a walked; k_report : report }
+
+type 'a kept_walk = {
+  report : report;
+  root : 'a option;
+  kept : 'a kept option;
+  walked : int;
+  replayed : int;
+}
+
+(* One node's operands during a kept walk: their content keys and their
+   previous walks still to visit, and this walk's results so far. *)
+type 'a cursor = {
+  mutable keys : keys list;
+  mutable prev : 'a walked list;  (* by position *)
+  mutable done_ : 'a walked list;  (* newest first *)
 }
 
 (* One node's walk: its flow and preferences, its operands'
@@ -246,18 +287,99 @@ let unmodeled_specializers = [ "lib-dynamic"; "monitor" ]
 
 (* -- the abstract evaluator ------------------------------------------------- *)
 
-let rec go (st : 'a state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list * 'a =
-  let s = step st path n in
-  st.ever_defined <-
-    S.union st.ever_defined (S.of_list (Symflow.defined_any s.flow));
-  ( s.flow,
-    s.prefs,
-    st.annotate ~path ~key:s.key ~modeled:s.modeled n s.flow s.prefs s.children )
+(* [up] is the parent's cursor in a kept walk, [None] in a walk that
+   keeps nothing. A kept walk replays the previous walk of a node whose
+   path and content key are unchanged, and steps through the rest. *)
+let rec go (st : 'a state) (up : 'a cursor option) (path : string)
+    (n : Mg.node) : Symflow.t * Mg.constraint_pref list * 'a =
+  match up with
+  | None ->
+      let s = step st None path n in
+      st.ever_defined <-
+        S.union st.ever_defined (S.of_list (Symflow.defined_any s.flow));
+      (s.flow, s.prefs, annotate_step st path n s)
+  | Some up ->
+      let k = List.hd up.keys in
+      up.keys <- List.tl up.keys;
+      let prev =
+        match up.prev with
+        | p :: rest ->
+            up.prev <- rest;
+            Some p
+        | [] -> None
+      in
+      let w =
+        match prev with
+        | Some p when String.equal p.k_path path && String.equal p.k_key k.hash ->
+            replay st p
+        | _ -> step_kept st k prev path n
+      in
+      up.done_ <- w :: up.done_;
+      (w.k_flow, w.k_prefs, w.k_ann)
 
-and operand st path ?idx x = go st (Mg.child_path path ?idx x) x
+and annotate_step st path n (s : _ step) =
+  st.annotate ~path ~key:s.key ~modeled:s.modeled n s.flow s.prefs s.children
 
-and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
+(* Everything a walk of [p]'s subtree would add to the walk's state. *)
+and replay (st : 'a state) (p : 'a walked) : 'a walked =
+  st.findings <- List.rev_append p.k_findings st.findings;
+  st.approximate <- st.approximate || p.k_approximate;
+  st.eval_fails <- st.eval_fails || p.k_eval_fails;
+  st.ever_defined <- S.union st.ever_defined p.k_defined;
+  st.n_replayed <- st.n_replayed + 1;
+  p
+
+and step_kept (st : 'a state) (k : keys) (prev : 'a walked option) path n :
+    'a walked =
+  let cur =
+    {
+      keys = k.kids;
+      prev = (match prev with Some p -> p.k_kids | None -> []);
+      done_ = [];
+    }
+  in
+  let findings0 = st.findings
+  and approximate0 = st.approximate
+  and eval_fails0 = st.eval_fails
+  and defined0 = st.ever_defined in
+  st.approximate <- false;
+  st.eval_fails <- false;
+  st.ever_defined <- S.empty;
+  let s = step st (Some cur) path n in
+  let rec since acc = function
+    | l when l == findings0 -> acc
+    | f :: rest -> since (f :: acc) rest
+    | [] -> acc
+  in
+  let w =
+    {
+      k_path = path;
+      k_node = n;
+      k_key = k.hash;
+      k_flow = s.flow;
+      k_prefs = s.prefs;
+      k_ann = annotate_step st path n s;
+      k_findings = since [] st.findings;
+      k_approximate = st.approximate;
+      k_eval_fails = st.eval_fails;
+      k_defined =
+        (* the operands' names, then the node's own: [S.add] keeps the
+           set physically when nothing is new *)
+        List.fold_left (fun acc x -> S.add x acc) st.ever_defined
+          (Symflow.defined_any s.flow);
+      k_kids = List.rev cur.done_;
+    }
+  in
+  st.approximate <- approximate0 || w.k_approximate;
+  st.eval_fails <- eval_fails0 || w.k_eval_fails;
+  st.ever_defined <- S.union defined0 w.k_defined;
+  st.n_walked <- st.n_walked + 1;
+  w
+
+and operand st cur path ?idx x = go st cur (Mg.child_path path ?idx x) x
+
+and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
+    : 'a step =
   match n with
   | Mg.Leaf o -> { opaque with flow = Symflow.of_object o; modeled = true }
   | Mg.Name p -> (
@@ -273,7 +395,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
         | Error msg -> unknown msg
         | Ok sub ->
             st.visiting <- p :: st.visiting;
-            let ((m, _, _) as r) = go st path sub in
+            let ((m, _, _) as r) = go st cur path sub in
             st.visiting <- List.tl st.visiting;
             over r m)
   | Mg.Merge operands -> (
@@ -282,7 +404,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
           malformed st ~path "merge: no operands";
           opaque
       | flat ->
-          let rs = List.mapi (fun i x -> operand st path ~idx:i x) flat in
+          let rs = List.mapi (fun i x -> operand st cur path ~idx:i x) flat in
           let parts = List.map (fun (m, _, _) -> m) rs in
           let m = List.fold_left Symflow.merge (List.hd parts) (List.tl parts) in
           if List.length parts > 1 then check_merge_conflicts st ~path parts m;
@@ -294,8 +416,8 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
             key = None;
           })
   | Mg.Override (a, b) ->
-      let ma, pa, ia = operand st path ~idx:0 a in
-      let mb, pb, ib = operand st path ~idx:1 b in
+      let ma, pa, ia = operand st cur path ~idx:0 a in
+      let mb, pb, ib = operand st cur path ~idx:1 b in
       let a_exports = S.of_list (Symflow.exports ma) in
       let b_exports = Symflow.exports mb in
       if not (List.exists (fun n -> S.mem n a_exports) b_exports) then
@@ -308,7 +430,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
       check_merge_conflicts st ~path [ a'; mb ] m;
       { flow = m; prefs = pa @ pb; children = [ ia; ib ]; modeled = true; key = None }
   | Mg.Freeze (p, x) -> (
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -324,7 +446,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
           mint ~path ~live:(selected <> []) r
             (Symflow.freeze (Jigsaw.Select.matches sel) mx))
   | Mg.Restrict (p, x) -> (
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -335,7 +457,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
                  "selector %S matches no definition; restrict has no effect" p);
           over r (Symflow.restrict pred mx))
   | Mg.Project (p, x) -> (
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -347,7 +469,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
                  p);
           over r (Symflow.project pred mx))
   | Mg.Copy_as (p, template, x) -> (
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -359,7 +481,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
           check_rename_collision st ~path ~op:"copy-as" mx m';
           over ~modeled:(not !bad) r m')
   | Mg.Hide (p, x) -> (
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -371,7 +493,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
                  "selector %S matches no export; hide has no effect" p);
           mint ~path ~live r (Symflow.hide pred mx))
   | Mg.Show (p, x) -> (
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -383,7 +505,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
                  "selector %S matches every export; show has no effect" p);
           mint ~path ~live r (Symflow.show pred mx))
   | Mg.Rename (scope, p, template, x) -> (
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -396,7 +518,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
             check_rename_collision st ~path ~op:"rename" mx m';
           over ~modeled:(not !bad) r m')
   | Mg.Initializers x ->
-      let ((mx, _, _) as r) = operand st path x in
+      let ((mx, _, _) as r) = operand st cur path x in
       over r (Symflow.initializers mx)
   | Mg.Source (lang, text) -> (
       let broken msg =
@@ -411,7 +533,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
               broken (Printf.sprintf "source: %s" msg))
       | other -> broken (Printf.sprintf "source: unsupported language %S" other))
   | Mg.Specialize (style, args, x) -> (
-      let ((mx, px, _) as r) = operand st path x in
+      let ((mx, px, _) as r) = operand st cur path x in
       match style with
       | "lib-constrained" -> (
           match Mg.lib_constrained_prefs args with
@@ -430,7 +552,7 @@ and step (st : 'a state) (path : string) (n : Mg.node) : 'a step =
           malformed st ~path (Printf.sprintf "unknown specialization %S" other);
           over ~modeled:false r mx)
   | Mg.Constrain (seg, addr, x) ->
-      let ((mx, px, _) as r) = operand st path x in
+      let ((mx, px, _) as r) = operand st cur path x in
       { (over r mx) with prefs = Mg.address_prefs seg addr @ px }
   | Mg.Lst _ ->
       malformed st ~path
@@ -481,45 +603,163 @@ let check_unresolved (st : _ state) ~path (m : Symflow.t) : unit =
       "referenced but undefined at the root, though a definition existed in \
        the graph before operators removed or renamed it"
 
+(* -- content keys ------------------------------------------------------------- *)
+
+(* How operands group into lists: flattening forgets it, the node (and
+   the digest the reuse plan files it under) does not. *)
+let rec grouping (ns : Mg.node list) : string =
+  String.concat ""
+    (List.map (function Mg.Lst xs -> "(" ^ grouping xs ^ ")" | _ -> ".") ns)
+
+(* [f] over [xs], each with the previous walk's operand at its position. *)
+let rec aligned f (xs : Mg.node list) (prevs : 'a walked list) : keys list =
+  match (xs, prevs) with
+  | [], _ -> []
+  | x :: xs, p :: ps ->
+      let k = f (Some p) x in
+      k :: aligned f xs ps
+  | x :: xs, [] ->
+      let k = f None x in
+      k :: aligned f xs []
+
+(* Keys for the nodes [go] will visit, in its order. Every [Name]
+   resolves as [step] resolves it, so a key fixes what the name reaches,
+   or the error or cycle it reports; with the path, it fixes everything
+   the subtree's walk produces. [prev] is the previous walk at the same
+   position: a leaf that is still the very object it walked (object
+   files are never mutated once built) keeps its key, sparing the
+   content digest. *)
+let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
+    keys =
+  let node local kids =
+    {
+      hash =
+        Digest.string
+          (String.concat ""
+             (string_of_int (String.length local)
+             :: ":" :: local
+             :: List.map (fun k -> k.hash) kids));
+      kids;
+    }
+  in
+  let operands xs =
+    aligned (content_keys st) xs
+      (match prev with Some p -> p.k_kids | None -> [])
+  in
+  match n with
+  | Mg.Name p -> (
+      if List.mem p st.visiting then node ("cycle:" ^ p) []
+      else
+        match st.resolve p with
+        | Error msg -> node (Printf.sprintf "unresolved:%s:%s" p msg) []
+        | Ok sub ->
+            st.visiting <- p :: st.visiting;
+            let ks = operands [ sub ] in
+            st.visiting <- List.tl st.visiting;
+            node ("name:" ^ p) ks)
+  | Mg.Merge ops ->
+      node ("merge" ^ grouping ops) (operands (Mg.flatten_operands ops))
+  | Mg.Override (a, b) -> node "override" (operands [ a; b ])
+  | Mg.Freeze (_, x)
+  | Mg.Restrict (_, x)
+  | Mg.Project (_, x)
+  | Mg.Copy_as (_, _, x)
+  | Mg.Hide (_, x)
+  | Mg.Show (_, x)
+  | Mg.Rename (_, _, _, x)
+  | Mg.Initializers x
+  | Mg.Specialize (_, _, x)
+  | Mg.Constrain (_, _, x) ->
+      node (Mg.local_key n) (operands [ x ])
+  | Mg.Lst _ ->
+      (* malformed here: reported, its items never walked *)
+      node ("list:" ^ Mg.digest n) []
+  | Mg.Leaf o -> (
+      match prev with
+      | Some { k_node = Mg.Leaf o'; k_key; _ } when o == o' ->
+          { hash = k_key; kids = [] }
+      | _ -> node (Mg.local_key n) [])
+  | Mg.Source _ -> node (Mg.local_key n) []
+
 (* -- entry points ------------------------------------------------------------ *)
+
+let new_state ~resolve ~annotate =
+  {
+    resolve;
+    annotate;
+    findings = [];
+    ever_defined = S.empty;
+    visiting = [];
+    approximate = false;
+    eval_fails = false;
+    n_walked = 0;
+    n_replayed = 0;
+  }
+
+(* The root checks and the report, once [go] has walked the root. *)
+let finish (st : _ state) ~root_path (m : Symflow.t) prefs : report =
+  check_unresolved st ~path:root_path m;
+  check_constraints st ~path:root_path prefs;
+  {
+    findings = List.rev st.findings;
+    exports = Symflow.exports m;
+    undefined = Symflow.undefined m;
+    frozen = S.elements m.Symflow.frozen;
+    hidden = S.elements m.Symflow.hidden;
+    prefs;
+    approximate = st.approximate;
+    eval_fails = st.eval_fails;
+  }
 
 let walk ~(resolve : string -> (Mg.node, string) result)
     ~(annotate : 'a annotate) (root : Mg.node) : report * 'a option =
-  let st =
-    {
-      resolve;
-      annotate;
-      findings = [];
-      ever_defined = S.empty;
-      visiting = [];
-      approximate = false;
-      eval_fails = false;
-    }
-  in
+  let st = new_state ~resolve ~annotate in
   let root_path = Mg.op_name root in
-  let m, prefs, ann =
-    match go st root_path root with
-    | m, prefs, a -> (m, prefs, Some a)
-    | exception e ->
-        (* the analyzer must never take down registration or the CLI *)
-        st.approximate <- true;
-        emit st ~code:"E999" ~title:"analyzer-internal-error" ~severity:Error
-          ~path:root_path (Printexc.to_string e);
-        (Symflow.empty, [], None)
-  in
-  check_unresolved st ~path:root_path m;
-  check_constraints st ~path:root_path prefs;
-  ( {
-      findings = List.rev st.findings;
-      exports = Symflow.exports m;
-      undefined = Symflow.undefined m;
-      frozen = S.elements m.Symflow.frozen;
-      hidden = S.elements m.Symflow.hidden;
-      prefs;
-      approximate = st.approximate;
-      eval_fails = st.eval_fails;
-    },
-    ann )
+  match go st None root_path root with
+  | m, prefs, a -> (finish st ~root_path m prefs, Some a)
+  | exception e ->
+      (* the analyzer must never take down registration or the CLI *)
+      st.approximate <- true;
+      emit st ~code:"E999" ~title:"analyzer-internal-error" ~severity:Error
+        ~path:root_path (Printexc.to_string e);
+      (finish st ~root_path Symflow.empty [], None)
+
+let rewalk ~(resolve : string -> (Mg.node, string) result)
+    ~(annotate : 'a annotate) ~(prev : 'a kept option) (root : Mg.node) :
+    'a kept_walk =
+  let st = new_state ~resolve ~annotate in
+  let root_path = Mg.op_name root in
+  let prev_root = Option.map (fun p -> p.k_root) prev in
+  match
+    let up =
+      {
+        keys = [ content_keys st prev_root root ];
+        prev = Option.to_list prev_root;
+        done_ = [];
+      }
+    in
+    let m, prefs, a = go st (Some up) root_path root in
+    (m, prefs, a, List.hd up.done_)
+  with
+  | m, prefs, a, w ->
+      let report =
+        match prev with
+        (* a replayed root fixes every input of the root checks *)
+        | Some p when p.k_root == w -> p.k_report
+        | _ -> finish st ~root_path m prefs
+      in
+      {
+        report;
+        root = Some a;
+        kept = Some { k_root = w; k_report = report };
+        walked = st.n_walked;
+        replayed = st.n_replayed;
+      }
+  | exception _ ->
+      (* a failed kept walk leaves its state half replayed: the report
+         comes from a walk that keeps nothing, E999 included *)
+      let report, root = walk ~resolve ~annotate root in
+      { report; root; kept = None; walked = 0; replayed = 0 }
 
 let analyze ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
     report =

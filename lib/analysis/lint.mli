@@ -89,6 +89,59 @@ val walk :
   Blueprint.Mgraph.node ->
   report * 'a option
 
+(** {1 Kept walks}
+
+    A walk can be kept as a tree for the next walk of the same graph to
+    replay from. Before a kept walk, one bottom-up pass gives every node
+    a {e content key}: its own operator, parameters and content
+    ({!Blueprint.Mgraph.local_key}, plus how a merge groups its operands
+    into lists) hashed with its operands' keys. Each [Name] resolves as
+    the walk resolves it: an unresolved name keys on its error, a
+    cyclic one on the cycle, a resolved one on what it reaches. A
+    node's occurrence path and content key together fix everything a
+    walk of its subtree produces, so where both are unchanged from the
+    previous walk, at the same operand position, the subtree is
+    replayed instead of walked: its flow, preferences and annotation,
+    its findings in order, its [approximate] and [eval_fails] flags,
+    and the names it defined (which E001 reads). Everything else is
+    walked again, and [annotate] runs only for the nodes walked. The
+    report and the annotations are exactly those of {!walk}; a subtree
+    moved to another operand is walked again, since its path moved. A
+    leaf that is physically the object the previous walk keyed at its
+    position keeps its key (object files are never mutated once
+    built), and a replayed root keeps the previous report. {!walk}
+    computes no keys and keeps nothing. *)
+
+(** A kept walk: its tree and its report. *)
+type 'a kept
+
+type 'a kept_walk = {
+  report : report;
+  root : 'a option;  (** the root's annotation, as from {!walk} *)
+  kept : 'a kept option;  (** [None] when the analyzer failed *)
+  walked : int;  (** nodes walked *)
+  replayed : int;  (** subtrees replayed from [prev] *)
+}
+
+(** [rewalk ~resolve ~annotate ~prev root] is {!walk}, replaying from
+    [prev] (a kept walk of an earlier graph, usually the same meta's)
+    every subtree whose path and content key are unchanged, and keeping
+    this walk. Never raises. *)
+val rewalk :
+  resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
+  annotate:
+    (path:string ->
+    key:string option ->
+    modeled:bool ->
+    Blueprint.Mgraph.node ->
+    Symflow.t ->
+    Blueprint.Mgraph.constraint_pref list ->
+    'a list ->
+    'a) ->
+  prev:'a kept option ->
+  Blueprint.Mgraph.node ->
+  'a kept_walk
+
 (** Differential self-check: analysis first, then real evaluation, then
     set comparison. *)
 type verify_outcome =

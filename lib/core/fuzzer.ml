@@ -10,17 +10,22 @@ type failure = {
 
 type verdict = Pass of { clean_libs : int; events : int } | Fail of failure
 
-let install (c : Fuzz.case) (w : World.t) : unit =
-  let s = w.World.server in
+let bind_modules (c : Fuzz.case) (s : Server.t) : unit =
   List.iter
     (fun m ->
       let path = Fuzz.mod_path m in
       Server.add_fragment s path
         (Minic.Driver.compile ~name:path (Fuzz.minic_source m)))
-    c.Fuzz.f_mods;
+    c.Fuzz.f_mods
+
+let register_libs (c : Fuzz.case) (s : Server.t) : unit =
   List.iter
     (fun l -> Server.register_meta_source s (Fuzz.lib_path l) (Fuzz.meta_source l))
     c.Fuzz.f_libs
+
+let install (c : Fuzz.case) (w : World.t) : unit =
+  bind_modules c w.World.server;
+  register_libs c w.World.server
 
 (* -- oracle 1: lint vs evaluator ------------------------------------------- *)
 
@@ -212,8 +217,70 @@ let build_sig (b : Server.built) : string =
     (Digest.to_hex (Digest.bytes (Linker.Image.encode e.Cache.image)))
     (String.concat "; " link_events)
 
+(* What registration concluded about one library: its lint report and
+   its impact tree in pre-order (path, digest, modeled, keyed). *)
+let analysis_sig (s : Server.t) (path : string) : string =
+  let report =
+    match Server.lint_report s path with
+    | None -> "no report"
+    | Some r ->
+        let module L = Analysis.Lint in
+        Printf.sprintf
+          "findings=[%s] exports=[%s] undefined=[%s] frozen=[%s] hidden=[%s] \
+           prefs=[%s] approximate=%b eval_fails=%b"
+          (String.concat "; " (List.map L.finding_to_string r.L.findings))
+          (String.concat " " r.L.exports)
+          (String.concat " " r.L.undefined)
+          (String.concat " " r.L.frozen)
+          (String.concat " " r.L.hidden)
+          (String.concat " "
+             (List.map
+                (fun (c : Blueprint.Mgraph.constraint_pref) ->
+                  Format.asprintf "%s/%d:%a"
+                    (Blueprint.Mgraph.seg_to_string c.Blueprint.Mgraph.seg)
+                    c.Blueprint.Mgraph.priority Constraints.Placement.pp_pref
+                    c.Blueprint.Mgraph.pref)
+                r.L.prefs))
+          r.L.approximate r.L.eval_fails
+  in
+  let tree =
+    match Server.impact_tree s path with
+    | None -> "no tree"
+    | Some t ->
+        let nodes = ref [] in
+        Analysis.Impact.iter_infos
+          (fun i ->
+            nodes :=
+              Printf.sprintf "%s %s%s%s" i.Analysis.Impact.i_path
+                i.Analysis.Impact.i_digest
+                (if i.Analysis.Impact.i_modeled then " modeled" else "")
+                (if i.Analysis.Impact.i_keyed then " keyed" else "")
+              :: !nodes)
+          t;
+        String.concat "; " (List.rev !nodes)
+  in
+  Printf.sprintf "%s: %s tree=[%s]" path report tree
+
+(* The verdicts of [path]'s last re-registration. *)
+let diff_sig (s : Server.t) (path : string) : string =
+  match Server.impact_diff s path with
+  | None -> path ^ ": no diff"
+  | Some d ->
+      let module I = Analysis.Impact in
+      Printf.sprintf "%s: diff %s -> %s reused=%d respun=%d [%s]" path
+        d.I.d_old_digest d.I.d_new_digest d.I.d_reused d.I.d_respun
+        (String.concat "; "
+           (List.map
+              (fun v ->
+                Printf.sprintf "%s %s %s %s" v.I.v_path v.I.v_op v.I.v_digest
+                  (match v.I.v_verdict with
+                  | I.Reused _ -> "reused"
+                  | I.Respin { reason } -> "respin: " ^ reason))
+              d.I.d_nodes))
+
 (* One full history: install the case, build every library, install the
-   edited blueprints over the same bindings, rebuild every library. *)
+   edited blueprints over the same bindings, rebuild every library. The
+   registration's analysis of every edited library comes first. *)
 let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool) :
     string list * (int * int * string) list * (int * int * string) list =
   let w = World.create () in
@@ -226,13 +293,35 @@ let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool) :
     | exception e -> Printf.sprintf "%s: raised %s" path (Printexc.to_string e)
   in
   let pre = List.map (fun l -> build (Fuzz.lib_path l)) c.Fuzz.f_libs in
-  List.iter
-    (fun l -> Server.register_meta_source s (Fuzz.lib_path l) (Fuzz.meta_source l))
-    c'.Fuzz.f_libs;
+  register_libs c' s;
+  let analysis =
+    List.concat_map
+      (fun l ->
+        let path = Fuzz.lib_path l in
+        [ analysis_sig s path; diff_sig s path ])
+      c'.Fuzz.f_libs
+  in
   let post = List.map (fun l -> build (Fuzz.lib_path l)) c'.Fuzz.f_libs in
-  ( pre @ post,
+  ( analysis @ pre @ post,
     Constraints.Placement.intervals (Server.text_arena s),
     Constraints.Placement.intervals (Server.data_arena s) )
+
+(* Registration's analysis must not depend on history: a server that
+   installed [c] and then registered [c']'s libraries over it concludes
+   what a server that only ever registered [c']'s does. *)
+let history_sigs (c : Fuzz.case) (c' : Fuzz.case) : string list * string list
+    =
+  let sigs s = List.map (fun l -> analysis_sig s (Fuzz.lib_path l)) c'.Fuzz.f_libs in
+  let a = (World.create ()).World.server in
+  bind_modules c a;
+  register_libs c a;
+  bind_modules c' a;
+  register_libs c' a;
+  let b = (World.create ()).World.server in
+  bind_modules c b;
+  bind_modules c' b;
+  register_libs c' b;
+  (sigs a, sigs b)
 
 let incremental_equivalence (c : Fuzz.case) : (int, string) result =
   match Fuzz.mutate ~seed:c.Fuzz.f_seed c with
@@ -251,10 +340,16 @@ let incremental_equivalence (c : Fuzz.case) : (int, string) result =
                  (fun (lo, hi, who) -> Printf.sprintf "%#x-%#x %s" lo hi who)
                  ivs)
           in
+          let ha, hb = history_sigs c c' in
           if a <> b then
             Error
               (Printf.sprintf "edit %S: incremental vs from-scratch: %s" edit
                  (first_diff a b))
+          else if ha <> hb then
+            Error
+              (Printf.sprintf
+                 "edit %S: analysis depends on registration history: %s" edit
+                 (first_diff ha hb))
           else if ta <> tb then
             Error
               (Printf.sprintf

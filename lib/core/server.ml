@@ -28,6 +28,8 @@ type work_stats = {
   mutable relocs : int; (* relocations applied by the server *)
   mutable source_compiles : int;
   mutable instantiations : int;
+  mutable nodes_walked : int; (* m-graph nodes registration walked *)
+  mutable subtrees_replayed : int; (* ... and replayed from a kept walk *)
 }
 
 (** A recorded placement conflict: an object wanted an address it could
@@ -126,8 +128,9 @@ type t = {
       (* registration-time findings per meta-object path *)
   impact_trees : (string, Analysis.Impact.tree) Hashtbl.t;
       (* registration-time dependence analysis per meta-object path *)
-  impact_diffs : (string, Analysis.Impact.diff) Hashtbl.t;
-      (* verdicts of the latest re-registration of each meta path *)
+  impact_diffs : (string, Analysis.Impact.diff Lazy.t) Hashtbl.t;
+      (* verdicts of the latest re-registration of each meta path,
+         computed from its old and new trees on first query *)
   impact_plan : (string, plan_entry list) Hashtbl.t;
       (* graph-node digest -> reuse plan, rebuilt on registration *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
@@ -242,7 +245,15 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     residency;
     kernel;
     env;
-    work = { links = 0; relocs = 0; source_compiles = 0; instantiations = 0 };
+    work =
+      {
+        links = 0;
+        relocs = 0;
+        source_compiles = 0;
+        instantiations = 0;
+        nodes_walked = 0;
+        subtrees_replayed = 0;
+      };
     lints = Hashtbl.create 16;
     impact_trees = Hashtbl.create 16;
     impact_diffs = Hashtbl.create 16;
@@ -268,6 +279,8 @@ type stats = {
   relocs : int;
   source_compiles : int;
   instantiations : int;
+  nodes_walked : int;
+  subtrees_replayed : int;
 }
 
 let stats (t : t) : stats =
@@ -278,6 +291,8 @@ let stats (t : t) : stats =
        per process, so the global counter is this server's count *)
     source_compiles = Telemetry.Counter.get "blueprint.source_compiles";
     instantiations = t.work.instantiations;
+    nodes_walked = t.work.nodes_walked;
+    subtrees_replayed = t.work.subtrees_replayed;
   }
 
 let namespace (t : t) : Namespace.t = t.ns
@@ -331,38 +346,51 @@ let plan_node (t : t) (i : Analysis.Impact.info) : unit =
 (* Re-run the analysis over every bound meta-object — one walk per meta
    yields its lint report and its {!Analysis.Impact} tree — and rebuild
    the reuse plan from the trees. Re-analyzing the whole namespace (not
-   just the edited meta) keeps plan entries fresh for metas that
-   reference the edited path through [Name] nodes: their interface
-   digests move with the content they resolve to. The analysis is
-   abstract (symbol flow only, no view materialized), so this is cheap
-   relative to a single link. Memo entries the new plan no longer names
-   (the spine an edit replaced) are dropped, so the memo table tracks
-   the bound blueprints rather than their edit history. Returns
-   [path]'s lint report. *)
-let refresh_analysis (t : t) (path : string) : Analysis.Lint.report option =
+   just the edited meta) keeps reports and plan entries fresh for metas
+   that reference the edited path through [Name] nodes: their findings
+   and interface digests move with the content they resolve to. With
+   subtree reuse on, each walk replays from the meta's previous one
+   every subtree whose occurrence path and content key are unchanged,
+   so an edit walks its spine and replays the rest, and a meta the edit
+   does not reach is replayed at its root; with reuse off, every meta is
+   walked from scratch. The walks are still not free: keys hash every
+   node, and the plan rebuild digests every node. Memo entries the new
+   plan no longer names (the spine an edit replaced) are dropped, so the
+   memo table tracks the bound blueprints rather than their edit
+   history. *)
+let refresh_analysis (t : t) : unit =
   Hashtbl.reset t.impact_plan;
-  let report =
-    List.fold_left
-      (fun report p ->
-        match Namespace.lookup t.ns p with
-        | Some (Namespace.Meta m) ->
-            let tree, lint =
-              Analysis.Impact.analyze_and_lint ~resolve:(resolve_graph t)
-                (Blueprint.Meta.effective_graph m ~spec:None)
-            in
-            Hashtbl.replace t.impact_trees p tree;
-            Analysis.Impact.iter_infos (plan_node t) tree;
-            if p = path then Some lint else report
-        | _ -> report)
-      None (Namespace.all_metas t.ns)
-  in
+  let resolve = resolve_graph t in
+  List.iter
+    (fun p ->
+      match Namespace.lookup t.ns p with
+      | Some (Namespace.Meta m) ->
+          let graph = Blueprint.Meta.effective_graph m ~spec:None in
+          let tree, lint =
+            if t.subtree_reuse then begin
+              let tree, w =
+                Analysis.Impact.reanalyze ~resolve
+                  ~prev:(Hashtbl.find_opt t.impact_trees p)
+                  graph
+              in
+              t.work.nodes_walked <- t.work.nodes_walked + w.Analysis.Lint.walked;
+              t.work.subtrees_replayed <-
+                t.work.subtrees_replayed + w.Analysis.Lint.replayed;
+              (tree, w.Analysis.Lint.report)
+            end
+            else Analysis.Impact.analyze_and_lint ~resolve graph
+          in
+          Hashtbl.replace t.impact_trees p tree;
+          Hashtbl.replace t.lints p lint;
+          Analysis.Impact.iter_infos (plan_node t) tree
+      | _ -> ())
+    (Namespace.all_metas t.ns);
   let planned = Hashtbl.create 256 in
   Hashtbl.iter
     (fun _ entries ->
       List.iter (fun e -> Hashtbl.replace planned e.pe_digest ()) entries)
     t.impact_plan;
-  Cache.memo_retain t.cache (Hashtbl.mem planned);
-  report
+  Cache.memo_retain t.cache (Hashtbl.mem planned)
 
 (** Bind a meta-object and lint it: the symbol-flow analyzer runs at
     registration (no view materialized, no simulated cost charged), the
@@ -371,27 +399,27 @@ let refresh_analysis (t : t) (path : string) : Analysis.Lint.report option =
     the meta. Registration never fails on findings — a broken blueprint
     is diagnosed again, fatally, when instantiated.
 
-    Registration also refreshes the incremental-relinking plan: the
-    {!Analysis.Impact} tree of every bound meta is recomputed, and if
-    [path] was already bound the old/new trees are diffed — the next
-    build of an edited blueprint then re-materializes only the respun
-    spine, answering provably-equivalent subtrees from the memo
-    table. *)
+    Registration also refreshes the incremental-relinking plan and every
+    bound meta's lint report: the {!Analysis.Impact} tree of every bound
+    meta is recomputed, and if [path] was already bound its old and new
+    trees are kept for {!impact_diff} — the next build of an edited
+    blueprint then re-materializes only the respun spine, answering
+    provably-equivalent subtrees from the memo table. *)
 let register_meta (t : t) (path : string) (m : Blueprint.Meta.t) : unit =
   let old_tree = Hashtbl.find_opt t.impact_trees path in
   Namespace.bind_meta t.ns path m;
-  (match refresh_analysis t path with
+  refresh_analysis t;
+  (match Hashtbl.find_opt t.lints path with
   | Some report ->
-      Hashtbl.replace t.lints path report;
       let errs = Analysis.Lint.errors report
       and warns = Analysis.Lint.warnings report in
       if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
       if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings
   | None -> ());
   match (old_tree, Hashtbl.find_opt t.impact_trees path) with
-  | Some ot, Some nt ->
+  | Some old_tree, Some new_tree ->
       Hashtbl.replace t.impact_diffs path
-        (Analysis.Impact.diff ~old_tree:ot ~new_tree:nt)
+        (lazy (Analysis.Impact.diff ~old_tree ~new_tree))
   | _ -> ()
 
 (** The registration-time lint report of a bound meta-object. *)
@@ -402,13 +430,14 @@ let lint_report (t : t) (path : string) : Analysis.Lint.report option =
 let impact_tree (t : t) (path : string) : Analysis.Impact.tree option =
   Hashtbl.find_opt t.impact_trees path
 
-(** The reuse/respin verdicts computed the last time [path] was
-    re-registered over an existing binding. *)
+(** The reuse/respin verdicts of the last time [path] was re-registered
+    over an existing binding, computed on first query. *)
 let impact_diff (t : t) (path : string) : Analysis.Impact.diff option =
-  Hashtbl.find_opt t.impact_diffs path
+  Option.map Lazy.force (Hashtbl.find_opt t.impact_diffs path)
 
 (** Toggle incremental relinking (default on): when off, evaluation
-    never consults or fills the per-node memo table — the knob the
+    never consults or fills the per-node memo table and registration
+    walks every meta from scratch — the knob the
     incremental-vs-from-scratch differential oracle flips. *)
 let set_subtree_reuse (t : t) (b : bool) : unit = t.subtree_reuse <- b
 

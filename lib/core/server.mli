@@ -62,6 +62,10 @@ type stats = {
   relocs : int;
   source_compiles : int;
   instantiations : int;
+  nodes_walked : int;
+      (** m-graph nodes registration walked with subtree reuse on *)
+  subtrees_replayed : int;
+      (** subtrees it replayed from a meta's previous walk instead *)
 }
 
 val stats : t -> stats
@@ -99,7 +103,9 @@ val add_fragment : t -> string -> Sof.Object_file.t -> unit
     {!load_meta_file} both route through it. *)
 val register_meta : t -> string -> Blueprint.Meta.t -> unit
 
-(** The registration-time lint report of a bound meta-object. *)
+(** The registration-time lint report of a bound meta-object,
+    refreshed for every bound meta whenever any meta is registered (a
+    [Name] it reaches may have been bound since). *)
 val lint_report : t -> string -> Analysis.Lint.report option
 
 (** The registration-time {!Analysis.Impact} dependence analysis of a
@@ -107,13 +113,17 @@ val lint_report : t -> string -> Analysis.Lint.report option
     is registered, so [Name]-mediated dependencies stay current). *)
 val impact_tree : t -> string -> Analysis.Impact.tree option
 
-(** The reuse/respin verdicts computed the last time the path was
+(** The reuse/respin verdicts of the last time the path was
     re-registered over an existing binding — which subtrees of the
-    edited blueprint survive, and why the rest must respin. *)
+    edited blueprint survive, and why the rest must respin. Computed
+    from the path's trees before and after that registration on first
+    query; registration itself does not diff. *)
 val impact_diff : t -> string -> Analysis.Impact.diff option
 
 (** Toggle incremental relinking (default on): when off, evaluation
-    never consults or fills the per-node memo table. The knob the
+    never consults or fills the per-node memo table, and registration
+    walks every meta from scratch instead of replaying unchanged
+    subtrees from its previous walk. The knob the
     incremental-vs-from-scratch differential oracle flips. *)
 val set_subtree_reuse : t -> bool -> unit
 

@@ -506,6 +506,231 @@ let test_hidden_subtree_reuse () =
        (fun n -> Astring.String.is_prefix ~affix:"bb$frz" n)
        (fst incremental))
 
+(* -- registration: every report fresh, kept walks exact ------------------------ *)
+
+(* A meta registered before a name it reaches gets its report refreshed
+   when that name is bound: the E005 it once had does not outlive the
+   binding, and only the registered path feeds the finding counters. *)
+let test_registration_refreshes_every_report () =
+  let s = server () in
+  Omos.Server.add_fragment s "/t/x.o" (asm_obj "/t/x.o" [ ("fx", Some "fy") ]);
+  Omos.Server.add_fragment s "/t/y.o" (asm_obj "/t/y.o" [ ("fy", None) ]);
+  let errs0 = Telemetry.Counter.get "lint.errors" in
+  Omos.Server.register_meta_source s "/t/a" "(merge /t/x.o /t/b)";
+  Alcotest.(check int) "E005 counted at /t/a" (errs0 + 1)
+    (Telemetry.Counter.get "lint.errors");
+  Omos.Server.register_meta_source s "/t/b" "(merge /t/y.o)";
+  Alcotest.(check int) "only the registered path counts" (errs0 + 1)
+    (Telemetry.Counter.get "lint.errors");
+  (match Omos.Server.lint_report s "/t/a" with
+  | None -> Alcotest.fail "no lint report for /t/a"
+  | Some r ->
+      Alcotest.(check (list string)) "no stale E005" [] (codes r);
+      Alcotest.(check (list string)) "exports" [ "fx"; "fy" ] r.L.exports;
+      Alcotest.(check (list string)) "undefined" [] r.L.undefined);
+  let resp = Omos.Server.instantiate s (Omos.Server.library "/t/a") in
+  Alcotest.(check bool) "instantiates" false resp.Omos.Server.cache_hit
+
+let walked s = (Omos.Server.stats s).Omos.Server.nodes_walked
+let replayed s = (Omos.Server.stats s).Omos.Server.subtrees_replayed
+
+(* metas other than the one re-registered: each is replayed at its root *)
+let others s =
+  List.length (Omos.Namespace.all_metas (Omos.Server.namespace s)) - 1
+
+(* pre-order (path, digest, modeled, keyed), and the digest of the node
+   itself, which the reuse plan files the node under *)
+let rows (t : I.tree) : string list =
+  let out = ref [] in
+  I.iter_infos
+    (fun i ->
+      out :=
+        Printf.sprintf "%s %s %b %b %s" i.I.i_path i.I.i_digest i.I.i_modeled
+          i.I.i_keyed (Mg.digest i.I.i_node)
+        :: !out)
+    t;
+  List.rev !out
+
+(* What registration concluded equals a walk from scratch and a fresh
+   server's conclusions. *)
+let check_fresh ~what s fresh paths =
+  List.iter
+    (fun p ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s as in a fresh server" what p)
+        (Omos.Fuzzer.analysis_sig fresh p)
+        (Omos.Fuzzer.analysis_sig s p);
+      let tree, report =
+        I.analyze_and_lint ~resolve:(Omos.Server.resolve_graph s)
+          (meta_graph s p)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s report as from scratch" what p)
+        true
+        (Omos.Server.lint_report s p = Some report);
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: %s tree as from scratch" what p)
+        (rows tree)
+        (rows (Option.get (Omos.Server.impact_tree s p))))
+    paths
+
+(* A fragment rebound at its path under an unchanged meta text: the
+   spine down to it is walked, its siblings are replayed with their
+   findings (a dead restrict's W101) and the names they defined (E001
+   reports k5, which only a replayed subtree ever defined). *)
+let test_kept_walk_rebound_fragment () =
+  let src group =
+    Printf.sprintf
+      "(restrict \"^k1$\" (merge %s (hide \"^k3$\" (merge /t/k3.o /t/k3u.o)) \
+       (restrict \"^zz\" /t/k4.o) (restrict \"^k5$\" /t/k5.o)))"
+      group
+  in
+  let k2 s name =
+    Omos.Server.add_fragment s "/t/k2.o" (asm_obj "/t/k2.o" [ (name, Some "k1") ])
+  in
+  let install s =
+    Omos.Server.add_fragment s "/t/k1.o" (asm_obj "/t/k1.o" [ ("k1", None) ]);
+    Omos.Server.add_fragment s "/t/k3.o" (asm_obj "/t/k3.o" [ ("k3", None) ]);
+    Omos.Server.add_fragment s "/t/k3u.o"
+      (asm_obj "/t/k3u.o" [ ("k3_user", Some "k3") ]);
+    Omos.Server.add_fragment s "/t/k4.o" (asm_obj "/t/k4.o" [ ("k4", None) ]);
+    Omos.Server.add_fragment s "/t/k5.o"
+      (asm_obj "/t/k5.o" [ ("k5", None); ("k5_user", Some "k5") ])
+  in
+  let s = server () in
+  install s;
+  k2 s "k2";
+  Omos.Server.register_meta_source s "/t/klib" (src "(merge /t/k1.o /t/k2.o)");
+  k2 s "k2b";
+  let w0 = walked s and r0 = replayed s in
+  Omos.Server.register_meta_source s "/t/klib" (src "(merge /t/k1.o /t/k2.o)");
+  (* the restrict, the merge, merge[0], the rebound name and its leaf *)
+  Alcotest.(check int) "spine walked" 5 (walked s - w0);
+  (* /t/k1.o, the live hide, both restricts, and every other meta at its
+     root *)
+  Alcotest.(check int) "siblings replayed" (4 + others s) (replayed s - r0);
+  let r = Option.get (Omos.Server.lint_report s "/t/klib") in
+  Alcotest.(check (list string)) "replayed findings kept" [ "W101"; "E001" ]
+    (codes r);
+  Alcotest.(check (list string)) "names defined in replayed subtrees"
+    [ "k1"; "k5" ] (find_code r "E001").L.symbols;
+  let fresh = server () in
+  install fresh;
+  k2 fresh "k2b";
+  Omos.Server.register_meta_source fresh "/t/klib" (src "(merge /t/k1.o /t/k2.o)");
+  check_fresh ~what:"rebound fragment" s fresh [ "/t/klib" ];
+  (* the same operands grouped into a list: the walk is the same, the
+     node the reuse plan files is not *)
+  let regrouped = src "(merge /t/k1.o (list /t/k2.o))" in
+  Omos.Server.register_meta_source s "/t/klib" regrouped;
+  Omos.Server.register_meta_source fresh "/t/klib" regrouped;
+  check_fresh ~what:"regrouped" s fresh [ "/t/klib" ]
+
+(* A live hide moved to another merge index keeps its content key but
+   not its path: it is walked again, and its aliases name the new
+   occurrence. So are they when an operator above it changes and the
+   hide stays at its operand position. *)
+let test_kept_walk_moved_hide () =
+  let install s =
+    Omos.Server.add_fragment s "/t/h.o"
+      (asm_obj "/t/h.o" [ ("h", None); ("h_user", Some "h") ]);
+    Omos.Server.add_fragment s "/t/m.o" (asm_obj "/t/m.o" [ ("m", None) ])
+  in
+  let moved = "(merge /t/m.o (hide \"^h$\" /t/h.o))" in
+  let s = server () in
+  install s;
+  Omos.Server.register_meta_source s "/t/hlib" "(merge (hide \"^h$\" /t/h.o) /t/m.o)";
+  let w0 = walked s and r0 = replayed s in
+  Omos.Server.register_meta_source s "/t/hlib" moved;
+  (* every node moved: root, hide, and two names with their leaves *)
+  Alcotest.(check int) "moved subtree walked" 6 (walked s - w0);
+  Alcotest.(check int) "only other metas replayed" (others s) (replayed s - r0);
+  let defined =
+    Analysis.Symflow.defined_any
+      (Option.get (Omos.Server.impact_tree s "/t/hlib")).I.t_root.I.i_flow
+  in
+  let alias path = "h$hid" ^ Mg.occurrence_key path in
+  Alcotest.(check bool) "alias of the new occurrence" true
+    (List.mem (alias "merge[1].hide") defined);
+  Alcotest.(check bool) "no alias of the old occurrence" false
+    (List.mem (alias "merge[0].hide") defined);
+  let fresh = server () in
+  install fresh;
+  Omos.Server.register_meta_source fresh "/t/hlib" moved;
+  check_fresh ~what:"moved hide" s fresh [ "/t/hlib" ];
+  Alcotest.(check (pair (list string) string))
+    "built as in a fresh server" (built fresh "/t/hlib") (built s "/t/hlib");
+  let overridden = "(override /t/m.o (hide \"^h$\" /t/h.o))" in
+  let w0 = walked s in
+  Omos.Server.register_meta_source s "/t/hlib" overridden;
+  Alcotest.(check int) "renamed parent: everything walked" 6 (walked s - w0);
+  Omos.Server.register_meta_source fresh "/t/hlib" overridden;
+  check_fresh ~what:"renamed parent" s fresh [ "/t/hlib" ]
+
+(* Re-registering /t/c2 over a reference back to /t/c1 closes a cycle
+   that /t/c1's unchanged text now reaches. *)
+let test_kept_walk_name_becomes_cyclic () =
+  let install s =
+    Omos.Server.add_fragment s "/t/c.o" (asm_obj "/t/c.o" [ ("c", None) ]);
+    Omos.Server.add_fragment s "/t/d.o" (asm_obj "/t/d.o" [ ("d", None) ]);
+    Omos.Server.register_meta_source s "/t/c1" "(merge /t/c.o /t/c2)"
+  in
+  let s = server () in
+  install s;
+  Omos.Server.register_meta_source s "/t/c2" "(merge /t/d.o)";
+  Omos.Server.register_meta_source s "/t/c2" "(merge /t/d.o /t/c1)";
+  (match Omos.Server.lint_report s "/t/c1" with
+  | Some r ->
+      Alcotest.(check bool) "cycle reported" true
+        (List.exists
+           (fun (f : L.finding) ->
+             f.L.code = "E005"
+             && Astring.String.is_infix ~affix:"cyclic" f.L.message)
+           r.L.findings)
+  | None -> Alcotest.fail "no lint report for /t/c1");
+  let fresh = server () in
+  install fresh;
+  Omos.Server.register_meta_source fresh "/t/c2" "(merge /t/d.o /t/c1)";
+  check_fresh ~what:"cycle" s fresh [ "/t/c1"; "/t/c2" ]
+
+(* A name that did not resolve at the first registration fails
+   differently at the second (a directory now), and resolves at the
+   third, though the meta text is the same. *)
+let test_kept_walk_name_becomes_resolvable () =
+  let src = "(merge /t/u.o /t/later)" in
+  let u s =
+    Omos.Server.add_fragment s "/t/u.o" (asm_obj "/t/u.o" [ ("u", Some "later_fn") ])
+  in
+  let later s =
+    Omos.Server.add_fragment s "/t/later" (asm_obj "/t/later" [ ("later_fn", None) ])
+  in
+  let e005 s =
+    List.filter_map
+      (fun (f : L.finding) -> if f.L.code = "E005" then Some f.L.message else None)
+      (Option.get (Omos.Server.lint_report s "/t/ulib")).L.findings
+  in
+  let s = server () in
+  u s;
+  Omos.Server.register_meta_source s "/t/ulib" src;
+  Alcotest.(check (list string)) "unknown" [ "unknown server object /t/later" ]
+    (e005 s);
+  Omos.Server.add_fragment s "/t/later/x.o" (asm_obj "/t/later/x.o" [ ("x", None) ]);
+  Omos.Server.register_meta_source s "/t/ulib" src;
+  Alcotest.(check (list string)) "a directory now" [ "/t/later is a directory" ]
+    (e005 s);
+  later s;
+  let w0 = walked s and r0 = replayed s in
+  Omos.Server.register_meta_source s "/t/ulib" src;
+  (* the root, and the name with its new leaf *)
+  Alcotest.(check int) "spine walked" 3 (walked s - w0);
+  Alcotest.(check int) "/t/u.o and other metas replayed" (1 + others s)
+    (replayed s - r0);
+  let fresh = server () in
+  u fresh;
+  later fresh;
+  Omos.Server.register_meta_source fresh "/t/ulib" src;
+  check_fresh ~what:"resolvable" s fresh [ "/t/ulib" ]
+
 (* every Reused verdict over a fuzzed single-edit pair materializes
    byte-identically — the proof obligation discharged over the same
    edit distribution the incremental-relink oracle replays *)
@@ -583,6 +808,16 @@ let () =
         [
           Alcotest.test_case "counters + provenance" `Quick
             test_registration_counters_and_provenance;
+          Alcotest.test_case "every report refreshed" `Quick
+            test_registration_refreshes_every_report;
+          Alcotest.test_case "kept walk: rebound fragment" `Quick
+            test_kept_walk_rebound_fragment;
+          Alcotest.test_case "kept walk: moved hide" `Quick
+            test_kept_walk_moved_hide;
+          Alcotest.test_case "kept walk: name becomes cyclic" `Quick
+            test_kept_walk_name_becomes_cyclic;
+          Alcotest.test_case "kept walk: name becomes resolvable" `Quick
+            test_kept_walk_name_becomes_resolvable;
         ] );
       ( "impact",
         [
