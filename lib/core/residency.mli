@@ -2,7 +2,7 @@
     address-space arenas.
 
     Historically the cache and the arenas were reconciled ad hoc inside
-    [Server.link_in_arena] and [Server.evict_to_budget] and could
+    the server's build and eviction paths and could
     silently diverge: a cache hit could map an image over another
     library's range, evicting a [static:] entry released lib-arena
     intervals it never owned, and a stale candidate could shadow the

@@ -74,8 +74,9 @@ type job = {
   mutable jdata_size : int;
   mutable jtdec : Constraints.Placement.decision option;
   mutable jddec : Constraints.Placement.decision option;
-  mutable jframe : Telemetry.Provenance.open_frame option;
-      (* the suspended binding-journal frame between stages *)
+  mutable jframe : Telemetry.Provenance.frame option;
+      (* the build's binding journal, opened at lint; the lint, eval
+         and link stages install it while they run *)
   mutable jreacquire_conflict : int option;
       (* wanted text base of a failed cache-hit reacquisition *)
   mutable jpark_us : float; (* when the job last parked (batch/coalesce) *)
@@ -135,10 +136,6 @@ type t = {
       (* graph-node digest -> reuse plan, rebuilt on registration *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
   mutable conflicts : conflict list;
-  (* charge server-side build work to the simulated clock? The paper's
-     common case is install-time generation, so misses normally charge;
-     benches can turn it off to isolate steady state. *)
-  mutable charge_build_work : bool;
   (* -- the staged request pipeline -- *)
   sched : Simos.Sched.t;
   jobs : (int, job) Hashtbl.t; (* ticket -> job (pruned on delivery) *)
@@ -260,7 +257,6 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     impact_plan = Hashtbl.create 64;
     subtree_reuse = true;
     conflicts = [];
-    charge_build_work = true;
     sched;
     jobs = Hashtbl.create 64;
     inflight = 0;
@@ -301,7 +297,6 @@ let kernel (t : t) : Simos.Kernel.t = t.kernel
 let text_arena (t : t) : Constraints.Placement.t = t.text_arena
 let data_arena (t : t) : Constraints.Placement.t = t.data_arena
 let residency (t : t) : Residency.t = t.residency
-let set_charge_build_work (t : t) (b : bool) : unit = t.charge_build_work <- b
 
 let set_self_check (t : t) (b : bool) : unit =
   Residency.set_self_check t.residency b
@@ -526,29 +521,24 @@ let eval (t : t) (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
 let charge_link (t : t) (stats : Linker.Link.stats) : unit =
   t.work.links <- t.work.links + 1;
   t.work.relocs <- t.work.relocs + stats.Linker.Link.relocs_applied;
-  if t.charge_build_work then begin
-    let cost = t.kernel.Simos.Kernel.cost in
-    Simos.Kernel.charge_sys t.kernel
-      (cost.Simos.Cost.reloc_apply *. float_of_int stats.Linker.Link.relocs_applied);
-    Simos.Kernel.charge_sys t.kernel
-      (cost.Simos.Cost.symbol_lookup *. float_of_int stats.Linker.Link.symbols_resolved)
-  end
+  let cost = t.kernel.Simos.Kernel.cost in
+  Simos.Kernel.charge_sys t.kernel
+    (cost.Simos.Cost.reloc_apply *. float_of_int stats.Linker.Link.relocs_applied);
+  Simos.Kernel.charge_sys t.kernel
+    (cost.Simos.Cost.symbol_lookup *. float_of_int stats.Linker.Link.symbols_resolved)
 
 (* Human-readable placement decision for the provenance record. *)
-let placement_summary
-    (parts : (string * Constraints.Placement.decision option) list) : string =
+let placement_summary (parts : (string * Constraints.Placement.decision) list)
+    : string =
   String.concat " "
     (List.map
-       (fun (seg, dec) ->
-         match dec with
-         | None -> seg
-         | Some (d : Constraints.Placement.decision) ->
-             Printf.sprintf "%s@0x%08x%s%s" seg d.Constraints.Placement.base
-               (if d.Constraints.Placement.reused then " (reused)" else "")
-               (match d.Constraints.Placement.satisfied with
-               | Some p ->
-                   Format.asprintf " satisfying %a" Constraints.Placement.pp_pref p
-               | None -> ""))
+       (fun (seg, (d : Constraints.Placement.decision)) ->
+         Printf.sprintf "%s@0x%08x%s%s" seg d.Constraints.Placement.base
+           (if d.Constraints.Placement.reused then " (reused)" else "")
+           (match d.Constraints.Placement.satisfied with
+           | Some p ->
+               Format.asprintf " satisfying %a" Constraints.Placement.pp_pref p
+           | None -> ""))
        parts)
 
 (* Sizes a module will occupy, for placement before linking. *)
@@ -578,186 +568,6 @@ let prefs_for (seg : Blueprint.Mgraph.seg) (cs : Blueprint.Mgraph.constraint_pre
     Stale builts must be re-requested before mapping. *)
 let built_evicted (b : built) : bool =
   b.entry.Cache.residency = Cache.Evicted
-
-(* Place and link an evaluated module into the shared arenas (library
-   path). Reuses a cached placement when the constraint system allows —
-   the paper's "highly desired" reuse constraint. [r] is forced only
-   when no cached placement can be revived, so warm hits never
-   re-evaluate the graph, and rebuilds always link the real module. *)
-let link_in_arena (t : t) ~(name : string) ~(cache_key : string)
-    ?(externals = []) (r : Blueprint.Mgraph.result Lazy.t) : built =
-  let build_fresh () =
-    (* open the binding-journal frame before the graph is forced, so
-       every jigsaw operator and the link below record into it *)
-    Telemetry.Provenance.begin_build ();
-    (* registration-time lint findings travel with every build of the
-       meta, so explain/trace surface them next to binding decisions *)
-    (match Hashtbl.find_opt t.lints name with
-    | Some (rep : Analysis.Lint.report) ->
-        List.iter
-          (fun (f : Analysis.Lint.finding) ->
-            Telemetry.Provenance.record_lint ~code:f.Analysis.Lint.code
-              ~severity:
-                (Analysis.Lint.severity_to_string f.Analysis.Lint.severity)
-              ~path:f.Analysis.Lint.path f.Analysis.Lint.message)
-          rep.Analysis.Lint.findings
-    | None -> ());
-    let r = Lazy.force r in
-    let text_size, data_size = module_sizes r.Blueprint.Mgraph.m in
-    (* record when the strongest preference could not be honoured; the
-       residency fault hook may block that preference first *)
-    let place_noting arena seg size prefs =
-      Residency.with_place_conflict t.residency ~arena ~prefs @@ fun () ->
-      let dec = Constraints.Placement.place arena ~size ~owner:name ~prefs () in
-      (match List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs with
-      | (_, wanted) :: _ when dec.Constraints.Placement.satisfied <> Some wanted ->
-          Telemetry.Counter.incr tm_arena_conflicts;
-          t.conflicts <-
-            { c_owner = name; c_seg = seg; c_wanted = wanted;
-              c_got = dec.Constraints.Placement.base }
-            :: t.conflicts
-      | _ -> ());
-      dec
-    in
-    let tdec =
-      place_noting t.text_arena Blueprint.Mgraph.Seg_text (max text_size 1)
-        (prefs_for Blueprint.Mgraph.Seg_text r.Blueprint.Mgraph.constraints)
-    in
-    let ddec =
-      place_noting t.data_arena Blueprint.Mgraph.Seg_data (max data_size 1)
-        (prefs_for Blueprint.Mgraph.Seg_data r.Blueprint.Mgraph.constraints)
-    in
-    let t0 = Telemetry.now_us () in
-    (* the link and its simulated-cost charges share one span, so the
-       profiler attributes the whole link phase to "server.link" *)
-    let img, _lstats =
-      Telemetry.with_span "server.link" @@ fun () ->
-      let img, lstats =
-        Linker.Link.link ~externals ~allow_undefined:true
-          ~layout:
-            {
-              Linker.Link.text_base = tdec.Constraints.Placement.base;
-              data_base = ddec.Constraints.Placement.base;
-            }
-          (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-      in
-      charge_link t lstats;
-      (img, lstats)
-    in
-    Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-    let provenance =
-      Telemetry.Provenance.capture ~key:cache_key
-        ~text_base:tdec.Constraints.Placement.base
-        ~data_base:ddec.Constraints.Placement.base
-        ~placement:
-          (placement_summary [ ("text", Some tdec); ("data", Some ddec) ])
-        ~generation:(Cache.generation t.cache) ()
-    in
-    Telemetry.Provenance.note_built ~name provenance;
-    let e =
-      Cache.insert t.cache ~key:cache_key
-        ~text_base:tdec.Constraints.Placement.base
-        ~data_base:ddec.Constraints.Placement.base ~provenance
-        { img with Linker.Image.name }
-    in
-    Residency.note_placed t.residency e;
-    { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest img }
-  in
-  let acceptable = Residency.acceptable t.residency ~owner:name in
-  match Cache.find t.cache cache_key ~acceptable with
-  | Some e -> (
-      (* re-establish the reservation of the revived placement *)
-      match Residency.reacquire t.residency ~owner:name e with
-      | Ok () -> { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest e.Cache.image }
-      | Error _conflicting ->
-          (* the range was taken between the acceptability check and
-             the reservation (or a reserve fault fired): a placement
-             conflict — rebuild as an alternate placement and record
-             where the image wanted to be vs. where it went *)
-          let b = build_fresh () in
-          Telemetry.Counter.incr tm_arena_conflicts;
-          t.conflicts <-
-            {
-              c_owner = name;
-              c_seg = Blueprint.Mgraph.Seg_text;
-              c_wanted = Constraints.Placement.At e.Cache.text_base;
-              c_got = b.entry.Cache.text_base;
-            }
-            :: t.conflicts;
-          b)
-  | None ->
-      (* stale candidates whose reservations are gone drop to Evicted
-         so they can never shadow the fresh construction *)
-      List.iter
-        (fun e -> ignore (Residency.demote_if_lost t.residency e))
-        (Cache.candidates t.cache cache_key);
-      build_fresh ()
-
-(** Build (or fetch) the image of a {e library} meta-object: fully
-    bound, placed by the constraint system, cached, shared. Undefined
-    symbols are allowed (libraries may reference client symbols — the
-    paper's "furthest downstream" discussion) unless [externals]
-    satisfy them. *)
-let build_library_raw (t : t) ~(path : string)
-    ?(spec : (string * Blueprint.Mgraph.value list) option) ?(externals = []) () :
-    built =
-  let meta = find_meta t path in
-  let graph = Blueprint.Meta.effective_graph meta ~spec in
-  let cache_key =
-    "lib:" ^ path ^ ":" ^ Blueprint.Mgraph.digest graph
-    ^ String.concat "" (List.map (fun i -> ":" ^ Linker.Image.digest i) externals)
-  in
-  let r =
-    lazy
-      (t.work.instantiations <- t.work.instantiations + 1;
-       eval t graph)
-  in
-  link_in_arena t ~name:path ~cache_key ~externals r
-
-(** Build (or fetch) a fully static image of an arbitrary graph at the
-    client base addresses — generic instantiation (also the static
-    scheme and the interposition examples). *)
-let build_static_raw (t : t) ~(name : string) ?(entry_symbol : string option)
-    ?(externals = []) (graph : Blueprint.Mgraph.node) : built =
-  let cache_key =
-    "static:" ^ name ^ ":" ^ Blueprint.Mgraph.digest graph
-    ^ String.concat "" (List.map (fun i -> ":" ^ Linker.Image.digest i) externals)
-  in
-  match Cache.find t.cache cache_key ~acceptable:(fun _ -> true) with
-  | Some e -> { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest e.Cache.image }
-  | None ->
-      Telemetry.Provenance.begin_build ();
-      t.work.instantiations <- t.work.instantiations + 1;
-      let r = eval t graph in
-      let t0 = Telemetry.now_us () in
-      let img, _lstats =
-        Telemetry.with_span "server.link" @@ fun () ->
-        let img, lstats =
-          Linker.Link.link ?entry:entry_symbol ~externals
-            ~layout:
-              { Linker.Link.text_base = client_text_base; data_base = client_data_base }
-            (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-        in
-        charge_link t lstats;
-        (img, lstats)
-      in
-      Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-      let provenance =
-        Telemetry.Provenance.capture ~key:cache_key ~text_base:client_text_base
-          ~data_base:client_data_base
-          ~placement:
-            (Printf.sprintf "static text@0x%08x data@0x%08x" client_text_base
-               client_data_base)
-          ~generation:(Cache.generation t.cache) ()
-      in
-      Telemetry.Provenance.note_built ~name provenance;
-      let e =
-        Cache.insert t.cache ~key:cache_key ~text_base:client_text_base
-          ~data_base:client_data_base ~provenance
-          { img with Linker.Image.name }
-      in
-      Residency.note_static t.residency e;
-      { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest img }
 
 (* -- the unified request API ------------------------------------------------ *)
 
@@ -838,7 +648,7 @@ and spawn_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
 
 (* map: the last stage — the built image is mappable; seal the
    response, observe the request-level metrics, and run the residency
-   self-check exactly as the synchronous path always did. *)
+   self-check. *)
 and stage_map (t : t) (job : job) (b : built) () : unit =
   let done_us = Telemetry.now_us () in
   let sim_us = done_us -. job.jsubmit_us in
@@ -869,87 +679,62 @@ and stage_map (t : t) (job : job) (b : built) () : unit =
   finish t job
     (Ok { built = b; cache_hit = job.jhit; sim_us; queue_us; batch_us; coalesce_us })
 
-(* link: place decisions are in; perform the real link, capture the
-   binding journal, insert into the cache, establish residency. *)
+(* link: place decisions are in; perform the real link into the job's
+   journal, capture it, insert into the cache, establish residency. The
+   targets differ only in where the image goes and how it is held: a
+   library at its placed arena bases, undefined symbols allowed; a
+   static image at the client bases, with its entry point. *)
 and stage_link (t : t) (job : job) () : unit =
-  (match job.jframe with
-  | Some f -> Telemetry.Provenance.resume_build f
-  | None -> ());
-  job.jframe <- None;
+  let frame = Option.get job.jframe in
   let r = Option.get job.jeval in
   let name = job.jname in
-  let b =
+  let text_base, data_base, entry, allow_undefined, placement, note =
     match job.jreq.target with
     | Library _ ->
         let tdec = Option.get job.jtdec and ddec = Option.get job.jddec in
-        let t0 = Telemetry.now_us () in
-        let img, _lstats =
-          Telemetry.with_span "server.link" @@ fun () ->
-          let img, lstats =
-            Linker.Link.link ~externals:job.jreq.externals
-              ~allow_undefined:true
-              ~layout:
-                {
-                  Linker.Link.text_base = tdec.Constraints.Placement.base;
-                  data_base = ddec.Constraints.Placement.base;
-                }
-              (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-          in
-          charge_link t lstats;
-          (img, lstats)
-        in
-        Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-        let provenance =
-          Telemetry.Provenance.capture ~key:job.jkey
-            ~text_base:tdec.Constraints.Placement.base
-            ~data_base:ddec.Constraints.Placement.base
-            ~placement:
-              (placement_summary [ ("text", Some tdec); ("data", Some ddec) ])
-            ~generation:(Cache.generation t.cache) ()
-        in
-        Telemetry.Provenance.note_built ~name provenance;
-        let e =
-          Cache.insert t.cache ~key:job.jkey
-            ~text_base:tdec.Constraints.Placement.base
-            ~data_base:ddec.Constraints.Placement.base ~provenance
-            { img with Linker.Image.name }
-        in
-        Residency.note_placed t.residency e;
-        { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest img }
+        ( tdec.Constraints.Placement.base,
+          ddec.Constraints.Placement.base,
+          None,
+          Some true,
+          placement_summary [ ("text", tdec); ("data", ddec) ],
+          Residency.note_placed )
     | Static { entry_symbol; _ } ->
-        let t0 = Telemetry.now_us () in
-        let img, _lstats =
-          Telemetry.with_span "server.link" @@ fun () ->
-          let img, lstats =
-            Linker.Link.link ?entry:entry_symbol ~externals:job.jreq.externals
-              ~layout:
-                {
-                  Linker.Link.text_base = client_text_base;
-                  data_base = client_data_base;
-                }
-              (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-          in
-          charge_link t lstats;
-          (img, lstats)
-        in
-        Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-        let provenance =
-          Telemetry.Provenance.capture ~key:job.jkey
-            ~text_base:client_text_base ~data_base:client_data_base
-            ~placement:
-              (Printf.sprintf "static text@0x%08x data@0x%08x" client_text_base
-                 client_data_base)
-            ~generation:(Cache.generation t.cache) ()
-        in
-        Telemetry.Provenance.note_built ~name provenance;
-        let e =
-          Cache.insert t.cache ~key:job.jkey ~text_base:client_text_base
-            ~data_base:client_data_base ~provenance
-            { img with Linker.Image.name }
-        in
-        Residency.note_static t.residency e;
-        { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest img }
+        ( client_text_base,
+          client_data_base,
+          entry_symbol,
+          None,
+          Printf.sprintf "static text@0x%08x data@0x%08x" client_text_base
+            client_data_base,
+          Residency.note_static )
   in
+  let link () =
+    let img, lstats =
+      Linker.Link.link ?entry ~externals:job.jreq.externals ?allow_undefined
+        ~layout:{ Linker.Link.text_base; data_base }
+        (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
+    in
+    charge_link t lstats;
+    img
+  in
+  let t0 = Telemetry.now_us () in
+  (* the link and its simulated-cost charges share one span, so the
+     profiler attributes the whole link phase to "server.link" *)
+  let img =
+    Telemetry.Provenance.with_frame frame (fun () ->
+        Telemetry.with_span "server.link" link)
+  in
+  Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
+  let provenance =
+    Telemetry.Provenance.capture frame ~key:job.jkey ~text_base ~data_base
+      ~placement ~generation:(Cache.generation t.cache)
+  in
+  Telemetry.Provenance.note_built ~name provenance;
+  let e =
+    Cache.insert t.cache ~key:job.jkey ~text_base ~data_base ~provenance
+      { img with Linker.Image.name }
+  in
+  note t.residency e;
+  let b = { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest img } in
   (* a failed reacquisition of a cached placement is a conflict:
      record where the image wanted to be vs. where it went *)
   (match job.jreacquire_conflict with
@@ -960,7 +745,7 @@ and stage_link (t : t) (job : job) () : unit =
           c_owner = name;
           c_seg = Blueprint.Mgraph.Seg_text;
           c_wanted = Constraints.Placement.At wanted;
-          c_got = b.entry.Cache.text_base;
+          c_got = text_base;
         }
         :: t.conflicts
   | None -> ());
@@ -968,9 +753,8 @@ and stage_link (t : t) (job : job) () : unit =
 
 (* place (single): the unbatched path — one solver pass per request. *)
 and stage_place_single (t : t) (job : job) () : unit =
-  if t.charge_build_work then
-    Simos.Kernel.charge_sys t.kernel
-      t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
+  Simos.Kernel.charge_sys t.kernel
+    t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
   Telemetry.Histogram.observe tm_batch_size 1.0;
   let r = Option.get job.jeval in
   let place_noting arena seg size prefs =
@@ -993,12 +777,11 @@ and stage_place_single (t : t) (job : job) () : unit =
 
 (* eval: force the m-graph (misses only — hits never re-evaluate). *)
 and stage_eval (t : t) (job : job) () : unit =
-  (match job.jframe with
-  | Some f -> Telemetry.Provenance.resume_build f
-  | None -> ());
   t.work.instantiations <- t.work.instantiations + 1;
-  let r = eval t (Option.get job.jgraph) in
-  job.jframe <- Some (Telemetry.Provenance.suspend_build ());
+  let r =
+    Telemetry.Provenance.with_frame (Option.get job.jframe) @@ fun () ->
+    eval t (Option.get job.jgraph)
+  in
   job.jeval <- Some r;
   match job.jreq.target with
   | Static _ -> spawn_stage t job "link" (stage_link t job)
@@ -1007,7 +790,7 @@ and stage_eval (t : t) (job : job) () : unit =
       job.jtext_size <- max text_size 1;
       job.jdata_size <- max data_size 1;
       if t.batch_place then begin
-        (* park at the place barrier; the drain loop flushes the whole
+        (* park at the place barrier; the pump loop flushes the whole
            queue as one constraint pass when nothing else can run. No
            time is charged between here and the end of the eval stage,
            so the park timestamp tiles exactly against the segment. *)
@@ -1018,12 +801,16 @@ and stage_eval (t : t) (job : job) () : unit =
       end
       else spawn_stage t job "place" (stage_place_single t job)
 
-(* lint: open the binding-journal frame and replay the registration-time
-   findings into it, so every build of the meta carries them. *)
+(* lint: open the build's binding-journal frame and replay the
+   registration-time findings into it, so every build of the meta
+   carries them; followers that coalesced onto this build before its
+   frame existed follow the findings. *)
 and stage_lint (t : t) (job : job) () : unit =
-  Telemetry.Provenance.begin_build ();
+  let frame = Telemetry.Provenance.open_frame () in
+  job.jframe <- Some frame;
   (match Hashtbl.find_opt t.lints job.jname with
   | Some (rep : Analysis.Lint.report) ->
+      Telemetry.Provenance.with_frame frame @@ fun () ->
       List.iter
         (fun (f : Analysis.Lint.finding) ->
           Telemetry.Provenance.record_lint ~code:f.Analysis.Lint.code
@@ -1031,43 +818,38 @@ and stage_lint (t : t) (job : job) () : unit =
             ~path:f.Analysis.Lint.path f.Analysis.Lint.message)
         rep.Analysis.Lint.findings
   | None -> ());
-  (* followers that coalesced onto this build before its frame existed *)
   for _ = 1 to job.jpending_coalesced do
-    Telemetry.Provenance.record_coalesced ~leader_request:job.jt
+    Telemetry.Provenance.record_coalesced_into frame ~leader_request:job.jt
   done;
   job.jpending_coalesced <- 0;
-  job.jframe <- Some (Telemetry.Provenance.suspend_build ());
   spawn_stage t job "eval" (stage_eval t job)
 
 (* parse: resolve the target, fix the cache key, and serve cache hits
    without touching the build stages. A job whose key is already being
    built parks as a waiter (request coalescing). *)
 and stage_parse (t : t) (job : job) () : unit =
+  let name, graph =
+    match job.jreq.target with
+    | Library { path; spec } ->
+        (path, Blueprint.Meta.effective_graph (find_meta t path) ~spec)
+    | Static { name; graph; _ } -> (name, graph)
+  in
+  job.jname <- name;
+  job.jgraph <- Some graph;
+  job.jkey <-
+    target_label job.jreq.target ^ ":" ^ Blueprint.Mgraph.digest graph
+    ^ String.concat ""
+        (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
+  let hit (e : Cache.entry) =
+    job.jhit <- true;
+    spawn_stage t job "map"
+      (stage_map t job
+         { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image })
+  in
   let fresh () =
     Hashtbl.replace t.building job.jkey job.jt;
     spawn_stage t job "lint" (stage_lint t job)
   in
-  (match job.jreq.target with
-  | Library { path; spec } ->
-      let meta = find_meta t path in
-      let graph = Blueprint.Meta.effective_graph meta ~spec in
-      job.jname <- path;
-      job.jgraph <- Some graph;
-      job.jkey <-
-        "lib:" ^ path ^ ":" ^ Blueprint.Mgraph.digest graph
-        ^ String.concat ""
-            (List.map
-               (fun i -> ":" ^ Linker.Image.digest i)
-               job.jreq.externals)
-  | Static { name; graph; _ } ->
-      job.jname <- name;
-      job.jgraph <- Some graph;
-      job.jkey <-
-        "static:" ^ name ^ ":" ^ Blueprint.Mgraph.digest graph
-        ^ String.concat ""
-            (List.map
-               (fun i -> ":" ^ Linker.Image.digest i)
-               job.jreq.externals));
   match Hashtbl.find_opt t.building job.jkey with
   | Some leader ->
       Telemetry.Counter.incr tm_coalesced;
@@ -1088,44 +870,29 @@ and stage_parse (t : t) (job : job) () : unit =
   | None -> (
       match job.jreq.target with
       | Static _ -> (
-        match Cache.find t.cache job.jkey ~acceptable:(fun _ -> true) with
-        | Some e ->
-            job.jhit <- true;
-            spawn_stage t job "map"
-              (stage_map t job
-                 {
-                   entry = e;
-                   key = job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image;
-                 })
-        | None -> fresh ())
-    | Library _ -> (
-        let acceptable = Residency.acceptable t.residency ~owner:job.jname in
-        match Cache.find t.cache job.jkey ~acceptable with
-        | Some e -> (
-            (* re-establish the reservation of the revived placement *)
-            match Residency.reacquire t.residency ~owner:job.jname e with
-            | Ok () ->
-                job.jhit <- true;
-                spawn_stage t job "map"
-                  (stage_map t job
-                     {
-                       entry = e;
-                       key =
-                         job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image;
-                     })
-            | Error _conflicting ->
-                (* the range was taken between the acceptability check
-                   and the reservation (or a reserve fault fired):
-                   rebuild as an alternate placement *)
-                job.jreacquire_conflict <- Some e.Cache.text_base;
-                fresh ())
-        | None ->
-            (* stale candidates whose reservations are gone drop to
-               Evicted so they can never shadow the fresh construction *)
-            List.iter
-              (fun e -> ignore (Residency.demote_if_lost t.residency e))
-              (Cache.candidates t.cache job.jkey);
-            fresh ()))
+          match Cache.find t.cache job.jkey ~acceptable:(fun _ -> true) with
+          | Some e -> hit e
+          | None -> fresh ())
+      | Library _ -> (
+          let acceptable = Residency.acceptable t.residency ~owner:name in
+          match Cache.find t.cache job.jkey ~acceptable with
+          | Some e -> (
+              (* re-establish the reservation of the revived placement *)
+              match Residency.reacquire t.residency ~owner:name e with
+              | Ok () -> hit e
+              | Error _conflicting ->
+                  (* the range was taken between the acceptability check
+                     and the reservation (or a reserve fault fired):
+                     rebuild as an alternate placement *)
+                  job.jreacquire_conflict <- Some e.Cache.text_base;
+                  fresh ())
+          | None ->
+              (* stale candidates whose reservations are gone drop to
+                 Evicted so they can never shadow the fresh construction *)
+              List.iter
+                (fun e -> ignore (Residency.demote_if_lost t.residency e))
+                (Cache.candidates t.cache job.jkey);
+              fresh ()))
 
 (* Flush the place barrier: solve every parked placement in one
    constraint pass (ticket order), one solver charge for the whole
@@ -1142,9 +909,8 @@ and flush_place (t : t) : unit =
       let n = List.length jobs in
       Telemetry.Histogram.observe tm_batch_size (float_of_int n);
       let t0 = Telemetry.now_us () in
-      if t.charge_build_work then
-        Simos.Kernel.charge_sys t.kernel
-          t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
+      Simos.Kernel.charge_sys t.kernel
+        t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
       let by_index = Array.of_list jobs in
       (* per-member simulated time spent inside its own wrapped solve
          (both arenas) — the member's self-share of the flush interval;
@@ -1289,17 +1055,18 @@ let submit (t : t) (req : request) : ticket =
   spawn_stage t job "parse" (stage_parse t job);
   id
 
-(* One pump round: run scheduler tasks; when nothing is runnable,
-   flush the place barrier and keep going. *)
-let rec pump (t : t) : unit =
-  if Simos.Sched.step t.sched then pump t
-  else if t.place_q <> [] then begin
-    flush_place t;
-    pump t
-  end
+(* Drive the pipeline until [stop ()] holds or nothing is left to run:
+   a ready stage runs first; when none is, the place barrier flushes. *)
+let rec pump (t : t) ~(stop : unit -> bool) : unit =
+  if
+    (not (stop ()))
+    && (Simos.Sched.step t.sched
+       || (t.place_q <> [] && (flush_place t; true)))
+  then pump t ~stop
 
 (** Run the pipeline until every submitted request has completed. *)
-let drain (t : t) : unit = if not (Simos.Sched.running t.sched) then pump t
+let drain (t : t) : unit =
+  if not (Simos.Sched.running t.sched) then pump t ~stop:(fun () -> false)
 
 (** Requests submitted but not yet completed. *)
 let in_flight (t : t) : int = t.inflight
@@ -1328,60 +1095,30 @@ let poll (t : t) (tk : ticket) : response option =
 let await (t : t) (tk : ticket) : response =
   match Hashtbl.find_opt t.jobs tk with
   | None -> fail "unknown (or already delivered) ticket %d" tk
-  | Some job ->
-      let rec loop () =
-        match job.joutcome with
-        | Some _ -> deliver t tk job
-        | None ->
-            if Simos.Sched.step t.sched then loop ()
-            else if t.place_q <> [] then begin
-              flush_place t;
-              loop ()
-            end
-            else fail "pipeline stalled awaiting ticket %d" tk
-      in
-      loop ()
-
-(* The synchronous path for nested instantiations: a specializer or an
-   upcall may instantiate a library while the scheduler is mid-drain
-   (its request is a stage of another request) — those run inline,
-   bypassing the queue, exactly like the pre-pipeline server. *)
-let instantiate_inline (t : t) (req : request) : response =
-  Telemetry.Request.with_request "instantiate" @@ fun () ->
-  let t0 = Telemetry.now_us () in
-  let links0 = t.work.links in
-  ignore (Residency.maybe_evict_storm t.residency);
-  let built =
-    match req.target with
-    | Library { path; spec } ->
-        build_library_raw t ~path ?spec ~externals:req.externals ()
-    | Static { name; graph; entry_symbol } ->
-        build_static_raw t ~name ?entry_symbol ~externals:req.externals graph
-  in
-  let cache_hit = t.work.links = links0 in
-  let sim_us = Telemetry.now_us () -. t0 in
-  Telemetry.Counter.incr tm_instantiations;
-  Telemetry.Histogram.observe tm_instantiate_us sim_us;
-  Residency.self_check t.residency;
-  Telemetry.Health.record ~hit:cache_hit ~cost_us:sim_us ();
-  { built; cache_hit; sim_us; queue_us = 0.0; batch_us = 0.0; coalesce_us = 0.0 }
+  | Some job -> (
+      pump t ~stop:(fun () -> job.joutcome <> None);
+      match job.joutcome with
+      | Some _ -> deliver t tk job
+      | None -> fail "pipeline stalled awaiting ticket %d" tk)
 
 (** Serve one instantiation request synchronously: submit it, drive the
     pipeline until it completes. Opens the root ["omos.instantiate"]
-    span; evaluation, placement, linking and caching all nest under it
-    (a nested call from inside a running stage executes inline). *)
+    span; evaluation, placement, linking and caching all nest under it.
+    A call from inside a running stage (a specializer evaluating a
+    graph, say) raises [Server_error] naming its target, which fails
+    the enclosing request: nested instantiation is not supported. *)
 let instantiate (t : t) (req : request) : response =
-  if Simos.Sched.running t.sched then instantiate_inline t req
-  else begin
-    let span =
-      Telemetry.Span.enter "omos.instantiate"
-        ~attrs:[ ("target", Telemetry.S (target_label req.target)) ]
-    in
-    Fun.protect ~finally:(fun () -> Telemetry.Span.exit span) @@ fun () ->
-    let resp = await t (submit t req) in
-    Telemetry.Span.add_attr span "cache_hit" (Telemetry.B resp.cache_hit);
-    resp
-  end
+  if Simos.Sched.running t.sched then
+    fail "nested instantiate of %s: called from inside a pipeline stage"
+      (target_label req.target);
+  let span =
+    Telemetry.Span.enter "omos.instantiate"
+      ~attrs:[ ("target", Telemetry.S (target_label req.target)) ]
+  in
+  Fun.protect ~finally:(fun () -> Telemetry.Span.exit span) @@ fun () ->
+  let resp = await t (submit t req) in
+  Telemetry.Span.add_attr span "cache_hit" (Telemetry.B resp.cache_hit);
+  resp
 
 (** [build t req] = [(instantiate t req).built] — the one-call
     convenience for callers that only want the image. *)

@@ -6,15 +6,15 @@
     evaluation environment. Program linking and loading are the special
     case of generic object instantiation.
 
-    Every instantiation flows through a staged pipeline — parse → lint
-    → eval → place → link → map — driven by a cooperative scheduler
-    ({!Simos.Sched}) on the simulated clock. Clients either go
-    asynchronous ({!submit} a {!request}, later {!await}/{!poll} the
-    {!ticket}) or call the classic synchronous {!instantiate}, which is
-    a thin submit-and-drain wrapper. When several requests are in
-    flight, their stages interleave deterministically and the [place]
-    stage solves all queued placements as {e one} batched constraint
-    pass. *)
+    Every instantiation flows through one staged pipeline — parse →
+    lint → eval → place → link → map — driven by a cooperative
+    scheduler ({!Simos.Sched}) on the simulated clock; there is no
+    other build path. Clients either go asynchronous ({!submit} a
+    {!request}, later {!await}/{!poll} the {!ticket}) or call the
+    classic synchronous {!instantiate}, which is a thin
+    submit-and-await wrapper. When several requests are in flight,
+    their stages interleave deterministically and the [place] stage
+    solves all queued placements as {e one} batched constraint pass. *)
 
 exception Server_error of string
 
@@ -78,11 +78,6 @@ val data_arena : t -> Constraints.Placement.t
 (** The residency layer that keeps the cache and the arenas coherent
     (see {!Residency}); use it to run {!Residency.check_invariants}. *)
 val residency : t -> Residency.t
-
-(** Charge server-side build work (relocations, symbol lookups) to the
-    simulated clock? On by default; benches turn it off to isolate
-    steady state. *)
-val set_charge_build_work : t -> bool -> unit
 
 (** Enable/disable the automatic residency invariant check after every
     instantiate/evict (on by default). *)
@@ -276,7 +271,10 @@ val set_sched_seed : t -> int -> unit
 (** Serve one instantiation request to completion —
     [submit] + [await] under the root ["omos.instantiate"] telemetry
     span; evaluation, placement, linking and caching all nest under
-    it. *)
+    it.
+    @raise Server_error, naming the target, when called from inside a
+    running pipeline stage (a specializer, say): nested instantiation
+    is not supported, and the enclosing request fails with it. *)
 val instantiate : t -> request -> response
 
 (** [build t req] = [(instantiate t req).built]. *)

@@ -5,10 +5,8 @@ type task = { label : string; queued_at : float; run : unit -> unit }
 type t = {
   mutable queue : task list; (* newest-first; drained via rev *)
   mutable ready : task list; (* oldest-first tail being consumed *)
-  mutable idle_hooks : (unit -> bool) list; (* installation order *)
   mutable seed : int;
   mutable rng : int;
-  mutable executed : int;
   mutable in_step : bool;
   mutable now : unit -> float; (* spawn/dispatch timestamps *)
   mutable on_dispatch :
@@ -19,10 +17,8 @@ let create ?(seed = 0) () =
   {
     queue = [];
     ready = [];
-    idle_hooks = [];
     seed;
     rng = (if seed = 0 then 0 else seed land 0xffffffff);
-    executed = 0;
     in_step = false;
     now = (fun () -> 0.0);
     on_dispatch = None;
@@ -38,11 +34,6 @@ let set_seed (t : t) (seed : int) : unit =
 let spawn (t : t) ?(label = "task") (run : unit -> unit) : unit =
   t.queue <- { label; queued_at = t.now (); run } :: t.queue
 
-let on_idle (t : t) (hook : unit -> bool) : unit =
-  t.idle_hooks <- t.idle_hooks @ [ hook ]
-
-let pending (t : t) : int = List.length t.queue + List.length t.ready
-let steps (t : t) : int = t.executed
 let running (t : t) : bool = t.in_step
 
 (* xorshift32, the same generator the workload driver uses. *)
@@ -79,10 +70,9 @@ let take (t : t) : task option =
         Some picked
       end
 
-let rec step (t : t) : bool =
+let step (t : t) : bool =
   match take t with
   | Some task ->
-      t.executed <- t.executed + 1;
       (match t.on_dispatch with
       | Some hook ->
           hook ~label:task.label ~queued_us:task.queued_at
@@ -92,17 +82,4 @@ let rec step (t : t) : bool =
       t.in_step <- true;
       Fun.protect ~finally:(fun () -> t.in_step <- was) task.run;
       true
-  | None ->
-      (* quiescent run queue: let the idle hooks (batch barriers)
-         schedule more work *)
-      let rec fire = function
-        | [] -> false
-        | h :: rest -> if h () then true else fire rest
-      in
-      if fire t.idle_hooks then step t else false
-
-let drain (t : t) : unit =
-  if not t.in_step then
-    while step t do
-      ()
-    done
+  | None -> false

@@ -1,8 +1,8 @@
 (** A deterministic cooperative scheduler for the server's staged
     request pipeline.
 
-    Tasks are plain thunks queued on a run queue; {!drain} runs them to
-    completion on the caller's (simulated) time line — there is no
+    Tasks are plain thunks queued on a run queue; {!step} runs them one
+    at a time on the caller's (simulated) time line — there is no
     preemption and no wall-clock anywhere, so a run is exactly as
     deterministic as the tasks themselves. A task that wants to
     continue later simply {!spawn}s its continuation.
@@ -14,10 +14,10 @@
       tests can exercise interleavings other than submission order
       while staying byte-reproducible for a given seed.
 
-    Idle hooks ({!on_idle}) model batching barriers: when the run queue
-    empties, each hook in turn may schedule more work (the server's
-    placement stage parks requests and flushes them as one batch from
-    its hook). *)
+    Batching barriers belong to the caller: the server's place stage
+    parks requests outside the scheduler, and the server's pump loop
+    (behind [Server.drain] and [Server.await]) flushes them as one
+    batch whenever {!step} finds nothing ready. *)
 
 type t
 
@@ -44,26 +44,9 @@ val set_on_dispatch :
 (** Enqueue a task. [label] is carried for diagnostics. *)
 val spawn : t -> ?label:string -> (unit -> unit) -> unit
 
-(** Install an idle hook, called when the run queue is empty; it
-    returns [true] if it scheduled more work. Hooks fire in
-    installation order; the first one that returns [true] ends the
-    idle round. *)
-val on_idle : t -> (unit -> bool) -> unit
-
-(** Run one ready task (consulting idle hooks if the queue is empty).
-    Returns [false] when nothing ran — the scheduler is quiescent. *)
+(** Run one ready task. Returns [false] when nothing ran — the run
+    queue is empty. *)
 val step : t -> bool
 
-(** Run until quiescent (no ready tasks and no idle hook makes more).
-    Reentrant calls (from inside a task) return immediately — the
-    outer drain is already running the queue. *)
-val drain : t -> unit
-
-(** Ready tasks currently queued. *)
-val pending : t -> int
-
-(** Tasks executed since creation. *)
-val steps : t -> int
-
-(** Is a {!drain}/{!step} currently executing a task? *)
+(** Is a {!step} currently executing a task? *)
 val running : t -> bool

@@ -562,8 +562,9 @@ end
     monotonic request id, inherits (or sets) the client id, and pushes
     the pair into the flight-recorder context so every span, counter
     increment, transition, and fault recorded underneath carries
-    [(client, request)]. Requests nest (a specializer may instantiate a
-    library mid-request); ids stay monotonic across the nesting. *)
+    [(client, request)]. Requests nest (a partial-image client's first
+    call to a stubbed routine binds it with an instantiate inside the
+    [exec] request); ids stay monotonic across the nesting. *)
 module Request = struct
   type ctx = { client : int; id : int; kind : string }
 
@@ -1264,19 +1265,21 @@ end
 
 (** The binding journal. While enabled, the linker and the jigsaw
     operators record per-symbol decisions into the journal frame of the
-    build in flight; the server brackets each fresh build with
-    {!begin_build}/{!capture} and attaches the captured {!t} to the
-    resulting cache entry, so a cached image can explain itself long
-    after the link that produced it ([ofe explain]).
+    build stage running right now; each fresh build owns one frame
+    ({!open_frame}), its stages install it with {!with_frame}, and the
+    server {!capture}s it into the {!t} attached to the resulting cache
+    entry, so a cached image can explain itself long after the link
+    that produced it ([ofe explain]).
 
-    Frames form a stack because builds nest: a specializer may
-    instantiate a library in the middle of evaluating a client's
-    m-graph, and its journal must not leak into the outer build's.
+    Stages never nest, so no frame is installed when one starts;
+    {!with_frame} still reinstalls whatever was installed before, on
+    return or exception, so a failed stage cannot leave its frame
+    catching records made outside any build.
 
-    Recording is off by default ({!set_enabled}): when off,
-    {!begin_build}/{!capture} still bracket builds (entries always get a
-    provenance skeleton — key, placement, generation) but the per-symbol
-    event stream stays empty, so hot paths pay only a flag test. *)
+    Recording is off by default ({!set_enabled}): when off, captures
+    still produce a provenance skeleton (key, placement, generation)
+    but the per-symbol event stream stays empty, so hot paths pay only
+    a flag test. *)
 module Provenance = struct
   type event =
     | Op of { op : string; detail : string }
@@ -1322,33 +1325,31 @@ module Provenance = struct
   type frame = { mutable ops : string list; mutable events : event list }
   (* both newest-first *)
 
-  let frames : frame list ref = ref []
+  (* the frame of the build stage running right now *)
+  let current : frame option ref = ref None
 
-  let begin_build () : unit = frames := { ops = []; events = [] } :: !frames
+  let open_frame () : frame = { ops = []; events = [] }
 
-  type open_frame = frame
-  (** A journal frame detached from the global stack: the pipeline
-      suspends a build's frame between stages so interleaved requests
-      never record into each other's journals. *)
-
-  let suspend_build () : open_frame =
-    match !frames with
-    | f :: rest ->
-        frames := rest;
-        f
-    | [] -> { ops = []; events = [] }
-
-  let resume_build (f : open_frame) : unit = frames := f :: !frames
+  let with_frame (f : frame) (body : unit -> 'a) : 'a =
+    let prev = !current in
+    current := Some f;
+    match body () with
+    | v ->
+        current := prev;
+        v
+    | exception e ->
+        current := prev;
+        Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
 
   let record_event (e : event) : unit =
     if !prov_enabled then
-      match !frames with [] -> () | f :: _ -> f.events <- e :: f.events
+      match !current with None -> () | Some f -> f.events <- e :: f.events
 
   let record_op ~(op : string) ~(detail : string) : unit =
     if !prov_enabled then
-      match !frames with
-      | [] -> ()
-      | f :: _ ->
+      match !current with
+      | None -> ()
+      | Some f ->
           f.ops <- op :: f.ops;
           f.events <- Op { op; detail } :: f.events
 
@@ -1373,28 +1374,18 @@ module Provenance = struct
       (message : string) : unit =
     record_event (Lint { code; severity; path; message })
 
-  (** A coalesced follower joined the innermost open build. *)
-  let record_coalesced ~(leader_request : int) : unit =
-    record_event (Coalesced { leader_request })
-
-  (** Same, into a suspended frame: followers usually coalesce while
-      the leader's frame is detached between stages. *)
-  let record_coalesced_into (f : open_frame) ~(leader_request : int) : unit =
+  (** A coalesced follower joined [f]'s build: followers coalesce
+      between the leader's stages, while no frame is installed. *)
+  let record_coalesced_into (f : frame) ~(leader_request : int) : unit =
     if !prov_enabled then f.events <- Coalesced { leader_request } :: f.events
 
   (** A memoized subtree satisfied part of this build. *)
   let record_reused ~(digest : string) : unit =
     record_event (Reused { digest })
 
-  (** Close the innermost build frame into a provenance record. *)
-  let capture ~(key : string) ~(text_base : int) ~(data_base : int)
-      ~(placement : string) ~(generation : int) () : t =
-    let f, rest =
-      match !frames with
-      | [] -> ({ ops = []; events = [] }, [])
-      | f :: r -> (f, r)
-    in
-    frames := rest;
+  (** Close a build's frame into a provenance record. *)
+  let capture (f : frame) ~(key : string) ~(text_base : int)
+      ~(data_base : int) ~(placement : string) ~(generation : int) : t =
     {
       p_key = key;
       p_ops = List.rev f.ops;
@@ -1539,7 +1530,7 @@ module Provenance = struct
               p.p_transitions)) ]
 
   let clear_state () : unit =
-    frames := [];
+    current := None;
     Hashtbl.reset built
 end
 

@@ -219,7 +219,9 @@ end
     request id, inherits or sets the client id, and pushes the pair
     into the flight-recorder context — so spans, counters, residency
     transitions, and faults recorded underneath all carry
-    [(client, request)]. Requests nest; ids stay monotonic. *)
+    [(client, request)]. Requests nest (a partial-image client's
+    first call to a stubbed routine binds it with an instantiate inside
+    the [exec] request); ids stay monotonic. *)
 module Request : sig
   (** Ambient client id inherited by requests opened outside any
       enclosing request (default 0); workload drivers set it before
@@ -453,10 +455,11 @@ end
     cache entry the build produced — so cached images can explain
     themselves ([ofe explain]) without relinking.
 
-    The server brackets every fresh build with
-    {!Provenance.begin_build}/{!Provenance.capture}; frames stack
-    because builds nest (a specializer may instantiate a library while
-    evaluating a client graph). Event recording is off by default: when
+    Every fresh build owns one journal frame ({!Provenance.open_frame});
+    each of its pipeline stages installs the frame with
+    {!Provenance.with_frame} while it runs, and the link stage
+    {!Provenance.capture}s it. Stages never nest, so at most one frame
+    is installed at a time. Event recording is off by default: when
     disabled, captures still produce a provenance skeleton (key,
     placement, generation) with an empty event stream. *)
 module Provenance : sig
@@ -499,31 +502,31 @@ module Provenance : sig
 
   val is_enabled : unit -> bool
 
-  (** Open a journal frame for a build about to start. *)
-  val begin_build : unit -> unit
+  (** One build's journal. A build owns its frame across its stages,
+      so interleaved requests never record into each other's
+      journals. *)
+  type frame
 
-  (** A journal frame detached from the global stack: the pipeline
-      suspends a build's frame between stages so interleaved requests
-      never record into each other's journals. *)
-  type open_frame
+  (** A fresh, empty frame for a build about to start. *)
+  val open_frame : unit -> frame
 
-  (** Detach the innermost open frame. *)
-  val suspend_build : unit -> open_frame
+  (** [with_frame f body] runs [body] with [f] installed as the frame
+      the recording hooks write to, then reinstalls whatever was
+      installed before — on return and on exception alike. *)
+  val with_frame : frame -> (unit -> 'a) -> 'a
 
-  (** Push a detached frame back as the innermost open frame. *)
-  val resume_build : open_frame -> unit
-
-  (** Close the innermost frame into a provenance record. *)
+  (** Close a build's frame into a provenance record. *)
   val capture :
+    frame ->
     key:string ->
     text_base:int ->
     data_base:int ->
     placement:string ->
     generation:int ->
-    unit ->
     t
 
-  (** Recording hooks (no-ops while disabled, or outside any frame). *)
+  (** Recording hooks, writing to the installed frame (no-ops while
+      disabled, or while no frame is installed). *)
 
   val record_op : op:string -> detail:string -> unit
   val record_sym : op:string -> symbol:string -> ?prior:string -> string -> unit
@@ -534,20 +537,17 @@ module Provenance : sig
 
   val record_reloc : section:string -> count:int -> unit
 
-  (** Attach a pre-link lint finding to the open journal frame. Joins
+  (** Attach a pre-link lint finding to the installed frame. Joins
       the event stream only — the operator chain is untouched. *)
   val record_lint :
     code:string -> severity:string -> path:string -> string -> unit
 
-  (** Note on the innermost open frame that a coalesced follower is
-      being served by this build. *)
-  val record_coalesced : leader_request:int -> unit
+  (** Note on a build's frame that a coalesced follower is being
+      served by that build (the pipeline coalesces followers between
+      the leader's stages, while its frame is not installed). *)
+  val record_coalesced_into : frame -> leader_request:int -> unit
 
-  (** Same, onto a detached frame (the pipeline coalesces followers
-      between the leader's stages, while its frame is suspended). *)
-  val record_coalesced_into : open_frame -> leader_request:int -> unit
-
-  (** Note on the innermost open frame that a memoized subtree (by
+  (** Note on the installed frame that a memoized subtree (by
       interface digest) satisfied part of this build. *)
   val record_reused : digest:string -> unit
 

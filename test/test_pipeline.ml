@@ -60,6 +60,27 @@ let test_coalescing () =
   Alcotest.(check int) "coalesced counter" 2
     (Telemetry.Counter.get "pipeline.coalesced")
 
+(* -- nesting ----------------------------------------------------------------- *)
+
+(* A specializer runs inside the eval stage of the request that reaches
+   it. An instantiate from there must fail that request loudly, naming
+   what it asked for, and leave the pipeline ready for the next one. *)
+let test_nested_instantiate_fails () =
+  let s = fresh_world () in
+  Omos.Server.register_specializer s "nested" (fun env _args node ->
+      ignore (Omos.Server.instantiate s (Omos.Server.library "/lib/libm"));
+      Blueprint.Mgraph.eval env node);
+  Omos.Server.register_meta_source s "/t/nested"
+    "(specialize \"nested\" /lib/libm)";
+  (match Omos.Server.instantiate s (Omos.Server.library "/t/nested") with
+  | exception Omos.Server.Server_error msg ->
+      Alcotest.(check bool) "error names the nested target" true
+        (Astring.String.is_infix ~affix:"lib:/lib/libm" msg)
+  | _ -> Alcotest.fail "nested instantiate should fail");
+  Alcotest.(check int) "none in flight" 0 (Omos.Server.in_flight s);
+  let r = Omos.Server.instantiate s (Omos.Server.library "/lib/libm") in
+  Alcotest.(check bool) "next request builds" false r.Omos.Server.cache_hit
+
 (* -- batched placement ----------------------------------------------------- *)
 
 (* On a contiguous free region, one batched pass must reproduce exactly
@@ -243,6 +264,8 @@ let () =
           Alcotest.test_case "submit/await/poll" `Quick test_submit_await;
           Alcotest.test_case "sync wrapper" `Quick test_sync_wrapper_unchanged;
           Alcotest.test_case "coalescing" `Quick test_coalescing;
+          Alcotest.test_case "nested instantiate fails" `Quick
+            test_nested_instantiate_fails;
         ] );
       ( "batch",
         [

@@ -203,6 +203,35 @@ let test_histogram_percentiles () =
   Alcotest.(check (pair (float 0.001) (float 0.001)))
     "reservoir replacement is deterministic" a b
 
+(* A stage installs its build's frame only while it runs: a stage that
+   raises must not leave the frame catching records made outside any
+   build, and a nested install hands back the outer frame. *)
+let test_with_frame_restores () =
+  T.reset ();
+  T.Provenance.set_enabled true;
+  let capture f =
+    T.Provenance.capture f ~key:"k" ~text_base:0 ~data_base:0 ~placement:""
+      ~generation:0
+  in
+  let failed = T.Provenance.open_frame () in
+  (try
+     T.Provenance.with_frame failed (fun () ->
+         T.Provenance.record_op ~op:"inside" ~detail:"";
+         raise Exit)
+   with Exit -> ());
+  T.Provenance.record_op ~op:"outside" ~detail:"";
+  let outer = T.Provenance.open_frame () and inner = T.Provenance.open_frame () in
+  T.Provenance.with_frame outer (fun () ->
+      (try T.Provenance.with_frame inner (fun () -> raise Exit) with Exit -> ());
+      T.Provenance.record_op ~op:"after" ~detail:"");
+  T.Provenance.set_enabled false;
+  Alcotest.(check (list string)) "raising body's frame closed" [ "inside" ]
+    (capture failed).T.Provenance.p_ops;
+  Alcotest.(check (list string)) "outer frame reinstalled" [ "after" ]
+    (capture outer).T.Provenance.p_ops;
+  Alcotest.(check (list string)) "inner frame untouched" []
+    (capture inner).T.Provenance.p_ops
+
 let () =
   Alcotest.run "provenance"
     [
@@ -215,6 +244,8 @@ let () =
           Alcotest.test_case "residency transitions" `Quick
             test_residency_transitions;
           Alcotest.test_case "built digests" `Quick test_built_digests;
+          Alcotest.test_case "with_frame restores on raise" `Quick
+            test_with_frame_restores;
         ] );
       ( "profiler",
         [
