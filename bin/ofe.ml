@@ -1524,8 +1524,8 @@ let blame_cmd =
                        ("unknown --what-if knob: " ^ s
                       ^ " (expected batch=off, queue=inf or coalesce=off)")))
         in
-        (* record the run with the causal event graph on; the enable
-           switch survives the telemetry resets the drivers perform *)
+        (* retain the run's request timelines; the switch survives the
+           telemetry resets the drivers perform *)
         Telemetry.Causal.set_enabled true;
         (match workload with
         | Some _ ->

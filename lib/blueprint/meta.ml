@@ -68,10 +68,6 @@ let parse ~(name : string) (src : string) : t =
   in
   { name; default_spec = !default_spec; constraints = !constraints; root }
 
-(** Build a meta-object directly from a graph (no surface syntax). *)
-let of_graph ?(default_spec = None) ?(constraints = []) ~name root : t =
-  { name; default_spec; constraints; root }
-
 (** The graph to evaluate for this meta-object under an optional
     requested specialization: an explicit request wins over the
     default; the default-spec (if any) wraps the root; the meta's

@@ -19,14 +19,6 @@ type t = {
 (** Parse a meta-object file. @raise Meta_error. *)
 val parse : name:string -> string -> t
 
-(** Build a meta-object directly from a graph (no surface syntax). *)
-val of_graph :
-  ?default_spec:(string * Mgraph.value list) option ->
-  ?constraints:(Mgraph.seg * int) list ->
-  name:string ->
-  Mgraph.node ->
-  t
-
 (** The graph to evaluate under an optional requested specialization:
     an explicit request wins over the default; the constraint-list
     wraps everything as [Constrain] nodes. *)

@@ -399,16 +399,6 @@ let rec map_nodes (f : node -> node option) (n : node) : node =
       | Constrain (s, a, x) -> Constrain (s, a, map_nodes f x)
       | Lst xs -> Lst (List.map (map_nodes f) xs))
 
-(** The selector pattern a node carries, if its operator takes one. *)
-let selector_of (n : node) : string option =
-  match n with
-  | Freeze (p, _) | Restrict (p, _) | Project (p, _) | Hide (p, _)
-  | Show (p, _) | Copy_as (p, _, _) | Rename (_, p, _, _) ->
-      Some p
-  | Leaf _ | Name _ | Merge _ | Override _ | Initializers _ | Source _
-  | Specialize _ | Constrain _ | Lst _ ->
-      None
-
 (** Names referenced anywhere in the graph (dependency extraction). *)
 let rec names (n : node) : string list =
   match n with

@@ -158,9 +158,6 @@ val occurrence_key : string -> string
     local part of an interface digest. *)
 val local_key : node -> string
 
-(** The selector pattern a node carries, if its operator takes one. *)
-val selector_of : node -> string option
-
 (** Names referenced anywhere in the graph (dependency extraction). *)
 val names : node -> string list
 

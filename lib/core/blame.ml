@@ -1,5 +1,5 @@
-(** Critical-path extraction and latency blame over the causal event
-    graph (see blame.mli). *)
+(** Critical-path extraction and latency blame over the request
+    timelines (see blame.mli). *)
 
 module Causal = Telemetry.Causal
 
@@ -141,10 +141,8 @@ let critical_path (r : Causal.req) : path option =
               fill_gap_to w.w_from;
               let cat =
                 match w.w_kind with
-                | Causal.Queue -> Queue
                 | Causal.Batch -> Batch
                 | Causal.Coalesce -> Coalesce
-                | Causal.Sched -> Sched
               in
               push cat ~from:w.w_from ~until:w.w_until ~self:0.0 ~on:w.w_on;
               (* batch waits are subsumed by the Park above; queue/sched

@@ -1,12 +1,13 @@
-(** Latency blame over the causal event graph ([Telemetry.Causal]).
+(** Latency blame over the request timelines ([Telemetry.Causal]).
 
     The simulated clock makes latency attribution an accounting
     identity rather than a sampling estimate: every stage segment and
     typed wait of a request is stamped with exact clock reads, so the
     request's critical path — its segments and waits plus the gap-fill
-    between them — tiles the interval from submission to the instant
-    [sim_us] was sealed, and the slice durations sum to [sim_us] (up to
-    float addition error). On top of the paths this module aggregates a
+    between them ({!Queue} and {!Sched}, which no timeline records) —
+    tiles the interval from submission to the instant [sim_us] was
+    sealed, and the slice durations sum to [sim_us] (up to float
+    addition error). On top of the paths this module aggregates a
     workload-wide blame profile, folds flamegraph stacks, and replays
     the recorded graph deterministically under counterfactual knobs
     (batching off, coalescing off, unbounded queue) to predict what a
@@ -15,10 +16,14 @@
 (** Where one slice of a request's latency went. *)
 type category =
   | Self of string  (** computing inside the named stage *)
-  | Queue  (** admission: submitted, parse not yet dispatched *)
+  | Queue
+      (** admission: submitted, parse not yet dispatched (the gap
+          before the first segment) *)
   | Batch  (** parked at the place barrier until the flush *)
   | Coalesce  (** follower waiting on its leader's in-flight build *)
-  | Sched  (** runnable, waiting for the scheduler to dispatch *)
+  | Sched
+      (** runnable, waiting for the scheduler to dispatch (every later
+          gap) *)
 
 (** ["self.<stage>"], ["queue"], ["batch"], ["coalesce"], ["sched"]. *)
 val category_label : category -> string

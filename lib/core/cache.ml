@@ -148,8 +148,6 @@ let memo_insert (t : t) ~(digest : string) (result : Blueprint.Mgraph.result) :
     Telemetry.Counter.incr tm_memo_insertions
   end
 
-let memo_count (t : t) : int = Hashtbl.length t.memos
-
 let memo_retain (t : t) (keep : string -> bool) : unit =
   let before = Hashtbl.length t.memos in
   Hashtbl.filter_map_inplace (fun d e -> if keep d then Some e else None) t.memos;

@@ -76,8 +76,6 @@ val memo_find : t -> string -> memo_entry option
 (** Idempotent: the first materialization of a digest wins. *)
 val memo_insert : t -> digest:string -> Blueprint.Mgraph.result -> unit
 
-val memo_count : t -> int
-
 (** [memo_retain t keep] drops every entry whose digest [keep] rejects
     (counted as [cache.memo_evictions]). *)
 val memo_retain : t -> (string -> bool) -> unit

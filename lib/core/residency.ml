@@ -26,7 +26,6 @@ type t = {
   faults : faults option;
   mutable rng : int;
   managed : (string, unit) Hashtbl.t; (* owners whose intervals we police *)
-  mutable checking : bool;
 }
 
 exception Violation of string
@@ -54,7 +53,6 @@ let create ~cache ~text_arena ~data_arena ?(clock = Telemetry.now_us) ?faults ()
     faults;
     rng = (seed lxor 0x9E3779B9) lor 1;
     managed = Hashtbl.create 16;
-    checking = true;
   }
 
 (* -- deterministic fault stream ----------------------------------- *)
@@ -286,8 +284,7 @@ let check_exn (t : t) : unit =
   | [] -> ()
   | vs -> raise (Violation (String.concat "; " (List.map violation_message vs)))
 
-let set_self_check (t : t) (b : bool) : unit = t.checking <- b
-let self_check (t : t) : unit = if t.checking then check_exn t
+let self_check (t : t) : unit = check_exn t
 
 (* -- eviction ------------------------------------------------------ *)
 

@@ -111,11 +111,9 @@ val check_invariants : t -> violation list
 (** @raise Violation if {!check_invariants} reports anything. *)
 val check_exn : t -> unit
 
-(** Run {!check_exn} unless self-checking was disabled. *)
+(** Run {!check_exn}: the automatic check after every instantiate and
+    eviction. *)
 val self_check : t -> unit
-
-(** Enable/disable the automatic self-check (default: enabled). *)
-val set_self_check : t -> bool -> unit
 
 (** {1 Fault injection} *)
 

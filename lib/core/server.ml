@@ -58,13 +58,14 @@ type plan_entry = {
 
 (* One request moving through the staged pipeline (parse → lint → eval
    → place → link → map). The job carries everything a stage hands the
-   next one, so stages of different requests can interleave freely. *)
+   next one, so stages of different requests can interleave freely. Its
+   timing is its timeline alone: the response's latency split is a fold
+   over [jtl]. *)
 type job = {
   jt : int; (* ticket = telemetry request id, assigned at submission *)
   jclient : int;
   jreq : request;
-  jsubmit_us : float;
-  mutable jwork_us : float; (* simulated time spent inside stages *)
+  jtl : Telemetry.Causal.req; (* submission, stage segments, typed waits *)
   mutable jhit : bool;
   mutable jname : string;
   mutable jkey : string; (* cache key, fixed at parse *)
@@ -79,12 +80,8 @@ type job = {
          and link stages install it while they run *)
   mutable jreacquire_conflict : int option;
       (* wanted text base of a failed cache-hit reacquisition *)
-  mutable jpark_us : float; (* when the job last parked (batch/coalesce) *)
-  mutable jbatch_us : float; (* wait at the place barrier until flush *)
-  mutable jcoalesce_us : float; (* wait on a leader's in-flight build *)
-  mutable jpending_coalesced : int;
-      (* followers coalesced onto this job before its journal frame
-         opened; replayed as Coalesced events when lint opens it *)
+  mutable jfollowers : job list;
+      (* requests coalesced onto this job's build, newest-first *)
   mutable joutcome : (response, exn) result option;
 }
 
@@ -143,8 +140,7 @@ type t = {
   mutable queue_limit : int; (* admission control: max in-flight *)
   mutable batch_place : bool; (* solve queued placements as one pass? *)
   mutable place_q : job list; (* parked at the place barrier, newest-first *)
-  building : (string, int) Hashtbl.t; (* cache keys being built -> ticket *)
-  mutable waiters : (string * job) list; (* coalesced onto an in-flight build *)
+  building : (string, job) Hashtbl.t; (* cache keys being built -> leader *)
 }
 
 (* Request-path telemetry. *)
@@ -213,27 +209,6 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
   Telemetry.Runinfo.set "sched_seed" (Telemetry.I 0);
   Telemetry.Runinfo.set "batch_placement" (Telemetry.B true);
   Telemetry.Runinfo.set "queue_limit" (Telemetry.I 64);
-  let sched = Simos.Sched.create () in
-  Simos.Sched.set_time_source sched (fun () ->
-      Simos.Clock.elapsed kernel.Simos.Kernel.clock);
-  (* bridge scheduler dispatches into the causal graph: stage labels
-     are "r<ticket>:<stage>", so the ticket doubles as the causal
-     request id (no-op while causal recording is off) *)
-  Simos.Sched.set_on_dispatch sched
-    (Some
-       (fun ~label ~queued_us ~started_us ->
-         if Telemetry.Causal.is_enabled () then
-           match String.index_opt label ':' with
-           | Some i when i > 1 && label.[0] = 'r' -> (
-               match int_of_string_opt (String.sub label 1 (i - 1)) with
-               | Some id ->
-                   let stage =
-                     String.sub label (i + 1) (String.length label - i - 1)
-                   in
-                   Telemetry.Causal.dispatched ~id ~stage ~queued:queued_us
-                     ~started:started_us
-               | None -> ())
-           | _ -> ()));
   {
     ns;
     cache;
@@ -257,14 +232,13 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     impact_plan = Hashtbl.create 64;
     subtree_reuse = true;
     conflicts = [];
-    sched;
+    sched = Simos.Sched.create ();
     jobs = Hashtbl.create 64;
     inflight = 0;
     queue_limit = 64;
     batch_place = true;
     place_q = [];
     building = Hashtbl.create 16;
-    waiters = [];
   }
 
 (* -- read-only views ------------------------------------------------------- *)
@@ -297,9 +271,6 @@ let kernel (t : t) : Simos.Kernel.t = t.kernel
 let text_arena (t : t) : Constraints.Placement.t = t.text_arena
 let data_arena (t : t) : Constraints.Placement.t = t.data_arena
 let residency (t : t) : Residency.t = t.residency
-
-let set_self_check (t : t) (b : bool) : unit =
-  Residency.set_self_check t.residency b
 
 let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
   Namespace.bind_fragment t.ns path o
@@ -586,9 +557,9 @@ let target_label = function
 
 (* Stages run as cooperative scheduler tasks; a job's stages always run
    in order, but stages of different jobs interleave. Every stage
-   execution resumes the job's request context (so spans, counters,
-   faults recorded inside carry its (client, ticket)), accumulates the
-   simulated time it spent into [jwork_us], and records a stage
+   execution runs within the job's request context (so spans, counters,
+   faults recorded inside carry its (client, ticket)), appends the
+   segment it executed to the job's timeline, and records a stage
    transition in the flight recorder. *)
 
 type ticket = int
@@ -596,68 +567,67 @@ type ticket = int
 let ticket_id (tk : ticket) : int = tk
 
 let stage_transition (job : job) (stage : string) : unit =
-  Telemetry.Flight.record
-    ~detail:(target_label job.jreq.target)
+  Telemetry.Flight.record ~detail:job.jtl.Telemetry.Causal.g_target
     Telemetry.Flight.Transition
     ("pipeline." ^ stage)
 
 (* Finish a job (success or error): deliver the outcome, release the
-   build-key claim, and wake coalesced waiters so they re-enter parse
-   (and now find the cache populated — or rebuild after a failure). *)
+   build-key claim, and wake the followers coalesced onto it, in arrival
+   order, so they re-enter parse (and now find the cache populated — or
+   rebuild after a failure). *)
 let rec finish (t : t) (job : job) (outcome : (response, exn) result) : unit =
   job.joutcome <- Some outcome;
   t.inflight <- t.inflight - 1;
   Telemetry.Counter.incr tm_completed;
   (match Hashtbl.find_opt t.building job.jkey with
-  | Some owner when owner = job.jt ->
+  | Some leader when leader == job ->
       Hashtbl.remove t.building job.jkey;
-      let woken, rest =
-        List.partition (fun (k, _) -> k = job.jkey) t.waiters
-      in
-      t.waiters <- rest;
+      let followers = List.rev job.jfollowers in
+      job.jfollowers <- [];
       let now = Telemetry.now_us () in
       List.iter
-        (fun (_, w) ->
-          w.jcoalesce_us <- w.jcoalesce_us +. Float.max 0.0 (now -. w.jpark_us);
-          Telemetry.Causal.unpark ~id:w.jt ~at:now ();
+        (fun w ->
+          Telemetry.Causal.unpark w.jtl ~at:now ();
           spawn_stage t w "parse" (stage_parse t w))
-        woken
+        followers
   | _ -> ());
   Telemetry.Request.end_detached ~client:job.jclient ~id:job.jt "instantiate"
 
-(* Run one stage body under the job's request context, trapping errors
+(* Run one stage body within the job's request context, trapping errors
    into the job's outcome. *)
 and run_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
-  Telemetry.Request.resume ~client:job.jclient ~id:job.jt "instantiate";
+  Telemetry.Request.within ~client:job.jclient ~id:job.jt @@ fun () ->
   stage_transition job stage;
   let t0 = Telemetry.now_us () in
   Fun.protect
     ~finally:(fun () ->
       let t1 = Telemetry.now_us () in
-      let dt = t1 -. t0 in
-      job.jwork_us <- job.jwork_us +. dt;
-      Telemetry.Causal.segment ~id:job.jt ~stage ~t0 ~t1 ();
-      if stage = "parse" then Telemetry.Histogram.observe tm_parse_us dt;
-      Telemetry.Request.suspend ())
+      Telemetry.Causal.segment job.jtl ~stage ~t0 ~t1 ();
+      if stage = "parse" then Telemetry.Histogram.observe tm_parse_us (t1 -. t0))
     (fun () -> try f () with e -> finish t job (Error e))
 
 and spawn_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
-  Simos.Sched.spawn t.sched
-    ~label:(Printf.sprintf "r%d:%s" job.jt stage)
-    (fun () -> run_stage t job stage f)
+  Simos.Sched.spawn t.sched (fun () -> run_stage t job stage f)
 
 (* map: the last stage — the built image is mappable; seal the
    response, observe the request-level metrics, and run the residency
    self-check. *)
 and stage_map (t : t) (job : job) (b : built) () : unit =
+  let tl = job.jtl in
   let done_us = Telemetry.now_us () in
-  let sim_us = done_us -. job.jsubmit_us in
-  (* split the old queue_us (everything that was not this job's own
-     work) into its typed causes; the three parts still sum to it, so
-     baselines that watched queue_us stay comparable *)
-  let total_wait = Float.max 0.0 (sim_us -. job.jwork_us) in
-  let coalesce_us = Float.min job.jcoalesce_us total_wait in
-  let batch_us = Float.min job.jbatch_us (total_wait -. coalesce_us) in
+  let sim_us = done_us -. tl.Telemetry.Causal.g_submit in
+  (* split the wait (everything that was not this job's own work) into
+     its typed causes, folded from the timeline; the three parts sum to
+     it *)
+  let total_wait = Float.max 0.0 (sim_us -. Telemetry.Causal.work_us tl) in
+  let coalesce_us =
+    Float.min (Telemetry.Causal.waited_us tl Telemetry.Causal.Coalesce) total_wait
+  in
+  let batch_us =
+    Float.min
+      (Telemetry.Causal.waited_us tl Telemetry.Causal.Batch)
+      (total_wait -. coalesce_us)
+  in
   let queue_us = total_wait -. batch_us -. coalesce_us in
   let wait_frac = if sim_us > 0.0 then total_wait /. sim_us else 0.0 in
   Telemetry.Counter.incr tm_instantiations;
@@ -672,10 +642,10 @@ and stage_map (t : t) (job : job) (b : built) () : unit =
   if wait_frac > wait_share_note_threshold then
     Telemetry.Flight.record
       ~detail:
-        (Printf.sprintf "%s wait_frac=%.2f" (target_label job.jreq.target)
+        (Printf.sprintf "%s wait_frac=%.2f" tl.Telemetry.Causal.g_target
            wait_frac)
       ~value:wait_frac Telemetry.Flight.Note "blame.wait_share";
-  Telemetry.Causal.complete ~id:job.jt ~at:done_us ~sim_us ~hit:job.jhit ();
+  Telemetry.Causal.complete tl ~at:done_us ~sim_us ~hit:job.jhit ();
   finish t job
     (Ok { built = b; cache_hit = job.jhit; sim_us; queue_us; batch_us; coalesce_us })
 
@@ -794,17 +764,16 @@ and stage_eval (t : t) (job : job) () : unit =
            queue as one constraint pass when nothing else can run. No
            time is charged between here and the end of the eval stage,
            so the park timestamp tiles exactly against the segment. *)
-        job.jpark_us <- Telemetry.now_us ();
-        Telemetry.Causal.park ~id:job.jt Telemetry.Causal.Batch
-          ~at:job.jpark_us ();
+        Telemetry.Causal.park job.jtl Telemetry.Causal.Batch
+          ~at:(Telemetry.now_us ()) ();
         t.place_q <- job :: t.place_q
       end
       else spawn_stage t job "place" (stage_place_single t job)
 
 (* lint: open the build's binding-journal frame and replay the
    registration-time findings into it, so every build of the meta
-   carries them; followers that coalesced onto this build before its
-   frame existed follow the findings. *)
+   carries them; one Coalesced event for each follower that coalesced
+   onto this build before its frame existed follows the findings. *)
 and stage_lint (t : t) (job : job) () : unit =
   let frame = Telemetry.Provenance.open_frame () in
   job.jframe <- Some frame;
@@ -818,10 +787,10 @@ and stage_lint (t : t) (job : job) () : unit =
             ~path:f.Analysis.Lint.path f.Analysis.Lint.message)
         rep.Analysis.Lint.findings
   | None -> ());
-  for _ = 1 to job.jpending_coalesced do
-    Telemetry.Provenance.record_coalesced_into frame ~leader_request:job.jt
-  done;
-  job.jpending_coalesced <- 0;
+  List.iter
+    (fun _ ->
+      Telemetry.Provenance.record_coalesced_into frame ~leader_request:job.jt)
+    job.jfollowers;
   spawn_stage t job "eval" (stage_eval t job)
 
 (* parse: resolve the target, fix the cache key, and serve cache hits
@@ -837,7 +806,7 @@ and stage_parse (t : t) (job : job) () : unit =
   job.jname <- name;
   job.jgraph <- Some graph;
   job.jkey <-
-    target_label job.jreq.target ^ ":" ^ Blueprint.Mgraph.digest graph
+    job.jtl.Telemetry.Causal.g_target ^ ":" ^ Blueprint.Mgraph.digest graph
     ^ String.concat ""
         (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
   let hit (e : Cache.entry) =
@@ -847,26 +816,22 @@ and stage_parse (t : t) (job : job) () : unit =
          { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image })
   in
   let fresh () =
-    Hashtbl.replace t.building job.jkey job.jt;
+    Hashtbl.replace t.building job.jkey job;
     spawn_stage t job "lint" (stage_lint t job)
   in
   match Hashtbl.find_opt t.building job.jkey with
   | Some leader ->
       Telemetry.Counter.incr tm_coalesced;
       (* journal the fold on the leader's build so [ofe explain] can
-         show this hit was served by another in-flight request *)
-      (match Hashtbl.find_opt t.jobs leader with
-      | Some lj -> (
-          match lj.jframe with
-          | Some f ->
-              Telemetry.Provenance.record_coalesced_into f
-                ~leader_request:leader
-          | None -> lj.jpending_coalesced <- lj.jpending_coalesced + 1)
+         show this hit was served by another in-flight request (a
+         leader whose frame is not open yet replays it at lint) *)
+      (match leader.jframe with
+      | Some f ->
+          Telemetry.Provenance.record_coalesced_into f ~leader_request:leader.jt
       | None -> ());
-      job.jpark_us <- Telemetry.now_us ();
-      Telemetry.Causal.park ~id:job.jt Telemetry.Causal.Coalesce ~on:leader
-        ~at:job.jpark_us ();
-      t.waiters <- t.waiters @ [ (job.jkey, job) ]
+      Telemetry.Causal.park job.jtl Telemetry.Causal.Coalesce ~on:leader.jt
+        ~at:(Telemetry.now_us ()) ();
+      leader.jfollowers <- job :: leader.jfollowers
   | None -> (
       match job.jreq.target with
       | Static _ -> (
@@ -937,12 +902,11 @@ and flush_place (t : t) : unit =
            stay attributed to the request that owns them *)
         let wrap i (it : Constraints.Placement.batch_item) f =
           let j = by_index.(i) in
-          Telemetry.Request.resume ~client:j.jclient ~id:j.jt "instantiate";
+          Telemetry.Request.within ~client:j.jclient ~id:j.jt @@ fun () ->
           let w0 = Telemetry.now_us () in
           Fun.protect
             ~finally:(fun () ->
-              wraps.(i) <- wraps.(i) +. (Telemetry.now_us () -. w0);
-              Telemetry.Request.suspend ())
+              wraps.(i) <- wraps.(i) +. (Telemetry.now_us () -. w0))
           @@ fun () ->
           let d =
             Residency.with_place_conflict t.residency ~arena
@@ -966,13 +930,12 @@ and flush_place (t : t) : unit =
         (fun i j ->
           j.jtdec <- Some (List.nth tdecs i);
           j.jddec <- Some (List.nth ddecs i);
-          (* the pass worked for every member of the batch *)
-          j.jwork_us <- j.jwork_us +. dt;
-          j.jbatch_us <- j.jbatch_us +. Float.max 0.0 (t0 -. j.jpark_us);
-          Telemetry.Causal.unpark ~id:j.jt ~at:t0 ();
-          Telemetry.Causal.segment ~id:j.jt ~stage:"place" ~t0 ~t1
+          Telemetry.Causal.unpark j.jtl ~at:t0 ();
+          (* the pass worked for every member of the batch: the whole
+             flush is a segment of each, its own solve the self part *)
+          Telemetry.Causal.segment j.jtl ~stage:"place" ~t0 ~t1
             ~self:wraps.(i) ();
-          Telemetry.Causal.set_solver_us ~id:j.jt solver_us;
+          j.jtl.Telemetry.Causal.g_solver_us <- solver_us;
           spawn_stage t j "link" (stage_link t j))
         jobs
 
@@ -1015,16 +978,14 @@ let submit (t : t) (req : request) : ticket =
   end;
   let client = Telemetry.Request.effective_client () in
   let id = Telemetry.Request.begin_detached ~client "instantiate" in
-  let submit_us = Telemetry.now_us () in
-  Telemetry.Causal.begin_request ~id ~client
-    ~target:(target_label req.target) ~at:submit_us;
   let job =
     {
       jt = id;
       jclient = client;
       jreq = req;
-      jsubmit_us = submit_us;
-      jwork_us = 0.0;
+      jtl =
+        Telemetry.Causal.begin_request ~id ~client
+          ~target:(target_label req.target) ~at:(Telemetry.now_us ());
       jhit = false;
       jname = "";
       jkey = "";
@@ -1036,10 +997,7 @@ let submit (t : t) (req : request) : ticket =
       jddec = None;
       jframe = None;
       jreacquire_conflict = None;
-      jpark_us = 0.0;
-      jbatch_us = 0.0;
-      jcoalesce_us = 0.0;
-      jpending_coalesced = 0;
+      jfollowers = [];
       joutcome = None;
     }
   in
@@ -1049,9 +1007,8 @@ let submit (t : t) (req : request) : ticket =
   Telemetry.Histogram.observe tm_depth (float_of_int t.inflight);
   (* the eviction-storm fault, when enabled, empties the cache at
      admission — the request must then rebuild and re-place *)
-  Telemetry.Request.resume ~client:job.jclient ~id "instantiate";
-  ignore (Residency.maybe_evict_storm t.residency);
-  Telemetry.Request.suspend ();
+  Telemetry.Request.within ~client ~id (fun () ->
+      ignore (Residency.maybe_evict_storm t.residency));
   spawn_stage t job "parse" (stage_parse t job);
   id
 

@@ -79,10 +79,6 @@ val data_arena : t -> Constraints.Placement.t
     (see {!Residency}); use it to run {!Residency.check_invariants}. *)
 val residency : t -> Residency.t
 
-(** Enable/disable the automatic residency invariant check after every
-    instantiate/evict (on by default). *)
-val set_self_check : t -> bool -> unit
-
 (** {1 Namespace population} *)
 
 (** Bind objects into the server's namespace. *)

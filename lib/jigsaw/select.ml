@@ -26,11 +26,6 @@ let matches (s : t) (name : string) : bool =
     true
   with Not_found -> false
 
-(** Does any of the names match? The static selector question the
-    lint analyzer asks ("is this operator dead?"). *)
-let matches_any (s : t) (names : string list) : bool =
-  List.exists (matches s) names
-
 (** The subset of names that match, in input order. *)
 let selected (s : t) (names : string list) : string list =
   List.filter (matches s) names
@@ -40,7 +35,3 @@ let selected (s : t) (names : string list) : string list =
     return the rewritten name. *)
 let rewrite (s : t) (template : string) (name : string) : string option =
   if matches s name then Some (Str.replace_first s.re template name) else None
-
-(** Exact single-name replacement (no group references). *)
-let replace_with (s : t) (replacement : string) (name : string) : string option =
-  if matches s name then Some replacement else None

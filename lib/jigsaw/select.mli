@@ -16,16 +16,9 @@ val pattern : t -> string
 (** Does the symbol name match (anywhere, unless the pattern anchors)? *)
 val matches : t -> string -> bool
 
-(** Does any of the names match? The static selector question the lint
-    analyzer asks ("is this operator dead?"). *)
-val matches_any : t -> string list -> bool
-
 (** The subset of names that match, in input order. *)
 val selected : t -> string list -> string list
 
 (** If the name matches, substitute the whole match with [template]
     ([\1]… group references allowed) and return the rewritten name. *)
 val rewrite : t -> string -> string -> string option
-
-(** Exact single-name replacement (no group references). *)
-val replace_with : t -> string -> string -> string option

@@ -58,9 +58,3 @@ type global =
   | Gfunc of func
 
 type program = global list
-
-let binop_to_string = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-  | And -> "&" | Or -> "|" | Xor -> "^" | Shl -> "<<" | Shr -> ">>"
-  | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
-  | Land -> "&&" | Lor -> "||"

@@ -65,4 +65,3 @@ type global =
   | Gextern_fun of string * int
   | Gfunc of func
 type program = global list
-val binop_to_string : binop -> string

@@ -1,16 +1,11 @@
 (** Deterministic cooperative run queue (see sched.mli). *)
 
-type task = { label : string; queued_at : float; run : unit -> unit }
-
 type t = {
-  mutable queue : task list; (* newest-first; drained via rev *)
-  mutable ready : task list; (* oldest-first tail being consumed *)
+  mutable queue : (unit -> unit) list; (* newest-first; drained via rev *)
+  mutable ready : (unit -> unit) list; (* oldest-first tail being consumed *)
   mutable seed : int;
   mutable rng : int;
   mutable in_step : bool;
-  mutable now : unit -> float; (* spawn/dispatch timestamps *)
-  mutable on_dispatch :
-    (label:string -> queued_us:float -> started_us:float -> unit) option;
 }
 
 let create ?(seed = 0) () =
@@ -20,19 +15,13 @@ let create ?(seed = 0) () =
     seed;
     rng = (if seed = 0 then 0 else seed land 0xffffffff);
     in_step = false;
-    now = (fun () -> 0.0);
-    on_dispatch = None;
   }
-
-let set_time_source (t : t) (now : unit -> float) : unit = t.now <- now
-let set_on_dispatch (t : t) hook : unit = t.on_dispatch <- hook
 
 let set_seed (t : t) (seed : int) : unit =
   t.seed <- seed;
   t.rng <- (if seed = 0 then 0 else seed land 0xffffffff)
 
-let spawn (t : t) ?(label = "task") (run : unit -> unit) : unit =
-  t.queue <- { label; queued_at = t.now (); run } :: t.queue
+let spawn (t : t) (run : unit -> unit) : unit = t.queue <- run :: t.queue
 
 let running (t : t) : bool = t.in_step
 
@@ -48,7 +37,7 @@ let rand (t : t) (bound : int) : int =
 
 (* Pull the next task honouring the order discipline; [None] when both
    lists are empty. *)
-let take (t : t) : task option =
+let take (t : t) : (unit -> unit) option =
   (if t.ready = [] then begin
      t.ready <- List.rev t.queue;
      t.queue <- []
@@ -72,14 +61,9 @@ let take (t : t) : task option =
 
 let step (t : t) : bool =
   match take t with
-  | Some task ->
-      (match t.on_dispatch with
-      | Some hook ->
-          hook ~label:task.label ~queued_us:task.queued_at
-            ~started_us:(t.now ())
-      | None -> ());
+  | Some run ->
       let was = t.in_step in
       t.in_step <- true;
-      Fun.protect ~finally:(fun () -> t.in_step <- was) task.run;
+      Fun.protect ~finally:(fun () -> t.in_step <- was) run;
       true
   | None -> false

@@ -5,7 +5,9 @@
     at a time on the caller's (simulated) time line — there is no
     preemption and no wall-clock anywhere, so a run is exactly as
     deterministic as the tasks themselves. A task that wants to
-    continue later simply {!spawn}s its continuation.
+    continue later simply {!spawn}s its continuation. Tasks carry no
+    label and no timestamp: what a task's owner waited on is the
+    owner's to record (the server keeps each request's timeline).
 
     Two orders are available:
 
@@ -28,21 +30,8 @@ val create : ?seed:int -> unit -> t
 (** Reseed an existing scheduler (takes effect from the next pick). *)
 val set_seed : t -> int -> unit
 
-(** Install the clock read used to timestamp {!spawn}s and dispatches
-    (default: a constant [0.0] — delays then read as zero). The server
-    points this at its simulated clock. *)
-val set_time_source : t -> (unit -> float) -> unit
-
-(** Observe every dispatch: fired just before a task runs, with the
-    task's label, the time it was spawned, and the time it started —
-    the gap is the scheduler dispatch delay, one of the typed blocking
-    edges of the causal latency graph. [None] (default) disables the
-    hook. Purely observational: no simulated cost is charged. *)
-val set_on_dispatch :
-  t -> (label:string -> queued_us:float -> started_us:float -> unit) option -> unit
-
-(** Enqueue a task. [label] is carried for diagnostics. *)
-val spawn : t -> ?label:string -> (unit -> unit) -> unit
+(** Enqueue a task. *)
+val spawn : t -> (unit -> unit) -> unit
 
 (** Run one ready task. Returns [false] when nothing ran — the run
     queue is empty. *)

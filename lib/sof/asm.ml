@@ -92,8 +92,6 @@ let data_string (a : t) (s : string) : unit =
     Buffer.add_char a.data '\000'
   done
 
-let data_bytes (a : t) (b : Bytes.t) : unit = Buffer.add_bytes a.data b
-
 (** Reserve [size] bytes of bss under [name]. *)
 let bss ?(binding = Symbol.Global) (a : t) (name : string) (size : int) : unit =
   add_symbol a (Symbol.make ~binding ~size ~kind:Symbol.Bss ~value:a.bss_size name);

@@ -57,8 +57,6 @@ val data_word_sym : ?addend:int -> t -> string -> unit
 (** Emit a NUL-terminated string, padded to word alignment. *)
 val data_string : t -> string -> unit
 
-val data_bytes : t -> Bytes.t -> unit
-
 (** Reserve [size] bytes of bss under a name (word-aligned). *)
 val bss : ?binding:Symbol.binding -> t -> string -> int -> unit
 

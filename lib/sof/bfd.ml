@@ -18,8 +18,6 @@ let format_of_string (s : string) : format =
   | Some f -> f
   | None -> raise (Unknown_format s)
 
-let format_name = function Native -> "sof" | Aout_style -> "aout"
-
 (** Identify the format of [b] by magic, if any backend claims it. *)
 let detect (b : Bytes.t) : format option =
   if Bytes.length b < 4 then None

@@ -12,8 +12,6 @@ val all_formats : (string * format) list
 (** @raise Unknown_format. *)
 val format_of_string : string -> format
 
-val format_name : format -> string
-
 (** Identify the format of the bytes, if any backend claims them. *)
 val detect : Bytes.t -> format option
 

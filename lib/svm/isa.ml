@@ -106,37 +106,3 @@ let max_opcode = 31
 (** Byte offset of the immediate field within an encoded instruction —
     the locus a relocation patches. *)
 let imm_offset = 4
-
-let mnemonic = function
-  | Halt -> "halt"
-  | Nop -> "nop"
-  | Movi _ -> "movi"
-  | Mov _ -> "mov"
-  | Add _ -> "add"
-  | Sub _ -> "sub"
-  | Mul _ -> "mul"
-  | Div _ -> "div"
-  | Mod _ -> "mod"
-  | And_ _ -> "and"
-  | Or_ _ -> "or"
-  | Xor _ -> "xor"
-  | Shl _ -> "shl"
-  | Shr _ -> "shr"
-  | Addi _ -> "addi"
-  | Cmpeq _ -> "cmpeq"
-  | Cmplt _ -> "cmplt"
-  | Cmple _ -> "cmple"
-  | Ld _ -> "ld"
-  | St _ -> "st"
-  | Ldb _ -> "ldb"
-  | Stb _ -> "stb"
-  | Lea _ -> "lea"
-  | Jmp _ -> "jmp"
-  | Jz _ -> "jz"
-  | Jnz _ -> "jnz"
-  | Call _ -> "call"
-  | Callr _ -> "callr"
-  | Jmpr _ -> "jmpr"
-  | Ret -> "ret"
-  | Sys _ -> "sys"
-  | Br _ -> "br"

@@ -56,4 +56,3 @@ type instr =
 val opcode : instr -> int
 val max_opcode : int
 val imm_offset : int
-val mnemonic : instr -> string

@@ -113,42 +113,19 @@ let events () : event list =
 
 (* -- dumping -------------------------------------------------------- *)
 
-(* A local JSON string escape: the writer in telemetry.ml lives above
-   us in the module graph, and the handful of escapes below cover every
-   string the recorder stores. *)
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_num (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
 let to_json_events ~(reason : string) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf
        "{\"type\":\"flight_dump\",\"reason\":\"%s\",\"recorded\":%d,\"retained\":%d,\"capacity\":%d}\n"
-       (json_escape reason) !total (size ()) capacity);
+       (Json.escape reason) !total (size ()) capacity);
   List.iter
     (fun e ->
       Buffer.add_string b
         (Printf.sprintf
            "{\"type\":\"flight\",\"seq\":%d,\"at_us\":%s,\"kind\":\"%s\",\"name\":\"%s\",\"detail\":\"%s\",\"value\":%s,\"client\":%d,\"request\":%d}\n"
-           e.seq (json_num e.at_us) (kind_label e.kind) (json_escape e.name)
-           (json_escape e.detail) (json_num e.value) e.client e.request))
+           e.seq (Json.number e.at_us) (kind_label e.kind) (Json.escape e.name)
+           (Json.escape e.detail) (Json.number e.value) e.client e.request))
     (events ());
   Buffer.contents b
 

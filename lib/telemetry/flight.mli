@@ -38,9 +38,11 @@ val capacity : int
 
 (** {1 Context}
 
-    The current [(client, request)] attribution, pushed by
-    [Telemetry.Request] and stamped onto every recorded event. [-1]
-    means "outside any request". *)
+    The live [(client, request)] attribution, stamped onto every
+    recorded event. This pair is the process's only request context:
+    [Telemetry.Request.within] sets it for the length of a call and
+    reinstalls the previous pair afterwards, and [Telemetry.Request]
+    reads it back. [-1] means "outside any request". *)
 
 val set_context : client:int -> request:int -> unit
 val clear_context : unit -> unit

@@ -559,112 +559,76 @@ end
 (** Request-scoped attribution. The server is persistent and serves
     many clients (paper §2, §4.1): every entry point — instantiate,
     exec, dynload, evict — opens a request here, which assigns a
-    monotonic request id, inherits (or sets) the client id, and pushes
-    the pair into the flight-recorder context so every span, counter
-    increment, transition, and fault recorded underneath carries
-    [(client, request)]. Requests nest (a partial-image client's first
-    call to a stubbed routine binds it with an instantiate inside the
-    [exec] request); ids stay monotonic across the nesting. *)
+    monotonic request id and inherits (or sets) the client id. The live
+    [(client, request)] pair is the flight recorder's context, the one
+    every span, counter increment, transition, and fault recorded
+    underneath is stamped with; {!within} sets it for the length of a
+    call. Requests nest (a partial-image client's first call to a
+    stubbed routine binds it with an instantiate inside the [exec]
+    request); ids stay monotonic across the nesting. *)
 module Request = struct
-  type ctx = { client : int; id : int; kind : string }
-
   let next = ref 0
   let ambient_client = ref 0
-  let stack : ctx list ref = ref []
 
   (** Set the ambient client id inherited by requests opened outside
       any enclosing request (a driver sets this before each simulated
       client's operation). *)
   let set_client (c : int) : unit = ambient_client := c
 
-  let current_client () = match !stack with x :: _ -> x.client | [] -> -1
+  let current_client () = Flight.current_client ()
+  let current_request () = Flight.current_request ()
 
   (** The client id a request opened right now would inherit: the
       innermost open request's, else the ambient one. *)
   let effective_client () =
-    match !stack with x :: _ -> x.client | [] -> !ambient_client
-  let current_request () = match !stack with x :: _ -> x.id | [] -> -1
-  let active () = !stack <> []
+    if Flight.current_request () >= 0 then Flight.current_client ()
+    else !ambient_client
 
   (** The most recently assigned request id, [-1] if none yet. *)
   let last_id () = !next - 1
 
-  let sync_flight () =
-    match !stack with
-    | x :: _ -> Flight.set_context ~client:x.client ~request:x.id
-    | [] -> Flight.clear_context ()
+  (** Run [f] with [(client, id)] as the live context, then reinstall
+      the previous one — on return and on exception alike. *)
+  let within ~(client : int) ~(id : int) (f : unit -> 'a) : 'a =
+    let prev_client = Flight.current_client ()
+    and prev_request = Flight.current_request () in
+    Flight.set_context ~client ~request:id;
+    match f () with
+    | v ->
+        Flight.set_context ~client:prev_client ~request:prev_request;
+        v
+    | exception e ->
+        Flight.set_context ~client:prev_client ~request:prev_request;
+        Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
 
-  let begin_request ?client (kind : string) : int =
-    let c =
-      match client with
-      | Some c -> c
-      | None -> (
-          match !stack with x :: _ -> x.client | [] -> !ambient_client)
-    in
+  (** Assign a request id and emit [Request_begin] under it, leaving
+      the context as it was. Returns the id (pair it with {!within}
+      around each stage and {!end_detached} at completion). *)
+  let begin_detached ?client (kind : string) : int =
+    let client = match client with Some c -> c | None -> effective_client () in
     let id = !next in
     incr next;
-    stack := { client = c; id; kind } :: !stack;
-    sync_flight ();
-    Flight.emit Flight.Request_begin kind "" (float_of_int id);
+    within ~client ~id (fun () ->
+        Flight.emit Flight.Request_begin kind "" (float_of_int id));
     id
 
-  let end_request () : unit =
-    match !stack with
-    | [] -> ()
-    | x :: rest ->
-        Flight.emit Flight.Request_end x.kind "" (float_of_int x.id);
-        stack := rest;
-        sync_flight ()
+  (** Emit [Request_end] for a detached request. *)
+  let end_detached ~(client : int) ~(id : int) (kind : string) : unit =
+    within ~client ~id (fun () ->
+        Flight.emit Flight.Request_end kind "" (float_of_int id))
 
   (** Run [f] inside a fresh request of [kind] (ends on exceptions
       too). *)
   let with_request ?client (kind : string) (f : unit -> 'a) : 'a =
-    ignore (begin_request ?client kind);
-    Fun.protect ~finally:end_request f
-
-  (* -- detached requests (the staged pipeline) --
-
-     A pipeline request is opened once at submission, then repeatedly
-     resumed/suspended as its stages run interleaved with other
-     requests', and closed at completion — the id is assigned at
-     submission and survives across the stage boundaries. *)
-
-  let pop () =
-    (match !stack with _ :: rest -> stack := rest | [] -> ());
-    sync_flight ()
-
-  (** Assign a request id and emit [Request_begin] without leaving the
-      request on the context stack. Returns the id (pair it with
-      {!resume}/{!suspend} around each stage and {!end_detached} at
-      completion). *)
-  let begin_detached ?client (kind : string) : int =
-    let id = begin_request ?client kind in
-    (* leave the stack as we found it; the flight event above carried
-       the right context *)
-    (match !stack with _ :: rest -> stack := rest | [] -> ());
-    sync_flight ();
-    id
-
-  (** Push an already-assigned request back onto the context stack (no
-      new id, no begin event) — everything recorded until the matching
-      {!suspend} carries [(client, id)]. *)
-  let resume ~(client : int) ~(id : int) (kind : string) : unit =
-    stack := { client; id; kind } :: !stack;
-    sync_flight ()
-
-  (** Pop the innermost context without emitting [Request_end]. *)
-  let suspend () : unit = pop ()
-
-  (** Emit [Request_end] for a detached request. *)
-  let end_detached ~(client : int) ~(id : int) (kind : string) : unit =
-    resume ~client ~id kind;
-    Flight.emit Flight.Request_end kind "" (float_of_int id);
-    pop ()
+    let client = match client with Some c -> c | None -> effective_client () in
+    let id = begin_detached ~client kind in
+    Fun.protect
+      ~finally:(fun () -> end_detached ~client ~id kind)
+      (fun () -> within ~client ~id f)
 
   let reset_state () =
     next := 0;
     ambient_client := 0;
-    stack := [];
     Flight.clear_context ()
 end
 
@@ -888,33 +852,27 @@ module Health = struct
   let reset_state () = total := 0
 end
 
-(* -- causal latency graph ---------------------------------------------------- *)
+(* -- request timelines ------------------------------------------------------- *)
 
-(** The per-run causal event graph behind [ofe blame]: for every
-    pipeline request, the stage segments it executed (start/end on the
-    simulated clock) and the typed blocking edges that kept it off the
-    scheduler — queue admission, the park at the place boundary until
-    [flush_place], a coalesced follower waiting on its leader, and raw
-    scheduler dispatch delay. The deterministic clock makes the record
-    exact, not sampled: a completed request's segments and waits tile
-    the interval from submission to completion with no unattributed
-    time ([Omos.Blame] extracts critical paths and replays
-    counterfactuals from this store). Recording is off by default and
+(** Every pipeline request's timeline, and the per-run store of them
+    behind [ofe blame]. The server opens one {!req} per request at
+    submission and owns it through the job: each stage appends the
+    segment it executed (start/end on the simulated clock), and each
+    park at the place boundary or on a coalesce leader becomes a typed
+    wait. The response's latency split is a fold over this record
+    ({!work_us}, {!waited_us}), so the record and the numbers a client
+    sees cannot disagree. The deterministic clock makes the record
+    exact, not sampled: the segments and waits of a completed request,
+    and the gaps between them, tile the interval from submission to
+    completion ([Omos.Blame] names the gaps, extracts critical paths and
+    replays counterfactuals from the store). {!set_enabled} only decides
+    whether submitted requests are retained for {!requests}; recording
     charges nothing to the simulated clock. *)
 module Causal = struct
-  (** Why a request was off the scheduler between two of its stage
-      segments. *)
+  (** Why a request was parked between two of its stage segments. *)
   type wait_kind =
-    | Queue  (** admission: submitted, first stage not yet dispatched *)
     | Batch  (** parked at the place boundary until [flush_place] *)
     | Coalesce  (** follower waiting on its leader's build *)
-    | Sched  (** dispatch delay: spawned, waiting for the run queue *)
-
-  let wait_kind_to_string = function
-    | Queue -> "queue"
-    | Batch -> "batch"
-    | Coalesce -> "coalesce"
-    | Sched -> "sched"
 
   type segment = {
     g_stage : string;
@@ -933,8 +891,6 @@ module Causal = struct
     w_on : int;  (** request id waited on (coalesce leader), [-1] none *)
   }
 
-  type dispatch = { d_stage : string; d_queued : float; d_started : float }
-
   type req = {
     g_id : int;
     g_client : int;
@@ -942,7 +898,6 @@ module Causal = struct
     g_submit : float;
     mutable g_segments : segment list;  (** newest-first while recording *)
     mutable g_waits : wait list;  (** resolved parks, newest-first *)
-    mutable g_dispatches : dispatch list;  (** newest-first *)
     mutable g_parked : (wait_kind * float * int) option;
         (** an unresolved park: (kind, since, waited-on id) *)
     mutable g_done : float option;
@@ -956,93 +911,74 @@ module Causal = struct
             placed singly *)
   }
 
-  let enabled = ref false
-  let set_enabled (b : bool) : unit = enabled := b
-  let is_enabled () : bool = !enabled
+  let retain = ref false
+  let set_enabled (b : bool) : unit = retain := b
 
   let store : (int, req) Hashtbl.t = Hashtbl.create 64
 
   let begin_request ~(id : int) ~(client : int) ~(target : string)
-      ~(at : float) : unit =
-    if !enabled then
-      Hashtbl.replace store id
-        {
-          g_id = id;
-          g_client = client;
-          g_target = target;
-          g_submit = at;
-          g_segments = [];
-          g_waits = [];
-          g_dispatches = [];
-          g_parked = None;
-          g_done = None;
-          g_sim_us = 0.0;
-          g_hit = false;
-          g_solver_us = 0.0;
-        }
+      ~(at : float) : req =
+    let r =
+      {
+        g_id = id;
+        g_client = client;
+        g_target = target;
+        g_submit = at;
+        g_segments = [];
+        g_waits = [];
+        g_parked = None;
+        g_done = None;
+        g_sim_us = 0.0;
+        g_hit = false;
+        g_solver_us = 0.0;
+      }
+    in
+    if !retain then Hashtbl.replace store id r;
+    r
 
   let find (id : int) : req option = Hashtbl.find_opt store id
 
-  let segment ~(id : int) ~(stage : string) ~(t0 : float) ~(t1 : float)
+  let segment (r : req) ~(stage : string) ~(t0 : float) ~(t1 : float)
       ?(self : float option) () : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r ->
-          let self = match self with Some s -> s | None -> t1 -. t0 in
-          r.g_segments <- { g_stage = stage; g_t0 = t0; g_t1 = t1; g_self = self }
-            :: r.g_segments
+    let self = match self with Some s -> s | None -> t1 -. t0 in
+    r.g_segments <-
+      { g_stage = stage; g_t0 = t0; g_t1 = t1; g_self = self } :: r.g_segments
 
   (** Start a typed wait: the request leaves the scheduler at [at]
       (always the end of the stage that parked it). *)
-  let park ~(id : int) (kind : wait_kind) ?(on = -1) ~(at : float) () : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r -> r.g_parked <- Some (kind, at, on)
+  let park (r : req) (kind : wait_kind) ?(on = -1) ~(at : float) () : unit =
+    r.g_parked <- Some (kind, at, on)
 
   (** Resolve the pending park: the request became runnable at [at]. *)
-  let unpark ~(id : int) ~(at : float) () : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r -> (
-          match r.g_parked with
-          | None -> ()
-          | Some (kind, since, on) ->
-              r.g_parked <- None;
-              r.g_waits <-
-                { w_kind = kind; w_from = since; w_until = at; w_on = on }
-                :: r.g_waits)
+  let unpark (r : req) ~(at : float) () : unit =
+    match r.g_parked with
+    | None -> ()
+    | Some (kind, since, on) ->
+        r.g_parked <- None;
+        r.g_waits <-
+          { w_kind = kind; w_from = since; w_until = at; w_on = on } :: r.g_waits
 
-  let dispatched ~(id : int) ~(stage : string) ~(queued : float)
-      ~(started : float) : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r ->
-          r.g_dispatches <-
-            { d_stage = stage; d_queued = queued; d_started = started }
-            :: r.g_dispatches
-
-  let set_solver_us ~(id : int) (us : float) : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r -> r.g_solver_us <- us
-
-  let complete ~(id : int) ~(at : float) ~(sim_us : float) ~(hit : bool) () :
+  let complete (r : req) ~(at : float) ~(sim_us : float) ~(hit : bool) () :
       unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r ->
-          r.g_done <- Some at;
-          r.g_sim_us <- sim_us;
-          r.g_hit <- hit
+    r.g_done <- Some at;
+    r.g_sim_us <- sim_us;
+    r.g_hit <- hit
 
-  (** Every recorded request, in submission (= id) order. Segments,
-      waits and dispatches come back chronological. *)
+  (* Both lists are newest-first; both folds add oldest-first, in the
+     order the time was spent. *)
+
+  let work_us (r : req) : float =
+    List.fold_right (fun s acc -> acc +. (s.g_t1 -. s.g_t0)) r.g_segments 0.0
+
+  let waited_us (r : req) (kind : wait_kind) : float =
+    List.fold_right
+      (fun w acc ->
+        if w.w_kind = kind then acc +. Float.max 0.0 (w.w_until -. w.w_from)
+        else acc)
+      r.g_waits 0.0
+
+  (** Every retained request, in submission (= id) order. Segments and
+      waits come back chronological. *)
   let requests () : req list =
     Hashtbl.fold (fun _ r acc -> r :: acc) store []
     |> List.sort (fun a b -> compare a.g_id b.g_id)
@@ -1060,7 +996,6 @@ module Causal = struct
                List.stable_sort
                  (fun a b -> compare (a.w_from, a.w_until) (b.w_from, b.w_until))
                  (List.rev r.g_waits);
-             g_dispatches = List.rev r.g_dispatches;
            })
 
   let reset_state () : unit = Hashtbl.reset store
@@ -1084,182 +1019,9 @@ let reset_metrics_and_spans () : unit =
   completed := [];
   next_id := 0
 
-(* -- JSON ------------------------------------------------------------------- *)
-
-(** A deliberately small JSON reader/writer: enough to emit the two
-    export formats with correct escaping and to parse them back for
-    validation (tests, [ofe trace]) without an external dependency. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  (* -- writing -- *)
-
-  let escape (s : string) : string =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let number (f : float) : string =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.6g" f
-
-  let rec to_string (j : t) : string =
-    match j with
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Num f -> number f
-    | Str s -> "\"" ^ escape s ^ "\""
-    | Arr xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
-    | Obj kvs ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
-        ^ "}"
-
-  (* -- parsing -- *)
-
-  let parse (src : string) : t =
-    let n = String.length src in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some src.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub src !pos (String.length word) = word
-      then begin pos := !pos + String.length word; v end
-      else fail ("bad literal, wanted " ^ word)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail "unterminated string";
-        let c = src.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape");
-          let e = src.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 > n then fail "bad \\u escape";
-              let hex = String.sub src !pos 4 in
-              pos := !pos + 4;
-              let code = int_of_string ("0x" ^ hex) in
-              (* keep it simple: only BMP code points below 0x80 decode
-                 to themselves; others round-trip as '?' *)
-              Buffer.add_char b (if code < 0x80 then Char.chr code else '?')
-          | _ -> fail "bad escape");
-          loop ()
-        end
-        else begin Buffer.add_char b c; loop () end
-      in
-      loop ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected a number";
-      match float_of_string_opt (String.sub src start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin advance (); Arr [] end
-          else begin
-            let rec items acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); items (v :: acc)
-              | Some ']' -> advance (); List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            Arr (items [])
-          end
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin advance (); Obj [] end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); members ((k, v) :: acc)
-              | Some '}' -> advance (); List.rev ((k, v) :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (members [])
-          end
-      | Some _ -> Num (parse_number ())
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member (key : string) (j : t) : t option =
-    match j with Obj kvs -> List.assoc_opt key kvs | _ -> None
-end
+(* Re-export the JSON reader/writer (json.ml, below the flight recorder
+   that writes its dumps with it) as [Telemetry.Json]. *)
+module Json = Json
 
 (* -- binding provenance ------------------------------------------------------ *)
 

@@ -216,59 +216,52 @@ end
 
 (** Request-scoped attribution. Every server entry point (instantiate,
     exec, dynload, evict) opens a request, which assigns a monotonic
-    request id, inherits or sets the client id, and pushes the pair
-    into the flight-recorder context — so spans, counters, residency
-    transitions, and faults recorded underneath all carry
-    [(client, request)]. Requests nest (a partial-image client's
-    first call to a stubbed routine binds it with an instantiate inside
-    the [exec] request); ids stay monotonic. *)
+    request id and inherits or sets the client id. The live
+    [(client, request)] pair is the flight recorder's context — the one
+    spans, counters, residency transitions, and faults recorded
+    underneath are stamped with — and {!within} sets it for the length
+    of a call. Requests nest (a partial-image client's first call to a
+    stubbed routine binds it with an instantiate inside the [exec]
+    request); ids stay monotonic. *)
 module Request : sig
   (** Ambient client id inherited by requests opened outside any
       enclosing request (default 0); workload drivers set it before
       each simulated client's operation. *)
   val set_client : int -> unit
 
-  (** Client id of the innermost open request, [-1] outside any. *)
+  (** Client id of the live context, [-1] outside any request. *)
   val current_client : unit -> int
 
-  (** The client id a request opened right now would inherit: the
-      innermost open request's, else the ambient one. *)
+  (** The client id a request opened right now would inherit: the live
+      context's, else the ambient one. *)
   val effective_client : unit -> int
 
-  (** Id of the innermost open request, [-1] outside any. *)
+  (** Id of the live context's request, [-1] outside any. *)
   val current_request : unit -> int
-
-  val active : unit -> bool
 
   (** The most recently assigned request id, [-1] if none yet. *)
   val last_id : unit -> int
 
-  (** Open a request of [kind] (e.g. ["instantiate"]); returns its id.
-      [client] overrides the inherited/ambient client id. *)
-  val begin_request : ?client:int -> string -> int
+  (** [within ~client ~id f] runs [f] with [(client, id)] as the live
+      context, then reinstalls the previous context — on return and on
+      exception alike. No id is assigned and no event emitted. *)
+  val within : client:int -> id:int -> (unit -> 'a) -> 'a
 
-  val end_request : unit -> unit
-
-  (** Run [f] inside a fresh request (ended on exceptions too). *)
+  (** Run [f] inside a fresh request of [kind] (e.g. ["exec"]), ended
+      on exceptions too. [client] overrides the inherited/ambient
+      client id. *)
   val with_request : ?client:int -> string -> (unit -> 'a) -> 'a
 
   (** {2 Detached requests}
 
-      The staged pipeline opens a request once at submission, resumes
-      and suspends it around every stage execution (so interleaved
-      requests each stamp their own [(client, id)] on what they
-      record), and closes it at completion. *)
+      The staged pipeline opens a request once at submission, runs
+      every stage execution {!within} it (so interleaved requests each
+      stamp their own [(client, id)] on what they record), and closes
+      it at completion. *)
 
-  (** Assign a request id and emit the begin event without leaving the
-      request on the context stack. *)
+  (** Assign a request id and emit the begin event under it, leaving
+      the live context as it was. *)
   val begin_detached : ?client:int -> string -> int
-
-  (** Push an already-assigned [(client, id)] back onto the context
-      stack (no new id, no begin event). *)
-  val resume : client:int -> id:int -> string -> unit
-
-  (** Pop the innermost context without emitting an end event. *)
-  val suspend : unit -> unit
 
   (** Emit the end event of a detached request. *)
   val end_detached : client:int -> id:int -> string -> unit
@@ -343,27 +336,28 @@ module Health : sig
   val ok : (string * float * float * bool) list -> bool
 end
 
-(** The causal event graph behind [ofe blame]: per request, the stage
-    segments it executed and the typed blocking edges (queue admission,
-    batch park, coalesce-on-leader, scheduler dispatch) it waited on,
-    all stamped with exact simulated-clock reads. Because the clock is
-    deterministic and only advances when work is charged, the recorded
-    segments and waits tile a request's lifetime exactly — blame is an
-    accounting identity, not a sampling estimate ({!Omos.Blame} builds
-    critical paths and what-if replays on top).
+(** Every pipeline request's timeline, and the per-run store of them
+    behind [ofe blame]. The server opens one {!Causal.req} per request
+    at submission and owns it: each stage appends the segment it
+    executed, and each park at the place barrier or on a coalesce
+    leader becomes a typed wait, all stamped with exact simulated-clock
+    reads. The response's latency split is a fold over the record
+    ({!Causal.work_us}, {!Causal.waited_us}). Because the clock is
+    deterministic and only advances when work is charged, a completed
+    request's segments and waits, with the gaps between them, tile its
+    lifetime exactly — blame is an accounting identity, not a sampling
+    estimate ({!Omos.Blame} names the gaps, builds critical paths and
+    replays what-ifs on top).
 
-    Recording is off by default; every hook is a no-op while disabled
-    or for unknown request ids, so the instrumented server pays nothing
-    when blame is not being collected. *)
+    Every request records its timeline; {!Causal.set_enabled} (off by
+    default) only decides whether requests submitted while it is on are
+    retained for {!Causal.requests}. Recording charges nothing to the
+    simulated clock. *)
 module Causal : sig
-  (** Why a request was blocked rather than computing. *)
+  (** Why a request was parked rather than computing. *)
   type wait_kind =
-    | Queue  (** admission: submitted but not yet dispatched to parse *)
     | Batch  (** parked at the place boundary until [flush_place] *)
     | Coalesce  (** follower waiting on its leader's link/map *)
-    | Sched  (** runnable but waiting for the scheduler to dispatch *)
-
-  val wait_kind_to_string : wait_kind -> string
 
   (** One executed stage interval. [g_self] is the charged cost — it
       can be less than [g_t1 -. g_t0] when shared work (a batched
@@ -374,18 +368,13 @@ module Causal : sig
       waited on ([-1] when the edge has no single counterpart). *)
   type wait = { w_kind : wait_kind; w_from : float; w_until : float; w_on : int }
 
-  (** One scheduler dispatch: the task was spawned at [d_queued] and
-      ran at [d_started]. *)
-  type dispatch = { d_stage : string; d_queued : float; d_started : float }
-
   type req = {
     g_id : int;
     g_client : int;
-    g_target : string;
+    g_target : string;  (** the request's target label *)
     g_submit : float;
     mutable g_segments : segment list;
     mutable g_waits : wait list;
-    mutable g_dispatches : dispatch list;
     mutable g_parked : (wait_kind * float * int) option;
         (** an unresolved park, closed by {!unpark} *)
     mutable g_done : float option;
@@ -393,30 +382,41 @@ module Causal : sig
     mutable g_hit : bool;
     mutable g_solver_us : float;
         (** shared batched-solve cost charged during this request's
-            place segment (not part of its own wrap work) *)
+            place segment (not part of its own wrap work); the flush
+            that placed the request writes it *)
   }
 
+  (** Retain the requests submitted from now on for {!requests} (off by
+      default). Survives {!reset}. *)
   val set_enabled : bool -> unit
-  val is_enabled : unit -> bool
 
-  (** Recording hooks (no-ops while disabled / id unknown). *)
+  (** Open the timeline of request [id], submitted at [at]; retained
+      when {!set_enabled} is on. *)
+  val begin_request : id:int -> client:int -> target:string -> at:float -> req
 
-  val begin_request : id:int -> client:int -> target:string -> at:float -> unit
-  val segment : id:int -> stage:string -> t0:float -> t1:float -> ?self:float -> unit -> unit
-  val park : id:int -> wait_kind -> ?on:int -> at:float -> unit -> unit
-  val unpark : id:int -> at:float -> unit -> unit
-  val dispatched : id:int -> stage:string -> queued:float -> started:float -> unit
-  val set_solver_us : id:int -> float -> unit
-  val complete : id:int -> at:float -> sim_us:float -> hit:bool -> unit -> unit
+  (** Recording: append an executed stage, park, resolve the pending
+      park, seal at completion. *)
 
+  val segment : req -> stage:string -> t0:float -> t1:float -> ?self:float -> unit -> unit
+  val park : req -> wait_kind -> ?on:int -> at:float -> unit -> unit
+  val unpark : req -> at:float -> unit -> unit
+  val complete : req -> at:float -> sim_us:float -> hit:bool -> unit -> unit
+
+  (** Simulated time spent inside the request's recorded segments
+      (whole intervals, the shared batched place included). *)
+  val work_us : req -> float
+
+  (** Simulated time the request spent in resolved waits of [kind]. *)
+  val waited_us : req -> wait_kind -> float
+
+  (** A retained request by id. *)
   val find : int -> req option
 
-  (** Completed and in-flight requests recorded since the last reset,
-      sorted by id; segments, waits and dispatches are returned in
-      chronological order. *)
+  (** Retained requests, completed and in flight, sorted by id;
+      segments and waits are returned in chronological order. *)
   val requests : unit -> req list
 
-  (** Drop all recorded requests (the enabled flag is untouched);
+  (** Drop all retained requests (the retention switch is untouched);
       {!reset} calls this. *)
   val reset_state : unit -> unit
 end
@@ -428,27 +428,9 @@ end
     auto-dump configuration, and {!Runinfo} are untouched. *)
 val reset : unit -> unit
 
-(** A small JSON reader/writer used by the exporters and by tests to
-    validate exporter output. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  val escape : string -> string
-  val to_string : t -> string
-
-  (** @raise Parse_error on malformed input. *)
-  val parse : string -> t
-
-  val member : string -> t -> t option
-end
+(** The JSON reader/writer (see json.mli) the exporters, the flight
+    recorder's dumps and the tests share. *)
+module Json = Json
 
 (** The binding journal: per-symbol link/operator decisions recorded
     during a build and attached, as a compact {!Provenance.t}, to the

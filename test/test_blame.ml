@@ -175,15 +175,19 @@ let test_coalesced_follower_split_and_provenance () =
 
 (* A small mixed scenario: two burst rounds over five metas with
    repeats, so the recording contains misses, hits, batching, and
-   coalescing. *)
-let mixed_scenario (s : S.t) : float =
+   coalescing. Returns every response with its request id. *)
+let mixed_responses (s : S.t) : (int * S.response) list =
   let round libs =
     let tks = List.map (fun l -> S.submit s (S.library l)) libs in
     S.drain s;
-    List.fold_left (fun a tk -> a +. (S.await s tk).S.sim_us) 0.0 tks
+    List.map (fun tk -> (S.ticket_id tk, S.await s tk)) tks
   in
   round [ "/lib/libm"; "/lib/libl"; "/lib/libC"; "/lib/libm"; "/lib/libal1" ]
-  +. round [ "/lib/libal2"; "/lib/libm"; "/lib/libl"; "/lib/libal2" ]
+  @ round [ "/lib/libal2"; "/lib/libm"; "/lib/libl"; "/lib/libal2" ]
+
+(* The scenario's total latency. *)
+let mixed_scenario (s : S.t) : float =
+  List.fold_left (fun a (_, r) -> a +. r.S.sim_us) 0.0 (mixed_responses s)
 
 let test_whatif_baseline_identity () =
   let s = fresh_world () in
@@ -306,6 +310,53 @@ let test_recording_off_by_default_and_free () =
   let on_total = mixed_scenario s2 in
   close "recording charges nothing" off_total on_total
 
+(* -- the response split is the timeline ------------------------------------- *)
+
+(* Every request records its timeline; retention only decides what
+   [C.requests] returns. So the responses are the same with retention
+   off and on, and each retained timeline folds back to its response's
+   latency split, float for float. *)
+let test_response_split_is_the_timeline () =
+  let split (r : S.response) =
+    ( r.S.built.S.key,
+      r.S.cache_hit,
+      (r.S.sim_us, r.S.queue_us, r.S.batch_us, r.S.coalesce_us) )
+  in
+  C.set_enabled false;
+  let w = Omos.World.create () in
+  Telemetry.reset ();
+  let off = mixed_responses w.Omos.World.server in
+  let on = mixed_responses (fresh_world ()) in
+  Alcotest.(check bool) "retention leaves every response unchanged" true
+    (List.map (fun (id, r) -> (id, split r)) off
+    = List.map (fun (id, r) -> (id, split r)) on);
+  Alcotest.(check int) "every request retained" (List.length on)
+    (List.length (C.requests ()));
+  Alcotest.(check bool) "the scenario batches and coalesces" true
+    (List.exists (fun (_, r) -> r.S.coalesce_us > 0.0) on
+    && List.exists
+         (fun (tl : C.req) ->
+           List.exists (fun (w : C.wait) -> w.C.w_kind = C.Batch) tl.C.g_waits)
+         (C.requests ()));
+  List.iter
+    (fun (id, (r : S.response)) ->
+      match C.find id with
+      | None -> Alcotest.failf "request %d not retained" id
+      | Some tl ->
+          let total_wait = Float.max 0.0 (tl.C.g_sim_us -. C.work_us tl) in
+          let coalesce = Float.min (C.waited_us tl C.Coalesce) total_wait in
+          let batch =
+            Float.min (C.waited_us tl C.Batch) (total_wait -. coalesce)
+          in
+          let exact what =
+            Alcotest.(check (float 0.0)) (Printf.sprintf "r%d %s" id what)
+          in
+          exact "sim_us" r.S.sim_us tl.C.g_sim_us;
+          exact "coalesce_us" r.S.coalesce_us coalesce;
+          exact "batch_us" r.S.batch_us batch;
+          exact "queue_us" r.S.queue_us (total_wait -. batch -. coalesce))
+    on
+
 (* -- fuzzed workloads (the 200+ cases of the acceptance criteria) ----------- *)
 
 let run_fuzz_case ~(seed : int) ~(conc : int) ~(batch : bool) : unit =
@@ -373,6 +424,8 @@ let () =
             test_profile_partition_and_folded;
           Alcotest.test_case "recording off by default and free" `Quick
             test_recording_off_by_default_and_free;
+          Alcotest.test_case "response split is the timeline" `Quick
+            test_response_split_is_the_timeline;
         ] );
       ( "what-if",
         [

@@ -108,6 +108,40 @@ let test_request_nesting_and_ids () =
     (fun e -> Alcotest.(check int) "begin carries client" 7 e.F.client)
     begins
 
+(* A raise inside [within] reinstalls the context it replaced; a raise
+   out of a request's body ends the request exactly once, under its own
+   attribution, and leaves no context behind. *)
+let test_within_restores_on_raise () =
+  reset ();
+  Telemetry.Request.set_client 4;
+  let id = ref (-1) in
+  (try
+     Telemetry.Request.with_request "outer" (fun () ->
+         id := Telemetry.Request.current_request ();
+         (try
+            Telemetry.Request.within ~client:9 ~id:99 (fun () ->
+                Alcotest.(check (pair int int)) "within sets the context"
+                  (9, 99)
+                  ( Telemetry.Request.current_client (),
+                    Telemetry.Request.current_request () );
+                raise Exit)
+          with Exit -> ());
+         Alcotest.(check (pair int int)) "outer context back after the raise"
+           (4, !id)
+           ( Telemetry.Request.current_client (),
+             Telemetry.Request.current_request () );
+         raise Exit)
+   with Exit -> ());
+  Alcotest.(check (pair int int)) "no context left" (-1, -1)
+    (Telemetry.Request.current_client (), Telemetry.Request.current_request ());
+  match List.filter (fun e -> e.F.kind = F.Request_end) (F.events ()) with
+  | [ e ] ->
+      Alcotest.(check (pair int int)) "the end carries the request" (4, !id)
+        (e.F.client, e.F.request);
+      Alcotest.(check (float 0.0)) "the end names the request"
+        (float_of_int !id) e.F.value
+  | evs -> Alcotest.failf "expected one Request_end, got %d" (List.length evs)
+
 (* -- dumps ----------------------------------------------------------------- *)
 
 let test_dump_files_parse () =
@@ -186,6 +220,8 @@ let () =
           Alcotest.test_case "attribution" `Quick test_context_attribution;
           Alcotest.test_case "request nesting" `Quick
             test_request_nesting_and_ids;
+          Alcotest.test_case "within restores on raise" `Quick
+            test_within_restores_on_raise;
         ] );
       ( "dump",
         [
