@@ -38,6 +38,7 @@ let residency_to_string = function
 type entry = {
   key : string; (* construction digest *)
   image : Linker.Image.t;
+  digest : string Lazy.t; (* Linker.Image.digest image; a mapped hit forces it *)
   text_base : int;
   data_base : int;
   disk_bytes : int;
@@ -106,9 +107,10 @@ let insert (t : t) ~(key : string) ~(text_base : int) ~(data_base : int)
     {
       key;
       image;
+      digest = lazy (Linker.Image.digest image);
       text_base;
       data_base;
-      disk_bytes = Bytes.length (Linker.Image.encode image);
+      disk_bytes = Linker.Image.encoded_size image;
       hits = 0;
       residency;
       provenance;

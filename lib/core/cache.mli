@@ -18,9 +18,14 @@ val residency_to_string : residency -> string
 type entry = {
   key : string;  (** construction digest *)
   image : Linker.Image.t;
+  digest : string Lazy.t;
+      (** [Linker.Image.digest image], computed on first use and at most
+          once; only mapping the image reads it *)
   text_base : int;
   data_base : int;
-  disk_bytes : int;  (** serialized size (disk-consumption accounting) *)
+  disk_bytes : int;
+      (** serialized size (disk-consumption accounting):
+          [Linker.Image.encoded_size image], nothing is encoded *)
   mutable hits : int;
   mutable residency : residency;
   mutable provenance : Telemetry.Provenance.t option;

@@ -96,7 +96,10 @@ and response = {
   coalesce_us : float; (* wait on another request's in-flight build *)
 }
 
-and built = { entry : Cache.entry; key : string }
+and built = {
+  entry : Cache.entry;
+  key : string Lazy.t; (* page-cache key; only [map_into] forces it *)
+}
 
 and target =
   | Library of {
@@ -704,7 +707,13 @@ and stage_link (t : t) (job : job) () : unit =
       { img with Linker.Image.name }
   in
   note t.residency e;
-  let b = { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest img } in
+  (* a fresh build's map key digests the image as linked, which is named
+     after its first fragment *)
+  let key =
+    let jkey = job.jkey in
+    lazy (jkey ^ "@" ^ Linker.Image.digest img)
+  in
+  let b = { entry = e; key } in
   (* a failed reacquisition of a cached placement is a conflict:
      record where the image wanted to be vs. where it went *)
   (match job.jreacquire_conflict with
@@ -811,9 +820,8 @@ and stage_parse (t : t) (job : job) () : unit =
         (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
   let hit (e : Cache.entry) =
     job.jhit <- true;
-    spawn_stage t job "map"
-      (stage_map t job
-         { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image })
+    let key = lazy (e.Cache.key ^ "@" ^ Lazy.force e.Cache.digest) in
+    spawn_stage t job "map" (stage_map t job { entry = e; key })
   in
   let fresh () =
     Hashtbl.replace t.building job.jkey job;
@@ -1139,8 +1147,8 @@ let map_into (t : t) ?(touch_user_cost = 0.0) ?(fresh_from_disk = false)
   if b.entry.Cache.residency = Cache.Evicted then
     fail "map_into: cached image of %s was evicted; re-instantiate it"
       b.entry.Cache.image.Linker.Image.name;
-  Simos.Kernel.map_image t.kernel p ~key:b.key ~fresh_from_disk ~touch_user_cost
-    b.entry.Cache.image
+  Simos.Kernel.map_image t.kernel p ~key:(Lazy.force b.key) ~fresh_from_disk
+    ~touch_user_cost b.entry.Cache.image
 
 (** Everything needed to start a program built by a scheme. *)
 type loadable = {

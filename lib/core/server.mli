@@ -150,8 +150,12 @@ val eval : t -> Blueprint.Mgraph.node -> Blueprint.Mgraph.result
 val module_sizes : Jigsaw.Module_ops.t -> int * int
 
 (** A built, positioned, cached image together with its page-cache key
-    for mapping into tasks. *)
-type built = { entry : Cache.entry; key : string }
+    for mapping into tasks. The key is the construction key, ["@"], and
+    an image digest, computed only when {!map_into} forces it: a hit's
+    is its entry's memoized [Cache.digest]; a fresh build's digests the
+    image as linked, which is named after its first fragment, not after
+    the target. *)
+type built = { entry : Cache.entry; key : string Lazy.t }
 
 (** Has this built's cache entry been evicted since it was handed out?
     Stale builts must be re-requested before mapping. *)

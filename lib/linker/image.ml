@@ -96,6 +96,21 @@ let encode (img : t) : Bytes.t =
   put_u32 img.reloc_work;
   Buffer.to_bytes buf
 
+(* The layout [encode] writes, in its order: a string is a u32 length
+   and its bytes; a segment is its name, three u32s and its bytes. *)
+let encoded_size (img : t) : int =
+  let str s = 4 + String.length s in
+  let seg acc s = acc + str s.seg_name + 12 + Bytes.length s.bytes in
+  let sym acc (n, _) = acc + str n + 4 in
+  (* magic, name, segment count *)
+  4 + str img.name + 4
+  + List.fold_left seg 0 img.segments
+  (* bss vaddr, bss size, entry, symbol count *)
+  + 16
+  + List.fold_left sym 0 img.symtab
+  (* reloc_work *)
+  + 4
+
 exception Decode_error of string
 
 let decode (b : Bytes.t) : t =

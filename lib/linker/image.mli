@@ -47,6 +47,10 @@ val load_into_flat : t -> Bytes.t -> unit
     traditional exec path reads and parses. *)
 val encode : t -> Bytes.t
 
+(** [encoded_size img] = [Bytes.length (encode img)], computed from the
+    field lengths without encoding. *)
+val encoded_size : t -> int
+
 exception Decode_error of string
 
 (** Parse bytes produced by {!encode}. @raise Decode_error. *)

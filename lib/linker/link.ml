@@ -327,6 +327,9 @@ let combine ~name (frags : Sof.Object_file.t list) : Sof.Object_file.t =
       Bytes.blit p.frag.Sof.Object_file.data 0 data p.data_off
         (Bytes.length p.frag.Sof.Object_file.data))
     placed;
+  (* the lists grow newest-first and are reversed once at the end:
+     appending each fragment's part would be quadratic in the fragment
+     count *)
   let symbols = ref [] and relocs = ref [] and ctors = ref [] in
   let undef_seen = Hashtbl.create 16 in
   List.iteri
@@ -360,7 +363,10 @@ let combine ~name (frags : Sof.Object_file.t list) : Sof.Object_file.t =
             in
             Some { s with Sof.Symbol.name; value }
       in
-      symbols := !symbols @ List.filter_map rebase frag.Sof.Object_file.symbols;
+      symbols :=
+        List.fold_left
+          (fun acc s -> match rebase s with Some s -> s :: acc | None -> acc)
+          !symbols frag.Sof.Object_file.symbols;
       let rebase_reloc (r : Sof.Reloc.t) : Sof.Reloc.t =
         let offset =
           match r.target with
@@ -370,20 +376,26 @@ let combine ~name (frags : Sof.Object_file.t list) : Sof.Object_file.t =
         let symbol = if Hashtbl.mem local_defs r.symbol then mangle r.symbol else r.symbol in
         { r with Sof.Reloc.offset; symbol }
       in
-      relocs := !relocs @ List.map rebase_reloc frag.Sof.Object_file.relocs;
+      relocs :=
+        List.fold_left (fun acc r -> rebase_reloc r :: acc) !relocs
+          frag.Sof.Object_file.relocs;
       let rebase_ctor c = if Hashtbl.mem local_defs c then mangle c else c in
-      ctors := !ctors @ List.map rebase_ctor frag.Sof.Object_file.ctors)
+      ctors :=
+        List.fold_left (fun acc c -> rebase_ctor c :: acc) !ctors
+          frag.Sof.Object_file.ctors)
     placed;
+  let symbols = List.rev !symbols in
   (* drop undef entries that are now satisfied internally *)
   let defined = Hashtbl.create 32 in
   List.iter
     (fun (s : Sof.Symbol.t) ->
       if Sof.Symbol.is_defined s then Hashtbl.replace defined s.name ())
-    !symbols;
+    symbols;
   let symbols =
     List.filter
       (fun (s : Sof.Symbol.t) ->
         Sof.Symbol.is_defined s || not (Hashtbl.mem defined s.name))
-      !symbols
+      symbols
   in
-  Sof.Object_file.make ~name ~data ~bss_size ~relocs:!relocs ~ctors:!ctors ~text symbols
+  Sof.Object_file.make ~name ~data ~bss_size ~relocs:(List.rev !relocs)
+    ~ctors:(List.rev !ctors) ~text symbols

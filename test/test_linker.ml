@@ -247,6 +247,171 @@ let test_combine_is_associative_behaviour () =
   in
   Alcotest.(check int) "same behaviour" (run img1) (run img2)
 
+(* The partial link written plainly: each fragment's sections appended
+   (data and bss padded to 4 bytes), its symbols, relocations and
+   constructors rebased and appended with [@]. [Link.combine] must
+   encode to the same bytes. *)
+let reference_combine ~name (frags : Sof.Object_file.t list) : Sof.Object_file.t =
+  let pad4 b = Buffer.add_string b (String.make ((4 - (Buffer.length b mod 4)) mod 4) '\000') in
+  let text = Buffer.create 256 and data = Buffer.create 256 and bss = ref 0 in
+  let symbols = ref [] and relocs = ref [] and ctors = ref [] in
+  let undef_seen = Hashtbl.create 16 in
+  List.iteri
+    (fun i (f : Sof.Object_file.t) ->
+      let text_off = Buffer.length text and data_off = Buffer.length data in
+      let bss_off = !bss in
+      Buffer.add_bytes text f.Sof.Object_file.text;
+      Buffer.add_bytes data f.Sof.Object_file.data;
+      pad4 data;
+      bss := (bss_off + f.Sof.Object_file.bss_size + 3) / 4 * 4;
+      let local n =
+        List.exists
+          (fun (s : Sof.Symbol.t) ->
+            s.name = n && Sof.Symbol.is_defined s && s.binding = Sof.Symbol.Local)
+          f.Sof.Object_file.symbols
+      in
+      let mangle n = if local n then Printf.sprintf "L$%d$%s" i n else n in
+      let rebase (s : Sof.Symbol.t) =
+        match s.kind with
+        | Sof.Symbol.Undef when Hashtbl.mem undef_seen s.name -> None
+        | Sof.Symbol.Undef ->
+            Hashtbl.add undef_seen s.name ();
+            Some s
+        | k ->
+            let off =
+              match k with
+              | Sof.Symbol.Text -> text_off
+              | Sof.Symbol.Data -> data_off
+              | Sof.Symbol.Bss -> bss_off
+              | _ -> 0
+            in
+            let name = if s.binding = Sof.Symbol.Local then mangle s.name else s.name in
+            Some { s with Sof.Symbol.name; value = off + s.value }
+      in
+      symbols := !symbols @ List.filter_map rebase f.Sof.Object_file.symbols;
+      relocs :=
+        !relocs
+        @ List.map
+            (fun (r : Sof.Reloc.t) ->
+              let off =
+                match r.target with
+                | Sof.Reloc.In_text -> text_off
+                | Sof.Reloc.In_data -> data_off
+              in
+              { r with Sof.Reloc.offset = off + r.offset; symbol = mangle r.symbol })
+            f.Sof.Object_file.relocs;
+      ctors := !ctors @ List.map mangle f.Sof.Object_file.ctors)
+    frags;
+  let defined n =
+    List.exists (fun (s : Sof.Symbol.t) -> s.name = n && Sof.Symbol.is_defined s) !symbols
+  in
+  Sof.Object_file.make ~name ~text:(Buffer.to_bytes text) ~data:(Buffer.to_bytes data)
+    ~bss_size:!bss ~relocs:!relocs ~ctors:!ctors
+    (List.filter
+       (fun (s : Sof.Symbol.t) -> Sof.Symbol.is_defined s || not (defined s.name))
+       !symbols)
+
+(* [n] fragments, each with a call to the next fragment (resolved inside
+   the combination but the last), a call to an external every fragment
+   shares, a local constructor, a local datum with a pointer to it,
+   0 to 2 bytes of string data and 1 to 5 bytes of local bss, so every
+   fragment's data and bss need padding differently. *)
+let synthetic_fragments n =
+  List.init n (fun i ->
+      let a = Sof.Asm.create (Printf.sprintf "s%d.o" i) in
+      Sof.Asm.label a (Printf.sprintf "fn%d" i);
+      Sof.Asm.call a (Printf.sprintf "fn%d" (i + 1));
+      Sof.Asm.call a "ext";
+      Sof.Asm.lea a 2 "local";
+      Sof.Asm.instr a Svm.Isa.Ret;
+      Sof.Asm.label a ~binding:Sof.Symbol.Local "init";
+      Sof.Asm.instr a Svm.Isa.Ret;
+      Sof.Asm.ctor a "init";
+      Sof.Asm.data_label a ~binding:Sof.Symbol.Local "local";
+      Sof.Asm.data_word a (Int32.of_int i);
+      Sof.Asm.data_word_sym a "local";
+      Sof.Asm.data_string a (String.make (i mod 3) 'x');
+      Sof.Asm.bss ~binding:Sof.Symbol.Local a "buf" (1 + (i mod 5));
+      Sof.Asm.finish a)
+
+let test_combine_matches_reference () =
+  let same what frags =
+    Alcotest.(check string) what
+      (Bytes.to_string (Sof.Codec.encode (reference_combine ~name:"c.o" frags)))
+      (Bytes.to_string (Sof.Codec.encode (Linker.Link.combine ~name:"c.o" frags)))
+  in
+  same "libc members" (List.map snd (Workloads.Libc_gen.objects ()));
+  same "500 synthetic fragments" (synthetic_fragments 500)
+
+(* -- encoded_size ------------------------------------------------------- *)
+
+let check_encoded_size what (img : Linker.Image.t) =
+  Alcotest.(check int) what
+    (Bytes.length (Linker.Image.encode img))
+    (Linker.Image.encoded_size img)
+
+let blank_image =
+  {
+    Linker.Image.name = "blank";
+    segments = [];
+    bss_vaddr = 0;
+    bss_size = 0;
+    entry = -1;
+    symtab = [];
+    reloc_work = 0;
+  }
+
+let test_encoded_size_edges () =
+  check_encoded_size "no segments, entry -1" blank_image;
+  check_encoded_size "empty name" { blank_image with Linker.Image.name = "" };
+  check_encoded_size "bss only"
+    { blank_image with Linker.Image.bss_vaddr = 0x9000; bss_size = 0x1000; entry = 0x1000 };
+  check_encoded_size "large symtab"
+    {
+      blank_image with
+      Linker.Image.symtab =
+        List.init 5000 (fun i -> (String.make (i mod 40) 's' ^ string_of_int i, i * 4));
+    };
+  let img, _ = Linker.Link.link ~layout [ main_frag (); f_frag (); g_frag () ] in
+  check_encoded_size "linked" img
+
+(* Every image a world builds: its libraries, the interposition demo
+   and a static client bound to libc. *)
+let test_encoded_size_world_images () =
+  let w = Omos.World.create () in
+  let s = w.Omos.World.server in
+  let image (b : Omos.Server.built) = b.Omos.Server.entry.Omos.Cache.image in
+  let lib path = image (Omos.Server.build s (Omos.Server.library path)) in
+  List.iter (fun p -> check_encoded_size p (lib p)) ("/demo/hello" :: Omos.World.codegen_libs);
+  let client =
+    Omos.Server.static ~name:"ls.static" ~externals:[ lib "/lib/libc" ]
+      (Blueprint.Mgraph.Merge
+         (List.map (fun o -> Blueprint.Mgraph.Leaf o) (Omos.World.ls_client w)))
+  in
+  check_encoded_size "static client" (image (Omos.Server.build s client))
+
+let gen_image : Linker.Image.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let name = string_size ~gen:printable (0 -- 24) in
+  let addr = 0 -- 0x7FFFFFFF in
+  let segment =
+    map4
+      (fun seg_name vaddr len writable ->
+        { Linker.Image.seg_name; vaddr; bytes = Bytes.make len 'b'; writable })
+      name addr (0 -- 600) bool
+  in
+  map
+    (fun ((name, segments, bss_vaddr, bss_size), (entry, symtab, reloc_work)) ->
+      { Linker.Image.name; segments; bss_vaddr; bss_size; entry; symtab; reloc_work })
+    (pair
+       (quad name (list_size (0 -- 4) segment) addr (0 -- 0x10000))
+       (triple (oneof [ return (-1); addr ]) (list_size (0 -- 50) (pair name addr)) (0 -- 10_000)))
+
+let prop_encoded_size =
+  QCheck.Test.make ~count:200 ~name:"encoded_size = length of encode"
+    (QCheck.make gen_image)
+    (fun img -> Linker.Image.encoded_size img = Bytes.length (Linker.Image.encode img))
+
 (* -- properties --------------------------------------------------------- *)
 
 let prop_layout_no_symbol_below_base =
@@ -290,6 +455,14 @@ let () =
           Alcotest.test_case "mangles locals" `Quick test_combine_mangles_locals;
           Alcotest.test_case "preserves ctors" `Quick test_combine_preserves_ctors;
           Alcotest.test_case "nesting" `Quick test_combine_is_associative_behaviour;
+          Alcotest.test_case "matches reference" `Quick test_combine_matches_reference;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_layout_no_symbol_below_base ]);
+      ( "encoding",
+        [
+          Alcotest.test_case "edge cases" `Quick test_encoded_size_edges;
+          Alcotest.test_case "world images" `Quick test_encoded_size_world_images;
+        ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_layout_no_symbol_below_base; prop_encoded_size ] );
     ]

@@ -256,6 +256,69 @@ let test_seeded_interleaving_reproducible () =
   in
   Alcotest.(check bool) "seed 42 twice: identical" true (run () = run ())
 
+(* -- map keys -------------------------------------------------------------- *)
+
+let build_lib s path = Omos.Server.build s (Omos.Server.library path)
+let key (b : Omos.Server.built) = Lazy.force b.Omos.Server.key
+let forced = Lazy.is_val
+
+(* Building and hitting digest nothing: only mapping forces a key, and
+   a hit's key forces its entry's digest. *)
+let test_map_key_lazy () =
+  let s = fresh_world () in
+  let fresh = build_lib s "/lib/libc" in
+  let hit = build_lib s "/lib/libc" in
+  let e = fresh.Omos.Server.entry in
+  Alcotest.(check bool) "one entry" true (e == hit.Omos.Server.entry);
+  Alcotest.(check (list bool)) "built, hit, never mapped: nothing forced"
+    [ false; false; false ]
+    [ forced fresh.Omos.Server.key; forced hit.Omos.Server.key; forced e.Omos.Cache.digest ];
+  let p = Simos.Kernel.create_process (Omos.Server.kernel s) ~args:[ "map" ] in
+  Omos.Server.map_into s p hit;
+  Alcotest.(check (list bool)) "mapping the hit forces its key and the digest"
+    [ true; true; false ]
+    [ forced hit.Omos.Server.key; forced e.Omos.Cache.digest; forced fresh.Omos.Server.key ]
+
+(* The keys' values, pinned: a hit's key digests the cached image; a
+   fresh build's digests the image as linked, named after its first
+   fragment. So libc's first client maps under another key than every
+   later one, and libm's, whose first fragment is /lib/libm, do not. *)
+let test_map_key_values () =
+  let s = fresh_world () in
+  let keys path ~linked_as =
+    let fresh = build_lib s path in
+    let hit = build_lib s path in
+    let e = fresh.Omos.Server.entry in
+    let expect name =
+      e.Omos.Cache.key ^ "@"
+      ^ Linker.Image.digest { e.Omos.Cache.image with Linker.Image.name }
+    in
+    Alcotest.(check string) (path ^ " fresh key") (expect linked_as) (key fresh);
+    Alcotest.(check string) (path ^ " hit key") (expect path) (key hit);
+    key fresh = key hit
+  in
+  Alcotest.(check bool) "libc: fresh and hit keys differ" false
+    (keys "/lib/libc" ~linked_as:"/libc/gen");
+  Alcotest.(check bool) "libm: fresh and hit keys agree" true
+    (keys "/lib/libm" ~linked_as:"/lib/libm")
+
+(* Two hits on one entry digest its image once: after the first hit's
+   key is forced, a changed image no longer changes the second's. *)
+let test_map_key_digest_once () =
+  let s = fresh_world () in
+  ignore (build_lib s "/lib/libm");
+  let h1 = build_lib s "/lib/libm" in
+  let k1 = key h1 in
+  let e = h1.Omos.Server.entry in
+  let text = (Option.get (Linker.Image.text_segment e.Omos.Cache.image)).Linker.Image.bytes in
+  let b0 = Bytes.get text 0 in
+  Bytes.set text 0 (Char.chr (Char.code b0 lxor 0xff));
+  let h2 = build_lib s "/lib/libm" in
+  Alcotest.(check bool) "a second digest would differ" true
+    (k1 <> e.Omos.Cache.key ^ "@" ^ Linker.Image.digest e.Omos.Cache.image);
+  Alcotest.(check string) "the second hit reads the memoized digest" k1 (key h2);
+  Bytes.set text 0 b0
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -284,5 +347,11 @@ let () =
             test_concurrent_matches_serial;
           Alcotest.test_case "seeded interleaving" `Quick
             test_seeded_interleaving_reproducible;
+        ] );
+      ( "map keys",
+        [
+          Alcotest.test_case "lazy until mapped" `Quick test_map_key_lazy;
+          Alcotest.test_case "values pinned" `Quick test_map_key_values;
+          Alcotest.test_case "digest once per entry" `Quick test_map_key_digest_once;
         ] );
     ]
