@@ -24,6 +24,7 @@ type info = {
   i_flow : Symflow.t;
   i_prefs : Mg.constraint_pref list;
   i_digest : string;
+  mutable i_plan_digest : string;
   i_modeled : bool;
   i_keyed : bool;
   i_children : info list;
@@ -113,6 +114,10 @@ let summary_of (n : Mg.node) (m : Symflow.t) (prefs : Mg.constraint_pref list)
 
 let summary (i : info) : summary = summary_of i.i_node i.i_flow i.i_prefs
 
+let plan_digest (i : info) : string =
+  if i.i_plan_digest = "" then i.i_plan_digest <- Mg.digest i.i_node;
+  i.i_plan_digest
+
 (* The summary is rendered for the digest and dropped: a kept tree holds
    the flow it derives from, not both. *)
 let annotate ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
@@ -126,6 +131,7 @@ let annotate ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
       node_digest ~local:(Mg.local_key n) ~key
         ~children:(List.map (fun c -> c.i_digest) children)
         (summary_of n m prefs);
+    i_plan_digest = "";
     i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
     i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
     i_children = children;
@@ -140,6 +146,7 @@ let fallback_info (root : Mg.node) : info =
     i_flow = Symflow.empty;
     i_prefs = [];
     i_digest = "(analysis-error)";
+    i_plan_digest = "";
     i_modeled = false;
     i_keyed = false;
     i_children = [];

@@ -43,8 +43,9 @@ type summary = {
   s_prefs : string list;  (** rendered constraint preferences *)
 }
 
-(** Annotated analysis of one node. *)
-type info = {
+(** Annotated analysis of one node. Private: only this module builds
+    one, and {!plan_digest} is the only writer of [i_plan_digest]. *)
+type info = private {
   i_path : string;  (** m-graph path, {!Lint}'s addressing vocabulary *)
   i_node : Mg.node;
   i_flow : Symflow.t;  (** the node's symbol flow; see {!summary} *)
@@ -53,6 +54,8 @@ type info = {
       (** content digest: leaf content + params + occurrence key of a
           live freeze/hide/show + child digests + summary, chained
           bottom-up *)
+  mutable i_plan_digest : string;
+      (** [""] until {!plan_digest} computes it; read it there *)
   i_modeled : bool;
       (** the whole subtree is fully modeled: every name resolves
           acyclically, every selector/template compiles, every source
@@ -68,6 +71,13 @@ type info = {
     digest hashes it, and {!diff} names the first differing fact of a
     respun node from it. *)
 val summary : info -> summary
+
+(** {!Blueprint.Mgraph.digest} of [i_node], the key the server's reuse
+    plan files the node under: computed on the first call and kept in
+    the info, so a kept walk that replays the node keeps it. {!analyze}
+    computes none; a field rather than a [Lazy.t], which would keep a
+    closure in every unasked info. *)
+val plan_digest : info -> string
 
 type tree = {
   t_root : info;

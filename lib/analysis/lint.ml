@@ -212,38 +212,54 @@ let guarded_map (st : _ state) ~path ~(pattern : string) ~(template : string)
         None),
     bad )
 
-(* Duplicate-global names within a single module (what its own merge
-   nodes already reported), used to report only dups a node creates. *)
-let own_dup_names (m : Symflow.t) : S.t =
-  S.of_list
-    (List.map (fun (n, _, _) -> n) (Symflow.duplicate_globals m.Symflow.frags))
-
-let check_merge_conflicts (st : _ state) ~path (parts : Symflow.t list)
-    (result : Symflow.t) : unit =
-  let inherited =
-    List.fold_left (fun acc p -> S.union acc (own_dup_names p)) S.empty parts
-  in
-  let fresh =
-    List.filter
-      (fun (n, _, _) -> not (S.mem n inherited))
-      (Symflow.duplicate_globals result.Symflow.frags)
-  in
-  (match fresh with
+(* The conflicts a merge of [parts] creates, from one ordered pass over
+   their definitions. A global seen again in the operand that last
+   defined it is that operand's own duplicate: the operand reported it,
+   and no duplicate of that name is reported again here. A global seen
+   in an earlier operand is a duplicate this node creates (E002), named
+   with its first two sources, in the order {!Jigsaw.Module_ops.merge}
+   finds them. A weak definition is shadowed (W104) when another
+   operand defines the name global. *)
+let check_merge_conflicts (st : _ state) ~path (parts : Symflow.t list) : unit =
+  (* global name -> first source, last operand, defined in two operands *)
+  let globals : (string, string * int * bool) Hashtbl.t = Hashtbl.create 16 in
+  let own = Hashtbl.create 8 in
+  let created = ref [] (* newest first *) and weak = ref [] in
+  List.iteri
+    (fun i (p : Symflow.t) ->
+      List.iter
+        (fun (f : Symflow.frag) ->
+          List.iter
+            (fun (n, binding) ->
+              match (binding : Sof.Symbol.binding) with
+              | Global -> (
+                  match Hashtbl.find_opt globals n with
+                  | None -> Hashtbl.replace globals n (f.Symflow.f_src, i, false)
+                  | Some (_, last, _) when last = i -> Hashtbl.replace own n ()
+                  | Some (first, _, _) ->
+                      created := (n, first, f.Symflow.f_src) :: !created;
+                      Hashtbl.replace globals n (first, i, true))
+              | Weak -> weak := (n, i) :: !weak
+              | Local -> ())
+            f.Symflow.f_defs)
+        p.Symflow.frags)
+    parts;
+  let created = List.filter (fun (n, _, _) -> not (Hashtbl.mem own n)) !created in
+  (match List.rev created with
   | [] -> ()
-  | dups ->
+  | (n1, s1, s2) :: _ as dups ->
       let names = List.sort_uniq compare (List.map (fun (n, _, _) -> n) dups) in
-      let n1, s1, s2 = List.hd dups in
       fails st ~code:"E002" ~title:"duplicate-global-in-merge" ~path
         ~symbols:names
         (Printf.sprintf "duplicate global definition of %s (in %s and %s)" n1
            s1 s2));
-  (* weak definitions shadowed across operands of this node *)
   let shadowed =
-    let rec fold acc = function
-      | [] -> []
-      | p :: rest -> Symflow.weak_shadowed acc p @ fold (Symflow.merge acc p) rest
-    in
-    match parts with [] -> [] | p :: rest -> fold p rest
+    List.filter_map
+      (fun (n, i) ->
+        match Hashtbl.find_opt globals n with
+        | Some (_, last, twice) when twice || last <> i -> Some n
+        | _ -> None)
+      !weak
   in
   match List.sort_uniq compare shadowed with
   | [] -> ()
@@ -285,6 +301,23 @@ let check_rename_collision (st : _ state) ~path ~(op : string)
 
 let unmodeled_specializers = [ "lib-dynamic"; "monitor" ]
 
+(* [defined] plus the names node [n] defines, its flow given. Only a
+   leaf, a source and the operators that mint names can define one its
+   operands did not; every other operator's flow defines a subset of
+   its operands' names, which the walk has already added. [S.add] keeps
+   the set physically when nothing is new. *)
+let add_defined (defined : S.t) (n : Mg.node) (flow : Symflow.t) : S.t =
+  match n with
+  | Mg.Leaf _ | Mg.Source _ | Mg.Rename _ | Mg.Copy_as _ | Mg.Freeze _
+  | Mg.Hide _ | Mg.Show _ | Mg.Initializers _ ->
+      List.fold_left
+        (fun acc (f : Symflow.frag) ->
+          List.fold_left (fun acc (x, _) -> S.add x acc) acc f.Symflow.f_defs)
+        defined flow.Symflow.frags
+  | Mg.Name _ | Mg.Merge _ | Mg.Override _ | Mg.Restrict _ | Mg.Project _
+  | Mg.Specialize _ | Mg.Constrain _ | Mg.Lst _ ->
+      defined
+
 (* -- the abstract evaluator ------------------------------------------------- *)
 
 (* [up] is the parent's cursor in a kept walk, [None] in a walk that
@@ -295,8 +328,7 @@ let rec go (st : 'a state) (up : 'a cursor option) (path : string)
   match up with
   | None ->
       let s = step st None path n in
-      st.ever_defined <-
-        S.union st.ever_defined (S.of_list (Symflow.defined_any s.flow));
+      st.ever_defined <- add_defined st.ever_defined n s.flow;
       (s.flow, s.prefs, annotate_step st path n s)
   | Some up ->
       let k = List.hd up.keys in
@@ -362,11 +394,7 @@ and step_kept (st : 'a state) (k : keys) (prev : 'a walked option) path n :
       k_findings = since [] st.findings;
       k_approximate = st.approximate;
       k_eval_fails = st.eval_fails;
-      k_defined =
-        (* the operands' names, then the node's own: [S.add] keeps the
-           set physically when nothing is new *)
-        List.fold_left (fun acc x -> S.add x acc) st.ever_defined
-          (Symflow.defined_any s.flow);
+      k_defined = add_defined st.ever_defined n s.flow;
       k_kids = List.rev cur.done_;
     }
   in
@@ -407,7 +435,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
           let rs = List.mapi (fun i x -> operand st cur path ~idx:i x) flat in
           let parts = List.map (fun (m, _, _) -> m) rs in
           let m = List.fold_left Symflow.merge (List.hd parts) (List.tl parts) in
-          if List.length parts > 1 then check_merge_conflicts st ~path parts m;
+          if List.length parts > 1 then check_merge_conflicts st ~path parts;
           {
             flow = m;
             prefs = List.concat_map (fun (_, p, _) -> p) rs;
@@ -427,7 +455,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
            override replaces no binding";
       let a' = Symflow.restrict (fun n -> List.mem n b_exports) ma in
       let m = Symflow.merge a' mb in
-      check_merge_conflicts st ~path [ a'; mb ] m;
+      check_merge_conflicts st ~path [ a'; mb ];
       { flow = m; prefs = pa @ pb; children = [ ia; ib ]; modeled = true; key = None }
   | Mg.Freeze (p, x) -> (
       let ((mx, _, _) as r) = operand st cur path x in
@@ -593,10 +621,8 @@ let check_constraints (st : _ state) ~path (prefs : Mg.constraint_pref list) :
               (List.map (Printf.sprintf "0x%x") addrs))))
     conflicts
 
-let check_unresolved (st : _ state) ~path (m : Symflow.t) : unit =
-  let lost =
-    List.filter (fun n -> S.mem n st.ever_defined) (Symflow.undefined m)
-  in
+let check_unresolved (st : _ state) ~path (undefined : string list) : unit =
+  let lost = List.filter (fun n -> S.mem n st.ever_defined) undefined in
   if lost <> [] then
     emit st ~code:"E001" ~title:"unresolved-at-root" ~severity:Error ~path
       ~symbols:lost
@@ -622,44 +648,24 @@ let rec aligned f (xs : Mg.node list) (prevs : 'a walked list) : keys list =
       let k = f None x in
       k :: aligned f xs []
 
-(* Keys for the nodes [go] will visit, in its order. Every [Name]
-   resolves as [step] resolves it, so a key fixes what the name reaches,
-   or the error or cycle it reports; with the path, it fixes everything
-   the subtree's walk produces. [prev] is the previous walk at the same
-   position: a leaf that is still the very object it walked (object
-   files are never mutated once built) keeps its key, sparing the
-   content digest. *)
-let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
-    keys =
-  let node local kids =
-    {
-      hash =
-        Digest.string
-          (String.concat ""
-             (string_of_int (String.length local)
-             :: ":" :: local
-             :: List.map (fun k -> k.hash) kids));
-      kids;
-    }
-  in
-  let operands xs =
-    aligned (content_keys st) xs
-      (match prev with Some p -> p.k_kids | None -> [])
-  in
+(* Do operand keys [ks] read as the previous walk's operands [ps] did? *)
+let rec same_keys (ks : keys list) (ps : 'a walked list) : bool =
+  match (ks, ps) with
+  | [], [] -> true
+  | k :: ks, p :: ps -> String.equal k.hash p.k_key && same_keys ks ps
+  | _ -> false
+
+(* The own part of a resolved name's key. *)
+let name_part (path : string) : string = "name:" ^ path
+
+(* An operator's own part of its key (what it adds to its operands'
+   keys) and the operands the key covers, in [go]'s order. [None] for a
+   name, a leaf, a source and a list, which [content_keys] keys
+   otherwise. *)
+let operator (n : Mg.node) : (string * Mg.node list) option =
   match n with
-  | Mg.Name p -> (
-      if List.mem p st.visiting then node ("cycle:" ^ p) []
-      else
-        match st.resolve p with
-        | Error msg -> node (Printf.sprintf "unresolved:%s:%s" p msg) []
-        | Ok sub ->
-            st.visiting <- p :: st.visiting;
-            let ks = operands [ sub ] in
-            st.visiting <- List.tl st.visiting;
-            node ("name:" ^ p) ks)
-  | Mg.Merge ops ->
-      node ("merge" ^ grouping ops) (operands (Mg.flatten_operands ops))
-  | Mg.Override (a, b) -> node "override" (operands [ a; b ])
+  | Mg.Merge ops -> Some ("merge" ^ grouping ops, Mg.flatten_operands ops)
+  | Mg.Override (a, b) -> Some (Mg.local_key n, [ a; b ])
   | Mg.Freeze (_, x)
   | Mg.Restrict (_, x)
   | Mg.Project (_, x)
@@ -670,16 +676,69 @@ let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
   | Mg.Initializers x
   | Mg.Specialize (_, _, x)
   | Mg.Constrain (_, _, x) ->
-      node (Mg.local_key n) (operands [ x ])
-  | Mg.Lst _ ->
-      (* malformed here: reported, its items never walked *)
-      node ("list:" ^ Mg.digest n) []
-  | Mg.Leaf o -> (
-      match prev with
-      | Some { k_node = Mg.Leaf o'; k_key; _ } when o == o' ->
-          { hash = k_key; kids = [] }
-      | _ -> node (Mg.local_key n) [])
-  | Mg.Source _ -> node (Mg.local_key n) []
+      Some (Mg.local_key n, [ x ])
+  | Mg.Name _ | Mg.Leaf _ | Mg.Source _ | Mg.Lst _ -> None
+
+(* The own part [content_keys] gave a node the previous walk keyed,
+   where the node tells it (a name that resolved, or an operator), read
+   again rather than kept: kept walks stay as small as they were. *)
+let kept_part (p : 'a walked) : string option =
+  match p.k_node with
+  | Mg.Name path when p.k_kids <> [] -> Some (name_part path)
+  | n -> Option.map fst (operator n)
+
+(* Keys for the nodes [go] will visit, in its order. Every [Name]
+   resolves as [step] resolves it, so a key fixes what the name reaches,
+   or the error or cycle it reports; with the path, it fixes everything
+   the subtree's walk produces. [prev] is the previous walk at the same
+   position: a node whose own part and operand keys are the ones it
+   keyed keeps its key, and a leaf that is still the very object it
+   walked (object files are never mutated once built) keeps its key,
+   sparing the content digest. *)
+let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
+    keys =
+  let node part kids =
+    match prev with
+    | Some p when same_keys kids p.k_kids && kept_part p = Some part ->
+        { hash = p.k_key; kids }
+    | _ ->
+        {
+          hash =
+            Digest.string
+              (String.concat ""
+                 (string_of_int (String.length part)
+                 :: ":" :: part
+                 :: List.map (fun k -> k.hash) kids));
+          kids;
+        }
+  in
+  let operands xs =
+    aligned (content_keys st) xs
+      (match prev with Some p -> p.k_kids | None -> [])
+  in
+  match operator n with
+  | Some (part, xs) -> node part (operands xs)
+  | None -> (
+      match n with
+      | Mg.Name p -> (
+          if List.mem p st.visiting then node ("cycle:" ^ p) []
+          else
+            match st.resolve p with
+            | Error msg -> node (Printf.sprintf "unresolved:%s:%s" p msg) []
+            | Ok sub ->
+                st.visiting <- p :: st.visiting;
+                let ks = operands [ sub ] in
+                st.visiting <- List.tl st.visiting;
+                node (name_part p) ks)
+      | Mg.Lst _ ->
+          (* malformed here: reported, its items never walked *)
+          node ("list:" ^ Mg.digest n) []
+      | Mg.Leaf o -> (
+          match prev with
+          | Some { k_node = Mg.Leaf o'; k_key; _ } when o == o' ->
+              { hash = k_key; kids = [] }
+          | _ -> node (Mg.local_key n) [])
+      | _ -> (* a source *) node (Mg.local_key n) [])
 
 (* -- entry points ------------------------------------------------------------ *)
 
@@ -698,12 +757,13 @@ let new_state ~resolve ~annotate =
 
 (* The root checks and the report, once [go] has walked the root. *)
 let finish (st : _ state) ~root_path (m : Symflow.t) prefs : report =
-  check_unresolved st ~path:root_path m;
+  let undefined = Symflow.undefined m in
+  check_unresolved st ~path:root_path undefined;
   check_constraints st ~path:root_path prefs;
   {
     findings = List.rev st.findings;
     exports = Symflow.exports m;
-    undefined = Symflow.undefined m;
+    undefined;
     frozen = S.elements m.Symflow.frozen;
     hidden = S.elements m.Symflow.hidden;
     prefs;

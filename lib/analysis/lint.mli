@@ -106,11 +106,15 @@ val walk :
     and the names it defined (which E001 reads). Everything else is
     walked again, and [annotate] runs only for the nodes walked. The
     report and the annotations are exactly those of {!walk}; a subtree
-    moved to another operand is walked again, since its path moved. A
-    leaf that is physically the object the previous walk keyed at its
-    position keeps its key (object files are never mutated once
-    built), and a replayed root keeps the previous report. {!walk}
-    computes no keys and keeps nothing. *)
+    moved to another operand is walked again, since its path moved.
+    Keys are hashed only where something changed: a node whose own part
+    and operand keys are those the previous walk keyed at its position
+    keeps that walk's key (the previous part is read again from the
+    previous node; a name that did not resolve, a [source] and a [list]
+    are always hashed), and so does a leaf that is physically the
+    object the previous walk keyed there (object files are never
+    mutated once built). A replayed root keeps the previous report.
+    {!walk} computes no keys and keeps nothing. *)
 
 (** A kept walk: its tree and its report. *)
 type 'a kept

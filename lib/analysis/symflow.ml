@@ -102,39 +102,6 @@ let frag_globals (f : frag) : string list =
     (fun (n, b) -> if b = Sof.Symbol.Global then Some n else None)
     f.f_defs
 
-(** Duplicate global definitions across (and within) the fragments, in
-    the order {!Jigsaw.Module_ops.merge} would discover them:
-    [(name, first_src, second_src)] per extra occurrence. *)
-let duplicate_globals (frags : frag list) : (string * string * string) list =
-  let seen = Hashtbl.create 32 in
-  let dups = ref [] in
-  List.iter
-    (fun f ->
-      List.iter
-        (fun n ->
-          match Hashtbl.find_opt seen n with
-          | Some first -> dups := (n, first, f.f_src) :: !dups
-          | None -> Hashtbl.replace seen n f.f_src)
-        (frag_globals f))
-    frags;
-  List.rev !dups
-
-(** Names defined [Weak] in one operand and [Global] in the other — the
-    weak definitions this merge permanently shadows. Sorted. *)
-let weak_shadowed (a : t) (b : t) : string list =
-  let bindings (m : t) (keep : Sof.Symbol.binding) : S.t =
-    List.fold_left
-      (fun acc f ->
-        List.fold_left
-          (fun acc (n, bind) -> if bind = keep then S.add n acc else acc)
-          acc f.f_defs)
-      S.empty m.frags
-  in
-  S.elements
-    (S.union
-       (S.inter (bindings a Sof.Symbol.Weak) (bindings b Sof.Symbol.Global))
-       (S.inter (bindings b Sof.Symbol.Weak) (bindings a Sof.Symbol.Global)))
-
 (** Definition and constructor names any fragment holds that match —
     what a [restrict]'s [Undefine] would actually touch. Sorted. *)
 let touched (p : string -> bool) (m : t) : string list =
@@ -193,8 +160,8 @@ let copy_defs (g : string -> string option) : t -> t =
 (* -- the jigsaw operator mirrors -------------------------------------------- *)
 
 (** [merge a b] — fragment concatenation. Conflict detection is the
-    caller's job (via {!duplicate_globals}); like an abstract
-    interpreter, the lattice continues past errors. *)
+    caller's job; like an abstract interpreter, the lattice continues
+    past errors. *)
 let merge (a : t) (b : t) : t =
   {
     frags = a.frags @ b.frags;

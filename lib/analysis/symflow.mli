@@ -47,15 +47,6 @@ val undefined : t -> string list
 (** Global definition names of one fragment, with multiplicity. *)
 val frag_globals : frag -> string list
 
-(** Duplicate global definitions across (and within) the fragments, in
-    discovery order: [(name, first_src, second_src)]. Non-empty means
-    a concrete [merge] of these fragments raises [Module_error]. *)
-val duplicate_globals : frag list -> (string * string * string) list
-
-(** Names defined [Weak] in one operand and [Global] in the other — the
-    weak definitions a merge of the two permanently shadows. Sorted. *)
-val weak_shadowed : t -> t -> string list
-
 (** Definition and constructor names matching the predicate — what a
     [restrict]'s [Undefine] would actually touch. Sorted. *)
 val touched : (string -> bool) -> t -> string list

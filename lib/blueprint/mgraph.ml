@@ -62,22 +62,20 @@ type result = { m : Jigsaw.Module_ops.t; constraints : constraint_pref list }
     occurrence. *)
 type occurrence = (int option * node) list
 
-(** Subtree-reuse hooks (see {!eval_memo}): [lookup] may answer a node
-    at an occurrence with a previously materialized result,
-    short-circuiting its whole subtree; [store] observes every freshly
-    evaluated node. The hooks decide soundness (which nodes are safe to
-    memoize, and where) — evaluation only threads them. *)
-type memo_hooks = {
-  lookup : occurrence -> node -> result option;
-  store : occurrence -> node -> result -> unit;
-}
+(** Subtree reuse (see {!eval_memo}): [memo occ n eval] evaluates the
+    node [n] at [occ]. It may answer with a previously materialized
+    result, short-circuiting the whole subtree, or run [eval] (the
+    evaluation proper) and keep what it returns. The hook decides
+    soundness (which nodes are safe to memoize, and where) — evaluation
+    only threads it. *)
+type memo = occurrence -> node -> (unit -> result) -> result
 
 type env = {
   resolve : string -> node;
   specializers : (string, specializer) Hashtbl.t;
   mutable visiting : string list; (* cycle detection for Name *)
   mutable occ : occurrence; (* the node under evaluation; [] between evaluations *)
-  mutable memo : memo_hooks option; (* engaged by eval_memo only *)
+  mutable memo : memo option; (* engaged by eval_memo only *)
 }
 
 and specializer = env -> value list -> node -> result
@@ -231,13 +229,7 @@ let tm_source_compiles = Telemetry.Counter.make "blueprint.source_compiles"
 let rec eval_node (env : env) (n : node) : result =
   match env.memo with
   | None -> eval_node_uncached env n
-  | Some h -> (
-      match h.lookup env.occ n with
-      | Some r -> r
-      | None ->
-          let r = eval_node_uncached env n in
-          h.store env.occ n r;
-          r)
+  | Some memo -> memo env.occ n (fun () -> eval_node_uncached env n)
 
 and eval_operand (env : env) ?idx (x : node) : result =
   descend env ?idx x (fun () -> eval_node env x)
@@ -330,14 +322,14 @@ let eval (env : env) (n : node) : result =
           env.visiting <- [])
         (fun () -> eval_node env n)
 
-(** [eval_memo env hooks n] evaluates with the subtree-reuse hooks
+(** [eval_memo env memo n] evaluates with the subtree-reuse hook
     engaged for the duration of this evaluation (restoring whatever was
     engaged before, exception-safe). Specializers that re-enter {!eval}
-    inherit the hooks — an instantiation nested under a reusable parent
+    inherit the hook — an instantiation nested under a reusable parent
     benefits from the same memo table. *)
-let eval_memo (env : env) (hooks : memo_hooks) (n : node) : result =
+let eval_memo (env : env) (memo : memo) (n : node) : result =
   let saved = env.memo in
-  env.memo <- Some hooks;
+  env.memo <- Some memo;
   Fun.protect
     ~finally:(fun () -> env.memo <- saved)
     (fun () -> eval env n)

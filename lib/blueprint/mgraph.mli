@@ -52,22 +52,19 @@ type result = { m : Jigsaw.Module_ops.t; constraints : constraint_pref list }
     graph it resolves to share one occurrence. *)
 type occurrence = (int option * node) list
 
-(** Subtree-reuse hooks for {!eval_memo}: [lookup] may answer a node at
-    an occurrence with a previously materialized result
-    (short-circuiting its whole subtree), [store] observes every
-    freshly evaluated node. The hooks own the soundness argument —
-    evaluation only threads them. *)
-type memo_hooks = {
-  lookup : occurrence -> node -> result option;
-  store : occurrence -> node -> result -> unit;
-}
+(** Subtree reuse for {!eval_memo}: [memo occ n eval] evaluates the
+    node [n] at [occ]. It may answer with a previously materialized
+    result (short-circuiting the whole subtree), or run [eval], the
+    evaluation proper, and keep what it returns. The hook owns the
+    soundness argument — evaluation only threads it. *)
+type memo = occurrence -> node -> (unit -> result) -> result
 
 type env = {
   resolve : string -> node;
   specializers : (string, specializer) Hashtbl.t;
   mutable visiting : string list; (* cycle detection for Name *)
   mutable occ : occurrence; (* the node under evaluation; [] between evaluations *)
-  mutable memo : memo_hooks option; (* engaged by eval_memo only *)
+  mutable memo : memo option; (* engaged by eval_memo only *)
 }
 
 and specializer = env -> value list -> node -> result
@@ -94,10 +91,10 @@ val parse : string -> node
     references, or module errors. *)
 val eval : env -> node -> result
 
-(** [eval_memo env hooks n] is {!eval} with the subtree-reuse hooks
+(** [eval_memo env memo n] is {!eval} with the subtree-reuse hook
     engaged for the duration of the call (restored afterwards,
-    exception-safe). Specializers re-entering {!eval} inherit them. *)
-val eval_memo : env -> memo_hooks -> node -> result
+    exception-safe). Specializers re-entering {!eval} inherit it. *)
+val eval_memo : env -> memo -> node -> result
 
 (** A fresh registry containing the base specializers
     ("lib-constrained", "lib-static", "identity"). *)

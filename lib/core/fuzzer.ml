@@ -218,7 +218,8 @@ let build_sig (b : Server.built) : string =
     (String.concat "; " link_events)
 
 (* What registration concluded about one library: its lint report and
-   its impact tree in pre-order (path, digest, modeled, keyed). *)
+   its impact tree in pre-order (path, digest, plan digest, modeled,
+   keyed). *)
 let analysis_sig (s : Server.t) (path : string) : string =
   let report =
     match Server.lint_report s path with
@@ -248,13 +249,14 @@ let analysis_sig (s : Server.t) (path : string) : string =
     | None -> "no tree"
     | Some t ->
         let nodes = ref [] in
-        Analysis.Impact.iter_infos
+        let module I = Analysis.Impact in
+        I.iter_infos
           (fun i ->
             nodes :=
-              Printf.sprintf "%s %s%s%s" i.Analysis.Impact.i_path
-                i.Analysis.Impact.i_digest
-                (if i.Analysis.Impact.i_modeled then " modeled" else "")
-                (if i.Analysis.Impact.i_keyed then " keyed" else "")
+              Printf.sprintf "%s %s node=%s%s%s" i.I.i_path i.I.i_digest
+                (I.plan_digest i)
+                (if i.I.i_modeled then " modeled" else "")
+                (if i.I.i_keyed then " keyed" else "")
               :: !nodes)
           t;
         String.concat "; " (List.rev !nodes)

@@ -295,7 +295,7 @@ let resolve_graph (t : t) (path : string) :
 let plan_node (t : t) (i : Analysis.Impact.info) : unit =
   match i.Analysis.Impact.i_node with
   | Blueprint.Mgraph.Leaf _ -> ()
-  | n when i.Analysis.Impact.i_modeled ->
+  | _ when i.Analysis.Impact.i_modeled ->
       let pe =
         {
           pe_digest = i.Analysis.Impact.i_digest;
@@ -304,7 +304,7 @@ let plan_node (t : t) (i : Analysis.Impact.info) : unit =
              else None);
         }
       in
-      let k = Blueprint.Mgraph.digest n in
+      let k = Analysis.Impact.plan_digest i in
       let others =
         Option.value (Hashtbl.find_opt t.impact_plan k) ~default:[]
         |> List.filter (fun e -> e.pe_path <> pe.pe_path)
@@ -322,11 +322,14 @@ let plan_node (t : t) (i : Analysis.Impact.info) : unit =
    every subtree whose occurrence path and content key are unchanged,
    so an edit walks its spine and replays the rest, and a meta the edit
    does not reach is replayed at its root; with reuse off, every meta is
-   walked from scratch. The walks are still not free: keys hash every
-   node, and the plan rebuild digests every node. Memo entries the new
-   plan no longer names (the spine an edit replaced) are dropped, so the
-   memo table tracks the bound blueprints rather than their edit
-   history. *)
+   walked from scratch. A replayed subtree keeps its infos, and with
+   them the plan digests an earlier rebuild computed, so the rebuild
+   digests only the walked spine; content keys are hashed only where a
+   node's own part or an operand key changed. What stays proportional
+   to the world is visiting: the key pass resolves every name, and the
+   rebuild files every node. Memo entries the new plan no longer names
+   (the spine an edit replaced) are dropped, so the memo table tracks
+   the bound blueprints rather than their edit history. *)
 let refresh_analysis (t : t) : unit =
   Hashtbl.reset t.impact_plan;
   let resolve = resolve_graph t in
@@ -440,13 +443,16 @@ let find_meta (t : t) (path : string) : Blueprint.Meta.t =
 
 (* -- evaluation & linking -------------------------------------------------- *)
 
-(* The subtree-reuse hooks evaluation runs under. Lookup: a planned
-   node may be answered from the memo table. Store: every freshly
-   materialized planned node enters it (first materialization of a
-   digest wins). A keyed entry answers only its own occurrence, so the
-   path is rendered only when no occurrence-free entry exists. *)
-let memo_hooks (t : t) : Blueprint.Mgraph.memo_hooks =
-  let plan_of occ n =
+(* The subtree-reuse hook evaluation runs under. A planned node is
+   answered from the memo table when it holds the node's interface
+   digest; otherwise it is evaluated and entered (first materialization
+   of a digest wins). Answering a node and entering it share one plan
+   lookup, so one construction digest. A keyed entry answers only its
+   own occurrence, so the path is rendered only when no occurrence-free
+   entry exists. *)
+let memo (t : t) : Blueprint.Mgraph.memo =
+ fun occ n eval ->
+  let planned =
     match n with
     | Blueprint.Mgraph.Leaf _ -> None
     | n -> (
@@ -459,32 +465,25 @@ let memo_hooks (t : t) : Blueprint.Mgraph.memo_hooks =
                 let here = Some (Blueprint.Mgraph.path occ) in
                 List.find_opt (fun e -> e.pe_path = here) entries))
   in
-  {
-    lookup =
-      (fun occ n ->
-        match plan_of occ n with
-        | Some pe -> (
-            match Cache.memo_find t.cache pe.pe_digest with
-            | Some me ->
-                Telemetry.Counter.incr tm_impact_reused;
-                Telemetry.Provenance.record_reused ~digest:pe.pe_digest;
-                Some me.Cache.m_result
-            | None -> None)
-        | None -> None);
-    store =
-      (fun occ n r ->
-        match plan_of occ n with
-        | Some pe ->
-            Telemetry.Counter.incr tm_impact_respun;
-            Cache.memo_insert t.cache ~digest:pe.pe_digest r
-        | None -> ());
-  }
+  match planned with
+  | None -> eval ()
+  | Some pe -> (
+      match Cache.memo_find t.cache pe.pe_digest with
+      | Some me ->
+          Telemetry.Counter.incr tm_impact_reused;
+          Telemetry.Provenance.record_reused ~digest:pe.pe_digest;
+          me.Cache.m_result
+      | None ->
+          let r = eval () in
+          Telemetry.Counter.incr tm_impact_respun;
+          Cache.memo_insert t.cache ~digest:pe.pe_digest r;
+          r)
 
 let eval (t : t) (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
   let t0 = Telemetry.now_us () in
   let r =
     if t.subtree_reuse && Hashtbl.length t.impact_plan > 0 then
-      Blueprint.Mgraph.eval_memo t.env (memo_hooks t) node
+      Blueprint.Mgraph.eval_memo t.env (memo t) node
     else Blueprint.Mgraph.eval t.env node
   in
   Telemetry.Histogram.observe tm_eval_us (Telemetry.now_us () -. t0);

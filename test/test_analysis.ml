@@ -182,6 +182,107 @@ let test_w104_shadowed_weak () =
   Alcotest.(check (list string)) "weak+weak clean" []
     (codes (analyze (Mg.Merge [ Mg.Leaf a; Mg.Leaf b' ])))
 
+(* -- merge conflicts, pinned ----------------------------------------------------- *)
+
+(* [mk last]'s findings, rendered, from a walk that keeps nothing and
+   from a kept re-walk: the graph is first walked with an unrelated
+   leaf in [last]'s place, then with [last], so the re-walk replays
+   the siblings and walks the spine above [last]. Both must read
+   [expected]. *)
+let check_findings ~what (mk : Mg.node -> Mg.node) (last : Mg.node)
+    (expected : string list) =
+  let render (r : L.report) = List.map L.finding_to_string r.L.findings in
+  Alcotest.(check (list string)) (what ^ ", walked") expected
+    (render (analyze (mk last)));
+  let annotate ~path:_ ~key:_ ~modeled:_ _ _ _ _ = () in
+  let first =
+    L.rewalk ~resolve:no_resolve ~annotate ~prev:None
+      (mk (Mg.Leaf (obj "/t/edit.o" [ ("edit", Sof.Symbol.Global) ])))
+  in
+  let w = L.rewalk ~resolve:no_resolve ~annotate ~prev:first.L.kept (mk last) in
+  Alcotest.(check bool) (what ^ ", siblings replayed") true (w.L.replayed > 0);
+  Alcotest.(check (list string)) (what ^ ", re-walked") expected (render w.L.report)
+
+let g_ = Sof.Symbol.Global
+let w_ = Sof.Symbol.Weak
+let leaf name syms = Mg.Leaf (obj name syms)
+let e002 path name a b syms =
+  Printf.sprintf
+    "E002 duplicate-global-in-merge at %s: duplicate global definition of %s \
+     (in %s and %s) [%s]"
+    path name a b syms
+
+let w104 path syms =
+  "W104 shadowed-weak-definition at " ^ path
+  ^ ": weak definition permanently shadowed by a global definition of the \
+     same name [" ^ syms ^ "]"
+
+let test_e002_pinned () =
+  check_findings ~what:"3 operands"
+    (fun last -> Mg.Merge [ leaf "/t/a.o" [ ("f", g_) ]; leaf "/t/b.o" [ ("g", g_) ]; last ])
+    (leaf "/t/c.o" [ ("f", g_) ])
+    [ e002 "merge" "f" "/t/a.o" "/t/c.o" "f" ];
+  (* the first duplicate found names the message, every one the symbols *)
+  check_findings ~what:"4 operands"
+    (fun last ->
+      Mg.Merge
+        [ leaf "/t/a.o" [ ("f", g_); ("g", g_) ]; leaf "/t/b.o" [ ("g", g_) ];
+          leaf "/t/c.o" [ ("h", g_) ]; last ])
+    (leaf "/t/d.o" [ ("f", g_); ("h", g_) ])
+    [ e002 "merge" "g" "/t/a.o" "/t/b.o" "f, g, h" ];
+  (* a third definition names the first two *)
+  check_findings ~what:"three definitions"
+    (fun last ->
+      Mg.Merge [ leaf "/t/a.o" [ ("f", g_) ]; leaf "/t/b.o" [ ("f", g_) ];
+                 leaf "/t/c.o" [ ("k", g_) ]; last ])
+    (leaf "/t/d.o" [ ("f", g_) ])
+    [ e002 "merge" "f" "/t/a.o" "/t/b.o" "f" ];
+  (* f is duplicated inside operand 0, which reports it; the parent
+     reports only what it creates, though a third f arrives there *)
+  check_findings ~what:"within one operand"
+    (fun last ->
+      Mg.Merge
+        [ Mg.Merge [ leaf "/t/x.o" [ ("f", g_) ]; leaf "/t/y.o" [ ("f", g_) ] ];
+          leaf "/t/u.o" [ ("f", g_) ]; leaf "/t/z.o" [ ("g", g_) ]; last ])
+    (leaf "/t/w.o" [ ("g", g_) ])
+    [ e002 "merge[0].merge" "f" "/t/x.o" "/t/y.o" "f";
+      e002 "merge" "g" "/t/z.o" "/t/w.o" "g" ];
+  (* an override drops the left operand's definitions of what the right
+     exports: its operands' own duplicates are reported once, by them *)
+  check_findings ~what:"override"
+    (fun last ->
+      Mg.Override
+        ( Mg.Merge [ leaf "/t/x.o" [ ("f", g_); ("g", g_) ]; leaf "/t/y.o" [ ("g", g_) ] ],
+          Mg.Merge [ leaf "/t/p.o" [ ("f", g_) ]; leaf "/t/q.o" [ ("h", g_) ]; last ] ))
+    (leaf "/t/r.o" [ ("h", g_) ])
+    [ e002 "override[0].merge" "g" "/t/x.o" "/t/y.o" "g";
+      e002 "override[1].merge" "h" "/t/q.o" "/t/r.o" "h" ]
+
+let test_w104_pinned () =
+  check_findings ~what:"weak first"
+    (fun last ->
+      Mg.Merge [ leaf "/t/w.o" [ ("f", w_); ("k", w_) ]; leaf "/t/m.o" [ ("g", g_) ]; last ])
+    (leaf "/t/s.o" [ ("k", g_); ("f", g_) ])
+    [ w104 "merge" "f, k" ];
+  check_findings ~what:"global first"
+    (fun last -> Mg.Merge [ leaf "/t/s.o" [ ("f", g_) ]; leaf "/t/m.o" [ ("g", g_) ]; last ])
+    (leaf "/t/w.o" [ ("f", w_) ])
+    [ w104 "merge" "f" ];
+  (* a weak and a global definition inside one operand shadow there,
+     not again at the parent *)
+  check_findings ~what:"within one operand"
+    (fun last ->
+      Mg.Merge
+        [ Mg.Merge [ leaf "/t/w.o" [ ("f", w_) ]; leaf "/t/s.o" [ ("f", g_) ] ];
+          leaf "/t/m.o" [ ("g", g_) ]; last ])
+    (leaf "/t/n.o" [ ("h", g_) ])
+    [ w104 "merge[0].merge" "f" ];
+  (* at one node, E002 comes before W104 *)
+  check_findings ~what:"with E002"
+    (fun last -> Mg.Merge [ leaf "/t/a.o" [ ("f", g_) ]; leaf "/t/w.o" [ ("k", w_) ]; last ])
+    (leaf "/t/b.o" [ ("f", g_); ("k", g_) ])
+    [ e002 "merge" "f" "/t/a.o" "/t/b.o" "f"; w104 "merge" "k" ]
+
 (* -- exactness --------------------------------------------------------------- *)
 
 let test_verify_all_world_metas () =
@@ -796,6 +897,8 @@ let () =
             test_w102_override_overrides_nothing;
           Alcotest.test_case "W103 refreeze" `Quick test_w103_refreeze;
           Alcotest.test_case "W104 shadowed weak" `Quick test_w104_shadowed_weak;
+          Alcotest.test_case "E002 pinned" `Quick test_e002_pinned;
+          Alcotest.test_case "W104 pinned" `Quick test_w104_pinned;
         ] );
       ( "exactness",
         [

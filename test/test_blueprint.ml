@@ -224,6 +224,43 @@ let test_digest_stability_and_sensitivity () =
   Alcotest.(check bool) "order-sensitive" true
     (Blueprint.Mgraph.digest g1 <> Blueprint.Mgraph.digest g3)
 
+(* A graph with every operator: each rename scope, [list] grouping
+   nested inside a merge and standing alone, a source, a leaf, and a
+   specialization whose arguments are a string, a number, a list and
+   two graphs. *)
+let every_operator () =
+  let g =
+    Blueprint.Mgraph.parse
+      "(constrain \"T\" 0x100000\n\
+      \  (specialize \"lib-constrained\" (list \"T\" 0x2000 \"D\" 7) /vnode/a\n\
+      \    (merge /vnode/b (list /vnode/c))\n\
+      \    (override\n\
+      \      (merge /a (list /b (list /c)) (source \"c\" \"int f(void) { return 1; }\"))\n\
+      \      (initializers\n\
+      \        (rename \"defs\" \"^f$\" \"g\"\n\
+      \          (rename \"refs\" \"^h$\" \"k\"\n\
+      \            (rename \"^x$\" \"y\"\n\
+      \              (copy-as \"^f$\" \"f2\"\n\
+      \                (hide \"^h\"\n\
+      \                  (show \"^f\"\n\
+      \                    (freeze \"^f$\"\n\
+      \                      (restrict \"^r\" (project \"^p\" /d)))))))))))))"
+  in
+  Blueprint.Mgraph.(Constrain (Seg_data, 0x40200000, Merge [ g; Leaf (frag_f ()); Lst [] ]))
+
+(* The digest is the image cache key's graph part and the reuse plan's
+   key: pinned, so a rewrite of how it is computed cannot move it. *)
+let test_digest_pinned () =
+  let libc =
+    Blueprint.Meta.effective_graph
+      (Blueprint.Meta.parse ~name:"/lib/libc" Omos.World.libc_meta_source)
+      ~spec:None
+  in
+  Alcotest.(check string) "figure 1 libc" "716a4251ece94c8a6b3380d37a8c63c8"
+    (Blueprint.Mgraph.digest libc);
+  Alcotest.(check string) "every operator" "2e87f2b4404e2aa12679d68052a0757f"
+    (Blueprint.Mgraph.digest (every_operator ()))
+
 (* -- meta files ---------------------------------------------------------------- *)
 
 let test_meta_figure1 () =
@@ -309,6 +346,7 @@ let () =
           Alcotest.test_case "hyphen ops" `Quick test_graph_hyphen_normalization;
           Alcotest.test_case "names" `Quick test_names_extraction;
           Alcotest.test_case "digest" `Quick test_digest_stability_and_sensitivity;
+          Alcotest.test_case "digest pinned" `Quick test_digest_pinned;
         ] );
       ( "eval",
         [
