@@ -45,24 +45,25 @@ let binding_str = function
 
 (* Exported (name, binding) pairs with multiplicity: duplicate globals
    must stay visible, they are part of the interface (a merge against
-   them raises). *)
+   them raises). Sorted by name, a name's globals before its weaks. *)
 let export_pairs (m : Symflow.t) : (string * string) list =
-  List.concat_map
-    (fun f ->
-      List.filter_map
-        (fun (n, b) ->
+  let by_name (n1, b1) (n2, b2) =
+    match String.compare n1 n2 with 0 -> String.compare b1 b2 | c -> c
+  in
+  List.fold_left
+    (fun acc f ->
+      List.fold_left
+        (fun acc (n, b) ->
           match b with
-          | Sof.Symbol.Global | Sof.Symbol.Weak -> Some (n, binding_str b)
-          | Sof.Symbol.Local -> None)
-        f.Symflow.f_defs)
-    m.Symflow.frags
-  |> List.sort compare
+          | Sof.Symbol.Global | Sof.Symbol.Weak -> (n, binding_str b) :: acc
+          | Sof.Symbol.Local -> acc)
+        acc f.Symflow.f_defs)
+    [] m.Symflow.frags
+  |> List.sort by_name
 
 let reloc_names (m : Symflow.t) : string list =
-  S.elements
-    (List.fold_left
-       (fun acc f -> S.union acc f.Symflow.f_relocs)
-       S.empty m.Symflow.frags)
+  List.fold_left (fun acc f -> S.fold List.cons f.Symflow.f_relocs acc) [] m.Symflow.frags
+  |> List.sort_uniq String.compare
 
 let pref_str (c : Mg.constraint_pref) : string =
   Format.asprintf "%s/%d:%a" (Mg.seg_to_string c.Mg.seg) c.Mg.priority

@@ -65,7 +65,7 @@ let is_exported_binding = function
 (** Names exported by the module (sorted, deduplicated) — the abstract
     {!Jigsaw.Module_ops.exports}. *)
 let exports (m : t) : string list =
-  List.sort_uniq compare
+  List.sort_uniq String.compare
     (List.concat_map
        (fun f ->
          List.filter_map
@@ -78,21 +78,39 @@ let defined_any (m : t) : string list =
   List.sort_uniq compare
     (List.concat_map (fun f -> List.map fst f.f_defs) m.frags)
 
-(* Names a single fragment references but does not define — the
-   abstract [Sof.Object_file.undefined]. *)
-let frag_undefined (f : frag) : S.t =
-  let own = S.of_list (List.map fst f.f_defs) in
-  S.diff (S.union f.f_undefs f.f_relocs) own
+module H = Hashtbl.Make (String)
 
 (** Names referenced by the module but exported nowhere inside it — the
     abstract {!Jigsaw.Module_ops.undefined} (a local definition in a
-    sibling fragment does {e not} satisfy a reference). *)
+    sibling fragment does {e not} satisfy a reference). A fragment's
+    global and weak definitions are exported, so a reference is
+    undefined unless the module exports it or its own fragment defines
+    it local: one table of exports, one pass over the references, one
+    sort. *)
 let undefined (m : t) : string list =
-  let exported = S.of_list (exports m) in
-  List.sort_uniq compare
-    (List.concat_map
-       (fun f -> S.elements (S.diff (frag_undefined f) exported))
-       m.frags)
+  let n_defs = List.fold_left (fun k f -> k + List.length f.f_defs) 0 m.frags in
+  let exported = H.create n_defs and locals = H.create 16 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (n, b) -> if is_exported_binding b then H.replace exported n ())
+        f.f_defs)
+    m.frags;
+  let refs =
+    List.fold_left
+      (fun acc f ->
+        List.iter
+          (fun (n, b) -> if not (is_exported_binding b) then H.replace locals n ())
+          f.f_defs;
+        let keep n acc =
+          if H.mem exported n || H.mem locals n then acc else n :: acc
+        in
+        let acc = S.fold keep f.f_relocs (S.fold keep f.f_undefs acc) in
+        H.reset locals;
+        acc)
+      [] m.frags
+  in
+  List.sort_uniq String.compare refs
 
 (** Global definition names of one fragment, with multiplicity — the
     abstract [global_names_of_frag] that [merge]'s duplicate check

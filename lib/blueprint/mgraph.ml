@@ -408,38 +408,69 @@ let scope_code = function
   | Jigsaw.Module_ops.Refs_only -> "r"
   | Jigsaw.Module_ops.Both -> "b"
 
-(** Stable digest of a graph (part of the image-cache key). *)
-let rec digest_string (n : node) : string =
+(* [f b] over [xs], comma-separated. *)
+let commas (b : Buffer.t) (f : Buffer.t -> 'a -> unit) (xs : 'a list) : unit =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      f b x)
+    xs
+
+(* The digest text of a graph, written into one buffer: each node's
+   text is written once, not copied into every ancestor's. *)
+let rec digest_into (b : Buffer.t) (n : node) : unit =
+  let str = Buffer.add_string b in
+  (* [tag(p1,...,pk,<x>)] *)
+  let op tag params x =
+    str tag;
+    str "(";
+    List.iter (fun p -> str p; str ",") params;
+    digest_into b x;
+    str ")"
+  in
   match n with
-  | Leaf o -> "leaf:" ^ Sof.Codec.digest o
-  | Name p -> "name:" ^ p
-  | Source (l, s) -> Printf.sprintf "src:%s:%s" l (Digest.to_hex (Digest.string s))
-  | Merge xs -> "merge(" ^ String.concat "," (List.map digest_string xs) ^ ")"
-  | Lst xs -> "list(" ^ String.concat "," (List.map digest_string xs) ^ ")"
-  | Override (a, b) -> Printf.sprintf "override(%s,%s)" (digest_string a) (digest_string b)
-  | Freeze (p, x) -> Printf.sprintf "freeze(%s,%s)" p (digest_string x)
-  | Restrict (p, x) -> Printf.sprintf "restrict(%s,%s)" p (digest_string x)
-  | Project (p, x) -> Printf.sprintf "project(%s,%s)" p (digest_string x)
-  | Copy_as (p, t, x) -> Printf.sprintf "copy_as(%s,%s,%s)" p t (digest_string x)
-  | Hide (p, x) -> Printf.sprintf "hide(%s,%s)" p (digest_string x)
-  | Show (p, x) -> Printf.sprintf "show(%s,%s)" p (digest_string x)
-  | Rename (sc, p, t, x) ->
-      Printf.sprintf "rename%s(%s,%s,%s)" (scope_code sc) p t (digest_string x)
-  | Initializers x -> Printf.sprintf "init(%s)" (digest_string x)
+  | Leaf o -> str "leaf:"; str (Sof.Codec.digest o)
+  | Name p -> str "name:"; str p
+  | Source (l, s) -> Printf.bprintf b "src:%s:%s" l (Digest.to_hex (Digest.string s))
+  | Merge xs -> str "merge("; commas b digest_into xs; str ")"
+  | Lst xs -> str "list("; commas b digest_into xs; str ")"
+  | Override (a, x) -> str "override("; digest_into b a; str ","; digest_into b x; str ")"
+  | Freeze (p, x) -> op "freeze" [ p ] x
+  | Restrict (p, x) -> op "restrict" [ p ] x
+  | Project (p, x) -> op "project" [ p ] x
+  | Copy_as (p, t, x) -> op "copy_as" [ p; t ] x
+  | Hide (p, x) -> op "hide" [ p ] x
+  | Show (p, x) -> op "show" [ p ] x
+  | Rename (sc, p, t, x) -> op ("rename" ^ scope_code sc) [ p; t ] x
+  | Initializers x -> op "init" [] x
   | Specialize (st, vs, x) ->
-      Printf.sprintf "spec(%s,%s,%s)" st
-        (String.concat "," (List.map digest_value vs))
-        (digest_string x)
-  | Constrain (seg, a, x) ->
-      Printf.sprintf "constrain(%s,%x,%s)" (seg_to_string seg) a (digest_string x)
+      str "spec(";
+      str st;
+      str ",";
+      commas b digest_value_into vs;
+      str ",";
+      digest_into b x;
+      str ")"
+  | Constrain (seg, a, x) -> op "constrain" [ seg_to_string seg; Printf.sprintf "%x" a ] x
 
-and digest_value = function
-  | Vstr s -> "s:" ^ s
-  | Vnum n -> "n:" ^ string_of_int n
-  | Vlist vs -> "l(" ^ String.concat "," (List.map digest_value vs) ^ ")"
-  | Vnode n -> "g(" ^ digest_string n ^ ")"
+and digest_value_into (b : Buffer.t) (v : value) : unit =
+  let str = Buffer.add_string b in
+  match v with
+  | Vstr s -> str "s:"; str s
+  | Vnum n -> str "n:"; str (string_of_int n)
+  | Vlist vs -> str "l("; commas b digest_value_into vs; str ")"
+  | Vnode n -> str "g("; digest_into b n; str ")"
 
-let digest (n : node) : string = Digest.to_hex (Digest.string (digest_string n))
+(** Stable digest of a graph (part of the image-cache key). *)
+let digest (n : node) : string =
+  let b = Buffer.create 256 in
+  digest_into b n;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let digest_value (v : value) : string =
+  let b = Buffer.create 16 in
+  digest_value_into b v;
+  Buffer.contents b
 
 (** A node's own operator, parameters and content (leaf and source
     content by digest), operands excluded. Path-free for [Name]: what a

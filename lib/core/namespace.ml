@@ -83,15 +83,16 @@ let list (t : t) (path : string) : (string * [ `Fragment | `Meta | `Directory ])
 (** All meta-object paths (for administrative listings). *)
 let all_metas (t : t) : string list =
   let out = ref [] in
+  (* a path string only for what it names: a directory can hold a
+     fragment for every version ever bound *)
   let rec walk prefix dir =
     Hashtbl.iter
       (fun name e ->
-        let path = prefix ^ "/" ^ name in
         match e with
-        | Meta _ -> out := path :: !out
-        | Directory d -> walk path d
+        | Meta _ -> out := (prefix ^ "/" ^ name) :: !out
+        | Directory d -> walk (prefix ^ "/" ^ name) d
         | Fragment _ -> ())
       dir
   in
   walk "" t.root;
-  List.sort compare !out
+  List.sort String.compare !out

@@ -331,7 +331,9 @@ let plan_node (t : t) (i : Analysis.Impact.info) : unit =
    (the spine an edit replaced) are dropped, so the memo table tracks
    the bound blueprints rather than their edit history. *)
 let refresh_analysis (t : t) : unit =
-  Hashtbl.reset t.impact_plan;
+  (* emptied in place: the plan keeps the buckets the last registration
+     grew it to *)
+  Hashtbl.clear t.impact_plan;
   let resolve = resolve_graph t in
   List.iter
     (fun p ->

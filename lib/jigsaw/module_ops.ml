@@ -121,31 +121,58 @@ let check_minted_collisions ~op (minted : string -> string list) (m : t) : unit 
   | [] -> ()
   | n :: _ -> fail "%s: duplicate definition of %s minted by the rewrite" op n
 
+module H = Hashtbl.Make (String)
+
+(* [merge]'s duplicate check: enter the global definitions of [frags]
+   into [seen] (name -> defining fragment), failing on a name already
+   there. *)
+let check_globals (seen : string H.t) (frags : Sof.Object_file.t list) : unit =
+  List.iter
+    (fun o ->
+      List.iter
+        (fun n ->
+          match H.find_opt seen n with
+          | Some f1 ->
+              fail "merge: duplicate definition of %s (in %s and %s)" n f1
+                o.Sof.Object_file.name
+          | None -> H.replace seen n o.Sof.Object_file.name)
+        (global_names_of_frag o))
+    frags
+
+(* The label of a merge step, entered in the journal. *)
+let journal_merge (a : string) (b : string) : string =
+  let label = Printf.sprintf "(merge %s %s)" a b in
+  if prov () then Telemetry.Provenance.record_op ~op:"merge" ~detail:label;
+  label
+
 (** [merge a b] binds the symbol definitions found in one operand to the
     references found in the other. Multiple {e global} definitions of a
     symbol constitute an error (weak definitions coexist). *)
 let merge (a : t) (b : t) : t =
   traced "merge" @@ fun () ->
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun o ->
-      List.iter
-        (fun n ->
-          match Hashtbl.find_opt seen n with
-          | Some f1 -> fail "merge: duplicate definition of %s (in %s and %s)" n f1
-                         o.Sof.Object_file.name
-          | None -> Hashtbl.replace seen n o.Sof.Object_file.name)
-        (global_names_of_frag o))
-    (fragments a @ fragments b);
-  let label = Printf.sprintf "(merge %s %s)" a.label b.label in
-  if prov () then Telemetry.Provenance.record_op ~op:"merge" ~detail:label;
-  { label; fragments = a.fragments @ b.fragments }
+  check_globals (H.create 64) (fragments a @ fragments b);
+  { label = journal_merge a.label b.label; fragments = a.fragments @ b.fragments }
 
+(** [merge_list ms] is [List.fold_left merge] over [ms], step for step:
+    each step is one traced merge with its own label and journal
+    record. But the steps share one table of the globals merged so far,
+    so each checks only its new operand where a fold rescans every
+    earlier one, and the fragment list is concatenated once. *)
 let merge_list (ms : t list) : t =
   match ms with
   | [] -> fail "merge: no operands"
   | [ m ] -> m
-  | m :: rest -> List.fold_left merge m rest
+  | m :: rest ->
+      let seen = H.create 64 in
+      (* [first]: the first operand, checked with the second *)
+      let step (label, first) (b : t) =
+        traced "merge" @@ fun () ->
+        check_globals seen
+          (match first with Some a -> fragments a @ fragments b | None -> fragments b);
+        (journal_merge label b.label, None)
+      in
+      let label, _ = List.fold_left step (m.label, Some m) rest in
+      { label; fragments = List.concat_map (fun m -> m.fragments) ms }
 
 (** [restrict sel m] virtualizes the selected bindings: definitions are
     removed, references to them become (or stay) unbound. *)

@@ -39,7 +39,9 @@ val to_object : ?name:string -> t -> Sof.Object_file.t
     of a symbol constitute an error (weak definitions coexist). *)
 val merge : t -> t -> t
 
-(** [merge_list ms] left-folds {!merge}; fails on an empty list. *)
+(** [merge_list ms] left-folds {!merge}, with the same steps, labels,
+    journal records and errors, but checks each operand's globals once;
+    fails on an empty list. *)
 val merge_list : t list -> t
 
 (** [restrict sel m] virtualizes the selected bindings: definitions are

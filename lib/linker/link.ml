@@ -78,6 +78,21 @@ type stats = {
   undefined : string list; (* non-empty only with [~allow_undefined] *)
 }
 
+let tm_links = Telemetry.Counter.make "linker.links"
+let tm_relocs = Telemetry.Counter.make "linker.relocs_applied"
+let tm_symbols = Telemetry.Counter.make "linker.symbols_resolved"
+let tm_combines = Telemetry.Counter.make "linker.combines"
+
+module H = Hashtbl.Make (String)
+
+(* A fragment's own definitions, keyed by (fragment index, name). *)
+module Own = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal (i, a) (j, b) = i = j && String.equal a b
+  let hash (i, n) = String.hash n + i
+end)
+
 (** [link ~layout frags] fully links [frags].
 
     [entry] names the entry-point symbol (default ["_start"], falling
@@ -86,11 +101,6 @@ type stats = {
     against self-contained shared libraries). With [allow_undefined],
     unresolved references are left as zero words and reported in
     [stats] instead of raising. *)
-let tm_links = Telemetry.Counter.make "linker.links"
-let tm_relocs = Telemetry.Counter.make "linker.relocs_applied"
-let tm_symbols = Telemetry.Counter.make "linker.symbols_resolved"
-let tm_combines = Telemetry.Counter.make "linker.combines"
-
 let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
     ~(layout : layout) (frags : Sof.Object_file.t list) : Image.t * stats =
   let span =
@@ -103,57 +113,66 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
   let bss_base = align_up (data_base + data_size) 4 in
   if text_base + text_size > data_base && data_base + data_size + bss_size > text_base
   then raise (Link_error (Layout_overlap "text/data segments"));
-  (* global symbol table: exported defs of all fragments *)
-  let globals : (string, int * string * Sof.Symbol.binding) Hashtbl.t =
-    Hashtbl.create 64
+  let n_symbols =
+    List.fold_left (fun k p -> k + List.length p.frag.Sof.Object_file.symbols) 0 placed
   in
-  let resolved = ref 0 in
+  (* one pass over the symbol tables: each fragment's own definitions
+     (the first of a name wins), the global table of exported
+     definitions, and the explicit undefined entries *)
+  let own : int Own.t = Own.create n_symbols in
+  let globals : (int * string * Sof.Symbol.binding) H.t = H.create n_symbols in
+  let undef_entries = ref [] in
   let prov = Telemetry.Provenance.is_enabled () in
-  List.iter
-    (fun p ->
+  List.iteri
+    (fun i p ->
       List.iter
         (fun (s : Sof.Symbol.t) ->
-          if Sof.Symbol.is_exported s then (
+          if not (Sof.Symbol.is_defined s) then
+            undef_entries := (i, s.name) :: !undef_entries
+          else begin
             let addr = sym_addr ~text_base ~data_base ~bss_base p s in
-            let fname = p.frag.Sof.Object_file.name in
-            match Hashtbl.find_opt globals s.name with
-            | None -> Hashtbl.replace globals s.name (addr, fname, s.binding)
-            | Some (_, f1, Sof.Symbol.Global) when s.binding = Sof.Symbol.Global ->
-                raise (Link_error (Duplicate (s.name, f1, fname)))
-            | Some (_, f1, Sof.Symbol.Weak) when s.binding = Sof.Symbol.Global ->
-                if prov then
-                  Telemetry.Provenance.record_interpose ~symbol:s.name
-                    ~winner:fname ~loser:f1 ~how:"global-over-weak";
-                Hashtbl.replace globals s.name (addr, fname, s.binding)
-            | Some (_, f1, existing) ->
-                (* existing Global beats Weak; first Weak kept *)
-                if prov then
-                  Telemetry.Provenance.record_interpose ~symbol:s.name
-                    ~winner:f1 ~loser:fname
-                    ~how:
-                      (if existing = Sof.Symbol.Global then "global-over-weak"
-                       else "first-weak-kept")))
+            let key = (i, s.name) in
+            if not (Own.mem own key) then Own.add own key addr;
+            if Sof.Symbol.is_exported s then (
+              let fname = p.frag.Sof.Object_file.name in
+              match H.find_opt globals s.name with
+              | None -> H.replace globals s.name (addr, fname, s.binding)
+              | Some (_, f1, Sof.Symbol.Global) when s.binding = Sof.Symbol.Global ->
+                  raise (Link_error (Duplicate (s.name, f1, fname)))
+              | Some (_, f1, Sof.Symbol.Weak) when s.binding = Sof.Symbol.Global ->
+                  if prov then
+                    Telemetry.Provenance.record_interpose ~symbol:s.name
+                      ~winner:fname ~loser:f1 ~how:"global-over-weak";
+                  H.replace globals s.name (addr, fname, s.binding)
+              | Some (_, f1, existing) ->
+                  (* existing Global beats Weak; first Weak kept *)
+                  if prov then
+                    Telemetry.Provenance.record_interpose ~symbol:s.name
+                      ~winner:f1 ~loser:fname
+                      ~how:
+                        (if existing = Sof.Symbol.Global then "global-over-weak"
+                         else "first-weak-kept"))
+          end)
         p.frag.Sof.Object_file.symbols)
     placed;
   (* journal the winning definitions while the table is fresh *)
   if prov then
-    Hashtbl.fold
-      (fun name (addr, frag, binding) acc -> (name, addr, frag, binding) :: acc)
-      globals []
-    |> List.sort compare
+    H.fold (fun name (addr, frag, binding) acc -> (name, addr, frag, binding) :: acc) globals []
+    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
     |> List.iter (fun (name, addr, frag, binding) ->
            Telemetry.Provenance.record_bind ~symbol:name ~addr ~frag
              ~via:
                (if binding = Sof.Symbol.Weak then "weak definition"
                 else "definition"));
   (* external images: weaker than any fragment definition *)
-  let external_syms : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let external_syms : int H.t =
+    H.create (List.fold_left (fun k (img : Image.t) -> k + List.length img.Image.symtab) 0 externals)
+  in
   List.iter
     (fun (img : Image.t) ->
       List.iter
         (fun (name, addr) ->
-          if not (Hashtbl.mem external_syms name) then
-            Hashtbl.replace external_syms name addr)
+          if not (H.mem external_syms name) then H.replace external_syms name addr)
         img.Image.symtab)
     externals;
   (* combined sections *)
@@ -167,36 +186,30 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
         (Bytes.length p.frag.Sof.Object_file.data))
     placed;
   (* resolution: fragment-local defs first (covers locals), then
-     globals, then externals *)
-  let resolve (p : placed) (name : string) : int option =
-    let local =
-      List.find_opt
-        (fun (s : Sof.Symbol.t) -> s.name = name && Sof.Symbol.is_defined s)
-        p.frag.Sof.Object_file.symbols
-    in
-    match local with
-    | Some s -> Some (sym_addr ~text_base ~data_base ~bss_base p s)
+     globals, then externals; a name that resolves nowhere is missing *)
+  let resolve i name : int option =
+    match Own.find_opt own (i, name) with
+    | Some _ as a -> a
     | None -> (
-        match Hashtbl.find_opt globals name with
+        match H.find_opt globals name with
         | Some (addr, _, _) -> Some addr
-        | None -> Hashtbl.find_opt external_syms name)
+        | None -> H.find_opt external_syms name)
   in
+  let missing = H.create 16 in
+  List.iter
+    (fun (i, name) -> if resolve i name = None then H.replace missing name ())
+    !undef_entries;
   let relocs_applied = ref 0 in
   let text_relocs = ref 0 and data_relocs = ref 0 in
-  let ext_bound : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let undefined = ref [] in
-  List.iter
-    (fun p ->
+  let ext_bound : unit H.t = H.create 8 in
+  List.iteri
+    (fun i p ->
       List.iter
         (fun (r : Sof.Reloc.t) ->
-          match resolve p r.symbol with
-          | None ->
-              if allow_undefined then undefined := r.symbol :: !undefined
-              else ()
-              (* collect all before raising *)
+          match resolve i r.symbol with
+          | None -> H.replace missing r.symbol ()
           | Some s_addr -> (
               incr relocs_applied;
-              incr resolved;
               (match r.target with
               | Sof.Reloc.In_text -> incr text_relocs
               | Sof.Reloc.In_data -> incr data_relocs);
@@ -204,16 +217,11 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
                  image bind outside this link: journal them once *)
               if
                 prov
-                && (not (Hashtbl.mem globals r.symbol))
-                && (not (Hashtbl.mem ext_bound r.symbol))
-                && Hashtbl.mem external_syms r.symbol
-                && not
-                     (List.exists
-                        (fun (s : Sof.Symbol.t) ->
-                          s.name = r.symbol && Sof.Symbol.is_defined s)
-                        p.frag.Sof.Object_file.symbols)
+                && (not (Own.mem own (i, r.symbol)))
+                && (not (H.mem globals r.symbol))
+                && not (H.mem ext_bound r.symbol)
               then begin
-                Hashtbl.replace ext_bound r.symbol ();
+                H.replace ext_bound r.symbol ();
                 Telemetry.Provenance.record_bind ~symbol:r.symbol ~addr:s_addr
                   ~frag:"<external image>" ~via:"external"
               end;
@@ -240,24 +248,15 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
         p.frag.Sof.Object_file.relocs)
     placed;
   (* truly undefined = referenced anywhere, defined nowhere *)
-  let missing =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun p ->
-           List.filter
-             (fun n -> resolve p n = None)
-             (Sof.Object_file.undefined p.frag))
-         placed)
-  in
+  let missing = List.sort String.compare (H.fold (fun n () acc -> n :: acc) missing []) in
   if missing <> [] && not allow_undefined then
     raise (Link_error (Undefined missing));
   (* entry point *)
-  let entry_name = entry in
   let lookup_global n =
-    match Hashtbl.find_opt globals n with Some (a, _, _) -> Some a | None -> None
+    match H.find_opt globals n with Some (a, _, _) -> Some a | None -> None
   in
   let entry_addr =
-    match entry_name with
+    match entry with
     | Some n -> ( match lookup_global n with Some a -> a | None -> -1)
     | None -> (
         match lookup_global "_start" with
@@ -265,8 +264,8 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
         | None -> ( match lookup_global "main" with Some a -> a | None -> -1))
   in
   let symtab =
-    Hashtbl.fold (fun name (addr, _, _) acc -> (name, addr) :: acc) globals []
-    |> List.sort compare
+    H.fold (fun name (addr, _, _) acc -> (name, addr) :: acc) globals []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let img_name =
     match frags with [] -> "<empty>" | f :: _ -> f.Sof.Object_file.name
@@ -292,14 +291,14 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
   end;
   Telemetry.Counter.incr tm_links;
   Telemetry.Counter.incr tm_relocs ~by:!relocs_applied;
-  Telemetry.Counter.incr tm_symbols ~by:!resolved;
+  Telemetry.Counter.incr tm_symbols ~by:!relocs_applied;
   Telemetry.Span.add_attr span "relocs_applied" (Telemetry.I !relocs_applied);
-  Telemetry.Span.add_attr span "symbols_resolved" (Telemetry.I !resolved);
+  Telemetry.Span.add_attr span "symbols_resolved" (Telemetry.I !relocs_applied);
   ( img,
     {
       fragments = List.length frags;
       relocs_applied = !relocs_applied;
-      symbols_resolved = !resolved;
+      symbols_resolved = !relocs_applied;
       undefined = missing;
     } )
 

@@ -871,6 +871,140 @@ let prop_edit_pairs_reused_byte_identical =
                  vo.I.vo_failures = [])
                changed)
 
+(* -- the interface sets against set-based references ------------------------ *)
+
+module Sf = Analysis.Symflow
+module S = Sf.S
+
+let exported_binding = function
+  | Sof.Symbol.Global -> Some "global"
+  | Sof.Symbol.Weak -> Some "weak"
+  | Sof.Symbol.Local -> None
+
+(* The set computations the interface summaries were first written
+   with: a set per fragment, set differences, polymorphic sorts. *)
+let ref_undefined (m : Sf.t) : string list =
+  let exported =
+    S.of_list
+      (List.concat_map
+         (fun f ->
+           List.filter_map
+             (fun (n, b) -> Option.map (fun _ -> n) (exported_binding b))
+             f.Sf.f_defs)
+         m.Sf.frags)
+  in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun f ->
+         let own = S.of_list (List.map fst f.Sf.f_defs) in
+         S.elements (S.diff (S.diff (S.union f.Sf.f_undefs f.Sf.f_relocs) own) exported))
+       m.Sf.frags)
+
+let ref_export_pairs (m : Sf.t) : (string * string) list =
+  List.concat_map
+    (fun f ->
+      List.filter_map
+        (fun (n, b) -> Option.map (fun s -> (n, s)) (exported_binding b))
+        f.Sf.f_defs)
+    m.Sf.frags
+  |> List.sort compare
+
+let ref_relocs (m : Sf.t) : string list =
+  S.elements (List.fold_left (fun acc f -> S.union acc f.Sf.f_relocs) S.empty m.Sf.frags)
+
+let flow_pool = [| "a"; "b"; "c"; "d"; "e" |]
+
+(* A fragment as the items an assembler sees: definitions at every
+   binding (a name may be defined twice), explicit undefined entries,
+   and calls, which may reach the fragment's own locals. *)
+type flow_item = Def of string * Sof.Symbol.binding | Extern of string | Call of string
+
+let gen_flow_item : flow_item QCheck.Gen.t =
+  let open QCheck.Gen in
+  let name = oneofa flow_pool in
+  frequency
+    [
+      ( 3,
+        map2
+          (fun n b -> Def (n, b))
+          name
+          (oneofl [ Sof.Symbol.Global; Sof.Symbol.Weak; Sof.Symbol.Local ]) );
+      (1, map (fun n -> Extern n) name);
+      (2, map (fun n -> Call n) name);
+    ]
+
+let gen_flow_objects : flow_item list list QCheck.Gen.t =
+  QCheck.Gen.(list_size (1 -- 4) (list_size (0 -- 6) gen_flow_item))
+
+let flow_object i (items : flow_item list) : Sof.Object_file.t =
+  let a = Sof.Asm.create (Printf.sprintf "/t/flow%d.o" i) in
+  List.iter
+    (function
+      | Def (n, binding) ->
+          Sof.Asm.label ~binding a n;
+          Sof.Asm.instr a Svm.Isa.Ret
+      | Extern n -> Sof.Asm.extern a n
+      | Call n -> Sof.Asm.call a n)
+    items;
+  Sof.Asm.finish a
+
+let print_flow_objects objs =
+  String.concat " | "
+    (List.map
+       (fun items ->
+         String.concat " "
+           (List.map
+              (function
+                | Def (n, b) -> Printf.sprintf "%s:%s" n (Sof.Symbol.binding_to_string b)
+                | Extern n -> "extern:" ^ n
+                | Call n -> "call:" ^ n)
+              items))
+       objs)
+
+(* Flows straight from the lattice's fields, including the shapes the
+   operators leave behind: undefined entries and relocations that name
+   the fragment's own definitions. *)
+let gen_flow : Sf.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let name = oneofa flow_pool in
+  let names = map S.of_list (list_size (0 -- 4) name) in
+  let frag =
+    map3
+      (fun f_defs f_undefs f_relocs ->
+        { Sf.f_src = "f"; f_defs; f_undefs; f_relocs; f_ctors = [] })
+      (list_size (0 -- 5)
+         (pair name (oneofl [ Sof.Symbol.Global; Sof.Symbol.Weak; Sof.Symbol.Local ])))
+      names names
+  in
+  map (fun frags -> { Sf.empty with Sf.frags }) (list_size (0 -- 5) frag)
+
+let prop_undefined_matches_sets =
+  QCheck.Test.make ~count:1000 ~long_factor:50 ~name:"Symflow.undefined = set reference"
+    (QCheck.make gen_flow)
+    (fun m -> Sf.undefined m = ref_undefined m)
+
+(* Every node of a merge of random objects: its summary's exports,
+   undefined references and relocation targets equal the references
+   over its flow. *)
+let prop_summary_matches_sets =
+  QCheck.Test.make ~count:300 ~long_factor:50 ~name:"Impact.summary = set reference"
+    (QCheck.make ~print:print_flow_objects gen_flow_objects)
+    (fun objs ->
+      let leaves = List.mapi (fun i items -> Mg.Leaf (flow_object i items)) objs in
+      let tree = I.analyze ~resolve:no_resolve (Mg.Merge leaves) in
+      let ok = ref true in
+      I.iter_infos
+        (fun i ->
+          let s = I.summary i and m = i.I.i_flow in
+          ok :=
+            !ok
+            && s.I.s_exports = ref_export_pairs m
+            && s.I.s_undefined = ref_undefined m
+            && s.I.s_relocs = ref_relocs m
+            && Sf.undefined m = ref_undefined m)
+        tree;
+      !ok)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -937,5 +1071,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_dead_restrict_noop;
           QCheck_alcotest.to_alcotest prop_dead_hide_noop;
           QCheck_alcotest.to_alcotest prop_edit_pairs_reused_byte_identical;
+          QCheck_alcotest.to_alcotest prop_undefined_matches_sets;
+          QCheck_alcotest.to_alcotest prop_summary_matches_sets;
         ] );
     ]

@@ -348,6 +348,91 @@ let prop_rename_roundtrip_preserves_behaviour =
       let cpu = run_module m' in
       r5 cpu = 100l && r6 cpu = 101l)
 
+(* merge_list against the pairwise fold it replaces. An operand list is
+   1 to 5 operands of 1 to 3 objects each; every object defines unique
+   globals, weak names shared across the list and a local. Injections
+   then re-define one object's first global, as a global, in an object
+   of the same operand, in the same object, or in another operand. *)
+type merge_case = {
+  defs : (string * Sof.Symbol.binding) list list list;  (** operand, object, defs *)
+  injected : (int * int * int * int) list;  (** from (operand, object) to (operand, object) *)
+}
+
+let gen_merge_case : merge_case QCheck.Gen.t =
+  let open QCheck.Gen in
+  let def i j k =
+    frequency
+      [
+        (3, return (Printf.sprintf "g%d_%d_%d" i j k, Sof.Symbol.Global));
+        (1, map (fun w -> (Printf.sprintf "w%d" w, Sof.Symbol.Weak)) (0 -- 1));
+        (1, return ("l", Sof.Symbol.Local));
+      ]
+  in
+  let obj i j = int_range 0 3 >>= fun n -> flatten_l (List.init n (def i j)) in
+  let operand i = int_range 1 3 >>= fun n -> flatten_l (List.init n (obj i)) in
+  let* n = frequency [ (1, return 0); (1, return 1); (8, int_range 2 5) ] in
+  let* defs = flatten_l (List.init n operand) in
+  let* injected = list_size (0 -- 3) (quad (0 -- 4) (0 -- 2) (0 -- 4) (0 -- 2)) in
+  return { defs; injected }
+
+let merge_operands (c : merge_case) : Jigsaw.Module_ops.t list =
+  let defs = Array.of_list (List.map Array.of_list c.defs) in
+  let pick (i, j) =
+    let op = defs.(i mod Array.length defs) in
+    (i mod Array.length defs, j mod Array.length op)
+  in
+  if Array.length defs > 0 then
+    List.iter
+      (fun (i, j, i', j') ->
+        let i, j = pick (i, j) and i', j' = pick (i', j') in
+        match List.find_opt (fun (_, b) -> b = Sof.Symbol.Global) defs.(i).(j) with
+        | Some (n, _) -> defs.(i').(j') <- defs.(i').(j') @ [ (n, Sof.Symbol.Global) ]
+        | None -> ())
+      c.injected;
+  Array.to_list
+    (Array.mapi
+       (fun i objs ->
+         Jigsaw.Module_ops.of_objects ~label:(Printf.sprintf "op%d" i)
+           (Array.to_list
+              (Array.mapi
+                 (fun j ds ->
+                   Sof.Object_file.make ~name:(Printf.sprintf "/m%d_%d.o" i j)
+                     ~text:Bytes.empty
+                     (List.map
+                        (fun (n, b) ->
+                          Sof.Symbol.make ~binding:b ~kind:Sof.Symbol.Abs ~value:0 n)
+                        ds))
+                 objs)))
+       defs)
+
+let prop_merge_list_is_fold =
+  QCheck.Test.make ~count:500 ~long_factor:50 ~name:"merge_list = pairwise fold"
+    (QCheck.make
+       ~print:(fun c ->
+         String.concat " | "
+           (List.map
+              (fun objs ->
+                String.concat "; "
+                  (List.map (fun ds -> String.concat "," (List.map fst ds)) objs))
+              c.defs)
+         ^ Printf.sprintf " (%d injections)" (List.length c.injected))
+       gen_merge_case)
+    (fun c ->
+      let run f =
+        let before = Telemetry.Counter.get "jigsaw.ops" in
+        let r =
+          match f (merge_operands c) with
+          | m -> Ok (Jigsaw.Module_ops.label m, Jigsaw.Module_ops.fragments m)
+          | exception Jigsaw.Module_ops.Module_error msg -> Error msg
+        in
+        (r, Telemetry.Counter.get "jigsaw.ops" - before)
+      in
+      let fold = function
+        | [] -> Jigsaw.Module_ops.merge_list []
+        | m :: rest -> List.fold_left Jigsaw.Module_ops.merge m rest
+      in
+      run Jigsaw.Module_ops.merge_list = run fold)
+
 let () =
   Alcotest.run "jigsaw"
     [
@@ -379,5 +464,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_restrict_then_merge_restores; prop_rename_roundtrip_preserves_behaviour;
             prop_project_is_restrict_complement; prop_hide_idempotent;
-            prop_merge_exports_commute; prop_override_exports_union ] );
+            prop_merge_exports_commute; prop_override_exports_union;
+            prop_merge_list_is_fold ] );
     ]

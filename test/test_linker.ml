@@ -343,6 +343,267 @@ let test_combine_matches_reference () =
   same "libc members" (List.map snd (Workloads.Libc_gen.objects ()));
   same "500 synthetic fragments" (synthetic_fragments 500)
 
+(* The full link written plainly, resolving names as [Link.link] did
+   before its indexes: a relocation searches its fragment's symbol list
+   for the fragment's own definition, then the table of exported
+   definitions, then the external images; the undefined names are each
+   fragment's [Object_file.undefined], resolved a second time. The
+   provenance journal is left out. [Link.link] must produce the same
+   image, statistics and errors. *)
+let reference_link ?entry ?(externals = []) ?(allow_undefined = false)
+    ~(layout : Linker.Link.layout) (frags : Sof.Object_file.t list) =
+  let open Sof in
+  let align4 v = (v + 3) / 4 * 4 in
+  let rev_placed, text_size, data_size, bss_size =
+    List.fold_left
+      (fun (acc, t, d, b) (f : Object_file.t) ->
+        ( (f, t, d, b) :: acc,
+          t + Bytes.length f.text,
+          align4 (d + Bytes.length f.data),
+          align4 (b + f.bss_size) ))
+      ([], 0, 0, 0) frags
+  in
+  let placed = List.rev rev_placed in
+  let tb = layout.Linker.Link.text_base and db = layout.Linker.Link.data_base in
+  let bb = align4 (db + data_size) in
+  let error e = raise (Linker.Link.Link_error e) in
+  if tb + text_size > db && db + data_size + bss_size > tb then
+    error (Linker.Link.Layout_overlap "text/data segments");
+  let addr (_, t, d, b) (s : Symbol.t) =
+    match s.kind with
+    | Symbol.Text -> tb + t + s.value
+    | Symbol.Data -> db + d + s.value
+    | Symbol.Bss -> bb + b + s.value
+    | Symbol.Abs -> s.value
+    | Symbol.Undef -> assert false
+  in
+  let globals = Hashtbl.create 64 in
+  List.iter
+    (fun (((f : Object_file.t), _, _, _) as p) ->
+      List.iter
+        (fun (s : Symbol.t) ->
+          if Symbol.is_exported s then
+            match (Hashtbl.find_opt globals s.name, s.binding) with
+            | None, _ | Some (_, _, Symbol.Weak), Symbol.Global ->
+                Hashtbl.replace globals s.name (addr p s, f.name, s.binding)
+            | Some (_, f1, Symbol.Global), Symbol.Global ->
+                error (Linker.Link.Duplicate (s.name, f1, f.name))
+            | Some _, _ -> ())
+        f.symbols)
+    placed;
+  let external_syms = Hashtbl.create 64 in
+  List.iter
+    (fun (img : Linker.Image.t) ->
+      List.iter
+        (fun (n, a) -> if not (Hashtbl.mem external_syms n) then Hashtbl.add external_syms n a)
+        img.Linker.Image.symtab)
+    externals;
+  let text = Bytes.make text_size '\000' and data = Bytes.make data_size '\000' in
+  List.iter
+    (fun ((f : Object_file.t), t, d, _) ->
+      Bytes.blit f.text 0 text t (Bytes.length f.text);
+      Bytes.blit f.data 0 data d (Bytes.length f.data))
+    placed;
+  let resolve (((f : Object_file.t), _, _, _) as p) name =
+    match
+      List.find_opt (fun (s : Symbol.t) -> s.name = name && Symbol.is_defined s) f.symbols
+    with
+    | Some s -> Some (addr p s)
+    | None -> (
+        match Hashtbl.find_opt globals name with
+        | Some (a, _, _) -> Some a
+        | None -> Hashtbl.find_opt external_syms name)
+  in
+  let applied = ref 0 in
+  List.iter
+    (fun (((f : Object_file.t), t, d, _) as p) ->
+      List.iter
+        (fun (r : Reloc.t) ->
+          match resolve p r.symbol with
+          | None -> ()
+          | Some a -> (
+              incr applied;
+              match r.target with
+              | Reloc.In_text ->
+                  let site = t + r.offset in
+                  let v =
+                    match r.kind with
+                    | Reloc.Abs32 -> a + r.addend
+                    | Reloc.Pcrel32 ->
+                        a + r.addend - (tb + site - Svm.Isa.imm_offset + Svm.Isa.width)
+                  in
+                  Bytes.set_int32_le text site (Int32.of_int v)
+              | Reloc.In_data ->
+                  let site = d + r.offset in
+                  let v =
+                    match r.kind with
+                    | Reloc.Abs32 -> a + r.addend
+                    | Reloc.Pcrel32 -> a + r.addend - (db + site)
+                  in
+                  Bytes.set_int32_le data site (Int32.of_int v)))
+        f.relocs)
+    placed;
+  let missing =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun ((f, _, _, _) as p) ->
+           List.filter (fun n -> resolve p n = None) (Object_file.undefined f))
+         placed)
+  in
+  if missing <> [] && not allow_undefined then error (Linker.Link.Undefined missing);
+  let global n = Option.map (fun (a, _, _) -> a) (Hashtbl.find_opt globals n) in
+  let entry_addr =
+    match entry with
+    | Some n -> global n
+    | None -> ( match global "_start" with Some a -> Some a | None -> global "main")
+  in
+  let segment seg_name vaddr bytes writable = { Linker.Image.seg_name; vaddr; bytes; writable } in
+  ( {
+      Linker.Image.name =
+        (match frags with [] -> "<empty>" | f :: _ -> f.Object_file.name);
+      segments = [ segment "text" tb text false; segment "data" db data true ];
+      bss_vaddr = bb;
+      bss_size;
+      entry = Option.value entry_addr ~default:(-1);
+      symtab =
+        List.sort compare (Hashtbl.fold (fun n (a, _, _) acc -> (n, a) :: acc) globals []);
+      reloc_work = !applied;
+    },
+    {
+      Linker.Link.fragments = List.length frags;
+      relocs_applied = !applied;
+      symbols_resolved = !applied;
+      undefined = missing;
+    } )
+
+(* Fragments exercising every resolution rule: explicit undefined
+   entries satisfied by another fragment's global, by the fragment's own
+   local, by a sibling's local (which does not count), by an external
+   image, and by nothing; a local defined in many fragments; names
+   defined twice in one fragment (the first definition is the
+   fragment's own); weak and global definitions in every order. *)
+let resolution_fragments () =
+  let frag name body =
+    let a = Sof.Asm.create name in
+    body a;
+    Sof.Asm.finish a
+  in
+  let ret a = Sof.Asm.instr a Svm.Isa.Ret in
+  let def ?binding a n =
+    Sof.Asm.label ?binding a n;
+    ret a
+  in
+  let undefs =
+    frag "undefs.o" (fun a ->
+        List.iter (Sof.Asm.extern a) [ "sat"; "unsat"; "mine"; "sib_local"; "ext_a" ];
+        Sof.Asm.label a "_start";
+        Sof.Asm.call a "sat";
+        Sof.Asm.call a "mine";
+        Sof.Asm.call a "unsat_call";
+        def ~binding:Sof.Symbol.Local a "mine")
+  in
+  let provider =
+    frag "provider.o" (fun a ->
+        def a "sat";
+        def ~binding:Sof.Symbol.Local a "sib_local";
+        def ~binding:Sof.Symbol.Weak a "w_then_g";
+        def a "g_then_w";
+        def ~binding:Sof.Symbol.Weak a "w_twice";
+        Sof.Asm.call a "w_then_g";
+        Sof.Asm.call a "w_twice")
+  in
+  let mixer =
+    frag "mixer.o" (fun a ->
+        def a "w_then_g";
+        def ~binding:Sof.Symbol.Weak a "g_then_w";
+        def ~binding:Sof.Symbol.Weak a "w_twice";
+        Sof.Asm.call a "g_then_w";
+        Sof.Asm.call a "ext_b")
+  in
+  let twice =
+    frag "twice.o" (fun a ->
+        Sof.Asm.call a "dup_local";
+        Sof.Asm.call a "local_then_global";
+        def ~binding:Sof.Symbol.Local a "dup_local";
+        def ~binding:Sof.Symbol.Local a "dup_local";
+        def ~binding:Sof.Symbol.Local a "local_then_global";
+        def a "local_then_global";
+        Sof.Asm.data_label ~binding:Sof.Symbol.Local a "dup_local";
+        Sof.Asm.data_word_sym a "dup_local")
+  in
+  let users =
+    List.init 40 (fun i ->
+        frag (Printf.sprintf "user%d.o" i) (fun a ->
+            Sof.Asm.call a "loop";
+            Sof.Asm.call a "local_then_global";
+            Sof.Asm.lea a 2 "loop";
+            def ~binding:Sof.Symbol.Local a "loop";
+            Sof.Asm.data_label ~binding:Sof.Symbol.Local a "cell";
+            Sof.Asm.data_word_sym a ~addend:(4 * i) "cell"))
+  in
+  (undefs :: provider :: mixer :: twice :: users)
+
+(* An image whose symbol table satisfies [names], each at an address
+   of its own; a second image repeats the first name elsewhere (the
+   first image's definition is kept). *)
+let external_images names =
+  let image name base names =
+    {
+      Linker.Image.name;
+      segments = [];
+      bss_vaddr = 0;
+      bss_size = 0;
+      entry = -1;
+      symtab = List.mapi (fun i n -> (n, base + (16 * i))) names;
+      reloc_work = 0;
+    }
+  in
+  [ image "ext1" 0x700000 names; image "ext2" 0x780000 (List.filteri (fun i _ -> i = 0) names) ]
+
+let test_link_matches_reference () =
+  let outcome link =
+    match link () with
+    | img, (st : Linker.Link.stats) ->
+        Printf.sprintf "image %s, %d fragments, %d relocs, %d resolved, undefined [%s]"
+          (Digest.to_hex (Digest.bytes (Linker.Image.encode img)))
+          st.Linker.Link.fragments st.relocs_applied st.symbols_resolved
+          (String.concat " " st.undefined)
+    | exception Linker.Link.Link_error e -> "Link_error " ^ Linker.Link.error_to_string e
+  in
+  let big = { Linker.Link.text_base = 0x10000; data_base = 0x200000 } in
+  let same ?entry ?(externals = []) ?(layout = big) what frags =
+    List.iter
+      (fun allow_undefined ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s (allow_undefined=%b)" what allow_undefined)
+          (outcome (fun () -> reference_link ?entry ~externals ~allow_undefined ~layout frags))
+          (outcome (fun () -> Linker.Link.link ?entry ~externals ~allow_undefined ~layout frags)))
+      [ false; true ]
+  in
+  let libc = List.map snd (Workloads.Libc_gen.objects ()) in
+  same "libc members" libc;
+  same "libc members, entry" ~entry:"malloc" libc;
+  let synthetic = synthetic_fragments 500 in
+  same "500 synthetic fragments" synthetic;
+  same "500 synthetic fragments, externals" ~externals:(external_images [ "ext" ]) synthetic;
+  let resolution = resolution_fragments () in
+  same "resolution rules" resolution;
+  same "resolution rules, externals"
+    ~externals:(external_images [ "ext_a"; "ext_b"; "unsat"; "sat"; "loop" ])
+    resolution;
+  same "resolution rules and libc" ~entry:"nowhere" (resolution @ libc);
+  same "duplicate global" (g_frag () :: resolution @ [ g_frag () ]);
+  same "duplicate global in one fragment"
+    [
+      (let a = Sof.Asm.create "dup.o" in
+       Sof.Asm.label a "d";
+       Sof.Asm.label a "d";
+       Sof.Asm.instr a Svm.Isa.Ret;
+       Sof.Asm.finish a);
+    ];
+  same "layout overlap" ~layout:{ Linker.Link.text_base = 0x1000; data_base = 0x1100 } libc;
+  same "no fragments" []
+
 (* -- encoded_size ------------------------------------------------------- *)
 
 let check_encoded_size what (img : Linker.Image.t) =
@@ -448,6 +709,7 @@ let () =
           Alcotest.test_case "reloc work" `Quick test_reloc_work_counted;
           Alcotest.test_case "entry fallback" `Quick test_entry_fallback_to_main;
           Alcotest.test_case "extent and digest" `Quick test_image_extent_and_digest;
+          Alcotest.test_case "matches reference" `Quick test_link_matches_reference;
         ] );
       ( "combine",
         [
