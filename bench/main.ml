@@ -666,12 +666,9 @@ let pipeline () =
   in
   let rounds = 4 in
   let p95 xs =
-    match List.sort compare xs with
-    | [] -> 0.0
-    | sorted ->
-        let n = List.length sorted in
-        let rank = max 0 (int_of_float (ceil (0.95 *. float_of_int n)) - 1) in
-        List.nth sorted rank
+    let sorted = Array.of_list xs in
+    Array.sort compare sorted;
+    Telemetry.nearest_rank sorted 95.0
   in
   let run_config ~depth ~batched =
     let w = Omos.World.create () in

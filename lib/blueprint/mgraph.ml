@@ -369,28 +369,6 @@ let register (env : env) (style : string) (f : specializer) : unit =
 
 (* -- graph utilities -------------------------------------------------------- *)
 
-(** [map_leaves f n] rewrites every [Leaf]/[Name]/[Source] of the graph —
-    the transformation hook specializations use. *)
-let rec map_nodes (f : node -> node option) (n : node) : node =
-  match f n with
-  | Some n' -> n'
-  | None -> (
-      match n with
-      | Leaf _ | Name _ | Source _ -> n
-      | Merge xs -> Merge (List.map (map_nodes f) xs)
-      | Override (a, b) -> Override (map_nodes f a, map_nodes f b)
-      | Freeze (p, x) -> Freeze (p, map_nodes f x)
-      | Restrict (p, x) -> Restrict (p, map_nodes f x)
-      | Project (p, x) -> Project (p, map_nodes f x)
-      | Copy_as (p, t, x) -> Copy_as (p, t, map_nodes f x)
-      | Hide (p, x) -> Hide (p, map_nodes f x)
-      | Show (p, x) -> Show (p, map_nodes f x)
-      | Rename (s, p, t, x) -> Rename (s, p, t, map_nodes f x)
-      | Initializers x -> Initializers (map_nodes f x)
-      | Specialize (st, vs, x) -> Specialize (st, vs, map_nodes f x)
-      | Constrain (s, a, x) -> Constrain (s, a, map_nodes f x)
-      | Lst xs -> Lst (List.map (map_nodes f) xs))
-
 (** Names referenced anywhere in the graph (dependency extraction). *)
 let rec names (n : node) : string list =
   match n with

@@ -96,10 +96,6 @@ val eval : env -> node -> result
     exception-safe). Specializers re-entering {!eval} inherit it. *)
 val eval_memo : env -> memo -> node -> result
 
-(** A fresh registry containing the base specializers
-    ("lib-constrained", "lib-static", "identity"). *)
-val base_specializers : unit -> (string, specializer) Hashtbl.t
-
 (** [make_env ~resolve ()] builds an evaluation environment. [resolve]
     maps server-object paths to sub-graphs; the default refuses all
     names. *)
@@ -107,11 +103,6 @@ val make_env : ?resolve:(string -> node) -> unit -> env
 
 (** Register an additional specialization style. *)
 val register : env -> string -> specializer -> unit
-
-(** [map_nodes f n] rewrites the graph top-down: where [f] returns
-    [Some n'], the subtree is replaced; otherwise recursion continues —
-    the transformation hook specializations use. *)
-val map_nodes : (node -> node option) -> node -> node
 
 (** Lst operands spliced into the surrounding operand list, as
     [merge] evaluates them: [(merge a (list b c))] merges a, b and c. *)

@@ -198,66 +198,6 @@ type batch_item = {
 }
 
 let tm_batch_solves = Telemetry.Counter.make "constraints.batch_solves"
-let tm_batch_packed = Telemetry.Counter.make "constraints.batch_packed"
-
-(* Is an item eligible for the packed-run fast path? Items with an
-   existing placement or weak preferences keep their own solve. *)
-let simple (i : batch_item) : bool = i.bi_existing = None && i.bi_prefs = []
-
-(* Pack a maximal run of simple items as one DeltaBlue chain: find a
-   single gap for the whole run, chain base[i+1] = base[i] + size[i],
-   and reserve every member at its planned base. Returns [None] when no
-   single gap fits the run (callers fall back to per-item solves). *)
-let pack_run (t : t) (run : batch_item list) : decision list option =
-  let sizes = List.map (fun i -> align_up (max i.bi_size 1) t.align) run in
-  (* Packing must be invisible: it may only fire when the chain lands
-     exactly where one-at-a-time first fit would put every member. On a
-     fragmented arena the sequential answers can split across gaps —
-     simulate them, and fall back to per-item solves unless they form
-     one contiguous chain. *)
-  let saved = t.occupied in
-  let bases =
-    List.map
-      (fun s ->
-        match first_fit_from t ~from:t.region_lo ~size:s with
-        | None -> None
-        | Some b ->
-            insert t { lo = b; hi = b + s; owner = "#pack-sim" };
-            Some b)
-      sizes
-  in
-  t.occupied <- saved;
-  let contiguous =
-    List.for_all Option.is_some bases
-    &&
-    let rec chk = function
-      | (Some b1, s1) :: ((Some b2, _) :: _ as rest) ->
-          b1 + s1 = b2 && chk rest
-      | _ -> true
-    in
-    chk (List.combine bases sizes)
-  in
-  match (contiguous, bases) with
-  | false, _ | _, [] | _, None :: _ -> None
-  | true, Some base :: _ ->
-      let members =
-        List.mapi (fun k (i, s) -> (string_of_int k ^ ":" ^ i.bi_owner, s))
-          (List.combine run sizes)
-      in
-      let chain = Db_layout.create ~base members in
-      assert (Db_layout.packed chain);
-      Telemetry.Counter.incr tm_batch_packed;
-      Some
-        (List.map
-           (fun (name, b, s) ->
-             let owner =
-               match String.index_opt name ':' with
-               | Some k -> String.sub name (k + 1) (String.length name - k - 1)
-               | None -> name
-             in
-             insert t { lo = b; hi = b + s; owner };
-             { base = b; reused = false; satisfied = None })
-           (Db_layout.layout chain))
 
 (* The traced entry point: a span per placement decision plus the
    arena-level counters. *)
@@ -278,69 +218,24 @@ let place (t : t) ~size ~owner ?existing ?(prefs = []) () : decision =
       Telemetry.Span.exit span;
       raise e
 
-(** [place_batch t items] solves the address constraints of a whole
-    queue of placement requests in one pass. Maximal runs of
-    unconstrained fresh items (no reuse candidate, no preferences) are
-    packed as one DeltaBlue chain into a single gap — on a contiguous
-    free region this reproduces the first-fit answers the items would
-    have received one at a time; items carrying reuse candidates or
-    preferences are solved individually, in submission order, inside
-    the same pass. Decisions come back in item order.
+(** [place_batch t items] solves a whole queue of placement requests in
+    one constraint pass: each item is placed by {!place}, in submission
+    order, so every decision and the arena it leaves behind are the ones
+    serial requests would get. Decisions come back in item order.
 
-    [wrap i item solve] brackets the individual solve of [item] (index
-    [i]); callers hang request attribution and fault hooks there. The
-    members of a packed run are solved jointly, so [wrap] is not
-    applied to them. *)
+    [wrap i item solve] brackets the solve of [item] (index [i]);
+    callers hang request attribution and fault hooks there. *)
 let place_batch (t : t) ?(wrap = fun _ _ f -> f ()) (items : batch_item list) :
     decision list =
-  let span =
-    Telemetry.Span.enter "constraints.place_batch"
-      ~attrs:[ ("n", Telemetry.I (List.length items)) ]
-  in
-  Fun.protect ~finally:(fun () -> Telemetry.Span.exit span) @@ fun () ->
+  Telemetry.with_span "constraints.place_batch"
+    ~attrs:[ ("n", Telemetry.I (List.length items)) ]
+  @@ fun () ->
   Telemetry.Counter.incr tm_batch_solves;
-  let solve_one (idx : int) (i : batch_item) : decision =
-    wrap idx i (fun () ->
-        place t ~size:i.bi_size ~owner:i.bi_owner ?existing:i.bi_existing
-          ~prefs:i.bi_prefs ())
-  in
-  (* a packed member still reports a (zero-width) placement span and
-     bumps the arena counters, so traces and counts read the same
-     whether or not the run packed *)
-  let note_packed (i : batch_item) (d : decision) : decision =
-    let s =
-      Telemetry.Span.enter "constraints.place"
-        ~attrs:
-          [ ("owner", Telemetry.S i.bi_owner); ("size", Telemetry.I i.bi_size) ]
-    in
-    Telemetry.Span.add_attr s "base" (Telemetry.I d.base);
-    Telemetry.Span.add_attr s "packed" (Telemetry.B true);
-    Telemetry.Span.exit s;
-    Telemetry.Counter.incr tm_placements;
-    d
-  in
-  let rec go idx = function
-    | [] -> []
-    | i :: _ as items when simple i ->
-        let rec split acc = function
-          | x :: rest when simple x -> split (x :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let run, rest = split [] items in
-        let decisions =
-          if List.length run >= 2 then
-            match pack_run t run with
-            | Some ds -> List.map2 note_packed run ds
-            | None -> List.mapi (fun k x -> solve_one (idx + k) x) run
-          else List.mapi (fun k x -> solve_one (idx + k) x) run
-        in
-        decisions @ go (idx + List.length run) rest
-    | i :: rest ->
-        (* force the solve before recursing: cons evaluates right to
-           left, and solving the tail first would hand preference ties
-           to the *last* queued request instead of the first, diverging
-           from the serial path's arena state *)
-        let d = solve_one idx i in
-        d :: go (idx + 1) rest
-  in
-  go 0 items
+  (* [List.mapi] applies its function head first: the first queued
+     request wins a preference tie, as it does serially *)
+  List.mapi
+    (fun idx (i : batch_item) ->
+      wrap idx i (fun () ->
+          place t ~size:i.bi_size ~owner:i.bi_owner ?existing:i.bi_existing
+            ~prefs:i.bi_prefs ()))
+    items

@@ -77,19 +77,12 @@ type batch_item = {
 
 (** [place_batch t items] solves a whole queue of placement requests in
     one constraint pass (one ["constraints.place_batch"] span, one
-    [constraints.batch_solves] count). Maximal runs of unconstrained
-    fresh items are packed as a single DeltaBlue chain
-    ({!Db_layout}) into one gap — on a contiguous free region this
-    reproduces the first-fit answers serial {!place} calls would give;
-    items with reuse candidates or preferences are solved individually,
-    in submission order, within the same pass. Decisions come back in
-    item order.
+    [constraints.batch_solves] count): each item is placed by {!place},
+    in submission order, so every decision is the one serial requests
+    would get. Decisions come back in item order.
 
-    [wrap i item solve] brackets the individual solve of [item] (index
-    [i]) — callers hang request attribution and fault-injection hooks
-    there. Members of a packed run are solved jointly, so [wrap] does
-    not apply to them (they carry no preferences, which is what the
-    hooks key on).
+    [wrap i item solve] brackets the solve of [item] (index [i]) —
+    callers hang request attribution and fault-injection hooks there.
 
     @raise No_space if any item cannot fit. *)
 val place_batch :

@@ -38,8 +38,8 @@ type slice = {
   s_cat : category;
   s_from : float;
   s_until : float;
-  s_self : float; (* charged self-cost of a segment slice (= duration
-                     except for batched place); waits carry 0 *)
+  s_self : float; (* charged self-cost of a segment slice (= duration;
+                     0 for a batched place); waits carry 0 *)
   s_on : int; (* request waited on, [-1] when not a typed wait *)
 }
 
@@ -51,7 +51,7 @@ type slice = {
    the real schedule slipped ahead of it. *)
 type hop =
   | Run of { stage : string; dur : float } (* a dispatched stage task *)
-  | Park of { wrap : float } (* batch barrier; flushed when queue idles *)
+  | Park (* batch barrier; flushed when queue idles *)
   | Wait of { on : int } (* coalesced onto in-flight request [on] *)
   | Seal (* the map dispatch where sim_us was sealed *)
 
@@ -131,8 +131,7 @@ let critical_path (r : Causal.req) : path option =
                  solver share — only the flush sets it; its batch wait
                  can be zero-length and is no marker *)
               chain :=
-                (if s.g_stage = "place" && r.g_solver_us > 0.0 then
-                   Park { wrap = s.g_self }
+                (if s.g_stage = "place" && r.g_solver_us > 0.0 then Park
                  else Run { stage = s.g_stage; dur = t1 -. s.g_t0 })
                 :: !chain;
               first := false;
@@ -182,17 +181,6 @@ type profile = {
 
 let is_self = function Self _ -> true | _ -> false
 
-(* nearest-rank percentile over an unsorted sample *)
-let percentile (xs : float list) (p : float) : float =
-  match xs with
-  | [] -> 0.0
-  | _ ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-      a.(max 0 (min (n - 1) (rank - 1)))
-
 let profile (ps : path list) : profile =
   (* per-request per-category sums *)
   let per_req : (string, float) Hashtbl.t list =
@@ -235,12 +223,14 @@ let profile (ps : path list) : profile =
             per_req
         in
         let total = List.fold_left ( +. ) 0.0 samples in
+        let sorted = Array.of_list samples in
+        Array.sort compare sorted;
         ( k,
           {
             bs_total_us = total;
             bs_frac = (if total_sim > 0.0 then total /. total_sim else 0.0);
-            bs_p50_us = percentile samples 50.0;
-            bs_p95_us = percentile samples 95.0;
+            bs_p50_us = Telemetry.nearest_rank sorted 50.0;
+            bs_p95_us = Telemetry.nearest_rank sorted 95.0;
           } ))
       keys
   in
@@ -316,8 +306,7 @@ let transform (knob : knob option) (by_id : (int, path) Hashtbl.t)
       (* every member pays its own solver pass instead of parking *)
       List.map
         (function
-          | Park { wrap } ->
-              Run { stage = "place"; dur = wrap +. p.p_solver_us }
+          | Park -> Run { stage = "place"; dur = p.p_solver_us }
           | i -> i)
         items
   | Some Coalesce_off -> (
@@ -387,7 +376,7 @@ let what_if ?(knob : knob option) (ps : path list) : whatif =
     in
     let runq = Queue.create () in
     List.iter (fun c -> Queue.add c runq) chains;
-    let parked = ref [] in (* (path, wrap, rest) park order, newest-first *)
+    let parked = ref [] in (* (path, rest) park order, newest-first *)
     let waiting = ref [] in (* (leader, (path, rest)) park order, newest-first *)
     let enqueue (p, items) = Queue.add (p, items) runq in
     let wake (id : int) : unit =
@@ -404,9 +393,9 @@ let what_if ?(knob : knob option) (ps : path list) : whatif =
       | [] ->
           Hashtbl.replace finish p.p_id !clock;
           wake p.p_id
-      | Park { wrap } :: rest ->
+      | Park :: rest ->
           items := rest;
-          parked := (p, wrap, items) :: !parked
+          parked := (p, items) :: !parked
       | Wait { on } :: rest ->
           items := rest;
           if Hashtbl.mem finish on || not (Hashtbl.mem by_id on) then
@@ -434,23 +423,18 @@ let what_if ?(knob : knob option) (ps : path list) : whatif =
               true)
       | None ->
           if !parked <> [] then begin
-            (* flush the place barrier: one shared solver pass plus
-               every member's own wrapped solve *)
+            (* flush the place barrier: one shared solver pass *)
             let members =
-              List.sort (fun ((a : path), _, _) (b, _, _) -> compare a.p_id b.p_id)
+              List.sort (fun ((a : path), _) (b, _) -> compare a.p_id b.p_id)
                 !parked
             in
             parked := [];
-            let solver =
-              List.fold_left
-                (fun m ((p : path), _, _) -> Float.max m p.p_solver_us)
-                0.0 members
-            in
-            let wraps =
-              List.fold_left (fun a (_, w, _) -> a +. w) 0.0 members
-            in
-            clock := !clock +. solver +. wraps;
-            List.iter (fun (p, _, items) -> enqueue (p, items)) members;
+            clock :=
+              !clock
+              +. List.fold_left
+                   (fun m ((p : path), _) -> Float.max m p.p_solver_us)
+                   0.0 members;
+            List.iter enqueue members;
             true
           end
           else if !waiting <> [] then begin

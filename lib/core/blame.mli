@@ -36,9 +36,8 @@ type slice = {
   s_from : float;
   s_until : float;
   s_self : float;
-      (** charged self-cost of a segment slice — less than the slice
-          duration for a batched place, where the shared solve overlaps
-          every member's interval; [0] for waits *)
+      (** charged self-cost of a segment slice; [0] for a batched
+          place, whose interval is the shared solve, and for waits *)
   s_on : int;  (** request id waited on; [-1] when not a typed wait *)
 }
 
@@ -50,9 +49,9 @@ type slice = {
 type hop =
   | Run of { stage : string; dur : float }
       (** a dispatched stage task (re-enqueues at the tail when done) *)
-  | Park of { wrap : float }
-      (** parked at the place barrier; [wrap] is the member's own share
-          of the flush outside the shared solve *)
+  | Park
+      (** parked at the place barrier; the flush that releases it
+          charges the shared solve, [p_solver_us] *)
   | Wait of { on : int }  (** coalesced onto in-flight request [on] *)
   | Seal  (** the map dispatch where [sim_us] was sealed *)
 

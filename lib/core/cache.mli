@@ -85,10 +85,6 @@ val memo_insert : t -> digest:string -> Blueprint.Mgraph.result -> unit
     (counted as [cache.memo_evictions]). *)
 val memo_retain : t -> (string -> bool) -> unit
 
-(** Drop the whole memo table (counts the dropped entries as
-    [cache.memo_evictions]). *)
-val memo_clear : t -> unit
-
 (** Every live entry, across all keys and placements. *)
 val to_list : t -> entry list
 

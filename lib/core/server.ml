@@ -539,6 +539,30 @@ let prefs_for (seg : Blueprint.Mgraph.seg) (cs : Blueprint.Mgraph.constraint_pre
       if c.Blueprint.Mgraph.seg = seg then Some (c.priority, c.pref) else None)
     cs
 
+(* One member's placement, shared by the batched and unbatched place
+   paths: the conflict-fault hook around [solve] (the member's
+   [Constraints.Placement.place]), then a recorded conflict when the
+   strongest preference could not be honoured. *)
+let place_member (t : t) ~(owner : string) ~(arena : Constraints.Placement.t)
+    (seg : Blueprint.Mgraph.seg)
+    (prefs : (int * Constraints.Placement.pref) list)
+    (solve : unit -> Constraints.Placement.decision) :
+    Constraints.Placement.decision =
+  let dec = Residency.with_place_conflict t.residency ~arena ~prefs solve in
+  (match List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs with
+  | (_, wanted) :: _ when dec.Constraints.Placement.satisfied <> Some wanted ->
+      Telemetry.Counter.incr tm_arena_conflicts;
+      t.conflicts <-
+        {
+          c_owner = owner;
+          c_seg = seg;
+          c_wanted = wanted;
+          c_got = dec.Constraints.Placement.base;
+        }
+        :: t.conflicts
+  | _ -> ());
+  dec
+
 (** Has this built's cache entry been evicted since it was handed out?
     Stale builts must be re-requested before mapping. *)
 let built_evicted (b : built) : bool =
@@ -737,22 +761,15 @@ and stage_place_single (t : t) (job : job) () : unit =
     t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
   Telemetry.Histogram.observe tm_batch_size 1.0;
   let r = Option.get job.jeval in
-  let place_noting arena seg size prefs =
-    Residency.with_place_conflict t.residency ~arena ~prefs @@ fun () ->
-    let dec =
-      Constraints.Placement.place arena ~size ~owner:job.jname ~prefs ()
-    in
-    note_pref_conflict t ~owner:job.jname seg prefs dec;
-    dec
+  let place seg arena size =
+    let prefs = prefs_for seg r.Blueprint.Mgraph.constraints in
+    place_member t ~owner:job.jname ~arena seg prefs (fun () ->
+        Constraints.Placement.place arena ~size ~owner:job.jname ~prefs ())
   in
   job.jtdec <-
-    Some
-      (place_noting t.text_arena Blueprint.Mgraph.Seg_text job.jtext_size
-         (prefs_for Blueprint.Mgraph.Seg_text r.Blueprint.Mgraph.constraints));
+    Some (place Blueprint.Mgraph.Seg_text t.text_arena job.jtext_size);
   job.jddec <-
-    Some
-      (place_noting t.data_arena Blueprint.Mgraph.Seg_data job.jdata_size
-         (prefs_for Blueprint.Mgraph.Seg_data r.Blueprint.Mgraph.constraints));
+    Some (place Blueprint.Mgraph.Seg_data t.data_arena job.jdata_size);
   spawn_stage t job "link" (stage_link t job)
 
 (* eval: force the m-graph (misses only — hits never re-evaluate). *)
@@ -869,9 +886,10 @@ and stage_parse (t : t) (job : job) () : unit =
               fresh ()))
 
 (* Flush the place barrier: solve every parked placement in one
-   constraint pass (ticket order), one solver charge for the whole
-   batch — N queued requests, one [Constraints.Placement.place_batch]
-   deltablue pass per arena instead of N independent solves. *)
+   constraint pass per arena (ticket order), one solver charge for the
+   whole batch — N queued requests, one [Constraints.Placement.place_batch]
+   instead of N passes. Each member is placed as the unbatched path
+   places it, under its own request context. *)
 and flush_place (t : t) : unit =
   let jobs =
     List.sort (fun a b -> compare a.jt b.jt) (List.rev t.place_q)
@@ -880,16 +898,12 @@ and flush_place (t : t) : unit =
   match jobs with
   | [] -> ()
   | _ ->
-      let n = List.length jobs in
-      Telemetry.Histogram.observe tm_batch_size (float_of_int n);
+      Telemetry.Histogram.observe tm_batch_size
+        (float_of_int (List.length jobs));
       let t0 = Telemetry.now_us () in
       Simos.Kernel.charge_sys t.kernel
         t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
       let by_index = Array.of_list jobs in
-      (* per-member simulated time spent inside its own wrapped solve
-         (both arenas) — the member's self-share of the flush interval;
-         the residue is the shared batched-solver charge *)
-      let wraps = Array.make n 0.0 in
       let solve seg arena =
         let items =
           List.map
@@ -906,65 +920,33 @@ and flush_place (t : t) : unit =
               })
             jobs
         in
-        (* each member's individual solve runs under its own request
-           context, so placement spans, counters, and injected faults
-           stay attributed to the request that owns them *)
+        (* each member's solve runs under its own request context, so
+           placement spans, counters, and injected faults stay
+           attributed to the request that owns them *)
         let wrap i (it : Constraints.Placement.batch_item) f =
           let j = by_index.(i) in
           Telemetry.Request.within ~client:j.jclient ~id:j.jt @@ fun () ->
-          let w0 = Telemetry.now_us () in
-          Fun.protect
-            ~finally:(fun () ->
-              wraps.(i) <- wraps.(i) +. (Telemetry.now_us () -. w0))
-          @@ fun () ->
-          let d =
-            Residency.with_place_conflict t.residency ~arena
-              ~prefs:it.Constraints.Placement.bi_prefs f
-          in
-          note_pref_conflict t ~owner:j.jname seg
-            it.Constraints.Placement.bi_prefs d;
-          d
+          place_member t ~owner:j.jname ~arena seg
+            it.Constraints.Placement.bi_prefs f
         in
         Constraints.Placement.place_batch ~wrap arena items
       in
       let tdecs = solve Blueprint.Mgraph.Seg_text t.text_arena in
       let ddecs = solve Blueprint.Mgraph.Seg_data t.data_arena in
       let t1 = Telemetry.now_us () in
-      let dt = t1 -. t0 in
-      Telemetry.Histogram.observe tm_place_us dt;
-      let solver_us =
-        Float.max 0.0 (dt -. Array.fold_left ( +. ) 0.0 wraps)
-      in
+      Telemetry.Histogram.observe tm_place_us (t1 -. t0);
       List.iteri
         (fun i j ->
           j.jtdec <- Some (List.nth tdecs i);
           j.jddec <- Some (List.nth ddecs i);
           Telemetry.Causal.unpark j.jtl ~at:t0 ();
-          (* the pass worked for every member of the batch: the whole
-             flush is a segment of each, its own solve the self part *)
-          Telemetry.Causal.segment j.jtl ~stage:"place" ~t0 ~t1
-            ~self:wraps.(i) ();
-          j.jtl.Telemetry.Causal.g_solver_us <- solver_us;
+          (* the member solves charge nothing, so the whole flush is
+             the one shared solve: a segment of every member, none of
+             it the member's own *)
+          Telemetry.Causal.segment j.jtl ~stage:"place" ~t0 ~t1 ~self:0.0 ();
+          j.jtl.Telemetry.Causal.g_solver_us <- t1 -. t0;
           spawn_stage t j "link" (stage_link t j))
         jobs
-
-(* Record when the strongest preference could not be honoured (shared
-   by the batched and unbatched place paths). *)
-and note_pref_conflict (t : t) ~(owner : string) (seg : Blueprint.Mgraph.seg)
-    (prefs : (int * Constraints.Placement.pref) list)
-    (dec : Constraints.Placement.decision) : unit =
-  match List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs with
-  | (_, wanted) :: _ when dec.Constraints.Placement.satisfied <> Some wanted ->
-      Telemetry.Counter.incr tm_arena_conflicts;
-      t.conflicts <-
-        {
-          c_owner = owner;
-          c_seg = seg;
-          c_wanted = wanted;
-          c_got = dec.Constraints.Placement.base;
-        }
-        :: t.conflicts
-  | _ -> ()
 
 (* -- submit / await / poll / drain ------------------------------------------ *)
 

@@ -49,7 +49,6 @@ let open_stack : span list ref = ref []
 let completed : span list ref = ref [] (* reverse completion order *)
 
 let set_enabled b = enabled := b
-let is_enabled () = !enabled
 
 let set_clock f =
   clock := f;
@@ -147,7 +146,6 @@ module Profile = struct
   let table : (string, cell) Hashtbl.t = Hashtbl.create 32
 
   let set_enabled b = prof_enabled := b
-  let is_enabled () = !prof_enabled
   let clear () = Hashtbl.reset table
 
   let unattributed = "(unattributed)"
@@ -253,9 +251,16 @@ module Gauge = struct
   let set (name : string) (v : float) : unit =
     Hashtbl.replace registry name v;
     Flight.emit Flight.Gauge_set name "" v
-
-  let get (name : string) : float option = Hashtbl.find_opt registry name
 end
+
+(** Nearest-rank percentile of an ascending-sorted sample ([q] in
+    [0,100]); [0] when the sample is empty. *)
+let nearest_rank (sorted : float array) (q : float) : float =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
+    let rank = int_of_float (Float.ceil (q /. 100.0 *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
 
 module Histogram = struct
   (* Bounded memory: count/sum/min/max plus a fixed-size sample
@@ -322,13 +327,9 @@ module Histogram = struct
   (** Nearest-rank percentile over the reservoir ([q] in [0,100]);
       exact while fewer than [reservoir_cap] observations arrived. *)
   let percentile (h : t) (q : float) : float =
-    if h.filled = 0 then 0.0
-    else begin
-      let a = Array.sub h.samples 0 h.filled in
-      Array.sort compare a;
-      let rank = int_of_float (Float.ceil (q /. 100.0 *. float_of_int h.filled)) in
-      a.(max 0 (min (h.filled - 1) (rank - 1)))
-    end
+    let a = Array.sub h.samples 0 h.filled in
+    Array.sort compare a;
+    nearest_rank a q
 end
 
 (* Count flight-recorder dumps, labeled by cause: flight.ml sits below
@@ -547,7 +548,6 @@ module Runinfo = struct
   let registry : (string, value) Hashtbl.t = Hashtbl.create 8
 
   let set (key : string) (v : value) : unit = Hashtbl.replace registry key v
-  let get (key : string) : value option = Hashtbl.find_opt registry key
 
   let sorted () : (string * value) list =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) registry []
@@ -687,13 +687,6 @@ module Health = struct
     wait_frac_p95 : float;  (** p95 of the per-request wait share *)
   }
 
-  let percentile (sorted : float array) (q : float) : float =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else
-      let rank = int_of_float (Float.ceil (q /. 100.0 *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
-
   let snapshot () : snapshot =
     (* hotness reads are live, not sampled: headroom and the hot
        function are identities, not rates, so the latest value is the
@@ -731,9 +724,9 @@ module Health = struct
         requests = !total;
         window = n;
         hit_ratio;
-        p50_us = percentile sorted 50.0;
-        p95_us = percentile sorted 95.0;
-        p99_us = percentile sorted 99.0;
+        p50_us = nearest_rank sorted 50.0;
+        p95_us = nearest_rank sorted 95.0;
+        p99_us = nearest_rank sorted 99.0;
         mean_us = sum /. float_of_int n;
         max_us = sorted.(n - 1);
         conflict_rate = delta (Array.get conflicts_at) /. float_of_int n;
@@ -744,7 +737,7 @@ module Health = struct
         hot_churn = delta (Array.get topchg_at) /. float_of_int n;
         hot_fn;
         wait_frac = Array.fold_left ( +. ) 0.0 ws /. float_of_int n;
-        wait_frac_p95 = percentile wsorted 95.0;
+        wait_frac_p95 = nearest_rank wsorted 95.0;
       }
     end
 
@@ -880,8 +873,8 @@ module Causal = struct
     g_t1 : float;
     g_self : float;
         (** the request's own work within the segment — equals
-            [g_t1 -. g_t0] except for the shared batched-place segment,
-            where it is just this member's solve *)
+            [g_t1 -. g_t0] except for the batched-place segment, whose
+            whole interval is the shared solve: [0] *)
   }
 
   type wait = {
@@ -906,9 +899,9 @@ module Causal = struct
     mutable g_sim_us : float;
     mutable g_hit : bool;
     mutable g_solver_us : float;
-        (** shared solver overhead of the flush that placed this
-            request (the batch's one [place_solve] charge), [0] when
-            placed singly *)
+        (** the interval of the flush that placed this request (its
+            batched-place segment, all of it the shared solve), [0]
+            when placed singly *)
   }
 
   let retain = ref false

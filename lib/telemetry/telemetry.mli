@@ -26,8 +26,6 @@ type span = {
 (** Span recording is off by default; metrics are always on. *)
 val set_enabled : bool -> unit
 
-val is_enabled : unit -> bool
-
 (** Install the time source (microseconds). The default returns 0. *)
 val set_clock : (unit -> float) -> unit
 
@@ -67,7 +65,6 @@ module Profile : sig
   type kind = User | System | Io
 
   val set_enabled : bool -> unit
-  val is_enabled : unit -> bool
 
   (** Credit [us] microseconds of [kind] to the current span path
       (called from the simulated clock; no-op while disabled). *)
@@ -110,8 +107,11 @@ end
 
 module Gauge : sig
   val set : string -> float -> unit
-  val get : string -> float option
 end
+
+(** Nearest-rank percentile of an ascending-sorted sample ([q] in
+    [0,100]); [0] when the sample is empty. *)
+val nearest_rank : float array -> float -> float
 
 module Histogram : sig
   type t
@@ -208,7 +208,6 @@ end
     measurement. *)
 module Runinfo : sig
   val set : string -> value -> unit
-  val get : string -> value option
 
   (** All entries, sorted by key. *)
   val sorted : unit -> (string * value) list
@@ -359,9 +358,9 @@ module Causal : sig
     | Batch  (** parked at the place boundary until [flush_place] *)
     | Coalesce  (** follower waiting on its leader's link/map *)
 
-  (** One executed stage interval. [g_self] is the charged cost — it
-      can be less than [g_t1 -. g_t0] when shared work (a batched
-      solve) overlaps the interval. *)
+  (** One executed stage interval. [g_self] is the request's own
+      charged cost: [g_t1 -. g_t0], except [0] for a batched place,
+      whose whole interval is the one shared solve. *)
   type segment = { g_stage : string; g_t0 : float; g_t1 : float; g_self : float }
 
   (** One resolved blocking interval. [w_on] is the request id being
@@ -381,9 +380,9 @@ module Causal : sig
     mutable g_sim_us : float;
     mutable g_hit : bool;
     mutable g_solver_us : float;
-        (** shared batched-solve cost charged during this request's
-            place segment (not part of its own wrap work); the flush
-            that placed the request writes it *)
+        (** the interval of the flush that placed this request — its
+            batched place segment, all of it the shared solve; [0] when
+            placed singly. The flush writes it. *)
   }
 
   (** Retain the requests submitted from now on for {!requests} (off by

@@ -172,6 +172,36 @@ let test_batch_size_histogram () =
   Alcotest.(check bool) "one solver pass counted" true
     (Telemetry.Counter.get "constraints.batch_solves" >= 1)
 
+(* Every member of a batched flush is placed under its own request: the
+   placement counts the flush records carry a submitted ticket's request
+   and client, as the unbatched path's do. *)
+let test_batch_member_attribution () =
+  let s = fresh_world () in
+  Telemetry.Request.set_client 2;
+  let tickets =
+    List.map
+      (fun m -> Omos.Server.submit s (Omos.Server.library m))
+      [ "/lib/libm"; "/lib/libl" ]
+  in
+  Omos.Server.drain s;
+  List.iter (fun tk -> ignore (Omos.Server.await s tk)) tickets;
+  let placements =
+    List.filter
+      (fun (e : Telemetry.Flight.event) ->
+        e.kind = Telemetry.Flight.Count && e.name = "constraints.placements")
+      (Telemetry.Flight.events ())
+  in
+  Alcotest.(check int) "one placement per library and arena" 4
+    (List.length placements);
+  List.iter
+    (fun (e : Telemetry.Flight.event) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "placement %d names a ticket" e.seq)
+        true
+        (List.mem e.request (List.map Omos.Server.ticket_id tickets));
+      Alcotest.(check int) "placement names the client" 2 e.client)
+    placements
+
 let test_unbatched_knob () =
   let s = fresh_world () in
   Omos.Server.set_batch_placement s false;
@@ -335,6 +365,8 @@ let () =
           Alcotest.test_case "batch = serial solves" `Quick test_batch_equals_serial;
           Alcotest.test_case "mixed prefs" `Quick test_batch_mixed_prefs;
           Alcotest.test_case "batch_size histogram" `Quick test_batch_size_histogram;
+          Alcotest.test_case "batch member attribution" `Quick
+            test_batch_member_attribution;
           Alcotest.test_case "unbatched knob" `Quick test_unbatched_knob;
         ] );
       ( "backpressure",
