@@ -69,7 +69,9 @@ let pref_str (c : Mg.constraint_pref) : string =
   Format.asprintf "%s/%d:%a" (Mg.seg_to_string c.Mg.seg) c.Mg.priority
     Constraints.Placement.pp_pref c.Mg.pref
 
-let summary_key (s : summary) : string =
+(* The rendered interface facts a flow fixes: exports, undefined
+   references, relocation targets, frozen and hidden names. *)
+let flow_text (m : Symflow.t) : string =
   let b = Buffer.create 256 in
   let strs tag xs =
     Buffer.add_string b tag;
@@ -80,24 +82,27 @@ let summary_key (s : summary) : string =
       xs;
     Buffer.add_char b '|'
   in
-  strs "e:" (List.map (fun (n, bd) -> n ^ "=" ^ bd) s.s_exports);
-  strs "u:" s.s_undefined;
-  strs "r:" s.s_relocs;
-  strs "f:" s.s_frozen;
-  strs "h:" s.s_hidden;
-  strs "p:" s.s_prefs;
+  strs "e:" (List.map (fun (n, bd) -> n ^ "=" ^ bd) (export_pairs m));
+  strs "u:" (Symflow.undefined m);
+  strs "r:" (reloc_names m);
+  strs "f:" (S.elements m.Symflow.frozen);
+  strs "h:" (S.elements m.Symflow.hidden);
   Buffer.contents b
+
+let prefs_text (prefs : Mg.constraint_pref list) : string =
+  String.concat "" ("p:" :: List.concat_map (fun p -> [ pref_str p; ";" ]) prefs) ^ "|"
 
 (* The digest chains the node's own operator and content, its
    occurrence key when it mints aliases, the operand digests and the
-   summary: a key anywhere below ties the digest to one occurrence. *)
+   summary ([flow] then [prefs], rendered): a key anywhere below ties
+   the digest to one occurrence. *)
 let node_digest ~(local : string) ~(key : string option)
-    ~(children : string list) (s : summary) : string =
+    ~(children : string list) ~(flow : string) ~(prefs : string) : string =
   Digest.to_hex
     (Digest.string
        (String.concat "\x01"
           [ "impact.v2"; local; Option.value key ~default:"";
-            String.concat "," children; summary_key s ]))
+            String.concat "," children; flow ^ prefs ]))
 
 (* -- the per-node annotation ------------------------------------------------- *)
 
@@ -120,23 +125,36 @@ let plan_digest (i : info) : string =
   i.i_plan_digest
 
 (* The summary is rendered for the digest and dropped: a kept tree holds
-   the flow it derives from, not both. *)
-let annotate ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
-    (prefs : Mg.constraint_pref list) (children : info list) : info =
-  {
-    i_path = path;
-    i_node = n;
-    i_flow = m;
-    i_prefs = prefs;
-    i_digest =
-      node_digest ~local:(Mg.local_key n) ~key
-        ~children:(List.map (fun c -> c.i_digest) children)
-        (summary_of n m prefs);
-    i_plan_digest = "";
-    i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
-    i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
-    i_children = children;
-  }
+   the flow it derives from, not both. Within one walk, a node whose
+   flow is physically the flow of the node annotated just before it (a
+   name and the graph it resolves to, a constrain and its operand)
+   reuses that node's rendering, so each annotator keeps the last one. *)
+let annotator () =
+  let last = ref None in
+  fun ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
+      (prefs : Mg.constraint_pref list) (children : info list) : info ->
+    let flow =
+      match !last with
+      | Some (m', text) when m' == m -> text
+      | _ ->
+          let text = flow_text m in
+          last := Some (m, text);
+          text
+    in
+    {
+      i_path = path;
+      i_node = n;
+      i_flow = m;
+      i_prefs = prefs;
+      i_digest =
+        node_digest ~local:(Mg.local_key n) ~key
+          ~children:(List.map (fun c -> c.i_digest) children)
+          ~flow ~prefs:(prefs_text prefs);
+      i_plan_digest = "";
+      i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
+      i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
+      i_children = children;
+    }
 
 (* -- entry points ------------------------------------------------------------ *)
 
@@ -159,13 +177,13 @@ let tree_of (root : Mg.node) (info : info option) t_kept : tree =
 
 let analyze_and_lint ~(resolve : string -> (Mg.node, string) result)
     (root : Mg.node) : tree * Lint.report =
-  let report, info = Lint.walk ~resolve ~annotate root in
+  let report, info = Lint.walk ~resolve ~annotate:(annotator ()) root in
   (tree_of root info None, report)
 
 let reanalyze ~(resolve : string -> (Mg.node, string) result)
     ~(prev : tree option) (root : Mg.node) : tree * info Lint.kept_walk =
   let w =
-    Lint.rewalk ~resolve ~annotate
+    Lint.rewalk ~resolve ~annotate:(annotator ())
       ~prev:(Option.bind prev (fun t -> t.t_kept))
       root
   in
@@ -179,6 +197,103 @@ let iter_infos (f : info -> unit) (t : tree) : unit =
     List.iter go i.i_children
   in
   go t.t_root
+
+let iter_unshared (f : info -> unit) ~(other : tree option) (t : tree) : unit =
+  let rec go (o : info option) (i : info) =
+    match o with
+    | Some o when o == i -> ()
+    | _ ->
+        f i;
+        let rec pair os is =
+          match (os, is) with
+          | _, [] -> ()
+          | o :: os, i :: is ->
+              go (Some o) i;
+              pair os is
+          | [], i :: is ->
+              go None i;
+              pair [] is
+        in
+        pair (match o with Some o -> o.i_children | None -> []) i.i_children
+  in
+  go (Option.map (fun o -> o.t_root) other) t.t_root
+
+(* -- construction digests at an occurrence ------------------------------------ *)
+
+(* The operand evaluation descends into at an occurrence step: a
+   merge's by flattened index, an override's by position, a unary
+   operator's only one. *)
+let operand_at (n : Mg.node) (idx : int option) : Mg.node option =
+  let nth_flat ops i =
+    let k = ref i in
+    let rec go = function
+      | [] -> None
+      | Mg.Lst xs :: rest -> ( match go xs with None -> go rest | found -> found)
+      | x :: rest ->
+          if !k = 0 then Some x
+          else begin
+            decr k;
+            go rest
+          end
+    in
+    go ops
+  in
+  match (n, idx) with
+  | Mg.Merge ops, Some i -> nth_flat ops i
+  | Mg.Override (a, _), Some 0 -> Some a
+  | Mg.Override (_, b), Some 1 -> Some b
+  | ( ( Mg.Freeze (_, x)
+      | Mg.Restrict (_, x)
+      | Mg.Project (_, x)
+      | Mg.Copy_as (_, _, x)
+      | Mg.Hide (_, x)
+      | Mg.Show (_, x)
+      | Mg.Rename (_, _, _, x)
+      | Mg.Initializers x
+      | Mg.Specialize (_, _, x)
+      | Mg.Constrain (_, _, x) ),
+      None ) ->
+      Some x
+  | _ -> None
+
+(* Past a name's info to the info of the graph it resolves to. *)
+let rec resolved (i : info) : info option =
+  match (i.i_node, i.i_children) with
+  | Mg.Name _, [ c ] -> resolved c
+  | Mg.Name _, _ -> None
+  | _ -> Some i
+
+(* Descending from the root, each step checks that the occurrence's
+   node is physically the operand evaluation reached it through, of the
+   previous step's node or, past a name, of the node the walk resolved
+   the name to. The info at that operand's position was walked from it
+   or replayed with its content key, so its node has its construction.
+   A node a specializer made fails the check, and so does everything
+   evaluated under it. *)
+let plan_digest_at (t : tree) (occ : Mg.occurrence) (n : Mg.node) :
+    string option =
+  let rec at = function
+    | [] -> None
+    | [ (_, root) ] ->
+        if root == t.t_root.i_node then Some (root, t.t_root) else None
+    | (idx, x) :: up -> (
+        let step (holder : Mg.node) (i : info) =
+          match operand_at holder idx with
+          | Some y when y == x ->
+              Option.map
+                (fun c -> (x, c))
+                (List.nth_opt i.i_children (Option.value idx ~default:0))
+          | _ -> None
+        in
+        match at up with
+        | Some (Mg.Name _, i) -> (
+            match resolved i with Some r -> step r.i_node r | None -> None)
+        | Some (parent, i) -> step parent i
+        | None -> None)
+  in
+  match occ with
+  | (_, top) :: _ when top == n -> Option.map (fun (_, i) -> plan_digest i) (at occ)
+  | _ -> None
 
 (* -- diff -------------------------------------------------------------------- *)
 

@@ -112,6 +112,27 @@ val reanalyze :
 (** Pre-order walk over an info tree. *)
 val iter_infos : (info -> unit) -> tree -> unit
 
+(** [iter_unshared f ~other t] is {!iter_infos} over the infos of [t]
+    that [other] does not share: where [t] holds, at some operand
+    position, physically the info [other] holds there (a subtree
+    {!reanalyze} replayed), the whole subtree is skipped. Positions
+    pair by operand index; with [other] [None], every info. *)
+val iter_unshared : (info -> unit) -> other:tree option -> tree -> unit
+
+(** [plan_digest_at t occ n] is {!plan_digest} of the info at [occ],
+    which is [Mgraph.digest n], or [None] where the tree cannot vouch
+    for [n]. It follows [occ] down from the root, a merge's children in
+    flattened order and a [Name]'s info holding its resolved graph's
+    info. It answers only when [t]'s root node is physically [occ]'s
+    root, [n] is physically the node at the top of [occ] (a specializer
+    may evaluate nodes of its own there), and each step's node is
+    physically the operand evaluation descends into from the step
+    above, or, past a name, from the node the walk resolved it to. At
+    each position the walk either stepped through that operand or
+    replayed a subtree with its content key, so the construction is
+    the same. *)
+val plan_digest_at : tree -> Mg.occurrence -> Mg.node -> string option
+
 (** Verdict for one node of the {e new} tree. *)
 type verdict =
   | Reused of { digest : string }

@@ -655,17 +655,34 @@ let rec same_keys (ks : keys list) (ps : 'a walked list) : bool =
   | k :: ks, p :: ps -> String.equal k.hash p.k_key && same_keys ks ps
   | _ -> false
 
-(* The own part of a resolved name's key. *)
-let name_part (path : string) : string = "name:" ^ path
+(* [op] with its parameters, each length-prefixed, so two parameter
+   lists never render alike. {!Mg.local_key} joins them with
+   separators, and ["copy-as:^f::g"] is both ("^f", ":g") and
+   ("^f:", "g"); it stays as it is, since the interface digests hash
+   it. *)
+let params (op : string) (ps : string list) : string =
+  String.concat ":"
+    (op :: List.concat_map (fun p -> [ string_of_int (String.length p); p ]) ps)
 
-(* An operator's own part of its key (what it adds to its operands'
-   keys) and the operands the key covers, in [go]'s order. [None] for a
+let rec value_part (v : Mg.value) : string =
+  match v with
+  | Mg.Vstr s -> params "s" [ s ]
+  | Mg.Vnum n -> params "n" [ string_of_int n ]
+  | Mg.Vlist vs -> params "l" (List.map value_part vs)
+  | Mg.Vnode n -> params "g" [ Mg.digest n ]
+
+let scope_part = function
+  | Jigsaw.Module_ops.Defs_only -> "defs"
+  | Jigsaw.Module_ops.Refs_only -> "refs"
+  | Jigsaw.Module_ops.Both -> "both"
+
+(* The operands an operator's key covers, in [go]'s order. [None] for a
    name, a leaf, a source and a list, which [content_keys] keys
    otherwise. *)
-let operator (n : Mg.node) : (string * Mg.node list) option =
+let operands_of (n : Mg.node) : Mg.node list option =
   match n with
-  | Mg.Merge ops -> Some ("merge" ^ grouping ops, Mg.flatten_operands ops)
-  | Mg.Override (a, b) -> Some (Mg.local_key n, [ a; b ])
+  | Mg.Merge ops -> Some (Mg.flatten_operands ops)
+  | Mg.Override (a, b) -> Some [ a; b ]
   | Mg.Freeze (_, x)
   | Mg.Restrict (_, x)
   | Mg.Project (_, x)
@@ -676,16 +693,51 @@ let operator (n : Mg.node) : (string * Mg.node list) option =
   | Mg.Initializers x
   | Mg.Specialize (_, _, x)
   | Mg.Constrain (_, _, x) ->
-      Some (Mg.local_key n, [ x ])
+      Some [ x ]
   | Mg.Name _ | Mg.Leaf _ | Mg.Source _ | Mg.Lst _ -> None
 
-(* The own part [content_keys] gave a node the previous walk keyed,
-   where the node tells it (a name that resolved, or an operator), read
-   again rather than kept: kept walks stay as small as they were. *)
-let kept_part (p : 'a walked) : string option =
-  match p.k_node with
-  | Mg.Name path when p.k_kids <> [] -> Some (name_part path)
-  | n -> Option.map fst (operator n)
+(* An operator's own part of its key: what it adds to its operands'
+   keys. *)
+let own_part (n : Mg.node) : string =
+  match n with
+  | Mg.Merge ops -> "merge" ^ grouping ops
+  | Mg.Freeze (p, _) | Mg.Restrict (p, _) | Mg.Project (p, _) | Mg.Hide (p, _)
+  | Mg.Show (p, _) ->
+      params (Mg.op_name n) [ p ]
+  | Mg.Copy_as (p, t, _) -> params "copy-as" [ p; t ]
+  | Mg.Rename (sc, p, t, _) -> params "rename" [ scope_part sc; p; t ]
+  | Mg.Specialize (st, vs, _) -> params "specialize" (st :: List.map value_part vs)
+  | Mg.Constrain (seg, a, _) ->
+      params "constrain" [ Mg.seg_to_string seg; string_of_int a ]
+  | _ -> Mg.op_name n
+
+(* Do two operand lists group into lists alike? *)
+let rec same_grouping (xs : Mg.node list) (ys : Mg.node list) : bool =
+  match (xs, ys) with
+  | [], [] -> true
+  | Mg.Lst a :: xs, Mg.Lst b :: ys -> same_grouping a b && same_grouping xs ys
+  | (Mg.Lst _ :: _ | []), _ | _, (Mg.Lst _ :: _ | []) -> false
+  | _ :: xs, _ :: ys -> same_grouping xs ys
+
+(* Has operator [a] the own part of [b]? Decided on the nodes, without
+   rendering either part. *)
+let same_own (a : Mg.node) (b : Mg.node) : bool =
+  let eq = String.equal in
+  match (a, b) with
+  | Mg.Merge xs, Mg.Merge ys -> same_grouping xs ys
+  | Mg.Override _, Mg.Override _ | Mg.Initializers _, Mg.Initializers _ -> true
+  | Mg.Freeze (p, _), Mg.Freeze (q, _)
+  | Mg.Restrict (p, _), Mg.Restrict (q, _)
+  | Mg.Project (p, _), Mg.Project (q, _)
+  | Mg.Hide (p, _), Mg.Hide (q, _)
+  | Mg.Show (p, _), Mg.Show (q, _) ->
+      eq p q
+  | Mg.Copy_as (p, t, _), Mg.Copy_as (q, u, _) -> eq p q && eq t u
+  | Mg.Rename (sc, p, t, _), Mg.Rename (sc', q, u, _) ->
+      sc = sc' && eq p q && eq t u
+  | Mg.Constrain (s, x, _), Mg.Constrain (s', y, _) -> s = s' && x = y
+  | Mg.Specialize _, Mg.Specialize _ -> eq (own_part a) (own_part b)
+  | _ -> false
 
 (* Keys for the nodes [go] will visit, in its order. Every [Name]
    resolves as [step] resolves it, so a key fixes what the name reaches,
@@ -694,14 +746,17 @@ let kept_part (p : 'a walked) : string option =
    position: a node whose own part and operand keys are the ones it
    keyed keeps its key, and a leaf that is still the very object it
    walked (object files are never mutated once built) keeps its key,
-   sparing the content digest. *)
+   sparing the content digest. Whether the own part is the one keyed is
+   read off the previous node, not kept with it (kept walks stay as
+   small as they were), and a part is rendered only to be hashed. *)
 let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
     keys =
-  let node part kids =
+  (* [same p]: the previous node [p] had this node's own part *)
+  let key ~(same : 'a walked -> bool) (part : unit -> string) kids =
     match prev with
-    | Some p when same_keys kids p.k_kids && kept_part p = Some part ->
-        { hash = p.k_key; kids }
+    | Some p when same_keys kids p.k_kids && same p -> { hash = p.k_key; kids }
     | _ ->
+        let part = part () in
         {
           hash =
             Digest.string
@@ -712,33 +767,46 @@ let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
           kids;
         }
   in
+  let never _ = false in
   let operands xs =
     aligned (content_keys st) xs
       (match prev with Some p -> p.k_kids | None -> [])
   in
-  match operator n with
-  | Some (part, xs) -> node part (operands xs)
+  match operands_of n with
+  | Some xs ->
+      key ~same:(fun p -> same_own n p.k_node) (fun () -> own_part n) (operands xs)
   | None -> (
       match n with
       | Mg.Name p -> (
-          if List.mem p st.visiting then node ("cycle:" ^ p) []
+          if List.mem p st.visiting then
+            key ~same:never (fun () -> params "cycle" [ p ]) []
           else
             match st.resolve p with
-            | Error msg -> node (Printf.sprintf "unresolved:%s:%s" p msg) []
+            | Error msg ->
+                key ~same:never (fun () -> params "unresolved" [ p; msg ]) []
             | Ok sub ->
                 st.visiting <- p :: st.visiting;
                 let ks = operands [ sub ] in
                 st.visiting <- List.tl st.visiting;
-                node (name_part p) ks)
+                (* a previous name with operands resolved *)
+                key
+                  ~same:(fun w ->
+                    w.k_kids <> []
+                    && match w.k_node with Mg.Name q -> String.equal p q | _ -> false)
+                  (fun () -> params "name" [ p ])
+                  ks)
       | Mg.Lst _ ->
           (* malformed here: reported, its items never walked *)
-          node ("list:" ^ Mg.digest n) []
+          key ~same:never (fun () -> "list:" ^ Mg.digest n) []
       | Mg.Leaf o -> (
           match prev with
           | Some { k_node = Mg.Leaf o'; k_key; _ } when o == o' ->
               { hash = k_key; kids = [] }
-          | _ -> node (Mg.local_key n) [])
-      | _ -> (* a source *) node (Mg.local_key n) [])
+          | _ -> key ~same:never (fun () -> Mg.local_key n) [])
+      | _ ->
+          (* a source: its text digest has a fixed length, so the
+             separator-joined key is unambiguous *)
+          key ~same:never (fun () -> Mg.local_key n) [])
 
 (* -- entry points ------------------------------------------------------------ *)
 

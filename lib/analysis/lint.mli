@@ -93,9 +93,10 @@ val walk :
 
     A walk can be kept as a tree for the next walk of the same graph to
     replay from. Before a kept walk, one bottom-up pass gives every node
-    a {e content key}: its own operator, parameters and content
-    ({!Blueprint.Mgraph.local_key}, plus how a merge groups its operands
-    into lists) hashed with its operands' keys. Each [Name] resolves as
+    a {e content key}: its own operator, parameters and content (leaf
+    and source content by digest, every parameter length-prefixed so
+    that no two parameter lists render alike, plus how a merge groups
+    its operands into lists) hashed with its operands' keys. Each [Name] resolves as
     the walk resolves it: an unresolved name keys on its error, a
     cyclic one on the cycle, a resolved one on what it reaches. A
     node's occurrence path and content key together fix everything a
@@ -109,9 +110,10 @@ val walk :
     moved to another operand is walked again, since its path moved.
     Keys are hashed only where something changed: a node whose own part
     and operand keys are those the previous walk keyed at its position
-    keeps that walk's key (the previous part is read again from the
-    previous node; a name that did not resolve, a [source] and a [list]
-    are always hashed), and so does a leaf that is physically the
+    keeps that walk's key (whether the part is the previous one is
+    decided on the two nodes, and a part is rendered only to be hashed;
+    a name that did not resolve, a [source] and a [list] are always
+    hashed), and so does a leaf that is physically the
     object the previous walk keyed there (object files are never
     mutated once built). A replayed root keeps the previous report.
     {!walk} computes no keys and keeps nothing. *)

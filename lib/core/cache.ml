@@ -150,11 +150,21 @@ let memo_insert (t : t) ~(digest : string) (result : Blueprint.Mgraph.result) :
     Telemetry.Counter.incr tm_memo_insertions
   end
 
-let memo_retain (t : t) (keep : string -> bool) : unit =
-  let before = Hashtbl.length t.memos in
-  Hashtbl.filter_map_inplace (fun d e -> if keep d then Some e else None) t.memos;
-  let dropped = before - Hashtbl.length t.memos in
+let memo_drop (t : t) (digests : string list) : unit =
+  let dropped =
+    List.fold_left
+      (fun n d ->
+        if Hashtbl.mem t.memos d then begin
+          Hashtbl.remove t.memos d;
+          n + 1
+        end
+        else n)
+      0 digests
+  in
   if dropped > 0 then Telemetry.Counter.incr tm_memo_evictions ~by:dropped
+
+let memo_digests (t : t) : string list =
+  List.sort String.compare (Hashtbl.fold (fun d _ acc -> d :: acc) t.memos [])
 
 (* The memo table is derived data: entries reference module views that
    may share structure with cached images, so whenever the image cache

@@ -67,7 +67,9 @@ val invalidate : t -> string -> unit
     Materialized subtree views keyed by {!Analysis.Impact} interface
     digest — the substrate of incremental relinking. The table is
     derived data: it is dropped wholesale whenever {!evict_to_budget}
-    sheds any image, and by {!clear}. *)
+    sheds any image, and by {!clear}, and registration drops the
+    entries whose digest the server's reuse plan no longer names
+    ({!memo_drop}). *)
 
 type memo_entry = {
   m_digest : string;  (** interface digest (the memo key) *)
@@ -81,9 +83,12 @@ val memo_find : t -> string -> memo_entry option
 (** Idempotent: the first materialization of a digest wins. *)
 val memo_insert : t -> digest:string -> Blueprint.Mgraph.result -> unit
 
-(** [memo_retain t keep] drops every entry whose digest [keep] rejects
-    (counted as [cache.memo_evictions]). *)
-val memo_retain : t -> (string -> bool) -> unit
+(** [memo_drop t digests] drops the entries of [digests] the table
+    holds (counted as [cache.memo_evictions]). *)
+val memo_drop : t -> string list -> unit
+
+(** The digests the table holds, sorted. *)
+val memo_digests : t -> string list
 
 (** Every live entry, across all keys and placements. *)
 val to_list : t -> entry list

@@ -43,10 +43,10 @@ type conflict = {
   c_got : int;
 }
 
-(* One node of the current reuse plan: the {!Analysis.Impact} interface
-   digest of a fully modeled graph node, listed (in [t.impact_plan])
-   under the node's construction digest so evaluation can find it in
-   O(1) without re-walking the subtree. *)
+(* One entry of the current reuse plan: the {!Analysis.Impact}
+   interface digest of a fully modeled graph node, listed (in
+   [t.impact_plan]) under the node's construction digest so evaluation
+   can find it in O(1) without re-walking the subtree. *)
 type plan_entry = {
   pe_digest : string; (* interface digest (memo key) *)
   pe_path : string option;
@@ -54,6 +54,9 @@ type plan_entry = {
          freeze/hide/show below mints aliases named after where it
          sits), so the entry answers only the node at path [p]; [None]:
          it answers the node wherever it occurs *)
+  mutable pe_infos : int;
+      (* analyzed nodes of the filed trees that file the entry; it
+         leaves the plan when the last one is unfiled *)
 }
 
 (* One request moving through the staged pipeline (parse → lint → eval
@@ -133,7 +136,11 @@ type t = {
       (* verdicts of the latest re-registration of each meta path,
          computed from its old and new trees on first query *)
   impact_plan : (string, plan_entry list) Hashtbl.t;
-      (* graph-node digest -> reuse plan, rebuilt on registration *)
+      (* graph-node digest -> reuse plan, kept in place by registration *)
+  plan_named : (string, int) Hashtbl.t;
+      (* interface digest -> plan entries naming it *)
+  mutable plan_trees : (string, Analysis.Impact.tree) Hashtbl.t;
+      (* meta path -> the tree the plan filed for it *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
   mutable conflicts : conflict list;
   (* -- the staged request pipeline -- *)
@@ -233,6 +240,8 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     impact_trees = Hashtbl.create 16;
     impact_diffs = Hashtbl.create 16;
     impact_plan = Hashtbl.create 64;
+    plan_named = Hashtbl.create 64;
+    plan_trees = Hashtbl.create 16;
     subtree_reuse = true;
     conflicts = [];
     sched = Simos.Sched.create ();
@@ -288,53 +297,89 @@ let resolve_graph (t : t) (path : string) :
   | Some (Namespace.Directory _) -> Error (path ^ " is a directory")
   | None -> Error ("unknown server object " ^ path)
 
-(* Enter one analyzed node into the reuse plan. Leaves are free to
-   re-make and unmodeled nodes can never be proven reusable. An
-   identical subtree reached twice keeps one keyed entry per
-   occurrence: each mints its own aliases. *)
-let plan_node (t : t) (i : Analysis.Impact.info) : unit =
+(* Where the reuse plan files an analyzed node: its construction
+   digest and, when its digest holds only where it sits, its path.
+   [None] for a node the plan never holds: leaves are free to re-make
+   and unmodeled nodes can never be proven reusable. An identical
+   subtree reached twice at two paths is filed once per path: each
+   mints its own aliases. *)
+let plan_key (i : Analysis.Impact.info) : (string * string option) option =
   match i.Analysis.Impact.i_node with
-  | Blueprint.Mgraph.Leaf _ -> ()
+  | Blueprint.Mgraph.Leaf _ -> None
   | _ when i.Analysis.Impact.i_modeled ->
-      let pe =
-        {
-          pe_digest = i.Analysis.Impact.i_digest;
-          pe_path =
-            (if i.Analysis.Impact.i_keyed then Some i.Analysis.Impact.i_path
-             else None);
-        }
-      in
-      let k = Analysis.Impact.plan_digest i in
-      let others =
-        Option.value (Hashtbl.find_opt t.impact_plan k) ~default:[]
-        |> List.filter (fun e -> e.pe_path <> pe.pe_path)
-      in
-      Hashtbl.replace t.impact_plan k (pe :: others)
-  | _ -> ()
+      Some
+        ( Analysis.Impact.plan_digest i,
+          if i.Analysis.Impact.i_keyed then Some i.Analysis.Impact.i_path
+          else None )
+  | _ -> None
+
+let same_path (a : string option) (b : string option) : bool =
+  Option.equal String.equal a b
+
+(* Count one more analyzed node filing its entry, entering the entry
+   when it is the first. *)
+let file (t : t) (i : Analysis.Impact.info) : unit =
+  match plan_key i with
+  | None -> ()
+  | Some (k, path) -> (
+      let entries = Option.value (Hashtbl.find_opt t.impact_plan k) ~default:[] in
+      match List.find_opt (fun e -> same_path e.pe_path path) entries with
+      | Some e -> e.pe_infos <- e.pe_infos + 1
+      | None ->
+          let d = i.Analysis.Impact.i_digest in
+          Hashtbl.replace t.impact_plan k
+            ({ pe_digest = d; pe_path = path; pe_infos = 1 } :: entries);
+          Hashtbl.replace t.plan_named d
+            (1 + Option.value (Hashtbl.find_opt t.plan_named d) ~default:0))
+
+(* Count one analyzed node fewer filing its entry. An entry nothing
+   files any more leaves the plan, and an interface digest no entry
+   names any more goes onto [unnamed]. *)
+let unfile (t : t) (unnamed : string list ref) (i : Analysis.Impact.info) :
+    unit =
+  match plan_key i with
+  | None -> ()
+  | Some (k, path) -> (
+      let entries = Option.value (Hashtbl.find_opt t.impact_plan k) ~default:[] in
+      match List.find_opt (fun e -> same_path e.pe_path path) entries with
+      | None -> ()
+      | Some e when e.pe_infos > 1 -> e.pe_infos <- e.pe_infos - 1
+      | Some e -> (
+          (match List.filter (fun e' -> e' != e) entries with
+          | [] -> Hashtbl.remove t.impact_plan k
+          | rest -> Hashtbl.replace t.impact_plan k rest);
+          match Hashtbl.find_opt t.plan_named e.pe_digest with
+          | Some n when n > 1 -> Hashtbl.replace t.plan_named e.pe_digest (n - 1)
+          | _ ->
+              Hashtbl.remove t.plan_named e.pe_digest;
+              unnamed := e.pe_digest :: !unnamed))
 
 (* Re-run the analysis over every bound meta-object — one walk per meta
-   yields its lint report and its {!Analysis.Impact} tree — and rebuild
-   the reuse plan from the trees. Re-analyzing the whole namespace (not
-   just the edited meta) keeps reports and plan entries fresh for metas
-   that reference the edited path through [Name] nodes: their findings
-   and interface digests move with the content they resolve to. With
-   subtree reuse on, each walk replays from the meta's previous one
-   every subtree whose occurrence path and content key are unchanged,
-   so an edit walks its spine and replays the rest, and a meta the edit
-   does not reach is replayed at its root; with reuse off, every meta is
-   walked from scratch. A replayed subtree keeps its infos, and with
-   them the plan digests an earlier rebuild computed, so the rebuild
-   digests only the walked spine; content keys are hashed only where a
-   node's own part or an operand key changed. What stays proportional
-   to the world is visiting: the key pass resolves every name, and the
-   rebuild files every node. Memo entries the new plan no longer names
-   (the spine an edit replaced) are dropped, so the memo table tracks
-   the bound blueprints rather than their edit history. *)
+   yields its lint report and its {!Analysis.Impact} tree — and bring
+   the reuse plan up to date with the trees. Re-analyzing the whole
+   namespace (not just the edited meta) keeps reports and plan entries
+   fresh for metas that reference the edited path through [Name] nodes:
+   their findings and interface digests move with the content they
+   resolve to. With subtree reuse on, each walk replays from the meta's
+   previous one every subtree whose occurrence path and content key are
+   unchanged, so an edit walks its spine and replays the rest, and a
+   meta the edit does not reach is replayed at its root; with reuse
+   off, every meta is walked from scratch. A replayed subtree is
+   physically the previous tree's, so the plan, which counts the
+   analyzed nodes filing each entry, has nothing to do for it: only the
+   nodes the new trees no longer share with the filed ones are unfiled,
+   and only the new trees' own nodes are filed, with the construction
+   digests their walk computed. Every meta's nodes are unfiled before
+   any is filed, so an entry two metas reach through one construction
+   is entered afresh once the last old node filing it is gone, not kept
+   with its old interface digest. A meta no longer bound has its whole
+   tree unfiled. What stays proportional to the world is the key pass,
+   which resolves every name. Memo entries whose digest no entry names
+   any more (the spine an edit replaced) are dropped, so the memo table
+   tracks the bound blueprints rather than their edit history. *)
 let refresh_analysis (t : t) : unit =
-  (* emptied in place: the plan keeps the buckets the last registration
-     grew it to *)
-  Hashtbl.clear t.impact_plan;
   let resolve = resolve_graph t in
+  let trees = Hashtbl.create (Hashtbl.length t.plan_trees + 1) in
   List.iter
     (fun p ->
       match Namespace.lookup t.ns p with
@@ -356,15 +401,23 @@ let refresh_analysis (t : t) : unit =
           in
           Hashtbl.replace t.impact_trees p tree;
           Hashtbl.replace t.lints p lint;
-          Analysis.Impact.iter_infos (plan_node t) tree
+          Hashtbl.replace trees p tree
       | _ -> ())
     (Namespace.all_metas t.ns);
-  let planned = Hashtbl.create 256 in
+  let unnamed = ref [] in
   Hashtbl.iter
-    (fun _ entries ->
-      List.iter (fun e -> Hashtbl.replace planned e.pe_digest ()) entries)
-    t.impact_plan;
-  Cache.memo_retain t.cache (Hashtbl.mem planned)
+    (fun p filed ->
+      Analysis.Impact.iter_unshared (unfile t unnamed)
+        ~other:(Hashtbl.find_opt trees p) filed)
+    t.plan_trees;
+  Hashtbl.iter
+    (fun p tree ->
+      Analysis.Impact.iter_unshared (file t)
+        ~other:(Hashtbl.find_opt t.plan_trees p) tree)
+    trees;
+  t.plan_trees <- trees;
+  Cache.memo_drop t.cache
+    (List.filter (fun d -> not (Hashtbl.mem t.plan_named d)) !unnamed)
 
 (** Bind a meta-object and lint it: the symbol-flow analyzer runs at
     registration (no view materialized, no simulated cost charged), the
@@ -403,6 +456,18 @@ let lint_report (t : t) (path : string) : Analysis.Lint.report option =
 (** The registration-time dependence analysis of a bound meta-object. *)
 let impact_tree (t : t) (path : string) : Analysis.Impact.tree option =
   Hashtbl.find_opt t.impact_trees path
+
+(** The reuse plan: (construction digest, path, interface digest) per
+    entry, sorted. *)
+let reuse_plan (t : t) : (string * string option * string) list =
+  Hashtbl.fold
+    (fun k entries acc ->
+      List.fold_left (fun acc e -> (k, e.pe_path, e.pe_digest) :: acc) acc entries)
+    t.impact_plan []
+  |> List.sort compare
+
+(** The interface digests the memo table holds, sorted. *)
+let memo_digests (t : t) : string list = Cache.memo_digests t.cache
 
 (** The reuse/respin verdicts of the last time [path] was re-registered
     over an existing binding, computed on first query. *)
@@ -445,20 +510,31 @@ let find_meta (t : t) (path : string) : Blueprint.Meta.t =
 
 (* -- evaluation & linking -------------------------------------------------- *)
 
-(* The subtree-reuse hook evaluation runs under. A planned node is
-   answered from the memo table when it holds the node's interface
+(* [Mgraph.digest n] for the node at [occ]: read from the registration
+   analysis where [tree] vouches for the node, rendered otherwise (a
+   static target, a spec'd request, a meta with constraints or a default
+   spec, a node a specializer made). *)
+let construction_digest (tree : Analysis.Impact.tree option)
+    (occ : Blueprint.Mgraph.occurrence) (n : Blueprint.Mgraph.node) : string =
+  match Option.bind tree (fun tr -> Analysis.Impact.plan_digest_at tr occ n) with
+  | Some d -> d
+  | None -> Blueprint.Mgraph.digest n
+
+(* The subtree-reuse hook evaluation runs under, [tree] the
+   registration analysis of the graph evaluated, if any. A planned node
+   is answered from the memo table when it holds the node's interface
    digest; otherwise it is evaluated and entered (first materialization
    of a digest wins). Answering a node and entering it share one plan
    lookup, so one construction digest. A keyed entry answers only its
    own occurrence, so the path is rendered only when no occurrence-free
    entry exists. *)
-let memo (t : t) : Blueprint.Mgraph.memo =
+let memo (t : t) (tree : Analysis.Impact.tree option) : Blueprint.Mgraph.memo =
  fun occ n eval ->
   let planned =
     match n with
     | Blueprint.Mgraph.Leaf _ -> None
     | n -> (
-        match Hashtbl.find_opt t.impact_plan (Blueprint.Mgraph.digest n) with
+        match Hashtbl.find_opt t.impact_plan (construction_digest tree occ n) with
         | None -> None
         | Some entries -> (
             match List.find_opt (fun e -> e.pe_path = None) entries with
@@ -481,15 +557,25 @@ let memo (t : t) : Blueprint.Mgraph.memo =
           Cache.memo_insert t.cache ~digest:pe.pe_digest r;
           r)
 
-let eval (t : t) (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
+let eval_with (t : t) (tree : Analysis.Impact.tree option)
+    (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
   let t0 = Telemetry.now_us () in
   let r =
     if t.subtree_reuse && Hashtbl.length t.impact_plan > 0 then
-      Blueprint.Mgraph.eval_memo t.env (memo t) node
+      Blueprint.Mgraph.eval_memo t.env (memo t tree) node
     else Blueprint.Mgraph.eval t.env node
   in
   Telemetry.Histogram.observe tm_eval_us (Telemetry.now_us () -. t0);
   r
+
+let eval (t : t) (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
+  eval_with t None node
+
+(* The registration analysis of a request's meta, if it targets one. *)
+let target_tree (t : t) (target : target) : Analysis.Impact.tree option =
+  match target with
+  | Library { path; _ } -> Hashtbl.find_opt t.impact_trees path
+  | Static _ -> None
 
 (* Charge the cost of a full link to the simulated clock: this is the
    work a cache hit avoids. *)
@@ -777,7 +863,7 @@ and stage_eval (t : t) (job : job) () : unit =
   t.work.instantiations <- t.work.instantiations + 1;
   let r =
     Telemetry.Provenance.with_frame (Option.get job.jframe) @@ fun () ->
-    eval t (Option.get job.jgraph)
+    eval_with t (target_tree t job.jreq.target) (Option.get job.jgraph)
   in
   job.jeval <- Some r;
   match job.jreq.target with
@@ -833,7 +919,8 @@ and stage_parse (t : t) (job : job) () : unit =
   job.jname <- name;
   job.jgraph <- Some graph;
   job.jkey <-
-    job.jtl.Telemetry.Causal.g_target ^ ":" ^ Blueprint.Mgraph.digest graph
+    job.jtl.Telemetry.Causal.g_target ^ ":"
+    ^ construction_digest (target_tree t job.jreq.target) [ (None, graph) ] graph
     ^ String.concat ""
         (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
   let hit (e : Cache.entry) =

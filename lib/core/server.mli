@@ -111,6 +111,15 @@ val impact_tree : t -> string -> Analysis.Impact.tree option
     query; registration itself does not diff. *)
 val impact_diff : t -> string -> Analysis.Impact.diff option
 
+(** The reuse plan registration keeps: one (construction digest, path,
+    interface digest) triple per entry, sorted. The path is [Some p]
+    when the interface digest holds only at path [p] (a live
+    freeze/hide/show below mints aliases named after where it sits). *)
+val reuse_plan : t -> (string * string option * string) list
+
+(** The interface digests the per-node memo table holds, sorted. *)
+val memo_digests : t -> string list
+
 (** Toggle incremental relinking (default on): when off, evaluation
     never consults or fills the per-node memo table, and registration
     walks every meta from scratch instead of replaying unchanged

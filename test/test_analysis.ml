@@ -461,6 +461,15 @@ let test_impact_digests_and_stability () =
   Alcotest.(check bool) "approximate tree" true t.I.t_approximate;
   Alcotest.(check bool) "root unmodeled" false t.I.t_root.I.i_modeled
 
+(* A name that does not resolve digests alike whether or not the walk
+   annotated anything before it. *)
+let test_impact_digest_walk_order () =
+  let o = obj "/t/io.o" [ ("f", Sof.Symbol.Global) ] in
+  let nth g k = (List.nth (iroot g).I.i_children k).I.i_digest in
+  Alcotest.(check string) "first or last operand"
+    (nth (Mg.Merge [ Mg.Leaf o; Mg.Name "/no/such" ]) 1)
+    (nth (Mg.Merge [ Mg.Name "/no/such"; Mg.Leaf o ]) 0)
+
 let test_impact_diff_verdicts () =
   let a = obj "/t/ia.o" [ ("f", Sof.Symbol.Global) ] in
   let b = obj "/t/ib.o" [ ("g", Sof.Symbol.Global) ] in
@@ -832,6 +841,28 @@ let test_kept_walk_name_becomes_resolvable () =
   Omos.Server.register_meta_source fresh "/t/ulib" src;
   check_fresh ~what:"resolvable" s fresh [ "/t/ulib" ]
 
+(* Two parameter pairs that a separator-joined rendering confuses:
+   ("^f", ":g") copies f as ":g", ("^f:", "g") selects nothing. The
+   second registration must walk the copy again, not replay the first
+   one's analysis. *)
+let test_kept_walk_ambiguous_parameters () =
+  let install s =
+    Omos.Server.add_fragment s "/t/x.o" (asm_obj "/t/x.o" [ ("f", None); ("g", None) ])
+  in
+  let second = "(copy_as \"^f:\" \"g\" /t/x.o)" in
+  let s = server () in
+  install s;
+  Omos.Server.register_meta_source s "/t/lib" "(copy_as \"^f\" \":g\" /t/x.o)";
+  Alcotest.(check (list string)) "first copies f" [ ":g"; "f"; "g" ]
+    (Option.get (Omos.Server.lint_report s "/t/lib")).L.exports;
+  Omos.Server.register_meta_source s "/t/lib" second;
+  Alcotest.(check (list string)) "second copies nothing" [ "f"; "g" ]
+    (Option.get (Omos.Server.lint_report s "/t/lib")).L.exports;
+  let fresh = server () in
+  install fresh;
+  Omos.Server.register_meta_source fresh "/t/lib" second;
+  check_fresh ~what:"ambiguous parameters" s fresh [ "/t/lib" ]
+
 (* every Reused verdict over a fuzzed single-edit pair materializes
    byte-identically — the proof obligation discharged over the same
    edit distribution the incremental-relink oracle replays *)
@@ -870,6 +901,190 @@ let prop_edit_pairs_reused_byte_identical =
                  let vo = I.verify ~eval ~old_tree ~new_tree d in
                  vo.I.vo_failures = [])
                changed)
+
+(* -- the reuse plan against its rebuild --------------------------------------- *)
+
+module Fz = Workloads.Fuzz
+
+(* The reuse plan as registration rebuilt it before it kept it in place:
+   every bound meta's current tree filed node by node, the last filing
+   of a (construction digest, path) winning. *)
+let reference_plan s : (string * string option * string) list =
+  let plan = Hashtbl.create 64 in
+  List.iter
+    (fun p ->
+      match Omos.Server.impact_tree s p with
+      | None -> ()
+      | Some tree ->
+          I.iter_infos
+            (fun i ->
+              match i.I.i_node with
+              | Mg.Leaf _ -> ()
+              | n when i.I.i_modeled ->
+                  Hashtbl.replace plan
+                    (Mg.digest n, if i.I.i_keyed then Some i.I.i_path else None)
+                    i.I.i_digest
+              | _ -> ())
+            tree)
+    (Omos.Namespace.all_metas (Omos.Server.namespace s));
+  Hashtbl.fold (fun (k, p) d acc -> (k, p, d) :: acc) plan [] |> List.sort compare
+
+(* Register, then hold the plan to the reference, and the memo table to
+   what it held before less the digests the plan no longer names. *)
+let register_checked s (ok : bool ref) path src =
+  let memo0 = Omos.Server.memo_digests s in
+  Omos.Server.register_meta_source s path src;
+  let plan = Omos.Server.reuse_plan s in
+  let named = Hashtbl.create 64 in
+  List.iter (fun (_, _, d) -> Hashtbl.replace named d ()) plan;
+  ok :=
+    !ok
+    && plan = reference_plan s
+    && Omos.Server.memo_digests s = List.filter (Hashtbl.mem named) memo0
+
+let compile_module (m : Fz.mdef) ~(path : string) =
+  Minic.Driver.compile ~name:path (Fz.minic_source m)
+
+(* Fuzzed edit sequences, each registration checked: the case
+   registered and built, three edit pairs (the changed libraries
+   re-registered, everything rebuilt), a module path rebound to another
+   module's object, subtree reuse switched off and on, and a library
+   path rebound to a fragment and then to its meta again. *)
+let prop_plan_matches_rebuild =
+  QCheck.Test.make ~name:"reuse plan = rebuild from the trees" ~count:15
+    ~long_factor:20 QCheck.(int_bound 10_000)
+    (fun seed ->
+      let c = Fz.generate ~max_modules:8 ~max_libs:5 ~seed () in
+      let s = server () in
+      let ok = ref true in
+      let register (l : Fz.libdef) =
+        register_checked s ok (Fz.lib_path l) (Fz.meta_source l)
+      in
+      let build_all (c : Fz.case) =
+        List.iter
+          (fun l ->
+            try ignore (Omos.Server.instantiate s (Omos.Server.library (Fz.lib_path l)))
+            with _ -> ())
+          c.Fz.f_libs
+      in
+      List.iter
+        (fun m ->
+          let path = Fz.mod_path m in
+          Omos.Server.add_fragment s path (compile_module m ~path))
+        c.Fz.f_mods;
+      List.iter register c.Fz.f_libs;
+      build_all c;
+      let c =
+        List.fold_left
+          (fun c k ->
+            match Fz.mutate ~seed:(seed + k) c with
+            | None -> c
+            | Some (c', _) ->
+                List.iter2
+                  (fun a b -> if a <> b then register b)
+                  c.Fz.f_libs c'.Fz.f_libs;
+                build_all c';
+                c')
+          c [ 0; 1; 2 ]
+      in
+      let first = List.hd c.Fz.f_libs
+      and last = List.nth c.Fz.f_libs (List.length c.Fz.f_libs - 1) in
+      (match c.Fz.f_mods with
+      | m :: m' :: _ ->
+          let path = Fz.mod_path m in
+          Omos.Server.add_fragment s path (compile_module m' ~path);
+          register first;
+          build_all c
+      | _ -> ());
+      Omos.Server.set_subtree_reuse s false;
+      register first;
+      Omos.Server.set_subtree_reuse s true;
+      register last;
+      build_all c;
+      Omos.Server.add_fragment s (Fz.lib_path last)
+        (asm_obj (Fz.lib_path last) [ ("rebound", None) ]);
+      register first;
+      register last;
+      !ok)
+
+(* -- construction digests read from the analysis ----------------------------- *)
+
+(* Stands in for the server's "lib-dynamic", which evaluates its operand
+   and makes stubs from the result: this one evaluates its operand, then
+   a graph of its own over it, at the operand's occurrence. *)
+let own_graph_specializer : Mg.specializer =
+ fun env _ x ->
+  ignore (Mg.eval env (Mg.Merge [ Mg.Restrict (".", x) ]));
+  Mg.eval env x
+
+(* Evaluate [graph] as the server does, asking [tree] for the
+   construction digest of every node at every occurrence: each answer
+   must be the node's digest. Returns whether all were, and how many
+   answered. *)
+let digests_at s (tree : I.tree) (graph : Mg.node) : bool * int =
+  let env =
+    Mg.make_env
+      ~resolve:(fun p ->
+        match Omos.Server.resolve_graph s p with
+        | Ok g -> g
+        | Error e -> raise (Mg.Eval_error e))
+      ()
+  in
+  Mg.register env "lib-dynamic" own_graph_specializer;
+  let ok = ref true and answered = ref 0 in
+  let hook occ n eval =
+    (match I.plan_digest_at tree occ n with
+    | None -> ()
+    | Some d ->
+        incr answered;
+        if not (String.equal d (Mg.digest n)) then ok := false);
+    eval ()
+  in
+  (try ignore (Mg.eval_memo env hook graph) with _ -> ());
+  (!ok, !answered)
+
+(* Every occurrence of the world's metas and of fuzzed libraries, once
+   registered and again after an edit pair's kept re-walks, with a meta
+   over a "lib-dynamic" node: the analysis answers with the node's
+   digest or declines. It declines at the root of a meta with a
+   constraint list, whose graph is made anew on every request, and
+   answers somewhere in a plain one. *)
+let prop_plan_digest_at =
+  QCheck.Test.make ~name:"Impact.plan_digest_at = Mgraph.digest or declines"
+    ~count:15 ~long_factor:20 QCheck.(int_bound 10_000)
+    (fun seed ->
+      let c = Fz.generate ~max_modules:8 ~max_libs:4 ~seed () in
+      let w = Omos.World.create () in
+      let s = w.Omos.World.server in
+      Omos.Fuzzer.install c w;
+      let lib0 = Fz.lib_path (List.hd c.Fz.f_libs) in
+      Omos.Server.register_meta_source s "/t/dyn"
+        (Printf.sprintf "(merge (specialize \"lib-dynamic\" %s))" lib0);
+      let all_answer_right () =
+        List.for_all
+          (fun p ->
+            let tree = Option.get (Omos.Server.impact_tree s p) in
+            fst (digests_at s tree (meta_graph s p)))
+          (Omos.Namespace.all_metas (Omos.Server.namespace s))
+      in
+      let registered = all_answer_right () in
+      let edited =
+        match Fz.mutate ~seed c with
+        | None -> true
+        | Some (c', _) ->
+            List.iter2
+              (fun a b ->
+                if a <> b then
+                  Omos.Server.register_meta_source s (Fz.lib_path b) (Fz.meta_source b))
+              c.Fz.f_libs c'.Fz.f_libs;
+            all_answer_right ()
+      in
+      let libc = Option.get (Omos.Server.impact_tree s "/lib/libc") in
+      let libc_graph = meta_graph s "/lib/libc" in
+      registered && edited
+      && I.plan_digest_at libc [ (None, libc_graph) ] libc_graph = None
+      && snd (digests_at s (Option.get (Omos.Server.impact_tree s "/t/dyn"))
+                (meta_graph s "/t/dyn")) > 0)
 
 (* -- the interface sets against set-based references ------------------------ *)
 
@@ -1055,6 +1270,8 @@ let () =
             test_kept_walk_name_becomes_cyclic;
           Alcotest.test_case "kept walk: name becomes resolvable" `Quick
             test_kept_walk_name_becomes_resolvable;
+          Alcotest.test_case "kept walk: ambiguous parameters" `Quick
+            test_kept_walk_ambiguous_parameters;
         ] );
       ( "impact",
         [
@@ -1062,6 +1279,8 @@ let () =
             test_impact_digests_and_stability;
           Alcotest.test_case "diff verdicts + verify" `Quick
             test_impact_diff_verdicts;
+          Alcotest.test_case "digest independent of walk order" `Quick
+            test_impact_digest_walk_order;
           Alcotest.test_case "hide/freeze subtree reuse" `Quick
             test_hidden_subtree_reuse;
         ] );
@@ -1073,5 +1292,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_edit_pairs_reused_byte_identical;
           QCheck_alcotest.to_alcotest prop_undefined_matches_sets;
           QCheck_alcotest.to_alcotest prop_summary_matches_sets;
+          QCheck_alcotest.to_alcotest prop_plan_matches_rebuild;
+          QCheck_alcotest.to_alcotest prop_plan_digest_at;
         ] );
     ]
