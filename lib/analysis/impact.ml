@@ -24,13 +24,13 @@ type info = {
   i_flow : Symflow.t;
   i_prefs : Mg.constraint_pref list;
   i_digest : string;
-  mutable i_plan_digest : string;
   i_modeled : bool;
   i_keyed : bool;
   i_children : info list;
 }
 
 type tree = {
+  t_graph : Mg.node;
   t_root : info;
   t_approximate : bool;
   t_kept : info Lint.kept option;
@@ -120,10 +120,6 @@ let summary_of (n : Mg.node) (m : Symflow.t) (prefs : Mg.constraint_pref list)
 
 let summary (i : info) : summary = summary_of i.i_node i.i_flow i.i_prefs
 
-let plan_digest (i : info) : string =
-  if i.i_plan_digest = "" then i.i_plan_digest <- Mg.digest i.i_node;
-  i.i_plan_digest
-
 (* The summary is rendered for the digest and dropped: a kept tree holds
    the flow it derives from, not both. Within one walk, a node whose
    flow is physically the flow of the node annotated just before it (a
@@ -150,7 +146,6 @@ let annotator () =
         node_digest ~local:(Mg.local_key n) ~key
           ~children:(List.map (fun c -> c.i_digest) children)
           ~flow ~prefs:(prefs_text prefs);
-      i_plan_digest = "";
       i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
       i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
       i_children = children;
@@ -165,7 +160,6 @@ let fallback_info (root : Mg.node) : info =
     i_flow = Symflow.empty;
     i_prefs = [];
     i_digest = "(analysis-error)";
-    i_plan_digest = "";
     i_modeled = false;
     i_keyed = false;
     i_children = [];
@@ -173,7 +167,7 @@ let fallback_info (root : Mg.node) : info =
 
 let tree_of (root : Mg.node) (info : info option) t_kept : tree =
   let t_root = Option.value info ~default:(fallback_info root) in
-  { t_root; t_approximate = not t_root.i_modeled; t_kept }
+  { t_graph = root; t_root; t_approximate = not t_root.i_modeled; t_kept }
 
 let analyze_and_lint ~(resolve : string -> (Mg.node, string) result)
     (root : Mg.node) : tree * Lint.report =
@@ -218,7 +212,7 @@ let iter_unshared (f : info -> unit) ~(other : tree option) (t : tree) : unit =
   in
   go (Option.map (fun o -> o.t_root) other) t.t_root
 
-(* -- construction digests at an occurrence ------------------------------------ *)
+(* -- the info at an occurrence ------------------------------------------------ *)
 
 (* The operand evaluation descends into at an occurrence step: a
    merge's by flattened index, an override's by position, a unary
@@ -256,44 +250,69 @@ let operand_at (n : Mg.node) (idx : int option) : Mg.node option =
       Some x
   | _ -> None
 
-(* Past a name's info to the info of the graph it resolves to. *)
-let rec resolved (i : info) : info option =
-  match (i.i_node, i.i_children) with
-  | Mg.Name _, [ c ] -> resolved c
-  | Mg.Name _, _ -> None
-  | _ -> Some i
-
-(* Descending from the root, each step checks that the occurrence's
-   node is physically the operand evaluation reached it through, of the
-   previous step's node or, past a name, of the node the walk resolved
-   the name to. The info at that operand's position was walked from it
-   or replayed with its content key, so its node has its construction.
-   A node a specializer made fails the check, and so does everything
-   evaluated under it. *)
-let plan_digest_at (t : tree) (occ : Mg.occurrence) (n : Mg.node) :
-    string option =
-  let rec at = function
-    | [] -> None
-    | [ (_, root) ] ->
-        if root == t.t_root.i_node then Some (root, t.t_root) else None
-    | (idx, x) :: up -> (
-        let step (holder : Mg.node) (i : info) =
-          match operand_at holder idx with
-          | Some y when y == x ->
-              Option.map
-                (fun c -> (x, c))
-                (List.nth_opt i.i_children (Option.value idx ~default:0))
-          | _ -> None
-        in
-        match at up with
-        | Some (Mg.Name _, i) -> (
-            match resolved i with Some r -> step r.i_node r | None -> None)
-        | Some (parent, i) -> step parent i
-        | None -> None)
-  in
-  match occ with
-  | (_, top) :: _ when top == n -> Option.map (fun (_, i) -> plan_digest i) (at occ)
+(* Past a name: what evaluation resolves it to now, and the info of
+   its resolution. The helpers of {!info_at} are top-level functions,
+   not local closures: the memo hook asks at every node it evaluates,
+   and allocating the closures made a [build_cold] miss allocate about
+   2% more. *)
+let through ~resolve (x : Mg.node) (i : info) : (Mg.node * info) option =
+  match (x, i.i_children) with
+  | Mg.Name p, [ c ] -> (
+      match resolve p with Ok sub -> Some (sub, c) | Error _ -> None)
   | _ -> None
+
+(* [x] and its info, past any names: the node whose operands
+   evaluation descends into. *)
+let rec past_names ~resolve (x : Mg.node) (i : info) : (Mg.node * info) option =
+  match x with
+  | Mg.Name _ -> (
+      match through ~resolve x i with
+      | Some (x, i) -> past_names ~resolve x i
+      | None -> None)
+  | _ -> Some (x, i)
+
+(* Descending from the root, which must be the graph the walk was
+   given, each step checks that the occurrence's node is physically the
+   operand evaluation reached it through: of the previous step's node
+   or, past a name, of what evaluation resolves the name to now (a
+   replayed subtree holds the nodes of the registration that walked
+   it). The info at that operand's position was walked from it or
+   replayed with its content key, so it describes the node's
+   construction. A node a specializer made fails the check, and so
+   does everything evaluated under it. *)
+let rec node_at ~resolve (t : tree) (occ : Mg.occurrence) :
+    (Mg.node * info) option =
+  match occ with
+  | [] -> None
+  | [ (_, root) ] -> if root == t.t_graph then Some (root, t.t_root) else None
+  | (idx, x) :: up -> (
+      match node_at ~resolve t up with
+      | None -> None
+      | Some (y, i) -> (
+          match past_names ~resolve y i with
+          | None -> None
+          | Some (holder, i) -> (
+              match operand_at holder idx with
+              | Some y when y == x -> (
+                  match List.nth_opt i.i_children (Option.value idx ~default:0) with
+                  | Some c -> Some (x, c)
+                  | None -> None)
+              | _ -> None)))
+
+(* At a name's occurrence evaluation meets the name, then each node of
+   its resolution chain: the info of the one that is [n]. *)
+let rec in_chain ~resolve (n : Mg.node) (x : Mg.node) (i : info) : info option =
+  if x == n then Some i
+  else
+    match through ~resolve x i with
+    | Some (x, i) -> in_chain ~resolve n x i
+    | None -> None
+
+let info_at ~(resolve : string -> (Mg.node, string) result) (t : tree)
+    (occ : Mg.occurrence) (n : Mg.node) : info option =
+  match node_at ~resolve t occ with
+  | Some (x, i) -> in_chain ~resolve n x i
+  | None -> None
 
 (* -- diff -------------------------------------------------------------------- *)
 

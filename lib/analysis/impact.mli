@@ -44,7 +44,7 @@ type summary = {
 }
 
 (** Annotated analysis of one node. Private: only this module builds
-    one, and {!plan_digest} is the only writer of [i_plan_digest]. *)
+    one. *)
 type info = private {
   i_path : string;  (** m-graph path, {!Lint}'s addressing vocabulary *)
   i_node : Mg.node;
@@ -53,9 +53,7 @@ type info = private {
   i_digest : string;
       (** content digest: leaf content + params + occurrence key of a
           live freeze/hide/show + child digests + summary, chained
-          bottom-up *)
-  mutable i_plan_digest : string;
-      (** [""] until {!plan_digest} computes it; read it there *)
+          bottom-up; the server's memo key for the node *)
   i_modeled : bool;
       (** the whole subtree is fully modeled: every name resolves
           acyclically, every selector/template compiles, every source
@@ -72,14 +70,11 @@ type info = private {
     respun node from it. *)
 val summary : info -> summary
 
-(** {!Blueprint.Mgraph.digest} of [i_node], the key the server's reuse
-    plan files the node under: computed on the first call and kept in
-    the info, so a kept walk that replays the node keeps it. {!analyze}
-    computes none; a field rather than a [Lazy.t], which would keep a
-    closure in every unasked info. *)
-val plan_digest : info -> string
-
 type tree = {
+  t_graph : Mg.node;
+      (** the graph the walk was given: [t_root]'s node may be a
+          content-equal node of an earlier walk that a kept walk
+          replayed *)
   t_root : info;
   t_approximate : bool;
       (** some node could not be modeled precisely; it and its
@@ -119,19 +114,25 @@ val iter_infos : (info -> unit) -> tree -> unit
     pair by operand index; with [other] [None], every info. *)
 val iter_unshared : (info -> unit) -> other:tree option -> tree -> unit
 
-(** [plan_digest_at t occ n] is {!plan_digest} of the info at [occ],
-    which is [Mgraph.digest n], or [None] where the tree cannot vouch
-    for [n]. It follows [occ] down from the root, a merge's children in
-    flattened order and a [Name]'s info holding its resolved graph's
-    info. It answers only when [t]'s root node is physically [occ]'s
-    root, [n] is physically the node at the top of [occ] (a specializer
-    may evaluate nodes of its own there), and each step's node is
-    physically the operand evaluation descends into from the step
-    above, or, past a name, from the node the walk resolved it to. At
-    each position the walk either stepped through that operand or
-    replayed a subtree with its content key, so the construction is
-    the same. *)
-val plan_digest_at : tree -> Mg.occurrence -> Mg.node -> string option
+(** [info_at ~resolve t occ n] is the info of [t] that describes the
+    node [n] evaluated at [occ], or [None] where [t] cannot vouch for
+    [n]. It follows [occ] down from the root, a merge's children in
+    flattened order and a [Name]'s info holding its resolution's info.
+    It answers only when [occ]'s root is physically [t_graph], each
+    step's node is physically the operand evaluation descends into from
+    the step above or, past a name, from what [resolve] (evaluation's
+    resolution, as a result) returns for it now, and [n] is physically
+    the node at the top of [occ] or, at a name's occurrence, a node of
+    the name's resolution chain (a specializer may evaluate nodes of
+    its own there). At each position the walk either stepped through
+    that operand or replayed a subtree with its content key, so the
+    info has [n]'s construction and [occ]'s path. *)
+val info_at :
+  resolve:(string -> (Mg.node, string) result) ->
+  tree ->
+  Mg.occurrence ->
+  Mg.node ->
+  info option
 
 (** Verdict for one node of the {e new} tree. *)
 type verdict =

@@ -631,8 +631,9 @@ let check_unresolved (st : _ state) ~path (undefined : string list) : unit =
 
 (* -- content keys ------------------------------------------------------------- *)
 
-(* How operands group into lists: flattening forgets it, the node (and
-   the digest the reuse plan files it under) does not. *)
+(* How operands group into lists: flattening forgets it, the node's
+   construction ({!Mg.digest}) does not, and a replayed info must have
+   the construction of the node it describes. *)
 let rec grouping (ns : Mg.node list) : string =
   String.concat ""
     (List.map (function Mg.Lst xs -> "(" ^ grouping xs ^ ")" | _ -> ".") ns)

@@ -23,12 +23,28 @@ type t = {
   (* default address constraints from the constraint-list: (seg, addr) *)
   constraints : (Mgraph.seg * int) list;
   root : Mgraph.node;
+  graph : Mgraph.node; (* the effective graph with no requested spec *)
+  graph_digest : string Lazy.t; (* [Mgraph.digest graph] *)
 }
 
 let rec parse_pairs = function
   | [] -> []
   | Sexp.Str seg :: Sexp.Int addr :: rest -> (seg, addr) :: parse_pairs rest
   | s :: _ -> fail "constraint-list: unexpected %s" (Sexp.to_string s)
+
+(* An explicit request wins over the default; the default-spec (if any)
+   wraps the root; the constraint-list wraps everything as [Constrain]
+   nodes. *)
+let wrap ~default_spec ~constraints ~spec (root : Mgraph.node) : Mgraph.node =
+  let base =
+    match (spec, default_spec) with
+    | Some (style, args), _ | None, Some (style, args) ->
+        Mgraph.Specialize (style, args, root)
+    | None, None -> root
+  in
+  List.fold_left
+    (fun acc (seg, addr) -> Mgraph.Constrain (seg, addr, acc))
+    base constraints
 
 (** [parse ~name src] parses a meta-object file. *)
 let parse ~(name : string) (src : string) : t =
@@ -66,24 +82,26 @@ let parse ~(name : string) (src : string) : t =
     | [ r ] -> r
     | many -> Mgraph.Merge many
   in
-  { name; default_spec = !default_spec; constraints = !constraints; root }
+  let default_spec = !default_spec and constraints = !constraints in
+  let graph = wrap ~default_spec ~constraints ~spec:None root in
+  { name; default_spec; constraints; root; graph;
+    graph_digest = lazy (Mgraph.digest graph) }
 
 (** The graph to evaluate for this meta-object under an optional
-    requested specialization: an explicit request wins over the
-    default; the default-spec (if any) wraps the root; the meta's
-    constraint-list wraps everything as [Constrain] nodes. *)
+    requested specialization. Without one it is the graph [parse]
+    made, physically the same node on every call: the registration
+    analysis is a walk of that node. *)
 let effective_graph (meta : t) ~(spec : (string * Mgraph.value list) option) :
     Mgraph.node =
-  let base =
-    match (spec, meta.default_spec) with
-    | Some (style, args), _ | None, Some (style, args) ->
-        Mgraph.Specialize (style, args, meta.root)
-    | None, None -> meta.root
-  in
-  List.fold_left
-    (fun acc (seg, addr) -> Mgraph.Constrain (seg, addr, acc))
-    base meta.constraints
+  match spec with
+  | None -> meta.graph
+  | Some _ ->
+      wrap ~default_spec:meta.default_spec ~constraints:meta.constraints ~spec
+        meta.root
 
-(** Digest identifying the construction (cache key component). *)
+(** Digest identifying the construction (cache key component); without
+    a requested specialization, taken once per meta. *)
 let digest (meta : t) ~(spec : (string * Mgraph.value list) option) : string =
-  Mgraph.digest (effective_graph meta ~spec)
+  match spec with
+  | None -> Lazy.force meta.graph_digest
+  | Some _ -> Mgraph.digest (effective_graph meta ~spec)

@@ -8,12 +8,20 @@
 
 exception Meta_error of string
 
-type t = {
+(** Private: only {!parse} makes one, so [graph] is always the
+    effective graph of the other fields. It holds a lazy value: never
+    compare metas structurally. *)
+type t = private {
   name : string;
   default_spec : (string * Mgraph.value list) option;
   constraints : (Mgraph.seg * int) list;
       (** default address constraints: (segment, preferred base) *)
   root : Mgraph.node;
+  graph : Mgraph.node;
+      (** the effective graph with no requested specialization, made
+          once; read it through {!effective_graph} *)
+  graph_digest : string Lazy.t;
+      (** [Mgraph.digest graph]; read it through {!digest} *)
 }
 
 (** Parse a meta-object file. @raise Meta_error. *)
@@ -21,8 +29,13 @@ val parse : name:string -> string -> t
 
 (** The graph to evaluate under an optional requested specialization:
     an explicit request wins over the default; the constraint-list
-    wraps everything as [Constrain] nodes. *)
+    wraps everything as [Constrain] nodes. With [~spec:None] it is the
+    node {!parse} made, physically the same on every call, which is
+    what the server's registration analysis walks and what a library
+    request evaluates; a requested specialization makes a new graph. *)
 val effective_graph : t -> spec:(string * Mgraph.value list) option -> Mgraph.node
 
-(** Digest identifying the construction (cache key component). *)
+(** Digest identifying the construction (cache key component): with
+    [~spec:None] {!Mgraph.digest} of the meta's graph, taken once per
+    meta. *)
 val digest : t -> spec:(string * Mgraph.value list) option -> string

@@ -68,8 +68,8 @@ val invalidate : t -> string -> unit
     digest — the substrate of incremental relinking. The table is
     derived data: it is dropped wholesale whenever {!evict_to_budget}
     sheds any image, and by {!clear}, and registration drops the
-    entries whose digest the server's reuse plan no longer names
-    ({!memo_drop}). *)
+    entries whose digest no bound meta's registration tree names any
+    more ({!memo_drop}). *)
 
 type memo_entry = {
   m_digest : string;  (** interface digest (the memo key) *)

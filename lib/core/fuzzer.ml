@@ -218,7 +218,7 @@ let build_sig (b : Server.built) : string =
     (String.concat "; " link_events)
 
 (* What registration concluded about one library: its lint report and
-   its impact tree in pre-order (path, digest, plan digest, modeled,
+   its impact tree in pre-order (path, digest, node digest, modeled,
    keyed). *)
 let analysis_sig (s : Server.t) (path : string) : string =
   let report =
@@ -254,7 +254,7 @@ let analysis_sig (s : Server.t) (path : string) : string =
           (fun i ->
             nodes :=
               Printf.sprintf "%s %s node=%s%s%s" i.I.i_path i.I.i_digest
-                (I.plan_digest i)
+                (Blueprint.Mgraph.digest i.I.i_node)
                 (if i.I.i_modeled then " modeled" else "")
                 (if i.I.i_keyed then " keyed" else "")
               :: !nodes)

@@ -229,7 +229,7 @@ let static_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
     List.concat_map
       (fun l ->
         let meta = Server.find_meta server l in
-        let r = Server.eval server meta.Blueprint.Meta.root in
+        let r = Server.eval server (Blueprint.Meta.effective_graph meta ~spec:None) in
         Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
       libs
   in

@@ -43,22 +43,6 @@ type conflict = {
   c_got : int;
 }
 
-(* One entry of the current reuse plan: the {!Analysis.Impact}
-   interface digest of a fully modeled graph node, listed (in
-   [t.impact_plan]) under the node's construction digest so evaluation
-   can find it in O(1) without re-walking the subtree. *)
-type plan_entry = {
-  pe_digest : string; (* interface digest (memo key) *)
-  pe_path : string option;
-      (* [Some p]: the digest embeds occurrence keys (a live
-         freeze/hide/show below mints aliases named after where it
-         sits), so the entry answers only the node at path [p]; [None]:
-         it answers the node wherever it occurs *)
-  mutable pe_infos : int;
-      (* analyzed nodes of the filed trees that file the entry; it
-         leaves the plan when the last one is unfiled *)
-}
-
 (* One request moving through the staged pipeline (parse → lint → eval
    → place → link → map). The job carries everything a stage hands the
    next one, so stages of different requests can interleave freely. Its
@@ -105,10 +89,7 @@ and built = {
 }
 
 and target =
-  | Library of {
-      path : string;
-      spec : (string * Blueprint.Mgraph.value list) option;
-    }
+  | Library of { path : string }
   | Static of {
       name : string;
       graph : Blueprint.Mgraph.node;
@@ -128,19 +109,16 @@ type t = {
   kernel : Simos.Kernel.t;
   env : Blueprint.Mgraph.env;
   work : work_stats;
-  lints : (string, Analysis.Lint.report) Hashtbl.t;
-      (* registration-time findings per meta-object path *)
-  impact_trees : (string, Analysis.Impact.tree) Hashtbl.t;
-      (* registration-time dependence analysis per meta-object path *)
+  mutable lints : (string, Analysis.Lint.report) Hashtbl.t;
+      (* registration-time findings per bound meta-object path *)
+  mutable impact_trees : (string, Analysis.Impact.tree) Hashtbl.t;
+      (* registration-time dependence analysis per bound meta-object
+         path: the trees the memo is answered through *)
   impact_diffs : (string, Analysis.Impact.diff Lazy.t) Hashtbl.t;
       (* verdicts of the latest re-registration of each meta path,
          computed from its old and new trees on first query *)
-  impact_plan : (string, plan_entry list) Hashtbl.t;
-      (* graph-node digest -> reuse plan, kept in place by registration *)
-  plan_named : (string, int) Hashtbl.t;
-      (* interface digest -> plan entries naming it *)
-  mutable plan_trees : (string, Analysis.Impact.tree) Hashtbl.t;
-      (* meta path -> the tree the plan filed for it *)
+  named : (string, int) Hashtbl.t;
+      (* interface digest -> reusable infos of the trees naming it *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
   mutable conflicts : conflict list;
   (* -- the staged request pipeline -- *)
@@ -239,9 +217,7 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     lints = Hashtbl.create 16;
     impact_trees = Hashtbl.create 16;
     impact_diffs = Hashtbl.create 16;
-    impact_plan = Hashtbl.create 64;
-    plan_named = Hashtbl.create 64;
-    plan_trees = Hashtbl.create 16;
+    named = Hashtbl.create 64;
     subtree_reuse = true;
     conflicts = [];
     sched = Simos.Sched.create ();
@@ -297,89 +273,62 @@ let resolve_graph (t : t) (path : string) :
   | Some (Namespace.Directory _) -> Error (path ^ " is a directory")
   | None -> Error ("unknown server object " ^ path)
 
-(* Where the reuse plan files an analyzed node: its construction
-   digest and, when its digest holds only where it sits, its path.
-   [None] for a node the plan never holds: leaves are free to re-make
-   and unmodeled nodes can never be proven reusable. An identical
-   subtree reached twice at two paths is filed once per path: each
-   mints its own aliases. *)
-let plan_key (i : Analysis.Impact.info) : (string * string option) option =
+(* The memo key of an analyzed node: its interface digest, for a node
+   the memo may answer. Leaves are free to re-make, and unmodeled nodes
+   can never be proven reusable. *)
+let memo_key (i : Analysis.Impact.info) : string option =
   match i.Analysis.Impact.i_node with
   | Blueprint.Mgraph.Leaf _ -> None
-  | _ when i.Analysis.Impact.i_modeled ->
-      Some
-        ( Analysis.Impact.plan_digest i,
-          if i.Analysis.Impact.i_keyed then Some i.Analysis.Impact.i_path
-          else None )
+  | _ when i.Analysis.Impact.i_modeled -> Some i.Analysis.Impact.i_digest
   | _ -> None
 
-let same_path (a : string option) (b : string option) : bool =
-  Option.equal String.equal a b
+(* Count one more analyzed node naming its memo key. *)
+let count_named (t : t) (i : Analysis.Impact.info) : unit =
+  Option.iter
+    (fun d ->
+      Hashtbl.replace t.named d
+        (1 + Option.value (Hashtbl.find_opt t.named d) ~default:0))
+    (memo_key i)
 
-(* Count one more analyzed node filing its entry, entering the entry
-   when it is the first. *)
-let file (t : t) (i : Analysis.Impact.info) : unit =
-  match plan_key i with
-  | None -> ()
-  | Some (k, path) -> (
-      let entries = Option.value (Hashtbl.find_opt t.impact_plan k) ~default:[] in
-      match List.find_opt (fun e -> same_path e.pe_path path) entries with
-      | Some e -> e.pe_infos <- e.pe_infos + 1
-      | None ->
-          let d = i.Analysis.Impact.i_digest in
-          Hashtbl.replace t.impact_plan k
-            ({ pe_digest = d; pe_path = path; pe_infos = 1 } :: entries);
-          Hashtbl.replace t.plan_named d
-            (1 + Option.value (Hashtbl.find_opt t.plan_named d) ~default:0))
-
-(* Count one analyzed node fewer filing its entry. An entry nothing
-   files any more leaves the plan, and an interface digest no entry
+(* Count one analyzed node fewer naming its memo key; a digest nothing
    names any more goes onto [unnamed]. *)
-let unfile (t : t) (unnamed : string list ref) (i : Analysis.Impact.info) :
-    unit =
-  match plan_key i with
-  | None -> ()
-  | Some (k, path) -> (
-      let entries = Option.value (Hashtbl.find_opt t.impact_plan k) ~default:[] in
-      match List.find_opt (fun e -> same_path e.pe_path path) entries with
-      | None -> ()
-      | Some e when e.pe_infos > 1 -> e.pe_infos <- e.pe_infos - 1
-      | Some e -> (
-          (match List.filter (fun e' -> e' != e) entries with
-          | [] -> Hashtbl.remove t.impact_plan k
-          | rest -> Hashtbl.replace t.impact_plan k rest);
-          match Hashtbl.find_opt t.plan_named e.pe_digest with
-          | Some n when n > 1 -> Hashtbl.replace t.plan_named e.pe_digest (n - 1)
-          | _ ->
-              Hashtbl.remove t.plan_named e.pe_digest;
-              unnamed := e.pe_digest :: !unnamed))
+let uncount_named (t : t) (unnamed : string list ref)
+    (i : Analysis.Impact.info) : unit =
+  Option.iter
+    (fun d ->
+      match Hashtbl.find_opt t.named d with
+      | Some n when n > 1 -> Hashtbl.replace t.named d (n - 1)
+      | _ ->
+          Hashtbl.remove t.named d;
+          unnamed := d :: !unnamed)
+    (memo_key i)
 
 (* Re-run the analysis over every bound meta-object — one walk per meta
-   yields its lint report and its {!Analysis.Impact} tree — and bring
-   the reuse plan up to date with the trees. Re-analyzing the whole
-   namespace (not just the edited meta) keeps reports and plan entries
-   fresh for metas that reference the edited path through [Name] nodes:
-   their findings and interface digests move with the content they
-   resolve to. With subtree reuse on, each walk replays from the meta's
-   previous one every subtree whose occurrence path and content key are
-   unchanged, so an edit walks its spine and replays the rest, and a
-   meta the edit does not reach is replayed at its root; with reuse
-   off, every meta is walked from scratch. A replayed subtree is
-   physically the previous tree's, so the plan, which counts the
-   analyzed nodes filing each entry, has nothing to do for it: only the
-   nodes the new trees no longer share with the filed ones are unfiled,
-   and only the new trees' own nodes are filed, with the construction
-   digests their walk computed. Every meta's nodes are unfiled before
-   any is filed, so an entry two metas reach through one construction
-   is entered afresh once the last old node filing it is gone, not kept
-   with its old interface digest. A meta no longer bound has its whole
-   tree unfiled. What stays proportional to the world is the key pass,
-   which resolves every name. Memo entries whose digest no entry names
-   any more (the spine an edit replaced) are dropped, so the memo table
-   tracks the bound blueprints rather than their edit history. *)
+   yields its lint report and its {!Analysis.Impact} tree — and build
+   both tables afresh from the bound metas, so a path no longer bound
+   to a meta keeps neither. Re-analyzing the whole namespace (not just
+   the edited meta) keeps reports and trees fresh for metas that
+   reference the edited path through [Name] nodes: their findings and
+   interface digests move with the content they resolve to. With
+   subtree reuse on, each walk replays from the meta's previous one
+   every subtree whose occurrence path and content key are unchanged,
+   so an edit walks its spine and replays the rest, and a meta the edit
+   does not reach is replayed at its root; with reuse off, every meta
+   is walked from scratch. A replayed subtree is physically the
+   previous tree's, so [named], which counts the analyzed nodes naming
+   each memo key, has nothing to do for it: only the nodes the new
+   trees no longer share with the old ones are uncounted, and only the
+   new trees' own nodes are counted. Every old tree is uncounted before
+   any new one is counted, so a digest that stays named is never
+   dropped at a transient zero. A meta no longer bound has its whole
+   tree uncounted. What stays proportional to the world is the key
+   pass, which resolves every name. Memo entries whose digest nothing
+   names any more (the spine an edit replaced) are dropped, so the memo
+   table tracks the bound blueprints rather than their edit history. *)
 let refresh_analysis (t : t) : unit =
   let resolve = resolve_graph t in
-  let trees = Hashtbl.create (Hashtbl.length t.plan_trees + 1) in
+  let trees = Hashtbl.create (Hashtbl.length t.impact_trees + 1)
+  and lints = Hashtbl.create (Hashtbl.length t.lints + 1) in
   List.iter
     (fun p ->
       match Namespace.lookup t.ns p with
@@ -399,25 +348,25 @@ let refresh_analysis (t : t) : unit =
             end
             else Analysis.Impact.analyze_and_lint ~resolve graph
           in
-          Hashtbl.replace t.impact_trees p tree;
-          Hashtbl.replace t.lints p lint;
-          Hashtbl.replace trees p tree
+          Hashtbl.replace trees p tree;
+          Hashtbl.replace lints p lint
       | _ -> ())
     (Namespace.all_metas t.ns);
   let unnamed = ref [] in
   Hashtbl.iter
-    (fun p filed ->
-      Analysis.Impact.iter_unshared (unfile t unnamed)
-        ~other:(Hashtbl.find_opt trees p) filed)
-    t.plan_trees;
+    (fun p old ->
+      Analysis.Impact.iter_unshared (uncount_named t unnamed)
+        ~other:(Hashtbl.find_opt trees p) old)
+    t.impact_trees;
   Hashtbl.iter
     (fun p tree ->
-      Analysis.Impact.iter_unshared (file t)
-        ~other:(Hashtbl.find_opt t.plan_trees p) tree)
+      Analysis.Impact.iter_unshared (count_named t)
+        ~other:(Hashtbl.find_opt t.impact_trees p) tree)
     trees;
-  t.plan_trees <- trees;
+  t.impact_trees <- trees;
+  t.lints <- lints;
   Cache.memo_drop t.cache
-    (List.filter (fun d -> not (Hashtbl.mem t.plan_named d)) !unnamed)
+    (List.filter (fun d -> not (Hashtbl.mem t.named d)) !unnamed)
 
 (** Bind a meta-object and lint it: the symbol-flow analyzer runs at
     registration (no view materialized, no simulated cost charged), the
@@ -426,9 +375,9 @@ let refresh_analysis (t : t) : unit =
     the meta. Registration never fails on findings — a broken blueprint
     is diagnosed again, fatally, when instantiated.
 
-    Registration also refreshes the incremental-relinking plan and every
-    bound meta's lint report: the {!Analysis.Impact} tree of every bound
-    meta is recomputed, and if [path] was already bound its old and new
+    Registration also refreshes every bound meta's lint report and
+    {!Analysis.Impact} tree, the trees evaluation answers the memo
+    table through, and if [path] was already bound its old and new
     trees are kept for {!impact_diff} — the next build of an edited
     blueprint then re-materializes only the respun spine, answering
     provably-equivalent subtrees from the memo table. *)
@@ -457,14 +406,10 @@ let lint_report (t : t) (path : string) : Analysis.Lint.report option =
 let impact_tree (t : t) (path : string) : Analysis.Impact.tree option =
   Hashtbl.find_opt t.impact_trees path
 
-(** The reuse plan: (construction digest, path, interface digest) per
-    entry, sorted. *)
-let reuse_plan (t : t) : (string * string option * string) list =
-  Hashtbl.fold
-    (fun k entries acc ->
-      List.fold_left (fun acc e -> (k, e.pe_path, e.pe_digest) :: acc) acc entries)
-    t.impact_plan []
-  |> List.sort compare
+(** The interface digests the bound trees name, each with the number of
+    reusable nodes naming it, sorted. *)
+let named_digests (t : t) : (string * int) list =
+  Hashtbl.fold (fun d n acc -> (d, n) :: acc) t.named [] |> List.sort compare
 
 (** The interface digests the memo table holds, sorted. *)
 let memo_digests (t : t) : string list = Cache.memo_digests t.cache
@@ -510,71 +455,56 @@ let find_meta (t : t) (path : string) : Blueprint.Meta.t =
 
 (* -- evaluation & linking -------------------------------------------------- *)
 
-(* [Mgraph.digest n] for the node at [occ]: read from the registration
-   analysis where [tree] vouches for the node, rendered otherwise (a
-   static target, a spec'd request, a meta with constraints or a default
-   spec, a node a specializer made). *)
-let construction_digest (tree : Analysis.Impact.tree option)
-    (occ : Blueprint.Mgraph.occurrence) (n : Blueprint.Mgraph.node) : string =
-  match Option.bind tree (fun tr -> Analysis.Impact.plan_digest_at tr occ n) with
-  | Some d -> d
-  | None -> Blueprint.Mgraph.digest n
-
 (* The subtree-reuse hook evaluation runs under, [tree] the
-   registration analysis of the graph evaluated, if any. A planned node
-   is answered from the memo table when it holds the node's interface
-   digest; otherwise it is evaluated and entered (first materialization
-   of a digest wins). Answering a node and entering it share one plan
-   lookup, so one construction digest. A keyed entry answers only its
-   own occurrence, so the path is rendered only when no occurrence-free
-   entry exists. *)
-let memo (t : t) (tree : Analysis.Impact.tree option) : Blueprint.Mgraph.memo =
- fun occ n eval ->
-  let planned =
+   registration analysis of the graph evaluated. A node the tree
+   vouches for and the memo may answer is answered from the memo table
+   when it holds the node's interface digest; otherwise it is evaluated
+   and entered (first materialization of a digest wins). *)
+let memo (t : t) (tree : Analysis.Impact.tree) : Blueprint.Mgraph.memo =
+  let resolve = resolve_graph t in
+  fun occ n eval ->
     match n with
-    | Blueprint.Mgraph.Leaf _ -> None
-    | n -> (
-        match Hashtbl.find_opt t.impact_plan (construction_digest tree occ n) with
-        | None -> None
-        | Some entries -> (
-            match List.find_opt (fun e -> e.pe_path = None) entries with
-            | Some _ as anywhere -> anywhere
+    | Blueprint.Mgraph.Leaf _ -> eval ()
+    | _ -> (
+        match Option.bind (Analysis.Impact.info_at ~resolve tree occ n) memo_key with
+        | None -> eval ()
+        | Some d -> (
+            match Cache.memo_find t.cache d with
+            | Some me ->
+                Telemetry.Counter.incr tm_impact_reused;
+                Telemetry.Provenance.record_reused ~digest:d;
+                me.Cache.m_result
             | None ->
-                let here = Some (Blueprint.Mgraph.path occ) in
-                List.find_opt (fun e -> e.pe_path = here) entries))
-  in
-  match planned with
-  | None -> eval ()
-  | Some pe -> (
-      match Cache.memo_find t.cache pe.pe_digest with
-      | Some me ->
-          Telemetry.Counter.incr tm_impact_reused;
-          Telemetry.Provenance.record_reused ~digest:pe.pe_digest;
-          me.Cache.m_result
-      | None ->
-          let r = eval () in
-          Telemetry.Counter.incr tm_impact_respun;
-          Cache.memo_insert t.cache ~digest:pe.pe_digest r;
-          r)
+                let r = eval () in
+                Telemetry.Counter.incr tm_impact_respun;
+                Cache.memo_insert t.cache ~digest:d r;
+                r))
 
 let eval_with (t : t) (tree : Analysis.Impact.tree option)
     (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
   let t0 = Telemetry.now_us () in
   let r =
-    if t.subtree_reuse && Hashtbl.length t.impact_plan > 0 then
-      Blueprint.Mgraph.eval_memo t.env (memo t tree) node
-    else Blueprint.Mgraph.eval t.env node
+    match tree with
+    | Some tree when t.subtree_reuse ->
+        Blueprint.Mgraph.eval_memo t.env (memo t tree) node
+    | _ -> Blueprint.Mgraph.eval t.env node
   in
   Telemetry.Histogram.observe tm_eval_us (Telemetry.now_us () -. t0);
   r
 
+(** Evaluate a graph, through the memo table when it is the graph a
+    bound meta's registration analyzed. *)
 let eval (t : t) (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
-  eval_with t None node
+  eval_with t
+    (Seq.find
+       (fun tree -> tree.Analysis.Impact.t_graph == node)
+       (Hashtbl.to_seq_values t.impact_trees))
+    node
 
 (* The registration analysis of a request's meta, if it targets one. *)
 let target_tree (t : t) (target : target) : Analysis.Impact.tree option =
   match target with
-  | Library { path; _ } -> Hashtbl.find_opt t.impact_trees path
+  | Library { path } -> Hashtbl.find_opt t.impact_trees path
   | Static _ -> None
 
 (* Charge the cost of a full link to the simulated clock: this is the
@@ -656,8 +586,8 @@ let built_evicted (b : built) : bool =
 
 (* -- the unified request API ------------------------------------------------ *)
 
-let library ?spec ?(externals = []) (path : string) : request =
-  { target = Library { path; spec }; externals }
+let library ?(externals = []) (path : string) : request =
+  { target = Library { path }; externals }
 
 let static ?entry_symbol ?(externals = []) ~(name : string)
     (graph : Blueprint.Mgraph.node) : request =
@@ -910,17 +840,19 @@ and stage_lint (t : t) (job : job) () : unit =
    without touching the build stages. A job whose key is already being
    built parks as a waiter (request coalescing). *)
 and stage_parse (t : t) (job : job) () : unit =
-  let name, graph =
+  let name, graph, digest =
     match job.jreq.target with
-    | Library { path; spec } ->
-        (path, Blueprint.Meta.effective_graph (find_meta t path) ~spec)
-    | Static { name; graph; _ } -> (name, graph)
+    | Library { path } ->
+        let m = find_meta t path in
+        ( path,
+          Blueprint.Meta.effective_graph m ~spec:None,
+          Blueprint.Meta.digest m ~spec:None )
+    | Static { name; graph; _ } -> (name, graph, Blueprint.Mgraph.digest graph)
   in
   job.jname <- name;
   job.jgraph <- Some graph;
   job.jkey <-
-    job.jtl.Telemetry.Causal.g_target ^ ":"
-    ^ construction_digest (target_tree t job.jreq.target) [ (None, graph) ] graph
+    job.jtl.Telemetry.Causal.g_target ^ ":" ^ digest
     ^ String.concat ""
         (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
   let hit (e : Cache.entry) =

@@ -96,12 +96,15 @@ val register_meta : t -> string -> Blueprint.Meta.t -> unit
 
 (** The registration-time lint report of a bound meta-object,
     refreshed for every bound meta whenever any meta is registered (a
-    [Name] it reaches may have been bound since). *)
+    [Name] it reaches may have been bound since). [None] for a path
+    that was not bound to a meta at the last registration. *)
 val lint_report : t -> string -> Analysis.Lint.report option
 
 (** The registration-time {!Analysis.Impact} dependence analysis of a
     bound meta-object (refreshed for every bound meta whenever any meta
-    is registered, so [Name]-mediated dependencies stay current). *)
+    is registered, so [Name]-mediated dependencies stay current; [None]
+    as for {!lint_report}). Evaluation answers the memo table through
+    these trees. *)
 val impact_tree : t -> string -> Analysis.Impact.tree option
 
 (** The reuse/respin verdicts of the last time the path was
@@ -111,11 +114,12 @@ val impact_tree : t -> string -> Analysis.Impact.tree option
     query; registration itself does not diff. *)
 val impact_diff : t -> string -> Analysis.Impact.diff option
 
-(** The reuse plan registration keeps: one (construction digest, path,
-    interface digest) triple per entry, sorted. The path is [Some p]
-    when the interface digest holds only at path [p] (a live
-    freeze/hide/show below mints aliases named after where it sits). *)
-val reuse_plan : t -> (string * string option * string) list
+(** The memo keys the bound metas' trees name: each interface digest
+    with the number of reusable nodes (fully modeled, not a leaf) of
+    those trees that carry it, sorted. Registration keeps the counts
+    in place and then drops from the memo table every digest no longer
+    named. *)
+val named_digests : t -> (string * int) list
 
 (** The interface digests the per-node memo table holds, sorted. *)
 val memo_digests : t -> string list
@@ -152,7 +156,12 @@ val find_meta : t -> string -> Blueprint.Meta.t
 
 (** {1 Instantiation} *)
 
-(** Evaluate an m-graph in the server's environment. *)
+(** Evaluate an m-graph in the server's environment. A graph that is
+    physically a bound meta's registered graph
+    ([Blueprint.Meta.effective_graph m ~spec:None]) is evaluated through
+    the memo table, answered through that meta's {!impact_tree}; any
+    other graph (a fresh parse, a graph a caller built) is evaluated
+    without the memo. *)
 val eval : t -> Blueprint.Mgraph.node -> Blueprint.Mgraph.result
 
 (** Text and data+bss sizes a module will occupy (for placement). *)
@@ -172,19 +181,16 @@ val built_evicted : built -> bool
 
 (** What a client asks the server to instantiate:
 
-    - [Library]: a library meta-object by namespace path, optionally
-      specialized — fully bound, placed by the constraint system in the
-      shared arenas, cached, shared. Undefined symbols are allowed
-      (libraries may reference client symbols) unless [externals]
-      satisfy them.
+    - [Library]: a library meta-object by namespace path — its
+      registered graph evaluated through the memo table, fully bound,
+      placed by the constraint system in the shared arenas, cached,
+      shared. Undefined symbols are allowed (libraries may reference
+      client symbols) unless [externals] satisfy them.
     - [Static]: an arbitrary m-graph linked at the client base
       addresses — generic instantiation (also the static scheme and the
       interposition examples). *)
 type target =
-  | Library of {
-      path : string;
-      spec : (string * Blueprint.Mgraph.value list) option;
-    }
+  | Library of { path : string }
   | Static of {
       name : string;
       graph : Blueprint.Mgraph.node;
@@ -206,12 +212,9 @@ type response = {
   coalesce_us : float; (* of sim_us, waiting on a leader's in-flight build *)
 }
 
-(** [library ?spec ?externals path] — a [Library] request. *)
-val library :
-  ?spec:string * Blueprint.Mgraph.value list ->
-  ?externals:Linker.Image.t list ->
-  string ->
-  request
+(** [library ?externals path] — a [Library] request. Its cache key is
+    the meta's {!Blueprint.Meta.digest}, taken once per meta. *)
+val library : ?externals:Linker.Image.t list -> string -> request
 
 (** [static ~name graph] — a [Static] request. *)
 val static :

@@ -616,6 +616,48 @@ let test_hidden_subtree_reuse () =
        (fun n -> Astring.String.is_prefix ~affix:"bb$frz" n)
        (fst incremental))
 
+(* The memo is answered through the registration trees and nowhere
+   else: past a name, through what the name resolves to now (the
+   namer's tree holds the nodes of the named meta's earlier
+   registration), at the root of a re-registered meta (its tree's root
+   info holds its earlier graph) and of a meta with a constraint list
+   (its graph is made once), and not for a graph no registration
+   analyzed. *)
+let test_memo_through_trees () =
+  let s = server () in
+  let reused () = Telemetry.Counter.get "impact.reused"
+  and respun () = Telemetry.Counter.get "impact.respun" in
+  Omos.Server.add_fragment s "/t/ma.o" (asm_obj "/t/ma.o" [ ("ma", None) ]);
+  Omos.Server.add_fragment s "/t/mb.o" (asm_obj "/t/mb.o" [ ("mb", None) ]);
+  Omos.Server.add_fragment s "/t/mc.o" (asm_obj "/t/mc.o" [ ("mc", None) ]);
+  let a_src = "(merge (restrict \"^m\" /t/ma.o) /t/mb.o)" in
+  Omos.Server.register_meta_source s "/t/ma" a_src;
+  Omos.Server.register_meta_source s "/t/mnamer" "(merge /t/mc.o /t/ma)";
+  ignore (built s "/t/ma");
+  Omos.Server.register_meta_source s "/t/ma" a_src;
+  let r0 = reused () in
+  ignore (Omos.Server.build s (Omos.Server.library "/t/mnamer"));
+  Alcotest.(check int) "the named meta's subtree reused" 1 (reused () - r0);
+  let r0 = reused () in
+  ignore (built s "/t/ma");
+  Alcotest.(check int) "the re-registered root reused" 1 (reused () - r0);
+  let libc = meta_graph s "/lib/libc" in
+  ignore (Omos.Server.eval s libc);
+  let r0 = reused () and s0 = respun () in
+  ignore (Omos.Server.eval s libc);
+  Alcotest.(check (pair int int)) "constrained root reused, nothing respun"
+    (1, 0)
+    (reused () - r0, respun () - s0);
+  let fresh =
+    Blueprint.Meta.effective_graph
+      (Blueprint.Meta.parse ~name:"/lib/libc" Omos.World.libc_meta_source)
+      ~spec:None
+  in
+  let r0 = reused () and s0 = respun () in
+  ignore (Omos.Server.eval s fresh);
+  Alcotest.(check (pair int int)) "a fresh parse bypasses the memo" (0, 0)
+    (reused () - r0, respun () - s0)
+
 (* -- registration: every report fresh, kept walks exact ------------------------ *)
 
 (* A meta registered before a name it reaches gets its report refreshed
@@ -641,6 +683,19 @@ let test_registration_refreshes_every_report () =
   let resp = Omos.Server.instantiate s (Omos.Server.library "/t/a") in
   Alcotest.(check bool) "instantiates" false resp.Omos.Server.cache_hit
 
+(* A meta path rebound to a fragment keeps no analysis once the next
+   registration runs. *)
+let test_registration_drops_rebound_path () =
+  let s = server () in
+  Omos.Server.add_fragment s "/t/rx.o" (asm_obj "/t/rx.o" [ ("rx", None) ]);
+  Omos.Server.register_meta_source s "/t/rmeta" "(merge /t/rx.o)";
+  Omos.Server.add_fragment s "/t/rmeta" (asm_obj "/t/rmeta" [ ("ry", None) ]);
+  Omos.Server.register_meta_source s "/t/rother" "(merge /t/rx.o)";
+  Alcotest.(check bool) "no lint report" true
+    (Omos.Server.lint_report s "/t/rmeta" = None);
+  Alcotest.(check bool) "no impact tree" true
+    (Omos.Server.impact_tree s "/t/rmeta" = None)
+
 let walked s = (Omos.Server.stats s).Omos.Server.nodes_walked
 let replayed s = (Omos.Server.stats s).Omos.Server.subtrees_replayed
 
@@ -649,7 +704,7 @@ let others s =
   List.length (Omos.Namespace.all_metas (Omos.Server.namespace s)) - 1
 
 (* pre-order (path, digest, modeled, keyed), and the digest of the node
-   itself, which the reuse plan files the node under *)
+   itself: a replayed info must describe the node's construction *)
 let rows (t : I.tree) : string list =
   let out = ref [] in
   I.iter_infos
@@ -730,7 +785,7 @@ let test_kept_walk_rebound_fragment () =
   Omos.Server.register_meta_source fresh "/t/klib" (src "(merge /t/k1.o /t/k2.o)");
   check_fresh ~what:"rebound fragment" s fresh [ "/t/klib" ];
   (* the same operands grouped into a list: the walk is the same, the
-     node the reuse plan files is not *)
+     node's construction is not *)
   let regrouped = src "(merge /t/k1.o (list /t/k2.o))" in
   Omos.Server.register_meta_source s "/t/klib" regrouped;
   Omos.Server.register_meta_source fresh "/t/klib" regrouped;
@@ -902,15 +957,14 @@ let prop_edit_pairs_reused_byte_identical =
                  vo.I.vo_failures = [])
                changed)
 
-(* -- the reuse plan against its rebuild --------------------------------------- *)
+(* -- the named digests against a count from the trees ---------------------- *)
 
 module Fz = Workloads.Fuzz
 
-(* The reuse plan as registration rebuilt it before it kept it in place:
-   every bound meta's current tree filed node by node, the last filing
-   of a (construction digest, path) winning. *)
-let reference_plan s : (string * string option * string) list =
-  let plan = Hashtbl.create 64 in
+(* The memo keys the bound metas' trees name, counted afresh: one per
+   fully modeled non-leaf node of each bound meta's tree. *)
+let reference_named s : (string * int) list =
+  let named = Hashtbl.create 64 in
   List.iter
     (fun p ->
       match Omos.Server.impact_tree s p with
@@ -920,27 +974,25 @@ let reference_plan s : (string * string option * string) list =
             (fun i ->
               match i.I.i_node with
               | Mg.Leaf _ -> ()
-              | n when i.I.i_modeled ->
-                  Hashtbl.replace plan
-                    (Mg.digest n, if i.I.i_keyed then Some i.I.i_path else None)
-                    i.I.i_digest
+              | _ when i.I.i_modeled ->
+                  Hashtbl.replace named i.I.i_digest
+                    (1 + Option.value (Hashtbl.find_opt named i.I.i_digest) ~default:0)
               | _ -> ())
             tree)
     (Omos.Namespace.all_metas (Omos.Server.namespace s));
-  Hashtbl.fold (fun (k, p) d acc -> (k, p, d) :: acc) plan [] |> List.sort compare
+  Hashtbl.fold (fun d n acc -> (d, n) :: acc) named [] |> List.sort compare
 
-(* Register, then hold the plan to the reference, and the memo table to
-   what it held before less the digests the plan no longer names. *)
+(* Register, then hold the named digests to the count, and the memo
+   table to what it held before less the digests no longer named. *)
 let register_checked s (ok : bool ref) path src =
   let memo0 = Omos.Server.memo_digests s in
   Omos.Server.register_meta_source s path src;
-  let plan = Omos.Server.reuse_plan s in
-  let named = Hashtbl.create 64 in
-  List.iter (fun (_, _, d) -> Hashtbl.replace named d ()) plan;
+  let named = Omos.Server.named_digests s in
   ok :=
     !ok
-    && plan = reference_plan s
-    && Omos.Server.memo_digests s = List.filter (Hashtbl.mem named) memo0
+    && named = reference_named s
+    && Omos.Server.memo_digests s
+       = List.filter (fun d -> List.mem_assoc d named) memo0
 
 let compile_module (m : Fz.mdef) ~(path : string) =
   Minic.Driver.compile ~name:path (Fz.minic_source m)
@@ -950,8 +1002,8 @@ let compile_module (m : Fz.mdef) ~(path : string) =
    re-registered, everything rebuilt), a module path rebound to another
    module's object, subtree reuse switched off and on, and a library
    path rebound to a fragment and then to its meta again. *)
-let prop_plan_matches_rebuild =
-  QCheck.Test.make ~name:"reuse plan = rebuild from the trees" ~count:15
+let prop_named_matches_count =
+  QCheck.Test.make ~name:"named digests = count from the trees" ~count:15
     ~long_factor:20 QCheck.(int_bound 10_000)
     (fun seed ->
       let c = Fz.generate ~max_modules:8 ~max_libs:5 ~seed () in
@@ -1007,7 +1059,7 @@ let prop_plan_matches_rebuild =
       register last;
       !ok)
 
-(* -- construction digests read from the analysis ----------------------------- *)
+(* -- the memo answered through the registration trees ------------------------ *)
 
 (* Stands in for the server's "lib-dynamic", which evaluates its operand
    and makes stubs from the result: this one evaluates its operand, then
@@ -1017,73 +1069,87 @@ let own_graph_specializer : Mg.specializer =
   ignore (Mg.eval env (Mg.Merge [ Mg.Restrict (".", x) ]));
   Mg.eval env x
 
-(* Evaluate [graph] as the server does, asking [tree] for the
-   construction digest of every node at every occurrence: each answer
-   must be the node's digest. Returns whether all were, and how many
-   answered. *)
-let digests_at s (tree : I.tree) (graph : Mg.node) : bool * int =
+(* Evaluate [graph] as the server does, asking [tree] for the info of
+   every node at every occurrence: each answer must have the node's
+   construction and the occurrence's path. Returns whether all did, and
+   how many answered. *)
+let infos_at s (tree : I.tree) (graph : Mg.node) : bool * int =
+  let resolve = Omos.Server.resolve_graph s in
   let env =
     Mg.make_env
       ~resolve:(fun p ->
-        match Omos.Server.resolve_graph s p with
-        | Ok g -> g
-        | Error e -> raise (Mg.Eval_error e))
+        match resolve p with Ok g -> g | Error e -> raise (Mg.Eval_error e))
       ()
   in
   Mg.register env "lib-dynamic" own_graph_specializer;
   let ok = ref true and answered = ref 0 in
   let hook occ n eval =
-    (match I.plan_digest_at tree occ n with
+    (match I.info_at ~resolve tree occ n with
     | None -> ()
-    | Some d ->
+    | Some i ->
         incr answered;
-        if not (String.equal d (Mg.digest n)) then ok := false);
+        if
+          not
+            (String.equal (Mg.digest i.I.i_node) (Mg.digest n)
+            && String.equal i.I.i_path (Mg.path occ))
+        then ok := false);
     eval ()
   in
   (try ignore (Mg.eval_memo env hook graph) with _ -> ());
   (!ok, !answered)
 
 (* Every occurrence of the world's metas and of fuzzed libraries, once
-   registered and again after an edit pair's kept re-walks, with a meta
-   over a "lib-dynamic" node: the analysis answers with the node's
-   digest or declines. It declines at the root of a meta with a
-   constraint list, whose graph is made anew on every request, and
-   answers somewhere in a plain one. *)
-let prop_plan_digest_at =
-  QCheck.Test.make ~name:"Impact.plan_digest_at = Mgraph.digest or declines"
-    ~count:15 ~long_factor:20 QCheck.(int_bound 10_000)
+   registered, again after an edit pair's kept re-walks, and again
+   after an identical re-registration of a library another meta names
+   (its trees then hold the nodes of its previous registration), with
+   a meta over a "lib-dynamic" node: each answer describes the node
+   evaluated where it was evaluated. The tree answers at the root of a
+   meta with a constraint list, whose graph is made once, and somewhere
+   under the specializer. *)
+let prop_info_at =
+  QCheck.Test.make ~name:"Impact.info_at answers its node" ~count:15
+    ~long_factor:20 QCheck.(int_bound 10_000)
     (fun seed ->
       let c = Fz.generate ~max_modules:8 ~max_libs:4 ~seed () in
       let w = Omos.World.create () in
       let s = w.Omos.World.server in
       Omos.Fuzzer.install c w;
-      let lib0 = Fz.lib_path (List.hd c.Fz.f_libs) in
       Omos.Server.register_meta_source s "/t/dyn"
-        (Printf.sprintf "(merge (specialize \"lib-dynamic\" %s))" lib0);
+        (Printf.sprintf "(merge (specialize \"lib-dynamic\" %s))"
+           (Fz.lib_path (List.hd c.Fz.f_libs)));
       let all_answer_right () =
         List.for_all
           (fun p ->
             let tree = Option.get (Omos.Server.impact_tree s p) in
-            fst (digests_at s tree (meta_graph s p)))
+            fst (infos_at s tree (meta_graph s p)))
           (Omos.Namespace.all_metas (Omos.Server.namespace s))
       in
       let registered = all_answer_right () in
-      let edited =
+      let c =
         match Fz.mutate ~seed c with
-        | None -> true
+        | None -> c
         | Some (c', _) ->
             List.iter2
               (fun a b ->
                 if a <> b then
                   Omos.Server.register_meta_source s (Fz.lib_path b) (Fz.meta_source b))
               c.Fz.f_libs c'.Fz.f_libs;
-            all_answer_right ()
+            c'
       in
+      let edited = all_answer_right () in
+      let lib0 = List.hd c.Fz.f_libs in
+      Omos.Server.register_meta_source s (Fz.lib_path lib0) (Fz.meta_source lib0);
+      let reregistered = all_answer_right () in
       let libc = Option.get (Omos.Server.impact_tree s "/lib/libc") in
       let libc_graph = meta_graph s "/lib/libc" in
-      registered && edited
-      && I.plan_digest_at libc [ (None, libc_graph) ] libc_graph = None
-      && snd (digests_at s (Option.get (Omos.Server.impact_tree s "/t/dyn"))
+      registered && edited && reregistered
+      && (match
+            I.info_at ~resolve:(Omos.Server.resolve_graph s) libc
+              [ (None, libc_graph) ] libc_graph
+          with
+         | Some i -> i == libc.I.t_root
+         | None -> false)
+      && snd (infos_at s (Option.get (Omos.Server.impact_tree s "/t/dyn"))
                 (meta_graph s "/t/dyn")) > 0)
 
 (* -- the interface sets against set-based references ------------------------ *)
@@ -1262,6 +1328,8 @@ let () =
             test_registration_counters_and_provenance;
           Alcotest.test_case "every report refreshed" `Quick
             test_registration_refreshes_every_report;
+          Alcotest.test_case "rebound path drops its analysis" `Quick
+            test_registration_drops_rebound_path;
           Alcotest.test_case "kept walk: rebound fragment" `Quick
             test_kept_walk_rebound_fragment;
           Alcotest.test_case "kept walk: moved hide" `Quick
@@ -1283,6 +1351,8 @@ let () =
             test_impact_digest_walk_order;
           Alcotest.test_case "hide/freeze subtree reuse" `Quick
             test_hidden_subtree_reuse;
+          Alcotest.test_case "memo answered through the trees" `Quick
+            test_memo_through_trees;
         ] );
       ( "properties",
         [
@@ -1292,7 +1362,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_edit_pairs_reused_byte_identical;
           QCheck_alcotest.to_alcotest prop_undefined_matches_sets;
           QCheck_alcotest.to_alcotest prop_summary_matches_sets;
-          QCheck_alcotest.to_alcotest prop_plan_matches_rebuild;
-          QCheck_alcotest.to_alcotest prop_plan_digest_at;
+          QCheck_alcotest.to_alcotest prop_named_matches_count;
+          QCheck_alcotest.to_alcotest prop_info_at;
         ] );
     ]

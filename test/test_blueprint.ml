@@ -248,8 +248,8 @@ let every_operator () =
   in
   Blueprint.Mgraph.(Constrain (Seg_data, 0x40200000, Merge [ g; Leaf (frag_f ()); Lst [] ]))
 
-(* The digest is the image cache key's graph part and the reuse plan's
-   key: pinned, so a rewrite of how it is computed cannot move it. *)
+(* The digest is the image cache key's graph part: pinned, so a
+   rewrite of how it is computed cannot move it. *)
 let test_digest_pinned () =
   let libc =
     Blueprint.Meta.effective_graph
@@ -287,6 +287,21 @@ let test_meta_default_spec () =
   match Blueprint.Meta.effective_graph meta ~spec:(Some ("identity", [])) with
   | Blueprint.Mgraph.Specialize ("identity", _, _) -> ()
   | _ -> Alcotest.fail "explicit spec should win"
+
+(* The effective graph is made once: the registration analysis walks
+   it and evaluation meets the same node, constraints and default spec
+   included. *)
+let test_meta_effective_graph_stable () =
+  List.iter
+    (fun src ->
+      let meta = Blueprint.Meta.parse ~name:"/m" src in
+      Alcotest.(check bool) src true
+        (Blueprint.Meta.effective_graph meta ~spec:None
+        == Blueprint.Meta.effective_graph meta ~spec:None))
+    [
+      "(constraint-list \"T\" 0x100000 \"D\" 0x40200000)\n(merge /a)";
+      "(default-specialization \"lib-static\")\n(merge /a)";
+    ]
 
 let test_meta_multiple_roots_merged () =
   let meta = Blueprint.Meta.parse ~name:"/m" "(merge /a)\n(merge /b)" in
@@ -363,6 +378,8 @@ let () =
         [
           Alcotest.test_case "figure 1 meta" `Quick test_meta_figure1;
           Alcotest.test_case "default spec" `Quick test_meta_default_spec;
+          Alcotest.test_case "effective graph is stable" `Quick
+            test_meta_effective_graph_stable;
           Alcotest.test_case "multiple roots" `Quick test_meta_multiple_roots_merged;
           Alcotest.test_case "empty" `Quick test_meta_empty_fails;
           Alcotest.test_case "digest spec" `Quick test_meta_digest_varies_with_spec;

@@ -118,8 +118,8 @@ let test_batch_equals_serial () =
   Alcotest.(check bool) "arenas end identical" true
     (intervals serial_arena = intervals batch_arena)
 
-(* Items with preferences or reuse candidates fall out of the packed
-   run but still solve to the serial answers, in order. *)
+(* A batch mixing items with and without preferences solves each to
+   the serial answer, in order. *)
 let test_batch_mixed_prefs () =
   let open Constraints.Placement in
   let mk () = create ~region_lo:0x1000 ~region_hi:0x100000 ~align:0x1000 () in
