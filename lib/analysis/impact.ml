@@ -1,8 +1,8 @@
 (** Subtree dependence analysis — see impact.mli for the contract.
 
     The operator semantics live in {!Lint.walk}: this module only
-    annotates each walked node with its interface summary and digest,
-    so the lint findings and the summaries come out of one abstract
+    annotates each walked node with its flow and digest, so the lint
+    findings and the interface summaries come out of one abstract
     interpretation. *)
 
 module S = Symflow.S
@@ -69,87 +69,46 @@ let pref_str (c : Mg.constraint_pref) : string =
   Format.asprintf "%s/%d:%a" (Mg.seg_to_string c.Mg.seg) c.Mg.priority
     Constraints.Placement.pp_pref c.Mg.pref
 
-(* The rendered interface facts a flow fixes: exports, undefined
-   references, relocation targets, frozen and hidden names. *)
-let flow_text (m : Symflow.t) : string =
-  let b = Buffer.create 256 in
-  let strs tag xs =
-    Buffer.add_string b tag;
-    List.iter
-      (fun x ->
-        Buffer.add_string b x;
-        Buffer.add_char b ';')
-      xs;
-    Buffer.add_char b '|'
-  in
-  strs "e:" (List.map (fun (n, bd) -> n ^ "=" ^ bd) (export_pairs m));
-  strs "u:" (Symflow.undefined m);
-  strs "r:" (reloc_names m);
-  strs "f:" (S.elements m.Symflow.frozen);
-  strs "h:" (S.elements m.Symflow.hidden);
-  Buffer.contents b
-
-let prefs_text (prefs : Mg.constraint_pref list) : string =
-  String.concat "" ("p:" :: List.concat_map (fun p -> [ pref_str p; ";" ]) prefs) ^ "|"
-
-(* The digest chains the node's own operator and content, its
-   occurrence key when it mints aliases, the operand digests and the
-   summary ([flow] then [prefs], rendered): a key anywhere below ties
-   the digest to one occurrence. *)
-let node_digest ~(local : string) ~(key : string option)
-    ~(children : string list) ~(flow : string) ~(prefs : string) : string =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x01"
-          [ "impact.v2"; local; Option.value key ~default:"";
-            String.concat "," children; flow ^ prefs ]))
-
-(* -- the per-node annotation ------------------------------------------------- *)
-
-let summary_of (n : Mg.node) (m : Symflow.t) (prefs : Mg.constraint_pref list)
-    : summary =
+let summary (i : info) : summary =
+  let m = i.i_flow in
   {
-    s_op = Mg.op_name n;
+    s_op = Mg.op_name i.i_node;
     s_exports = export_pairs m;
     s_undefined = Symflow.undefined m;
     s_relocs = reloc_names m;
     s_frozen = S.elements m.Symflow.frozen;
     s_hidden = S.elements m.Symflow.hidden;
-    s_prefs = List.map pref_str prefs;
+    s_prefs = List.map pref_str i.i_prefs;
   }
 
-let summary (i : info) : summary = summary_of i.i_node i.i_flow i.i_prefs
+(* -- the per-node annotation ------------------------------------------------- *)
 
-(* The summary is rendered for the digest and dropped: a kept tree holds
-   the flow it derives from, not both. Within one walk, a node whose
-   flow is physically the flow of the node annotated just before it (a
-   name and the graph it resolves to, a constrain and its operand)
-   reuses that node's rendering, so each annotator keeps the last one. *)
-let annotator () =
-  let last = ref None in
-  fun ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
-      (prefs : Mg.constraint_pref list) (children : info list) : info ->
-    let flow =
-      match !last with
-      | Some (m', text) when m' == m -> text
-      | _ ->
-          let text = flow_text m in
-          last := Some (m, text);
-          text
-    in
-    {
-      i_path = path;
-      i_node = n;
-      i_flow = m;
-      i_prefs = prefs;
-      i_digest =
-        node_digest ~local:(Mg.local_key n) ~key
-          ~children:(List.map (fun c -> c.i_digest) children)
-          ~flow ~prefs:(prefs_text prefs);
-      i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
-      i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
-      i_children = children;
-    }
+(* The digest chains the node's own part (length-prefixed), its
+   occurrence key when it mints aliases, and the operand digests: a key
+   anywhere below ties the digest to one occurrence. The summary is not
+   hashed: the construction fixes it. *)
+let node_digest (n : Mg.node) (key : string option) (children : info list) :
+    string =
+  let own = Mg.own_part n in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x01"
+          ("impact.v3" :: string_of_int (String.length own) :: own
+          :: Option.value key ~default:""
+          :: List.map (fun c -> c.i_digest) children)))
+
+let annotate ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
+    (prefs : Mg.constraint_pref list) (children : info list) : info =
+  {
+    i_path = path;
+    i_node = n;
+    i_flow = m;
+    i_prefs = prefs;
+    i_digest = node_digest n key children;
+    i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
+    i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
+    i_children = children;
+  }
 
 (* -- entry points ------------------------------------------------------------ *)
 
@@ -171,13 +130,13 @@ let tree_of (root : Mg.node) (info : info option) t_kept : tree =
 
 let analyze_and_lint ~(resolve : string -> (Mg.node, string) result)
     (root : Mg.node) : tree * Lint.report =
-  let report, info = Lint.walk ~resolve ~annotate:(annotator ()) root in
+  let report, info = Lint.walk ~resolve ~annotate root in
   (tree_of root info None, report)
 
 let reanalyze ~(resolve : string -> (Mg.node, string) result)
     ~(prev : tree option) (root : Mg.node) : tree * info Lint.kept_walk =
   let w =
-    Lint.rewalk ~resolve ~annotate:(annotator ())
+    Lint.rewalk ~resolve ~annotate
       ~prev:(Option.bind prev (fun t -> t.t_kept))
       root
   in

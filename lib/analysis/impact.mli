@@ -2,16 +2,19 @@
     over m-graphs, and the reuse/respin verdicts that make incremental
     relinking sound.
 
-    Built on {!Lint.walk} over {!Symflow}: per operator node the
-    analyzer computes a canonical {e interface summary} — exports with
-    binding and multiplicity, undefined references, reloc shape
-    (referenced names), frozen/hidden sets and accumulated constraint
-    preferences — plus a structural digest that chains leaf content
-    digests, operator parameters, the occurrence key of a live
-    freeze/hide/show, child digests and the summary. Two subtrees with
-    equal digests are provably link-equivalent: same construction
-    content, same minted aliases, same interface, same placement
-    preferences.
+    Built on {!Lint.walk} over {!Symflow}: per node the analyzer keeps
+    its symbol flow and preferences, from which {!summary} renders a
+    canonical {e interface summary} — exports with binding and
+    multiplicity, undefined references, reloc shape (referenced names),
+    frozen/hidden sets and accumulated constraint preferences — and a
+    digest of its construction: its own part ({!Blueprint.Mgraph.own_part}:
+    operator, length-prefixed parameters, leaf and source content by
+    digest), the occurrence key of a live freeze/hide/show, and the
+    child digests, chained bottom-up. Evaluation is deterministic, so
+    two subtrees with equal digests are link-equivalent: the same
+    construction with the same minted aliases evaluates to the same
+    module, hence the same interface and the same placement
+    preferences. The summary is not hashed: the construction fixes it.
 
     A live freeze/hide/show names its aliases after its occurrence, so
     its digest, and every ancestor's, is {e keyed}: it holds only where
@@ -51,9 +54,9 @@ type info = private {
   i_flow : Symflow.t;  (** the node's symbol flow; see {!summary} *)
   i_prefs : Mg.constraint_pref list;  (** accumulated, evaluation order *)
   i_digest : string;
-      (** content digest: leaf content + params + occurrence key of a
-          live freeze/hide/show + child digests + summary, chained
-          bottom-up; the server's memo key for the node *)
+      (** construction digest: own part + occurrence key of a live
+          freeze/hide/show + child digests, chained bottom-up; the
+          server's memo key for the node *)
   i_modeled : bool;
       (** the whole subtree is fully modeled: every name resolves
           acyclically, every selector/template compiles, every source
@@ -65,9 +68,8 @@ type info = private {
   i_children : info list;
 }
 
-(** A node's interface summary, rendered from its flow on demand: the
-    digest hashes it, and {!diff} names the first differing fact of a
-    respun node from it. *)
+(** A node's interface summary, rendered from its flow on demand:
+    {!diff} names the first differing fact of a respun node from it. *)
 val summary : info -> summary
 
 type tree = {

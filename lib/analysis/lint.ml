@@ -6,7 +6,7 @@
     computes on {!Symflow} name sets instead of materializing views — so
     it is safe to run at meta-object registration time, costs nothing on
     the simulated clock, and can diagnose graphs whose evaluation would
-    raise. {!Impact} annotates the same walk with interface summaries.
+    raise. {!Impact} annotates the same walk with flows and digests.
 
     Stable diagnostic codes:
 
@@ -631,13 +631,6 @@ let check_unresolved (st : _ state) ~path (undefined : string list) : unit =
 
 (* -- content keys ------------------------------------------------------------- *)
 
-(* How operands group into lists: flattening forgets it, the node's
-   construction ({!Mg.digest}) does not, and a replayed info must have
-   the construction of the node it describes. *)
-let rec grouping (ns : Mg.node list) : string =
-  String.concat ""
-    (List.map (function Mg.Lst xs -> "(" ^ grouping xs ^ ")" | _ -> ".") ns)
-
 (* [f] over [xs], each with the previous walk's operand at its position. *)
 let rec aligned f (xs : Mg.node list) (prevs : 'a walked list) : keys list =
   match (xs, prevs) with
@@ -655,27 +648,6 @@ let rec same_keys (ks : keys list) (ps : 'a walked list) : bool =
   | [], [] -> true
   | k :: ks, p :: ps -> String.equal k.hash p.k_key && same_keys ks ps
   | _ -> false
-
-(* [op] with its parameters, each length-prefixed, so two parameter
-   lists never render alike. {!Mg.local_key} joins them with
-   separators, and ["copy-as:^f::g"] is both ("^f", ":g") and
-   ("^f:", "g"); it stays as it is, since the interface digests hash
-   it. *)
-let params (op : string) (ps : string list) : string =
-  String.concat ":"
-    (op :: List.concat_map (fun p -> [ string_of_int (String.length p); p ]) ps)
-
-let rec value_part (v : Mg.value) : string =
-  match v with
-  | Mg.Vstr s -> params "s" [ s ]
-  | Mg.Vnum n -> params "n" [ string_of_int n ]
-  | Mg.Vlist vs -> params "l" (List.map value_part vs)
-  | Mg.Vnode n -> params "g" [ Mg.digest n ]
-
-let scope_part = function
-  | Jigsaw.Module_ops.Defs_only -> "defs"
-  | Jigsaw.Module_ops.Refs_only -> "refs"
-  | Jigsaw.Module_ops.Both -> "both"
 
 (* The operands an operator's key covers, in [go]'s order. [None] for a
    name, a leaf, a source and a list, which [content_keys] keys
@@ -697,94 +669,53 @@ let operands_of (n : Mg.node) : Mg.node list option =
       Some [ x ]
   | Mg.Name _ | Mg.Leaf _ | Mg.Source _ | Mg.Lst _ -> None
 
-(* An operator's own part of its key: what it adds to its operands'
-   keys. *)
-let own_part (n : Mg.node) : string =
-  match n with
-  | Mg.Merge ops -> "merge" ^ grouping ops
-  | Mg.Freeze (p, _) | Mg.Restrict (p, _) | Mg.Project (p, _) | Mg.Hide (p, _)
-  | Mg.Show (p, _) ->
-      params (Mg.op_name n) [ p ]
-  | Mg.Copy_as (p, t, _) -> params "copy-as" [ p; t ]
-  | Mg.Rename (sc, p, t, _) -> params "rename" [ scope_part sc; p; t ]
-  | Mg.Specialize (st, vs, _) -> params "specialize" (st :: List.map value_part vs)
-  | Mg.Constrain (seg, a, _) ->
-      params "constrain" [ Mg.seg_to_string seg; string_of_int a ]
-  | _ -> Mg.op_name n
-
-(* Do two operand lists group into lists alike? *)
-let rec same_grouping (xs : Mg.node list) (ys : Mg.node list) : bool =
-  match (xs, ys) with
-  | [], [] -> true
-  | Mg.Lst a :: xs, Mg.Lst b :: ys -> same_grouping a b && same_grouping xs ys
-  | (Mg.Lst _ :: _ | []), _ | _, (Mg.Lst _ :: _ | []) -> false
-  | _ :: xs, _ :: ys -> same_grouping xs ys
-
-(* Has operator [a] the own part of [b]? Decided on the nodes, without
-   rendering either part. *)
-let same_own (a : Mg.node) (b : Mg.node) : bool =
-  let eq = String.equal in
-  match (a, b) with
-  | Mg.Merge xs, Mg.Merge ys -> same_grouping xs ys
-  | Mg.Override _, Mg.Override _ | Mg.Initializers _, Mg.Initializers _ -> true
-  | Mg.Freeze (p, _), Mg.Freeze (q, _)
-  | Mg.Restrict (p, _), Mg.Restrict (q, _)
-  | Mg.Project (p, _), Mg.Project (q, _)
-  | Mg.Hide (p, _), Mg.Hide (q, _)
-  | Mg.Show (p, _), Mg.Show (q, _) ->
-      eq p q
-  | Mg.Copy_as (p, t, _), Mg.Copy_as (q, u, _) -> eq p q && eq t u
-  | Mg.Rename (sc, p, t, _), Mg.Rename (sc', q, u, _) ->
-      sc = sc' && eq p q && eq t u
-  | Mg.Constrain (s, x, _), Mg.Constrain (s', y, _) -> s = s' && x = y
-  | Mg.Specialize _, Mg.Specialize _ -> eq (own_part a) (own_part b)
-  | _ -> false
-
-(* Keys for the nodes [go] will visit, in its order. Every [Name]
-   resolves as [step] resolves it, so a key fixes what the name reaches,
-   or the error or cycle it reports; with the path, it fixes everything
-   the subtree's walk produces. [prev] is the previous walk at the same
+(* Keys for the nodes [go] will visit, in its order: a node's parts,
+   each length-prefixed, and its operands' keys. A node's own part
+   ({!Mg.own_part}) is one part; every [Name] adds its path and resolves
+   as [step] resolves it, so a key fixes what the name reaches, or the
+   error or cycle it reports; with the path, it fixes everything the
+   subtree's walk produces. [prev] is the previous walk at the same
    position: a node whose own part and operand keys are the ones it
    keyed keeps its key, and a leaf that is still the very object it
    walked (object files are never mutated once built) keeps its key,
    sparing the content digest. Whether the own part is the one keyed is
-   read off the previous node, not kept with it (kept walks stay as
-   small as they were), and a part is rendered only to be hashed. *)
+   read off the previous node ({!Mg.same_own}), not kept with it (kept
+   walks stay as small as they were), and a part is rendered only to be
+   hashed. *)
 let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
     keys =
-  (* [same p]: the previous node [p] had this node's own part *)
-  let key ~(same : 'a walked -> bool) (part : unit -> string) kids =
+  (* [same p]: the previous node [p] had this node's parts *)
+  let key ~(same : 'a walked -> bool) (parts : unit -> string list) kids =
     match prev with
     | Some p when same_keys kids p.k_kids && same p -> { hash = p.k_key; kids }
     | _ ->
-        let part = part () in
+        let text =
+          List.concat_map
+            (fun part -> [ string_of_int (String.length part); ":"; part ])
+            (parts ())
+        in
         {
-          hash =
-            Digest.string
-              (String.concat ""
-                 (string_of_int (String.length part)
-                 :: ":" :: part
-                 :: List.map (fun k -> k.hash) kids));
+          hash = Digest.string (String.concat "" (text @ List.map (fun k -> k.hash) kids));
           kids;
         }
   in
   let never _ = false in
+  let own () = [ Mg.own_part n ] in
   let operands xs =
     aligned (content_keys st) xs
       (match prev with Some p -> p.k_kids | None -> [])
   in
   match operands_of n with
-  | Some xs ->
-      key ~same:(fun p -> same_own n p.k_node) (fun () -> own_part n) (operands xs)
+  | Some xs -> key ~same:(fun p -> Mg.same_own n p.k_node) own (operands xs)
   | None -> (
       match n with
       | Mg.Name p -> (
           if List.mem p st.visiting then
-            key ~same:never (fun () -> params "cycle" [ p ]) []
+            key ~same:never (fun () -> [ "cycle"; p ]) []
           else
             match st.resolve p with
             | Error msg ->
-                key ~same:never (fun () -> params "unresolved" [ p; msg ]) []
+                key ~same:never (fun () -> [ "unresolved"; p; msg ]) []
             | Ok sub ->
                 st.visiting <- p :: st.visiting;
                 let ks = operands [ sub ] in
@@ -794,20 +725,17 @@ let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
                   ~same:(fun w ->
                     w.k_kids <> []
                     && match w.k_node with Mg.Name q -> String.equal p q | _ -> false)
-                  (fun () -> params "name" [ p ])
+                  (fun () -> [ Mg.own_part n; p ])
                   ks)
       | Mg.Lst _ ->
           (* malformed here: reported, its items never walked *)
-          key ~same:never (fun () -> "list:" ^ Mg.digest n) []
+          key ~same:never (fun () -> [ "list"; Mg.digest n ]) []
       | Mg.Leaf o -> (
           match prev with
           | Some { k_node = Mg.Leaf o'; k_key; _ } when o == o' ->
               { hash = k_key; kids = [] }
-          | _ -> key ~same:never (fun () -> Mg.local_key n) [])
-      | _ ->
-          (* a source: its text digest has a fixed length, so the
-             separator-joined key is unambiguous *)
-          key ~same:never (fun () -> Mg.local_key n) [])
+          | _ -> key ~same:never own [])
+      | _ -> (* a source *) key ~same:never own [])
 
 (* -- entry points ------------------------------------------------------------ *)
 
@@ -895,9 +823,8 @@ let analyze ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
   fst (walk ~resolve ~annotate:(fun ~path:_ ~key:_ ~modeled:_ _ _ _ _ -> ()) root)
 
 let analyze_meta ~(resolve : string -> (Mg.node, string) result)
-    ?(spec : (string * Mg.value list) option = None) (meta : Blueprint.Meta.t) :
-    report =
-  analyze ~resolve (Blueprint.Meta.effective_graph meta ~spec)
+    (meta : Blueprint.Meta.t) : report =
+  analyze ~resolve (Blueprint.Meta.effective_graph meta ~spec:None)
 
 (* -- differential self-check ------------------------------------------------- *)
 

@@ -61,7 +61,6 @@ val analyze :
     graph (default specialization and constraint-list included). *)
 val analyze_meta :
   resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
-  ?spec:(string * Blueprint.Mgraph.value list) option ->
   Blueprint.Meta.t ->
   report
 
@@ -74,7 +73,7 @@ val analyze_meta :
     its operands' annotations. Returns the report and the root's
     annotation, [None] when the analyzer failed internally (the report
     then carries an E999 finding). Never raises. {!Impact} builds its
-    interface summaries this way, so one walk yields both. *)
+    infos this way, so one walk yields both. *)
 val walk :
   resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
   annotate:
@@ -93,14 +92,14 @@ val walk :
 
     A walk can be kept as a tree for the next walk of the same graph to
     replay from. Before a kept walk, one bottom-up pass gives every node
-    a {e content key}: its own operator, parameters and content (leaf
-    and source content by digest, every parameter length-prefixed so
-    that no two parameter lists render alike, plus how a merge groups
-    its operands into lists) hashed with its operands' keys. Each [Name] resolves as
-    the walk resolves it: an unresolved name keys on its error, a
-    cyclic one on the cycle, a resolved one on what it reaches. A
-    node's occurrence path and content key together fix everything a
-    walk of its subtree produces, so where both are unchanged from the
+    a {e content key}: its own part ({!Blueprint.Mgraph.own_part}: its
+    operator, length-prefixed parameters and content, and how a merge
+    groups its operands into lists) hashed with its operands' keys.
+    Each [Name] keys on its path and resolves as the walk resolves it:
+    an unresolved name keys on its error, a cyclic one on the cycle, a
+    resolved one on what it reaches. A node's occurrence path and
+    content key together fix everything a walk of its subtree
+    produces, so where both are unchanged from the
     previous walk, at the same operand position, the subtree is
     replayed instead of walked: its flow, preferences and annotation,
     its findings in order, its [approximate] and [eval_fails] flags,
@@ -111,11 +110,12 @@ val walk :
     Keys are hashed only where something changed: a node whose own part
     and operand keys are those the previous walk keyed at its position
     keeps that walk's key (whether the part is the previous one is
-    decided on the two nodes, and a part is rendered only to be hashed;
-    a name that did not resolve, a [source] and a [list] are always
-    hashed), and so does a leaf that is physically the
-    object the previous walk keyed there (object files are never
-    mutated once built). A replayed root keeps the previous report.
+    decided on the two nodes, {!Blueprint.Mgraph.same_own}, and a part
+    is rendered only to be hashed; a name that did not resolve, a
+    [source] and a [list] are always hashed), and so does a leaf that
+    is physically the object the previous walk keyed there (object
+    files are never mutated once built). A replayed root keeps the
+    previous report.
     {!walk} computes no keys and keeps nothing. *)
 
 (** A kept walk: its tree and its report. *)

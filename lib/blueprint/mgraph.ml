@@ -445,25 +445,65 @@ let digest (n : node) : string =
   digest_into b n;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let digest_value (v : value) : string =
-  let b = Buffer.create 16 in
-  digest_value_into b v;
-  Buffer.contents b
+(* -- own parts --------------------------------------------------------------- *)
 
-(** A node's own operator, parameters and content (leaf and source
-    content by digest), operands excluded. Path-free for [Name]: what a
-    name resolves to is content, not the name. *)
-let local_key (n : node) : string =
+(* [op] with its parameters, each length-prefixed: no two parameter
+   lists render alike, whatever characters the parameters hold. *)
+let params (op : string) (ps : string list) : string =
+  String.concat ":"
+    (op :: List.concat_map (fun p -> [ string_of_int (String.length p); p ]) ps)
+
+let rec value_part (v : value) : string =
+  match v with
+  | Vstr s -> params "s" [ s ]
+  | Vnum n -> params "n" [ string_of_int n ]
+  | Vlist vs -> params "l" (List.map value_part vs)
+  | Vnode n -> params "g" [ digest n ]
+
+(* How operands group into lists: flattening forgets it, the node's
+   construction does not. *)
+let rec grouping (ns : node list) : string =
+  String.concat ""
+    (List.map (function Lst xs -> "(" ^ grouping xs ^ ")" | _ -> ".") ns)
+
+let own_part (n : node) : string =
   match n with
-  | Leaf o -> "leaf:" ^ Sof.Codec.digest o
+  | Leaf o -> params "leaf" [ Sof.Codec.digest o ]
   | Name _ -> "name"
   | Source (lang, text) ->
-      Printf.sprintf "source:%s:%s" lang (Digest.to_hex (Digest.string text))
-  | Merge _ | Override _ | Initializers _ | Lst _ -> op_name n
+      params "source" [ lang; Digest.to_hex (Digest.string text) ]
+  | Merge xs -> "merge" ^ grouping xs
+  | Lst xs -> "list" ^ grouping xs
+  | Override _ | Initializers _ -> op_name n
   | Freeze (p, _) | Restrict (p, _) | Project (p, _) | Hide (p, _) | Show (p, _) ->
-      op_name n ^ ":" ^ p
-  | Copy_as (p, t, _) -> Printf.sprintf "copy-as:%s:%s" p t
-  | Rename (sc, p, t, _) -> Printf.sprintf "rename%s:%s:%s" (scope_code sc) p t
-  | Specialize (st, vs, _) ->
-      Printf.sprintf "specialize:%s:%s" st (String.concat "," (List.map digest_value vs))
-  | Constrain (seg, a, _) -> Printf.sprintf "constrain:%s:0x%x" (seg_to_string seg) a
+      params (op_name n) [ p ]
+  | Copy_as (p, t, _) -> params "copy-as" [ p; t ]
+  | Rename (sc, p, t, _) -> params "rename" [ scope_code sc; p; t ]
+  | Specialize (st, vs, _) -> params "specialize" (st :: List.map value_part vs)
+  | Constrain (seg, a, _) -> params "constrain" [ seg_to_string seg; string_of_int a ]
+
+(* Do two operand lists group into lists alike? *)
+let rec same_grouping (xs : node list) (ys : node list) : bool =
+  match (xs, ys) with
+  | [], [] -> true
+  | Lst a :: xs, Lst b :: ys -> same_grouping a b && same_grouping xs ys
+  | (Lst _ :: _ | []), _ | _, (Lst _ :: _ | []) -> false
+  | _ :: xs, _ :: ys -> same_grouping xs ys
+
+let same_own (a : node) (b : node) : bool =
+  let eq = String.equal in
+  match (a, b) with
+  | Merge xs, Merge ys | Lst xs, Lst ys -> same_grouping xs ys
+  | Name _, Name _ | Override _, Override _ | Initializers _, Initializers _ -> true
+  | Freeze (p, _), Freeze (q, _)
+  | Restrict (p, _), Restrict (q, _)
+  | Project (p, _), Project (q, _)
+  | Hide (p, _), Hide (q, _)
+  | Show (p, _), Show (q, _) ->
+      eq p q
+  | Copy_as (p, t, _), Copy_as (q, u, _) -> eq p q && eq t u
+  | Rename (sc, p, t, _), Rename (sc', q, u, _) -> sc = sc' && eq p q && eq t u
+  | Constrain (s, x, _), Constrain (s', y, _) -> s = s' && x = y
+  | Source (l, x), Source (l', y) -> eq l l' && eq x y
+  | Leaf _, Leaf _ | Specialize _, Specialize _ -> eq (own_part a) (own_part b)
+  | _ -> false

@@ -141,13 +141,23 @@ val path : occurrence -> string
     its MD5). *)
 val occurrence_key : string -> string
 
-(** A node's own operator, parameters and content (leaf and source
-    content by digest), operands excluded — path-free for [Name]. The
-    local part of an interface digest. *)
-val local_key : node -> string
-
 (** Names referenced anywhere in the graph (dependency extraction). *)
 val names : node -> string list
 
 (** Stable digest of a graph (part of the image-cache key). *)
 val digest : node -> string
+
+(** A node's own part: its operator, its parameters and its content,
+    operands excluded — leaf and source content by digest, a value
+    parameter's graph by {!digest}, and how a [merge] or [list] groups
+    its operands into lists. Every parameter is length-prefixed, so
+    equal own parts mean the same operator with the same parameters.
+    Path-free for [Name]: what a name resolves to is content, not the
+    name. The interface digests and the content keys of kept walks both
+    hash it. *)
+val own_part : node -> string
+
+(** [same_own a b] is [String.equal (own_part a) (own_part b)], decided
+    on the two nodes without rendering either part, except for two
+    leaves or two [specialize] nodes. *)
+val same_own : node -> node -> bool

@@ -120,6 +120,9 @@ type t = {
   named : (string, int) Hashtbl.t;
       (* interface digest -> reusable infos of the trees naming it *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
+  mutable stale_trees : bool;
+      (* a bound path was rebound since the last registration: the trees
+         may describe what it used to hold *)
   mutable conflicts : conflict list;
   (* -- the staged request pipeline -- *)
   sched : Simos.Sched.t;
@@ -219,6 +222,7 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     impact_diffs = Hashtbl.create 16;
     named = Hashtbl.create 64;
     subtree_reuse = true;
+    stale_trees = false;
     conflicts = [];
     sched = Simos.Sched.create ();
     jobs = Hashtbl.create 64;
@@ -261,6 +265,7 @@ let data_arena (t : t) : Constraints.Placement.t = t.data_arena
 let residency (t : t) : Residency.t = t.residency
 
 let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
+  if Namespace.exists t.ns path then t.stale_trees <- true;
   Namespace.bind_fragment t.ns path o
 
 (* Result-returning twin of the evaluation env's resolve, for the
@@ -365,6 +370,7 @@ let refresh_analysis (t : t) : unit =
     trees;
   t.impact_trees <- trees;
   t.lints <- lints;
+  t.stale_trees <- false;
   Cache.memo_drop t.cache
     (List.filter (fun d -> not (Hashtbl.mem t.named d)) !unnamed)
 
@@ -425,8 +431,6 @@ let impact_diff (t : t) (path : string) : Analysis.Impact.diff option =
     incremental-vs-from-scratch differential oracle flips. *)
 let set_subtree_reuse (t : t) (b : bool) : unit = t.subtree_reuse <- b
 
-let subtree_reuse (t : t) : bool = t.subtree_reuse
-
 (** Register a meta-object from blueprint source text — parse, then
     {!register_meta}, so registration-time lint behavior is uniform no
     matter how the meta arrives. *)
@@ -485,7 +489,7 @@ let eval_with (t : t) (tree : Analysis.Impact.tree option)
   let t0 = Telemetry.now_us () in
   let r =
     match tree with
-    | Some tree when t.subtree_reuse ->
+    | Some tree when t.subtree_reuse && not t.stale_trees ->
         Blueprint.Mgraph.eval_memo t.env (memo t tree) node
     | _ -> Blueprint.Mgraph.eval t.env node
   in

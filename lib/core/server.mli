@@ -81,7 +81,13 @@ val residency : t -> Residency.t
 
 (** {1 Namespace population} *)
 
-(** Bind objects into the server's namespace. *)
+(** Bind an object file into the server's namespace. Binding over a
+    path that is already bound (a fragment, a meta or a directory) makes
+    the registration trees stale: they may describe what the path used
+    to hold, so evaluation bypasses the memo table until the next
+    {!register_meta} refreshes them. A fresh path needs no such care: a
+    name that did not resolve at registration leaves the nodes above it
+    unmodeled, and the memo never answers those. *)
 val add_fragment : t -> string -> Sof.Object_file.t -> unit
 
 (** [register_meta t path m] binds a meta-object and lints it: the
@@ -131,8 +137,6 @@ val memo_digests : t -> string list
     incremental-vs-from-scratch differential oracle flips. *)
 val set_subtree_reuse : t -> bool -> unit
 
-val subtree_reuse : t -> bool
-
 (** Result-returning twin of the evaluation environment's name
     resolution, for the symbol-flow analyzer (which must never
     raise). *)
@@ -159,7 +163,8 @@ val find_meta : t -> string -> Blueprint.Meta.t
 (** Evaluate an m-graph in the server's environment. A graph that is
     physically a bound meta's registered graph
     ([Blueprint.Meta.effective_graph m ~spec:None]) is evaluated through
-    the memo table, answered through that meta's {!impact_tree}; any
+    the memo table, answered through that meta's {!impact_tree}, unless
+    {!add_fragment} rebound a path since the last registration; any
     other graph (a fresh parse, a graph a caller built) is evaluated
     without the memo. *)
 val eval : t -> Blueprint.Mgraph.node -> Blueprint.Mgraph.result

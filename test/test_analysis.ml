@@ -658,6 +658,28 @@ let test_memo_through_trees () =
   Alcotest.(check (pair int int)) "a fresh parse bypasses the memo" (0, 0)
     (reused () - r0, respun () - s0)
 
+(* A fragment rebound between registrations: the trees still describe
+   what the path held when they were walked, so evaluation must not
+   answer from them until the next registration refreshes them. *)
+let test_memo_after_rebind () =
+  let s = server () in
+  let exports () =
+    Jigsaw.Module_ops.exports
+      (Omos.Server.eval s (meta_graph s "/t/plib")).Blueprint.Mgraph.m
+  in
+  Omos.Server.add_fragment s "/t/pf.o" (asm_obj "/t/pf.o" [ ("old_fn", None) ]);
+  Omos.Server.add_fragment s "/t/pg.o" (asm_obj "/t/pg.o" [ ("g", None) ]);
+  Omos.Server.register_meta_source s "/t/plib" "(merge (merge /t/pf.o) /t/pg.o)";
+  Alcotest.(check (list string)) "registered" [ "g"; "old_fn" ] (exports ());
+  Omos.Server.add_fragment s "/t/pf.o" (asm_obj "/t/pf.o" [ ("new_fn", None) ]);
+  Alcotest.(check (list string)) "rebound" [ "g"; "new_fn" ] (exports ());
+  Omos.Server.register_meta_source s "/t/pother" "(merge /t/pg.o)";
+  ignore (exports ());
+  let r0 = Telemetry.Counter.get "impact.reused" in
+  Alcotest.(check (list string)) "refreshed" [ "g"; "new_fn" ] (exports ());
+  Alcotest.(check int) "the memo answers again" 1
+    (Telemetry.Counter.get "impact.reused" - r0)
+
 (* -- registration: every report fresh, kept walks exact ------------------------ *)
 
 (* A meta registered before a name it reaches gets its report refreshed
@@ -997,67 +1019,155 @@ let register_checked s (ok : bool ref) path src =
 let compile_module (m : Fz.mdef) ~(path : string) =
   Minic.Driver.compile ~name:path (Fz.minic_source m)
 
-(* Fuzzed edit sequences, each registration checked: the case
-   registered and built, three edit pairs (the changed libraries
-   re-registered, everything rebuilt), a module path rebound to another
-   module's object, subtree reuse switched off and on, and a library
-   path rebound to a fragment and then to its meta again. *)
+(* A fuzzed edit sequence, every registration made through [register]:
+   the case registered and built, each library under a wrapper that
+   merges it alone (its nodes then sit at a second path), three edit
+   pairs (the changed libraries re-registered, everything rebuilt), a
+   module path rebound to another module's object, subtree reuse
+   switched off and on, and a library path rebound to a fragment and
+   then to its meta again. *)
+let edit_sequence ~(register : Omos.Server.t -> string -> string -> unit) seed :
+    unit =
+  let c = Fz.generate ~max_modules:8 ~max_libs:5 ~seed () in
+  let s = server () in
+  let register_lib (l : Fz.libdef) =
+    register s (Fz.lib_path l) (Fz.meta_source l)
+  in
+  let build_all (c : Fz.case) =
+    List.iter
+      (fun l ->
+        try ignore (Omos.Server.instantiate s (Omos.Server.library (Fz.lib_path l)))
+        with _ -> ())
+      c.Fz.f_libs
+  in
+  List.iter
+    (fun m ->
+      let path = Fz.mod_path m in
+      Omos.Server.add_fragment s path (compile_module m ~path))
+    c.Fz.f_mods;
+  List.iter register_lib c.Fz.f_libs;
+  List.iteri
+    (fun i l ->
+      register s
+        (Printf.sprintf "/t/wrap%d" i)
+        (Printf.sprintf "(merge %s)" (Fz.lib_path l)))
+    c.Fz.f_libs;
+  build_all c;
+  let c =
+    List.fold_left
+      (fun c k ->
+        match Fz.mutate ~seed:(seed + k) c with
+        | None -> c
+        | Some (c', _) ->
+            List.iter2
+              (fun a b -> if a <> b then register_lib b)
+              c.Fz.f_libs c'.Fz.f_libs;
+            build_all c';
+            c')
+      c [ 0; 1; 2 ]
+  in
+  let first = List.hd c.Fz.f_libs
+  and last = List.nth c.Fz.f_libs (List.length c.Fz.f_libs - 1) in
+  (match c.Fz.f_mods with
+  | m :: m' :: _ ->
+      let path = Fz.mod_path m in
+      Omos.Server.add_fragment s path (compile_module m' ~path);
+      register_lib first;
+      build_all c
+  | _ -> ());
+  Omos.Server.set_subtree_reuse s false;
+  register_lib first;
+  Omos.Server.set_subtree_reuse s true;
+  register_lib last;
+  build_all c;
+  Omos.Server.add_fragment s (Fz.lib_path last)
+    (asm_obj (Fz.lib_path last) [ ("rebound", None) ]);
+  register_lib first;
+  register_lib last
+
 let prop_named_matches_count =
   QCheck.Test.make ~name:"named digests = count from the trees" ~count:15
     ~long_factor:20 QCheck.(int_bound 10_000)
     (fun seed ->
-      let c = Fz.generate ~max_modules:8 ~max_libs:5 ~seed () in
-      let s = server () in
       let ok = ref true in
-      let register (l : Fz.libdef) =
-        register_checked s ok (Fz.lib_path l) (Fz.meta_source l)
-      in
-      let build_all (c : Fz.case) =
-        List.iter
-          (fun l ->
-            try ignore (Omos.Server.instantiate s (Omos.Server.library (Fz.lib_path l)))
-            with _ -> ())
-          c.Fz.f_libs
-      in
-      List.iter
-        (fun m ->
-          let path = Fz.mod_path m in
-          Omos.Server.add_fragment s path (compile_module m ~path))
-        c.Fz.f_mods;
-      List.iter register c.Fz.f_libs;
-      build_all c;
-      let c =
-        List.fold_left
-          (fun c k ->
-            match Fz.mutate ~seed:(seed + k) c with
-            | None -> c
-            | Some (c', _) ->
-                List.iter2
-                  (fun a b -> if a <> b then register b)
-                  c.Fz.f_libs c'.Fz.f_libs;
-                build_all c';
-                c')
-          c [ 0; 1; 2 ]
-      in
-      let first = List.hd c.Fz.f_libs
-      and last = List.nth c.Fz.f_libs (List.length c.Fz.f_libs - 1) in
-      (match c.Fz.f_mods with
-      | m :: m' :: _ ->
-          let path = Fz.mod_path m in
-          Omos.Server.add_fragment s path (compile_module m' ~path);
-          register first;
-          build_all c
-      | _ -> ());
-      Omos.Server.set_subtree_reuse s false;
-      register first;
-      Omos.Server.set_subtree_reuse s true;
-      register last;
-      build_all c;
-      Omos.Server.add_fragment s (Fz.lib_path last)
-        (asm_obj (Fz.lib_path last) [ ("rebound", None) ]);
-      register first;
-      register last;
+      edit_sequence ~register:(fun s -> register_checked s ok) seed;
       !ok)
+
+(* -- interface digest classes against a digest of the summaries ------------- *)
+
+(* Length-prefixed items, concatenated: no two lists render alike. *)
+let prefixed (xs : string list) : string =
+  String.concat "" (List.map (fun x -> Printf.sprintf "%d:%s" (String.length x) x) xs)
+
+(* Infos by physical identity: a subtree a kept walk replays is the
+   previous tree's. *)
+module Seen = Hashtbl.Make (struct
+  type t = I.info
+
+  let equal = ( == )
+  let hash (i : I.info) = Hashtbl.hash i.I.i_digest
+end)
+
+(* The reference digest of an info: the own part, the path of a keyed
+   node, the operands' references and the rendered summary (all but the
+   operator, which the own part covers, and which for a name is its
+   path). Where the construction did not fix the summary, the interface
+   digests would join infos the reference keeps apart. [seen] holds the
+   infos already referenced. *)
+let rec reference (seen : string Seen.t) (i : I.info) : string =
+  match Seen.find_opt seen i with
+  | Some r -> r
+  | None ->
+      let s = I.summary i in
+      let r =
+        Digest.to_hex
+          (Digest.string
+             (prefixed
+                [
+                  Mg.own_part i.I.i_node;
+                  (if i.I.i_keyed then "keyed at " ^ i.I.i_path else "anywhere");
+                  prefixed (List.map (reference seen) i.I.i_children);
+                  prefixed (List.map (fun (n, b) -> prefixed [ n; b ]) s.I.s_exports);
+                  prefixed s.I.s_undefined;
+                  prefixed s.I.s_relocs;
+                  prefixed s.I.s_frozen;
+                  prefixed s.I.s_hidden;
+                  prefixed s.I.s_prefs;
+                ]))
+      in
+      Seen.replace seen i r;
+      r
+
+(* Over the edit sequences of the named-digest property, every info of
+   every bound tree after every registration: two infos share an
+   interface digest exactly when they share a reference digest. *)
+let prop_digest_classes =
+  QCheck.Test.make ~name:"interface digests = classes of the summary digests"
+    ~count:15 ~long_factor:20 QCheck.(int_bound 10_000)
+    (fun seed ->
+      let seen = Seen.create 1024 in
+      let register s path src =
+        Omos.Server.register_meta_source s path src;
+        List.iter
+          (fun p ->
+            Option.iter
+              (fun t -> ignore (reference seen t.I.t_root))
+              (Omos.Server.impact_tree s p))
+          (Omos.Namespace.all_metas (Omos.Server.namespace s))
+      in
+      edit_sequence ~register seed;
+      let by_digest = Hashtbl.create 256 and by_ref = Hashtbl.create 256 in
+      let agrees tbl k v =
+        match Hashtbl.find_opt tbl k with
+        | Some v' -> String.equal v v'
+        | None ->
+            Hashtbl.replace tbl k v;
+            true
+      in
+      Seen.fold
+        (fun i r ok ->
+          ok && agrees by_digest i.I.i_digest r && agrees by_ref r i.I.i_digest)
+        seen true)
 
 (* -- the memo answered through the registration trees ------------------------ *)
 
@@ -1151,6 +1261,155 @@ let prop_info_at =
          | None -> false)
       && snd (infos_at s (Option.get (Omos.Server.impact_tree s "/t/dyn"))
                 (meta_graph s "/t/dyn")) > 0)
+
+(* -- one own part ------------------------------------------------------------ *)
+
+(* Parameters over the characters a separator-joined rendering would
+   split on. *)
+let gen_param : string QCheck.Gen.t =
+  QCheck.Gen.(string_size ~gen:(oneofl [ ','; ':'; '('; ')'; '1'; '2' ]) (0 -- 3))
+
+let own_leaves =
+  lazy
+    [| Mg.Leaf (obj "/t/own1.o" [ ("f", g_) ]); Mg.Leaf (obj "/t/own2.o" [ ("f", w_) ]) |]
+
+let gen_operand : Mg.node QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun p -> Mg.Name p) gen_param;
+        map (fun i -> (Lazy.force own_leaves).(i)) (0 -- 1);
+      ])
+
+(* Operand lists, some grouped into lists. *)
+let gen_operands : Mg.node list QCheck.Gen.t =
+  QCheck.Gen.(
+    list_size (0 -- 3)
+      (frequency
+         [
+           (3, gen_operand);
+           (1, map (fun xs -> Mg.Lst xs) (list_size (0 -- 2) gen_operand));
+         ]))
+
+let gen_value : Mg.value QCheck.Gen.t =
+  QCheck.Gen.(
+    sized_size (0 -- 2)
+    @@ fix (fun self n ->
+           let leaf =
+             [
+               map (fun s -> Mg.Vstr s) gen_param;
+               map (fun k -> Mg.Vnum k) (0 -- 20);
+               map (fun p -> Mg.Vnode (Mg.Name p)) gen_param;
+             ]
+           in
+           if n = 0 then oneof leaf
+           else
+             oneof
+               (map (fun vs -> Mg.Vlist vs) (list_size (0 -- 2) (self (n - 1)))
+               :: leaf)))
+
+let gen_own_node : Mg.node QCheck.Gen.t =
+  let open QCheck.Gen in
+  let p = gen_param and x = gen_operand in
+  let unary f = map2 f p x in
+  oneof
+    [
+      map (fun xs -> Mg.Merge xs) gen_operands;
+      map (fun xs -> Mg.Lst xs) gen_operands;
+      map2 (fun a b -> Mg.Override (a, b)) x x;
+      map (fun x -> Mg.Initializers x) x;
+      unary (fun p x -> Mg.Freeze (p, x));
+      unary (fun p x -> Mg.Restrict (p, x));
+      unary (fun p x -> Mg.Project (p, x));
+      unary (fun p x -> Mg.Hide (p, x));
+      unary (fun p x -> Mg.Show (p, x));
+      map3 (fun p t x -> Mg.Copy_as (p, t, x)) p p x;
+      map3
+        (fun sc (p, t) x -> Mg.Rename (sc, p, t, x))
+        (oneofl Jigsaw.Module_ops.[ Both; Defs_only; Refs_only ])
+        (pair p p) x;
+      map3 (fun st vs x -> Mg.Specialize (st, vs, x)) p (list_size (0 -- 3) gen_value) x;
+      map3
+        (fun seg a x -> Mg.Constrain (seg, a, x))
+        (oneofl [ Mg.Seg_text; Mg.Seg_data ])
+        (0 -- 20) x;
+      map (fun p -> Mg.Name p) p;
+      map2 (fun l t -> Mg.Source (l, t)) p p;
+      gen_operand;
+    ]
+
+(* [(p, t)] with one character moved across the boundary between them:
+   a rendering that joins the two with that character renders both
+   pairs alike. *)
+let shift (p, t) =
+  let n = String.length p in
+  if n > 0 then (String.sub p 0 (n - 1), String.make 1 p.[n - 1] ^ t)
+  else if t <> "" then (String.sub t 0 1, String.sub t 1 (String.length t - 1))
+  else (p, t)
+
+(* A node beside [n] that a separator-joined rendering may confuse with
+   it, or the node itself over other operands. *)
+let twin (n : Mg.node) : Mg.node =
+  let x = Mg.Name "/t/other" in
+  match n with
+  | Mg.Copy_as (p, t, _) ->
+      let p, t = shift (p, t) in
+      Mg.Copy_as (p, t, x)
+  | Mg.Rename (sc, p, t, _) ->
+      let p, t = shift (p, t) in
+      Mg.Rename (sc, p, t, x)
+  | Mg.Specialize (st, Mg.Vstr v :: vs, _) ->
+      let st, v = shift (st, v) in
+      Mg.Specialize (st, Mg.Vstr v :: vs, x)
+  | Mg.Freeze (p, _) -> Mg.Freeze (p, x)
+  | Mg.Hide (p, _) -> Mg.Hide (p, x)
+  | Mg.Override (a, _) -> Mg.Override (a, x)
+  | Mg.Merge xs -> Mg.Merge (List.map (function Mg.Lst _ as l -> l | _ -> x) xs)
+  | n -> n
+
+(* The node's operator and parameters: its operands replaced by one
+   placeholder, their grouping into lists kept, a name's path dropped. *)
+let rec strip (n : Mg.node) : Mg.node =
+  let x = Mg.Name "_" in
+  let operands = List.map (function Mg.Lst _ as l -> strip l | _ -> x) in
+  match n with
+  | Mg.Merge xs -> Mg.Merge (operands xs)
+  | Mg.Lst xs -> Mg.Lst (operands xs)
+  | Mg.Override _ -> Mg.Override (x, x)
+  | Mg.Initializers _ -> Mg.Initializers x
+  | Mg.Freeze (p, _) -> Mg.Freeze (p, x)
+  | Mg.Restrict (p, _) -> Mg.Restrict (p, x)
+  | Mg.Project (p, _) -> Mg.Project (p, x)
+  | Mg.Hide (p, _) -> Mg.Hide (p, x)
+  | Mg.Show (p, _) -> Mg.Show (p, x)
+  | Mg.Copy_as (p, t, _) -> Mg.Copy_as (p, t, x)
+  | Mg.Rename (sc, p, t, _) -> Mg.Rename (sc, p, t, x)
+  | Mg.Specialize (st, vs, _) -> Mg.Specialize (st, vs, x)
+  | Mg.Constrain (seg, a, _) -> Mg.Constrain (seg, a, x)
+  | Mg.Name _ -> x
+  | Mg.Leaf _ | Mg.Source _ -> n
+
+(* Every pair of random nodes and their twins: [same_own] decides what
+   comparing the rendered own parts decides, and equal own parts mean
+   the same operator with the same parameters. *)
+let prop_one_own_part =
+  QCheck.Test.make ~count:300 ~long_factor:50 ~name:"Mgraph.own_part: one, unambiguous"
+    (QCheck.make
+       ~print:(fun ns ->
+         String.concat " | " (List.map (fun n -> String.escaped (Mg.own_part n)) ns))
+       QCheck.Gen.(
+         map
+           (List.concat_map (fun n -> [ n; twin n ]))
+           (list_size (1 -- 6) gen_own_node)))
+    (fun ns ->
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              let same = String.equal (Mg.own_part a) (Mg.own_part b) in
+              Mg.same_own a b = same && ((not same) || strip a = strip b))
+            ns)
+        ns)
 
 (* -- the interface sets against set-based references ------------------------ *)
 
@@ -1353,6 +1612,8 @@ let () =
             test_hidden_subtree_reuse;
           Alcotest.test_case "memo answered through the trees" `Quick
             test_memo_through_trees;
+          Alcotest.test_case "memo bypassed after a rebind" `Quick
+            test_memo_after_rebind;
         ] );
       ( "properties",
         [
@@ -1363,6 +1624,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_undefined_matches_sets;
           QCheck_alcotest.to_alcotest prop_summary_matches_sets;
           QCheck_alcotest.to_alcotest prop_named_matches_count;
+          QCheck_alcotest.to_alcotest prop_digest_classes;
           QCheck_alcotest.to_alcotest prop_info_at;
+          QCheck_alcotest.to_alcotest prop_one_own_part;
         ] );
     ]
