@@ -386,66 +386,7 @@ let scope_code = function
   | Jigsaw.Module_ops.Refs_only -> "r"
   | Jigsaw.Module_ops.Both -> "b"
 
-(* [f b] over [xs], comma-separated. *)
-let commas (b : Buffer.t) (f : Buffer.t -> 'a -> unit) (xs : 'a list) : unit =
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      f b x)
-    xs
-
-(* The digest text of a graph, written into one buffer: each node's
-   text is written once, not copied into every ancestor's. *)
-let rec digest_into (b : Buffer.t) (n : node) : unit =
-  let str = Buffer.add_string b in
-  (* [tag(p1,...,pk,<x>)] *)
-  let op tag params x =
-    str tag;
-    str "(";
-    List.iter (fun p -> str p; str ",") params;
-    digest_into b x;
-    str ")"
-  in
-  match n with
-  | Leaf o -> str "leaf:"; str (Sof.Codec.digest o)
-  | Name p -> str "name:"; str p
-  | Source (l, s) -> Printf.bprintf b "src:%s:%s" l (Digest.to_hex (Digest.string s))
-  | Merge xs -> str "merge("; commas b digest_into xs; str ")"
-  | Lst xs -> str "list("; commas b digest_into xs; str ")"
-  | Override (a, x) -> str "override("; digest_into b a; str ","; digest_into b x; str ")"
-  | Freeze (p, x) -> op "freeze" [ p ] x
-  | Restrict (p, x) -> op "restrict" [ p ] x
-  | Project (p, x) -> op "project" [ p ] x
-  | Copy_as (p, t, x) -> op "copy_as" [ p; t ] x
-  | Hide (p, x) -> op "hide" [ p ] x
-  | Show (p, x) -> op "show" [ p ] x
-  | Rename (sc, p, t, x) -> op ("rename" ^ scope_code sc) [ p; t ] x
-  | Initializers x -> op "init" [] x
-  | Specialize (st, vs, x) ->
-      str "spec(";
-      str st;
-      str ",";
-      commas b digest_value_into vs;
-      str ",";
-      digest_into b x;
-      str ")"
-  | Constrain (seg, a, x) -> op "constrain" [ seg_to_string seg; Printf.sprintf "%x" a ] x
-
-and digest_value_into (b : Buffer.t) (v : value) : unit =
-  let str = Buffer.add_string b in
-  match v with
-  | Vstr s -> str "s:"; str s
-  | Vnum n -> str "n:"; str (string_of_int n)
-  | Vlist vs -> str "l("; commas b digest_value_into vs; str ")"
-  | Vnode n -> str "g("; digest_into b n; str ")"
-
-(** Stable digest of a graph (part of the image-cache key). *)
-let digest (n : node) : string =
-  let b = Buffer.create 256 in
-  digest_into b n;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* -- own parts --------------------------------------------------------------- *)
+(* -- own parts and the construction digest ---------------------------------- *)
 
 (* [op] with its parameters, each length-prefixed: no two parameter
    lists render alike, whatever characters the parameters hold. *)
@@ -453,20 +394,28 @@ let params (op : string) (ps : string list) : string =
   String.concat ":"
     (op :: List.concat_map (fun p -> [ string_of_int (String.length p); p ]) ps)
 
-let rec value_part (v : value) : string =
-  match v with
-  | Vstr s -> params "s" [ s ]
-  | Vnum n -> params "n" [ string_of_int n ]
-  | Vlist vs -> params "l" (List.map value_part vs)
-  | Vnode n -> params "g" [ digest n ]
-
 (* How operands group into lists: flattening forgets it, the node's
    construction does not. *)
 let rec grouping (ns : node list) : string =
-  String.concat ""
-    (List.map (function Lst xs -> "(" ^ grouping xs ^ ")" | _ -> ".") ns)
+  if List.exists (function Lst _ -> true | _ -> false) ns then
+    String.concat "" (List.map (function Lst xs -> "(" ^ grouping xs ^ ")" | _ -> ".") ns)
+  else String.make (List.length ns) '.'
 
-let own_part (n : node) : string =
+(* [n] in base 128, low digits first, the high bit set on every byte
+   but the last: one byte below 128. *)
+let rec add_length (b : Buffer.t) (n : int) : unit =
+  if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    add_length b (n lsr 7)
+  end
+
+(* [s] behind its length: a run of such parts splits one way only. *)
+let add_part (b : Buffer.t) (s : string) : unit =
+  add_length b (String.length s);
+  Buffer.add_string b s
+
+let rec own_part (n : node) : string =
   match n with
   | Leaf o -> params "leaf" [ Sof.Codec.digest o ]
   | Name _ -> "name"
@@ -481,6 +430,33 @@ let own_part (n : node) : string =
   | Rename (sc, p, t, _) -> params "rename" [ scope_code sc; p; t ]
   | Specialize (st, vs, _) -> params "specialize" (st :: List.map value_part vs)
   | Constrain (seg, a, _) -> params "constrain" [ seg_to_string seg; string_of_int a ]
+
+and value_part (v : value) : string =
+  match v with
+  | Vstr s -> params "s" [ s ]
+  | Vnum n -> params "n" [ string_of_int n ]
+  | Vlist vs -> params "l" (List.map value_part vs)
+  | Vnode n -> params "g" [ digest n ]
+
+(* The digest text: every node's own part in pre-order, a name's path
+   after its own part, each behind its length. An own part fixes how
+   many operands follow, so the text is one graph's. *)
+and digest (n : node) : string =
+  let b = Buffer.create 256 in
+  let rec go n =
+    add_part b (own_part n);
+    match n with
+    | Leaf _ | Source _ -> ()
+    | Name p -> add_part b p
+    | Merge xs | Lst xs -> List.iter go xs
+    | Override (a, x) -> go a; go x
+    | Freeze (_, x) | Restrict (_, x) | Project (_, x) | Hide (_, x) | Show (_, x)
+    | Copy_as (_, _, x) | Rename (_, _, _, x) | Initializers x
+    | Specialize (_, _, x) | Constrain (_, _, x) ->
+        go x
+  in
+  go n;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Do two operand lists group into lists alike? *)
 let rec same_grouping (xs : node list) (ys : node list) : bool =

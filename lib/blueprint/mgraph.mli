@@ -144,7 +144,10 @@ val occurrence_key : string -> string
 (** Names referenced anywhere in the graph (dependency extraction). *)
 val names : node -> string list
 
-(** Stable digest of a graph (part of the image-cache key). *)
+(** The construction digest, the graph part of image-cache keys: MD5
+    of every node's {!own_part} in pre-order, each behind its length, a
+    [Name]'s path after its own part. Equal digests mean the same
+    construction: names count by path, not by what they resolve to. *)
 val digest : node -> string
 
 (** A node's own part: its operator, its parameters and its content,

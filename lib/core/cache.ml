@@ -10,7 +10,11 @@
     conflicts forced alternate placements — the disk-consumption
     concern the paper flags. Each entry carries its serialized size so
     the cache can report disk use, and hit/miss counters feed the
-    caching experiment (E3). *)
+    caching experiment (E3).
+
+    Eviction policy: least hits first; among equal hits, alternate
+    placements before primaries, then oldest first. Entries carry their
+    insertion number: no choice among them follows the keys' text. *)
 
 (* Global telemetry: a process hosts one server cache at a time, so
    these track the per-cache counts below one-for-one. *)
@@ -37,6 +41,7 @@ let residency_to_string = function
 
 type entry = {
   key : string; (* construction digest *)
+  seq : int; (* insertion number: lower is older *)
   image : Linker.Image.t;
   digest : string Lazy.t; (* Linker.Image.digest image; a mapped hit forces it *)
   text_base : int;
@@ -106,6 +111,7 @@ let insert (t : t) ~(key : string) ~(text_base : int) ~(data_base : int)
   let e =
     {
       key;
+      seq = t.insertions;
       image;
       digest = lazy (Linker.Image.digest image);
       text_base;
@@ -182,6 +188,11 @@ let memo_clear (t : t) : unit =
 let to_list (t : t) : entry list =
   Hashtbl.fold (fun _ r acc -> List.rev_append !r acc) t.entries []
 
+let older (a : entry) (b : entry) : int = compare a.seq b.seq
+
+(** Every live entry, oldest first. *)
+let by_age (t : t) : entry list = List.sort older (to_list t)
+
 let clear (t : t) : unit =
   Hashtbl.reset t.entries;
   memo_clear t;
@@ -190,12 +201,10 @@ let clear (t : t) : unit =
   t.insertions <- 0
 
 (** [evict_to_budget t ~bytes] trims the cache to at most [bytes] of
-    serialized image data, dropping the least-used entries first (and
-    among equally-used ones, alternate placements before primaries).
-    Addresses the paper's §4.1 concern: "disk space for caching multiple
-    versions of large libraries could be significant". Returns the
-    evicted entries so the server can release their arena
-    reservations. *)
+    serialized image data in the eviction order of the header. Addresses
+    the paper's §4.1 concern: "disk space for caching multiple versions
+    of large libraries could be significant". Returns the evicted
+    entries so the server can release their arena reservations. *)
 let evict_to_budget (t : t) ~(bytes : int) : entry list =
   let all =
     (* a key's list is newest-first, so its primary (first-built)
@@ -211,12 +220,12 @@ let evict_to_budget (t : t) ~(bytes : int) : entry list =
   let total = List.fold_left (fun a (e, _) -> a + e.disk_bytes) 0 all in
   if total <= bytes then []
   else begin
-    (* least hits first; among equal hits, alternates before primaries *)
     let by_use =
       List.sort
         (fun ((a : entry), a_primary) ((b : entry), b_primary) ->
           match compare a.hits b.hits with
-          | 0 -> compare a_primary b_primary
+          | 0 -> (
+              match compare a_primary b_primary with 0 -> older a b | c -> c)
           | c -> c)
         all
     in
@@ -230,14 +239,12 @@ let evict_to_budget (t : t) ~(bytes : int) : entry list =
         end)
       by_use;
     let victim_set = !victims in
-    Hashtbl.iter
-      (fun _ r -> r := List.filter (fun e -> not (List.memq e victim_set)) !r)
+    (* now-empty keys go too *)
+    Hashtbl.filter_map_inplace
+      (fun _ r ->
+        r := List.filter (fun e -> not (List.memq e victim_set)) !r;
+        if !r = [] then None else Some r)
       t.entries;
-    (* drop now-empty keys *)
-    let empty =
-      Hashtbl.fold (fun k r acc -> if !r = [] then k :: acc else acc) t.entries []
-    in
-    List.iter (Hashtbl.remove t.entries) empty;
     t.generation <- t.generation + List.length victim_set;
     Telemetry.Counter.incr tm_evictions ~by:(List.length victim_set);
     (* derived data follows the images it was derived from *)

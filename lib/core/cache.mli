@@ -4,7 +4,11 @@
 
     Entries are keyed by the construction digest (meta-object graph +
     specialization); several entries may exist per key when address
-    conflicts forced alternate placements. *)
+    conflicts forced alternate placements.
+
+    Eviction policy: least hits first; among equal hits, alternate
+    placements before primaries (a key's first placement), then oldest
+    first. No choice among entries follows the text of their keys. *)
 
 (** Residency of an entry relative to the server's address-space
     arenas: [Placed] entries hold live text/data reservations, [Evicted]
@@ -17,6 +21,7 @@ val residency_to_string : residency -> string
 
 type entry = {
   key : string;  (** construction digest *)
+  seq : int;  (** insertion number: lower is older *)
   image : Linker.Image.t;
   digest : string Lazy.t;
       (** [Linker.Image.digest image], computed on first use and at most
@@ -90,15 +95,17 @@ val memo_drop : t -> string list -> unit
 (** The digests the table holds, sorted. *)
 val memo_digests : t -> string list
 
-(** Every live entry, across all keys and placements. *)
+(** Every live entry, across all keys and placements, in no set order. *)
 val to_list : t -> entry list
+
+(** Every live entry, oldest first. *)
+val by_age : t -> entry list
 
 val clear : t -> unit
 
 (** [evict_to_budget t ~bytes] trims the cache to at most [bytes] of
-    serialized image data, least-used entries first (and among
-    equally-used ones, alternate placements before primaries). Returns
-    the evicted entries so the caller can release their reservations. *)
+    serialized image data in the eviction order above. Returns the
+    evicted entries so the caller can release their reservations. *)
 val evict_to_budget : t -> bytes:int -> entry list
 
 type stats = {

@@ -211,13 +211,12 @@ let violation_message (v : violation) : string =
 
 let ranges_overlap (lo1, sz1) (lo2, sz2) = lo1 < lo2 + sz2 && lo2 < lo1 + sz1
 
-let check_invariants (t : t) : violation list =
-  Telemetry.Counter.incr tm_checks;
+(* The violations over [live], in its order. *)
+let violations (t : t) (live : Cache.entry list) : violation list =
   let out = ref [] in
   let add code fmt =
     Format.kasprintf (fun m -> out := { v_code = code; v_msg = m } :: !out) fmt
   in
-  let live = Cache.to_list t.cache in
   let placed =
     List.filter (fun (e : Cache.entry) -> e.Cache.residency = Cache.Placed) live
   in
@@ -268,7 +267,15 @@ let check_invariants (t : t) : violation list =
   in
   orphans t.text_arena "text" text_extent;
   orphans t.data_arena "data" data_extent;
-  let vs = List.rev !out in
+  List.rev !out
+
+let check_invariants (t : t) : violation list =
+  Telemetry.Counter.incr tm_checks;
+  (* every request checks: only a report sorts the entries *)
+  let vs =
+    if violations t (Cache.to_list t.cache) = [] then []
+    else violations t (Cache.by_age t.cache)
+  in
   if vs <> [] then begin
     Telemetry.Counter.incr tm_violations ~by:(List.length vs);
     List.iter
@@ -350,14 +357,13 @@ type seeded_violation =
   | Overlapping_entries
 
 let inject (t : t) (kind : seeded_violation) : unit =
-  let placed =
-    List.filter
+  match
+    List.find_opt
       (fun (e : Cache.entry) -> e.Cache.residency = Cache.Placed)
-      (Cache.to_list t.cache)
-  in
-  match placed with
-  | [] -> invalid_arg "Residency.inject: no placed entry to corrupt"
-  | e :: _ -> (
+      (Cache.by_age t.cache)
+  with
+  | None -> invalid_arg "Residency.inject: no placed entry to corrupt"
+  | Some e -> (
       Telemetry.Counter.incr tm_fault_injected;
       match kind with
       | Lost_reservation -> P.release t.text_arena ~lo:(fst (text_extent e))

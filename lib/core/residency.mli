@@ -105,7 +105,8 @@ val violation_message : violation -> string
     {- no arena interval belonging to a residency-managed owner is
        orphaned — left behind with no live [Placed] entry.}}
     Intervals of unmanaged owners (e.g. [Dynload]'s per-process ranges)
-    are ignored. *)
+    are ignored. Violations are reported taking entries oldest first
+    ({!Cache.by_age}). *)
 val check_invariants : t -> violation list
 
 (** @raise Violation if {!check_invariants} reports anything. *)
@@ -138,6 +139,6 @@ type seeded_violation =
   | Orphaned_interval  (** drop a placed entry, keeping its intervals *)
   | Overlapping_entries  (** duplicate a placed entry under a new key *)
 
-(** Corrupt the state (requires at least one [Placed] entry).
+(** Corrupt the state at the oldest [Placed] entry.
     @raise Invalid_argument when nothing is placed. *)
 val inject : t -> seeded_violation -> unit

@@ -114,7 +114,7 @@ let handle_bind (rt : t) (k : Simos.Kernel.t) (p : Simos.Proc.t) (cpu : Svm.Cpu.
               raise
                 (Scheme_error
                    (Printf.sprintf
-                      "library interface version mismatch: client built against                        %s, server provides %s"
+                      "library interface version mismatch: client built against %s, server provides %s"
                       (String.sub st.expected_version 0 8)
                       (String.sub version 0 8)));
             List.iter (Server.map_into rt.server p) builts;

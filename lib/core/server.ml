@@ -26,7 +26,6 @@ let client_data_base = 0x68000000
 type work_stats = {
   mutable links : int; (* full links performed *)
   mutable relocs : int; (* relocations applied by the server *)
-  mutable source_compiles : int;
   mutable instantiations : int;
   mutable nodes_walked : int; (* m-graph nodes registration walked *)
   mutable subtrees_replayed : int; (* ... and replayed from a kept walk *)
@@ -164,19 +163,25 @@ let wait_share_note_threshold = 0.5
 
 (* -- construction --------------------------------------------------------- *)
 
+(* The graph a server-object path names: what evaluation and the
+   analyses resolve a [Name] to. *)
+let lookup_graph (ns : Namespace.t) (path : string) :
+    (Blueprint.Mgraph.node, string) result =
+  match Namespace.lookup ns path with
+  | Some (Namespace.Fragment o) -> Ok (Blueprint.Mgraph.Leaf o)
+  | Some (Namespace.Meta m) -> Ok (Blueprint.Meta.effective_graph m ~spec:None)
+  | Some (Namespace.Directory _) -> Error (path ^ " is a directory")
+  | None -> Error ("unknown server object " ^ path)
+
 let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     =
   let ns = Namespace.create () in
   let env =
     Blueprint.Mgraph.make_env
       ~resolve:(fun path ->
-        match Namespace.lookup ns path with
-        | Some (Namespace.Fragment o) -> Blueprint.Mgraph.Leaf o
-        | Some (Namespace.Meta m) -> Blueprint.Meta.effective_graph m ~spec:None
-        | Some (Namespace.Directory _) ->
-            raise (Blueprint.Mgraph.Eval_error (path ^ " is a directory"))
-        | None ->
-            raise (Blueprint.Mgraph.Eval_error ("unknown server object " ^ path)))
+        match lookup_graph ns path with
+        | Ok g -> g
+        | Error msg -> raise (Blueprint.Mgraph.Eval_error msg))
       ()
   in
   (* Telemetry timestamps follow the simulated clock from here on, so
@@ -212,7 +217,6 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
       {
         links = 0;
         relocs = 0;
-        source_compiles = 0;
         instantiations = 0;
         nodes_walked = 0;
         subtrees_replayed = 0;
@@ -268,15 +272,9 @@ let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
   if Namespace.exists t.ns path then t.stale_trees <- true;
   Namespace.bind_fragment t.ns path o
 
-(* Result-returning twin of the evaluation env's resolve, for the
-   symbol-flow analyzer (which must never raise). *)
 let resolve_graph (t : t) (path : string) :
     (Blueprint.Mgraph.node, string) result =
-  match Namespace.lookup t.ns path with
-  | Some (Namespace.Fragment o) -> Ok (Blueprint.Mgraph.Leaf o)
-  | Some (Namespace.Meta m) -> Ok (Blueprint.Meta.effective_graph m ~spec:None)
-  | Some (Namespace.Directory _) -> Error (path ^ " is a directory")
-  | None -> Error ("unknown server object " ^ path)
+  lookup_graph t.ns path
 
 (* The memo key of an analyzed node: its interface digest, for a node
    the memo may answer. Leaves are free to re-make, and unmodeled nodes

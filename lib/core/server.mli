@@ -137,9 +137,9 @@ val memo_digests : t -> string list
     incremental-vs-from-scratch differential oracle flips. *)
 val set_subtree_reuse : t -> bool -> unit
 
-(** Result-returning twin of the evaluation environment's name
-    resolution, for the symbol-flow analyzer (which must never
-    raise). *)
+(** The evaluation environment's name resolution, as a result: the
+    environment raises [Eval_error] with the [Error] message. For the
+    symbol-flow analyzer, which must never raise. *)
 val resolve_graph :
   t -> string -> (Blueprint.Mgraph.node, string) result
 

@@ -1411,6 +1411,31 @@ let prop_one_own_part =
             ns)
         ns)
 
+(* Every pair of random nodes, their twins and their twins' twins (a
+   twin and its own twin share their operands): equal digests mean the
+   same construction. *)
+let prop_digest_one_construction =
+  QCheck.Test.make ~count:300 ~long_factor:50 ~name:"Mgraph.digest: one construction"
+    (QCheck.make
+       ~print:(fun ns ->
+         String.concat " | "
+           (List.map
+              (fun n ->
+                Printf.sprintf "%s over [%s]" (String.escaped (Mg.own_part n))
+                  (String.concat "; " (Mg.names n)))
+              ns))
+       QCheck.Gen.(
+         map
+           (List.concat_map (fun n ->
+                let t = twin n in
+                [ n; t; twin t ]))
+           (list_size (1 -- 6) gen_own_node)))
+    (fun ns ->
+      let ds = List.map (fun n -> (n, Mg.digest n)) ns in
+      List.for_all
+        (fun (a, da) -> List.for_all (fun (b, db) -> String.equal da db = (a = b)) ds)
+        ds)
+
 (* -- the interface sets against set-based references ------------------------ *)
 
 module Sf = Analysis.Symflow
@@ -1627,5 +1652,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_digest_classes;
           QCheck_alcotest.to_alcotest prop_info_at;
           QCheck_alcotest.to_alcotest prop_one_own_part;
+          QCheck_alcotest.to_alcotest prop_digest_one_construction;
         ] );
     ]

@@ -214,9 +214,26 @@ let test_version_mismatch_detected () =
   (try
      ignore (Simos.Kernel.run w.Omos.World.kernel p ());
      Alcotest.fail "expected version mismatch"
-   with Omos.Schemes.Scheme_error msg ->
-     Alcotest.(check bool) "mentions version" true
-       (Astring.String.is_infix ~affix:"version" msg));
+   with Omos.Schemes.Scheme_error msg -> (
+     match
+       Scanf.sscanf msg
+         "library interface version mismatch: client built against %8[0-9a-f], \
+          server provides %8[0-9a-f]%!"
+         (fun a b -> (a, b))
+     with
+     | client, server ->
+         (* a space in a scanf format skips any run of blanks *)
+         Alcotest.(check string) "one space per gap"
+           (Printf.sprintf
+              "library interface version mismatch: client built against %s, \
+               server provides %s"
+              client server)
+           msg;
+         Alcotest.(check (list int)) "8 hex digits each" [ 8; 8 ]
+           [ String.length client; String.length server ];
+         Alcotest.(check bool) "versions differ" true (client <> server)
+     | exception (Scanf.Scan_failure _ | End_of_file) ->
+         Alcotest.failf "unexpected message %S" msg));
   (* a freshly built client works against the new library *)
   let prog2 =
     Omos.Schemes.partial_image_program w.Omos.World.rt ~name:"ls2"

@@ -349,6 +349,34 @@ let test_map_key_digest_once () =
   Alcotest.(check string) "the second hit reads the memoized digest" k1 (key h2);
   Bytes.set text 0 b0
 
+(* -- cache keys ----------------------------------------------------------------- *)
+
+(* Two constructions that a comma-joined digest text confuses:
+   ("^f", "h,i") copies f as "h,i", ("^f,h", "i") selects nothing. The
+   second must build its own image, the one lint predicts. *)
+let test_cache_key_commas () =
+  let s = fresh_world () in
+  Omos.Server.add_fragment s "/t/x.o"
+    (Minic.Driver.compile ~name:"/t/x.o"
+       "int f(int x) { return x; }\nint g(int x) { return x + 1; }");
+  let build src =
+    Omos.Server.register_meta_source s "/t/lib" src;
+    Omos.Server.instantiate s (Omos.Server.library "/t/lib")
+  in
+  let symtab (r : Omos.Server.response) =
+    List.sort compare
+      (List.map fst
+         r.Omos.Server.built.Omos.Server.entry.Omos.Cache.image.Linker.Image.symtab)
+  in
+  let first = build "(copy_as \"^f\" \"h,i\" /t/x.o)" in
+  Alcotest.(check (list string)) "first copies f" [ "f"; "g"; "h,i" ] (symtab first);
+  let second = build "(copy_as \"^f,h\" \"i\" /t/x.o)" in
+  let predicted = (Option.get (Omos.Server.lint_report s "/t/lib")).Analysis.Lint.exports in
+  Alcotest.(check (list string)) "lint: the second copies nothing" [ "f"; "g" ] predicted;
+  Alcotest.(check bool) "the second misses" false second.Omos.Server.cache_hit;
+  Alcotest.(check (list string)) "the second's image is the predicted one" predicted
+    (symtab second)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -386,4 +414,6 @@ let () =
           Alcotest.test_case "values pinned" `Quick test_map_key_values;
           Alcotest.test_case "digest once per entry" `Quick test_map_key_digest_once;
         ] );
+      ( "cache keys",
+        [ Alcotest.test_case "parameters with commas" `Quick test_cache_key_commas ] );
     ]

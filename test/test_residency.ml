@@ -216,6 +216,31 @@ let test_evict_tiebreak_alternates_first () =
        (fun (e : Omos.Cache.entry) -> e.Omos.Cache.text_base)
        (Omos.Cache.candidates c "k"))
 
+(* Among equal hits, alternates go first, then the oldest. The keys
+   were chosen so that the cache table lists them in another order than
+   they were inserted in. *)
+let test_evict_tiebreak_oldest_first () =
+  let c = Omos.Cache.create () in
+  let insert key base =
+    Omos.Cache.insert c ~key ~text_base:base ~data_base:0x2000 (dummy_image "img")
+  in
+  let oldest = insert "/t/a" 0x1000 in
+  ignore (insert "/t/b" 0x3000);
+  ignore (insert "/t/c" 0x5000);
+  let alternate = insert "/t/b" 0x7000 in
+  let total = (Omos.Cache.stats c).Omos.Cache.disk_bytes_total in
+  let victims =
+    Omos.Cache.evict_to_budget c
+      ~bytes:(total - alternate.Omos.Cache.disk_bytes - oldest.Omos.Cache.disk_bytes)
+  in
+  let bases es =
+    List.sort compare (List.map (fun (e : Omos.Cache.entry) -> e.Omos.Cache.text_base) es)
+  in
+  Alcotest.(check (list int)) "the alternate and the oldest primary" [ 0x1000; 0x7000 ]
+    (bases victims);
+  Alcotest.(check (list int)) "the younger primaries stay" [ 0x3000; 0x5000 ]
+    (bases (Omos.Cache.to_list c))
+
 (* -- fault injection: reserve failure on the hit path ------------------- *)
 
 let faults_only ?(seed = 42) ?(place_conflict = 0.0) ?(evict_storm = 0.0)
@@ -393,6 +418,8 @@ let () =
             test_static_eviction_preserves_foreign_intervals;
           Alcotest.test_case "tie-break evicts alternates first" `Quick
             test_evict_tiebreak_alternates_first;
+          Alcotest.test_case "tie-break then evicts the oldest" `Quick
+            test_evict_tiebreak_oldest_first;
         ] );
       ( "faults",
         [
