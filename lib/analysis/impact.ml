@@ -1,9 +1,8 @@
 (** Subtree dependence analysis — see impact.mli for the contract.
 
-    The operator semantics live in {!Lint.walk}: this module only
-    annotates each walked node with its flow and digest, so the lint
-    findings and the interface summaries come out of one abstract
-    interpretation. *)
+    The operator semantics live in {!Lint}: the tree is a kept walk, so
+    the lint findings, the flows and the interface digests come out of
+    one abstract interpretation, and this module reads them. *)
 
 module S = Symflow.S
 module Mg = Blueprint.Mgraph
@@ -18,22 +17,12 @@ type summary = {
   s_prefs : string list;
 }
 
-type info = {
-  i_path : string;
-  i_node : Mg.node;
-  i_flow : Symflow.t;
-  i_prefs : Mg.constraint_pref list;
-  i_digest : string;
-  i_modeled : bool;
-  i_keyed : bool;
-  i_children : info list;
-}
+type info = Lint.info
 
 type tree = {
   t_graph : Mg.node;
   t_root : info;
-  t_approximate : bool;
-  t_kept : info Lint.kept option;
+  t_report : Lint.report;
 }
 
 (* -- canonical rendering ---------------------------------------------------- *)
@@ -81,68 +70,18 @@ let summary (i : info) : summary =
     s_prefs = List.map pref_str i.i_prefs;
   }
 
-(* -- the per-node annotation ------------------------------------------------- *)
-
-(* The digest chains the node's own part (length-prefixed), its
-   occurrence key when it mints aliases, and the operand digests: a key
-   anywhere below ties the digest to one occurrence. The summary is not
-   hashed: the construction fixes it. *)
-let node_digest (n : Mg.node) (key : string option) (children : info list) :
-    string =
-  let own = Mg.own_part n in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x01"
-          ("impact.v3" :: string_of_int (String.length own) :: own
-          :: Option.value key ~default:""
-          :: List.map (fun c -> c.i_digest) children)))
-
-let annotate ~path ~key ~modeled (n : Mg.node) (m : Symflow.t)
-    (prefs : Mg.constraint_pref list) (children : info list) : info =
-  {
-    i_path = path;
-    i_node = n;
-    i_flow = m;
-    i_prefs = prefs;
-    i_digest = node_digest n key children;
-    i_modeled = modeled && List.for_all (fun c -> c.i_modeled) children;
-    i_keyed = key <> None || List.exists (fun c -> c.i_keyed) children;
-    i_children = children;
-  }
-
 (* -- entry points ------------------------------------------------------------ *)
 
-let fallback_info (root : Mg.node) : info =
-  {
-    i_path = Mg.op_name root;
-    i_node = root;
-    i_flow = Symflow.empty;
-    i_prefs = [];
-    i_digest = "(analysis-error)";
-    i_modeled = false;
-    i_keyed = false;
-    i_children = [];
-  }
-
-let tree_of (root : Mg.node) (info : info option) t_kept : tree =
-  let t_root = Option.value info ~default:(fallback_info root) in
-  { t_graph = root; t_root; t_approximate = not t_root.i_modeled; t_kept }
-
-let analyze_and_lint ~(resolve : string -> (Mg.node, string) result)
-    (root : Mg.node) : tree * Lint.report =
-  let report, info = Lint.walk ~resolve ~annotate root in
-  (tree_of root info None, report)
-
 let reanalyze ~(resolve : string -> (Mg.node, string) result)
-    ~(prev : tree option) (root : Mg.node) : tree * info Lint.kept_walk =
+    ~(prev : tree option) (root : Mg.node) : tree * Lint.kept_walk =
   let w =
-    Lint.rewalk ~resolve ~annotate
-      ~prev:(Option.bind prev (fun t -> t.t_kept))
+    Lint.rewalk ~resolve
+      ~prev:(Option.map (fun t -> (t.t_root, t.t_report)) prev)
       root
   in
-  (tree_of root w.Lint.root w.Lint.kept, w)
+  ({ t_graph = root; t_root = w.Lint.root; t_report = w.Lint.report }, w)
 
-let analyze ~resolve root = fst (analyze_and_lint ~resolve root)
+let analyze ~resolve root = fst (reanalyze ~resolve ~prev:None root)
 
 let iter_infos (f : info -> unit) (t : tree) : unit =
   let rec go i =

@@ -1,24 +1,25 @@
-(** Subtree dependence analysis: content-addressed interface summaries
-    over m-graphs, and the reuse/respin verdicts that make incremental
-    relinking sound.
+(** Subtree dependence analysis: interface digests over m-graphs, and
+    the reuse/respin verdicts that make incremental relinking sound.
 
-    Built on {!Lint.walk} over {!Symflow}: per node the analyzer keeps
-    its symbol flow and preferences, from which {!summary} renders a
+    The tree is a kept {!Lint.rewalk} over {!Symflow}: per node it holds
+    the symbol flow and preferences, from which {!summary} renders a
     canonical {e interface summary} — exports with binding and
     multiplicity, undefined references, reloc shape (referenced names),
-    frozen/hidden sets and accumulated constraint preferences — and a
-    digest of its construction: its own part ({!Blueprint.Mgraph.own_part}:
-    operator, length-prefixed parameters, leaf and source content by
-    digest), the occurrence key of a live freeze/hide/show, and the
-    child digests, chained bottom-up. Evaluation is deterministic, so
-    two subtrees with equal digests are link-equivalent: the same
-    construction with the same minted aliases evaluates to the same
-    module, hence the same interface and the same placement
-    preferences. The summary is not hashed: the construction fixes it.
+    frozen/hidden sets and accumulated constraint preferences — and an
+    {e interface digest}: the hex of the node's content key (its own
+    part, {!Blueprint.Mgraph.own_part}: operator, length-prefixed
+    parameters, leaf and source content by digest; a [Name]'s path; the
+    operands' keys, a name's operand being what it resolves to).
+    Evaluation is deterministic, so two subtrees with equal digests are
+    link-equivalent: the same construction evaluates to the same module,
+    hence the same interface and the same placement preferences. The
+    summary is not hashed: the construction fixes it.
 
     A live freeze/hide/show names its aliases after its occurrence, so
-    its digest, and every ancestor's, is {e keyed}: it holds only where
-    the node sits. Digests without a key hold anywhere.
+    its subtree, and every ancestor's, is {e keyed}: its digest is the
+    hex of an MD5 over the content key and the node's occurrence path,
+    and holds only where the node sits. Digests without a key hold
+    anywhere.
 
     {!diff} compares an old/new analysis: each node of the new tree is
     either [Reused] (fully modeled, and its digest present among the
@@ -46,27 +47,10 @@ type summary = {
   s_prefs : string list;  (** rendered constraint preferences *)
 }
 
-(** Annotated analysis of one node. Private: only this module builds
-    one. *)
-type info = private {
-  i_path : string;  (** m-graph path, {!Lint}'s addressing vocabulary *)
-  i_node : Mg.node;
-  i_flow : Symflow.t;  (** the node's symbol flow; see {!summary} *)
-  i_prefs : Mg.constraint_pref list;  (** accumulated, evaluation order *)
-  i_digest : string;
-      (** construction digest: own part + occurrence key of a live
-          freeze/hide/show + child digests, chained bottom-up; the
-          server's memo key for the node *)
-  i_modeled : bool;
-      (** the whole subtree is fully modeled: every name resolves
-          acyclically, every selector/template compiles, every source
-          compiles, every specializer has a modeled semantics. Only
-          such subtrees can be reused. *)
-  i_keyed : bool;
-      (** a live freeze/hide/show in the subtree mints aliases named
-          after its occurrence: the digest holds only at [i_path] *)
-  i_children : info list;
-}
+(** One analyzed node: a node of the kept walk ({!Lint.info}; its
+    fields are {!Lint}'s). [i_digest] is the server's memo key for the
+    node; only a fully modeled ([i_modeled]) subtree can be reused. *)
+type info = Lint.info
 
 (** A node's interface summary, rendered from its flow on demand:
     {!diff} names the first differing fact of a respun node from it. *)
@@ -78,33 +62,24 @@ type tree = {
           content-equal node of an earlier walk that a kept walk
           replayed *)
   t_root : info;
-  t_approximate : bool;
-      (** some node could not be modeled precisely; it and its
-          ancestors can never be reused *)
-  t_kept : info Lint.kept option;
-      (** the walk behind the tree, kept by {!reanalyze} for the next
-          one to replay from; [None] from {!analyze} *)
+  t_report : Lint.report;  (** the walk's lint report *)
 }
 
-(** Analyze a graph. Never raises; unmodelable nodes are marked
-    unmodeled rather than failing. *)
+(** Analyze a graph: a kept walk from scratch. Never raises;
+    unmodelable nodes are marked unmodeled rather than failing, and an
+    analyzer failure leaves an unmodeled root with no operands. *)
 val analyze :
   resolve:(string -> (Mg.node, string) result) -> Mg.node -> tree
 
-(** {!analyze} and {!Lint.analyze} from one walk of the graph. *)
-val analyze_and_lint :
-  resolve:(string -> (Mg.node, string) result) -> Mg.node -> tree * Lint.report
-
-(** {!analyze_and_lint} as a {!Lint.rewalk}: subtrees whose path and
-    content key are unchanged since [prev]'s walk are replayed from it,
-    and the result keeps its walk for the next call. The tree and the
-    report are exactly {!analyze_and_lint}'s; the kept walk also counts
-    the nodes walked and the subtrees replayed. *)
+(** {!analyze}, replaying from [prev]'s walk every subtree whose path
+    and content key are unchanged ({!Lint.rewalk}). The tree is exactly
+    {!analyze}'s; the kept walk also counts the nodes walked and the
+    subtrees replayed. *)
 val reanalyze :
   resolve:(string -> (Mg.node, string) result) ->
   prev:tree option ->
   Mg.node ->
-  tree * info Lint.kept_walk
+  tree * Lint.kept_walk
 
 (** Pre-order walk over an info tree. *)
 val iter_infos : (info -> unit) -> tree -> unit

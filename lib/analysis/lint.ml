@@ -6,7 +6,7 @@
     computes on {!Symflow} name sets instead of materializing views — so
     it is safe to run at meta-object registration time, costs nothing on
     the simulated clock, and can diagnose graphs whose evaluation would
-    raise. {!Impact} annotates the same walk with flows and digests.
+    raise. A kept walk ({!rewalk}) is also {!Impact}'s tree.
 
     Stable diagnostic codes:
 
@@ -37,7 +37,9 @@
     - [W103] freeze-of-already-frozen — freezing symbols whose bindings
       are already permanent (mints a useless extra alias).
     - [W104] shadowed-weak-definition — a weak definition permanently
-      shadowed by a global one in a [merge]. *)
+      shadowed by a global one in a [merge].
+    - [E999] analyzer-internal-error — the analyzer itself raised; the
+      report is approximate. *)
 
 module S = Symflow.S
 module Mg = Blueprint.Mgraph
@@ -82,19 +84,8 @@ let finding_to_string (f : finding) : string =
 
 (* -- driver state ----------------------------------------------------------- *)
 
-type 'a annotate =
-  path:string ->
-  key:string option ->
-  modeled:bool ->
-  Mg.node ->
-  Symflow.t ->
-  Mg.constraint_pref list ->
-  'a list ->
-  'a
-
-type 'a state = {
+type state = {
   resolve : string -> (Mg.node, string) result;
-  annotate : 'a annotate;
   mutable findings : finding list;  (* newest first *)
   mutable ever_defined : S.t;  (* names defined anywhere, at any point *)
   mutable visiting : string list;  (* Name cycle detection *)
@@ -111,59 +102,69 @@ type 'a state = {
 type keys = { hash : string; kids : keys list }
 
 (* One node's walk, with its subtree's. *)
-type 'a walked = {
-  k_path : string;
-  k_node : Mg.node;
-  k_key : string;
-  k_flow : Symflow.t;
-  k_prefs : Mg.constraint_pref list;
-  k_ann : 'a;
-  k_findings : finding list;  (* the subtree's, traversal order *)
-  k_approximate : bool;
-  k_eval_fails : bool;
-  k_defined : S.t;  (* names any node of the subtree defined *)
-  k_kids : 'a walked list;  (* operands, walk order *)
+type info = {
+  i_path : string;
+  i_node : Mg.node;
+  i_key : string;  (* content key *)
+  i_digest : string;  (* interface digest, from [i_key] *)
+  i_flow : Symflow.t;
+  i_prefs : Mg.constraint_pref list;
+  i_modeled : bool;  (* the whole subtree is fully modeled *)
+  i_keyed : bool;  (* some live freeze/hide/show in the subtree *)
+  i_findings : finding list;  (* the subtree's, traversal order *)
+  i_approximate : bool;
+  i_eval_fails : bool;
+  i_defined : S.t;  (* names any node of the subtree defined *)
+  i_children : info list;  (* operands, walk order *)
 }
 
-type 'a kept = { k_root : 'a walked; k_report : report }
-
-type 'a kept_walk = {
+type kept_walk = {
   report : report;
-  root : 'a option;
-  kept : 'a kept option;
+  root : info;
   walked : int;
   replayed : int;
 }
 
+(* MD5 of [parts], then of the operand keys [kids], each behind its
+   length. *)
+let hash (parts : string list) (kids : keys list) : string =
+  let b = Buffer.create 64 in
+  List.iter (Mg.add_part b) parts;
+  List.iter (fun k -> Mg.add_part b k.hash) kids;
+  Digest.string (Buffer.contents b)
+
+(* A node's interface digest: its content key, or, where a live
+   freeze/hide/show below names aliases after its occurrence, the key
+   with the node's path. *)
+let interface_digest ~keyed ~path (key : string) : string =
+  Digest.to_hex (if keyed then hash [ key; path ] [] else key)
+
 (* One node's operands during a kept walk: their content keys and their
    previous walks still to visit, and this walk's results so far. *)
-type 'a cursor = {
+type cursor = {
   mutable keys : keys list;
-  mutable prev : 'a walked list;  (* by position *)
-  mutable done_ : 'a walked list;  (* newest first *)
+  mutable prev : info list;  (* by position *)
+  mutable done_ : info list;  (* newest first *)
 }
 
-(* One node's walk: its flow and preferences, its operands'
-   annotations, whether its own semantics are modeled exactly, and its
-   occurrence key when it minted freeze/hide/show aliases. *)
-type 'a step = {
+(* One node's walk: its flow and preferences, whether its own semantics
+   are modeled exactly, and its occurrence key when it minted
+   freeze/hide/show aliases. *)
+type step = {
   flow : Symflow.t;
   prefs : Mg.constraint_pref list;
-  children : 'a list;
   modeled : bool;
   key : string option;
 }
 
 (* A node the analyzer cannot model (unresolved name, broken source,
    malformed graph): nothing flows out of it. *)
-let opaque =
-  { flow = Symflow.empty; prefs = []; children = []; modeled = false; key = None }
+let opaque = { flow = Symflow.empty; prefs = []; modeled = false; key = None }
 
-(* The step of a node with one operand, walked as [(_, prefs, ann)]. *)
+(* The step of a node with one operand, walked as [(_, prefs)]. *)
 let over ?(modeled = true) ?key
-    ((_, prefs, ann) : Symflow.t * Mg.constraint_pref list * 'a)
-    (flow : Symflow.t) : 'a step =
-  { flow; prefs; children = [ ann ]; modeled; key }
+    ((_, prefs) : Symflow.t * Mg.constraint_pref list) (flow : Symflow.t) : step =
+  { flow; prefs; modeled; key }
 
 (* A freeze/hide/show: aliases are keyed by the node's occurrence, and
    the node carries its key only when it actually mints. *)
@@ -171,12 +172,12 @@ let mint ~path ~live operand (apply : key:string -> Symflow.t) =
   let key = Mg.occurrence_key path in
   over ?key:(if live then Some key else None) operand (apply ~key)
 
-let emit (st : _ state) ~code ~title ~severity ~path ?(symbols = []) message :
+let emit (st : state) ~code ~title ~severity ~path ?(symbols = []) message :
     unit =
   st.findings <-
     { code; title; severity; path; symbols; message } :: st.findings
 
-let fails (st : _ state) ~code ~title ~path ?symbols message : unit =
+let fails (st : state) ~code ~title ~path ?symbols message : unit =
   st.eval_fails <- true;
   emit st ~code ~title ~severity:Error ~path ?symbols message
 
@@ -185,7 +186,7 @@ let malformed st ~path message =
 
 (* A selector that failed to compile: report E006 once and treat the
    operator as a no-op so analysis can continue. *)
-let compile_sel (st : _ state) ~path (pattern : string) : Jigsaw.Select.t option
+let compile_sel (st : state) ~path (pattern : string) : Jigsaw.Select.t option
     =
   match Jigsaw.Select.compile_res pattern with
   | Ok sel -> Some sel
@@ -197,7 +198,7 @@ let compile_sel (st : _ state) ~path (pattern : string) : Jigsaw.Select.t option
 (* A rewrite map whose template may fail to apply ([\1] without a
    group): report E006 on first failure, then behave as non-matching.
    The flag records the failure: the node is no longer modeled. *)
-let guarded_map (st : _ state) ~path ~(pattern : string) ~(template : string)
+let guarded_map (st : state) ~path ~(pattern : string) ~(template : string)
     (map : string -> string option) : (string -> string option) * bool ref =
   let bad = ref false in
   ( (fun n ->
@@ -220,7 +221,7 @@ let guarded_map (st : _ state) ~path ~(pattern : string) ~(template : string)
    with its first two sources, in the order {!Jigsaw.Module_ops.merge}
    finds them. A weak definition is shadowed (W104) when another
    operand defines the name global. *)
-let check_merge_conflicts (st : _ state) ~path (parts : Symflow.t list) : unit =
+let check_merge_conflicts (st : state) ~path (parts : Symflow.t list) : unit =
   (* global name -> first source, last operand, defined in two operands *)
   let globals : (string, string * int * bool) Hashtbl.t = Hashtbl.create 16 in
   let own = Hashtbl.create 8 in
@@ -271,7 +272,7 @@ let check_merge_conflicts (st : _ state) ~path (parts : Symflow.t list) : unit =
 
 (* Globals created by a defs-side rewrite that now collide (E003): names
    whose global multiplicity grew to >= 2. *)
-let check_rename_collision (st : _ state) ~path ~(op : string)
+let check_rename_collision (st : state) ~path ~(op : string)
     (before : Symflow.t) (after : Symflow.t) : unit =
   let counts (m : Symflow.t) : (string, int) Hashtbl.t =
     let h = Hashtbl.create 32 in
@@ -323,13 +324,13 @@ let add_defined (defined : S.t) (n : Mg.node) (flow : Symflow.t) : S.t =
 (* [up] is the parent's cursor in a kept walk, [None] in a walk that
    keeps nothing. A kept walk replays the previous walk of a node whose
    path and content key are unchanged, and steps through the rest. *)
-let rec go (st : 'a state) (up : 'a cursor option) (path : string)
-    (n : Mg.node) : Symflow.t * Mg.constraint_pref list * 'a =
+let rec go (st : state) (up : cursor option) (path : string) (n : Mg.node) :
+    Symflow.t * Mg.constraint_pref list =
   match up with
   | None ->
       let s = step st None path n in
       st.ever_defined <- add_defined st.ever_defined n s.flow;
-      (s.flow, s.prefs, annotate_step st path n s)
+      (s.flow, s.prefs)
   | Some up ->
       let k = List.hd up.keys in
       up.keys <- List.tl up.keys;
@@ -342,31 +343,27 @@ let rec go (st : 'a state) (up : 'a cursor option) (path : string)
       in
       let w =
         match prev with
-        | Some p when String.equal p.k_path path && String.equal p.k_key k.hash ->
+        | Some p when String.equal p.i_path path && String.equal p.i_key k.hash ->
             replay st p
         | _ -> step_kept st k prev path n
       in
       up.done_ <- w :: up.done_;
-      (w.k_flow, w.k_prefs, w.k_ann)
-
-and annotate_step st path n (s : _ step) =
-  st.annotate ~path ~key:s.key ~modeled:s.modeled n s.flow s.prefs s.children
+      (w.i_flow, w.i_prefs)
 
 (* Everything a walk of [p]'s subtree would add to the walk's state. *)
-and replay (st : 'a state) (p : 'a walked) : 'a walked =
-  st.findings <- List.rev_append p.k_findings st.findings;
-  st.approximate <- st.approximate || p.k_approximate;
-  st.eval_fails <- st.eval_fails || p.k_eval_fails;
-  st.ever_defined <- S.union st.ever_defined p.k_defined;
+and replay (st : state) (p : info) : info =
+  st.findings <- List.rev_append p.i_findings st.findings;
+  st.approximate <- st.approximate || p.i_approximate;
+  st.eval_fails <- st.eval_fails || p.i_eval_fails;
+  st.ever_defined <- S.union st.ever_defined p.i_defined;
   st.n_replayed <- st.n_replayed + 1;
   p
 
-and step_kept (st : 'a state) (k : keys) (prev : 'a walked option) path n :
-    'a walked =
+and step_kept (st : state) (k : keys) (prev : info option) path n : info =
   let cur =
     {
       keys = k.kids;
-      prev = (match prev with Some p -> p.k_kids | None -> []);
+      prev = (match prev with Some p -> p.i_children | None -> []);
       done_ = [];
     }
   in
@@ -383,31 +380,34 @@ and step_kept (st : 'a state) (k : keys) (prev : 'a walked option) path n :
     | f :: rest -> since (f :: acc) rest
     | [] -> acc
   in
+  let kids = List.rev cur.done_ in
+  let keyed = s.key <> None || List.exists (fun c -> c.i_keyed) kids in
   let w =
     {
-      k_path = path;
-      k_node = n;
-      k_key = k.hash;
-      k_flow = s.flow;
-      k_prefs = s.prefs;
-      k_ann = annotate_step st path n s;
-      k_findings = since [] st.findings;
-      k_approximate = st.approximate;
-      k_eval_fails = st.eval_fails;
-      k_defined = add_defined st.ever_defined n s.flow;
-      k_kids = List.rev cur.done_;
+      i_path = path;
+      i_node = n;
+      i_key = k.hash;
+      i_digest = interface_digest ~keyed ~path k.hash;
+      i_flow = s.flow;
+      i_prefs = s.prefs;
+      i_modeled = s.modeled && List.for_all (fun c -> c.i_modeled) kids;
+      i_keyed = keyed;
+      i_findings = since [] st.findings;
+      i_approximate = st.approximate;
+      i_eval_fails = st.eval_fails;
+      i_defined = add_defined st.ever_defined n s.flow;
+      i_children = kids;
     }
   in
-  st.approximate <- approximate0 || w.k_approximate;
-  st.eval_fails <- eval_fails0 || w.k_eval_fails;
-  st.ever_defined <- S.union defined0 w.k_defined;
+  st.approximate <- approximate0 || w.i_approximate;
+  st.eval_fails <- eval_fails0 || w.i_eval_fails;
+  st.ever_defined <- S.union defined0 w.i_defined;
   st.n_walked <- st.n_walked + 1;
   w
 
 and operand st cur path ?idx x = go st cur (Mg.child_path path ?idx x) x
 
-and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
-    : 'a step =
+and step (st : state) (cur : cursor option) (path : string) (n : Mg.node) : step =
   match n with
   | Mg.Leaf o -> { opaque with flow = Symflow.of_object o; modeled = true }
   | Mg.Name p -> (
@@ -423,7 +423,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
         | Error msg -> unknown msg
         | Ok sub ->
             st.visiting <- p :: st.visiting;
-            let ((m, _, _) as r) = go st cur path sub in
+            let ((m, _) as r) = go st cur path sub in
             st.visiting <- List.tl st.visiting;
             over r m)
   | Mg.Merge operands -> (
@@ -433,19 +433,13 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
           opaque
       | flat ->
           let rs = List.mapi (fun i x -> operand st cur path ~idx:i x) flat in
-          let parts = List.map (fun (m, _, _) -> m) rs in
+          let parts = List.map fst rs in
           let m = List.fold_left Symflow.merge (List.hd parts) (List.tl parts) in
           if List.length parts > 1 then check_merge_conflicts st ~path parts;
-          {
-            flow = m;
-            prefs = List.concat_map (fun (_, p, _) -> p) rs;
-            children = List.map (fun (_, _, a) -> a) rs;
-            modeled = true;
-            key = None;
-          })
+          { flow = m; prefs = List.concat_map snd rs; modeled = true; key = None })
   | Mg.Override (a, b) ->
-      let ma, pa, ia = operand st cur path ~idx:0 a in
-      let mb, pb, ib = operand st cur path ~idx:1 b in
+      let ma, pa = operand st cur path ~idx:0 a in
+      let mb, pb = operand st cur path ~idx:1 b in
       let a_exports = S.of_list (Symflow.exports ma) in
       let b_exports = Symflow.exports mb in
       if not (List.exists (fun n -> S.mem n a_exports) b_exports) then
@@ -456,9 +450,9 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
       let a' = Symflow.restrict (fun n -> List.mem n b_exports) ma in
       let m = Symflow.merge a' mb in
       check_merge_conflicts st ~path [ a'; mb ];
-      { flow = m; prefs = pa @ pb; children = [ ia; ib ]; modeled = true; key = None }
+      { flow = m; prefs = pa @ pb; modeled = true; key = None }
   | Mg.Freeze (p, x) -> (
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -474,7 +468,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
           mint ~path ~live:(selected <> []) r
             (Symflow.freeze (Jigsaw.Select.matches sel) mx))
   | Mg.Restrict (p, x) -> (
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -485,7 +479,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
                  "selector %S matches no definition; restrict has no effect" p);
           over r (Symflow.restrict pred mx))
   | Mg.Project (p, x) -> (
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -497,7 +491,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
                  p);
           over r (Symflow.project pred mx))
   | Mg.Copy_as (p, template, x) -> (
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -509,7 +503,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
           check_rename_collision st ~path ~op:"copy-as" mx m';
           over ~modeled:(not !bad) r m')
   | Mg.Hide (p, x) -> (
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -521,7 +515,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
                  "selector %S matches no export; hide has no effect" p);
           mint ~path ~live r (Symflow.hide pred mx))
   | Mg.Show (p, x) -> (
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -533,7 +527,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
                  "selector %S matches every export; show has no effect" p);
           mint ~path ~live r (Symflow.show pred mx))
   | Mg.Rename (scope, p, template, x) -> (
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       match compile_sel st ~path p with
       | None -> over ~modeled:false r mx
       | Some sel ->
@@ -546,7 +540,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
             check_rename_collision st ~path ~op:"rename" mx m';
           over ~modeled:(not !bad) r m')
   | Mg.Initializers x ->
-      let ((mx, _, _) as r) = operand st cur path x in
+      let ((mx, _) as r) = operand st cur path x in
       over r (Symflow.initializers mx)
   | Mg.Source (lang, text) -> (
       let broken msg =
@@ -561,7 +555,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
               broken (Printf.sprintf "source: %s" msg))
       | other -> broken (Printf.sprintf "source: unsupported language %S" other))
   | Mg.Specialize (style, args, x) -> (
-      let ((mx, px, _) as r) = operand st cur path x in
+      let ((mx, px) as r) = operand st cur path x in
       match style with
       | "lib-constrained" -> (
           match Mg.lib_constrained_prefs args with
@@ -580,7 +574,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
           malformed st ~path (Printf.sprintf "unknown specialization %S" other);
           over ~modeled:false r mx)
   | Mg.Constrain (seg, addr, x) ->
-      let ((mx, px, _) as r) = operand st cur path x in
+      let ((mx, px) as r) = operand st cur path x in
       { (over r mx) with prefs = Mg.address_prefs seg addr @ px }
   | Mg.Lst _ ->
       malformed st ~path
@@ -589,7 +583,7 @@ and step (st : 'a state) (cur : 'a cursor option) (path : string) (n : Mg.node)
 
 (* -- root checks ------------------------------------------------------------ *)
 
-let check_constraints (st : _ state) ~path (prefs : Mg.constraint_pref list) :
+let check_constraints (st : state) ~path (prefs : Mg.constraint_pref list) :
     unit =
   (* distinct At addresses for the same segment at equal priority *)
   let tbl : (string * int, int list) Hashtbl.t = Hashtbl.create 8 in
@@ -621,7 +615,7 @@ let check_constraints (st : _ state) ~path (prefs : Mg.constraint_pref list) :
               (List.map (Printf.sprintf "0x%x") addrs))))
     conflicts
 
-let check_unresolved (st : _ state) ~path (undefined : string list) : unit =
+let check_unresolved (st : state) ~path (undefined : string list) : unit =
   let lost = List.filter (fun n -> S.mem n st.ever_defined) undefined in
   if lost <> [] then
     emit st ~code:"E001" ~title:"unresolved-at-root" ~severity:Error ~path
@@ -632,7 +626,7 @@ let check_unresolved (st : _ state) ~path (undefined : string list) : unit =
 (* -- content keys ------------------------------------------------------------- *)
 
 (* [f] over [xs], each with the previous walk's operand at its position. *)
-let rec aligned f (xs : Mg.node list) (prevs : 'a walked list) : keys list =
+let rec aligned f (xs : Mg.node list) (prevs : info list) : keys list =
   match (xs, prevs) with
   | [], _ -> []
   | x :: xs, p :: ps ->
@@ -643,10 +637,10 @@ let rec aligned f (xs : Mg.node list) (prevs : 'a walked list) : keys list =
       k :: aligned f xs []
 
 (* Do operand keys [ks] read as the previous walk's operands [ps] did? *)
-let rec same_keys (ks : keys list) (ps : 'a walked list) : bool =
+let rec same_keys (ks : keys list) (ps : info list) : bool =
   match (ks, ps) with
   | [], [] -> true
-  | k :: ks, p :: ps -> String.equal k.hash p.k_key && same_keys ks ps
+  | k :: ks, p :: ps -> String.equal k.hash p.i_key && same_keys ks ps
   | _ -> false
 
 (* The operands an operator's key covers, in [go]'s order. [None] for a
@@ -669,8 +663,8 @@ let operands_of (n : Mg.node) : Mg.node list option =
       Some [ x ]
   | Mg.Name _ | Mg.Leaf _ | Mg.Source _ | Mg.Lst _ -> None
 
-(* Keys for the nodes [go] will visit, in its order: a node's parts,
-   each length-prefixed, and its operands' keys. A node's own part
+(* Keys for the nodes [go] will visit, in its order: a node's parts and
+   its operands' keys, each behind its length. A node's own part
    ({!Mg.own_part}) is one part; every [Name] adds its path and resolves
    as [step] resolves it, so a key fixes what the name reaches, or the
    error or cycle it reports; with the path, it fixes everything the
@@ -682,31 +676,21 @@ let operands_of (n : Mg.node) : Mg.node list option =
    read off the previous node ({!Mg.same_own}), not kept with it (kept
    walks stay as small as they were), and a part is rendered only to be
    hashed. *)
-let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
-    keys =
+let rec content_keys (st : state) (prev : info option) (n : Mg.node) : keys =
   (* [same p]: the previous node [p] had this node's parts *)
-  let key ~(same : 'a walked -> bool) (parts : unit -> string list) kids =
+  let key ~(same : info -> bool) (parts : unit -> string list) kids =
     match prev with
-    | Some p when same_keys kids p.k_kids && same p -> { hash = p.k_key; kids }
-    | _ ->
-        let text =
-          List.concat_map
-            (fun part -> [ string_of_int (String.length part); ":"; part ])
-            (parts ())
-        in
-        {
-          hash = Digest.string (String.concat "" (text @ List.map (fun k -> k.hash) kids));
-          kids;
-        }
+    | Some p when same_keys kids p.i_children && same p -> { hash = p.i_key; kids }
+    | _ -> { hash = hash (parts ()) kids; kids }
   in
   let never _ = false in
   let own () = [ Mg.own_part n ] in
   let operands xs =
     aligned (content_keys st) xs
-      (match prev with Some p -> p.k_kids | None -> [])
+      (match prev with Some p -> p.i_children | None -> [])
   in
   match operands_of n with
-  | Some xs -> key ~same:(fun p -> Mg.same_own n p.k_node) own (operands xs)
+  | Some xs -> key ~same:(fun p -> Mg.same_own n p.i_node) own (operands xs)
   | None -> (
       match n with
       | Mg.Name p -> (
@@ -723,8 +707,8 @@ let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
                 (* a previous name with operands resolved *)
                 key
                   ~same:(fun w ->
-                    w.k_kids <> []
-                    && match w.k_node with Mg.Name q -> String.equal p q | _ -> false)
+                    w.i_children <> []
+                    && match w.i_node with Mg.Name q -> String.equal p q | _ -> false)
                   (fun () -> [ Mg.own_part n; p ])
                   ks)
       | Mg.Lst _ ->
@@ -732,17 +716,16 @@ let rec content_keys (st : _ state) (prev : 'a walked option) (n : Mg.node) :
           key ~same:never (fun () -> [ "list"; Mg.digest n ]) []
       | Mg.Leaf o -> (
           match prev with
-          | Some { k_node = Mg.Leaf o'; k_key; _ } when o == o' ->
-              { hash = k_key; kids = [] }
+          | Some { i_node = Mg.Leaf o'; i_key; _ } when o == o' ->
+              { hash = i_key; kids = [] }
           | _ -> key ~same:never own [])
       | _ -> (* a source *) key ~same:never own [])
 
 (* -- entry points ------------------------------------------------------------ *)
 
-let new_state ~resolve ~annotate =
+let new_state ~resolve =
   {
     resolve;
-    annotate;
     findings = [];
     ever_defined = S.empty;
     visiting = [];
@@ -753,7 +736,7 @@ let new_state ~resolve ~annotate =
   }
 
 (* The root checks and the report, once [go] has walked the root. *)
-let finish (st : _ state) ~root_path (m : Symflow.t) prefs : report =
+let finish (st : state) ~root_path (m : Symflow.t) prefs : report =
   let undefined = Symflow.undefined m in
   check_unresolved st ~path:root_path undefined;
   check_constraints st ~path:root_path prefs;
@@ -768,25 +751,25 @@ let finish (st : _ state) ~root_path (m : Symflow.t) prefs : report =
     eval_fails = st.eval_fails;
   }
 
-let walk ~(resolve : string -> (Mg.node, string) result)
-    ~(annotate : 'a annotate) (root : Mg.node) : report * 'a option =
-  let st = new_state ~resolve ~annotate in
+(* The report-only walk: no keys, nothing kept. *)
+let analyze ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
+    report =
+  let st = new_state ~resolve in
   let root_path = Mg.op_name root in
   match go st None root_path root with
-  | m, prefs, a -> (finish st ~root_path m prefs, Some a)
+  | m, prefs -> finish st ~root_path m prefs
   | exception e ->
       (* the analyzer must never take down registration or the CLI *)
       st.approximate <- true;
       emit st ~code:"E999" ~title:"analyzer-internal-error" ~severity:Error
         ~path:root_path (Printexc.to_string e);
-      (finish st ~root_path Symflow.empty [], None)
+      finish st ~root_path Symflow.empty []
 
 let rewalk ~(resolve : string -> (Mg.node, string) result)
-    ~(annotate : 'a annotate) ~(prev : 'a kept option) (root : Mg.node) :
-    'a kept_walk =
-  let st = new_state ~resolve ~annotate in
+    ~(prev : (info * report) option) (root : Mg.node) : kept_walk =
+  let st = new_state ~resolve in
   let root_path = Mg.op_name root in
-  let prev_root = Option.map (fun p -> p.k_root) prev in
+  let prev_root = Option.map fst prev in
   match
     let up =
       {
@@ -795,32 +778,43 @@ let rewalk ~(resolve : string -> (Mg.node, string) result)
         done_ = [];
       }
     in
-    let m, prefs, a = go st (Some up) root_path root in
-    (m, prefs, a, List.hd up.done_)
+    let m, prefs = go st (Some up) root_path root in
+    (m, prefs, List.hd up.done_)
   with
-  | m, prefs, a, w ->
+  | m, prefs, w ->
       let report =
         match prev with
         (* a replayed root fixes every input of the root checks *)
-        | Some p when p.k_root == w -> p.k_report
+        | Some (p, report) when p == w -> report
         | _ -> finish st ~root_path m prefs
       in
-      {
-        report;
-        root = Some a;
-        kept = Some { k_root = w; k_report = report };
-        walked = st.n_walked;
-        replayed = st.n_replayed;
-      }
+      { report; root = w; walked = st.n_walked; replayed = st.n_replayed }
   | exception _ ->
       (* a failed kept walk leaves its state half replayed: the report
-         comes from a walk that keeps nothing, E999 included *)
-      let report, root = walk ~resolve ~annotate root in
-      { report; root; kept = None; walked = 0; replayed = 0 }
-
-let analyze ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
-    report =
-  fst (walk ~resolve ~annotate:(fun ~path:_ ~key:_ ~modeled:_ _ _ _ _ -> ()) root)
+         comes from a walk that keeps nothing, E999 included, and the
+         root stands alone, unmodeled and without operands, so the memo
+         never answers through it; no hashed key equals its empty key,
+         and a root that keeps it (a leaf, or an operator without
+         operands) fails again alike *)
+      let report = analyze ~resolve root in
+      let root =
+        {
+          i_path = root_path;
+          i_node = root;
+          i_key = "";
+          i_digest = "(analysis-error)";
+          i_flow = Symflow.empty;
+          i_prefs = [];
+          i_modeled = false;
+          i_keyed = false;
+          i_findings = report.findings;
+          i_approximate = report.approximate;
+          i_eval_fails = report.eval_fails;
+          i_defined = S.empty;
+          i_children = [];
+        }
+      in
+      { report; root; walked = 0; replayed = 0 }
 
 let analyze_meta ~(resolve : string -> (Mg.node, string) result)
     (meta : Blueprint.Meta.t) : report =

@@ -15,6 +15,7 @@
     W102 override-overrides-nothing
     W103 freeze-of-already-frozen
     W104 shadowed-weak-definition
+    E999 analyzer-internal-error
     v} *)
 
 type severity = Error | Warning
@@ -49,9 +50,10 @@ val warnings : report -> int
 (** ["E002 duplicate-global-in-merge at merge: ... [sym, sym]"] *)
 val finding_to_string : finding -> string
 
-(** [analyze ~resolve root] runs the abstract interpretation. [resolve]
-    maps server-object paths to sub-graphs ([Error msg] yields an E005
-    finding). Never raises. *)
+(** [analyze ~resolve root] runs the abstract interpretation, keeping
+    nothing. [resolve] maps server-object paths to sub-graphs ([Error
+    msg] yields an E005 finding). Never raises: an internal failure is
+    reported as an E999 finding, with [approximate] set. *)
 val analyze :
   resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
   Blueprint.Mgraph.node ->
@@ -64,89 +66,79 @@ val analyze_meta :
   Blueprint.Meta.t ->
   report
 
-(** The walk behind {!analyze}, open to a second consumer. [annotate]
-    runs once per node, operands first, with the node's m-graph path,
-    its occurrence key when it minted freeze/hide/show aliases, whether
-    its own semantics are modeled exactly (its name resolves
-    acyclically, its selector and template apply, its source compiles,
-    its specializer is modeled), its symbol flow and preferences, and
-    its operands' annotations. Returns the report and the root's
-    annotation, [None] when the analyzer failed internally (the report
-    then carries an E999 finding). Never raises. {!Impact} builds its
-    infos this way, so one walk yields both. *)
-val walk :
-  resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
-  annotate:
-    (path:string ->
-    key:string option ->
-    modeled:bool ->
-    Blueprint.Mgraph.node ->
-    Symflow.t ->
-    Blueprint.Mgraph.constraint_pref list ->
-    'a list ->
-    'a) ->
-  Blueprint.Mgraph.node ->
-  report * 'a option
-
 (** {1 Kept walks}
 
     A walk can be kept as a tree for the next walk of the same graph to
-    replay from. Before a kept walk, one bottom-up pass gives every node
-    a {e content key}: its own part ({!Blueprint.Mgraph.own_part}: its
-    operator, length-prefixed parameters and content, and how a merge
-    groups its operands into lists) hashed with its operands' keys.
-    Each [Name] keys on its path and resolves as the walk resolves it:
-    an unresolved name keys on its error, a cyclic one on the cycle, a
-    resolved one on what it reaches. A node's occurrence path and
-    content key together fix everything a walk of its subtree
-    produces, so where both are unchanged from the
-    previous walk, at the same operand position, the subtree is
-    replayed instead of walked: its flow, preferences and annotation,
-    its findings in order, its [approximate] and [eval_fails] flags,
-    and the names it defined (which E001 reads). Everything else is
-    walked again, and [annotate] runs only for the nodes walked. The
-    report and the annotations are exactly those of {!walk}; a subtree
-    moved to another operand is walked again, since its path moved.
-    Keys are hashed only where something changed: a node whose own part
-    and operand keys are those the previous walk keyed at its position
-    keeps that walk's key (whether the part is the previous one is
-    decided on the two nodes, {!Blueprint.Mgraph.same_own}, and a part
-    is rendered only to be hashed; a name that did not resolve, a
-    [source] and a [list] are always hashed), and so does a leaf that
-    is physically the object the previous walk keyed there (object
-    files are never mutated once built). A replayed root keeps the
-    previous report.
-    {!walk} computes no keys and keeps nothing. *)
+    replay from; the tree is also {!Impact}'s analysis of the graph.
+    Before a kept walk, one bottom-up pass gives every node a {e content
+    key}: its own part ({!Blueprint.Mgraph.own_part}: its operator,
+    length-prefixed parameters and content, and how a merge groups its
+    operands into lists) hashed with its operands' keys, each behind its
+    length ({!Blueprint.Mgraph.add_part}). Each [Name] keys on its path
+    and resolves as the walk resolves it: an unresolved name keys on its
+    error, a cyclic one on the cycle, a resolved one on what it reaches.
+    A node's occurrence path and content key together fix everything a
+    walk of its subtree produces, so where both are unchanged from the
+    previous walk, at the same operand position, the subtree is replayed
+    instead of walked: the previous walk's node is kept as it is, and
+    its findings, flags and defined names are added to the walk's.
+    Everything else is walked again. The report is exactly that of
+    {!analyze}; a subtree moved to another operand is walked again,
+    since its path moved. Keys are hashed only where something changed:
+    a node whose own part and operand keys are those the previous walk
+    keyed at its position keeps that walk's key (whether the part is the
+    previous one is decided on the two nodes,
+    {!Blueprint.Mgraph.same_own}, and a part is rendered only to be
+    hashed; a name that did not resolve, a [source] and a [list] are
+    always hashed), and so does a leaf that is physically the object the
+    previous walk keyed there (object files are never mutated once
+    built). A replayed root keeps the previous report. {!analyze}
+    computes no keys and keeps nothing. *)
 
-(** A kept walk: its tree and its report. *)
-type 'a kept
+(** One node of a kept walk, with its subtree's. Private: only a walk
+    makes one. *)
+type info = private {
+  i_path : string;  (** m-graph path, the findings' addressing vocabulary *)
+  i_node : Blueprint.Mgraph.node;
+  i_key : string;  (** content key (raw MD5) *)
+  i_digest : string;
+      (** interface digest: the hex of [i_key], or where [i_keyed] the
+          hex of an MD5 over [i_key] and [i_path] *)
+  i_flow : Symflow.t;  (** the node's symbol flow *)
+  i_prefs : Blueprint.Mgraph.constraint_pref list;
+      (** accumulated, evaluation order *)
+  i_modeled : bool;
+      (** the whole subtree is fully modeled: every name resolves
+          acyclically, every selector and template applies, every
+          source compiles, every specializer has a modeled semantics *)
+  i_keyed : bool;
+      (** a live freeze/hide/show in the subtree names its aliases after
+          its occurrence, so the subtree's module depends on [i_path] *)
+  i_findings : finding list;  (** the subtree's, traversal order *)
+  i_approximate : bool;  (** the subtree's [approximate] *)
+  i_eval_fails : bool;  (** the subtree's [eval_fails] *)
+  i_defined : Symflow.S.t;  (** names any node of the subtree defined *)
+  i_children : info list;  (** operands, walk order; a name's resolution *)
+}
 
-type 'a kept_walk = {
+type kept_walk = {
   report : report;
-  root : 'a option;  (** the root's annotation, as from {!walk} *)
-  kept : 'a kept option;  (** [None] when the analyzer failed *)
+  root : info;
+      (** when the analyzer failed internally, an unmodeled root with no
+          operands and the digest ["(analysis-error)"] *)
   walked : int;  (** nodes walked *)
   replayed : int;  (** subtrees replayed from [prev] *)
 }
 
-(** [rewalk ~resolve ~annotate ~prev root] is {!walk}, replaying from
-    [prev] (a kept walk of an earlier graph, usually the same meta's)
-    every subtree whose path and content key are unchanged, and keeping
-    this walk. Never raises. *)
+(** [rewalk ~resolve ~prev root] is {!analyze} kept as a tree,
+    replaying from [prev] (the root and report of a kept walk of an
+    earlier graph, usually the same meta's) every subtree whose path and
+    content key are unchanged. Never raises. *)
 val rewalk :
   resolve:(string -> (Blueprint.Mgraph.node, string) result) ->
-  annotate:
-    (path:string ->
-    key:string option ->
-    modeled:bool ->
-    Blueprint.Mgraph.node ->
-    Symflow.t ->
-    Blueprint.Mgraph.constraint_pref list ->
-    'a list ->
-    'a) ->
-  prev:'a kept option ->
+  prev:(info * report) option ->
   Blueprint.Mgraph.node ->
-  'a kept_walk
+  kept_walk
 
 (** Differential self-check: analysis first, then real evaluation, then
     set comparison. *)

@@ -99,9 +99,6 @@ let effective_graph (meta : t) ~(spec : (string * Mgraph.value list) option) :
       wrap ~default_spec:meta.default_spec ~constraints:meta.constraints ~spec
         meta.root
 
-(** Digest identifying the construction (cache key component); without
-    a requested specialization, taken once per meta. *)
-let digest (meta : t) ~(spec : (string * Mgraph.value list) option) : string =
-  match spec with
-  | None -> Lazy.force meta.graph_digest
-  | Some _ -> Mgraph.digest (effective_graph meta ~spec)
+(** Digest identifying the construction (cache key component), taken
+    once per meta. *)
+let digest (meta : t) : string = Lazy.force meta.graph_digest

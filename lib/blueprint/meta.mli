@@ -35,7 +35,7 @@ val parse : name:string -> string -> t
     request evaluates; a requested specialization makes a new graph. *)
 val effective_graph : t -> spec:(string * Mgraph.value list) option -> Mgraph.node
 
-(** Digest identifying the construction (cache key component): with
-    [~spec:None] {!Mgraph.digest} of the meta's graph, taken once per
-    meta. *)
-val digest : t -> spec:(string * Mgraph.value list) option -> string
+(** Digest identifying the construction (cache key component):
+    {!Mgraph.digest} of the meta's graph, [effective_graph m
+    ~spec:None], taken once per meta. *)
+val digest : t -> string

@@ -150,6 +150,11 @@ val names : node -> string list
     construction: names count by path, not by what they resolve to. *)
 val digest : node -> string
 
+(** [add_part b s] appends [s] to [b] behind its length (base 128, low
+    digits first, one byte below 128), so a run of parts splits one way
+    only. {!digest} and the content keys of kept walks hash such runs. *)
+val add_part : Buffer.t -> string -> unit
+
 (** A node's own part: its operator, its parameters and its content,
     operands excluded — leaf and source content by digest, a value
     parameter's graph by {!digest}, and how a [merge] or [list] groups

@@ -218,8 +218,8 @@ let build_sig (b : Server.built) : string =
     (String.concat "; " link_events)
 
 (* What registration concluded about one library: its lint report and
-   its impact tree in pre-order (path, digest, node digest, modeled,
-   keyed). *)
+   its impact tree in pre-order (path, interface digest, the node's
+   construction digest, modeled, keyed). *)
 let analysis_sig (s : Server.t) (path : string) : string =
   let report =
     match Server.lint_report s path with
@@ -249,14 +249,14 @@ let analysis_sig (s : Server.t) (path : string) : string =
     | None -> "no tree"
     | Some t ->
         let nodes = ref [] in
-        let module I = Analysis.Impact in
-        I.iter_infos
+        let module L = Analysis.Lint in
+        Analysis.Impact.iter_infos
           (fun i ->
             nodes :=
-              Printf.sprintf "%s %s node=%s%s%s" i.I.i_path i.I.i_digest
-                (Blueprint.Mgraph.digest i.I.i_node)
-                (if i.I.i_modeled then " modeled" else "")
-                (if i.I.i_keyed then " keyed" else "")
+              Printf.sprintf "%s %s node=%s%s%s" i.L.i_path i.L.i_digest
+                (Blueprint.Mgraph.digest i.L.i_node)
+                (if i.L.i_modeled then " modeled" else "")
+                (if i.L.i_keyed then " keyed" else "")
               :: !nodes)
           t;
         String.concat "; " (List.rev !nodes)

@@ -32,9 +32,11 @@
       final arena interval maps — must be identical: memoized subtree
       reuse may never change what gets linked. So must what the edited
       registration concluded: each library's lint report, its impact
-      tree in pre-order (path, digest, plan digest, modeled, keyed) and
-      its diff, whether registration replayed unchanged subtrees or
-      walked from scratch. Last, registration must not depend on
+      tree in pre-order (each node's path, interface digest,
+      {!Blueprint.Mgraph.digest} of the node itself, and its subtree's
+      modeled and keyed flags) and its diff, whether registration
+      replayed unchanged subtrees or walked from scratch with no
+      previous tree. Last, registration must not depend on
       history: a server that installed the case and then registered the
       edited libraries over it, and one that only ever registered the
       edited libraries, must give identical reports and trees.
@@ -64,8 +66,9 @@ type verdict =
 val install : Workloads.Fuzz.case -> World.t -> unit
 
 (** What registration concluded about the meta at a path, rendered: its
-    lint report and its impact tree in pre-order (path, digest, plan
-    digest, modeled, keyed). Equal strings, equal conclusions. *)
+    lint report and its impact tree in pre-order (path, interface
+    digest, [node=] the node's {!Blueprint.Mgraph.digest}, [modeled],
+    [keyed]). Equal strings, equal conclusions. *)
 val analysis_sig : Server.t -> string -> string
 
 (** Run every oracle against one case. Never raises. *)

@@ -108,11 +108,9 @@ type t = {
   kernel : Simos.Kernel.t;
   env : Blueprint.Mgraph.env;
   work : work_stats;
-  mutable lints : (string, Analysis.Lint.report) Hashtbl.t;
-      (* registration-time findings per bound meta-object path *)
   mutable impact_trees : (string, Analysis.Impact.tree) Hashtbl.t;
-      (* registration-time dependence analysis per bound meta-object
-         path: the trees the memo is answered through *)
+      (* registration-time analysis per bound meta-object path: its
+         lint report, and the tree the memo is answered through *)
   impact_diffs : (string, Analysis.Impact.diff Lazy.t) Hashtbl.t;
       (* verdicts of the latest re-registration of each meta path,
          computed from its old and new trees on first query *)
@@ -221,7 +219,6 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
         nodes_walked = 0;
         subtrees_replayed = 0;
       };
-    lints = Hashtbl.create 16;
     impact_trees = Hashtbl.create 16;
     impact_diffs = Hashtbl.create 16;
     named = Hashtbl.create 64;
@@ -280,9 +277,9 @@ let resolve_graph (t : t) (path : string) :
    the memo may answer. Leaves are free to re-make, and unmodeled nodes
    can never be proven reusable. *)
 let memo_key (i : Analysis.Impact.info) : string option =
-  match i.Analysis.Impact.i_node with
+  match i.Analysis.Lint.i_node with
   | Blueprint.Mgraph.Leaf _ -> None
-  | _ when i.Analysis.Impact.i_modeled -> Some i.Analysis.Impact.i_digest
+  | _ when i.Analysis.Lint.i_modeled -> Some i.Analysis.Lint.i_digest
   | _ -> None
 
 (* Count one more analyzed node naming its memo key. *)
@@ -306,10 +303,10 @@ let uncount_named (t : t) (unnamed : string list ref)
           unnamed := d :: !unnamed)
     (memo_key i)
 
-(* Re-run the analysis over every bound meta-object — one walk per meta
-   yields its lint report and its {!Analysis.Impact} tree — and build
-   both tables afresh from the bound metas, so a path no longer bound
-   to a meta keeps neither. Re-analyzing the whole namespace (not just
+(* Re-run the analysis over every bound meta-object — one kept walk per
+   meta yields its {!Analysis.Impact} tree, which carries its lint
+   report — and build the table afresh from the bound metas: a path no
+   longer bound keeps no tree. Re-analyzing the whole namespace (not just
    the edited meta) keeps reports and trees fresh for metas that
    reference the edited path through [Name] nodes: their findings and
    interface digests move with the content they resolve to. With
@@ -330,29 +327,22 @@ let uncount_named (t : t) (unnamed : string list ref)
    table tracks the bound blueprints rather than their edit history. *)
 let refresh_analysis (t : t) : unit =
   let resolve = resolve_graph t in
-  let trees = Hashtbl.create (Hashtbl.length t.impact_trees + 1)
-  and lints = Hashtbl.create (Hashtbl.length t.lints + 1) in
+  let trees = Hashtbl.create (Hashtbl.length t.impact_trees + 1) in
   List.iter
     (fun p ->
       match Namespace.lookup t.ns p with
       | Some (Namespace.Meta m) ->
-          let graph = Blueprint.Meta.effective_graph m ~spec:None in
-          let tree, lint =
-            if t.subtree_reuse then begin
-              let tree, w =
-                Analysis.Impact.reanalyze ~resolve
-                  ~prev:(Hashtbl.find_opt t.impact_trees p)
-                  graph
-              in
-              t.work.nodes_walked <- t.work.nodes_walked + w.Analysis.Lint.walked;
-              t.work.subtrees_replayed <-
-                t.work.subtrees_replayed + w.Analysis.Lint.replayed;
-              (tree, w.Analysis.Lint.report)
-            end
-            else Analysis.Impact.analyze_and_lint ~resolve graph
+          let tree, w =
+            Analysis.Impact.reanalyze ~resolve
+              ~prev:
+                (if t.subtree_reuse then Hashtbl.find_opt t.impact_trees p
+                 else None)
+              (Blueprint.Meta.effective_graph m ~spec:None)
           in
-          Hashtbl.replace trees p tree;
-          Hashtbl.replace lints p lint
+          t.work.nodes_walked <- t.work.nodes_walked + w.Analysis.Lint.walked;
+          t.work.subtrees_replayed <-
+            t.work.subtrees_replayed + w.Analysis.Lint.replayed;
+          Hashtbl.replace trees p tree
       | _ -> ())
     (Namespace.all_metas t.ns);
   let unnamed = ref [] in
@@ -367,7 +357,6 @@ let refresh_analysis (t : t) : unit =
         ~other:(Hashtbl.find_opt t.impact_trees p) tree)
     trees;
   t.impact_trees <- trees;
-  t.lints <- lints;
   t.stale_trees <- false;
   Cache.memo_drop t.cache
     (List.filter (fun d -> not (Hashtbl.mem t.named d)) !unnamed)
@@ -389,22 +378,25 @@ let register_meta (t : t) (path : string) (m : Blueprint.Meta.t) : unit =
   let old_tree = Hashtbl.find_opt t.impact_trees path in
   Namespace.bind_meta t.ns path m;
   refresh_analysis t;
-  (match Hashtbl.find_opt t.lints path with
-  | Some report ->
+  match Hashtbl.find_opt t.impact_trees path with
+  | None -> ()
+  | Some new_tree -> (
+      let report = new_tree.Analysis.Impact.t_report in
       let errs = Analysis.Lint.errors report
       and warns = Analysis.Lint.warnings report in
       if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
-      if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings
-  | None -> ());
-  match (old_tree, Hashtbl.find_opt t.impact_trees path) with
-  | Some old_tree, Some new_tree ->
-      Hashtbl.replace t.impact_diffs path
-        (lazy (Analysis.Impact.diff ~old_tree ~new_tree))
-  | _ -> ()
+      if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings;
+      match old_tree with
+      | Some old_tree ->
+          Hashtbl.replace t.impact_diffs path
+            (lazy (Analysis.Impact.diff ~old_tree ~new_tree))
+      | None -> ())
 
 (** The registration-time lint report of a bound meta-object. *)
 let lint_report (t : t) (path : string) : Analysis.Lint.report option =
-  Hashtbl.find_opt t.lints path
+  Option.map
+    (fun tree -> tree.Analysis.Impact.t_report)
+    (Hashtbl.find_opt t.impact_trees path)
 
 (** The registration-time dependence analysis of a bound meta-object. *)
 let impact_tree (t : t) (path : string) : Analysis.Impact.tree option =
@@ -822,15 +814,15 @@ and stage_eval (t : t) (job : job) () : unit =
 and stage_lint (t : t) (job : job) () : unit =
   let frame = Telemetry.Provenance.open_frame () in
   job.jframe <- Some frame;
-  (match Hashtbl.find_opt t.lints job.jname with
-  | Some (rep : Analysis.Lint.report) ->
+  (match Hashtbl.find_opt t.impact_trees job.jname with
+  | Some tree ->
       Telemetry.Provenance.with_frame frame @@ fun () ->
       List.iter
         (fun (f : Analysis.Lint.finding) ->
           Telemetry.Provenance.record_lint ~code:f.Analysis.Lint.code
             ~severity:(Analysis.Lint.severity_to_string f.Analysis.Lint.severity)
             ~path:f.Analysis.Lint.path f.Analysis.Lint.message)
-        rep.Analysis.Lint.findings
+        tree.Analysis.Impact.t_report.Analysis.Lint.findings
   | None -> ());
   List.iter
     (fun _ ->
@@ -848,7 +840,7 @@ and stage_parse (t : t) (job : job) () : unit =
         let m = find_meta t path in
         ( path,
           Blueprint.Meta.effective_graph m ~spec:None,
-          Blueprint.Meta.digest m ~spec:None )
+          Blueprint.Meta.digest m )
     | Static { name; graph; _ } -> (name, graph, Blueprint.Mgraph.digest graph)
   in
   job.jname <- name;

@@ -100,17 +100,19 @@ val add_fragment : t -> string -> Sof.Object_file.t -> unit
     {!load_meta_file} both route through it. *)
 val register_meta : t -> string -> Blueprint.Meta.t -> unit
 
-(** The registration-time lint report of a bound meta-object,
-    refreshed for every bound meta whenever any meta is registered (a
-    [Name] it reaches may have been bound since). [None] for a path
-    that was not bound to a meta at the last registration. *)
+(** The registration-time lint report of a bound meta-object, read off
+    its {!impact_tree}: refreshed for every bound meta whenever any meta
+    is registered (a [Name] it reaches may have been bound since).
+    [None] for a path that was not bound to a meta at the last
+    registration. *)
 val lint_report : t -> string -> Analysis.Lint.report option
 
-(** The registration-time {!Analysis.Impact} dependence analysis of a
-    bound meta-object (refreshed for every bound meta whenever any meta
-    is registered, so [Name]-mediated dependencies stay current; [None]
-    as for {!lint_report}). Evaluation answers the memo table through
-    these trees. *)
+(** The registration-time analysis of a bound meta-object: one kept
+    {!Analysis.Lint} walk per meta, which is both its lint report and
+    its {!Analysis.Impact} tree (refreshed for every bound meta whenever
+    any meta is registered, so [Name]-mediated dependencies stay
+    current; [None] as for {!lint_report}). Evaluation answers the memo
+    table through these trees. *)
 val impact_tree : t -> string -> Analysis.Impact.tree option
 
 (** The reuse/respin verdicts of the last time the path was
@@ -132,9 +134,9 @@ val memo_digests : t -> string list
 
 (** Toggle incremental relinking (default on): when off, evaluation
     never consults or fills the per-node memo table, and registration
-    walks every meta from scratch instead of replaying unchanged
-    subtrees from its previous walk. The knob the
-    incremental-vs-from-scratch differential oracle flips. *)
+    walks every meta from scratch (a kept walk with no previous tree)
+    instead of replaying unchanged subtrees from its previous walk. The
+    knob the incremental-vs-from-scratch differential oracle flips. *)
 val set_subtree_reuse : t -> bool -> unit
 
 (** The evaluation environment's name resolution, as a result: the

@@ -194,12 +194,13 @@ let check_findings ~what (mk : Mg.node -> Mg.node) (last : Mg.node)
   let render (r : L.report) = List.map L.finding_to_string r.L.findings in
   Alcotest.(check (list string)) (what ^ ", walked") expected
     (render (analyze (mk last)));
-  let annotate ~path:_ ~key:_ ~modeled:_ _ _ _ _ = () in
   let first =
-    L.rewalk ~resolve:no_resolve ~annotate ~prev:None
+    L.rewalk ~resolve:no_resolve ~prev:None
       (mk (Mg.Leaf (obj "/t/edit.o" [ ("edit", Sof.Symbol.Global) ])))
   in
-  let w = L.rewalk ~resolve:no_resolve ~annotate ~prev:first.L.kept (mk last) in
+  let w =
+    L.rewalk ~resolve:no_resolve ~prev:(Some (first.L.root, first.L.report)) (mk last)
+  in
   Alcotest.(check bool) (what ^ ", siblings replayed") true (w.L.replayed > 0);
   Alcotest.(check (list string)) (what ^ ", re-walked") expected (render w.L.report)
 
@@ -435,40 +436,62 @@ let test_impact_digests_and_stability () =
   let b = obj "/t/ib.o" [ ("g", Sof.Symbol.Global) ] in
   let g = Mg.Merge [ Mg.Leaf a; Mg.Leaf b ] in
   let r1 = iroot g and r2 = iroot g in
-  Alcotest.(check string) "digest deterministic" r1.I.i_digest r2.I.i_digest;
-  Alcotest.(check bool) "plain merge holds anywhere" false r1.I.i_keyed;
-  Alcotest.(check int) "two children" 2 (List.length r1.I.i_children);
+  Alcotest.(check string) "digest deterministic" r1.L.i_digest r2.L.i_digest;
+  Alcotest.(check bool) "plain merge holds anywhere" false r1.L.i_keyed;
+  Alcotest.(check int) "two children" 2 (List.length r1.L.i_children);
   (* content-addressed: same shape, different leaf content *)
   let b' = obj "/t/ib.o" [ ("h", Sof.Symbol.Global) ] in
   let r3 = iroot (Mg.Merge [ Mg.Leaf a; Mg.Leaf b' ]) in
   Alcotest.(check bool) "content moves the digest" true
-    (r1.I.i_digest <> r3.I.i_digest);
+    (r1.L.i_digest <> r3.L.i_digest);
   (* a live freeze mints aliases named after its occurrence: its digest
      is keyed, and the same freeze elsewhere is another interface *)
   let rf = iroot (Mg.Freeze ("^f$", Mg.Leaf a)) in
-  Alcotest.(check bool) "live freeze keyed" true rf.I.i_keyed;
-  let nested = List.hd (iroot (Mg.Merge [ Mg.Freeze ("^f$", Mg.Leaf a) ])).I.i_children in
+  Alcotest.(check bool) "live freeze keyed" true rf.L.i_keyed;
+  let nested = List.hd (iroot (Mg.Merge [ Mg.Freeze ("^f$", Mg.Leaf a) ])).L.i_children in
   Alcotest.(check bool) "occurrence moves a keyed digest" true
-    (nested.I.i_digest <> rf.I.i_digest);
+    (nested.L.i_digest <> rf.L.i_digest);
   (* a dead freeze mints nothing: its digest holds anywhere *)
   let rd = iroot (Mg.Freeze ("^zz", Mg.Leaf a)) in
-  Alcotest.(check bool) "dead freeze unkeyed" false rd.I.i_keyed;
-  let nested = List.hd (iroot (Mg.Merge [ Mg.Freeze ("^zz", Mg.Leaf a) ])).I.i_children in
-  Alcotest.(check string) "unkeyed digest holds anywhere" rd.I.i_digest
-    nested.I.i_digest;
+  Alcotest.(check bool) "dead freeze unkeyed" false rd.L.i_keyed;
+  let nested = List.hd (iroot (Mg.Merge [ Mg.Freeze ("^zz", Mg.Leaf a) ])).L.i_children in
+  Alcotest.(check string) "unkeyed digest holds anywhere" rd.L.i_digest
+    nested.L.i_digest;
   (* an unresolvable name leaves the spine above it unmodeled *)
   let t = ianalyze (Mg.Merge [ Mg.Leaf a; Mg.Name "/no/such" ]) in
-  Alcotest.(check bool) "approximate tree" true t.I.t_approximate;
-  Alcotest.(check bool) "root unmodeled" false t.I.t_root.I.i_modeled
+  Alcotest.(check (list string)) "reported" [ "E005" ] (codes t.I.t_report);
+  Alcotest.(check bool) "root unmodeled" false t.I.t_root.L.i_modeled
 
 (* A name that does not resolve digests alike whether or not the walk
-   annotated anything before it. *)
+   keyed anything before it. *)
 let test_impact_digest_walk_order () =
   let o = obj "/t/io.o" [ ("f", Sof.Symbol.Global) ] in
-  let nth g k = (List.nth (iroot g).I.i_children k).I.i_digest in
+  let nth g k = (List.nth (iroot g).L.i_children k).L.i_digest in
   Alcotest.(check string) "first or last operand"
     (nth (Mg.Merge [ Mg.Leaf o; Mg.Name "/no/such" ]) 1)
     (nth (Mg.Merge [ Mg.Name "/no/such"; Mg.Leaf o ]) 0)
+
+(* An analyzer that fails inside ([resolve] raises) reports E999 and
+   an approximate report instead of raising, from a walk that keeps
+   nothing and from a kept re-walk of a previous tree alike; the kept
+   walk's root then stands alone and unmodeled, so the memo never
+   answers through it. *)
+let test_e999_analyzer_internal_error () =
+  let a = obj "/t/ea.o" [ ("f", Sof.Symbol.Global) ] in
+  let b = obj "/t/eb.o" [ ("g", Sof.Symbol.Global) ] in
+  let g = Mg.Merge [ Mg.Leaf a; Mg.Name "/t/eb" ] in
+  let raising _ = failwith "resolver down" in
+  let r = L.analyze ~resolve:raising g in
+  Alcotest.(check (list string)) "E999 reported" [ "E999" ] (codes r);
+  Alcotest.(check string) "its title" "analyzer-internal-error"
+    (find_code r "E999").L.title;
+  Alcotest.(check bool) "approximate" true r.L.approximate;
+  let prev = I.analyze ~resolve:(fun _ -> Ok (Mg.Leaf b)) g in
+  let t, _ = I.reanalyze ~resolve:raising ~prev:(Some prev) g in
+  Alcotest.(check bool) "kept re-walk: the same report" true (t.I.t_report = r);
+  Alcotest.(check bool) "root unmodeled" false t.I.t_root.L.i_modeled;
+  Alcotest.(check int) "root without operands" 0
+    (List.length t.I.t_root.L.i_children)
 
 let test_impact_diff_verdicts () =
   let a = obj "/t/ia.o" [ ("f", Sof.Symbol.Global) ] in
@@ -732,8 +755,8 @@ let rows (t : I.tree) : string list =
   I.iter_infos
     (fun i ->
       out :=
-        Printf.sprintf "%s %s %b %b %s" i.I.i_path i.I.i_digest i.I.i_modeled
-          i.I.i_keyed (Mg.digest i.I.i_node)
+        Printf.sprintf "%s %s %b %b %s" i.L.i_path i.L.i_digest i.L.i_modeled
+          i.L.i_keyed (Mg.digest i.L.i_node)
         :: !out)
     t;
   List.rev !out
@@ -747,14 +770,13 @@ let check_fresh ~what s fresh paths =
         (Printf.sprintf "%s: %s as in a fresh server" what p)
         (Omos.Fuzzer.analysis_sig fresh p)
         (Omos.Fuzzer.analysis_sig s p);
-      let tree, report =
-        I.analyze_and_lint ~resolve:(Omos.Server.resolve_graph s)
-          (meta_graph s p)
-      in
+      let resolve = Omos.Server.resolve_graph s in
+      let tree = I.analyze ~resolve (meta_graph s p)
+      and report = L.analyze ~resolve (meta_graph s p) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s report as from scratch" what p)
         true
-        (Omos.Server.lint_report s p = Some report);
+        (Omos.Server.lint_report s p = Some report && tree.I.t_report = report);
       Alcotest.(check (list string))
         (Printf.sprintf "%s: %s tree as from scratch" what p)
         (rows tree)
@@ -834,7 +856,7 @@ let test_kept_walk_moved_hide () =
   Alcotest.(check int) "only other metas replayed" (others s) (replayed s - r0);
   let defined =
     Analysis.Symflow.defined_any
-      (Option.get (Omos.Server.impact_tree s "/t/hlib")).I.t_root.I.i_flow
+      (Option.get (Omos.Server.impact_tree s "/t/hlib")).I.t_root.L.i_flow
   in
   let alias path = "h$hid" ^ Mg.occurrence_key path in
   Alcotest.(check bool) "alias of the new occurrence" true
@@ -940,6 +962,29 @@ let test_kept_walk_ambiguous_parameters () =
   Omos.Server.register_meta_source fresh "/t/lib" second;
   check_fresh ~what:"ambiguous parameters" s fresh [ "/t/lib" ]
 
+(* A name swapped for another bound to the very same object: the two
+   reach equal content, but a content key holds a name's path, so the
+   root is walked again and the tree names the new path. *)
+let test_kept_walk_swapped_name () =
+  let install s =
+    let o = asm_obj "/t/n.o" [ ("n", None) ] in
+    Omos.Server.add_fragment s "/t/n1.o" o;
+    Omos.Server.add_fragment s "/t/n2.o" o;
+    Omos.Server.add_fragment s "/t/q.o" (asm_obj "/t/q.o" [ ("q", None) ])
+  in
+  let swapped = "(merge /t/n2.o /t/q.o)" in
+  let s = server () in
+  install s;
+  Omos.Server.register_meta_source s "/t/nlib" "(merge /t/n1.o /t/q.o)";
+  let w0 = walked s in
+  Omos.Server.register_meta_source s "/t/nlib" swapped;
+  (* the root, and the new name with its leaf *)
+  Alcotest.(check int) "root and the new name walked" 3 (walked s - w0);
+  let fresh = server () in
+  install fresh;
+  Omos.Server.register_meta_source fresh "/t/nlib" swapped;
+  check_fresh ~what:"swapped name" s fresh [ "/t/nlib" ]
+
 (* every Reused verdict over a fuzzed single-edit pair materializes
    byte-identically — the proof obligation discharged over the same
    edit distribution the incremental-relink oracle replays *)
@@ -994,11 +1039,11 @@ let reference_named s : (string * int) list =
       | Some tree ->
           I.iter_infos
             (fun i ->
-              match i.I.i_node with
+              match i.L.i_node with
               | Mg.Leaf _ -> ()
-              | _ when i.I.i_modeled ->
-                  Hashtbl.replace named i.I.i_digest
-                    (1 + Option.value (Hashtbl.find_opt named i.I.i_digest) ~default:0)
+              | _ when i.L.i_modeled ->
+                  Hashtbl.replace named i.L.i_digest
+                    (1 + Option.value (Hashtbl.find_opt named i.L.i_digest) ~default:0)
               | _ -> ())
             tree)
     (Omos.Namespace.all_metas (Omos.Server.namespace s));
@@ -1105,15 +1150,15 @@ module Seen = Hashtbl.Make (struct
   type t = I.info
 
   let equal = ( == )
-  let hash (i : I.info) = Hashtbl.hash i.I.i_digest
+  let hash (i : I.info) = Hashtbl.hash i.L.i_digest
 end)
 
-(* The reference digest of an info: the own part, the path of a keyed
+(* The reference digest of an info: the own part (with a name's path,
+   and for a name that does not resolve, why), the path of a keyed
    node, the operands' references and the rendered summary (all but the
-   operator, which the own part covers, and which for a name is its
-   path). Where the construction did not fix the summary, the interface
-   digests would join infos the reference keeps apart. [seen] holds the
-   infos already referenced. *)
+   operator, which the own part covers). Where the construction did not
+   fix the summary, the interface digests would join infos the
+   reference keeps apart. [seen] holds the infos already referenced. *)
 let rec reference (seen : string Seen.t) (i : I.info) : string =
   match Seen.find_opt seen i with
   | Some r -> r
@@ -1124,9 +1169,16 @@ let rec reference (seen : string Seen.t) (i : I.info) : string =
           (Digest.string
              (prefixed
                 [
-                  Mg.own_part i.I.i_node;
-                  (if i.I.i_keyed then "keyed at " ^ i.I.i_path else "anywhere");
-                  prefixed (List.map (reference seen) i.I.i_children);
+                  (match i.L.i_node with
+                  | Mg.Name p ->
+                      prefixed
+                        (Mg.own_part i.L.i_node :: p
+                        :: (if i.L.i_children = [] then
+                              List.map (fun (f : L.finding) -> f.L.message) i.L.i_findings
+                            else []))
+                  | n -> Mg.own_part n);
+                  (if i.L.i_keyed then "keyed at " ^ i.L.i_path else "anywhere");
+                  prefixed (List.map (reference seen) i.L.i_children);
                   prefixed (List.map (fun (n, b) -> prefixed [ n; b ]) s.I.s_exports);
                   prefixed s.I.s_undefined;
                   prefixed s.I.s_relocs;
@@ -1166,7 +1218,7 @@ let prop_digest_classes =
       in
       Seen.fold
         (fun i r ok ->
-          ok && agrees by_digest i.I.i_digest r && agrees by_ref r i.I.i_digest)
+          ok && agrees by_digest i.L.i_digest r && agrees by_ref r i.L.i_digest)
         seen true)
 
 (* -- the memo answered through the registration trees ------------------------ *)
@@ -1200,8 +1252,8 @@ let infos_at s (tree : I.tree) (graph : Mg.node) : bool * int =
         incr answered;
         if
           not
-            (String.equal (Mg.digest i.I.i_node) (Mg.digest n)
-            && String.equal i.I.i_path (Mg.path occ))
+            (String.equal (Mg.digest i.L.i_node) (Mg.digest n)
+            && String.equal i.L.i_path (Mg.path occ))
         then ok := false);
     eval ()
   in
@@ -1560,7 +1612,7 @@ let prop_summary_matches_sets =
       let ok = ref true in
       I.iter_infos
         (fun i ->
-          let s = I.summary i and m = i.I.i_flow in
+          let s = I.summary i and m = i.L.i_flow in
           ok :=
             !ok
             && s.I.s_exports = ref_export_pairs m
@@ -1598,6 +1650,8 @@ let () =
           Alcotest.test_case "W104 shadowed weak" `Quick test_w104_shadowed_weak;
           Alcotest.test_case "E002 pinned" `Quick test_e002_pinned;
           Alcotest.test_case "W104 pinned" `Quick test_w104_pinned;
+          Alcotest.test_case "E999 analyzer-internal-error" `Quick
+            test_e999_analyzer_internal_error;
         ] );
       ( "exactness",
         [
@@ -1624,6 +1678,8 @@ let () =
             test_kept_walk_name_becomes_resolvable;
           Alcotest.test_case "kept walk: ambiguous parameters" `Quick
             test_kept_walk_ambiguous_parameters;
+          Alcotest.test_case "kept walk: swapped name" `Quick
+            test_kept_walk_swapped_name;
         ] );
       ( "impact",
         [

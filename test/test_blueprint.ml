@@ -317,8 +317,11 @@ let test_meta_empty_fails () =
 
 let test_meta_digest_varies_with_spec () =
   let meta = Blueprint.Meta.parse ~name:"/m" "(merge /a)" in
-  let d1 = Blueprint.Meta.digest meta ~spec:None in
-  let d2 = Blueprint.Meta.digest meta ~spec:(Some ("identity", [])) in
+  let d1 = Blueprint.Meta.digest meta in
+  let d2 =
+    Blueprint.Mgraph.digest
+      (Blueprint.Meta.effective_graph meta ~spec:(Some ("identity", [])))
+  in
   Alcotest.(check bool) "spec in key" true (d1 <> d2)
 
 let test_meta_duplicate_constraint_segment () =
