@@ -795,14 +795,15 @@ let rewalk ~(resolve : string -> (Mg.node, string) result)
          root stands alone, unmodeled and without operands, so the memo
          never answers through it; no hashed key equals its empty key,
          and a root that keeps it (a leaf, or an operator without
-         operands) fails again alike *)
+         operands) fails again alike. Its digest, an image key, names
+         the graph by construction. *)
       let report = analyze ~resolve root in
       let root =
         {
           i_path = root_path;
           i_node = root;
           i_key = "";
-          i_digest = "(analysis-error)";
+          i_digest = "(analysis-error)" ^ Mg.digest root;
           i_flow = Symflow.empty;
           i_prefs = [];
           i_modeled = false;

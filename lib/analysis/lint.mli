@@ -125,7 +125,8 @@ type kept_walk = {
   report : report;
   root : info;
       (** when the analyzer failed internally, an unmodeled root with no
-          operands and the digest ["(analysis-error)"] *)
+          operands whose digest, ["(analysis-error)"] and the root's
+          {!Blueprint.Mgraph.digest}, still tells graphs' image keys apart *)
   walked : int;  (** nodes walked *)
   replayed : int;  (** subtrees replayed from [prev] *)
 }

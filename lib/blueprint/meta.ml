@@ -24,7 +24,6 @@ type t = {
   constraints : (Mgraph.seg * int) list;
   root : Mgraph.node;
   graph : Mgraph.node; (* the effective graph with no requested spec *)
-  graph_digest : string Lazy.t; (* [Mgraph.digest graph] *)
 }
 
 let rec parse_pairs = function
@@ -84,8 +83,7 @@ let parse ~(name : string) (src : string) : t =
   in
   let default_spec = !default_spec and constraints = !constraints in
   let graph = wrap ~default_spec ~constraints ~spec:None root in
-  { name; default_spec; constraints; root; graph;
-    graph_digest = lazy (Mgraph.digest graph) }
+  { name; default_spec; constraints; root; graph }
 
 (** The graph to evaluate for this meta-object under an optional
     requested specialization. Without one it is the graph [parse]
@@ -98,7 +96,3 @@ let effective_graph (meta : t) ~(spec : (string * Mgraph.value list) option) :
   | Some _ ->
       wrap ~default_spec:meta.default_spec ~constraints:meta.constraints ~spec
         meta.root
-
-(** Digest identifying the construction (cache key component), taken
-    once per meta. *)
-let digest (meta : t) : string = Lazy.force meta.graph_digest

@@ -9,8 +9,7 @@
 exception Meta_error of string
 
 (** Private: only {!parse} makes one, so [graph] is always the
-    effective graph of the other fields. It holds a lazy value: never
-    compare metas structurally. *)
+    effective graph of the other fields. *)
 type t = private {
   name : string;
   default_spec : (string * Mgraph.value list) option;
@@ -20,8 +19,6 @@ type t = private {
   graph : Mgraph.node;
       (** the effective graph with no requested specialization, made
           once; read it through {!effective_graph} *)
-  graph_digest : string Lazy.t;
-      (** [Mgraph.digest graph]; read it through {!digest} *)
 }
 
 (** Parse a meta-object file. @raise Meta_error. *)
@@ -34,8 +31,3 @@ val parse : name:string -> string -> t
     what the server's registration analysis walks and what a library
     request evaluates; a requested specialization makes a new graph. *)
 val effective_graph : t -> spec:(string * Mgraph.value list) option -> Mgraph.node
-
-(** Digest identifying the construction (cache key component):
-    {!Mgraph.digest} of the meta's graph, [effective_graph m
-    ~spec:None], taken once per meta. *)
-val digest : t -> string

@@ -388,12 +388,6 @@ let scope_code = function
 
 (* -- own parts and the construction digest ---------------------------------- *)
 
-(* [op] with its parameters, each length-prefixed: no two parameter
-   lists render alike, whatever characters the parameters hold. *)
-let params (op : string) (ps : string list) : string =
-  String.concat ":"
-    (op :: List.concat_map (fun p -> [ string_of_int (String.length p); p ]) ps)
-
 (* How operands group into lists: flattening forgets it, the node's
    construction does not. *)
 let rec grouping (ns : node list) : string =
@@ -414,6 +408,15 @@ let rec add_length (b : Buffer.t) (n : int) : unit =
 let add_part (b : Buffer.t) (s : string) : unit =
   add_length b (String.length s);
   Buffer.add_string b s
+
+(* [op] with its parameters, each behind its length. No operator's
+   name begins another's, nor one value tag another's, so no two own
+   parts render alike, whatever characters the parameters hold. *)
+let params (op : string) (ps : string list) : string =
+  let b = Buffer.create 64 in
+  Buffer.add_string b op;
+  List.iter (add_part b) ps;
+  Buffer.contents b
 
 let rec own_part (n : node) : string =
   match n with

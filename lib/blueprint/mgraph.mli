@@ -144,10 +144,10 @@ val occurrence_key : string -> string
 (** Names referenced anywhere in the graph (dependency extraction). *)
 val names : node -> string list
 
-(** The construction digest, the graph part of image-cache keys: MD5
-    of every node's {!own_part} in pre-order, each behind its length, a
-    [Name]'s path after its own part. Equal digests mean the same
-    construction: names count by path, not by what they resolve to. *)
+(** The construction digest, the graph part of a static target's
+    image-cache key: MD5 of every node's {!own_part} in pre-order, each
+    behind its length, a [Name]'s path after its own part. Equal digests
+    mean the same construction: names count by path. *)
 val digest : node -> string
 
 (** [add_part b s] appends [s] to [b] behind its length (base 128, low
@@ -158,8 +158,9 @@ val add_part : Buffer.t -> string -> unit
 (** A node's own part: its operator, its parameters and its content,
     operands excluded — leaf and source content by digest, a value
     parameter's graph by {!digest}, and how a [merge] or [list] groups
-    its operands into lists. Every parameter is length-prefixed, so
-    equal own parts mean the same operator with the same parameters.
+    its operands into lists. Every parameter follows the operator behind
+    its length ({!add_part}), so equal own parts mean the same operator
+    with the same parameters.
     Path-free for [Name]: what a name resolves to is content, not the
     name. The interface digests and the content keys of kept walks both
     hash it. *)

@@ -5,12 +5,13 @@
     treating executables as a cache, OMOS avoids unnecessary repetition
     of work."
 
-    Entries are keyed by the construction digest (meta-object graph +
-    specialization); several entries may exist per key when address
-    conflicts forced alternate placements — the disk-consumption
-    concern the paper flags. Each entry carries its serialized size so
-    the cache can report disk use, and hit/miss counters feed the
-    caching experiment (E3).
+    Entries are keyed by target, construction (a library's registration
+    root digest, a static graph's construction digest) and externals;
+    several entries may exist per key when address conflicts forced
+    alternate placements — the disk-consumption concern the paper
+    flags. Each entry carries its serialized size so the cache can
+    report disk use, and hit/miss counters feed the caching experiment
+    (E3).
 
     Eviction policy: least hits first; among equal hits, alternate
     placements before primaries, then oldest first. Entries carry their
@@ -40,7 +41,7 @@ let residency_to_string = function
   | Static -> "static"
 
 type entry = {
-  key : string; (* construction digest *)
+  key : string; (* the request's cache key: target, construction, externals *)
   seq : int; (* insertion number: lower is older *)
   image : Linker.Image.t;
   digest : string Lazy.t; (* Linker.Image.digest image; a mapped hit forces it *)

@@ -2,9 +2,11 @@
     cache … By treating executables as a cache, OMOS avoids unnecessary
     repetition of work").
 
-    Entries are keyed by the construction digest (meta-object graph +
-    specialization); several entries may exist per key when address
-    conflicts forced alternate placements.
+    Entries are keyed by target, construction (a library's registration
+    root digest, which fixes what its names resolve to, or a static
+    graph's {!Blueprint.Mgraph.digest}) and externals; several entries
+    may exist per key when address conflicts forced alternate
+    placements.
 
     Eviction policy: least hits first; among equal hits, alternate
     placements before primaries (a key's first placement), then oldest
@@ -20,7 +22,7 @@ type residency = Placed | Evicted | Static
 val residency_to_string : residency -> string
 
 type entry = {
-  key : string;  (** construction digest *)
+  key : string;  (** the request's cache key: target, construction, externals *)
   seq : int;  (** insertion number: lower is older *)
   image : Linker.Image.t;
   digest : string Lazy.t;

@@ -150,6 +150,10 @@ let first_diff (xs : string list) (ys : string list) : string =
   in
   go 0 (xs, ys)
 
+let show_intervals ivs =
+  String.concat ", "
+    (List.map (fun (lo, hi, who) -> Printf.sprintf "%#x-%#x %s" lo hi who) ivs)
+
 let pipeline_equivalence (c : Fuzz.case) (clean : string list) :
     (int, string) result =
   let spec = Workload.parse (spec_text c clean) in
@@ -172,10 +176,6 @@ let pipeline_equivalence (c : Fuzz.case) (clean : string list) :
       let ea, ta, da = run_spec c batched in
       let eb, tb, db = run_spec c serial in
       let sa = List.map event_sig ea and sb = List.map event_sig eb in
-      let show_intervals ivs =
-        String.concat ", "
-          (List.map (fun (lo, hi, who) -> Printf.sprintf "%#x-%#x %s" lo hi who) ivs)
-      in
       if sa <> sb then
         Error (Printf.sprintf "batched vs serial events: %s" (first_diff sa sb))
       else if ta <> tb then
@@ -280,21 +280,39 @@ let diff_sig (s : Server.t) (path : string) : string =
                   | I.Respin { reason } -> "respin: " ^ reason))
               d.I.d_nodes))
 
+(* Is [b], served for [path], what a fresh link of its current bindings
+   gives (evaluated with subtree reuse off, linked at [b]'s bases under
+   [b]'s name)? Not if that evaluation raises. *)
+let served_fresh (s : Server.t) ~(reuse : bool) (path : string)
+    (b : Server.built) : bool =
+  let e = b.Server.entry in
+  let graph = Blueprint.Meta.effective_graph (Server.find_meta s path) ~spec:None in
+  Server.set_subtree_reuse s false;
+  let fresh = try Some (Server.eval s graph) with _ -> None in
+  Server.set_subtree_reuse s reuse;
+  Option.fold fresh ~none:false ~some:(fun (r : Blueprint.Mgraph.result) ->
+      let layout = { Linker.Link.text_base = e.Cache.text_base; data_base = e.Cache.data_base } in
+      let img, _ =
+        Linker.Link.link ~allow_undefined:true ~layout (Jigsaw.Module_ops.fragments r.m)
+      in
+      Linker.Image.digest { img with Linker.Image.name = e.Cache.image.Linker.Image.name }
+      = Linker.Image.digest e.Cache.image)
+
 (* One full history: install the case, build every library, install the
    edited blueprints over the same bindings, rebuild every library. The
-   registration's analysis of every edited library comes first. *)
-let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool) :
-    string list * (int * int * string) list * (int * int * string) list =
+   registration's analysis of every edited library comes first. Also the
+   rebuilt libraries whose served image is not [served_fresh]. *)
+let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool) =
   let w = World.create () in
   let s = w.World.server in
   Server.set_subtree_reuse s reuse;
   install c w;
   let build path =
     match Server.build s (Server.library path) with
-    | b -> Printf.sprintf "%s: %s" path (build_sig b)
-    | exception e -> Printf.sprintf "%s: raised %s" path (Printexc.to_string e)
+    | b -> (Printf.sprintf "%s: %s" path (build_sig b), Some b)
+    | exception e -> (Printf.sprintf "%s: raised %s" path (Printexc.to_string e), None)
   in
-  let pre = List.map (fun l -> build (Fuzz.lib_path l)) c.Fuzz.f_libs in
+  let pre = List.map (fun l -> fst (build (Fuzz.lib_path l))) c.Fuzz.f_libs in
   register_libs c' s;
   let analysis =
     List.concat_map
@@ -303,10 +321,20 @@ let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool) :
         [ analysis_sig s path; diff_sig s path ])
       c'.Fuzz.f_libs
   in
-  let post = List.map (fun l -> build (Fuzz.lib_path l)) c'.Fuzz.f_libs in
-  ( analysis @ pre @ post,
+  let paths = List.map Fuzz.lib_path c'.Fuzz.f_libs in
+  let post = List.map build paths in
+  let stale =
+    List.filter_map Fun.id
+      (List.map2
+         (fun path -> function
+           | _, Some b when not (served_fresh s ~reuse path b) -> Some path
+           | _ -> None)
+         paths post)
+  in
+  ( analysis @ pre @ List.map fst post,
     Constraints.Placement.intervals (Server.text_arena s),
-    Constraints.Placement.intervals (Server.data_arena s) )
+    Constraints.Placement.intervals (Server.data_arena s),
+    stale )
 
 (* Registration's analysis must not depend on history: a server that
    installed [c] and then registered [c']'s libraries over it concludes
@@ -334,34 +362,22 @@ let incremental_equivalence (c : Fuzz.case) : (int, string) result =
       Fun.protect
         ~finally:(fun () -> Telemetry.Provenance.set_enabled prov0)
         (fun () ->
-          let a, ta, da = incremental_run c c' ~reuse:true in
-          let b, tb, db = incremental_run c c' ~reuse:false in
-          let show_intervals ivs =
-            String.concat ", "
-              (List.map
-                 (fun (lo, hi, who) -> Printf.sprintf "%#x-%#x %s" lo hi who)
-                 ivs)
-          in
+          let a, ta, da, stale_a = incremental_run c c' ~reuse:true in
+          let b, tb, db, stale_b = incremental_run c c' ~reuse:false in
           let ha, hb = history_sigs c c' in
-          if a <> b then
-            Error
-              (Printf.sprintf "edit %S: incremental vs from-scratch: %s" edit
-                 (first_diff a b))
+          let stale = stale_a @ stale_b in
+          let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "edit %S: %s" edit m)) fmt in
+          if stale <> [] then
+            fail "%s serves an image a fresh link does not give" (List.hd stale)
+          else if a <> b then fail "incremental vs from-scratch: %s" (first_diff a b)
           else if ha <> hb then
-            Error
-              (Printf.sprintf
-                 "edit %S: analysis depends on registration history: %s" edit
-                 (first_diff ha hb))
+            fail "analysis depends on registration history: %s" (first_diff ha hb)
           else if ta <> tb then
-            Error
-              (Printf.sprintf
-                 "edit %S: text arena intervals differ: [%s] vs [%s]" edit
-                 (show_intervals ta) (show_intervals tb))
+            fail "text arena intervals differ: [%s] vs [%s]" (show_intervals ta)
+              (show_intervals tb)
           else if da <> db then
-            Error
-              (Printf.sprintf
-                 "edit %S: data arena intervals differ: [%s] vs [%s]" edit
-                 (show_intervals da) (show_intervals db))
+            fail "data arena intervals differ: [%s] vs [%s]" (show_intervals da)
+              (show_intervals db)
           else Ok (List.length a))
 
 (* -- putting it together ---------------------------------------------------- *)

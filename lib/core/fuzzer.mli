@@ -36,10 +36,14 @@
       {!Blueprint.Mgraph.digest} of the node itself, and its subtree's
       modeled and keyed flags) and its diff, whether registration
       replayed unchanged subtrees or walked from scratch with no
-      previous tree. Last, registration must not depend on
-      history: a server that installed the case and then registered the
-      edited libraries over it, and one that only ever registered the
-      edited libraries, must give identical reports and trees.
+      previous tree. Each rebuilt library's served image must be the
+      one a fresh link of its current bindings gives (its graph
+      evaluated with subtree reuse off, linked at the image's bases), as
+      both sides may serve one stale image. Last, registration must
+      not depend on history: a server that installed the case and then
+      registered the edited libraries over it, and one that only ever
+      registered the edited libraries, must give identical reports and
+      trees.
 
     Any other exception escaping a case is classified as the ["crash"]
     oracle. All of it is deterministic: same case, same verdict. *)

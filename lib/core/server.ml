@@ -27,7 +27,7 @@ type work_stats = {
   mutable links : int; (* full links performed *)
   mutable relocs : int; (* relocations applied by the server *)
   mutable instantiations : int;
-  mutable nodes_walked : int; (* m-graph nodes registration walked *)
+  mutable nodes_walked : int; (* m-graph nodes the analysis walked *)
   mutable subtrees_replayed : int; (* ... and replayed from a kept walk *)
 }
 
@@ -56,6 +56,8 @@ type job = {
   mutable jname : string;
   mutable jkey : string; (* cache key, fixed at parse *)
   mutable jgraph : Blueprint.Mgraph.node option;
+  mutable jtree : Analysis.Impact.tree option;
+      (* a library's tree, looked up at parse: key, findings, memo keys *)
   mutable jeval : Blueprint.Mgraph.result option;
   mutable jtext_size : int;
   mutable jdata_size : int;
@@ -109,17 +111,14 @@ type t = {
   env : Blueprint.Mgraph.env;
   work : work_stats;
   mutable impact_trees : (string, Analysis.Impact.tree) Hashtbl.t;
-      (* registration-time analysis per bound meta-object path: its
-         lint report, and the tree the memo is answered through *)
+      (* per bound meta path, current after every bind: its lint report,
+         image key (root digest) and the tree the memo is answered through *)
   impact_diffs : (string, Analysis.Impact.diff Lazy.t) Hashtbl.t;
       (* verdicts of the latest re-registration of each meta path,
          computed from its old and new trees on first query *)
   named : (string, int) Hashtbl.t;
       (* interface digest -> reusable infos of the trees naming it *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
-  mutable stale_trees : bool;
-      (* a bound path was rebound since the last registration: the trees
-         may describe what it used to hold *)
   mutable conflicts : conflict list;
   (* -- the staged request pipeline -- *)
   sched : Simos.Sched.t;
@@ -223,7 +222,6 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     impact_diffs = Hashtbl.create 16;
     named = Hashtbl.create 64;
     subtree_reuse = true;
-    stale_trees = false;
     conflicts = [];
     sched = Simos.Sched.create ();
     jobs = Hashtbl.create 64;
@@ -265,10 +263,6 @@ let text_arena (t : t) : Constraints.Placement.t = t.text_arena
 let data_arena (t : t) : Constraints.Placement.t = t.data_arena
 let residency (t : t) : Residency.t = t.residency
 
-let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
-  if Namespace.exists t.ns path then t.stale_trees <- true;
-  Namespace.bind_fragment t.ns path o
-
 let resolve_graph (t : t) (path : string) :
     (Blueprint.Mgraph.node, string) result =
   lookup_graph t.ns path
@@ -303,9 +297,10 @@ let uncount_named (t : t) (unnamed : string list ref)
           unnamed := d :: !unnamed)
     (memo_key i)
 
-(* Re-run the analysis over every bound meta-object — one kept walk per
-   meta yields its {!Analysis.Impact} tree, which carries its lint
-   report — and build the table afresh from the bound metas: a path no
+(* Re-run the analysis over every bound meta-object, at every
+   registration and every rebind — one kept walk per meta yields its
+   {!Analysis.Impact} tree, which carries its lint report and its image
+   key — and build the table afresh from the bound metas: a path no
    longer bound keeps no tree. Re-analyzing the whole namespace (not just
    the edited meta) keeps reports and trees fresh for metas that
    reference the edited path through [Name] nodes: their findings and
@@ -357,50 +352,40 @@ let refresh_analysis (t : t) : unit =
         ~other:(Hashtbl.find_opt t.impact_trees p) tree)
     trees;
   t.impact_trees <- trees;
-  t.stale_trees <- false;
   Cache.memo_drop t.cache
     (List.filter (fun d -> not (Hashtbl.mem t.named d)) !unnamed)
 
-(** Bind a meta-object and lint it: the symbol-flow analyzer runs at
-    registration (no view materialized, no simulated cost charged), the
-    finding counts feed the [lint.errors]/[lint.warnings] counters, and
-    the findings replay into the provenance journal of every build of
-    the meta. Registration never fails on findings — a broken blueprint
-    is diagnosed again, fatally, when instantiated.
+(* A rebind refreshes the analysis; server.mli says why a fresh path need not. *)
+let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
+  let rebind = Namespace.exists t.ns path in
+  Namespace.bind_fragment t.ns path o;
+  if rebind then refresh_analysis t
 
-    Registration also refreshes every bound meta's lint report and
-    {!Analysis.Impact} tree, the trees evaluation answers the memo
-    table through, and if [path] was already bound its old and new
-    trees are kept for {!impact_diff} — the next build of an edited
-    blueprint then re-materializes only the respun spine, answering
-    provably-equivalent subtrees from the memo table. *)
+(* Bind and refresh every tree; only the registered path feeds the
+   finding counters, and a re-registration keeps its old and new trees
+   for [impact_diff], diffed on first query. Registration never fails on
+   findings: a broken blueprint fails again, fatally, when instantiated. *)
 let register_meta (t : t) (path : string) (m : Blueprint.Meta.t) : unit =
   let old_tree = Hashtbl.find_opt t.impact_trees path in
   Namespace.bind_meta t.ns path m;
   refresh_analysis t;
-  match Hashtbl.find_opt t.impact_trees path with
-  | None -> ()
-  | Some new_tree -> (
-      let report = new_tree.Analysis.Impact.t_report in
-      let errs = Analysis.Lint.errors report
-      and warns = Analysis.Lint.warnings report in
-      if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
-      if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings;
-      match old_tree with
-      | Some old_tree ->
-          Hashtbl.replace t.impact_diffs path
-            (lazy (Analysis.Impact.diff ~old_tree ~new_tree))
-      | None -> ())
-
-(** The registration-time lint report of a bound meta-object. *)
-let lint_report (t : t) (path : string) : Analysis.Lint.report option =
-  Option.map
-    (fun tree -> tree.Analysis.Impact.t_report)
-    (Hashtbl.find_opt t.impact_trees path)
+  let new_tree = Hashtbl.find t.impact_trees path in
+  let report = new_tree.Analysis.Impact.t_report in
+  let errs = Analysis.Lint.errors report and warns = Analysis.Lint.warnings report in
+  if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
+  if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings;
+  Option.iter
+    (fun old_tree ->
+      Hashtbl.replace t.impact_diffs path (lazy (Analysis.Impact.diff ~old_tree ~new_tree)))
+    old_tree
 
 (** The registration-time dependence analysis of a bound meta-object. *)
 let impact_tree (t : t) (path : string) : Analysis.Impact.tree option =
   Hashtbl.find_opt t.impact_trees path
+
+(** The registration-time lint report of a bound meta-object. *)
+let lint_report (t : t) (path : string) : Analysis.Lint.report option =
+  Option.map (fun tree -> tree.Analysis.Impact.t_report) (impact_tree t path)
 
 (** The interface digests the bound trees name, each with the number of
     reusable nodes naming it, sorted. *)
@@ -416,9 +401,8 @@ let impact_diff (t : t) (path : string) : Analysis.Impact.diff option =
   Option.map Lazy.force (Hashtbl.find_opt t.impact_diffs path)
 
 (** Toggle incremental relinking (default on): when off, evaluation
-    never consults or fills the per-node memo table and registration
-    walks every meta from scratch — the knob the
-    incremental-vs-from-scratch differential oracle flips. *)
+    never consults or fills the per-node memo table and every refresh
+    walks every meta from scratch. *)
 let set_subtree_reuse (t : t) (b : bool) : unit = t.subtree_reuse <- b
 
 (** Register a meta-object from blueprint source text — parse, then
@@ -479,7 +463,7 @@ let eval_with (t : t) (tree : Analysis.Impact.tree option)
   let t0 = Telemetry.now_us () in
   let r =
     match tree with
-    | Some tree when t.subtree_reuse && not t.stale_trees ->
+    | Some tree when t.subtree_reuse ->
         Blueprint.Mgraph.eval_memo t.env (memo t tree) node
     | _ -> Blueprint.Mgraph.eval t.env node
   in
@@ -494,12 +478,6 @@ let eval (t : t) (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
        (fun tree -> tree.Analysis.Impact.t_graph == node)
        (Hashtbl.to_seq_values t.impact_trees))
     node
-
-(* The registration analysis of a request's meta, if it targets one. *)
-let target_tree (t : t) (target : target) : Analysis.Impact.tree option =
-  match target with
-  | Library { path } -> Hashtbl.find_opt t.impact_trees path
-  | Static _ -> None
 
 (* Charge the cost of a full link to the simulated clock: this is the
    work a cache hit avoids. *)
@@ -787,7 +765,7 @@ and stage_eval (t : t) (job : job) () : unit =
   t.work.instantiations <- t.work.instantiations + 1;
   let r =
     Telemetry.Provenance.with_frame (Option.get job.jframe) @@ fun () ->
-    eval_with t (target_tree t job.jreq.target) (Option.get job.jgraph)
+    eval_with t job.jtree (Option.get job.jgraph)
   in
   job.jeval <- Some r;
   match job.jreq.target with
@@ -814,33 +792,37 @@ and stage_eval (t : t) (job : job) () : unit =
 and stage_lint (t : t) (job : job) () : unit =
   let frame = Telemetry.Provenance.open_frame () in
   job.jframe <- Some frame;
-  (match Hashtbl.find_opt t.impact_trees job.jname with
-  | Some tree ->
+  Option.iter
+    (fun tree ->
       Telemetry.Provenance.with_frame frame @@ fun () ->
       List.iter
         (fun (f : Analysis.Lint.finding) ->
           Telemetry.Provenance.record_lint ~code:f.Analysis.Lint.code
             ~severity:(Analysis.Lint.severity_to_string f.Analysis.Lint.severity)
             ~path:f.Analysis.Lint.path f.Analysis.Lint.message)
-        tree.Analysis.Impact.t_report.Analysis.Lint.findings
-  | None -> ());
+        tree.Analysis.Impact.t_report.Analysis.Lint.findings)
+    job.jtree;
   List.iter
     (fun _ ->
       Telemetry.Provenance.record_coalesced_into frame ~leader_request:job.jt)
     job.jfollowers;
   spawn_stage t job "eval" (stage_eval t job)
 
-(* parse: resolve the target, fix the cache key, and serve cache hits
+(* parse: resolve the target, fix the cache key (a library's tree's root
+   digest, a static graph's construction digest), and serve cache hits
    without touching the build stages. A job whose key is already being
    built parks as a waiter (request coalescing). *)
 and stage_parse (t : t) (job : job) () : unit =
   let name, graph, digest =
     match job.jreq.target with
     | Library { path } ->
-        let m = find_meta t path in
-        ( path,
-          Blueprint.Meta.effective_graph m ~spec:None,
-          Blueprint.Meta.digest m )
+        (* every bound meta has a tree: [find_meta] says what else [path] is *)
+        let tree =
+          try Hashtbl.find t.impact_trees path
+          with Not_found -> ignore (find_meta t path); raise Not_found
+        in
+        job.jtree <- Some tree;
+        (path, tree.Analysis.Impact.t_graph, tree.Analysis.Impact.t_root.Analysis.Lint.i_digest)
     | Static { name; graph; _ } -> (name, graph, Blueprint.Mgraph.digest graph)
   in
   job.jname <- name;
@@ -994,6 +976,7 @@ let submit (t : t) (req : request) : ticket =
       jname = "";
       jkey = "";
       jgraph = None;
+      jtree = None;
       jeval = None;
       jtext_size = 1;
       jdata_size = 1;

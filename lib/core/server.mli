@@ -63,7 +63,8 @@ type stats = {
   source_compiles : int;
   instantiations : int;
   nodes_walked : int;
-      (** m-graph nodes registration walked with subtree reuse on *)
+      (** m-graph nodes the registration analysis walked, at every
+          registration and every rebind *)
   subtrees_replayed : int;
       (** subtrees it replayed from a meta's previous walk instead *)
 }
@@ -82,12 +83,13 @@ val residency : t -> Residency.t
 (** {1 Namespace population} *)
 
 (** Bind an object file into the server's namespace. Binding over a
-    path that is already bound (a fragment, a meta or a directory) makes
-    the registration trees stale: they may describe what the path used
-    to hold, so evaluation bypasses the memo table until the next
-    {!register_meta} refreshes them. A fresh path needs no such care: a
-    name that did not resolve at registration leaves the nodes above it
-    unmodeled, and the memo never answers those. *)
+    bound path (a fragment, a meta or a directory) refreshes the
+    analysis as {!register_meta} does, so trees, reports, memo keys
+    and image keys follow the new binding. A fresh path is not
+    refreshed: it changes only names that did not resolve, which the
+    memo never answers and whose reports keep their E005 until the next
+    refresh; their key, the error, cannot come back once the path is
+    bound, since changing a bound path refreshes. *)
 val add_fragment : t -> string -> Sof.Object_file.t -> unit
 
 (** [register_meta t path m] binds a meta-object and lints it: the
@@ -102,17 +104,15 @@ val register_meta : t -> string -> Blueprint.Meta.t -> unit
 
 (** The registration-time lint report of a bound meta-object, read off
     its {!impact_tree}: refreshed for every bound meta whenever any meta
-    is registered (a [Name] it reaches may have been bound since).
-    [None] for a path that was not bound to a meta at the last
-    registration. *)
+    is registered or a bound path rebound (a [Name] it reaches may have
+    been bound since). [None] for a path not bound to a meta. *)
 val lint_report : t -> string -> Analysis.Lint.report option
 
 (** The registration-time analysis of a bound meta-object: one kept
-    {!Analysis.Lint} walk per meta, which is both its lint report and
-    its {!Analysis.Impact} tree (refreshed for every bound meta whenever
-    any meta is registered, so [Name]-mediated dependencies stay
-    current; [None] as for {!lint_report}). Evaluation answers the memo
-    table through these trees. *)
+    {!Analysis.Lint} walk per meta, which is its lint report, its
+    {!Analysis.Impact} tree and, at its root's interface digest, its
+    image key (refreshed as {!lint_report} is; every bound meta has
+    one). Evaluation answers the memo table through these trees. *)
 val impact_tree : t -> string -> Analysis.Impact.tree option
 
 (** The reuse/respin verdicts of the last time the path was
@@ -134,7 +134,7 @@ val memo_digests : t -> string list
 
 (** Toggle incremental relinking (default on): when off, evaluation
     never consults or fills the per-node memo table, and registration
-    walks every meta from scratch (a kept walk with no previous tree)
+    (or a rebind) walks every meta from scratch
     instead of replaying unchanged subtrees from its previous walk. The
     knob the incremental-vs-from-scratch differential oracle flips. *)
 val set_subtree_reuse : t -> bool -> unit
@@ -165,10 +165,9 @@ val find_meta : t -> string -> Blueprint.Meta.t
 (** Evaluate an m-graph in the server's environment. A graph that is
     physically a bound meta's registered graph
     ([Blueprint.Meta.effective_graph m ~spec:None]) is evaluated through
-    the memo table, answered through that meta's {!impact_tree}, unless
-    {!add_fragment} rebound a path since the last registration; any
-    other graph (a fresh parse, a graph a caller built) is evaluated
-    without the memo. *)
+    the memo table, answered through that meta's {!impact_tree} (with
+    subtree reuse on); any other graph (a fresh parse, a graph a caller
+    built) is evaluated without the memo. *)
 val eval : t -> Blueprint.Mgraph.node -> Blueprint.Mgraph.result
 
 (** Text and data+bss sizes a module will occupy (for placement). *)
@@ -219,8 +218,10 @@ type response = {
   coalesce_us : float; (* of sim_us, waiting on a leader's in-flight build *)
 }
 
-(** [library ?externals path] — a [Library] request. Its cache key is
-    the meta's {!Blueprint.Meta.digest}, taken once per meta. *)
+(** [library ?externals path] — a [Library] request, keyed by the root
+    interface digest of the meta's {!impact_tree}, which fixes what
+    every name it reaches resolves to; the same tree, looked up once,
+    gives its findings and memo keys. *)
 val library : ?externals:Linker.Image.t list -> string -> request
 
 (** [static ~name graph] — a [Static] request. *)

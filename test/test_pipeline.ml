@@ -377,6 +377,59 @@ let test_cache_key_commas () =
   Alcotest.(check (list string)) "the second's image is the predicted one" predicted
     (symtab second)
 
+(* A library's image key fixes what its names resolve to. *)
+
+let bind_fn s path fn =
+  Omos.Server.add_fragment s path
+    (Minic.Driver.compile ~name:path (Printf.sprintf "int %s(int x) { return x; }" fn))
+
+(* (cache hit, exported names) of an instantiation, and its entry's
+   insertion number *)
+let instantiate_lib s path =
+  let r = Omos.Server.instantiate s (Omos.Server.library path) in
+  let e = r.Omos.Server.built.Omos.Server.entry in
+  ( (r.Omos.Server.cache_hit, List.sort compare (List.map fst e.Omos.Cache.image.Linker.Image.symtab)),
+    e.Omos.Cache.seq )
+
+let hit_and_symtab = Alcotest.(pair bool (list string))
+
+(* A fragment rebound under a library's unchanged text: the library
+   misses and builds what the path holds now, re-registering the same
+   text hits that image, and rebinding the path back to a
+   content-identical object hits the image first built from it. *)
+let test_cache_key_rebind () =
+  let s = fresh_world () in
+  let lib what expected =
+    let got, seq = instantiate_lib s "/t/lib" in
+    Alcotest.check hit_and_symtab what expected got;
+    seq
+  in
+  bind_fn s "/t/f.o" "old_fn";
+  Omos.Server.register_meta_source s "/t/lib" "(merge /t/f.o)";
+  let first = lib "first build" (false, [ "old_fn" ]) in
+  bind_fn s "/t/f.o" "new_fn";
+  ignore (lib "the rebind misses" (false, [ "new_fn" ]));
+  Omos.Server.register_meta_source s "/t/lib" "(merge /t/f.o)";
+  ignore (lib "re-registered: a hit on the new image" (true, [ "new_fn" ]));
+  bind_fn s "/t/f.o" "old_fn";
+  Alcotest.(check int) "rebound back: a hit on the first image" first
+    (lib "rebound back: a hit" (true, [ "old_fn" ]))
+
+(* A library re-registered under another that merges it: the merging
+   library misses and builds what its lint report predicts. *)
+let test_cache_key_merged_edit () =
+  let s = fresh_world () in
+  List.iter (fun x -> bind_fn s (Printf.sprintf "/t/%s.o" x) (x ^ "_fn")) [ "a"; "b"; "c" ];
+  Omos.Server.register_meta_source s "/t/inner" "(merge /t/a.o)";
+  Omos.Server.register_meta_source s "/t/outer" "(merge /t/c.o /t/inner)";
+  Alcotest.check hit_and_symtab "first build" (false, [ "a_fn"; "c_fn" ])
+    (fst (instantiate_lib s "/t/outer"));
+  Omos.Server.register_meta_source s "/t/inner" "(merge /t/b.o)";
+  let predicted = (Option.get (Omos.Server.lint_report s "/t/outer")).Analysis.Lint.exports in
+  Alcotest.(check (list string)) "lint predicts b_fn" [ "b_fn"; "c_fn" ] predicted;
+  Alcotest.check hit_and_symtab "the merging library misses" (false, predicted)
+    (fst (instantiate_lib s "/t/outer"))
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -415,5 +468,10 @@ let () =
           Alcotest.test_case "digest once per entry" `Quick test_map_key_digest_once;
         ] );
       ( "cache keys",
-        [ Alcotest.test_case "parameters with commas" `Quick test_cache_key_commas ] );
+        [
+          Alcotest.test_case "parameters with commas" `Quick test_cache_key_commas;
+          Alcotest.test_case "a rebind re-keys the library" `Quick test_cache_key_rebind;
+          Alcotest.test_case "an edited library re-keys its merger" `Quick
+            test_cache_key_merged_edit;
+        ] );
     ]
