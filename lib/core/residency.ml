@@ -269,13 +269,51 @@ let violations (t : t) (live : Cache.entry list) : violation list =
   orphans t.data_arena "data" data_extent;
   List.rev !out
 
+(* Whether [violations t live] is empty, without comparing pairs. In
+   each arena the placed extents are sorted by base once: an overlap
+   shows between neighbours. Then, with distinct bases, they are walked
+   beside the arena's intervals, which are in order of base too: each
+   extent needs an interval of its owner at its base that reaches its
+   end, and each managed interval an extent of its owner at its base.
+   [met] says whether the first extent has found its interval. *)
+let clean (t : t) (live : Cache.entry list) : bool =
+  let placed =
+    List.filter (fun (e : Cache.entry) -> e.Cache.residency = Cache.Placed) live
+  in
+  let managed o = Hashtbl.mem t.managed o in
+  let arena_clean arena extent =
+    let exts =
+      List.sort
+        (fun (a, _, _) (b, _, _) -> Int.compare a b)
+        (List.map
+           (fun e ->
+             let lo, sz = extent e in
+             (lo, lo + sz, owner_of e))
+           placed)
+    in
+    let rec disjoint reach = function
+      | [] -> true
+      | (lo, hi, _) :: rest -> lo >= reach && disjoint (max reach hi) rest
+    in
+    let rec matched met exts ivs =
+      match (exts, ivs) with
+      | [], [] -> true
+      | [], (_, _, o) :: ivs -> (not (managed o)) && matched false [] ivs
+      | _ :: exts, [] -> met && exts = []
+      | ((lo, hi, owner) :: rest as exts), (ilo, ihi, o) :: ivs' ->
+          if lo < ilo then met && matched false rest ivs
+          else if lo > ilo || owner <> o then (not (managed o)) && matched met exts ivs'
+          else matched (met || ihi >= hi) exts ivs'
+    in
+    disjoint min_int exts && matched false exts (P.intervals arena)
+  in
+  arena_clean t.text_arena text_extent && arena_clean t.data_arena data_extent
+
 let check_invariants (t : t) : violation list =
   Telemetry.Counter.incr tm_checks;
-  (* every request checks: only a report sorts the entries *)
-  let vs =
-    if violations t (Cache.to_list t.cache) = [] then []
-    else violations t (Cache.by_age t.cache)
-  in
+  (* every request checks: only a report compares pairs and sorts the
+     entries *)
+  let vs = if clean t (Cache.to_list t.cache) then [] else violations t (Cache.by_age t.cache) in
   if vs <> [] then begin
     Telemetry.Counter.incr tm_violations ~by:(List.length vs);
     List.iter

@@ -97,6 +97,16 @@ type violation = {
 
 val violation_message : violation -> string
 
+(** The violations among [live] (its [Placed] entries, in its order),
+    found by comparing every pair and scanning every entry for each
+    arena interval: the report {!check_invariants} gives. *)
+val violations : t -> Cache.entry list -> violation list
+
+(** Whether {!violations} would find nothing among [live], found in
+    [O(n log n)]: extents sorted once and compared with their
+    neighbours, intervals and bases looked up in tables. *)
+val clean : t -> Cache.entry list -> bool
+
 (** Verify that the cache and the arenas agree:
     {ol
     {- every [Placed] entry's full text+data extents are reserved under
@@ -105,8 +115,9 @@ val violation_message : violation -> string
     {- no arena interval belonging to a residency-managed owner is
        orphaned — left behind with no live [Placed] entry.}}
     Intervals of unmanaged owners (e.g. [Dynload]'s per-process ranges)
-    are ignored. Violations are reported taking entries oldest first
-    ({!Cache.by_age}). *)
+    are ignored. It runs on every request, so it first asks {!clean};
+    only when that finds something does it compare pairs
+    ({!violations}), taking entries oldest first ({!Cache.by_age}). *)
 val check_invariants : t -> violation list
 
 (** @raise Violation if {!check_invariants} reports anything. *)

@@ -355,11 +355,24 @@ let refresh_analysis (t : t) : unit =
   Cache.memo_drop t.cache
     (List.filter (fun d -> not (Hashtbl.mem t.named d)) !unnamed)
 
-(* A rebind refreshes the analysis; server.mli says why a fresh path need not. *)
+(* Whether some bound tree reports [path] as an unknown server object. *)
+let reported_unknown (t : t) (path : string) : bool =
+  Hashtbl.fold
+    (fun _ (tree : Analysis.Impact.tree) found ->
+      found
+      || List.exists
+           (fun (f : Analysis.Lint.finding) ->
+             f.Analysis.Lint.code = "E005" && f.Analysis.Lint.symbols = [ path ])
+           tree.Analysis.Impact.t_report.Analysis.Lint.findings)
+    t.impact_trees false
+
+(* A rebind refreshes the analysis, and so does binding a path some
+   tree reports unknown; server.mli says why no other fresh path needs
+   to. *)
 let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
-  let rebind = Namespace.exists t.ns path in
+  let refresh = Namespace.exists t.ns path || reported_unknown t path in
   Namespace.bind_fragment t.ns path o;
-  if rebind then refresh_analysis t
+  if refresh then refresh_analysis t
 
 (* Bind and refresh every tree; only the registered path feeds the
    finding counters, and a re-registration keeps its old and new trees

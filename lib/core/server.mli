@@ -85,11 +85,11 @@ val residency : t -> Residency.t
 (** Bind an object file into the server's namespace. Binding over a
     bound path (a fragment, a meta or a directory) refreshes the
     analysis as {!register_meta} does, so trees, reports, memo keys
-    and image keys follow the new binding. A fresh path is not
-    refreshed: it changes only names that did not resolve, which the
-    memo never answers and whose reports keep their E005 until the next
-    refresh; their key, the error, cannot come back once the path is
-    bound, since changing a bound path refreshes. *)
+    and image keys follow the new binding. So does binding a fresh
+    path that some bound tree's report names in an E005 (unknown
+    server object) finding, so that the report, and the journal of a
+    build that replays it, lose the E005 at once. Any other fresh path
+    changes no name that a tree resolved, and is not refreshed. *)
 val add_fragment : t -> string -> Sof.Object_file.t -> unit
 
 (** [register_meta t path m] binds a meta-object and lints it: the

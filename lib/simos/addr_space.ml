@@ -38,6 +38,9 @@ type region = {
      deferred (page-wise lazy) relocation work a traditional dynamic
      loader performs in the client, per process *)
   touch_user_cost : float;
+  (* the segment's translations, for a shared region; a writable
+     region's code runs word by word *)
+  translations : Svm.Cpu.translations option;
 }
 
 type stats = {
@@ -74,16 +77,18 @@ let no_region : region =
     backing = { resident = [||] };
     frames = { Phys.id = -1; label = ""; pages = 0; refs = 0 };
     touch_user_cost = 0.0;
+    translations = None;
   }
 
 let empty_window () : Svm.Cpu.window =
-  { Svm.Cpu.bytes = Bytes.empty; base = 0; lo = 0; hi = 0; writable = false }
+  { Svm.Cpu.bytes = Bytes.empty; base = 0; lo = 0; hi = 0; writable = false; page = Words }
 
 (* Serves no address, so the next access through [w] misses. *)
 let clear (w : Svm.Cpu.window) =
   w.bytes <- Bytes.empty;
   w.lo <- 0;
-  w.hi <- 0
+  w.hi <- 0;
+  w.page <- Words
 
 let create ~(phys : Phys.t) ~(clock : Clock.t) ~(cost : Cost.t) () : t =
   {
@@ -133,12 +138,15 @@ let insert (t : t) (r : region) =
   in
   set_regions t (go t.regions)
 
-(** [map_shared t ~vaddr ~bytes ~frames ~backing ~label] maps a
-    read-only shared segment: backing bytes and frames are referenced.
-    The caller (the server/kernel) owns [frames] and [backing]. *)
-let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t)
+(** [map_shared t ~vaddr ~bytes ~code ~frames ~backing ~label] maps a
+    read-only shared segment: backing bytes, translations and frames are
+    referenced. The caller (the server/kernel) owns [code], [frames]
+    and [backing]. *)
+let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t) ~(code : Svm.Cpu.translations)
     ~(frames : Phys.frame_group) ~(backing : backing_state)
     ?(touch_user_cost = 0.0) ~(label : string) () : unit =
+  if not (Svm.Cpu.translates code bytes) then
+    invalid_arg ("Addr_space.map_shared: translations of other bytes for " ^ label);
   let hi = vaddr + Bytes.length bytes in
   check_overlap t vaddr hi label;
   Phys.addref frames;
@@ -155,6 +163,7 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t)
       backing;
       frames;
       touch_user_cost;
+      translations = Some code;
     }
 
 (** [map_private t ~vaddr ~init ~size ~label ()] maps a private
@@ -181,6 +190,7 @@ let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
       backing = (match backing with Some b -> b | None -> resident_backing ());
       frames = Phys.alloc t.phys ~label ~bytes:size;
       touch_user_cost;
+      translations = None;
     }
 
 (** Release all mappings (process teardown). *)
@@ -303,11 +313,16 @@ let store32 (t : t) (addr : int) (v : int) : unit =
   touch t t.data_window r off;
   Bytes.set_int32_le r.bytes off (Int32.of_int v)
 
-(* A fetch charges its page before checking alignment. *)
+(* A fetch charges its page before checking alignment, and hands the
+   window that page's translations. *)
 let fill_code (t : t) (addr : int) : unit =
   let r = code_region t addr in
   let off = addr - r.lo in
   touch t t.code_window r off;
+  t.code_window.page <-
+    (match r.translations with
+    | Some tr -> Svm.Cpu.page tr (off lsr page_shift)
+    | None -> Words);
   if off land (Svm.Isa.width - 1) <> 0 || off + Svm.Isa.width > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" addr))
 

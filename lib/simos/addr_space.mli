@@ -12,7 +12,10 @@
     windows that {!mem} hands it: one for fetches, one for loads and
     stores, each onto one touched page. Only an access outside its
     window calls in here, and that call pays any first touch and
-    re-points the window. *)
+    re-points the window. A shared region carries its segment's
+    {!Svm.Cpu.translations}, and a fetch miss hands the code window the
+    page of them it touched, so the CPU runs that page's code a block
+    at a time; a writable region's code runs word by word. *)
 
 exception Fault of string
 
@@ -32,6 +35,8 @@ type region = {
   backing : backing_state;
   frames : Phys.frame_group;
   touch_user_cost : float;
+  translations : Svm.Cpu.translations option;
+      (* the segment's, for a shared region; [None] when writable *)
 }
 
 type t
@@ -44,12 +49,17 @@ val regions : t -> region list
     [bytes] bytes. *)
 val disk_backing : bytes:int -> backing_state
 
-(** Map a read-only shared segment: backing bytes and frames are
-    referenced, not copied. *)
+(** Map a read-only shared segment: backing bytes, translations and
+    frames are referenced, not copied. [code] must be translations of
+    [bytes] ({!Svm.Cpu.translations}), and every mapping of the segment,
+    in any space and at any address, may share them: the caller owns
+    them, as it owns [frames] and [backing].
+    @raise Invalid_argument if [code] translates other bytes *)
 val map_shared :
   t ->
   vaddr:int ->
   bytes:Bytes.t ->
+  code:Svm.Cpu.translations ->
   frames:Phys.frame_group ->
   backing:backing_state ->
   ?touch_user_cost:float ->
@@ -95,6 +105,7 @@ val store32 : t -> int -> int -> unit
 
 (** CPU memory interface for this address space: its windows, these
     accessors, and a fetch check that charges the page before it faults
-    a misaligned or out-of-range instruction. Every map change empties
-    the windows. *)
+    a misaligned or out-of-range instruction, and points the code
+    window at the page's translations ([Words] in a writable region).
+    Every map change empties the windows. *)
 val mem : t -> Svm.Cpu.mem

@@ -20,11 +20,13 @@ let stack_top = 0x7FF00000
 let stack_size = 0x40000
 
 (* A file-backed shared segment in the OS page cache: every process
-   exec'ing the same binary shares its read-only frames. *)
+   exec'ing the same binary shares its read-only frames and the
+   translations of its code. *)
 type cached_seg = {
   cs_bytes : Bytes.t;
   cs_frames : Phys.frame_group;
   cs_backing : Addr_space.backing_state;
+  cs_code : Svm.Cpu.translations;
 }
 
 type t = {
@@ -246,6 +248,7 @@ let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
                   cs_bytes = s.Linker.Image.bytes;
                   cs_frames = Phys.alloc k.phys ~label:ck ~bytes:0;
                   cs_backing = backing;
+                  cs_code = Svm.Cpu.translations s.Linker.Image.bytes;
                 };
               backing
         in
@@ -271,13 +274,14 @@ let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
                        Addr_space.disk_backing
                          ~bytes:(Bytes.length s.Linker.Image.bytes)
                      else { Addr_space.resident = [||] });
+                  cs_code = Svm.Cpu.translations s.Linker.Image.bytes;
                 }
               in
               Hashtbl.replace k.page_cache ck cs;
               cs
         in
         Addr_space.map_shared p.Proc.aspace ~vaddr:s.Linker.Image.vaddr
-          ~bytes:cs.cs_bytes ~frames:cs.cs_frames ~backing:cs.cs_backing
+          ~bytes:cs.cs_bytes ~code:cs.cs_code ~frames:cs.cs_frames ~backing:cs.cs_backing
           ~touch_user_cost ~label:ck ()
       end)
     img.Linker.Image.segments;

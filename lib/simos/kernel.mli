@@ -13,11 +13,16 @@ val stack_top : int
 val stack_size : int
 
 (** A file-backed shared segment in the OS page cache: every process
-    mapping the same key shares its frames and backing residency. *)
+    mapping the same key shares its frames, its backing residency and,
+    for a read-only segment, the translations of its code, which
+    persist as long as the entry ({!Svm.Cpu.translations}; a writable
+    segment's are never used, as each process runs its private copy
+    word by word). *)
 type cached_seg = {
   cs_bytes : Bytes.t;
   cs_frames : Phys.frame_group;
   cs_backing : Addr_space.backing_state;
+  cs_code : Svm.Cpu.translations;
 }
 
 type t = {

@@ -430,6 +430,40 @@ let test_cache_key_merged_edit () =
   Alcotest.check hit_and_symtab "the merging library misses" (false, predicted)
     (fst (instantiate_lib s "/t/outer"))
 
+(* A library registered before a path it names is bound: binding the
+   path clears the report's E005 at once, and a build in between
+   journals no E005. *)
+let test_fresh_path_clears_unknown () =
+  let s = fresh_world () in
+  let e005 findings = List.exists (fun code -> code = "E005") findings in
+  bind_fn s "/t/a.o" "a_fn";
+  Omos.Server.register_meta_source s "/t/lib" "(merge /t/a.o /t/x.o)";
+  let report () = Option.get (Omos.Server.lint_report s "/t/lib") in
+  let codes () = List.map (fun f -> f.Analysis.Lint.code) (report ()).Analysis.Lint.findings in
+  Alcotest.(check bool) "registered: E005" true (e005 (codes ()));
+  bind_fn s "/t/x.o" "x_fn";
+  Alcotest.(check bool) "bound: no E005" false (e005 (codes ()));
+  Alcotest.(check (list string)) "exports" [ "a_fn"; "x_fn" ] (report ()).Analysis.Lint.exports;
+  Telemetry.Provenance.set_enabled true;
+  let r =
+    Fun.protect ~finally:(fun () -> Telemetry.Provenance.set_enabled false) (fun () ->
+        Omos.Server.instantiate s (Omos.Server.library "/t/lib"))
+  in
+  let e = r.Omos.Server.built.Omos.Server.entry in
+  Alcotest.check hit_and_symtab "built" (false, [ "a_fn"; "x_fn" ])
+    ( r.Omos.Server.cache_hit,
+      List.sort compare (List.map fst e.Omos.Cache.image.Linker.Image.symtab) );
+  let journal =
+    match e.Omos.Cache.provenance with
+    | Some p -> p.Telemetry.Provenance.p_events
+    | None -> Alcotest.fail "no provenance"
+  in
+  Alcotest.(check bool) "journal: no E005" false
+    (e005
+       (List.filter_map
+          (function Telemetry.Provenance.Lint { code; _ } -> Some code | _ -> None)
+          journal))
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -471,6 +505,8 @@ let () =
         [
           Alcotest.test_case "parameters with commas" `Quick test_cache_key_commas;
           Alcotest.test_case "a rebind re-keys the library" `Quick test_cache_key_rebind;
+          Alcotest.test_case "binding an unknown path clears its E005" `Quick
+            test_fresh_path_clears_unknown;
           Alcotest.test_case "an edited library re-keys its merger" `Quick
             test_cache_key_merged_edit;
         ] );

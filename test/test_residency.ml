@@ -394,6 +394,171 @@ let test_scheme_survives_eviction () =
   Alcotest.(check string) "output unchanged" out1 out2;
   check_clean w.Omos.World.server
 
+(* -- the fast check against the pairwise report -------------------------- *)
+
+(* A random residency state: stray intervals of managed and unmanaged
+   owners, then entries of a few owners at the same few bases, most
+   placed, most of whose extents are reserved (a reservation that
+   collides with an earlier interval fails, and one the owner already
+   holds there may be too short). Bases collide often, so more than
+   half the states hold an overlap, an orphan or an unreserved
+   extent. *)
+type entry_spec = {
+  owner : int;
+  text_base : int;
+  text_size : int;
+  data_base : int;
+  data_size : int;
+  bss : int;
+  state : Omos.Cache.residency;
+  reserve_text : bool;
+  reserve_data : bool;
+}
+
+type state_spec = { entries : entry_spec list; strays : (bool * int * int * int) list }
+
+let owners = [| "/lib/a"; "/lib/b"; "/lib/c"; "/lib/d" |]
+let text_at k = 0x10000 + (k * 0x1000)
+let data_at k = 0x40000000 + (k * 0x1000)
+
+let gen_state : state_spec QCheck.Gen.t =
+  let open QCheck.Gen in
+  let entry =
+    int_bound 3 >>= fun owner ->
+    int_bound 5 >>= fun tb ->
+    oneofl [ 0; 1; 0x800; 0x1000; 0x1800 ] >>= fun text_size ->
+    int_bound 5 >>= fun db ->
+    oneofl [ 0; 4; 0x1000 ] >>= fun data_size ->
+    oneofl [ 0; 0x10; 0x1000 ] >>= fun bss ->
+    frequency
+      [
+        (6, return Omos.Cache.Placed);
+        (1, return Omos.Cache.Evicted);
+        (1, return Omos.Cache.Static);
+      ]
+    >>= fun state ->
+    frequency [ (9, return true); (1, return false) ] >>= fun reserve_text ->
+    frequency [ (9, return true); (1, return false) ] >|= fun reserve_data ->
+    {
+      owner;
+      text_base = text_at tb;
+      text_size;
+      data_base = data_at db;
+      data_size;
+      bss;
+      state;
+      reserve_text;
+      reserve_data;
+    }
+  in
+  (* stray sizes often fall one byte short of, or reach exactly, an
+     extent's end *)
+  let size =
+    frequency
+      [
+        (3, oneofl [ 3; 0xF; 0x7FF; 0x800; 0xFFF; 0x1000; 0x1003; 0x17FF; 0x1800; 0x1FFF ]);
+        (1, int_range 1 0x2000);
+      ]
+  in
+  let stray = quad bool (int_bound 3) (int_bound 5) size in
+  pair (list_size (int_range 0 6) entry) (list_size (int_range 0 3) stray)
+  >|= fun (entries, strays) -> { entries; strays }
+
+let print_state (s : state_spec) =
+  String.concat "\n"
+    (List.map
+       (fun e ->
+         Printf.sprintf "%s %s text 0x%x+0x%x%s data 0x%x+0x%x+0x%x%s" owners.(e.owner)
+           (Omos.Cache.residency_to_string e.state) e.text_base e.text_size
+           (if e.reserve_text then "" else " (unreserved)")
+           e.data_base e.data_size e.bss
+           (if e.reserve_data then "" else " (unreserved)"))
+       s.entries
+    @ List.map
+        (fun (text, o, k, size) ->
+          Printf.sprintf "stray %s interval of %s at %d, 0x%x bytes"
+            (if text then "text" else "data") owners.(o) k size)
+        s.strays)
+
+let image_of (e : entry_spec) : Linker.Image.t =
+  let seg name vaddr size writable =
+    { Linker.Image.seg_name = name; vaddr; bytes = Bytes.create size; writable }
+  in
+  {
+    Linker.Image.name = owners.(e.owner);
+    segments =
+      (if e.text_size > 0 then [ seg "text" e.text_base e.text_size false ] else [])
+      @ if e.data_size > 0 then [ seg "data" e.data_base e.data_size true ] else [];
+    bss_vaddr = e.data_base + e.data_size;
+    bss_size = e.bss;
+    entry = -1;
+    symtab = [];
+    reloc_work = 0;
+  }
+
+(* Builds the state; a stray's unmanaged owner is "/dyn". *)
+let residency_of (s : state_spec) : Omos.Residency.t * Omos.Cache.t =
+  let cache = Omos.Cache.create () in
+  let text_arena = Placement.create () and data_arena = Placement.create () in
+  let r = Omos.Residency.create ~cache ~text_arena ~data_arena () in
+  List.iter
+    (fun (text, o, k, size) ->
+      let arena, lo = if text then (text_arena, text_at k) else (data_arena, data_at k) in
+      let owner = if o = 3 then "/dyn" else owners.(o) in
+      ignore (Placement.reserve arena ~lo ~size owner))
+    s.strays;
+  List.iteri
+    (fun i e ->
+      let entry =
+        Omos.Cache.insert cache ~key:(string_of_int i) ~text_base:e.text_base
+          ~data_base:e.data_base (image_of e)
+      in
+      let reserve arena (lo, size) =
+        ignore (Placement.reserve arena ~lo ~size owners.(e.owner))
+      in
+      if e.state = Omos.Cache.Placed then begin
+        Omos.Residency.note_placed r entry;
+        if e.reserve_text then reserve text_arena (Omos.Residency.text_extent entry);
+        if e.reserve_data then reserve data_arena (Omos.Residency.data_extent entry)
+      end
+      else entry.Omos.Cache.residency <- e.state)
+    s.entries;
+  (r, cache)
+
+(* The boundaries the property seldom draws: an owner's interval at the
+   base that ends one byte short of the extent, and one that ends
+   exactly at it. *)
+let test_clean_boundaries () =
+  let entry =
+    {
+      owner = 0;
+      text_base = text_at 0;
+      text_size = 0x800;
+      data_base = data_at 0;
+      data_size = 4;
+      bss = 0;
+      state = Omos.Cache.Placed;
+      reserve_text = false;
+      reserve_data = true;
+    }
+  in
+  List.iter
+    (fun (size, want) ->
+      let r, cache = residency_of { entries = [ entry ]; strays = [ (true, 0, 0, size) ] } in
+      let live = Omos.Cache.to_list cache in
+      Alcotest.(check (list string))
+        (Printf.sprintf "interval of 0x%x" size) want
+        (List.map (fun v -> v.Omos.Residency.v_code) (Omos.Residency.violations r live));
+      Alcotest.(check bool) "clean" (want = []) (Omos.Residency.clean r live))
+    [ (0x7FF, [ "unreserved" ]); (0x800, []) ]
+
+let prop_clean_matches_pairwise =
+  QCheck.Test.make ~count:5000 ~long_factor:20 ~name:"clean = no pairwise violation"
+    (QCheck.make ~print:print_state gen_state) (fun s ->
+      let r, cache = residency_of s in
+      let live = Omos.Cache.to_list cache in
+      Omos.Residency.clean r live = (Omos.Residency.violations r live = []))
+
 let () =
   Alcotest.run "residency"
     [
@@ -436,5 +601,10 @@ let () =
           Alcotest.test_case "orphaned interval" `Quick
             test_detects_orphaned_interval;
           Alcotest.test_case "overlapping entries" `Quick test_detects_overlap;
+        ] );
+      ( "fast check",
+        [
+          Alcotest.test_case "reservation boundaries" `Quick test_clean_boundaries;
+          QCheck_alcotest.to_alcotest prop_clean_matches_pairwise;
         ] );
     ]

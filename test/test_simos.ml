@@ -115,8 +115,9 @@ let test_disk_backing_shared_residency () =
   let bytes = Bytes.make 0x1000 'c' in
   let frames = Simos.Phys.alloc phys ~label:"seg" ~bytes:0x1000 in
   let backing = Simos.Addr_space.disk_backing ~bytes:0x1000 in
-  Simos.Addr_space.map_shared s1 ~vaddr:0x4000 ~bytes ~frames ~backing ~label:"seg" ();
-  Simos.Addr_space.map_shared s2 ~vaddr:0x4000 ~bytes ~frames ~backing ~label:"seg" ();
+  let code = Svm.Cpu.translations bytes in
+  Simos.Addr_space.map_shared s1 ~vaddr:0x4000 ~bytes ~code ~frames ~backing ~label:"seg" ();
+  Simos.Addr_space.map_shared s2 ~vaddr:0x4000 ~bytes ~code ~frames ~backing ~label:"seg" ();
   ignore (Simos.Addr_space.load8 s1 0x4000);
   let io_after_first = clock.Simos.Clock.io in
   ignore (Simos.Addr_space.load8 s2 0x4000);
@@ -129,8 +130,8 @@ let test_write_to_readonly_faults () =
   let space, _, phys = mk_space () in
   let bytes = Bytes.make 0x1000 'x' in
   let frames = Simos.Phys.alloc phys ~label:"ro" ~bytes:0x1000 in
-  Simos.Addr_space.map_shared space ~vaddr:0x4000 ~bytes ~frames
-    ~backing:{ Simos.Addr_space.resident = [||] } ~label:"ro" ();
+  Simos.Addr_space.map_shared space ~vaddr:0x4000 ~bytes ~code:(Svm.Cpu.translations bytes)
+    ~frames ~backing:{ Simos.Addr_space.resident = [||] } ~label:"ro" ();
   try
     Simos.Addr_space.store8 space 0x4000 1;
     Alcotest.fail "expected fault"
@@ -166,8 +167,8 @@ let map_lib ?(writable = false) space phys instrs =
     let bytes = Bytes.make 0x1000 '\000' in
     Bytes.blit code 0 bytes 0 (Bytes.length code);
     let frames = Simos.Phys.alloc phys ~label:"lib" ~bytes:0x1000 in
-    Simos.Addr_space.map_shared space ~vaddr:lib ~bytes ~frames
-      ~backing:{ Simos.Addr_space.resident = [||] } ~label:"lib" ()
+    Simos.Addr_space.map_shared space ~vaddr:lib ~bytes ~code:(Svm.Cpu.translations bytes)
+      ~frames ~backing:{ Simos.Addr_space.resident = [||] } ~label:"lib" ()
   end
 
 let lib_code imm = [ Svm.Isa.Movi (1, imm); Svm.Isa.Ret ]
@@ -189,7 +190,7 @@ let dlclose_machine change =
   let space, _, phys = mk_space () in
   let main = Svm.Encode.assemble main_code in
   Simos.Addr_space.map_shared space ~vaddr:0x8000 ~bytes:main
-    ~frames:(Simos.Phys.alloc phys ~label:"main" ~bytes:(Bytes.length main))
+    ~code:(Svm.Cpu.translations main) ~frames:(Simos.Phys.alloc phys ~label:"main" ~bytes:(Bytes.length main))
     ~backing:{ Simos.Addr_space.resident = [||] } ~label:"main" ();
   Simos.Addr_space.map_private space ~vaddr:0x10000 ~size:0x1000 ~label:"stack" ();
   map_lib space phys (lib_code 1l);

@@ -1,7 +1,9 @@
 (* Tests of the SVM virtual machine: encoding round-trips, interpreter
-   semantics, the call/stack conventions the compiler relies on, and a
-   differential property that holds [Cpu.run] to a reference
-   interpreter on flat and on mapped memory. *)
+   semantics, the call/stack conventions the compiler relies on, and
+   differential properties and tests that hold [Cpu.run] to a
+   reference interpreter: on flat memory and on writable mapped text,
+   whose code runs word by word, and on shared text, run from blocks
+   translated here or by another address space. *)
 
 open Svm
 
@@ -512,10 +514,10 @@ let sys (cpu : Cpu.t) n =
       Cpu.set_reg cpu 0 (Int32.of_int n);
       Cpu.Sys_continue
 
-let start (c : case) (mem : Cpu.mem) =
+let start ?(sys = sys) ?(at = text) (c : case) (mem : Cpu.mem) =
   let cpu = Cpu.create ~sys mem in
   Array.iteri (fun i v -> Cpu.set_reg cpu i (Int32.of_int v)) c.regs;
-  cpu.pc <- text;
+  cpu.pc <- at;
   cpu
 
 (* A fresh machine for [c]: the CPU, the reference's fetch, and a
@@ -526,14 +528,28 @@ let flat_machine (c : case) =
   Bytes.blit data_init 0 buf data (Bytes.length data_init);
   (start c mem, Reference.flat_fetch buf, fun () -> Digest.to_hex (Digest.bytes buf))
 
-let mapped_machine (c : case) =
-  let phys = Simos.Phys.create () and clock = Simos.Clock.create () in
-  let space = Simos.Addr_space.create ~phys ~clock ~cost:Simos.Cost.hpux () in
+(* The text page of [c]: its words, then zeros (halt). *)
+let text_page (c : case) : Bytes.t =
   let code = Bytes.make 0x1000 '\000' in
   Bytes.blit_string (String.concat "" c.words) 0 code 0 (Isa.width * List.length c.words);
-  Simos.Addr_space.map_shared space ~vaddr:text ~bytes:code
-    ~frames:(Simos.Phys.alloc phys ~label:"text" ~bytes:0x1000)
-    ~backing:(Simos.Addr_space.disk_backing ~bytes:0x1000) ~label:"text" ();
+  code
+
+(* A fresh space holding [code] at [at], the data pages and the stack,
+   and a summary of what it accounts. The text is shared and runs from
+   the translations [tr], or is a private writable copy when [tr] is
+   [None]. *)
+let mapped_space ?(at = text) ~(code : Bytes.t) (tr : Cpu.translations option) =
+  let phys = Simos.Phys.create () and clock = Simos.Clock.create () in
+  let space = Simos.Addr_space.create ~phys ~clock ~cost:Simos.Cost.hpux () in
+  let backing = Simos.Addr_space.disk_backing ~bytes:(Bytes.length code) in
+  (match tr with
+  | Some tr ->
+      Simos.Addr_space.map_shared space ~vaddr:at ~bytes:code ~code:tr
+        ~frames:(Simos.Phys.alloc phys ~label:"text" ~bytes:(Bytes.length code))
+        ~backing ~label:"text" ()
+  | None ->
+      Simos.Addr_space.map_private space ~vaddr:at ~init:code ~backing
+        ~size:(Bytes.length code) ~label:"text" ());
   Simos.Addr_space.map_private space ~vaddr:data ~init:data_init ~touch_user_cost:0.5
     ~size:(Bytes.length data_init) ~label:"data" ();
   Simos.Addr_space.map_private space ~vaddr:stack_lo ~size:(stack_top - stack_lo)
@@ -549,7 +565,32 @@ let mapped_machine (c : case) =
       clock.system clock.io
       (Digest.to_hex (Digest.string (String.concat "" bytes)))
   in
-  (start c (Simos.Addr_space.mem space), Reference.mapped_fetch space, summary)
+  (space, summary)
+
+let mapped_on ?at ~code tr (c : case) =
+  let space, summary = mapped_space ?at ~code tr in
+  (start ?at c (Simos.Addr_space.mem space), Reference.mapped_fetch space, summary)
+
+let mapped_machine (c : case) =
+  let code = text_page c in
+  mapped_on ~code (Some (Cpu.translations code)) c
+
+(* Text in a private writable region, whose code runs word by word. *)
+let writable_machine (c : case) = mapped_on ~code:(text_page c) None c
+
+let expected_exn = function
+  | Cpu.Trap _ | Encode.Bad_instruction _ | Simos.Addr_space.Fault _ -> true
+  | _ -> false
+
+(* The second of two spaces that map one text segment: the first runs
+   [c], translating the blocks it enters, and the second runs from
+   those translations. *)
+let shared_machine (c : case) =
+  let code = text_page c in
+  let tr = Some (Cpu.translations code) in
+  let first, _, _ = mapped_on ~code tr c in
+  (try ignore (Cpu.run ~fuel:c.fuel first) with e when expected_exn e -> ());
+  mapped_on ~code tr c
 
 (* Everything a run decides: how it ended (outcome, or the exception's
    constructor and message), registers, pc, count, and the memory. *)
@@ -559,8 +600,7 @@ let observe (cpu : Cpu.t) run summary =
     | Cpu.Running -> "running"
     | Cpu.Halted -> "halted"
     | Cpu.Exited code -> Printf.sprintf "exited %d" code
-    | exception ((Cpu.Trap _ | Encode.Bad_instruction _ | Simos.Addr_space.Fault _) as e) ->
-        Printexc.to_string e
+    | exception e when expected_exn e -> Printexc.to_string e
   in
   Printf.sprintf "%s pc 0x%x count %d regs [%s] %s" ending cpu.pc cpu.instr_count
     (String.concat " " (Array.to_list (Array.map string_of_int cpu.regs)))
@@ -576,6 +616,173 @@ let agrees machine (c : case) =
 let prop_run_matches_reference =
   QCheck.Test.make ~count:2000 ~long_factor:50 ~name:"run matches the reference interpreter"
     arb_case (fun c -> agrees flat_machine c && agrees mapped_machine c)
+
+(* Blocks another space translated, and code in writable mapped
+   memory, run as the reference does. *)
+let prop_shared_matches_reference =
+  QCheck.Test.make ~count:2000 ~long_factor:50
+    ~name:"shared translations and writable text match the reference" arb_case (fun c ->
+      agrees shared_machine c && agrees writable_machine c)
+
+(* -- translated execution against the reference ------------------------ *)
+
+let case_of ?(regs = []) (words : string list) : case =
+  let r = Array.make Isa.nregs 0 in
+  r.(Isa.reg_sp) <- stack_top - 16;
+  List.iter (fun (i, v) -> r.(i) <- v) regs;
+  { words; regs = r; fuel = 0 }
+
+let words_of = List.map (fun i -> Bytes.to_string (Encode.encode i))
+
+(* Runs [c] on [machine] under [Cpu.run], once for each fuel in turn,
+   and on a second machine under the reference: each observation must
+   be the reference's. Returns the first machine's CPU. *)
+let against_reference ?(machine = mapped_machine) (c : case) (fuels : int list) : Cpu.t =
+  let cpu, _, summary = machine c in
+  let got = List.map (fun fuel -> observe cpu (Cpu.run ~fuel) summary) fuels in
+  let ref_cpu, fetch, ref_summary = machine c in
+  let want =
+    List.map (fun fuel -> observe ref_cpu (Reference.run fetch ~fuel) ref_summary) fuels
+  in
+  Alcotest.(check (list string)) "as the reference" want got;
+  cpu
+
+let check_stop (cpu : Cpu.t) ~count ~pc =
+  Alcotest.(check (pair int int)) "count, pc" (count, pc) (cpu.Cpu.instr_count, cpu.Cpu.pc)
+
+(* One block of eight: fuel stops it after 3, then after 5, then the
+   rest runs to the exit. *)
+let test_fuel_mid_block () =
+  let c =
+    case_of
+      (words_of
+         ((Isa.Movi (1, 1l) :: List.init 6 (fun _ -> Isa.Addi (1, 1, 1l))) @ [ Isa.Sys 0l ]))
+  in
+  check_stop (against_reference c [ 3 ]) ~count:3 ~pc:(text + 24);
+  check_stop (against_reference c [ 3; 2 ]) ~count:5 ~pc:(text + 40);
+  let cpu = against_reference c [ 3; 2; 100 ] in
+  check_stop cpu ~count:8 ~pc:(text + 64);
+  Alcotest.(check bool) "exited 7" true (cpu.Cpu.outcome = Cpu.Exited 7)
+
+(* A fault in the fourth instruction of a block: an unmapped load, a
+   store to the read-only text, a division by zero. Each is counted,
+   with pc past it. *)
+let test_fault_mid_block () =
+  List.iter
+    (fun faulting ->
+      let c =
+        case_of ~regs:[ (1, 0x4800) ]
+          (words_of
+             [
+               Isa.Addi (2, 2, 5l); Isa.Addi (2, 2, 5l); Isa.Addi (3, 3, 1l); faulting;
+               Isa.Addi (2, 2, 5l); Isa.Halt;
+             ])
+      in
+      check_stop (against_reference c [ 100 ]) ~count:4 ~pc:(text + 32))
+    [ Isa.Ld (3, 1, 0l); Isa.St (0, 2, Int32.of_int text); Isa.Div (4, 2, 0) ]
+
+(* A word with a bad opcode or register ends the block before it, and
+   raises uncounted when reached, with pc at it. *)
+let test_invalid_after_valid () =
+  List.iter
+    (fun (bad : string) ->
+      let c =
+        case_of
+          (words_of [ Isa.Movi (1, 5l); Isa.Addi (1, 1, 1l) ] @ [ bad ] @ words_of [ Isa.Halt ])
+      in
+      check_stop (against_reference c [ 100 ]) ~count:2 ~pc:(text + 16))
+    [ "\040\000\000\000\000\000\000\000"; "\003\016\000\000\000\000\000\000" ]
+
+(* A loop, pc-relative branches and syscalls: the same bytes run the
+   same way at any address. *)
+let position_independent =
+  words_of
+    [
+      Isa.Movi (1, 3l); Isa.Addi (2, 2, 7l); Isa.Addi (1, 1, -1l); Isa.Jnz (1, -24l);
+      Isa.Sys 3l; Isa.Br 8l; Isa.Movi (4, 99l); Isa.Mov (1, 2); Isa.Sys 0l;
+    ]
+
+(* One segment, mapped at two addresses by two spaces that share its
+   translations: each runs as the reference does at its address. *)
+let test_shared_two_addresses () =
+  let c = case_of position_independent in
+  let code = text_page c in
+  let tr = Some (Cpu.translations code) in
+  List.iter
+    (fun at ->
+      let cpu = against_reference ~machine:(mapped_on ~at ~code tr) c [ 1000 ] in
+      check_stop cpu ~count:14 ~pc:(at + 72);
+      Alcotest.(check bool) "exited 21" true (cpu.Cpu.outcome = Cpu.Exited 21))
+    [ text; 0x9000 ]
+
+(* Straight-line code across the two pages of a segment read from disk:
+   the block entered at the start stops at the end of the first page,
+   so the second page's first touch is charged when its first word is
+   fetched, whatever the fuel. *)
+let test_block_stops_at_page_end () =
+  let c = case_of (words_of (List.init 511 (fun _ -> Isa.Nop) @ [ Isa.Addi (1, 1, 9l) ])) in
+  let code = Bytes.make 0x2000 '\000' in
+  Bytes.blit (text_page c) 0 code 0 0x1000;
+  Bytes.blit (Encode.encode (Isa.Sys 0l)) 0 code 0x1000 Isa.width;
+  let at = 0x9000 in
+  let machine = mapped_on ~at ~code (Some (Cpu.translations code)) in
+  check_stop (against_reference ~machine c [ 511; 1; 1 ]) ~count:513 ~pc:(at + 0x1008);
+  let cpu = against_reference ~machine c [ 1000 ] in
+  Alcotest.(check bool) "exited 9" true (cpu.Cpu.outcome = Cpu.Exited 9)
+
+(* Syscall 7 unmaps the text and maps other bytes, with their own
+   translations, at the same address. The first segment's translations
+   already hold a block at the instruction after the syscall (a space
+   whose syscall 7 changes nothing ran it), and must not be used. *)
+let test_remap_between_blocks () =
+  let first =
+    case_of (words_of [ Isa.Movi (1, 1l); Isa.Sys 7l; Isa.Addi (1, 1, 10l); Isa.Sys 0l ])
+  in
+  let other =
+    text_page (case_of (words_of [ Isa.Nop; Isa.Nop; Isa.Addi (1, 1, 100l); Isa.Sys 0l ]))
+  in
+  let other_tr = Cpu.translations other in
+  let code = text_page first in
+  let tr = Some (Cpu.translations code) in
+  let unchanged, _, _ = mapped_on ~code tr first in
+  Alcotest.(check bool) "unchanged map: exited 11" true (Cpu.run unchanged = Cpu.Exited 11);
+  let machine c =
+    let space, summary = mapped_space ~code tr in
+    let sys (cpu : Cpu.t) n =
+      if n <> 7 then sys cpu n
+      else begin
+        Simos.Addr_space.unmap space ~lo:text;
+        Simos.Addr_space.map_shared space ~vaddr:text ~bytes:other ~code:other_tr
+          ~frames:(Simos.Phys.alloc (Simos.Phys.create ()) ~label:"other" ~bytes:0x1000)
+          ~backing:(Simos.Addr_space.disk_backing ~bytes:0x1000) ~label:"other" ();
+        Cpu.Sys_continue
+      end
+    in
+    (start ~sys c (Simos.Addr_space.mem space), Reference.mapped_fetch space, summary)
+  in
+  let cpu = against_reference ~machine first [ 100 ] in
+  Alcotest.(check bool) "remapped: exited 101" true (cpu.Cpu.outcome = Cpu.Exited 101)
+
+(* Writable memory, flat or mapped: a loop runs [x] as a nop, stores
+   "movi r5, 42" over it, and runs it again. *)
+let test_self_modifying () =
+  let x = text + 24 in
+  let c =
+    case_of
+      (words_of
+         [
+           Isa.Movi (1, 0x502l) (* the low word of movi r5 *); Isa.Movi (2, 42l);
+           Isa.Movi (3, 2l); Isa.Nop (* x *); Isa.St (0, 1, Int32.of_int x);
+           Isa.St (0, 2, Int32.of_int (x + 4)); Isa.Addi (3, 3, -1l); Isa.Jnz (3, -40l);
+           Isa.Halt;
+         ])
+  in
+  List.iter
+    (fun machine ->
+      let cpu = against_reference ~machine c [ 100 ] in
+      Alcotest.check i32 "r5" 42l (Cpu.get_reg cpu 5);
+      check_stop cpu ~count:14 ~pc:(text + 72))
+    [ flat_machine; writable_machine ]
 
 let () =
   Alcotest.run "svm"
@@ -611,7 +818,19 @@ let () =
             prop_opcode_range;
             prop_alu_matches_int32;
             prop_run_matches_reference;
+            prop_shared_matches_reference;
           ] );
+      ( "translated",
+        [
+          Alcotest.test_case "fuel ends a block partway" `Quick test_fuel_mid_block;
+          Alcotest.test_case "fault mid-block" `Quick test_fault_mid_block;
+          Alcotest.test_case "invalid word after valid ones" `Quick test_invalid_after_valid;
+          Alcotest.test_case "a block stops at its page's end" `Quick
+            test_block_stops_at_page_end;
+          Alcotest.test_case "one segment at two addresses" `Quick test_shared_two_addresses;
+          Alcotest.test_case "text remapped between blocks" `Quick test_remap_between_blocks;
+          Alcotest.test_case "self-modifying writable code" `Quick test_self_modifying;
+        ] );
     ]
 
 (* silence unused warnings for helpers *)
