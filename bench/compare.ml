@@ -10,7 +10,9 @@
    with the host and are reported but never gated. Work counters
    (links, relocations, cache misses) are compared exactly: they are
    deterministic, so any drift is a behaviour change worth a look —
-   reported, but only cost regressions fail the gate. *)
+   reported (DRIFT), as is a counter only the baseline has (GONE) or
+   only the snapshot has (NEW), but only cost regressions fail the
+   gate. *)
 
 let tolerance = 0.20
 
@@ -96,15 +98,22 @@ let compare_pair (baseline_path : string) (current_path : string) : int =
           end
           else Printf.printf "ok       %-52s %12.3f -> %12.3f\n" label base cur)
     (gated_costs b);
-  (* deterministic work counters: report drift, don't gate on it *)
-  let cur_counters = counters c in
+  (* deterministic work counters: report drift, and counters on one side
+     only, don't gate on either *)
+  let base_counters = counters b and cur_counters = counters c in
   List.iter
     (fun (k, base) ->
       match List.assoc_opt k cur_counters with
       | Some cur when cur <> base ->
           Printf.printf "DRIFT    counter %-44s %12.0f -> %12.0f\n" k base cur
-      | _ -> ())
-    (counters b);
+      | Some _ -> ()
+      | None -> Printf.printf "GONE     counter %-44s %12.0f -> %12s\n" k base "-")
+    base_counters;
+  List.iter
+    (fun (k, cur) ->
+      if not (List.mem_assoc k base_counters) then
+        Printf.printf "NEW      counter %-44s %12s -> %12.0f\n" k "-" cur)
+    cur_counters;
   Printf.printf "compared %d simulated costs, %d regression(s) beyond %.0f%%\n"
     !compared !regressions (100.0 *. tolerance);
   !regressions

@@ -12,11 +12,14 @@
     placement request by honouring, in priority order:
 
     - the required no-overlap constraint (never violated);
-    - reuse of an existing placement of the same object, when the caller
-      passes one and it does not conflict;
     - the caller's weak preferences ([At] / [Near] / [Within] /
       [Avoid]), tried strongest-first, each dropped if unsatisfiable;
-    - finally first-fit within the arena's default region. *)
+    - finally first-fit within the arena's default region.
+
+    The "highly desired" reuse of an existing placement is not the
+    arena's: a cached image keeps its placement through the residency
+    layer ([Omos.Residency.acceptable] and [reacquire]), which
+    re-reserves its exact extents with {!reserve}. *)
 
 exception No_space of string
 
@@ -137,105 +140,50 @@ let try_pref (t : t) ~size = function
 (** Outcome of a placement decision. *)
 type decision = {
   base : int;
-  reused : bool; (* an existing placement was kept *)
   satisfied : pref option; (* which preference was honoured, if any *)
 }
 
-(** [place t ~size ~owner ?existing ?prefs ()] chooses a base address.
-
-    [existing] is a previously cached placement of the same object: if
-    it is still available (or already owned by [owner]), it is reused —
-    the paper's "highly desired" constraint that gives physical sharing.
-    [prefs] are (priority, preference) pairs; higher priority first.
-    Raises {!No_space} if the arena cannot fit [size] at all. *)
 let tm_placements = Telemetry.Counter.make "constraints.placements"
-let tm_reuses = Telemetry.Counter.make "constraints.reuses"
 
-let place_raw (t : t) ~size ~owner ?existing ?(prefs = []) () : decision =
+let place_raw (t : t) ~size ~owner ~prefs : decision =
   let size = align_up (max size 1) t.align in
-  let reuse =
-    match existing with
-    | Some lo -> (
-        match overlaps t lo (lo + size) with
-        | None -> Some lo (* free: re-reserve it *)
-        | Some i when i.owner = owner && i.lo = lo -> Some lo (* already ours *)
-        | Some _ -> None)
-    | None -> None
+  let sorted =
+    List.map snd (List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs)
   in
-  match reuse with
-  | Some lo ->
-      if free t ~lo ~hi:(lo + size) then insert t { lo; hi = lo + size; owner };
-      { base = lo; reused = true; satisfied = None }
-  | None -> (
-      let sorted =
-        List.map snd (List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs)
-      in
-      let rec try_all = function
-        | [] -> None
-        | p :: rest -> (
-            match try_pref t ~size p with
-            | Some base -> Some (base, Some p)
-            | None -> try_all rest)
-      in
-      let found =
-        match try_all sorted with
-        | Some (base, p) -> Some (base, p)
-        | None ->
-            Option.map (fun b -> (b, None)) (first_fit_from t ~from:t.region_lo ~size)
-      in
-      match found with
-      | None -> raise (No_space owner)
-      | Some (base, satisfied) ->
-          insert t { lo = base; hi = base + size; owner };
-          { base; reused = false; satisfied })
+  let rec try_all = function
+    | [] -> None
+    | p :: rest -> (
+        match try_pref t ~size p with
+        | Some base -> Some (base, Some p)
+        | None -> try_all rest)
+  in
+  let found =
+    match try_all sorted with
+    | Some _ as found -> found
+    | None ->
+        Option.map (fun b -> (b, None)) (first_fit_from t ~from:t.region_lo ~size)
+  in
+  match found with
+  | None -> raise (No_space owner)
+  | Some (base, satisfied) ->
+      insert t { lo = base; hi = base + size; owner };
+      { base; satisfied }
 
-(** One member of a batched placement request. *)
-type batch_item = {
-  bi_size : int;
-  bi_owner : string;
-  bi_existing : int option;
-  bi_prefs : (int * pref) list;
-}
-
-let tm_batch_solves = Telemetry.Counter.make "constraints.batch_solves"
-
-(* The traced entry point: a span per placement decision plus the
-   arena-level counters. *)
-let place (t : t) ~size ~owner ?existing ?(prefs = []) () : decision =
+(** [place t ~size ~owner ?prefs ()] chooses a base address and
+    reserves it. [prefs] are (priority, preference) pairs; higher
+    priority first. Raises {!No_space} if the arena cannot fit [size]
+    at all. Traced: a span per decision plus the arena-level counter. *)
+let place (t : t) ~size ~owner ?(prefs = []) () : decision =
   let span =
     Telemetry.Span.enter "constraints.place"
       ~attrs:[ ("owner", Telemetry.S owner); ("size", Telemetry.I size) ]
   in
-  match place_raw t ~size ~owner ?existing ~prefs () with
+  match place_raw t ~size ~owner ~prefs with
   | d ->
       Telemetry.Counter.incr tm_placements;
-      if d.reused then Telemetry.Counter.incr tm_reuses;
       Telemetry.Span.add_attr span "base" (Telemetry.I d.base);
-      Telemetry.Span.add_attr span "reused" (Telemetry.B d.reused);
       Telemetry.Span.exit span;
       d
   | exception e ->
       Telemetry.Span.exit span;
       raise e
-
-(** [place_batch t items] solves a whole queue of placement requests in
-    one constraint pass: each item is placed by {!place}, in submission
-    order, so every decision and the arena it leaves behind are the ones
-    serial requests would get. Decisions come back in item order.
-
-    [wrap i item solve] brackets the solve of [item] (index [i]);
-    callers hang request attribution and fault hooks there. *)
-let place_batch (t : t) ?(wrap = fun _ _ f -> f ()) (items : batch_item list) :
-    decision list =
-  Telemetry.with_span "constraints.place_batch"
-    ~attrs:[ ("n", Telemetry.I (List.length items)) ]
-  @@ fun () ->
-  Telemetry.Counter.incr tm_batch_solves;
-  (* [List.mapi] applies its function head first: the first queued
-     request wins a preference tie, as it does serially *)
-  List.mapi
-    (fun idx (i : batch_item) ->
-      wrap idx i (fun () ->
-          place t ~size:i.bi_size ~owner:i.bi_owner ?existing:i.bi_existing
-            ~prefs:i.bi_prefs ()))
-    items

@@ -2,9 +2,11 @@
 
     An {!t} (arena) records which intervals of a shared virtual address
     space are occupied by which named object. {!place} honours, in
-    priority order: the required no-overlap constraint, reuse of an
-    existing placement, the caller's weak preferences, and finally
-    first-fit within the default region. *)
+    priority order: the required no-overlap constraint, the caller's
+    weak preferences, and finally first-fit within the default region.
+    Reuse of a cached placement (the paper's "highly desired"
+    constraint that yields physical sharing) is the residency layer's
+    job: it re-reserves a cached image's exact extents with {!reserve}. *)
 
 (** Raised when a placement cannot fit anywhere in the arena. *)
 exception No_space of string
@@ -44,49 +46,13 @@ val release : t -> lo:int -> unit
 (** Outcome of a placement decision. *)
 type decision = {
   base : int;
-  reused : bool;  (** an existing placement was kept *)
   satisfied : pref option;  (** which preference was honoured, if any *)
 }
 
-(** [place t ~size ~owner ?existing ?prefs ()] chooses a base address.
-
-    [existing] is a previously cached placement of the same object: if
-    still available it is reused — the paper's "highly desired"
-    constraint that yields physical sharing. [prefs] are
-    (priority, preference) pairs, higher priority first; unsatisfiable
-    preferences are dropped in order.
+(** [place t ~size ~owner ?prefs ()] chooses a base address and
+    reserves it. [prefs] are (priority, preference) pairs, higher
+    priority first; unsatisfiable preferences are dropped in order.
 
     @raise No_space if the arena cannot fit [size] at all. *)
 val place :
-  t ->
-  size:int ->
-  owner:string ->
-  ?existing:int ->
-  ?prefs:(int * pref) list ->
-  unit ->
-  decision
-
-(** One member of a batched placement request (the [place] arguments,
-    reified). *)
-type batch_item = {
-  bi_size : int;
-  bi_owner : string;
-  bi_existing : int option;
-  bi_prefs : (int * pref) list;
-}
-
-(** [place_batch t items] solves a whole queue of placement requests in
-    one constraint pass (one ["constraints.place_batch"] span, one
-    [constraints.batch_solves] count): each item is placed by {!place},
-    in submission order, so every decision is the one serial requests
-    would get. Decisions come back in item order.
-
-    [wrap i item solve] brackets the solve of [item] (index [i]) —
-    callers hang request attribution and fault-injection hooks there.
-
-    @raise No_space if any item cannot fit. *)
-val place_batch :
-  t ->
-  ?wrap:(int -> batch_item -> (unit -> decision) -> decision) ->
-  batch_item list ->
-  decision list
+  t -> size:int -> owner:string -> ?prefs:(int * pref) list -> unit -> decision

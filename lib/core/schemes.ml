@@ -313,7 +313,6 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
            *. (float_of_int relocs /. float_of_int text_pages)))
       lib_builts lib_frag_sets
   in
-  let resolve = resolver_of lib_imgs in
   let slot_addr n =
     match Linker.Image.find_symbol client_img (n ^ "$slot") with
     | Some a -> a
@@ -322,9 +321,10 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
   let imports_arr = Array.of_list imports in
   let k = Server.kernel server in
   (* builts can go stale if the cache is trimmed between invocations;
-     re-requested ones land at the same addresses via the reuse
-     constraint, so [resolve] stays valid *)
+     re-requested ones are placed afresh, not necessarily where they
+     were, so the resolver is rebuilt from the images mapped now *)
   let live_builts = ref lib_builts in
+  let resolve = ref (resolver_of lib_imgs) in
   {
     prog_name = name;
     scheme = "dynamic";
@@ -334,9 +334,13 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
         let p = Simos.Kernel.exec k ~path ~args in
         (* the dynamic loader opens and processes the library files … *)
         Simos.Kernel.charge_sys k lib_open_parse;
-        if List.exists Server.built_evicted !live_builts then
+        if List.exists Server.built_evicted !live_builts then begin
           live_builts :=
             List.map (fun l -> Server.build server (Server.library l)) libs;
+          resolve :=
+            resolver_of
+              (List.map (fun (b : Server.built) -> b.Server.entry.Cache.image) !live_builts)
+        end;
         (* … and maps them; each library page this process touches pays
            deferred relocation work *)
         List.iter2
@@ -351,7 +355,7 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
           {
             flavor = Plt;
             imports = imports_arr;
-            resolve;
+            resolve = !resolve;
             slot_addr;
             lib_paths = [];
             expected_version = "";
@@ -387,8 +391,8 @@ let self_contained_program (rt : t) ?(style = Bootstrap) ~(name : string)
   let loadable = ref (mk ()) in
   (* a cache eviction (budget trim, injected storm) between invocations
      invalidates the builts; re-request them — still-resident parts are
-     warm cache hits, evicted ones rebuild, usually at the same
-     addresses via the reuse constraint *)
+     warm cache hits, evicted libraries rebuild wherever the arenas have
+     room now, and the client is relinked against them *)
   let current () =
     if List.exists Server.built_evicted !loadable.Server.parts then
       loadable := mk ();

@@ -84,10 +84,7 @@ and response = {
   coalesce_us : float; (* wait on another request's in-flight build *)
 }
 
-and built = {
-  entry : Cache.entry;
-  key : string Lazy.t; (* page-cache key; only [map_into] forces it *)
-}
+and built = { entry : Cache.entry }
 
 and target =
   | Library of { path : string }
@@ -148,6 +145,7 @@ let tm_coalesce_wait_us = Telemetry.Histogram.make "server.us.coalesce_wait"
 let tm_parse_us = Telemetry.Histogram.make "server.us.parse"
 let tm_place_us = Telemetry.Histogram.make "server.us.place"
 let tm_batch_size = Telemetry.Histogram.make "place.batch_size"
+let tm_batch_solves = Telemetry.Counter.make "constraints.batch_solves"
 let tm_depth = Telemetry.Histogram.make "pipeline.depth.inflight"
 let tm_submitted = Telemetry.Counter.make "pipeline.submitted"
 let tm_completed = Telemetry.Counter.make "pipeline.completed"
@@ -509,8 +507,7 @@ let placement_summary (parts : (string * Constraints.Placement.decision) list)
   String.concat " "
     (List.map
        (fun (seg, (d : Constraints.Placement.decision)) ->
-         Printf.sprintf "%s@0x%08x%s%s" seg d.Constraints.Placement.base
-           (if d.Constraints.Placement.reused then " (reused)" else "")
+         Printf.sprintf "%s@0x%08x%s" seg d.Constraints.Placement.base
            (match d.Constraints.Placement.satisfied with
            | Some p ->
                Format.asprintf " satisfying %a" Constraints.Placement.pp_pref p
@@ -540,29 +537,52 @@ let prefs_for (seg : Blueprint.Mgraph.seg) (cs : Blueprint.Mgraph.constraint_pre
       if c.Blueprint.Mgraph.seg = seg then Some (c.priority, c.pref) else None)
     cs
 
-(* One member's placement, shared by the batched and unbatched place
-   paths: the conflict-fault hook around [solve] (the member's
-   [Constraints.Placement.place]), then a recorded conflict when the
-   strongest preference could not be honoured. *)
-let place_member (t : t) ~(owner : string) ~(arena : Constraints.Placement.t)
-    (seg : Blueprint.Mgraph.seg)
-    (prefs : (int * Constraints.Placement.pref) list)
-    (solve : unit -> Constraints.Placement.decision) :
-    Constraints.Placement.decision =
-  let dec = Residency.with_place_conflict t.residency ~arena ~prefs solve in
+(* One member's placement of one segment: the conflict-fault hook
+   around the solve, then a recorded conflict when the strongest
+   preference could not be honoured. *)
+let place_member (t : t) (j : job) (seg : Blueprint.Mgraph.seg) : unit =
+  let arena, size =
+    match seg with
+    | Blueprint.Mgraph.Seg_text -> (t.text_arena, j.jtext_size)
+    | Blueprint.Mgraph.Seg_data -> (t.data_arena, j.jdata_size)
+  in
+  let prefs = prefs_for seg (Option.get j.jeval).Blueprint.Mgraph.constraints in
+  let dec =
+    Residency.with_place_conflict t.residency ~arena ~prefs (fun () ->
+        Constraints.Placement.place arena ~size ~owner:j.jname ~prefs ())
+  in
   (match List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs with
   | (_, wanted) :: _ when dec.Constraints.Placement.satisfied <> Some wanted ->
       Telemetry.Counter.incr tm_arena_conflicts;
       t.conflicts <-
         {
-          c_owner = owner;
+          c_owner = j.jname;
           c_seg = seg;
           c_wanted = wanted;
           c_got = dec.Constraints.Placement.base;
         }
         :: t.conflicts
   | _ -> ());
-  dec
+  match seg with
+  | Blueprint.Mgraph.Seg_text -> j.jtdec <- Some dec
+  | Blueprint.Mgraph.Seg_data -> j.jddec <- Some dec
+
+(* The one placement loop, over one job or a flushed queue in ticket
+   order: every text segment, then every data segment, each member
+   under its own request context, so fault draws, spans and flight
+   records stay attributed to the request that owns them and land in
+   submission order (the first queued request wins a preference tie,
+   as it does serially). [pass] brackets each arena's pass. *)
+let place_jobs (t : t) ~(pass : (unit -> unit) -> unit) (jobs : job list) : unit =
+  List.iter
+    (fun seg ->
+      pass (fun () ->
+          List.iter
+            (fun j ->
+              Telemetry.Request.within ~client:j.jclient ~id:j.jt (fun () ->
+                  place_member t j seg))
+            jobs))
+    [ Blueprint.Mgraph.Seg_text; Blueprint.Mgraph.Seg_data ]
 
 (** Has this built's cache entry been evicted since it was handed out?
     Stale builts must be re-requested before mapping. *)
@@ -733,13 +753,6 @@ and stage_link (t : t) (job : job) () : unit =
       { img with Linker.Image.name }
   in
   note t.residency e;
-  (* a fresh build's map key digests the image as linked, which is named
-     after its first fragment *)
-  let key =
-    let jkey = job.jkey in
-    lazy (jkey ^ "@" ^ Linker.Image.digest img)
-  in
-  let b = { entry = e; key } in
   (* a failed reacquisition of a cached placement is a conflict:
      record where the image wanted to be vs. where it went *)
   (match job.jreacquire_conflict with
@@ -754,23 +767,14 @@ and stage_link (t : t) (job : job) () : unit =
         }
         :: t.conflicts
   | None -> ());
-  spawn_stage t job "map" (stage_map t job b)
+  spawn_stage t job "map" (stage_map t job { entry = e })
 
 (* place (single): the unbatched path — one solver pass per request. *)
 and stage_place_single (t : t) (job : job) () : unit =
   Simos.Kernel.charge_sys t.kernel
     t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
   Telemetry.Histogram.observe tm_batch_size 1.0;
-  let r = Option.get job.jeval in
-  let place seg arena size =
-    let prefs = prefs_for seg r.Blueprint.Mgraph.constraints in
-    place_member t ~owner:job.jname ~arena seg prefs (fun () ->
-        Constraints.Placement.place arena ~size ~owner:job.jname ~prefs ())
-  in
-  job.jtdec <-
-    Some (place Blueprint.Mgraph.Seg_text t.text_arena job.jtext_size);
-  job.jddec <-
-    Some (place Blueprint.Mgraph.Seg_data t.data_arena job.jdata_size);
+  place_jobs t ~pass:(fun f -> f ()) [ job ];
   spawn_stage t job "link" (stage_link t job)
 
 (* eval: force the m-graph (misses only — hits never re-evaluate). *)
@@ -846,8 +850,7 @@ and stage_parse (t : t) (job : job) () : unit =
         (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
   let hit (e : Cache.entry) =
     job.jhit <- true;
-    let key = lazy (e.Cache.key ^ "@" ^ Lazy.force e.Cache.digest) in
-    spawn_stage t job "map" (stage_map t job { entry = e; key })
+    spawn_stage t job "map" (stage_map t job { entry = e })
   in
   let fresh () =
     Hashtbl.replace t.building job.jkey job;
@@ -895,9 +898,9 @@ and stage_parse (t : t) (job : job) () : unit =
 
 (* Flush the place barrier: solve every parked placement in one
    constraint pass per arena (ticket order), one solver charge for the
-   whole batch — N queued requests, one [Constraints.Placement.place_batch]
-   instead of N passes. Each member is placed as the unbatched path
-   places it, under its own request context. *)
+   whole batch — N queued requests, one ["constraints.place_batch"] span
+   per arena instead of N passes. Each member is placed as the
+   unbatched path places it. *)
 and flush_place (t : t) : unit =
   let jobs =
     List.sort (fun a b -> compare a.jt b.jt) (List.rev t.place_q)
@@ -906,47 +909,21 @@ and flush_place (t : t) : unit =
   match jobs with
   | [] -> ()
   | _ ->
-      Telemetry.Histogram.observe tm_batch_size
-        (float_of_int (List.length jobs));
+      let n = List.length jobs in
+      Telemetry.Histogram.observe tm_batch_size (float_of_int n);
       let t0 = Telemetry.now_us () in
       Simos.Kernel.charge_sys t.kernel
         t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
-      let by_index = Array.of_list jobs in
-      let solve seg arena =
-        let items =
-          List.map
-            (fun j ->
-              let r = Option.get j.jeval in
-              {
-                Constraints.Placement.bi_size =
-                  (match seg with
-                  | Blueprint.Mgraph.Seg_text -> j.jtext_size
-                  | _ -> j.jdata_size);
-                bi_owner = j.jname;
-                bi_existing = None;
-                bi_prefs = prefs_for seg r.Blueprint.Mgraph.constraints;
-              })
-            jobs
-        in
-        (* each member's solve runs under its own request context, so
-           placement spans, counters, and injected faults stay
-           attributed to the request that owns them *)
-        let wrap i (it : Constraints.Placement.batch_item) f =
-          let j = by_index.(i) in
-          Telemetry.Request.within ~client:j.jclient ~id:j.jt @@ fun () ->
-          place_member t ~owner:j.jname ~arena seg
-            it.Constraints.Placement.bi_prefs f
-        in
-        Constraints.Placement.place_batch ~wrap arena items
-      in
-      let tdecs = solve Blueprint.Mgraph.Seg_text t.text_arena in
-      let ddecs = solve Blueprint.Mgraph.Seg_data t.data_arena in
+      place_jobs t jobs ~pass:(fun f ->
+          Telemetry.with_span "constraints.place_batch"
+            ~attrs:[ ("n", Telemetry.I n) ]
+          @@ fun () ->
+          Telemetry.Counter.incr tm_batch_solves;
+          f ());
       let t1 = Telemetry.now_us () in
       Telemetry.Histogram.observe tm_place_us (t1 -. t0);
-      List.iteri
-        (fun i j ->
-          j.jtdec <- Some (List.nth tdecs i);
-          j.jddec <- Some (List.nth ddecs i);
+      List.iter
+        (fun j ->
           Telemetry.Causal.unpark j.jtl ~at:t0 ();
           (* the member solves charge nothing, so the whole flush is
              the one shared solve: a segment of every member, none of
@@ -1113,8 +1090,9 @@ let register_specializer (t : t) (style : string) (f : Blueprint.Mgraph.speciali
 (** Trim the image cache to a disk budget, releasing the arena
     reservations of evicted libraries (and only those — [static:]
     entries never held lib-arena ranges) so their address ranges can be
-    reused. A later request for an evicted construction rebuilds it
-    (and, via the reuse constraint, usually at the same addresses). *)
+    reused. A later request for an evicted construction rebuilds it,
+    placed afresh: wherever the arenas have room then, which is not
+    necessarily where it was. *)
 let evict_to_budget (t : t) ~(bytes : int) : int =
   Telemetry.Request.with_request "evict" @@ fun () ->
   List.length (Residency.evict_to_budget t.residency ~bytes)
@@ -1133,14 +1111,19 @@ let suggest_placements (t : t) : (string * Blueprint.Mgraph.seg * int) list =
 
 (** Map a built image into a process (cf. Mach [vm_map] into the target
     task): segments come from the server's memory, so they are resident
-    — no file opening, no header parsing, no disk reads. *)
-let map_into (t : t) ?(touch_user_cost = 0.0) ?(fresh_from_disk = false)
-    (p : Simos.Proc.t) (b : built) : unit =
-  if b.entry.Cache.residency = Cache.Evicted then
+    — no file opening, no header parsing, no disk reads. Every client
+    of a cache entry, the one whose request built it included, maps it
+    under one page-cache key: the entry's cache key, ["@"], and its
+    memoized image digest. *)
+let map_into (t : t) ?(touch_user_cost = 0.0) (p : Simos.Proc.t) (b : built) :
+    unit =
+  let e = b.entry in
+  if e.Cache.residency = Cache.Evicted then
     fail "map_into: cached image of %s was evicted; re-instantiate it"
-      b.entry.Cache.image.Linker.Image.name;
-  Simos.Kernel.map_image t.kernel p ~key:(Lazy.force b.key) ~fresh_from_disk
-    ~touch_user_cost b.entry.Cache.image
+      e.Cache.image.Linker.Image.name;
+  Simos.Kernel.map_image t.kernel p
+    ~key:(e.Cache.key ^ "@" ^ Lazy.force e.Cache.digest)
+    ~touch_user_cost e.Cache.image
 
 (** Everything needed to start a program built by a scheme. *)
 type loadable = {

@@ -173,13 +173,9 @@ val eval : t -> Blueprint.Mgraph.node -> Blueprint.Mgraph.result
 (** Text and data+bss sizes a module will occupy (for placement). *)
 val module_sizes : Jigsaw.Module_ops.t -> int * int
 
-(** A built, positioned, cached image together with its page-cache key
-    for mapping into tasks. The key is the construction key, ["@"], and
-    an image digest, computed only when {!map_into} forces it: a hit's
-    is its entry's memoized [Cache.digest]; a fresh build's digests the
-    image as linked, which is named after its first fragment, not after
-    the target. *)
-type built = { entry : Cache.entry; key : string Lazy.t }
+(** A built, positioned, cached image: the cache entry a request was
+    served from, whether its request built the image or hit it. *)
+type built = { entry : Cache.entry }
 
 (** Has this built's cache entry been evicted since it was handed out?
     Stale builts must be re-requested before mapping. *)
@@ -318,9 +314,15 @@ val suggest_placements : t -> (string * Blueprint.Mgraph.seg * int) list
 
 (** Map a built image into a process (cf. Mach [vm_map] into the target
     task): segments come from the server's memory — no file opening, no
-    header parsing, no disk reads. *)
-val map_into :
-  t -> ?touch_user_cost:float -> ?fresh_from_disk:bool -> Simos.Proc.t -> built -> unit
+    header parsing, no disk reads. Every client of an entry maps it
+    under one page-cache key, the entry's cache key, ["@"] and its
+    memoized image digest ([Cache.digest], computed by the first
+    mapping), so the client whose request built the image and every
+    later client share the same frames and translations.
+    [touch_user_cost] charges extra user time per first page touch
+    (deferred-relocation modelling).
+    @raise Server_error if the entry has been evicted. *)
+val map_into : t -> ?touch_user_cost:float -> Simos.Proc.t -> built -> unit
 
 (** Everything needed to start a program built by a scheme. *)
 type loadable = { parts : built list (* map order *); entry : int }

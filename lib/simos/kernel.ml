@@ -19,15 +19,18 @@ let heap_size = 0x40000
 let stack_top = 0x7FF00000
 let stack_size = 0x40000
 
-(* A file-backed shared segment in the OS page cache: every process
-   exec'ing the same binary shares its read-only frames and the
-   translations of its code. *)
-type cached_seg = {
-  cs_bytes : Bytes.t;
-  cs_frames : Phys.frame_group;
-  cs_backing : Addr_space.backing_state;
-  cs_code : Svm.Cpu.translations;
-}
+(* A file-backed segment in the OS page cache: every process exec'ing
+   the same binary shares its source's residency and, for a read-only
+   segment, its frames and the translations of its code. Each process
+   runs a private copy of a writable segment. *)
+type cached_seg =
+  | Shared of {
+      bytes : Bytes.t;
+      frames : Phys.frame_group;
+      backing : Addr_space.backing_state;
+      code : Svm.Cpu.translations;
+    }
+  | Private of Addr_space.backing_state
 
 type t = {
   fs : Fs.t;
@@ -216,9 +219,9 @@ let finish_exec (k : t) (p : Proc.t) ~(entry : int) : unit =
   p.Proc.cpu <- Some cpu
 
 (** Map an image into a process: read-only segments shared through
-    [share] (a cache of segment objects keyed by [key]), writable
-    segments private, bss anonymous. [fresh_from_disk] marks segment
-    sources as needing demand loads on first-ever touch. *)
+    the page cache (keyed by [key] and segment name), writable segments
+    private, bss anonymous. [fresh_from_disk] marks segment sources as
+    needing demand loads on first-ever touch. *)
 let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
     ?(touch_user_cost = 0.0) (img : Linker.Image.t) : unit =
   Telemetry.with_span "kernel.map_image"
@@ -231,59 +234,37 @@ let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
   charge_sys k (k.cost.Cost.map_segment *. float_of_int (List.length img.Linker.Image.segments));
   List.iter
     (fun (s : Linker.Image.segment) ->
-      if s.Linker.Image.writable then begin
-        (* private copy; residency of the source tracked per file+seg *)
-        let ck = key ^ "#" ^ s.Linker.Image.seg_name in
-        let backing =
-          match Hashtbl.find_opt k.page_cache ck with
-          | Some cs -> cs.cs_backing
-          | None ->
-              let backing =
-                if fresh_from_disk then
-                  Addr_space.disk_backing ~bytes:(Bytes.length s.Linker.Image.bytes)
-                else { Addr_space.resident = [||] }
-              in
-              Hashtbl.replace k.page_cache ck
-                {
-                  cs_bytes = s.Linker.Image.bytes;
-                  cs_frames = Phys.alloc k.phys ~label:ck ~bytes:0;
-                  cs_backing = backing;
-                  cs_code = Svm.Cpu.translations s.Linker.Image.bytes;
-                };
-              backing
-        in
-        Addr_space.map_private p.Proc.aspace ~vaddr:s.Linker.Image.vaddr
-          ~init:s.Linker.Image.bytes ~backing ~touch_user_cost
-          ~size:(Bytes.length s.Linker.Image.bytes)
-          ~label:(key ^ "#" ^ s.Linker.Image.seg_name) ()
-      end
-      else begin
-        let ck = key ^ "#" ^ s.Linker.Image.seg_name in
-        let cs =
-          match Hashtbl.find_opt k.page_cache ck with
-          | Some cs -> cs
-          | None ->
-              let cs =
-                {
-                  cs_bytes = s.Linker.Image.bytes;
-                  cs_frames =
-                    Phys.alloc k.phys ~label:ck
-                      ~bytes:(Bytes.length s.Linker.Image.bytes);
-                  cs_backing =
-                    (if fresh_from_disk then
-                       Addr_space.disk_backing
-                         ~bytes:(Bytes.length s.Linker.Image.bytes)
-                     else { Addr_space.resident = [||] });
-                  cs_code = Svm.Cpu.translations s.Linker.Image.bytes;
-                }
-              in
-              Hashtbl.replace k.page_cache ck cs;
-              cs
-        in
-        Addr_space.map_shared p.Proc.aspace ~vaddr:s.Linker.Image.vaddr
-          ~bytes:cs.cs_bytes ~code:cs.cs_code ~frames:cs.cs_frames ~backing:cs.cs_backing
-          ~touch_user_cost ~label:ck ()
-      end)
+      let bytes = s.Linker.Image.bytes and vaddr = s.Linker.Image.vaddr in
+      let ck = key ^ "#" ^ s.Linker.Image.seg_name in
+      let cached =
+        match Hashtbl.find_opt k.page_cache ck with
+        | Some cs -> cs
+        | None ->
+            let backing =
+              if fresh_from_disk then Addr_space.disk_backing ~bytes:(Bytes.length bytes)
+              else { Addr_space.resident = [||] }
+            in
+            let cs =
+              if s.Linker.Image.writable then Private backing
+              else
+                Shared
+                  {
+                    bytes;
+                    frames = Phys.alloc k.phys ~label:ck ~bytes:(Bytes.length bytes);
+                    backing;
+                    code = Svm.Cpu.translations bytes;
+                  }
+            in
+            Hashtbl.replace k.page_cache ck cs;
+            cs
+      in
+      match cached with
+      | Private backing ->
+          Addr_space.map_private p.Proc.aspace ~vaddr ~init:bytes ~backing
+            ~touch_user_cost ~size:(Bytes.length bytes) ~label:ck ()
+      | Shared c ->
+          Addr_space.map_shared p.Proc.aspace ~vaddr ~bytes:c.bytes ~code:c.code
+            ~frames:c.frames ~backing:c.backing ~touch_user_cost ~label:ck ())
     img.Linker.Image.segments;
   if img.Linker.Image.bss_size > 0 then
     Addr_space.map_private p.Proc.aspace ~vaddr:img.Linker.Image.bss_vaddr

@@ -12,18 +12,21 @@ val heap_size : int
 val stack_top : int
 val stack_size : int
 
-(** A file-backed shared segment in the OS page cache: every process
-    mapping the same key shares its frames, its backing residency and,
-    for a read-only segment, the translations of its code, which
-    persist as long as the entry ({!Svm.Cpu.translations}; a writable
-    segment's are never used, as each process runs its private copy
-    word by word). *)
-type cached_seg = {
-  cs_bytes : Bytes.t;
-  cs_frames : Phys.frame_group;
-  cs_backing : Addr_space.backing_state;
-  cs_code : Svm.Cpu.translations;
-}
+(** A file-backed segment in the OS page cache: every process mapping
+    the same key shares its source's residency. A read-only segment
+    ([Shared]) also shares its bytes, its frames and the translations
+    of its code, which persist as long as the entry
+    ({!Svm.Cpu.translations}). A writable segment ([Private]) holds its
+    source's residency only: each process maps a private copy, with
+    its own frames, and runs it word by word. *)
+type cached_seg =
+  | Shared of {
+      bytes : Bytes.t;
+      frames : Phys.frame_group;
+      backing : Addr_space.backing_state;
+      code : Svm.Cpu.translations;
+    }
+  | Private of Addr_space.backing_state
 
 type t = {
   fs : Fs.t;

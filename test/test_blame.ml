@@ -318,7 +318,8 @@ let test_recording_off_by_default_and_free () =
    latency split, float for float. *)
 let test_response_split_is_the_timeline () =
   let split (r : S.response) =
-    ( Lazy.force r.S.built.S.key,
+    let e = r.S.built.S.entry in
+    ( (e.Omos.Cache.key, e.Omos.Cache.seq),
       r.S.cache_hit,
       (r.S.sim_us, r.S.queue_us, r.S.batch_us, r.S.coalesce_us) )
   in

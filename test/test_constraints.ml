@@ -70,21 +70,6 @@ let test_place_avoid () =
   Alcotest.(check bool) "avoided" true
     (d.Placement.base + 0x1000 <= 0x1000 || d.Placement.base >= 0x8000)
 
-let test_place_reuse () =
-  let a = Placement.create () in
-  let d1 = Placement.place a ~size:0x1000 ~owner:"libc" () in
-  (* same library requested again: reuse is the strong constraint *)
-  let d2 = Placement.place a ~size:0x1000 ~owner:"libc" ~existing:d1.Placement.base () in
-  Alcotest.(check bool) "reused" true d2.Placement.reused;
-  Alcotest.(check int) "same base" d1.Placement.base d2.Placement.base
-
-let test_place_reuse_denied_on_conflict () =
-  let a = Placement.create () in
-  ignore (Placement.reserve a ~lo:0x50000 ~size:0x2000 "app");
-  let d = Placement.place a ~size:0x1000 ~owner:"libc" ~existing:0x50000 () in
-  Alcotest.(check bool) "not reused" false d.Placement.reused;
-  Alcotest.(check bool) "moved" true (d.Placement.base <> 0x50000)
-
 let test_no_space () =
   let a = Placement.create ~region_lo:0x1000 ~region_hi:0x3000 () in
   ignore (Placement.place a ~size:0x2000 ~owner:"big" ());
@@ -264,8 +249,6 @@ let () =
           Alcotest.test_case "Near closest" `Quick test_place_near_picks_closest;
           Alcotest.test_case "Within" `Quick test_place_within;
           Alcotest.test_case "Avoid" `Quick test_place_avoid;
-          Alcotest.test_case "reuse" `Quick test_place_reuse;
-          Alcotest.test_case "reuse denied on conflict" `Quick test_place_reuse_denied_on_conflict;
           Alcotest.test_case "no space" `Quick test_no_space;
           Alcotest.test_case "alignment" `Quick test_alignment;
         ] );

@@ -379,20 +379,45 @@ let test_self_check_coverage () =
 
 (* -- schemes survive eviction between invocations ------------------------ *)
 
+(* Each scheme's program runs the same after everything it was built
+   from is evicted, and after a library built in between takes the
+   lowest free addresses, so that every library the program re-requests
+   is placed elsewhere. *)
 let test_scheme_survives_eviction () =
-  let w = Omos.World.create () in
-  let rt = w.Omos.World.rt in
-  let prog =
-    Omos.Schemes.self_contained_program rt ~name:"ls"
-      ~client:(Omos.World.ls_client w) ~libs:Omos.World.ls_libs ()
+  let squat s =
+    Omos.Server.register_meta_source s "/lib/squat" "(merge /lib/libl.o)";
+    ignore (Omos.Server.build s (Omos.Server.library "/lib/squat"))
   in
-  let code1, out1 = Omos.Schemes.invoke rt prog ~args:Omos.World.ls_single_args in
-  (* everything the program was built from disappears from the cache *)
-  ignore (Omos.Server.evict_to_budget w.Omos.World.server ~bytes:0);
-  let code2, out2 = Omos.Schemes.invoke rt prog ~args:Omos.World.ls_single_args in
-  Alcotest.(check int) "exit code unchanged" code1 code2;
-  Alcotest.(check string) "output unchanged" out1 out2;
-  check_clean w.Omos.World.server
+  List.iter
+    (fun (input, name, client, libs, args, between) ->
+      let w = Omos.World.create () in
+      let rt = w.Omos.World.rt and s = w.Omos.World.server in
+      let client = client w in
+      let progs =
+        [
+          Omos.Schemes.static_program rt ~name ~client ~libs;
+          Omos.Schemes.dynamic_program rt ~name ~client ~libs;
+          Omos.Schemes.self_contained_program rt ~name ~client ~libs ();
+          Omos.Schemes.partial_image_program rt ~name ~client ~libs;
+        ]
+      in
+      let before = List.map (fun prog -> Omos.Schemes.invoke rt prog ~args) progs in
+      ignore (Omos.Server.evict_to_budget s ~bytes:0);
+      between s;
+      List.iter2
+        (fun prog (code1, out1) ->
+          let label what = Printf.sprintf "%s, %s: %s" input prog.Omos.Schemes.scheme what in
+          let code2, out2 = Omos.Schemes.invoke rt prog ~args in
+          Alcotest.(check int) (label "exit code unchanged") code1 code2;
+          Alcotest.(check string) (label "output unchanged") out1 out2)
+        progs before;
+      check_clean s)
+    [
+      ("ls, evicted", "ls", Omos.World.ls_client, Omos.World.ls_libs,
+       Omos.World.ls_single_args, ignore);
+      ("codegen, evicted and squatted", "codegen", Omos.World.codegen_client,
+       Omos.World.codegen_libs, Omos.World.codegen_args, squat);
+    ]
 
 (* -- the fast check against the pairwise report -------------------------- *)
 

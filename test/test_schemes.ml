@@ -113,21 +113,56 @@ let test_partial_image_lazy_library_mapping () =
 
 (* -- sharing -------------------------------------------------------------------- *)
 
+(* The page cache's read-only segments, each holding one frame group. *)
+let shared_segs (k : Simos.Kernel.t) =
+  Hashtbl.fold
+    (fun _ cs acc ->
+      match cs with
+      | Simos.Kernel.Shared c -> (c.bytes, c.frames) :: acc
+      | Simos.Kernel.Private _ -> acc)
+    k.Simos.Kernel.page_cache []
+
 let test_self_contained_text_sharing () =
-  (* two concurrent clients of the same library share its text frames *)
+  (* concurrent clients of the same library share its text frames,
+     whether they run one program or two *)
   let w = Omos.World.create () in
-  let sc =
-    Omos.Schemes.self_contained_program w.Omos.World.rt ~name:"ls"
-      ~client:(Omos.World.ls_client w) ~libs:Omos.World.ls_libs ()
+  let k = w.Omos.World.kernel in
+  let sc name client libs =
+    Omos.Schemes.self_contained_program w.Omos.World.rt ~name ~client ~libs ()
   in
-  let p1 = sc.Omos.Schemes.launch ~args:Omos.World.ls_single_args in
-  let p2 = sc.Omos.Schemes.launch ~args:Omos.World.ls_single_args in
+  let ls = sc "ls" (Omos.World.ls_client w) Omos.World.ls_libs in
+  let codegen = sc "codegen" (Omos.World.codegen_client w) Omos.World.codegen_libs in
+  let procs =
+    [
+      ls.Omos.Schemes.launch ~args:Omos.World.ls_single_args;
+      ls.Omos.Schemes.launch ~args:Omos.World.ls_single_args;
+      codegen.Omos.Schemes.launch ~args:Omos.World.codegen_args;
+    ]
+  in
   Alcotest.(check bool) "pages saved by sharing" true
-    (Simos.Phys.saved_pages w.Omos.World.kernel.Simos.Kernel.phys > 10);
-  ignore (Simos.Kernel.run w.Omos.World.kernel p1 ());
-  ignore (Simos.Kernel.run w.Omos.World.kernel p2 ());
-  Simos.Kernel.reap w.Omos.World.kernel p1;
-  Simos.Kernel.reap w.Omos.World.kernel p2
+    (Simos.Phys.saved_pages k.Simos.Kernel.phys > 10);
+  let libc = Omos.Server.build w.Omos.World.server (Omos.Server.library "/lib/libc") in
+  let libc_text =
+    (Option.get (Linker.Image.text_segment libc.Omos.Server.entry.Omos.Cache.image))
+      .Linker.Image.bytes
+  in
+  Alcotest.(check int) "libc's text resident once" 1
+    (List.length (List.filter (fun (bytes, _) -> bytes == libc_text) (shared_segs k)));
+  List.iter
+    (fun p ->
+      ignore (Simos.Kernel.run k p ());
+      Simos.Kernel.reap k p)
+    procs;
+  (* the page cache's writable segments hold their sources' residency,
+     never frames: once the processes are reaped, only the read-only
+     segments' frames are resident *)
+  Alcotest.(check bool) "writable segments were mapped" true
+    (Hashtbl.fold
+       (fun _ cs found -> found || match cs with Simos.Kernel.Private _ -> true | _ -> false)
+       k.Simos.Kernel.page_cache false);
+  Alcotest.(check int) "reaped: the read-only segments' frames resident"
+    (List.fold_left (fun n (_, f) -> n + f.Simos.Phys.pages) 0 (shared_segs k))
+    (Simos.Phys.resident_pages k.Simos.Kernel.phys)
 
 (* -- performance shapes (Table 1 pre-checks) -------------------------------------- *)
 
