@@ -1037,7 +1037,7 @@ let mapped_runner code =
   let text = 0x10000 in
   Simos.Addr_space.map_shared space ~vaddr:text ~bytes:code
     ~code:(Svm.Cpu.translations code)
-    ~frames:(Simos.Phys.alloc phys ~label:"text" ~bytes:(Bytes.length code))
+    ~frames:(Simos.Phys.alloc phys ~bytes:(Bytes.length code))
     ~backing:{ Simos.Addr_space.resident = [||] } ~label:"text" ();
   Simos.Addr_space.map_private space
     ~vaddr:(Simos.Kernel.stack_top - Simos.Kernel.stack_size)

@@ -6,8 +6,10 @@
     interposed between each caller and the called routine."
 
     Given a module, {!monitored} produces a variant in which every
-    exported function [f] is renamed away to a private name and a
-    generated wrapper takes its place. Two wrapper shapes:
+    exported function [f] ({!functions}) is renamed away to [f$mon$real]
+    and a generated wrapper takes its place: one [rename] over the whole
+    set and one [merge] of the wrappers, whatever the module's size.
+    Two wrapper shapes:
 
     - entry-only (default): a three-instruction trampoline that logs the
       call and tail-jumps to the real routine — zero stack disturbance;
@@ -107,12 +109,10 @@ let entry_exit_wrappers (names : string list) : Sof.Object_file.t =
   Sof.Asm.bss a "__mon_stack" 4096;
   Sof.Asm.finish a
 
-(** [monitored m] — the monitoring transformation: every exported text
-    function of [m] is wrapped. Returns the transformed module and the
-    (empty) trace its wrappers will fill once {!attach}ed. *)
-let monitored ?(exits = false) (m : Jigsaw.Module_ops.t) :
-    Jigsaw.Module_ops.t * trace =
-  (* exported functions only (data symbols cannot be wrapped) *)
+(** The exported text functions of [m], in export order — the routines
+    a wrapper or a stub can stand in for (data symbols cannot be
+    wrapped). *)
+let functions (m : Jigsaw.Module_ops.t) : string list =
   let frags = Jigsaw.Module_ops.fragments m in
   let is_function name =
     List.exists
@@ -122,17 +122,24 @@ let monitored ?(exits = false) (m : Jigsaw.Module_ops.t) :
         | None -> false)
       frags
   in
-  let names = List.filter is_function (Jigsaw.Module_ops.exports m) in
-  (* rename definitions only: internal references keep the public name
-     and therefore also route through the wrappers — "interposed
-     between each caller and the called routine" *)
+  List.filter is_function (Jigsaw.Module_ops.exports m)
+
+(** [monitored m] — the monitoring transformation: every exported text
+    function of [m] is wrapped. Returns the transformed module and the
+    (empty) trace its wrappers will fill once {!attach}ed. *)
+let monitored ?(exits = false) (m : Jigsaw.Module_ops.t) :
+    Jigsaw.Module_ops.t * trace =
+  let names = functions m in
+  (* one rename of the whole set, definitions only: internal references
+     keep the public name and therefore also route through the
+     wrappers — "interposed between each caller and the called
+     routine" *)
   let renamed =
-    List.fold_left
-      (fun acc name ->
+    match names with
+    | [] -> m
+    | _ ->
         Jigsaw.Module_ops.rename ~scope:Jigsaw.Module_ops.Defs_only
-          (Jigsaw.Select.compile ("^" ^ Str.quote name ^ "$"))
-          (mangle name) acc)
-      m names
+          (Jigsaw.Select.any names) (mangle "\\1") m
   in
   let wrappers = if exits then entry_exit_wrappers names else entry_only_wrappers names in
   let m' = Jigsaw.Module_ops.merge renamed (Jigsaw.Module_ops.of_object wrappers) in

@@ -30,7 +30,13 @@ val call_sequence : trace -> int list
 (** Names in order of first call. *)
 val first_call_order : trace -> string list
 
-(** [monitored ?exits m] wraps every exported text function of [m].
+(** The exported text functions of a module, in export order — the
+    routines {!monitored} wraps and the ["lib-dynamic"] specializer
+    stubs. *)
+val functions : Jigsaw.Module_ops.t -> string list
+
+(** [monitored ?exits m] wraps every exported text function of [m],
+    renaming the whole set to [f$mon$real] in one [rename] operator.
     With [exits:false] (default) wrappers are three-instruction
     trampolines logging entries only; with [exits:true] they keep
     return addresses on a private shadow stack and log returns too.

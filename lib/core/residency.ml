@@ -352,13 +352,13 @@ let evict_to_budget (t : t) ~(bytes : int) : Cache.entry list =
 
 (* -- fault hooks --------------------------------------------------- *)
 
-let maybe_evict_storm (t : t) : int =
+let maybe_evict_storm (t : t) : Cache.entry list =
   if fires t Evict_storm then begin
     Telemetry.Counter.incr tm_fault_storm;
     Telemetry.Flight.record_fault "residency.evict_storm";
-    List.length (evict_to_budget t ~bytes:0)
+    evict_to_budget t ~bytes:0
   end
-  else 0
+  else []
 
 let with_place_conflict (t : t) ~(arena : P.t)
     ~(prefs : (int * P.pref) list) (f : unit -> 'a) : 'a =

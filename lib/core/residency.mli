@@ -130,8 +130,8 @@ val self_check : t -> unit
 (** {1 Fault injection} *)
 
 (** If the eviction-storm fault fires, evict the entire cache; returns
-    the number of entries evicted (0 when it does not fire). *)
-val maybe_evict_storm : t -> int
+    the evicted entries ([[]] when it does not fire). *)
+val maybe_evict_storm : t -> Cache.entry list
 
 (** Run [f] with the strongest base-address preference temporarily
     blocked when the placement-conflict fault fires, forcing [f]'s

@@ -192,6 +192,45 @@ let imports_of (client : Jigsaw.Module_ops.t) (libs : Linker.Image.t list) :
   |> List.filter (Hashtbl.mem available)
   |> List.map Stubs.import_of_name
 
+(* The fragments of a library's implementation, as the server
+   evaluates its meta: what static linking pulls members from and what
+   the dynamic scheme counts relocations in. *)
+let library_fragments (server : Server.t) (l : string) : Sof.Object_file.t list =
+  let meta = Server.find_meta server l in
+  let r = Server.eval server (Blueprint.Meta.effective_graph meta ~spec:None) in
+  Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m
+
+(* A client whose calls into [lib_imgs] go through stubs (the dynamic
+   and partial-image schemes): its imports, a stub object for them,
+   references diverted to the stubs, the merge built as the static
+   image [name ^ suffix] (linked against [externals]) and installed at
+   [exe_path ~scheme ~name]. Returns the path, the imports and each
+   import's slot address in the installed image. *)
+let stubbed_client (server : Server.t) ~(scheme : string) ~(suffix : string)
+    ~(name : string) ~(client : Sof.Object_file.t list)
+    ~(stub_object : Stubs.import list -> Sof.Object_file.t) ?externals
+    (lib_imgs : Linker.Image.t list) :
+    string * Stubs.import array * (string -> int) =
+  let client_mod = Jigsaw.Module_ops.of_objects ~label:name client in
+  let imports = imports_of client_mod lib_imgs in
+  let stubs = stub_object imports in
+  let diverted = Stubs.divert_imports client_mod imports in
+  let full = Jigsaw.Module_ops.merge diverted (Jigsaw.Module_ops.of_object stubs) in
+  let b =
+    Server.build server
+      (Server.static ~name:(name ^ suffix) ?externals
+         (graph_of_objs (Jigsaw.Module_ops.fragments full)))
+  in
+  let client_img = b.Server.entry.Cache.image in
+  let path = exe_path ~scheme ~name in
+  install_executable server ~path client_img;
+  let slot_addr n =
+    match Linker.Image.find_symbol client_img (n ^ "$slot") with
+    | Some a -> a
+    | None -> raise (Scheme_error ("missing slot for " ^ n))
+  in
+  (path, Array.of_list imports, slot_addr)
+
 (* Count of "eager" relocations a traditional dynamic loader performs
    per invocation: data-section relocations plus text references to
    data symbols (the GOT-initialization analogue), across client and
@@ -225,14 +264,7 @@ let eager_reloc_count (frag_sets : Sof.Object_file.t list list) : int =
 let static_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
     ~(libs : string list) : program =
   let server = rt.server in
-  let members =
-    List.concat_map
-      (fun l ->
-        let meta = Server.find_meta server l in
-        let r = Server.eval server (Blueprint.Meta.effective_graph meta ~spec:None) in
-        Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-      libs
-  in
+  let members = List.concat_map (library_fragments server) libs in
   let pulled = Linker.Archive.select ~roots:client ~available:members in
   let graph = graph_of_objs (client @ pulled) in
   let b = Server.build server (Server.static ~name:(name ^ ".static") graph) in
@@ -256,28 +288,13 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
   (* libraries: shared images at system-chosen (arena) addresses *)
   let lib_builts = List.map (fun l -> Server.build server (Server.library l)) libs in
   let lib_imgs = List.map (fun (b : Server.built) -> b.Server.entry.Cache.image) lib_builts in
-  let client_mod = Jigsaw.Module_ops.of_objects ~label:name client in
-  let imports = imports_of client_mod lib_imgs in
-  let plt = Stubs.plt_object imports in
-  let diverted = Stubs.divert_imports client_mod imports in
-  let full = Jigsaw.Module_ops.merge diverted (Jigsaw.Module_ops.of_object plt) in
-  let graph = graph_of_objs (Jigsaw.Module_ops.fragments full) in
-  let b =
-    Server.build server (Server.static ~name:(name ^ ".dyn") ~externals:lib_imgs graph)
+  let path, imports, slot_addr =
+    stubbed_client server ~scheme:"dynamic" ~suffix:".dyn" ~name ~client
+      ~stub_object:Stubs.plt_object ~externals:lib_imgs lib_imgs
   in
-  let client_img = b.Server.entry.Cache.image in
-  let path = exe_path ~scheme:"dynamic" ~name in
-  install_executable server ~path client_img;
-  let lib_frag_sets =
-    List.map
-      (fun l ->
-        let meta = Server.find_meta server l in
-        let r = Server.eval server (Blueprint.Meta.effective_graph meta ~spec:None) in
-        Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-      libs
-  in
+  let lib_frag_sets = List.map (library_fragments server) libs in
   (* eager work at startup: the client's own data relocations *)
-  let eager = eager_reloc_count [ Jigsaw.Module_ops.fragments client_mod ] in
+  let eager = eager_reloc_count [ client ] in
   (* deferred (page-wise lazy) relocation density of each library: the
      -B deferred model — a library page is relocated, privately, the
      first time each process touches it *)
@@ -313,12 +330,6 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
            *. (float_of_int relocs /. float_of_int text_pages)))
       lib_builts lib_frag_sets
   in
-  let slot_addr n =
-    match Linker.Image.find_symbol client_img (n ^ "$slot") with
-    | Some a -> a
-    | None -> raise (Scheme_error ("missing slot for " ^ n))
-  in
-  let imports_arr = Array.of_list imports in
   let k = Server.kernel server in
   (* builts can go stale if the cache is trimmed between invocations;
      re-requested ones are placed afresh, not necessarily where they
@@ -354,7 +365,7 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
         Hashtbl.replace rt.table p.Simos.Proc.pid
           {
             flavor = Plt;
-            imports = imports_arr;
+            imports;
             resolve = !resolve;
             slot_addr;
             lib_paths = [];
@@ -363,9 +374,9 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
             binds = 0;
           };
         p);
-    dispatch_bytes = Stubs.dispatch_bytes (List.length imports);
+    dispatch_bytes = Stubs.dispatch_bytes (Array.length imports);
     eager_relocs = eager;
-    imports = List.length imports;
+    imports = Array.length imports;
   }
 
 (* -- scheme 3: OMOS self-contained ----------------------------------------- *)
@@ -419,28 +430,13 @@ let partial_image_program (rt : t) ~(name : string)
   let server = rt.server in
   let lib_builts = List.map (fun l -> Server.build server (Server.library l)) libs in
   let lib_imgs = List.map (fun (b : Server.built) -> b.Server.entry.Cache.image) lib_builts in
-  let client_mod = Jigsaw.Module_ops.of_objects ~label:name client in
-  let imports = imports_of client_mod lib_imgs in
-  let stubs = Stubs.omos_stub_object imports in
-  let diverted = Stubs.divert_imports client_mod imports in
-  let full = Jigsaw.Module_ops.merge diverted (Jigsaw.Module_ops.of_object stubs) in
-  let b =
-    Server.build server
-      (Server.static ~name:(name ^ ".pi")
-         (graph_of_objs (Jigsaw.Module_ops.fragments full)))
+  let path, imports, slot_addr =
+    stubbed_client server ~scheme:"partial" ~suffix:".pi" ~name ~client
+      ~stub_object:Stubs.omos_stub_object lib_imgs
   in
-  let client_img = b.Server.entry.Cache.image in
-  let path = exe_path ~scheme:"partial" ~name in
-  install_executable server ~path client_img;
   (* the interface version the client is built against, embedded at
      build time and checked at load time *)
   let version = interface_version lib_imgs in
-  let slot_addr n =
-    match Linker.Image.find_symbol client_img (n ^ "$slot") with
-    | Some a -> a
-    | None -> raise (Scheme_error ("missing slot for " ^ n))
-  in
-  let imports_arr = Array.of_list imports in
   let k = Server.kernel server in
   {
     prog_name = name;
@@ -453,7 +449,7 @@ let partial_image_program (rt : t) ~(name : string)
         Hashtbl.replace rt.table p.Simos.Proc.pid
           {
             flavor = Omos_stub;
-            imports = imports_arr;
+            imports;
             resolve = (fun _ -> None);
             slot_addr;
             lib_paths = libs;
@@ -462,9 +458,9 @@ let partial_image_program (rt : t) ~(name : string)
             binds = 0;
           };
         p);
-    dispatch_bytes = Stubs.dispatch_bytes (List.length imports);
+    dispatch_bytes = Stubs.dispatch_bytes (Array.length imports);
     eager_relocs = 0;
-    imports = List.length imports;
+    imports = Array.length imports;
   }
 
 (** Run one invocation to completion; returns (exit code, stdout). *)

@@ -589,6 +589,21 @@ let place_jobs (t : t) ~(pass : (unit -> unit) -> unit) (jobs : job list) : unit
 let built_evicted (b : built) : bool =
   b.entry.Cache.residency = Cache.Evicted
 
+(* The page-cache key every client maps an entry's image under: the
+   entry's cache key, ["@"], and its memoized image digest. *)
+let map_key (e : Cache.entry) : string = e.Cache.key ^ "@" ^ Lazy.force e.Cache.digest
+
+(* Evicted entries that were ever mapped (only mapping forces the
+   digest) leave the page cache, and the cache's frames, with them.
+   Recursive rather than a [List.iter] closure: every submit passes the
+   storm check's victims here, almost always none, and must allocate
+   nothing for them. *)
+let rec drop_mapped (t : t) : Cache.entry list -> unit = function
+  | [] -> ()
+  | e :: victims ->
+      if Lazy.is_val e.Cache.digest then Simos.Kernel.drop_cached t.kernel ~key:(map_key e);
+      drop_mapped t victims
+
 (* -- the unified request API ------------------------------------------------ *)
 
 let library ?(externals = []) (path : string) : request =
@@ -890,9 +905,11 @@ and stage_parse (t : t) (job : job) () : unit =
                   fresh ())
           | None ->
               (* stale candidates whose reservations are gone drop to
-                 Evicted so they can never shadow the fresh construction *)
+                 Evicted so they can never shadow the fresh construction,
+                 and leave the page cache as an evicted image does *)
               List.iter
-                (fun e -> ignore (Residency.demote_if_lost t.residency e))
+                (fun e ->
+                  if Residency.demote_if_lost t.residency e then drop_mapped t [ e ])
                 (Cache.candidates t.cache job.jkey);
               fresh ()))
 
@@ -985,7 +1002,7 @@ let submit (t : t) (req : request) : ticket =
   (* the eviction-storm fault, when enabled, empties the cache at
      admission — the request must then rebuild and re-place *)
   Telemetry.Request.within ~client ~id (fun () ->
-      ignore (Residency.maybe_evict_storm t.residency));
+      drop_mapped t (Residency.maybe_evict_storm t.residency));
   spawn_stage t job "parse" (stage_parse t job);
   id
 
@@ -1092,10 +1109,13 @@ let register_specializer (t : t) (style : string) (f : Blueprint.Mgraph.speciali
     entries never held lib-arena ranges) so their address ranges can be
     reused. A later request for an evicted construction rebuilds it,
     placed afresh: wherever the arenas have room then, which is not
-    necessarily where it was. *)
+    necessarily where it was. The page cache drops the segments of
+    every evicted image that was mapped. *)
 let evict_to_budget (t : t) ~(bytes : int) : int =
   Telemetry.Request.with_request "evict" @@ fun () ->
-  List.length (Residency.evict_to_budget t.residency ~bytes)
+  let victims = Residency.evict_to_budget t.residency ~bytes in
+  drop_mapped t victims;
+  List.length victims
 
 (** Recorded placement conflicts, most recent first. *)
 let conflicts (t : t) : conflict list = t.conflicts
@@ -1121,9 +1141,7 @@ let map_into (t : t) ?(touch_user_cost = 0.0) (p : Simos.Proc.t) (b : built) :
   if e.Cache.residency = Cache.Evicted then
     fail "map_into: cached image of %s was evicted; re-instantiate it"
       e.Cache.image.Linker.Image.name;
-  Simos.Kernel.map_image t.kernel p
-    ~key:(e.Cache.key ^ "@" ^ Lazy.force e.Cache.digest)
-    ~touch_user_cost e.Cache.image
+  Simos.Kernel.map_image t.kernel p ~key:(map_key e) ~touch_user_cost e.Cache.image
 
 (** Everything needed to start a program built by a scheme. *)
 type loadable = {

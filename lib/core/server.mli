@@ -301,7 +301,10 @@ val register_specializer : t -> string -> Blueprint.Mgraph.specializer -> unit
 
 (** Trim the image cache to a disk budget, releasing evicted libraries'
     arena reservations (and only those — [static:] entries never held
-    lib-arena ranges). Returns the number of entries evicted. *)
+    lib-arena ranges). The kernel's page cache drops the segments of
+    every evicted image that was mapped ({!Simos.Kernel.drop_cached}),
+    as it does for a cached image whose reservation was lost.
+    Returns the number of entries evicted. *)
 val evict_to_budget : t -> bytes:int -> int
 
 (** Recorded placement conflicts, most recent first. *)

@@ -6,8 +6,10 @@
       causes stub functions to be dynamically generated for each
       referenced entry point in the operand. The stub code is compiled
       and returned as the representative implementation of the
-      library." The produced module contains only stubs + slots; the
-      real code comes later via ["lib-dynamic-impl"].
+      library." The produced module contains only stubs + slots, one
+      per exported function ({!Monitor.functions}), each stub assembled
+      under the function's plain name so clients bind to it. The real
+      code comes later via ["lib-dynamic-impl"].
 
     - ["lib-dynamic-impl"] — "generates the m-graph which will produce
       the library implementation that is to be loaded and shared":
@@ -31,32 +33,13 @@ let install (server : Server.t) (upcalls : Upcalls.t) : t =
   (* lib-dynamic: stubs for every exported function of the operand *)
   Server.register_specializer server "lib-dynamic" (fun env _args node ->
       let r = Blueprint.Mgraph.eval env node in
-      let frags = Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m in
-      let is_function name =
-        List.exists
-          (fun o ->
-            match Sof.Object_file.find_exported o name with
-            | Some s -> s.Sof.Symbol.kind = Sof.Symbol.Text
-            | None -> false)
-          frags
-      in
-      let entries =
-        List.filter is_function (Jigsaw.Module_ops.exports r.Blueprint.Mgraph.m)
-      in
       let stubs =
-        Stubs.omos_stub_object (List.map Stubs.import_of_name entries)
+        Stubs.omos_stub_object
+          (List.map
+             (fun n -> { (Stubs.import_of_name n) with Stubs.imp_stub = n })
+             (Monitor.functions r.Blueprint.Mgraph.m))
       in
-      (* each stub must export the plain name so clients bind to it *)
-      let renames =
-        List.fold_left
-          (fun m name ->
-            Jigsaw.Module_ops.rename ~scope:Jigsaw.Module_ops.Defs_only
-              (Jigsaw.Select.compile ("^" ^ Str.quote (name ^ "$stub") ^ "$"))
-              name m)
-          (Jigsaw.Module_ops.of_object stubs)
-          entries
-      in
-      { Blueprint.Mgraph.m = renames; constraints = [] });
+      { Blueprint.Mgraph.m = Jigsaw.Module_ops.of_object stubs; constraints = [] });
   (* lib-dynamic-impl: the shared implementation itself *)
   Server.register_specializer server "lib-dynamic-impl" (fun env _args node ->
       Blueprint.Mgraph.eval env node);

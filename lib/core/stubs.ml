@@ -73,15 +73,16 @@ let omos_stub_object (imports : import list) : Sof.Object_file.t =
     imports
 
 (** Rewire a client module so its references to the imported functions
-    go through the stubs: [f -> f$stub] on references only. *)
+    go through the stubs: [f -> f$stub] on references only, one rename
+    over the whole import set. *)
 let divert_imports (client : Jigsaw.Module_ops.t) (imports : import list) :
     Jigsaw.Module_ops.t =
-  List.fold_left
-    (fun m imp ->
+  match imports with
+  | [] -> client
+  | _ ->
       Jigsaw.Module_ops.rename ~scope:Jigsaw.Module_ops.Refs_only
-        (Jigsaw.Select.compile ("^" ^ Str.quote imp.imp_name ^ "$"))
-        imp.imp_stub m)
-    client imports
+        (Jigsaw.Select.any (List.map (fun imp -> imp.imp_name) imports))
+        "\\1$stub" client
 
 (** Memory consumed by dispatch machinery for [n] imports: stub code +
     table slots, in bytes — the Kohl/Paxson measurement (E2). *)

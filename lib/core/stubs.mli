@@ -27,7 +27,8 @@ val plt_object : import list -> Sof.Object_file.t
 val omos_stub_object : import list -> Sof.Object_file.t
 
 (** Rewire a client module so its references to the imported functions
-    go through the stubs ([f -> f$stub], references only). *)
+    go through the stubs ([f -> f$stub], references only): one [rename]
+    operator over the whole import set, none for an empty one. *)
 val divert_imports : Jigsaw.Module_ops.t -> import list -> Jigsaw.Module_ops.t
 
 (** Memory consumed by dispatch machinery for [n] imports (stub code +

@@ -19,6 +19,12 @@ let compile_res (pattern : string) : (t, string) result =
 
 let pattern (s : t) = s.pattern
 
+(** [any names] selects exactly [names]: an anchored alternation of the
+    quoted names, with the whole name as group 1, so a rewrite template
+    can refer to it as [\1]. *)
+let any (names : string list) : t =
+  compile ("^\\(" ^ String.concat "\\|" (List.map Str.quote names) ^ "\\)$")
+
 (** Does the symbol name match (anywhere, unless the pattern anchors)? *)
 let matches (s : t) (name : string) : bool =
   try

@@ -13,6 +13,12 @@ val compile_res : string -> (t, string) result
 
 val pattern : t -> string
 
+(** [any names] selects exactly [names] (quoted, so metacharacters in
+    them match literally), with the whole name as group 1 — one
+    selector for a set, where a rewrite template refers to the name as
+    [\1]. *)
+val any : string list -> t
+
 (** Does the symbol name match (anywhere, unless the pattern anchors)? *)
 val matches : t -> string -> bool
 

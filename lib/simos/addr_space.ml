@@ -29,7 +29,6 @@ type region = {
   hi : int; (* exclusive *)
   bytes : Bytes.t; (* backing store (shared or private) *)
   writable : bool;
-  shared : bool;
   label : string;
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state; (* residency of the segment's source *)
@@ -71,11 +70,10 @@ let no_region : region =
     hi = 0;
     bytes = Bytes.empty;
     writable = false;
-    shared = false;
     label = "";
     touched = [||];
     backing = { resident = [||] };
-    frames = { Phys.id = -1; label = ""; pages = 0; refs = 0 };
+    frames = { Phys.pages = 0; refs = 0 };
     touch_user_cost = 0.0;
     translations = None;
   }
@@ -149,7 +147,7 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t) ~(code : Svm.Cpu.transl
     invalid_arg ("Addr_space.map_shared: translations of other bytes for " ^ label);
   let hi = vaddr + Bytes.length bytes in
   check_overlap t vaddr hi label;
-  Phys.addref frames;
+  Phys.addref t.phys frames;
   let npages = max 1 ((Bytes.length bytes + t.page_size - 1) / t.page_size) in
   insert t
     {
@@ -157,7 +155,6 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t) ~(code : Svm.Cpu.transl
       hi;
       bytes;
       writable = false;
-      shared = true;
       label;
       touched = Array.make npages false;
       backing;
@@ -184,11 +181,10 @@ let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
       hi;
       bytes;
       writable = true;
-      shared = false;
       label;
       touched = Array.make npages false;
       backing = (match backing with Some b -> b | None -> resident_backing ());
-      frames = Phys.alloc t.phys ~label ~bytes:size;
+      frames = Phys.alloc t.phys ~bytes:size;
       touch_user_cost;
       translations = None;
     }

@@ -29,7 +29,6 @@ type region = {
   hi : int; (* exclusive *)
   bytes : Bytes.t;
   writable : bool;
-  shared : bool;
   label : string;
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state;

@@ -40,6 +40,8 @@ type t = {
   mutable procs : Proc.t list;
   mutable next_pid : int;
   page_cache : (string, cached_seg) Hashtbl.t; (* key: path#segment *)
+  (* exec'd path -> the file bytes its page-cache entries came from *)
+  exec_sources : (string, Bytes.t) Hashtbl.t;
   read_cached : (string, unit) Hashtbl.t; (* file data brought in by read() *)
   mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
   (* "#!" interpreter handlers: the paper's `#! /bin/omos` feature.
@@ -60,6 +62,7 @@ let create ?(cost = Cost.hpux) () : t =
     procs = [];
     next_pid = 1;
     page_cache = Hashtbl.create 16;
+    exec_sources = Hashtbl.create 16;
     read_cached = Hashtbl.create 16;
     upcall = None;
     interpreters = Hashtbl.create 4;
@@ -250,7 +253,7 @@ let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
                 Shared
                   {
                     bytes;
-                    frames = Phys.alloc k.phys ~label:ck ~bytes:(Bytes.length bytes);
+                    frames = Phys.alloc k.phys ~bytes:(Bytes.length bytes);
                     backing;
                     code = Svm.Cpu.translations bytes;
                   }
@@ -269,6 +272,21 @@ let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
   if img.Linker.Image.bss_size > 0 then
     Addr_space.map_private p.Proc.aspace ~vaddr:img.Linker.Image.bss_vaddr
       ~size:img.Linker.Image.bss_size ~label:(key ^ "#bss") ()
+
+(** Drop the page-cache entries of every segment mapped under [key],
+    releasing the cache's hold on their frames: mappings still in place
+    keep theirs, and the next {!map_image} under [key] caches afresh. *)
+let drop_cached (k : t) ~(key : string) : unit =
+  let prefix = key ^ "#" in
+  let n = String.length prefix in
+  Hashtbl.filter_map_inplace
+    (fun ck cs ->
+      if String.starts_with ~prefix ck && not (String.contains_from ck n '#') then begin
+        (match cs with Shared c -> Phys.decref k.phys c.frames | Private _ -> ());
+        None
+      end
+      else Some cs)
+    k.page_cache
 
 (** Register a script interpreter ([#! <path> params...]). *)
 let register_interpreter (k : t) (path : string) handler : unit =
@@ -318,6 +336,15 @@ let rec exec (k : t) ~(path : string) ~(args : string list) : Proc.t =
     with Linker.Image.Decode_error m -> raise (Exec_error (path ^ ": " ^ m))
   in
   let p = create_process k ~args in
+  (* the segments cached under [path] must be this file's: a different
+     binary installed there since drops them (contents are compared, so
+     reinstalling the same bytes keeps them) *)
+  (match Hashtbl.find k.exec_sources path with
+  | cached when cached == data -> ()
+  | cached ->
+      if not (Bytes.equal cached data) then drop_cached k ~key:path;
+      Hashtbl.replace k.exec_sources path data
+  | exception Not_found -> Hashtbl.replace k.exec_sources path data);
   map_image k p ~key:path ~fresh_from_disk:(not (Hashtbl.mem k.read_cached path)) img;
   Hashtbl.replace k.read_cached path ();
   finish_exec k p ~entry:img.Linker.Image.entry;

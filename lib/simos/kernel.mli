@@ -36,6 +36,8 @@ type t = {
   mutable procs : Proc.t list;
   mutable next_pid : int;
   page_cache : (string, cached_seg) Hashtbl.t; (* key: path#segment *)
+  exec_sources : (string, Bytes.t) Hashtbl.t;
+      (* exec'd path -> the file bytes its page-cache entries came from *)
   read_cached : (string, unit) Hashtbl.t; (* file data in the buffer cache *)
   mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
   interpreters :
@@ -81,6 +83,13 @@ val map_image :
   Linker.Image.t ->
   unit
 
+(** Drop the page-cache entries of every segment mapped under [key],
+    releasing the cache's hold on their frames. Mappings still in place
+    keep theirs; the next {!map_image} under [key] caches afresh. The
+    server calls it for an evicted image it had mapped, {!exec} for a
+    path whose file changed. *)
+val drop_cached : t -> key:string -> unit
+
 (** Register a [#!]-script interpreter by path. The handler receives
     the script's parameter words and the exec arguments and must return
     a ready process (charging its own costs). *)
@@ -88,7 +97,9 @@ val register_interpreter :
   t -> string -> (t -> params:string list -> args:string list -> Proc.t) -> unit
 
 (** The traditional exec: open the executable, parse it (cost
-    proportional to file size), map it. A file starting with [#!]
+    proportional to file size), map it. Segments are cached under the
+    path; when the file's contents differ from those they were cached
+    from, they are dropped first. A file starting with [#!]
     dispatches to its registered interpreter instead. *)
 val exec : t -> path:string -> args:string list -> Proc.t
 

@@ -5,50 +5,53 @@
     frames. This module tracks frames and reference counts so the
     benchmarks can report real memory use (the dispatch-table-vs-sharing
     experiment) without scattering actual bytes across frame objects —
-    region contents stay in their backing [Bytes.t]. *)
+    region contents stay in their backing [Bytes.t]. The totals are
+    kept as groups are allocated, shared and released. *)
 
 type frame_group = {
-  id : int;
-  label : string;
   pages : int;
   mutable refs : int; (* how many mappings share this group *)
 }
 
 type t = {
-  mutable groups : frame_group list;
-  mutable next_id : int;
+  mutable resident : int; (* pages of the groups with a reference *)
+  mutable mapped : int; (* pages times references, over every group *)
   page_size : int;
 }
 
 let create ?(page_size = Cost.page_size) () : t =
-  { groups = []; next_id = 0; page_size }
+  { resident = 0; mapped = 0; page_size }
 
 let pages_for (t : t) (bytes : int) : int =
   (bytes + t.page_size - 1) / t.page_size
 
 (** Allocate a group of frames backing [bytes] bytes. *)
-let alloc (t : t) ~(label : string) ~(bytes : int) : frame_group =
-  let g = { id = t.next_id; label; pages = max 1 (pages_for t bytes); refs = 1 } in
-  t.next_id <- t.next_id + 1;
-  t.groups <- g :: t.groups;
-  g
+let alloc (t : t) ~(bytes : int) : frame_group =
+  let pages = max 1 (pages_for t bytes) in
+  t.resident <- t.resident + pages;
+  t.mapped <- t.mapped + pages;
+  { pages; refs = 1 }
 
 (** Share an existing group (another process maps the same segment). *)
-let addref (g : frame_group) : unit = g.refs <- g.refs + 1
+let addref (t : t) (g : frame_group) : unit =
+  g.refs <- g.refs + 1;
+  t.mapped <- t.mapped + g.pages
 
-(** Drop one reference; the group is freed when refs reach zero. *)
+(** Drop one reference; the group is freed when refs reach zero. A
+    freed group's further releases count for nothing. *)
 let decref (t : t) (g : frame_group) : unit =
-  g.refs <- g.refs - 1;
-  if g.refs <= 0 then t.groups <- List.filter (fun g' -> g'.id <> g.id) t.groups
+  if g.refs > 0 then begin
+    g.refs <- g.refs - 1;
+    t.mapped <- t.mapped - g.pages;
+    if g.refs = 0 then t.resident <- t.resident - g.pages
+  end
 
 (** Physical pages actually allocated. *)
-let resident_pages (t : t) : int =
-  List.fold_left (fun acc g -> acc + g.pages) 0 t.groups
+let resident_pages (t : t) : int = t.resident
 
 (** Pages as they appear summed over every process's mappings — the
     no-sharing counterfactual. *)
-let mapped_pages (t : t) : int =
-  List.fold_left (fun acc g -> acc + (g.pages * g.refs)) 0 t.groups
+let mapped_pages (t : t) : int = t.mapped
 
 (** Pages saved by sharing. *)
 let saved_pages (t : t) : int = mapped_pages t - resident_pages t

@@ -4,11 +4,10 @@
     image: every client that maps it references the same physical
     frames. This module tracks frame groups and reference counts so
     benchmarks can report real memory use; region contents stay in
-    their backing [Bytes.t]. *)
+    their backing [Bytes.t]. Resident and mapped totals are kept as
+    groups come and go. *)
 
 type frame_group = {
-  id : int;
-  label : string;
   pages : int;
   mutable refs : int;  (** how many mappings share this group *)
 }
@@ -18,12 +17,13 @@ type t
 val create : ?page_size:int -> unit -> t
 
 (** Allocate a group of frames backing [bytes] bytes (refcount 1). *)
-val alloc : t -> label:string -> bytes:int -> frame_group
+val alloc : t -> bytes:int -> frame_group
 
 (** Share an existing group (another process maps the same segment). *)
-val addref : frame_group -> unit
+val addref : t -> frame_group -> unit
 
-(** Drop one reference; the group is freed at zero. *)
+(** Drop one reference; the group is freed at zero, and a freed group's
+    further releases count for nothing. *)
 val decref : t -> frame_group -> unit
 
 (** Physical pages actually allocated. *)

@@ -224,7 +224,7 @@ let test_runinfo_in_snapshot () =
 let pipeline_metas = [| "/lib/libm"; "/lib/libl"; "/lib/libC"; "/demo/hello" |]
 
 let prop_profile_total_identity =
-  QCheck.Test.make ~count:12 ~name:"pipeline profile identity"
+  QCheck.Test.make ~count:12 ~long_factor:20 ~name:"pipeline profile identity"
     QCheck.(pair (int_bound 1000) (int_range 1 8))
     (fun (seed, n) ->
       let w = fresh_world () in
@@ -277,7 +277,8 @@ let hotspots_bytes concurrency =
   T.Export.hotspots_json ()
 
 let prop_hotness_deterministic =
-  QCheck.Test.make ~count:4 ~name:"hotness byte-deterministic under concurrency"
+  QCheck.Test.make ~count:16 ~long_factor:20
+    ~name:"hotness byte-deterministic under concurrency"
     QCheck.(int_range 2 8)
     (fun concurrency ->
       let serial = hotspots_bytes 1 in

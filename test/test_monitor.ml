@@ -1,6 +1,7 @@
 (* Monitor wrapper tests: shadow-stack balance under nested and
-   recursive calls with [~exits:true], and request-id stamping of
-   trace events. *)
+   recursive calls with [~exits:true], request-id stamping of trace
+   events, and the set-wise rewrites (monitor, import diversion,
+   lib-dynamic stubs) against per-name references. *)
 
 let compile name src = Minic.Driver.compile ~name src
 
@@ -120,6 +121,162 @@ let test_trace_events_carry_request_ids () =
       Alcotest.(check int) "no request" (-1) request)
     (Omos.Monitor.stamped_events unstamped)
 
+(* -- set-wise rewrites against per-name folds ------------------------------ *)
+
+module M = Jigsaw.Module_ops
+
+let select_one n = Jigsaw.Select.compile ("^" ^ Str.quote n ^ "$")
+
+(* The per-name fold: one rename per [(name, new name)] pair, each
+   selecting its name by its own anchored pattern. *)
+let rename_each ~scope (pairs : (string * string) list) (m : M.t) : M.t =
+  List.fold_left (fun acc (n, n') -> M.rename ~scope (select_one n) n' acc) m pairs
+
+(* The reference: the views that fold leaves behind, one rename layer
+   per name on every fragment, built directly. The fold itself would
+   check each step for minted duplicates and so flatten every
+   intermediate module, quadratic in the names; this materializes once.
+   [rename_each] and this agree on the odd names below. *)
+let layered ~scope (pairs : (string * string) list) (m : M.t) : M.t =
+  let layers =
+    List.map
+      (fun (n, n') ->
+        let map = Jigsaw.Select.rewrite (select_one n) n' in
+        match scope with
+        | M.Defs_only -> Sof.View.Rename_defs map
+        | M.Refs_only -> Sof.View.Rename_refs map
+        | M.Both -> invalid_arg "layered: one side at a time")
+      pairs
+  in
+  M.v ~label:(M.label m)
+    (List.map (fun v -> List.fold_left Sof.View.push v layers) m.M.fragments)
+
+let digests (m : M.t) : string list = List.map Sof.Codec.digest (M.fragments m)
+
+let libc (w : Omos.World.t) : M.t =
+  let s = w.Omos.World.server in
+  let meta = Omos.Server.find_meta s "/lib/libc" in
+  (Omos.Server.eval s (Blueprint.Meta.effective_graph meta ~spec:None)).Blueprint.Mgraph.m
+
+(* Names full of Str metacharacters, each beside a name its unquoted
+   pattern would also select ([a.b]/[axb], [e*]/[ee]); [f\[g] alone is
+   not even a valid pattern unquoted. *)
+let odd_names = [ "a.b"; "axb"; "c$d"; "e*"; "ee"; "f[g"; "f" ]
+
+let odd_module () : M.t =
+  let a = Sof.Asm.create "/obj/odd.o" in
+  List.iter
+    (fun n ->
+      Sof.Asm.label a n;
+      Sof.Asm.instr a Svm.Isa.Ret)
+    odd_names;
+  Sof.Asm.label a "caller";
+  List.iter (Sof.Asm.call a) odd_names;
+  Sof.Asm.instr a Svm.Isa.Ret;
+  M.of_object (Sof.Asm.finish a)
+
+(* A client calling every odd name, defining none. *)
+let odd_client () : M.t =
+  let a = Sof.Asm.create "/obj/odd_client.o" in
+  Sof.Asm.label a "main";
+  List.iter (Sof.Asm.call a) odd_names;
+  Sof.Asm.instr a Svm.Isa.Ret;
+  M.of_object (Sof.Asm.finish a)
+
+(* [monitored m]'s fragments are the renamed module's plus the
+   wrappers'; the renamed part must equal the per-name fold's. *)
+let check_monitored label (m : M.t) =
+  let names = Omos.Monitor.functions m in
+  let reference =
+    digests (layered ~scope:M.Defs_only (List.map (fun n -> (n, n ^ "$mon$real")) names) m)
+  in
+  List.iter
+    (fun exits ->
+      let label = Printf.sprintf "%s, exits=%b" label exits in
+      let monitored, trace = Omos.Monitor.monitored ~exits m in
+      Alcotest.(check (list string)) (label ^ ": wraps the exported functions") names
+        (Array.to_list trace.Omos.Monitor.names);
+      let got = digests monitored in
+      Alcotest.(check (list string)) (label ^ ": renamed fragments = per-name fold")
+        reference
+        (List.filteri (fun i _ -> i < List.length got - 1) got))
+    [ false; true ]
+
+let check_diverted label (client : M.t) (names : string list) =
+  Alcotest.(check (list string)) (label ^ ": diverted = per-name fold")
+    (digests (layered ~scope:M.Refs_only (List.map (fun n -> (n, n ^ "$stub")) names) client))
+    (digests (Omos.Stubs.divert_imports client (List.map Omos.Stubs.import_of_name names)))
+
+(* The reference is the operator fold's result. *)
+let test_reference_is_the_fold () =
+  List.iter
+    (fun (label, scope, m, suffix) ->
+      let pairs = List.map (fun n -> (n, n ^ suffix)) odd_names in
+      Alcotest.(check (list string)) label
+        (digests (rename_each ~scope pairs m))
+        (digests (layered ~scope pairs m)))
+    [
+      ("definitions", M.Defs_only, odd_module (), "$mon$real");
+      ("references", M.Refs_only, odd_client (), "$stub");
+    ]
+
+let test_monitored_matches_fold () =
+  let w = Omos.World.create () in
+  check_monitored "libc" (libc w);
+  check_monitored "odd names" (odd_module ())
+
+(* The clients' imports as the schemes compute them: their undefined
+   names some library exports. *)
+let test_divert_matches_fold () =
+  let w = Omos.World.create () in
+  let s = w.Omos.World.server in
+  List.iter
+    (fun (label, client, libs) ->
+      let client = M.of_objects ~label client in
+      let exported =
+        List.concat_map
+          (fun l ->
+            List.map fst
+              (Omos.Server.build s (Omos.Server.library l)).Omos.Server.entry.Omos.Cache
+                .image.Linker.Image.symtab)
+          libs
+      in
+      let names = List.filter (fun n -> List.mem n exported) (M.undefined client) in
+      Alcotest.(check bool) (label ^ ": has imports") true (names <> []);
+      check_diverted label client names)
+    [
+      ("ls", Omos.World.ls_client w, Omos.World.ls_libs);
+      ("codegen", Omos.World.codegen_client w, Omos.World.codegen_libs);
+    ];
+  check_diverted "odd names" (odd_client ()) odd_names;
+  Alcotest.(check (list string)) "no imports, no rewrite" (digests (odd_client ()))
+    (digests (Omos.Stubs.divert_imports (odd_client ()) []))
+
+(* lib-dynamic assembles each stub under the plain name; the reference
+   assembles it under [f$stub] and renames it to [f]. *)
+let test_lib_dynamic_matches_fold () =
+  let w = Omos.World.create () in
+  let r =
+    Omos.Server.eval w.Omos.World.server
+      (Blueprint.Mgraph.parse "(specialize \"lib-dynamic\" /lib/libc)")
+  in
+  let names = Omos.Monitor.functions (libc w) in
+  let reference =
+    layered ~scope:M.Defs_only
+      (List.map (fun n -> (n ^ "$stub", n)) names)
+      (M.of_object (Omos.Stubs.omos_stub_object (List.map Omos.Stubs.import_of_name names)))
+  in
+  Alcotest.(check (list string)) "stub object = renamed stubs" (digests reference)
+    (digests r.Blueprint.Mgraph.m)
+
+(* Wrapping libc is one rename and one merge, whatever its size. *)
+let test_monitored_op_count () =
+  let w = Omos.World.create () in
+  let m = libc w in
+  let before = Telemetry.Counter.get "jigsaw.ops" in
+  ignore (Omos.Monitor.monitored m);
+  Alcotest.(check int) "jigsaw ops" 2 (Telemetry.Counter.get "jigsaw.ops" - before)
+
 let () =
   Alcotest.run "monitor"
     [
@@ -133,5 +290,15 @@ let () =
         [
           Alcotest.test_case "stamped events" `Quick
             test_trace_events_carry_request_ids;
+        ] );
+      ( "set-wise",
+        [
+          Alcotest.test_case "reference = per-name fold" `Quick test_reference_is_the_fold;
+          Alcotest.test_case "monitored = per-name fold" `Quick
+            test_monitored_matches_fold;
+          Alcotest.test_case "divert = per-name fold" `Quick test_divert_matches_fold;
+          Alcotest.test_case "lib-dynamic = renamed stubs" `Quick
+            test_lib_dynamic_matches_fold;
+          Alcotest.test_case "monitoring libc: two ops" `Quick test_monitored_op_count;
         ] );
     ]

@@ -419,6 +419,75 @@ let test_scheme_survives_eviction () =
        Omos.World.codegen_libs, Omos.World.codegen_args, squat);
     ]
 
+(* An image that was mapped takes its page-cache entries and their
+   frames along when it leaves the cache, evicted or demoted because
+   its reservation was lost. A self-contained ls runs; then, each
+   round, libc moves and ls runs again, mapping libc and the client
+   relinked against it somewhere new. Libc's page-cache entries stay
+   those of one image. Two ways to move libc: evict everything and let
+   squatter libraries (one more each round) take the lowest free
+   addresses, after which the whole page cache and the resident frames
+   stay those of one run; or release libc's text reservation, squat
+   its base and rebuild it, which leaves the client relinked against
+   the old libc cached, and mapped. *)
+let test_eviction_drops_page_cache () =
+  let evict_and_squat s round =
+    ignore (Omos.Server.evict_to_budget s ~bytes:0);
+    List.iteri
+      (fun i l -> if i <= round then ignore (Omos.Server.build s (Omos.Server.library l)))
+      [ "/lib/libl"; "/lib/libm"; "/lib/libC" ]
+  in
+  let steal_reservation s round =
+    let base = (build_libc s).Omos.Server.entry.Omos.Cache.text_base in
+    Placement.release (Omos.Server.text_arena s) ~lo:base;
+    (match
+       Placement.reserve (Omos.Server.text_arena s) ~lo:base ~size:0x1000
+         (Printf.sprintf "squatter%d" round)
+     with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "squat failed");
+    ignore (build_libc s)
+  in
+  List.iter
+    (fun (how, move, whole_cache) ->
+      let w = Omos.World.create () in
+      let rt = w.Omos.World.rt and s = w.Omos.World.server in
+      let k = Omos.Server.kernel s in
+      let ls =
+        Omos.Schemes.self_contained_program rt ~name:"ls"
+          ~client:(Omos.World.ls_client w) ~libs:Omos.World.ls_libs ()
+      in
+      let run () =
+        ignore (Omos.Schemes.invoke rt ls ~args:Omos.World.ls_single_args);
+        let libc = (build_libc s).Omos.Server.entry in
+        let prefix = libc.Omos.Cache.key ^ "@" in
+        ( libc.Omos.Cache.text_base,
+          Hashtbl.fold
+            (fun key _ n -> if String.starts_with ~prefix key then n + 1 else n)
+            k.Simos.Kernel.page_cache 0,
+          Hashtbl.length k.Simos.Kernel.page_cache,
+          Simos.Phys.resident_pages k.Simos.Kernel.phys )
+      in
+      let base0, libc_entries, entries, pages = run () in
+      let last = ref base0 in
+      for round = 0 to 2 do
+        move s round;
+        let base, libc_entries', entries', pages' = run () in
+        let label what = Printf.sprintf "%s, round %d: %s" how (round + 1) what in
+        Alcotest.(check bool) (label "libc moved") true (base <> !last);
+        last := base;
+        Alcotest.(check int) (label "libc's page-cache entries") libc_entries libc_entries';
+        if whole_cache then begin
+          Alcotest.(check int) (label "page-cache entries") entries entries';
+          Alcotest.(check int) (label "resident pages") pages pages'
+        end;
+        check_clean s
+      done)
+    [
+      ("evicted", evict_and_squat, true);
+      ("reservation lost", steal_reservation, false);
+    ]
+
 (* -- the fast check against the pairwise report -------------------------- *)
 
 (* A random residency state: stray intervals of managed and unmanaged
@@ -593,6 +662,8 @@ let () =
             test_round_trip;
           Alcotest.test_case "self-check on request and evict paths" `Quick
             test_self_check_coverage;
+          Alcotest.test_case "eviction drops the page cache" `Quick
+            test_eviction_drops_page_cache;
           Alcotest.test_case "schemes survive eviction" `Quick
             test_scheme_survives_eviction;
         ] );

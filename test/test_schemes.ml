@@ -164,6 +164,33 @@ let test_self_contained_text_sharing () =
     (List.fold_left (fun n (_, f) -> n + f.Simos.Phys.pages) 0 (shared_segs k))
     (Simos.Phys.resident_pages k.Simos.Kernel.phys)
 
+(* A different binary installed at a path already exec'd runs its own
+   text: the page cache keeps nothing of the first under the path. *)
+let test_reinstalled_binary_runs_anew () =
+  let w = Omos.World.create () in
+  let rt = w.Omos.World.rt in
+  let program src =
+    let client =
+      [ Workloads.Crt0.obj (); Minic.Driver.compile ~name:"/obj/p.o" src ]
+    in
+    Omos.Schemes.static_program rt ~name:"p" ~client ~libs:Omos.World.ls_libs
+  in
+  let first = program "int main() { puts(\"AAAA\"); return 1; }" in
+  Alcotest.(check (pair int string)) "first binary" (1, "AAAA\n")
+    (Omos.Schemes.invoke rt first ~args:[ "p" ]);
+  let second = program "int main() { putint(42); putchar(10); return 2; }" in
+  Alcotest.(check (pair int string)) "second binary, same path" (2, "42\n")
+    (Omos.Schemes.invoke rt second ~args:[ "p" ]);
+  (* reinstalling the same bytes keeps the cached segments *)
+  let text () =
+    Hashtbl.find w.Omos.World.kernel.Simos.Kernel.page_cache "/bin/p.static#text"
+  in
+  let cached = text () in
+  let again = program "int main() { putint(42); putchar(10); return 2; }" in
+  Alcotest.(check (pair int string)) "same binary reinstalled" (2, "42\n")
+    (Omos.Schemes.invoke rt again ~args:[ "p" ]);
+  Alcotest.(check bool) "text segment kept" true (text () == cached)
+
 (* -- performance shapes (Table 1 pre-checks) -------------------------------------- *)
 
 (* invoke n times and return total elapsed simulated time *)
@@ -327,7 +354,12 @@ let () =
           Alcotest.test_case "lazy binding counts" `Quick test_lazy_binding_counts;
           Alcotest.test_case "partial image lazy map" `Quick test_partial_image_lazy_library_mapping;
         ] );
-      ("sharing", [ Alcotest.test_case "text frames shared" `Quick test_self_contained_text_sharing ]);
+      ( "sharing",
+        [
+          Alcotest.test_case "text frames shared" `Quick test_self_contained_text_sharing;
+          Alcotest.test_case "reinstalled binary runs anew" `Quick
+            test_reinstalled_binary_runs_anew;
+        ] );
       ( "shapes",
         [
           Alcotest.test_case "codegen: omos wins" `Quick test_codegen_omos_beats_dynamic;

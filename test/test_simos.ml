@@ -59,9 +59,9 @@ let test_clock () =
 
 let test_phys_sharing () =
   let phys = Simos.Phys.create () in
-  let g = Simos.Phys.alloc phys ~label:"libc.text" ~bytes:(3 * 4096) in
-  Simos.Phys.addref g;
-  Simos.Phys.addref g;
+  let g = Simos.Phys.alloc phys ~bytes:(3 * 4096) in
+  Simos.Phys.addref phys g;
+  Simos.Phys.addref phys g;
   Alcotest.(check int) "resident" 3 (Simos.Phys.resident_pages phys);
   Alcotest.(check int) "mapped" 9 (Simos.Phys.mapped_pages phys);
   Alcotest.(check int) "saved" 6 (Simos.Phys.saved_pages phys);
@@ -113,7 +113,7 @@ let test_disk_backing_shared_residency () =
   let s1 = Simos.Addr_space.create ~phys ~clock ~cost () in
   let s2 = Simos.Addr_space.create ~phys ~clock ~cost () in
   let bytes = Bytes.make 0x1000 'c' in
-  let frames = Simos.Phys.alloc phys ~label:"seg" ~bytes:0x1000 in
+  let frames = Simos.Phys.alloc phys ~bytes:0x1000 in
   let backing = Simos.Addr_space.disk_backing ~bytes:0x1000 in
   let code = Svm.Cpu.translations bytes in
   Simos.Addr_space.map_shared s1 ~vaddr:0x4000 ~bytes ~code ~frames ~backing ~label:"seg" ();
@@ -129,7 +129,7 @@ let test_disk_backing_shared_residency () =
 let test_write_to_readonly_faults () =
   let space, _, phys = mk_space () in
   let bytes = Bytes.make 0x1000 'x' in
-  let frames = Simos.Phys.alloc phys ~label:"ro" ~bytes:0x1000 in
+  let frames = Simos.Phys.alloc phys ~bytes:0x1000 in
   Simos.Addr_space.map_shared space ~vaddr:0x4000 ~bytes ~code:(Svm.Cpu.translations bytes)
     ~frames ~backing:{ Simos.Addr_space.resident = [||] } ~label:"ro" ();
   try
@@ -166,7 +166,7 @@ let map_lib ?(writable = false) space phys instrs =
   else begin
     let bytes = Bytes.make 0x1000 '\000' in
     Bytes.blit code 0 bytes 0 (Bytes.length code);
-    let frames = Simos.Phys.alloc phys ~label:"lib" ~bytes:0x1000 in
+    let frames = Simos.Phys.alloc phys ~bytes:0x1000 in
     Simos.Addr_space.map_shared space ~vaddr:lib ~bytes ~code:(Svm.Cpu.translations bytes)
       ~frames ~backing:{ Simos.Addr_space.resident = [||] } ~label:"lib" ()
   end
@@ -190,7 +190,7 @@ let dlclose_machine change =
   let space, _, phys = mk_space () in
   let main = Svm.Encode.assemble main_code in
   Simos.Addr_space.map_shared space ~vaddr:0x8000 ~bytes:main
-    ~code:(Svm.Cpu.translations main) ~frames:(Simos.Phys.alloc phys ~label:"main" ~bytes:(Bytes.length main))
+    ~code:(Svm.Cpu.translations main) ~frames:(Simos.Phys.alloc phys ~bytes:(Bytes.length main))
     ~backing:{ Simos.Addr_space.resident = [||] } ~label:"main" ();
   Simos.Addr_space.map_private space ~vaddr:0x10000 ~size:0x1000 ~label:"stack" ();
   map_lib space phys (lib_code 1l);

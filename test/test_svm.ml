@@ -545,7 +545,7 @@ let mapped_space ?(at = text) ~(code : Bytes.t) (tr : Cpu.translations option) =
   (match tr with
   | Some tr ->
       Simos.Addr_space.map_shared space ~vaddr:at ~bytes:code ~code:tr
-        ~frames:(Simos.Phys.alloc phys ~label:"text" ~bytes:(Bytes.length code))
+        ~frames:(Simos.Phys.alloc phys ~bytes:(Bytes.length code))
         ~backing ~label:"text" ()
   | None ->
       Simos.Addr_space.map_private space ~vaddr:at ~init:code ~backing
@@ -753,7 +753,7 @@ let test_remap_between_blocks () =
       else begin
         Simos.Addr_space.unmap space ~lo:text;
         Simos.Addr_space.map_shared space ~vaddr:text ~bytes:other ~code:other_tr
-          ~frames:(Simos.Phys.alloc (Simos.Phys.create ()) ~label:"other" ~bytes:0x1000)
+          ~frames:(Simos.Phys.alloc (Simos.Phys.create ()) ~bytes:0x1000)
           ~backing:(Simos.Addr_space.disk_backing ~bytes:0x1000) ~label:"other" ();
         Cpu.Sys_continue
       end
