@@ -198,10 +198,12 @@ let cold_ls_elapsed ~(tag : string) (frags : Sof.Object_file.t list) : float * i
   let k = w.Omos.World.kernel in
   let snap = Simos.Clock.snapshot k.Simos.Kernel.clock in
   let p = Simos.Kernel.create_process k ~args:Omos.World.ls_laf_args in
-  Simos.Kernel.map_image k p ~key:("cold-lib-" ^ tag) ~fresh_from_disk:true
-    lib.Omos.Server.entry.Omos.Cache.image;
-  Simos.Kernel.map_image k p ~key:("cold-client-" ^ tag) ~fresh_from_disk:true
-    clientb.Omos.Server.entry.Omos.Cache.image;
+  let map_cold label (b : Omos.Server.built) =
+    Simos.Kernel.map_image k p
+      (Simos.Kernel.cache_image k ~label ~from_disk:true b.Omos.Server.entry.Omos.Cache.image)
+  in
+  map_cold ("cold-lib-" ^ tag) lib;
+  map_cold ("cold-client-" ^ tag) clientb;
   Simos.Kernel.finish_exec k p
     ~entry:clientb.Omos.Server.entry.Omos.Cache.image.Linker.Image.entry;
   let code = Simos.Kernel.run k p () in

@@ -44,7 +44,6 @@ type entry = {
   key : string; (* the request's cache key: target, construction, externals *)
   seq : int; (* insertion number: lower is older *)
   image : Linker.Image.t;
-  digest : string Lazy.t; (* Linker.Image.digest image; a mapped hit forces it *)
   text_base : int;
   data_base : int;
   disk_bytes : int;
@@ -52,6 +51,9 @@ type entry = {
   mutable residency : residency;
   mutable provenance : Telemetry.Provenance.t option;
       (* how this image was built; served as-is on hits *)
+  mutable mapped : Simos.Kernel.mappable option;
+      (* the image cached for mapping, from its first mapping until the
+         entry is evicted *)
 }
 
 (** One memoized subtree materialization: the evaluated module (and
@@ -114,13 +116,13 @@ let insert (t : t) ~(key : string) ~(text_base : int) ~(data_base : int)
       key;
       seq = t.insertions;
       image;
-      digest = lazy (Linker.Image.digest image);
       text_base;
       data_base;
       disk_bytes = Linker.Image.encoded_size image;
       hits = 0;
       residency;
       provenance;
+      mapped = None;
     }
   in
   (match Hashtbl.find_opt t.entries key with

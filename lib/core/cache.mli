@@ -25,9 +25,6 @@ type entry = {
   key : string;  (** the request's cache key: target, construction, externals *)
   seq : int;  (** insertion number: lower is older *)
   image : Linker.Image.t;
-  digest : string Lazy.t;
-      (** [Linker.Image.digest image], computed on first use and at most
-          once; only mapping the image reads it *)
   text_base : int;
   data_base : int;
   disk_bytes : int;
@@ -38,6 +35,10 @@ type entry = {
   mutable provenance : Telemetry.Provenance.t option;
       (** binding journal of the build that produced this image; hits
           serve it as-is, without relinking *)
+  mutable mapped : Simos.Kernel.mappable option;
+      (** the image cached for mapping: made by the entry's first
+          mapping, shared by every later one, released (and [None]
+          again) when the entry is evicted *)
 }
 
 type t

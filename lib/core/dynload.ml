@@ -80,8 +80,11 @@ let load (t : t) (p : Simos.Proc.t) ~(client_images : Linker.Image.t list)
   Simos.Kernel.charge_sys k
     (k.Simos.Kernel.cost.Simos.Cost.reloc_apply
     *. float_of_int lstats.Linker.Link.relocs_applied);
-  (* map it into the running task *)
-  Simos.Kernel.map_image k p ~key:("dynload@" ^ Linker.Image.digest img) img;
+  (* map it into the running task: the class's mappings alone hold its
+     frames, so unloading or reaping frees them *)
+  let m = Simos.Kernel.cache_image k ~label:"dynload" img in
+  Simos.Kernel.map_image k p m;
+  Simos.Kernel.release k m;
   classes.images <- img :: classes.images;
   (* dynload reservations are per-process, outside the cache, so they
      are unmanaged — but loading must never break cache/arena coherence *)

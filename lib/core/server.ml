@@ -589,19 +589,15 @@ let place_jobs (t : t) ~(pass : (unit -> unit) -> unit) (jobs : job list) : unit
 let built_evicted (b : built) : bool =
   b.entry.Cache.residency = Cache.Evicted
 
-(* The page-cache key every client maps an entry's image under: the
-   entry's cache key, ["@"], and its memoized image digest. *)
-let map_key (e : Cache.entry) : string = e.Cache.key ^ "@" ^ Lazy.force e.Cache.digest
-
-(* Evicted entries that were ever mapped (only mapping forces the
-   digest) leave the page cache, and the cache's frames, with them.
-   Recursive rather than a [List.iter] closure: every submit passes the
-   storm check's victims here, almost always none, and must allocate
-   nothing for them. *)
+(* Evicted entries release the image they cached for mapping, if any;
+   a revived one caches it afresh. Recursive rather than a [List.iter]
+   closure: every submit passes the storm check's victims here, almost
+   always none, and must allocate nothing for them. *)
 let rec drop_mapped (t : t) : Cache.entry list -> unit = function
   | [] -> ()
   | e :: victims ->
-      if Lazy.is_val e.Cache.digest then Simos.Kernel.drop_cached t.kernel ~key:(map_key e);
+      (match e.Cache.mapped with Some m -> Simos.Kernel.release t.kernel m | None -> ());
+      e.Cache.mapped <- None;
       drop_mapped t victims
 
 (* -- the unified request API ------------------------------------------------ *)
@@ -906,7 +902,7 @@ and stage_parse (t : t) (job : job) () : unit =
           | None ->
               (* stale candidates whose reservations are gone drop to
                  Evicted so they can never shadow the fresh construction,
-                 and leave the page cache as an evicted image does *)
+                 and release their mapped image as an evicted one does *)
               List.iter
                 (fun e ->
                   if Residency.demote_if_lost t.residency e then drop_mapped t [ e ])
@@ -1109,8 +1105,8 @@ let register_specializer (t : t) (style : string) (f : Blueprint.Mgraph.speciali
     entries never held lib-arena ranges) so their address ranges can be
     reused. A later request for an evicted construction rebuilds it,
     placed afresh: wherever the arenas have room then, which is not
-    necessarily where it was. The page cache drops the segments of
-    every evicted image that was mapped. *)
+    necessarily where it was. Every evicted entry that was mapped
+    releases its cached image. *)
 let evict_to_budget (t : t) ~(bytes : int) : int =
   Telemetry.Request.with_request "evict" @@ fun () ->
   let victims = Residency.evict_to_budget t.residency ~bytes in
@@ -1132,16 +1128,18 @@ let suggest_placements (t : t) : (string * Blueprint.Mgraph.seg * int) list =
 (** Map a built image into a process (cf. Mach [vm_map] into the target
     task): segments come from the server's memory, so they are resident
     — no file opening, no header parsing, no disk reads. Every client
-    of a cache entry, the one whose request built it included, maps it
-    under one page-cache key: the entry's cache key, ["@"], and its
-    memoized image digest. *)
+    of a cache entry, the one whose request built it included, maps the
+    image the entry's first mapping cached ([Cache.entry.mapped]),
+    labelled with the entry's cache key. *)
 let map_into (t : t) ?(touch_user_cost = 0.0) (p : Simos.Proc.t) (b : built) :
     unit =
   let e = b.entry in
   if e.Cache.residency = Cache.Evicted then
     fail "map_into: cached image of %s was evicted; re-instantiate it"
       e.Cache.image.Linker.Image.name;
-  Simos.Kernel.map_image t.kernel p ~key:(map_key e) ~touch_user_cost e.Cache.image
+  if Option.is_none e.Cache.mapped then
+    e.Cache.mapped <- Some (Simos.Kernel.cache_image t.kernel ~label:e.Cache.key e.Cache.image);
+  Simos.Kernel.map_image t.kernel p ~touch_user_cost (Option.get e.Cache.mapped)
 
 (** Everything needed to start a program built by a scheme. *)
 type loadable = {

@@ -301,10 +301,10 @@ val register_specializer : t -> string -> Blueprint.Mgraph.specializer -> unit
 
 (** Trim the image cache to a disk budget, releasing evicted libraries'
     arena reservations (and only those — [static:] entries never held
-    lib-arena ranges). The kernel's page cache drops the segments of
-    every evicted image that was mapped ({!Simos.Kernel.drop_cached}),
-    as it does for a cached image whose reservation was lost.
-    Returns the number of entries evicted. *)
+    lib-arena ranges). Every evicted entry that was mapped releases
+    its cached image ([Cache.entry.mapped], {!Simos.Kernel.release}),
+    as an entry whose reservation was lost does. Returns the number of
+    entries evicted. *)
 val evict_to_budget : t -> bytes:int -> int
 
 (** Recorded placement conflicts, most recent first. *)
@@ -317,11 +317,11 @@ val suggest_placements : t -> (string * Blueprint.Mgraph.seg * int) list
 
 (** Map a built image into a process (cf. Mach [vm_map] into the target
     task): segments come from the server's memory — no file opening, no
-    header parsing, no disk reads. Every client of an entry maps it
-    under one page-cache key, the entry's cache key, ["@"] and its
-    memoized image digest ([Cache.digest], computed by the first
-    mapping), so the client whose request built the image and every
-    later client share the same frames and translations.
+    header parsing, no disk reads. The entry's first mapping caches its
+    image ({!Simos.Kernel.cache_image}, labelled with the entry's cache
+    key) and keeps it in [Cache.entry.mapped], so the client whose
+    request built the image and every later client share the same
+    frames and translations.
     [touch_user_cost] charges extra user time per first page touch
     (deferred-relocation modelling).
     @raise Server_error if the entry has been evicted. *)

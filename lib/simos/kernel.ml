@@ -19,8 +19,8 @@ let heap_size = 0x40000
 let stack_top = 0x7FF00000
 let stack_size = 0x40000
 
-(* A file-backed segment in the OS page cache: every process exec'ing
-   the same binary shares its source's residency and, for a read-only
+(* One segment of a cached image in the OS page cache: every process
+   mapping the image shares its source's residency and, for a read-only
    segment, its frames and the translations of its code. Each process
    runs a private copy of a writable segment. *)
 type cached_seg =
@@ -32,16 +32,21 @@ type cached_seg =
     }
   | Private of Addr_space.backing_state
 
+(* An image cached for mapping, held by whoever cached it. *)
+type mappable = {
+  image : Linker.Image.t;
+  label : string;
+  segs : cached_seg list; (* one per image segment, in order *)
+}
+
 type t = {
   fs : Fs.t;
   phys : Phys.t;
   clock : Clock.t;
   cost : Cost.t;
-  mutable procs : Proc.t list;
   mutable next_pid : int;
-  page_cache : (string, cached_seg) Hashtbl.t; (* key: path#segment *)
-  (* exec'd path -> the file bytes its page-cache entries came from *)
-  exec_sources : (string, Bytes.t) Hashtbl.t;
+  (* exec'd path -> the file bytes last read there and their image *)
+  execs : (string, Bytes.t * mappable) Hashtbl.t;
   read_cached : (string, unit) Hashtbl.t; (* file data brought in by read() *)
   mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
   (* "#!" interpreter handlers: the paper's `#! /bin/omos` feature.
@@ -59,10 +64,8 @@ let create ?(cost = Cost.hpux) () : t =
     phys = Phys.create ();
     clock = Clock.create ();
     cost;
-    procs = [];
     next_pid = 1;
-    page_cache = Hashtbl.create 16;
-    exec_sources = Hashtbl.create 16;
+    execs = Hashtbl.create 16;
     read_cached = Hashtbl.create 16;
     upcall = None;
     interpreters = Hashtbl.create 4;
@@ -207,7 +210,6 @@ let create_process (k : t) ~(args : string list) : Proc.t =
   let aspace = Addr_space.create ~phys:k.phys ~clock:k.clock ~cost:k.cost () in
   let p = Proc.create ~pid:k.next_pid ~aspace ~args in
   k.next_pid <- k.next_pid + 1;
-  k.procs <- p :: k.procs;
   p
 
 (** Map heap and stack, attach a CPU at [entry]. Completes any exec
@@ -221,94 +223,102 @@ let finish_exec (k : t) (p : Proc.t) ~(entry : int) : unit =
   cpu.Svm.Cpu.pc <- entry;
   p.Proc.cpu <- Some cpu
 
-(** Map an image into a process: read-only segments shared through
-    the page cache (keyed by [key] and segment name), writable segments
-    private, bss anonymous. [fresh_from_disk] marks segment sources as
-    needing demand loads on first-ever touch. *)
-let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
-    ?(touch_user_cost = 0.0) (img : Linker.Image.t) : unit =
+(** [cache_image k ~label ?from_disk img] caches [img]'s segments for
+    mapping: a read-only segment gets its frames, held once by the
+    cache, and the translations of its code. [from_disk] marks segment
+    sources as needing demand loads on first-ever touch. *)
+let cache_image (k : t) ~(label : string) ?(from_disk = false) (image : Linker.Image.t) :
+    mappable =
+  let seg (s : Linker.Image.segment) =
+    let bytes = s.Linker.Image.bytes in
+    let backing =
+      if from_disk then Addr_space.disk_backing ~bytes:(Bytes.length bytes)
+      else { Addr_space.resident = [||] }
+    in
+    if s.Linker.Image.writable then Private backing
+    else
+      Shared
+        {
+          bytes;
+          frames = Phys.alloc k.phys ~bytes:(Bytes.length bytes);
+          backing;
+          code = Svm.Cpu.translations bytes;
+        }
+  in
+  { image; label; segs = List.map seg image.Linker.Image.segments }
+
+(** Drop the cache's hold on [m]'s frames: mappings still in place keep
+    theirs. *)
+let release (k : t) (m : mappable) : unit =
+  List.iter (function Shared c -> Phys.decref k.phys c.frames | Private _ -> ()) m.segs
+
+(** Map a cached image into a process: read-only segments shared,
+    writable segments private, bss anonymous, each region labelled
+    [label#segment]. [touch_user_cost] charges extra user time per first
+    page touch (deferred-relocation modelling). *)
+let map_image (k : t) (p : Proc.t) ?(touch_user_cost = 0.0) (m : mappable) : unit =
+  let img = m.image in
+  let nsegs = List.length img.Linker.Image.segments in
   Telemetry.with_span "kernel.map_image"
-    ~attrs:
-      [
-        ("key", Telemetry.S key);
-        ("segments", Telemetry.I (List.length img.Linker.Image.segments));
-      ]
+    ~attrs:[ ("key", Telemetry.S m.label); ("segments", Telemetry.I nsegs) ]
   @@ fun () ->
-  charge_sys k (k.cost.Cost.map_segment *. float_of_int (List.length img.Linker.Image.segments));
-  List.iter
-    (fun (s : Linker.Image.segment) ->
-      let bytes = s.Linker.Image.bytes and vaddr = s.Linker.Image.vaddr in
-      let ck = key ^ "#" ^ s.Linker.Image.seg_name in
-      let cached =
-        match Hashtbl.find_opt k.page_cache ck with
-        | Some cs -> cs
-        | None ->
-            let backing =
-              if fresh_from_disk then Addr_space.disk_backing ~bytes:(Bytes.length bytes)
-              else { Addr_space.resident = [||] }
-            in
-            let cs =
-              if s.Linker.Image.writable then Private backing
-              else
-                Shared
-                  {
-                    bytes;
-                    frames = Phys.alloc k.phys ~bytes:(Bytes.length bytes);
-                    backing;
-                    code = Svm.Cpu.translations bytes;
-                  }
-            in
-            Hashtbl.replace k.page_cache ck cs;
-            cs
-      in
-      match cached with
+  charge_sys k (k.cost.Cost.map_segment *. float_of_int nsegs);
+  List.iter2
+    (fun (s : Linker.Image.segment) cs ->
+      let vaddr = s.Linker.Image.vaddr and label = m.label ^ "#" ^ s.Linker.Image.seg_name in
+      match cs with
       | Private backing ->
-          Addr_space.map_private p.Proc.aspace ~vaddr ~init:bytes ~backing
-            ~touch_user_cost ~size:(Bytes.length bytes) ~label:ck ()
+          let init = s.Linker.Image.bytes in
+          Addr_space.map_private p.Proc.aspace ~vaddr ~init ~backing ~touch_user_cost
+            ~size:(Bytes.length init) ~label ()
       | Shared c ->
           Addr_space.map_shared p.Proc.aspace ~vaddr ~bytes:c.bytes ~code:c.code
-            ~frames:c.frames ~backing:c.backing ~touch_user_cost ~label:ck ())
-    img.Linker.Image.segments;
+            ~frames:c.frames ~backing:c.backing ~touch_user_cost ~label ())
+    img.Linker.Image.segments m.segs;
   if img.Linker.Image.bss_size > 0 then
     Addr_space.map_private p.Proc.aspace ~vaddr:img.Linker.Image.bss_vaddr
-      ~size:img.Linker.Image.bss_size ~label:(key ^ "#bss") ()
-
-(** Drop the page-cache entries of every segment mapped under [key],
-    releasing the cache's hold on their frames: mappings still in place
-    keep theirs, and the next {!map_image} under [key] caches afresh. *)
-let drop_cached (k : t) ~(key : string) : unit =
-  let prefix = key ^ "#" in
-  let n = String.length prefix in
-  Hashtbl.filter_map_inplace
-    (fun ck cs ->
-      if String.starts_with ~prefix ck && not (String.contains_from ck n '#') then begin
-        (match cs with Shared c -> Phys.decref k.phys c.frames | Private _ -> ());
-        None
-      end
-      else Some cs)
-    k.page_cache
+      ~size:img.Linker.Image.bss_size ~label:(m.label ^ "#bss") ()
 
 (** Register a script interpreter ([#! <path> params...]). *)
 let register_interpreter (k : t) (path : string) handler : unit =
   Hashtbl.replace k.interpreters path handler
 
-(** The traditional exec: open the executable, parse it, map it, run.
-    This is the baseline the OSF/1 comparison measures. A file starting
-    with [#!] dispatches to its registered interpreter instead — the
-    paper's portable way of exporting OMOS entries into the Unix
-    namespace. *)
-let rec exec (k : t) ~(path : string) ~(args : string list) : Proc.t =
+(* Unix kernels bound the chain of [#!] interpreters too (Linux allows
+   four levels): a script naming itself would otherwise exec forever. *)
+let max_interpreters = 4
+
+(* The image exec'd at [path]: the same bytes keep it and decode
+   nothing; other bytes are decoded first, so a malformed file releases
+   nothing, then replace it. *)
+let exec_image (k : t) ~(path : string) (data : Bytes.t) : mappable =
+  match Hashtbl.find_opt k.execs path with
+  | Some (cached, m) when cached == data -> m
+  | Some (cached, m) when Bytes.equal cached data ->
+      Hashtbl.replace k.execs path (data, m);
+      m
+  | prev ->
+      let img =
+        try Linker.Image.decode data
+        with Linker.Image.Decode_error msg -> raise (Exec_error (path ^ ": " ^ msg))
+      in
+      Option.iter (fun (_, m) -> release k m) prev;
+      let m = cache_image k ~label:path ~from_disk:(not (Hashtbl.mem k.read_cached path)) img in
+      Hashtbl.replace k.execs path (data, m);
+      m
+
+(* [exec] past [depth] interpreters. *)
+let rec exec_at (k : t) ~(depth : int) ~(path : string) ~(args : string list) : Proc.t =
   Telemetry.with_span "kernel.exec" ~attrs:[ ("path", Telemetry.S path) ]
   @@ fun () ->
-  let data0 =
+  let data =
     try Fs.read_file k.fs path with Fs.Fs_error m -> raise (Exec_error m)
   in
-  if Bytes.length data0 >= 2 && Bytes.get data0 0 = '#' && Bytes.get data0 1 = '!'
+  if Bytes.length data >= 2 && Bytes.get data 0 = '#' && Bytes.get data 1 = '!'
   then begin
     let line =
-      match String.index_opt (Bytes.to_string data0) '\n' with
-      | Some i -> Bytes.sub_string data0 2 (i - 2)
-      | None -> Bytes.sub_string data0 2 (Bytes.length data0 - 2)
+      match String.index_opt (Bytes.to_string data) '\n' with
+      | Some i -> Bytes.sub_string data 2 (i - 2)
+      | None -> Bytes.sub_string data 2 (Bytes.length data - 2)
     in
     match
       List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim line))
@@ -319,37 +329,35 @@ let rec exec (k : t) ~(path : string) ~(args : string list) : Proc.t =
         | Some handler -> handler k ~params ~args
         | None when Fs.exists k.fs interp ->
             (* a real interpreter binary: exec it with the script path
-               prepended, Unix-style *)
-            exec k ~path:interp ~args:(interp :: path :: List.tl args)
+               in place of argv[0], Unix-style *)
+            if depth >= max_interpreters then
+              raise (Exec_error (path ^ ": too many levels of interpreters"));
+            let rest = match args with _ :: rest -> rest | [] -> [] in
+            exec_at k ~depth:(depth + 1) ~path:interp ~args:(interp :: path :: rest)
         | None -> raise (Exec_error (path ^ ": bad interpreter " ^ interp)))
     | [] -> raise (Exec_error (path ^ ": empty interpreter line"))
   end
   else begin
-  charge_sys k k.cost.Cost.fork_exec_base;
-  charge_sys k k.cost.Cost.open_file;
-  let data = data0 in
-  (* header + symbol parsing cost scales with file size *)
-  charge_sys k
-    (k.cost.Cost.parse_header_per_kb *. (float_of_int (Bytes.length data) /. 1024.0));
-  let img =
-    try Linker.Image.decode data
-    with Linker.Image.Decode_error m -> raise (Exec_error (path ^ ": " ^ m))
-  in
-  let p = create_process k ~args in
-  (* the segments cached under [path] must be this file's: a different
-     binary installed there since drops them (contents are compared, so
-     reinstalling the same bytes keeps them) *)
-  (match Hashtbl.find k.exec_sources path with
-  | cached when cached == data -> ()
-  | cached ->
-      if not (Bytes.equal cached data) then drop_cached k ~key:path;
-      Hashtbl.replace k.exec_sources path data
-  | exception Not_found -> Hashtbl.replace k.exec_sources path data);
-  map_image k p ~key:path ~fresh_from_disk:(not (Hashtbl.mem k.read_cached path)) img;
-  Hashtbl.replace k.read_cached path ();
-  finish_exec k p ~entry:img.Linker.Image.entry;
-  p
+    charge_sys k k.cost.Cost.fork_exec_base;
+    charge_sys k k.cost.Cost.open_file;
+    (* header + symbol parsing cost scales with file size *)
+    charge_sys k
+      (k.cost.Cost.parse_header_per_kb *. (float_of_int (Bytes.length data) /. 1024.0));
+    let m = exec_image k ~path data in
+    let p = create_process k ~args in
+    map_image k p m;
+    Hashtbl.replace k.read_cached path ();
+    finish_exec k p ~entry:m.image.Linker.Image.entry;
+    p
   end
+
+(** The traditional exec: open the executable, parse it, map it, run.
+    This is the baseline the OSF/1 comparison measures. A file starting
+    with [#!] dispatches to its registered interpreter instead — the
+    paper's portable way of exporting OMOS entries into the Unix
+    namespace. *)
+let exec (k : t) ~(path : string) ~(args : string list) : Proc.t =
+  exec_at k ~depth:0 ~path ~args
 
 (** Run a process to completion, charging its instructions as user
     time. Returns the exit code. *)
@@ -367,6 +375,4 @@ let run (k : t) (p : Proc.t) ?(fuel = 50_000_000) () : int =
   | Svm.Cpu.Running -> raise (Exec_error "process ran out of fuel")
 
 (** Tear down a finished process's address space. *)
-let reap (k : t) (p : Proc.t) : unit =
-  Addr_space.destroy p.Proc.aspace;
-  k.procs <- List.filter (fun q -> q.Proc.pid <> p.Proc.pid) k.procs
+let reap (_ : t) (p : Proc.t) : unit = Addr_space.destroy p.Proc.aspace

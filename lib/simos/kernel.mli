@@ -12,32 +12,22 @@ val heap_size : int
 val stack_top : int
 val stack_size : int
 
-(** A file-backed segment in the OS page cache: every process mapping
-    the same key shares its source's residency. A read-only segment
-    ([Shared]) also shares its bytes, its frames and the translations
-    of its code, which persist as long as the entry
-    ({!Svm.Cpu.translations}). A writable segment ([Private]) holds its
-    source's residency only: each process maps a private copy, with
-    its own frames, and runs it word by word. *)
-type cached_seg =
-  | Shared of {
-      bytes : Bytes.t;
-      frames : Phys.frame_group;
-      backing : Addr_space.backing_state;
-      code : Svm.Cpu.translations;
-    }
-  | Private of Addr_space.backing_state
+(** An image cached for mapping, held by whoever cached it: the kernel
+    for an exec'd path ([execs]), the server for a cache entry, a
+    dynamic load for one mapping. Its mappings share each segment's
+    source residency and, for a read-only segment, its bytes, frames
+    and translations ({!Svm.Cpu.translations}); each maps a private
+    copy of a writable segment and runs it word by word. *)
+type mappable
 
 type t = {
   fs : Fs.t;
   phys : Phys.t;
   clock : Clock.t;
   cost : Cost.t;
-  mutable procs : Proc.t list;
   mutable next_pid : int;
-  page_cache : (string, cached_seg) Hashtbl.t; (* key: path#segment *)
-  exec_sources : (string, Bytes.t) Hashtbl.t;
-      (* exec'd path -> the file bytes its page-cache entries came from *)
+  execs : (string, Bytes.t * mappable) Hashtbl.t;
+      (* exec'd path -> the file bytes last read there and their image *)
   read_cached : (string, unit) Hashtbl.t; (* file data in the buffer cache *)
   mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
   interpreters :
@@ -69,26 +59,21 @@ val create_process : t -> args:string list -> Proc.t
     path. *)
 val finish_exec : t -> Proc.t -> entry:int -> unit
 
-(** Map an image into a process: read-only segments shared through the
-    page cache under [key], writable segments private, bss anonymous.
-    [fresh_from_disk] marks segment sources as needing demand loads on
-    first-ever touch; [touch_user_cost] charges extra user time per
-    first page touch (deferred-relocation modelling). *)
-val map_image :
-  t ->
-  Proc.t ->
-  key:string ->
-  ?fresh_from_disk:bool ->
-  ?touch_user_cost:float ->
-  Linker.Image.t ->
-  unit
+(** [cache_image k ~label ?from_disk img] caches [img] for mapping,
+    allocating each read-only segment's frames and holding one
+    reference to them. [from_disk] marks segment sources as needing
+    demand loads on first-ever touch. *)
+val cache_image : t -> label:string -> ?from_disk:bool -> Linker.Image.t -> mappable
 
-(** Drop the page-cache entries of every segment mapped under [key],
-    releasing the cache's hold on their frames. Mappings still in place
-    keep theirs; the next {!map_image} under [key] caches afresh. The
-    server calls it for an evicted image it had mapped, {!exec} for a
-    path whose file changed. *)
-val drop_cached : t -> key:string -> unit
+(** Drop the reference {!cache_image} holds. Mappings still in place
+    keep theirs; a released mappable must not be mapped again. *)
+val release : t -> mappable -> unit
+
+(** Map a cached image into a process: read-only segments shared,
+    writable segments private, bss anonymous, each region labelled
+    [label#segment]. [touch_user_cost] charges extra user time per
+    first page touch (deferred-relocation modelling). *)
+val map_image : t -> Proc.t -> ?touch_user_cost:float -> mappable -> unit
 
 (** Register a [#!]-script interpreter by path. The handler receives
     the script's parameter words and the exec arguments and must return
@@ -97,10 +82,11 @@ val register_interpreter :
   t -> string -> (t -> params:string list -> args:string list -> Proc.t) -> unit
 
 (** The traditional exec: open the executable, parse it (cost
-    proportional to file size), map it. Segments are cached under the
-    path; when the file's contents differ from those they were cached
-    from, they are dropped first. A file starting with [#!]
-    dispatches to its registered interpreter instead. *)
+    proportional to file size), map it. The image is cached per path
+    and decoded again only when the file's bytes change. A file
+    starting with [#!] dispatches to its registered interpreter, or
+    execs an interpreter binary in place of argv[0], at most four
+    levels deep. *)
 val exec : t -> path:string -> args:string list -> Proc.t
 
 (** Run a process to completion, charging its instructions as user

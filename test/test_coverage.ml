@@ -82,7 +82,7 @@ let run_src src =
   in
   let k = Simos.Kernel.create () in
   let p = Simos.Kernel.create_process k ~args:[ "t" ] in
-  Simos.Kernel.map_image k p ~key:"t" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"t" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   (Simos.Kernel.run k p (), Simos.Proc.stdout_contents p)
 
@@ -164,7 +164,7 @@ let test_fd_read_file_and_close () =
       [ Sof.Asm.finish a ]
   in
   let p = Simos.Kernel.create_process k ~args:[ "r" ] in
-  Simos.Kernel.map_image k p ~key:"r" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"r" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   let code = Simos.Kernel.run k p () in
   Alcotest.(check string) "sequential reads" "hello world" (Simos.Proc.stdout_contents p);
@@ -188,7 +188,7 @@ let test_write_bad_fd () =
       [ Sof.Asm.finish a ]
   in
   let p = Simos.Kernel.create_process k ~args:[] in
-  Simos.Kernel.map_image k p ~key:"w" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"w" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   (* write(7,...) returns -1; exit code = -1 + 5 = 4 *)
   Alcotest.(check int) "bad fd" 4 (Simos.Kernel.run k p ());
@@ -323,7 +323,7 @@ let test_argv_overflow_returns_error () =
       [ Sof.Asm.finish a ]
   in
   let p = Simos.Kernel.create_process k ~args:[ "longname" ] in
-  Simos.Kernel.map_image k p ~key:"av" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"av" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   (* -1 + 3 = 2 *)
   Alcotest.(check int) "overflow -> -1" 2 (Simos.Kernel.run k p ())
@@ -386,7 +386,7 @@ let test_stack_overflow_faults () =
   in
   let k = Simos.Kernel.create () in
   let p = Simos.Kernel.create_process k ~args:[ "deep" ] in
-  Simos.Kernel.map_image k p ~key:"deep" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"deep" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   try
     ignore (Simos.Kernel.run k p ());
@@ -425,7 +425,8 @@ let prop_fragment_order_is_behaviour_invariant =
         in
         let k = Simos.Kernel.create () in
         let p = Simos.Kernel.create_process k ~args:[ "m" ] in
-        Simos.Kernel.map_image k p ~key:(string_of_int seed) img;
+        Simos.Kernel.map_image k p
+          (Simos.Kernel.cache_image k ~label:(string_of_int seed) img);
         Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
         let code = Simos.Kernel.run k p () in
         (code, Simos.Proc.stdout_contents p)

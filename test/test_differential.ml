@@ -182,7 +182,8 @@ let run_static_build ~optimize (seed : int) : int * string =
   in
   let k = Simos.Kernel.create () in
   let p = Simos.Kernel.create_process k ~args:[ "r" ] in
-  Simos.Kernel.map_image k p ~key:(string_of_int seed ^ string_of_bool optimize) img;
+  Simos.Kernel.map_image k p
+    (Simos.Kernel.cache_image k ~label:(string_of_int seed ^ string_of_bool optimize) img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   let code = Simos.Kernel.run k p () in
   (code, Simos.Proc.stdout_contents p)

@@ -103,7 +103,7 @@ let test_bfd_linked_from_aout () =
   in
   let k = Simos.Kernel.create () in
   let p = Simos.Kernel.create_process k ~args:[ "m" ] in
-  Simos.Kernel.map_image k p ~key:"m" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"m" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   Alcotest.(check int) "runs" 29 (Simos.Kernel.run k p ())
 
@@ -163,6 +163,52 @@ let test_unload () =
       ~symbols:[ "kfn" ]
   in
   Alcotest.(check bool) "reloadable" true (List.mem_assoc "kfn" bound2)
+
+(* A loaded class's mappings alone hold its frames, so unloading it, or
+   reaping its process, frees them. Each round two processes load the
+   class at once, at two addresses, unload it and are reaped; between
+   rounds a library is built where each of the last round's classes
+   was, so the next round's classes land elsewhere. The third round
+   reaps without unloading. *)
+let test_unload_frees_frames () =
+  let w = Omos.World.create () in
+  let s = w.Omos.World.server and k = w.Omos.World.kernel in
+  Omos.Server.add_fragment s "/obj/k.o" (compile "/obj/k.o" "int kfn(int x) { return x + 1; }");
+  let b =
+    Omos.Server.build s @@ Omos.Server.static ~name:"host"
+      (Omos.Schemes.graph_of_objs
+         [ Workloads.Crt0.obj (); compile "/obj/h.o" "int main() { return 0; }" ])
+  in
+  let dl = Omos.Dynload.create s in
+  let round i ~unload =
+    if i > 1 then
+      List.iter
+        (fun c ->
+          let lib = Printf.sprintf "/lib/squat%d%c" i c in
+          Omos.Server.register_meta_source s lib "(merge /obj/k.o)";
+          ignore (Omos.Server.build s (Omos.Server.library lib)))
+        [ 'a'; 'b' ];
+    let procs =
+      List.init 2 (fun _ ->
+          Omos.Boot.integrated_exec s (Omos.Server.loadable_entry [ b ]) ~args:[ "host" ])
+    in
+    List.iter
+      (fun p ->
+        ignore
+          (Omos.Dynload.load dl p
+             ~client_images:[ b.Omos.Server.entry.Omos.Cache.image ]
+             ~graph:(Blueprint.Mgraph.parse "(merge /obj/k.o)")
+             ~symbols:[ "kfn" ]))
+      procs;
+    if unload then
+      List.iter (fun p -> List.iter (Omos.Dynload.unload dl p) (Omos.Dynload.loaded dl p)) procs;
+    List.iter (Simos.Kernel.reap k) procs;
+    Simos.Phys.resident_pages k.Simos.Kernel.phys
+  in
+  let first = round 1 ~unload:true in
+  Alcotest.(check int) "second round: resident pages" first (round 2 ~unload:true);
+  Alcotest.(check int) "third round, reaped loaded: resident pages" first
+    (round 3 ~unload:false)
 
 let test_unload_not_loaded () =
   let w = Omos.World.create () in
@@ -331,6 +377,7 @@ let () =
         [
           Alcotest.test_case "load/unload/reload" `Quick test_unload;
           Alcotest.test_case "not loaded" `Quick test_unload_not_loaded;
+          Alcotest.test_case "unload frees frames" `Quick test_unload_frees_frames;
         ] );
       ( "versioning",
         [

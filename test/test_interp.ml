@@ -47,6 +47,54 @@ let test_unknown_interpreter () =
     Alcotest.fail "expected Exec_error"
   with Simos.Kernel.Exec_error _ -> ()
 
+(* A binary that exits with 5, installed at [path]. *)
+let install_exit5 (k : Simos.Kernel.t) path =
+  let a = Sof.Asm.create "exit5" in
+  Sof.Asm.label a "_start";
+  Sof.Asm.instr a (Svm.Isa.Movi (1, 5l));
+  Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.sys_exit));
+  let img, _ =
+    Linker.Link.link
+      ~layout:{ Linker.Link.text_base = 0x100000; data_base = 0x200000 }
+      [ Sof.Asm.finish a ]
+  in
+  Simos.Fs.mkdir_p k.Simos.Kernel.fs "/bin";
+  Simos.Fs.write_file k.Simos.Kernel.fs path (Linker.Image.encode img)
+
+let install_script (k : Simos.Kernel.t) path ~interp =
+  Simos.Fs.write_file k.Simos.Kernel.fs path (Bytes.of_string ("#! " ^ interp ^ "\n"))
+
+(* An interpreter binary runs with the script path in place of argv[0];
+   exec'd with no arguments at all, the script path is its first. *)
+let test_interpreter_binary_empty_argv () =
+  let k = Simos.Kernel.create () in
+  install_exit5 k "/bin/interp";
+  install_script k "/bin/script" ~interp:"/bin/interp";
+  let p = Simos.Kernel.exec k ~path:"/bin/script" ~args:[] in
+  Alcotest.(check (list string)) "args" [ "/bin/interp"; "/bin/script" ] p.Simos.Proc.args;
+  Alcotest.(check int) "runs" 5 (Simos.Kernel.run k p ())
+
+(* Interpreters chain at most four levels deep: a script naming itself
+   and a chain of five scripts fail, a chain of four runs. *)
+let test_interpreter_levels () =
+  let k = Simos.Kernel.create () in
+  install_exit5 k "/bin/exit5";
+  install_script k "/bin/loop" ~interp:"/bin/loop";
+  install_script k "/bin/s1" ~interp:"/bin/exit5";
+  for n = 2 to 5 do
+    install_script k (Printf.sprintf "/bin/s%d" n) ~interp:(Printf.sprintf "/bin/s%d" (n - 1))
+  done;
+  List.iter
+    (fun path ->
+      match Simos.Kernel.exec k ~path ~args:[ path ] with
+      | _ -> Alcotest.fail (path ^ ": expected Exec_error")
+      | exception Simos.Kernel.Exec_error msg ->
+          Alcotest.(check bool) (path ^ ": too many levels") true
+            (Astring.String.is_infix ~affix:"too many levels of interpreters" msg))
+    [ "/bin/loop"; "/bin/s5" ];
+  let p = Simos.Kernel.exec k ~path:"/bin/s4" ~args:[ "s4" ] in
+  Alcotest.(check int) "four levels run" 5 (Simos.Kernel.run k p ())
+
 let test_script_exec_charges_less_than_build () =
   (* second exec through the script is a pure cache hit *)
   let w = Omos.World.create () in
@@ -122,6 +170,9 @@ let () =
           Alcotest.test_case "publish and exec" `Quick test_publish_and_exec;
           Alcotest.test_case "unknown program" `Quick test_unknown_program;
           Alcotest.test_case "unknown interpreter" `Quick test_unknown_interpreter;
+          Alcotest.test_case "interpreter binary, empty argv" `Quick
+            test_interpreter_binary_empty_argv;
+          Alcotest.test_case "interpreter levels" `Quick test_interpreter_levels;
           Alcotest.test_case "cache across execs" `Quick test_script_exec_charges_less_than_build;
         ] );
       ( "mach386",

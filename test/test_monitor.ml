@@ -21,7 +21,7 @@ let run_monitored ?(exits = true) ?wrap (src : string) :
       (Jigsaw.Module_ops.fragments monitored)
   in
   let p = Simos.Kernel.create_process k ~args:[ "t" ] in
-  Simos.Kernel.map_image k p ~key:"t" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"t" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   let go () = Simos.Kernel.run k p () in
   let code = match wrap with None -> go () | Some f -> f go in

@@ -203,7 +203,7 @@ let test_monitor_entry_exit_wrappers_preserve_semantics () =
       (Jigsaw.Module_ops.fragments monitored)
   in
   let p = Simos.Kernel.create_process k ~args:[ "t" ] in
-  Simos.Kernel.map_image k p ~key:"t" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"t" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   let code = Simos.Kernel.run k p () in
   (* helper(10)+helper(11) = 20+22 = 42 *)
@@ -233,7 +233,7 @@ let test_monitor_entry_only_preserves_semantics () =
       (Jigsaw.Module_ops.fragments monitored)
   in
   let p = Simos.Kernel.create_process k ~args:[ "t" ] in
-  Simos.Kernel.map_image k p ~key:"t" img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"t" img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   Alcotest.(check int) "fib(9)" 34 (Simos.Kernel.run k p ());
   (* recursion: every fib call logged *)

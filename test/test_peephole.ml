@@ -13,7 +13,7 @@ let run_obj obj =
   let out = Buffer.create 64 in
   ignore out;
   let p = Simos.Kernel.create_process k ~args:[ "t" ] in
-  Simos.Kernel.map_image k p ~key:(obj.Sof.Object_file.name ^ Linker.Image.digest img) img;
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:obj.Sof.Object_file.name img);
   Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
   let code = Simos.Kernel.run k p () in
   (code, Simos.Proc.stdout_contents p)

@@ -266,57 +266,48 @@ let test_seeded_interleaving_reproducible () =
 (* -- map keys -------------------------------------------------------------- *)
 
 let build_lib s path = Omos.Server.build s (Omos.Server.library path)
-let page_cache_size s = Hashtbl.length (Omos.Server.kernel s).Simos.Kernel.page_cache
 
-(* Map [b] into a fresh process; the page-cache entries it added. *)
+(* Map [b] into a fresh process; the process and the image its entry
+   then holds for mapping. *)
 let map_new s b =
-  let before = page_cache_size s in
-  Omos.Server.map_into s
-    (Simos.Kernel.create_process (Omos.Server.kernel s) ~args:[ "map" ])
-    b;
-  page_cache_size s - before
+  let p = Simos.Kernel.create_process (Omos.Server.kernel s) ~args:[ "map" ] in
+  Omos.Server.map_into s p b;
+  (p, Option.get b.Omos.Server.entry.Omos.Cache.mapped)
 
-(* Building and hitting digest nothing: only mapping reads the entry's
-   digest. *)
+(* The frame groups of a process's read-only regions. *)
+let read_only_frames (p : Simos.Proc.t) =
+  List.filter_map
+    (fun (r : Simos.Addr_space.region) ->
+      if r.Simos.Addr_space.writable then None else Some r.Simos.Addr_space.frames)
+    (Simos.Addr_space.regions p.Simos.Proc.aspace)
+
+(* Building and hitting cache nothing for mapping: only mapping does. *)
 let test_map_key_lazy () =
   let s = fresh_world () in
   let fresh = build_lib s "/lib/libc" in
   let hit = build_lib s "/lib/libc" in
   let e = fresh.Omos.Server.entry in
   Alcotest.(check bool) "one entry" true (e == hit.Omos.Server.entry);
-  Alcotest.(check bool) "built, hit, never mapped: no digest" false
-    (Lazy.is_val e.Omos.Cache.digest);
+  Alcotest.(check bool) "built, hit, never mapped: nothing cached" true
+    (Option.is_none e.Omos.Cache.mapped);
   ignore (map_new s hit);
-  Alcotest.(check bool) "mapping the hit digests the image" true
-    (Lazy.is_val e.Omos.Cache.digest)
+  Alcotest.(check bool) "mapping the hit caches the image" true
+    (Option.is_some e.Omos.Cache.mapped)
 
 (* The client whose request built an image and every later client map
-   it under one key: mapping the fresh build fills the page cache, and
-   mapping a later hit finds every segment there. *)
+   the one image its entry cached: a later hit maps the same mappable,
+   and the same read-only frames. *)
 let test_map_key_one_per_entry () =
   let s = fresh_world () in
   List.iter
     (fun path ->
-      Alcotest.(check bool) (path ^ ": the fresh build adds entries") true
-        (map_new s (build_lib s path) > 0);
-      Alcotest.(check int) (path ^ ": a hit adds none") 0 (map_new s (build_lib s path)))
+      let p1, m1 = map_new s (build_lib s path) in
+      let p2, m2 = map_new s (build_lib s path) in
+      Alcotest.(check bool) (path ^ ": a hit maps the fresh build's image") true (m1 == m2);
+      let f1 = read_only_frames p1 and f2 = read_only_frames p2 in
+      Alcotest.(check bool) (path ^ ": read-only frames shared") true
+        (f1 <> [] && List.length f1 = List.length f2 && List.for_all2 ( == ) f1 f2))
     [ "/lib/libc"; "/lib/libm" ]
-
-(* An entry's image is digested once: after its first mapping, a changed
-   image no longer changes the key a second mapping uses. *)
-let test_map_key_digest_once () =
-  let s = fresh_world () in
-  let b = build_lib s "/lib/libm" in
-  ignore (map_new s b);
-  let e = b.Omos.Server.entry in
-  let text = (Option.get (Linker.Image.text_segment e.Omos.Cache.image)).Linker.Image.bytes in
-  let b0 = Bytes.get text 0 in
-  Bytes.set text 0 (Char.chr (Char.code b0 lxor 0xff));
-  Fun.protect ~finally:(fun () -> Bytes.set text 0 b0) @@ fun () ->
-  Alcotest.(check bool) "a second digest would differ" true
-    (Lazy.force e.Omos.Cache.digest <> Linker.Image.digest e.Omos.Cache.image);
-  Alcotest.(check int) "the second mapping reads the memoized digest" 0
-    (map_new s (build_lib s "/lib/libm"))
 
 (* -- cache keys ----------------------------------------------------------------- *)
 
@@ -469,7 +460,6 @@ let () =
           Alcotest.test_case "lazy until mapped" `Quick test_map_key_lazy;
           Alcotest.test_case "one key per image" `Quick
             test_map_key_one_per_entry;
-          Alcotest.test_case "digest once per entry" `Quick test_map_key_digest_once;
         ] );
       ( "cache keys",
         [

@@ -419,17 +419,17 @@ let test_scheme_survives_eviction () =
        Omos.World.codegen_libs, Omos.World.codegen_args, squat);
     ]
 
-(* An image that was mapped takes its page-cache entries and their
-   frames along when it leaves the cache, evicted or demoted because
+(* An entry that was mapped releases the image it cached, and the
+   frames with it, when it leaves the cache, evicted or demoted because
    its reservation was lost. A self-contained ls runs; then, each
    round, libc moves and ls runs again, mapping libc and the client
-   relinked against it somewhere new. Libc's page-cache entries stay
-   those of one image. Two ways to move libc: evict everything and let
-   squatter libraries (one more each round) take the lowest free
-   addresses, after which the whole page cache and the resident frames
-   stay those of one run; or release libc's text reservation, squat
-   its base and rebuild it, which leaves the client relinked against
-   the old libc cached, and mapped. *)
+   relinked against it somewhere new. The old libc entry holds nothing
+   for mapping any more. Two ways to move libc: evict everything and
+   let squatter libraries (one more each round) take the lowest free
+   addresses, after which the resident frames stay those of one run;
+   or release libc's text reservation, squat its base and rebuild it,
+   which leaves the client relinked against the old libc cached, and
+   mapped. *)
 let test_eviction_drops_page_cache () =
   let evict_and_squat s round =
     ignore (Omos.Server.evict_to_budget s ~bytes:0);
@@ -459,28 +459,22 @@ let test_eviction_drops_page_cache () =
       in
       let run () =
         ignore (Omos.Schemes.invoke rt ls ~args:Omos.World.ls_single_args);
-        let libc = (build_libc s).Omos.Server.entry in
-        let prefix = libc.Omos.Cache.key ^ "@" in
-        ( libc.Omos.Cache.text_base,
-          Hashtbl.fold
-            (fun key _ n -> if String.starts_with ~prefix key then n + 1 else n)
-            k.Simos.Kernel.page_cache 0,
-          Hashtbl.length k.Simos.Kernel.page_cache,
-          Simos.Phys.resident_pages k.Simos.Kernel.phys )
+        ((build_libc s).Omos.Server.entry, Simos.Phys.resident_pages k.Simos.Kernel.phys)
       in
-      let base0, libc_entries, entries, pages = run () in
-      let last = ref base0 in
+      let libc0, pages = run () in
+      let last = ref libc0 in
       for round = 0 to 2 do
         move s round;
-        let base, libc_entries', entries', pages' = run () in
+        let libc, pages' = run () in
         let label what = Printf.sprintf "%s, round %d: %s" how (round + 1) what in
-        Alcotest.(check bool) (label "libc moved") true (base <> !last);
-        last := base;
-        Alcotest.(check int) (label "libc's page-cache entries") libc_entries libc_entries';
-        if whole_cache then begin
-          Alcotest.(check int) (label "page-cache entries") entries entries';
-          Alcotest.(check int) (label "resident pages") pages pages'
-        end;
+        Alcotest.(check bool) (label "libc moved") true
+          (libc.Omos.Cache.text_base <> !last.Omos.Cache.text_base);
+        Alcotest.(check bool) (label "the old libc released its image") true
+          (Option.is_none !last.Omos.Cache.mapped);
+        Alcotest.(check bool) (label "the new libc mapped") true
+          (Option.is_some libc.Omos.Cache.mapped);
+        last := libc;
+        if whole_cache then Alcotest.(check int) (label "resident pages") pages pages';
         check_clean s
       done)
     [

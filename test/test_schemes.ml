@@ -113,14 +113,13 @@ let test_partial_image_lazy_library_mapping () =
 
 (* -- sharing -------------------------------------------------------------------- *)
 
-(* The page cache's read-only segments, each holding one frame group. *)
-let shared_segs (k : Simos.Kernel.t) =
-  Hashtbl.fold
-    (fun _ cs acc ->
-      match cs with
-      | Simos.Kernel.Shared c -> (c.bytes, c.frames) :: acc
-      | Simos.Kernel.Private _ -> acc)
-    k.Simos.Kernel.page_cache []
+(* The frame groups of a process's read-only regions, with their bytes. *)
+let read_only_regions (p : Simos.Proc.t) =
+  List.filter_map
+    (fun (r : Simos.Addr_space.region) ->
+      if r.Simos.Addr_space.writable then None
+      else Some (r.Simos.Addr_space.bytes, r.Simos.Addr_space.frames))
+    (Simos.Addr_space.regions p.Simos.Proc.aspace)
 
 let test_self_contained_text_sharing () =
   (* concurrent clients of the same library share its text frames,
@@ -146,26 +145,37 @@ let test_self_contained_text_sharing () =
     (Option.get (Linker.Image.text_segment libc.Omos.Server.entry.Omos.Cache.image))
       .Linker.Image.bytes
   in
-  Alcotest.(check int) "libc's text resident once" 1
-    (List.length (List.filter (fun (bytes, _) -> bytes == libc_text) (shared_segs k)));
+  let libc_frames =
+    List.map
+      (fun p ->
+        match List.filter (fun (bytes, _) -> bytes == libc_text) (read_only_regions p) with
+        | [ (_, frames) ] -> frames
+        | _ -> Alcotest.fail "libc's text mapped once per process")
+      procs
+  in
+  Alcotest.(check bool) "libc's text: one frame group" true
+    (List.for_all (fun f -> f == List.hd libc_frames) libc_frames);
+  let groups =
+    List.fold_left
+      (fun acc p ->
+        List.fold_left
+          (fun acc (_, f) -> if List.memq f acc then acc else f :: acc)
+          acc (read_only_regions p))
+      [] procs
+  in
   List.iter
     (fun p ->
       ignore (Simos.Kernel.run k p ());
       Simos.Kernel.reap k p)
     procs;
-  (* the page cache's writable segments hold their sources' residency,
-     never frames: once the processes are reaped, only the read-only
-     segments' frames are resident *)
-  Alcotest.(check bool) "writable segments were mapped" true
-    (Hashtbl.fold
-       (fun _ cs found -> found || match cs with Simos.Kernel.Private _ -> true | _ -> false)
-       k.Simos.Kernel.page_cache false);
-  Alcotest.(check int) "reaped: the read-only segments' frames resident"
-    (List.fold_left (fun n (_, f) -> n + f.Simos.Phys.pages) 0 (shared_segs k))
+  (* each process's writable copies leave with it: once the processes
+     are reaped, only the cached images' read-only frames are resident *)
+  Alcotest.(check int) "reaped: the read-only groups resident"
+    (List.fold_left (fun n f -> n + f.Simos.Phys.pages) 0 groups)
     (Simos.Phys.resident_pages k.Simos.Kernel.phys)
 
 (* A different binary installed at a path already exec'd runs its own
-   text: the page cache keeps nothing of the first under the path. *)
+   text: the path's cached image is replaced. *)
 let test_reinstalled_binary_runs_anew () =
   let w = Omos.World.create () in
   let rt = w.Omos.World.rt in
@@ -181,15 +191,13 @@ let test_reinstalled_binary_runs_anew () =
   let second = program "int main() { putint(42); putchar(10); return 2; }" in
   Alcotest.(check (pair int string)) "second binary, same path" (2, "42\n")
     (Omos.Schemes.invoke rt second ~args:[ "p" ]);
-  (* reinstalling the same bytes keeps the cached segments *)
-  let text () =
-    Hashtbl.find w.Omos.World.kernel.Simos.Kernel.page_cache "/bin/p.static#text"
-  in
-  let cached = text () in
+  (* reinstalling the same bytes keeps the cached image *)
+  let cached () = snd (Hashtbl.find w.Omos.World.kernel.Simos.Kernel.execs "/bin/p.static") in
+  let image = cached () in
   let again = program "int main() { putint(42); putchar(10); return 2; }" in
   Alcotest.(check (pair int string)) "same binary reinstalled" (2, "42\n")
     (Omos.Schemes.invoke rt again ~args:[ "p" ]);
-  Alcotest.(check bool) "text segment kept" true (text () == cached)
+  Alcotest.(check bool) "cached image kept" true (cached () == image)
 
 (* -- performance shapes (Table 1 pre-checks) -------------------------------------- *)
 

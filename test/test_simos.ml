@@ -284,8 +284,8 @@ let test_touched_pages_working_set () =
 
 (* -- kernel: exec + syscalls ------------------------------------------------ *)
 
-(* A hand-assembled program exercising write/open/readdir/stat/argv. *)
-let hello_image () =
+(* A hand-assembled program that writes "hello" and exits with [code]. *)
+let hello_image ?(code = 7) () =
   let a = Sof.Asm.create "hello" in
   Sof.Asm.label a "_start";
   (* write(1, msg, 6) *)
@@ -293,8 +293,8 @@ let hello_image () =
   Sof.Asm.lea a 2 "msg";
   Sof.Asm.instr a (Svm.Isa.Movi (3, 6l));
   Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.sys_write));
-  (* exit(7) *)
-  Sof.Asm.instr a (Svm.Isa.Movi (1, 7l));
+  (* exit(code) *)
+  Sof.Asm.instr a (Svm.Isa.Movi (1, Int32.of_int code));
   Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.sys_exit));
   Sof.Asm.data_label a "msg";
   Sof.Asm.data_string a "hello\n";
@@ -334,6 +334,40 @@ let test_exec_text_sharing () =
   Alcotest.(check bool) "text shared" true (saved >= 1);
   Alcotest.(check bool) "resident grows less than double" true
     (Simos.Phys.resident_pages k.Simos.Kernel.phys < 2 * resident_one)
+
+(* The kernel keeps the image it decoded per path: exec'ing the same
+   bytes again maps the same cached image; other bytes replace it, and
+   the replaced image's frames go with its last process. *)
+let test_exec_reuses_unchanged_binary () =
+  let k = Simos.Kernel.create () in
+  let fs = k.Simos.Kernel.fs in
+  Simos.Fs.mkdir_p fs "/bin";
+  let install img = Simos.Fs.write_file fs "/bin/hello" (Linker.Image.encode img) in
+  let cached () = snd (Hashtbl.find k.Simos.Kernel.execs "/bin/hello") in
+  let exec_run () =
+    let p = Simos.Kernel.exec k ~path:"/bin/hello" ~args:[] in
+    let code = Simos.Kernel.run k p () in
+    Simos.Kernel.reap k p;
+    code
+  in
+  install (hello_image ());
+  Alcotest.(check int) "first exec" 7 (exec_run ());
+  let first = cached () in
+  Alcotest.(check int) "second exec" 7 (exec_run ());
+  Alcotest.(check bool) "two execs, one cached image" true (cached () == first);
+  let next = hello_image ~code:9 () in
+  install next;
+  Alcotest.(check int) "other bytes run" 9 (exec_run ());
+  Alcotest.(check bool) "other bytes replace the image" true (cached () != first);
+  let pages bytes = max 1 ((Bytes.length bytes + Simos.Cost.page_size - 1) / Simos.Cost.page_size) in
+  let read_only_pages =
+    List.fold_left
+      (fun n (s : Linker.Image.segment) ->
+        if s.Linker.Image.writable then n else n + pages s.Linker.Image.bytes)
+      0 next.Linker.Image.segments
+  in
+  Alcotest.(check int) "reaped: the new image's pages resident" read_only_pages
+    (Simos.Phys.resident_pages k.Simos.Kernel.phys)
 
 let test_second_exec_cheaper_io () =
   let k = Simos.Kernel.create () in
@@ -433,6 +467,8 @@ let () =
           Alcotest.test_case "missing file" `Quick test_exec_missing_file;
           Alcotest.test_case "text sharing" `Quick test_exec_text_sharing;
           Alcotest.test_case "warm exec" `Quick test_second_exec_cheaper_io;
+          Alcotest.test_case "exec reuses an unchanged binary" `Quick
+            test_exec_reuses_unchanged_binary;
           Alcotest.test_case "args and dirs" `Quick test_syscall_args_and_dirs;
         ] );
     ]
