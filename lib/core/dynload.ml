@@ -34,7 +34,29 @@ type t = {
   loaded : (int, proc_classes) Hashtbl.t; (* pid -> images *)
 }
 
-let create (server : Server.t) : t = { server; loaded = Hashtbl.create 8 }
+(* Give back a loaded class's arena reservations. *)
+let release_reservations (t : t) (img : Linker.Image.t) : unit =
+  (match Linker.Image.text_segment img with
+  | Some seg ->
+      Constraints.Placement.release (Server.text_arena t.server) ~lo:seg.Linker.Image.vaddr
+  | None -> ());
+  match Linker.Image.data_segment img with
+  | Some seg ->
+      Constraints.Placement.release (Server.data_arena t.server) ~lo:seg.Linker.Image.vaddr
+  | None -> ()
+
+(* A process reaped with classes still loaded gives back their arena
+   reservations and its record; its mappings go with its space. *)
+let create (server : Server.t) : t =
+  let t = { server; loaded = Hashtbl.create 8 } in
+  Simos.Kernel.on_reap (Server.kernel server) (fun p ->
+      match Hashtbl.find_opt t.loaded p.Simos.Proc.pid with
+      | Some c ->
+          List.iter (release_reservations t) c.images;
+          Hashtbl.remove t.loaded p.Simos.Proc.pid;
+          Residency.self_check (Server.residency server)
+      | None -> ());
+  t
 
 let images_of (t : t) (p : Simos.Proc.t) : proc_classes =
   match Hashtbl.find_opt t.loaded p.Simos.Proc.pid with
@@ -114,21 +136,13 @@ let unload (t : t) (p : Simos.Proc.t) (img : Linker.Image.t) : unit =
     img.Linker.Image.segments;
   if img.Linker.Image.bss_size > 0 then
     Simos.Addr_space.unmap p.Simos.Proc.aspace ~lo:img.Linker.Image.bss_vaddr;
-  (match Linker.Image.text_segment img with
-  | Some seg ->
-      Constraints.Placement.release (Server.text_arena t.server)
-        ~lo:seg.Linker.Image.vaddr
-  | None -> ());
-  (match Linker.Image.data_segment img with
-  | Some seg ->
-      Constraints.Placement.release (Server.data_arena t.server)
-        ~lo:seg.Linker.Image.vaddr
-  | None -> ());
+  release_reservations t img;
   classes.images <- List.filter (fun i -> not (i == img)) classes.images;
   Residency.self_check (Server.residency t.server)
 
 (** Images currently loaded into [p] through this loader. *)
-let loaded (t : t) (p : Simos.Proc.t) : Linker.Image.t list = (images_of t p).images
+let loaded (t : t) (p : Simos.Proc.t) : Linker.Image.t list =
+  match Hashtbl.find_opt t.loaded p.Simos.Proc.pid with Some c -> c.images | None -> []
 
 (** Install the in-simulation syscall: r1 = blueprint string address,
     r2 = symbol name address; returns the bound address in r0 (or -1).

@@ -9,6 +9,9 @@ exception Dynload_error of string
 
 type t
 
+(** A loader for the server's kernel. A process the kernel reaps with
+    classes still loaded gives back their arena reservations, and this
+    loader forgets it. *)
 val create : Server.t -> t
 
 (** [load t p ~client_images ~graph ~symbols] instantiates [graph],

@@ -3,19 +3,24 @@
     A space is a set of non-overlapping regions. Read-only regions can
     be {e shared}: their backing bytes and physical frames belong to a
     cached image and are referenced, not copied. Writable regions are
-    private copies. Every region is demand-paged: the first touch of
-    each page charges a soft fault (resident backing) or a disk read
-    (first-ever load of a segment still "on disk"), plus an optional
-    per-page user cost (deferred-relocation modelling).
+    private: each references its initial bytes and makes a buffer for a
+    page (zeros, with the initial bytes that fall in it) the first time
+    anything reads or writes that page. Every region is demand-paged:
+    the first touch of each page charges a soft fault (resident
+    backing) or a disk read (first-ever load of a segment still "on
+    disk"), plus an optional per-page user cost (deferred-relocation
+    modelling). {!Phys} accounts each region whole, as before.
 
-    The CPU runs code straight from the backing bytes, through the two
-    windows that {!mem} hands it: one for fetches, one for loads and
-    stores, each onto one touched page. Only an access outside its
-    window calls in here, and that call pays any first touch and
-    re-points the window. A shared region carries its segment's
-    {!Svm.Cpu.translations}, and a fetch miss hands the code window the
-    page of them it touched, so the CPU runs that page's code a block
-    at a time; a writable region's code runs word by word. *)
+    The CPU runs code straight from the backing bytes, through the
+    three windows that {!mem} hands it: one for fetches and two for
+    loads and stores, each onto one touched page (a private page's own
+    buffer). Only an access outside its windows calls in here, and that
+    call pays any first touch and re-points a window: a data miss moves
+    the data window's page into the second data window first. A shared
+    region carries its segment's {!Svm.Cpu.translations}, and a fetch
+    miss hands the code window the page of them it touched, so the CPU
+    runs that page's code a block at a time; a writable region's code
+    runs word by word. *)
 
 exception Fault of string
 
@@ -28,7 +33,11 @@ type region = {
   lo : int;
   hi : int; (* exclusive *)
   bytes : Bytes.t;
-  writable : bool;
+      (* a shared region's segment; a private region's initial bytes,
+         zero beyond them: read a region's current bytes with
+         {!contents} *)
+  pages : Bytes.t array; (* a private region's pages, empty until made *)
+  writable : bool; (* private *)
   label : string;
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state;
@@ -43,6 +52,12 @@ type t
 val create : phys:Phys.t -> clock:Clock.t -> cost:Cost.t -> unit -> t
 
 val regions : t -> region list
+
+(** A region's bytes as they are now: a fresh copy of a private
+    region's (its pages, or the initial bytes and zeros where a page is
+    not made yet), the segment itself for a shared region, which must
+    not be written. *)
+val contents : region -> Bytes.t
 
 (** Backing that must be demand-loaded from disk, for a segment of
     [bytes] bytes. *)
@@ -67,7 +82,9 @@ val map_shared :
   unit
 
 (** Map a private writable region, initialized from [init]
-    (zero-filled beyond it). *)
+    (zero-filled beyond it). The region references [init], which must
+    not change while it is mapped; no page is made until it is first
+    read or written. *)
 val map_private :
   t ->
   vaddr:int ->
@@ -95,7 +112,9 @@ val fault_stats : t -> int * int
 
 (** Raw accessors (each may fault and charges demand-paging costs).
     Words are ints: [load32] sign-extends, [store32] stores the low 32
-    bits. A fault raises before any page is charged. *)
+    bits. A fault raises before any page is charged. A 32-bit access
+    that straddles two pages charges only the first, and reads or
+    writes the second's bytes, making it if need be. *)
 
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit
@@ -106,5 +125,5 @@ val store32 : t -> int -> int -> unit
     accessors, and a fetch check that charges the page before it faults
     a misaligned or out-of-range instruction, and points the code
     window at the page's translations ([Words] in a writable region).
-    Every map change empties the windows. *)
+    Every map change empties all three windows. *)
 val mem : t -> Svm.Cpu.mem

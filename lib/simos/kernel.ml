@@ -5,6 +5,10 @@
     - text/data wherever the linker put them,
     - heap: 256 KB anonymous region at {!heap_base},
     - stack: 256 KB anonymous region ending at {!stack_top}.
+    Writable and anonymous memory is demand-zero, as under Mach's
+    [vm_map]: the host makes a page of a writable segment, the bss, the
+    heap or the stack when the process first reads or writes it, so an
+    exec costs the host the pages the process uses, not 512 KB.
 
     The traditional [exec] reads a serialized image from the simulated
     filesystem, charging open/parse costs proportional to file size —
@@ -19,10 +23,11 @@ let heap_size = 0x40000
 let stack_top = 0x7FF00000
 let stack_size = 0x40000
 
-(* One segment of a cached image in the OS page cache: every process
-   mapping the image shares its source's residency and, for a read-only
-   segment, its frames and the translations of its code. Each process
-   runs a private copy of a writable segment. *)
+(* One segment of a cached image: every process mapping the image
+   shares its source's residency and, for a read-only segment, its
+   frames and the translations of its code. Each process maps a
+   writable segment privately, referencing the image's bytes and making
+   its own copy of a page at the page's first access. *)
 type cached_seg =
   | Shared of {
       bytes : Bytes.t;
@@ -56,6 +61,7 @@ type t = {
   interpreters :
     (string, t -> params:string list -> args:string list -> Proc.t) Hashtbl.t;
   mutable syscall_count : int;
+  mutable reap_hooks : (Proc.t -> unit) list; (* newest first *)
 }
 
 let create ?(cost = Cost.hpux) () : t =
@@ -70,6 +76,7 @@ let create ?(cost = Cost.hpux) () : t =
     upcall = None;
     interpreters = Hashtbl.create 4;
     syscall_count = 0;
+    reap_hooks = [];
   }
 
 (** Install the handler for syscalls >= {!Syscall.omos_base} (the OMOS
@@ -374,5 +381,13 @@ let run (k : t) (p : Proc.t) ?(fuel = 50_000_000) () : int =
   | Svm.Cpu.Halted -> raise (Exec_error "process halted without exiting")
   | Svm.Cpu.Running -> raise (Exec_error "process ran out of fuel")
 
-(** Tear down a finished process's address space. *)
-let reap (_ : t) (p : Proc.t) : unit = Addr_space.destroy p.Proc.aspace
+(** Run [f] on every process {!reap} tears down, before its address
+    space goes: what a process holds outside the kernel (a dynamic
+    loader's arena reservations) is freed there. *)
+let on_reap (k : t) (f : Proc.t -> unit) : unit = k.reap_hooks <- f :: k.reap_hooks
+
+(** Tear down a finished process: the reap hooks, then its address
+    space. *)
+let reap (k : t) (p : Proc.t) : unit =
+  List.iter (fun f -> f p) k.reap_hooks;
+  Addr_space.destroy p.Proc.aspace

@@ -3,7 +3,9 @@
 
     Address-space layout convention for executables: text/data wherever
     the linker put them; a 256 KB anonymous heap at {!heap_base}; a
-    256 KB stack ending at {!stack_top}. *)
+    256 KB stack ending at {!stack_top}. Writable and anonymous memory
+    is demand-zero: the host makes each page when the process first
+    reads or writes it. *)
 
 exception Exec_error of string
 
@@ -16,8 +18,9 @@ val stack_size : int
     for an exec'd path ([execs]), the server for a cache entry, a
     dynamic load for one mapping. Its mappings share each segment's
     source residency and, for a read-only segment, its bytes, frames
-    and translations ({!Svm.Cpu.translations}); each maps a private
-    copy of a writable segment and runs it word by word. *)
+    and translations ({!Svm.Cpu.translations}); each maps a writable
+    segment privately, referencing its bytes and copying a page at the
+    page's first access, and runs its code word by word. *)
 type mappable
 
 type t = {
@@ -33,6 +36,7 @@ type t = {
   interpreters :
     (string, t -> params:string list -> args:string list -> Proc.t) Hashtbl.t;
   mutable syscall_count : int;
+  mutable reap_hooks : (Proc.t -> unit) list; (* run by [reap], newest first *)
 }
 
 (** [create ()] builds a kernel with the given cost personality
@@ -95,5 +99,11 @@ val exec : t -> path:string -> args:string list -> Proc.t
     of fuel. *)
 val run : t -> Proc.t -> ?fuel:int -> unit -> int
 
-(** Tear down a finished process's address space. *)
+(** [on_reap k f] runs [f] on every process {!reap} tears down, before
+    its address space goes, so that whatever the process holds outside
+    the kernel (a dynamic loader's arena reservations) is freed too. *)
+val on_reap : t -> (Proc.t -> unit) -> unit
+
+(** Tear down a finished process: run the reap hooks, then release its
+    address space. *)
 val reap : t -> Proc.t -> unit

@@ -22,11 +22,12 @@ type t = {
   sys : t -> int -> sys_result;
 }
 
-(* The environment's two windows, and the calls that serve what they
+(* The environment's three windows, and the calls that serve what they
    do not (see cpu.mli). *)
 and mem = {
   code : window;
   data : window;
+  data2 : window;
   fill_code : int -> unit;
   load8 : int -> int;
   store8 : int -> int -> unit;
@@ -104,8 +105,8 @@ let page (tr : translations) (n : int) : page =
       p
 
 (** [flat_mem size] is a simple linear memory for tests and standalone
-    program runs. Both windows cover all of it, and an instruction may
-    be fetched at any in-range address, aligned or not. *)
+    program runs. All three windows cover all of it, and an instruction
+    may be fetched at any in-range address, aligned or not. *)
 let flat_mem (size : int) : mem * Bytes.t =
   let buf = Bytes.make size '\000' in
   let check addr n =
@@ -117,6 +118,7 @@ let flat_mem (size : int) : mem * Bytes.t =
     {
       code = whole ();
       data = whole ();
+      data2 = whole ();
       fill_code = (fun a -> check a Isa.width);
       load8 = (fun a -> check a 1; Bytes.get_uint8 buf a);
       store8 = (fun a v -> check a 1; Bytes.set_uint8 buf a (v land 0xff));
@@ -151,25 +153,33 @@ let[@inline] divisor (v : int) : int =
   if v = 0 then raise (Trap "division by zero") else v
 
 (* Data accesses: through the data window when it serves the whole
-   access, through the environment otherwise. *)
+   access, then through the second data window, and through the
+   environment otherwise. *)
 let[@inline] read8 (m : mem) (a : int) : int =
-  let d = m.data in
-  if a >= d.lo && a < d.hi then Bytes.get_uint8 d.bytes (a - d.base) else m.load8 a
+  let d = m.data and e = m.data2 in
+  if a >= d.lo && a < d.hi then Bytes.get_uint8 d.bytes (a - d.base)
+  else if a >= e.lo && a < e.hi then Bytes.get_uint8 e.bytes (a - e.base)
+  else m.load8 a
 
 let[@inline] write8 (m : mem) (a : int) (v : int) : unit =
-  let d = m.data in
+  let d = m.data and e = m.data2 in
   if d.writable && a >= d.lo && a < d.hi then Bytes.set_uint8 d.bytes (a - d.base) v
+  else if e.writable && a >= e.lo && a < e.hi then Bytes.set_uint8 e.bytes (a - e.base) v
   else m.store8 a v
 
 let[@inline] read32 (m : mem) (a : int) : int =
-  let d = m.data in
+  let d = m.data and e = m.data2 in
   if a >= d.lo && a + 4 <= d.hi then Int32.to_int (Bytes.get_int32_le d.bytes (a - d.base))
+  else if a >= e.lo && a + 4 <= e.hi then
+    Int32.to_int (Bytes.get_int32_le e.bytes (a - e.base))
   else m.load32 a
 
 let[@inline] write32 (m : mem) (a : int) (v : int) : unit =
-  let d = m.data in
+  let d = m.data and e = m.data2 in
   if d.writable && a >= d.lo && a + 4 <= d.hi then
     Bytes.set_int32_le d.bytes (a - d.base) (Int32.of_int v)
+  else if e.writable && a >= e.lo && a + 4 <= e.hi then
+    Bytes.set_int32_le e.bytes (a - e.base) (Int32.of_int v)
   else m.store32 a v
 
 (* Register access in ops, unchecked: register numbers are below 16,

@@ -24,25 +24,27 @@ type t = {
   sys : t -> int -> sys_result;
 }
 
-(** Memory interface supplied by the environment, which owns both
+(** Memory interface supplied by the environment, which owns all three
     windows. Addresses are non-negative ints (32-bit address space).
-    The interpreter fetches from [code] and loads and stores through
-    [data]; an access that its window does not serve goes to the
-    environment instead:
+    The interpreter fetches from [code]; a load or store goes through
+    [data] (the page of the latest data miss) if it serves the whole
+    access, else through [data2] (the page of the miss before it). An
+    access that no window serves goes to the environment instead:
     - [fill_code pc] faults unless an instruction can be fetched at
       [pc], charging what a fetch costs, then points [code] at bytes
       that hold all {!Isa.width} bytes at [pc], and sets its [page];
     - the accessors perform the access, with whatever faults and
-      charges the environment imposes, and may re-point [data].
-      [load32] returns the word sign-extended; [store32] stores the low
-      32 bits.
+      charges the environment imposes, and may re-point [data] after
+      moving what it served into [data2]. [load32] returns the word
+      sign-extended; [store32] stores the low 32 bits.
 
     Implementations may raise {!Trap}, or their own exception, on
-    unmapped accesses. An environment whose map changes empties both
-    windows. *)
+    unmapped accesses. An environment whose map changes empties all
+    three windows. *)
 and mem = {
   code : window;
   data : window;
+  data2 : window;
   fill_code : int -> unit;
   load8 : int -> int;
   store8 : int -> int -> unit;
@@ -97,8 +99,8 @@ val translates : translations -> Bytes.t -> bool
 val page : translations -> int -> page
 
 (** [flat_mem size] is a simple linear memory for tests and standalone
-    program runs; also returns its backing buffer. Both windows cover
-    all of it, and an instruction may be fetched at any in-range
+    program runs; also returns its backing buffer. All three windows
+    cover all of it, and an instruction may be fetched at any in-range
     address, aligned or not. Its code is [Words]. *)
 val flat_mem : int -> mem * Bytes.t
 

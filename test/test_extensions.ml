@@ -169,7 +169,8 @@ let test_unload () =
    class at once, at two addresses, unload it and are reaped; between
    rounds a library is built where each of the last round's classes
    was, so the next round's classes land elsewhere. The third round
-   reaps without unloading. *)
+   reaps without unloading, which also gives back the classes' arena
+   reservations and the loader's record of each process. *)
 let test_unload_frees_frames () =
   let w = Omos.World.create () in
   let s = w.Omos.World.server and k = w.Omos.World.kernel in
@@ -203,12 +204,25 @@ let test_unload_frees_frames () =
     if unload then
       List.iter (fun p -> List.iter (Omos.Dynload.unload dl p) (Omos.Dynload.loaded dl p)) procs;
     List.iter (Simos.Kernel.reap k) procs;
-    Simos.Phys.resident_pages k.Simos.Kernel.phys
+    (procs, Simos.Phys.resident_pages k.Simos.Kernel.phys)
   in
-  let first = round 1 ~unload:true in
-  Alcotest.(check int) "second round: resident pages" first (round 2 ~unload:true);
-  Alcotest.(check int) "third round, reaped loaded: resident pages" first
-    (round 3 ~unload:false)
+  let _, first = round 1 ~unload:true in
+  Alcotest.(check int) "second round: resident pages" first (snd (round 2 ~unload:true));
+  let procs, pages = round 3 ~unload:false in
+  Alcotest.(check int) "third round, reaped loaded: resident pages" first pages;
+  List.iter
+    (fun (name, arena) ->
+      Alcotest.(check (list (triple int int string)))
+        (name ^ " arena: no class reservations") []
+        (List.filter
+           (fun (_, _, owner) -> String.starts_with ~prefix:"dynload-" owner)
+           (Constraints.Placement.intervals (arena s))))
+    [ ("text", Omos.Server.text_arena); ("data", Omos.Server.data_arena) ];
+  List.iter
+    (fun p ->
+      Alcotest.(check int) "reaped: no classes recorded" 0
+        (List.length (Omos.Dynload.loaded dl p)))
+    procs
 
 let test_unload_not_loaded () =
   let w = Omos.World.create () in

@@ -273,6 +273,27 @@ let test_store_to_readonly_window_page () =
   (* the ldb's rd field, not the opcode byte the store carried *)
   Alcotest.(check int) "byte unchanged" 1 (Simos.Addr_space.load8 space (lib + 1))
 
+(* Loads and stores go through two data windows, the pages of the
+   latest two data misses, and a map change must empty both: once B is
+   touched, A's page sits in the second window, and after A is
+   unmapped a load from it or a store to it faults. *)
+let test_map_change_empties_data_windows () =
+  let a = 0x10000 and b = 0x20000 in
+  List.iter
+    (fun (what, access) ->
+      let space, _, _ = mk_space () in
+      Simos.Addr_space.map_private space ~vaddr:a ~size:0x1000 ~label:"a" ();
+      Simos.Addr_space.map_private space ~vaddr:b ~size:0x1000 ~label:"b" ();
+      let cpu = Svm.Cpu.create (Simos.Addr_space.mem space) in
+      access cpu a;
+      access cpu b;
+      Simos.Addr_space.unmap space ~lo:a;
+      must_fault (what ^ " after unmap") "unmapped address 0x10000" (fun () -> access cpu a))
+    [
+      ("load", fun cpu addr -> ignore (Svm.Cpu.read_bytes cpu addr 1));
+      ("store", fun cpu addr -> Svm.Cpu.write_bytes cpu addr (Bytes.of_string "x"));
+    ]
+
 let test_touched_pages_working_set () =
   let space, _, _ = mk_space () in
   Simos.Addr_space.map_private space ~vaddr:0x10000 ~size:0x10000 ~label:"lib.text" ();
@@ -369,6 +390,88 @@ let test_exec_reuses_unchanged_binary () =
   Alcotest.(check int) "reaped: the new image's pages resident" read_only_pages
     (Simos.Phys.resident_pages k.Simos.Kernel.phys)
 
+(* Prints its data ("hello\n") and the first two bytes of its bss,
+   stores 'X' and 'Y' over their first bytes, prints both again and
+   exits 0. *)
+let scribble_image () =
+  let a = Sof.Asm.create "scribble" in
+  let write sym len =
+    Sof.Asm.instr a (Svm.Isa.Movi (1, 1l));
+    Sof.Asm.lea a 2 sym;
+    Sof.Asm.instr a (Svm.Isa.Movi (3, Int32.of_int len));
+    Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.sys_write))
+  in
+  let store sym c =
+    Sof.Asm.lea a 2 sym;
+    Sof.Asm.instr a (Svm.Isa.Movi (4, Int32.of_int (Char.code c)));
+    Sof.Asm.instr a (Svm.Isa.Stb (2, 4, 0l))
+  in
+  Sof.Asm.label a "_start";
+  write "msg" 6;
+  write "buf" 2;
+  store "msg" 'X';
+  store "buf" 'Y';
+  write "msg" 6;
+  write "buf" 2;
+  Sof.Asm.instr a (Svm.Isa.Movi (1, 0l));
+  Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.sys_exit));
+  Sof.Asm.data_label a "msg";
+  Sof.Asm.data_string a "hello\n";
+  Sof.Asm.bss a "buf" 64;
+  fst
+    (Linker.Link.link ~layout:{ Linker.Link.text_base = 0x100000; data_base = 0x200000 }
+       [ Sof.Asm.finish a ])
+
+(* Every process exec'd from one path maps the image's data by
+   reference and makes its own pages: what the first stores into its
+   data and bss, the second never sees. *)
+let test_exec_private_data () =
+  let k = Simos.Kernel.create () in
+  Simos.Fs.mkdir_p k.Simos.Kernel.fs "/bin";
+  Simos.Fs.write_file k.Simos.Kernel.fs "/bin/scribble" (Linker.Image.encode (scribble_image ()));
+  let exec () = Simos.Kernel.exec k ~path:"/bin/scribble" ~args:[] in
+  let data_init (p : Simos.Proc.t) =
+    (List.find
+       (fun (r : Simos.Addr_space.region) -> r.label = "/bin/scribble#data")
+       (Simos.Addr_space.regions p.Simos.Proc.aspace))
+      .bytes
+  in
+  let p1 = exec () and p2 = exec () in
+  Alcotest.(check bool) "one image's data, referenced by both" true
+    (data_init p1 == data_init p2);
+  let out = "hello\n\000\000Xello\nY\000" in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check int) (what ^ " exits") 0 (Simos.Kernel.run k p ());
+      Alcotest.(check string) (what ^ " starts from the image's bytes") out
+        (Simos.Proc.stdout_contents p))
+    [ ("first", p1); ("second", p2) ];
+  Alcotest.(check string) "the image's data unchanged" "hello\n"
+    (Bytes.sub_string (data_init p1) 0 6)
+
+(* An exec allocates for the pages it makes, not for its 256 KB heap
+   and stack: a small static binary, exec'd cold and warm, allocates
+   well under 16 k words each time. Words are counted as minor + major
+   - promoted, the minor figure from [Gc.minor_words] (that of
+   [Gc.counters] lags on OCaml 5.1). *)
+let test_exec_allocates_little () =
+  let k = Simos.Kernel.create () in
+  Simos.Fs.mkdir_p k.Simos.Kernel.fs "/bin";
+  Simos.Fs.write_file k.Simos.Kernel.fs "/bin/hello" (Linker.Image.encode (hello_image ()));
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  List.iter
+    (fun what ->
+      let before = allocated () in
+      let p = Simos.Kernel.exec k ~path:"/bin/hello" ~args:[ "hello" ] in
+      let words = allocated () -. before in
+      if words >= 16384.0 then Alcotest.failf "%s exec allocated %.0f words" what words;
+      Alcotest.(check int) (what ^ " exec runs") 7 (Simos.Kernel.run k p ());
+      Simos.Kernel.reap k p)
+    [ "cold"; "warm" ]
+
 let test_second_exec_cheaper_io () =
   let k = Simos.Kernel.create () in
   let img = hello_image () in
@@ -460,6 +563,8 @@ let () =
           Alcotest.test_case "patched text runs patched" `Quick test_patched_text_runs_patched;
           Alcotest.test_case "store to read-only window page" `Quick
             test_store_to_readonly_window_page;
+          Alcotest.test_case "a map change empties both data windows" `Quick
+            test_map_change_empties_data_windows;
         ] );
       ( "kernel",
         [
@@ -469,6 +574,9 @@ let () =
           Alcotest.test_case "warm exec" `Quick test_second_exec_cheaper_io;
           Alcotest.test_case "exec reuses an unchanged binary" `Quick
             test_exec_reuses_unchanged_binary;
+          Alcotest.test_case "exec'd processes keep private data" `Quick
+            test_exec_private_data;
+          Alcotest.test_case "exec allocates little" `Quick test_exec_allocates_little;
           Alcotest.test_case "args and dirs" `Quick test_syscall_args_and_dirs;
         ] );
     ]

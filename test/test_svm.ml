@@ -296,11 +296,11 @@ module Reference = struct
         (fun (r : Simos.Addr_space.region) -> a >= r.lo && a < r.hi)
         (Simos.Addr_space.regions space)
     in
-    let off = a - r.lo in
-    if off land (Isa.width - 1) <> 0 || off + Isa.width > Bytes.length r.bytes then
+    let off = a - r.lo and bytes = Simos.Addr_space.contents r in
+    if off land (Isa.width - 1) <> 0 || off + Isa.width > Bytes.length bytes then
       raise
         (Simos.Addr_space.Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" a));
-    Encode.decode_at r.bytes off
+    Encode.decode_at bytes off
 end
 
 (* -- property tests ---------------------------------------------------- *)
@@ -558,7 +558,7 @@ let mapped_space ?(at = text) ~(code : Bytes.t) (tr : Cpu.translations option) =
     let soft, disk = Simos.Addr_space.fault_stats space in
     let bytes =
       List.map
-        (fun (r : Simos.Addr_space.region) -> Bytes.to_string r.bytes)
+        (fun r -> Bytes.to_string (Simos.Addr_space.contents r))
         (Simos.Addr_space.regions space)
     in
     Printf.sprintf "faults %d/%d clock %h %h %h memory %s" soft disk clock.Simos.Clock.user
@@ -623,6 +623,210 @@ let prop_shared_matches_reference =
   QCheck.Test.make ~count:2000 ~long_factor:50
     ~name:"shared translations and writable text match the reference" arb_case (fun c ->
       agrees shared_machine c && agrees writable_machine c)
+
+(* -- private memory against an eager model ------------------------------ *)
+
+(* A shared text page at [m_text] holding the program, three private
+   data pages whose initial bytes stop short of their end, a gap, and a
+   two-page stack. The program makes a list of 8- and 32-bit loads and
+   stores through the CPU and its windows; a model that holds each
+   region as one flat buffer, made whole at map time, says what each
+   access returns, faults and charges. *)
+let m_text = 0x1000
+let m_data = 0x2000
+let m_data_size = 0x3000
+let m_stack = 0x6000
+let m_stack_size = 0x2000
+
+type access = { store : bool; wide : bool; at : int; value : int }
+type mcase = { init_len : int; init_seed : int; accesses : access list }
+
+let m_init (c : mcase) : Bytes.t =
+  let st = Random.State.make [| c.init_seed |] in
+  Bytes.init c.init_len (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Aligned and unaligned addresses in a region (text included, so
+   stores into it fault), addresses within four bytes of a page's or a
+   region's edge (straddling a page, running past a region's end into a
+   gap or the next region), and any address around the map. *)
+let gen_access : access QCheck.Gen.t =
+  let open QCheck.Gen in
+  let region = oneofl [ (m_text, 0x1000); (m_data, m_data_size); (m_stack, m_stack_size) ] in
+  let at =
+    frequency
+      [
+        (3, region >>= fun (lo, size) -> map (fun k -> lo + (4 * k)) (int_range 0 ((size / 4) - 1)));
+        (2, region >>= fun (lo, size) -> map (fun k -> lo + k) (int_range 0 (size - 1)));
+        (3, map2 (fun page d -> (page * 0x1000) + d) (int_range 1 8) (int_range (-4) 3));
+        (1, int_range 0 0x9000);
+      ]
+  in
+  bool >>= fun store ->
+  bool >>= fun wide ->
+  at >>= fun at -> map (fun v -> { store; wide; at; value = Int32.to_int v }) int32
+
+(* Three instructions per access keep 150 of them and a halt within the
+   text page. *)
+let gen_mcase : mcase QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency [ (1, oneofl [ 0; 1; 0xFFF; 0x1000; 0x1001; 0x2000; 0x2FFF ]); (3, int_range 0 0x2FFF) ]
+  >>= fun init_len ->
+  int >>= fun init_seed ->
+  map (fun accesses -> { init_len; init_seed; accesses }) (list_size (int_range 1 150) gen_access)
+
+let print_mcase (c : mcase) =
+  Printf.sprintf "init %d bytes (seed %d)\n%s" c.init_len c.init_seed
+    (String.concat "\n"
+       (List.map
+          (fun a ->
+            Printf.sprintf "%s%d 0x%x%s"
+              (if a.store then "store" else "load")
+              (if a.wide then 32 else 8)
+              a.at
+              (if a.store then Printf.sprintf " <- %d" a.value else ""))
+          c.accesses))
+
+let arb_mcase =
+  QCheck.make ~print:print_mcase
+    ~shrink:(fun c ->
+      QCheck.Iter.map (fun accesses -> { c with accesses }) (QCheck.Shrink.list c.accesses))
+    gen_mcase
+
+(* Each access: r1 = its address, then a store of r2, or a load into
+   r3 that syscall 0 logs. *)
+let m_program (c : mcase) : Bytes.t =
+  let instrs (a : access) =
+    Isa.Movi (1, Int32.of_int a.at)
+    ::
+    (if a.store then
+       [ Isa.Movi (2, Int32.of_int a.value); (if a.wide then Isa.St (1, 2, 0l) else Isa.Stb (1, 2, 0l)) ]
+     else [ (if a.wide then Isa.Ld (3, 1, 0l) else Isa.Ldb (3, 1, 0l)); Isa.Sys 0l ])
+  in
+  let code = Encode.assemble (List.concat_map instrs c.accesses @ [ Isa.Halt ]) in
+  let page = Bytes.make 0x1000 '\000' in
+  Bytes.blit code 0 page 0 (Bytes.length code);
+  page
+
+(* What a run decides: the log of loaded values and fault messages,
+   fault counts and clock, and each region's final bytes. *)
+let m_summary log (soft, disk) (user, system, io) regions =
+  Printf.sprintf "%s\nfaults %d/%d clock %h %h %h\n%s" (String.concat "; " (List.rev log)) soft disk
+    user system io
+    (String.concat " "
+       (List.map (fun (label, b) -> label ^ ":" ^ Digest.to_hex (Digest.bytes b)) regions))
+
+let run_private (c : mcase) : string =
+  let code = m_program c and init = m_init c in
+  let phys = Simos.Phys.create () and clock = Simos.Clock.create () in
+  let space = Simos.Addr_space.create ~phys ~clock ~cost:Simos.Cost.hpux () in
+  Simos.Addr_space.map_shared space ~vaddr:m_text ~bytes:code ~code:(Cpu.translations code)
+    ~frames:(Simos.Phys.alloc phys ~bytes:0x1000)
+    ~backing:(Simos.Addr_space.disk_backing ~bytes:0x1000) ~label:"text" ();
+  Simos.Addr_space.map_private space ~vaddr:m_data ~init
+    ~backing:(Simos.Addr_space.disk_backing ~bytes:c.init_len) ~touch_user_cost:0.5
+    ~size:m_data_size ~label:"data" ();
+  Simos.Addr_space.map_private space ~vaddr:m_stack ~size:m_stack_size ~label:"stack" ();
+  let log = ref [] in
+  let sys cpu _ =
+    log := Int32.to_string (Cpu.get_reg cpu 3) :: !log;
+    Cpu.Sys_continue
+  in
+  let cpu = Cpu.create ~sys (Simos.Addr_space.mem space) in
+  cpu.pc <- m_text;
+  (* a faulting access leaves pc past it, so the run goes on from there *)
+  let rec go () =
+    match Cpu.run cpu with
+    | Cpu.Halted -> ()
+    | _ -> log := "no halt" :: !log
+    | exception Simos.Addr_space.Fault m ->
+        log := m :: !log;
+        go ()
+  in
+  go ();
+  m_summary !log
+    (Simos.Addr_space.fault_stats space)
+    (clock.user, clock.system, clock.io)
+    (List.map
+       (fun (r : Simos.Addr_space.region) -> (r.label, Simos.Addr_space.contents r))
+       (Simos.Addr_space.regions space))
+
+(* One region of the model: its bytes, whole, and its first-touch
+   charges. *)
+type mregion = {
+  label : string;
+  lo : int;
+  flat : Bytes.t;
+  writable : bool;
+  user_cost : float;
+  on_disk : int; (* pages read from disk at first touch *)
+  touched : bool array;
+}
+
+let model_private (c : mcase) : string =
+  let cost = Simos.Cost.hpux in
+  let region label lo flat writable user_cost on_disk =
+    { label; lo; flat; writable; user_cost; on_disk; touched = Array.make 3 false }
+  in
+  let data = Bytes.make m_data_size '\000' in
+  Bytes.blit (m_init c) 0 data 0 c.init_len;
+  let text = region "text" m_text (m_program c) false 0.0 1 in
+  let regions =
+    [
+      text;
+      region "data" m_data data true 0.5 (max 1 ((c.init_len + 0xFFF) / 0x1000));
+      region "stack" m_stack (Bytes.make m_stack_size '\000') true 0.0 0;
+    ]
+  in
+  let soft = ref 0 and disk = ref 0 and user = ref 0.0 and system = ref 0.0 and io = ref 0.0 in
+  let touch r off =
+    let page = off / 0x1000 in
+    if not r.touched.(page) then begin
+      r.touched.(page) <- true;
+      if r.user_cost > 0.0 then user := !user +. r.user_cost;
+      system := !system +. cost.Simos.Cost.soft_fault;
+      if page < r.on_disk then begin
+        incr disk;
+        io := !io +. cost.Simos.Cost.disk_read_page
+      end
+      else incr soft
+    end
+  in
+  let fault fmt = Printf.ksprintf (fun m -> raise (Simos.Addr_space.Fault m)) fmt in
+  let find a =
+    match List.find_opt (fun r -> a >= r.lo && a < r.lo + Bytes.length r.flat) regions with
+    | Some r -> r
+    | None -> fault "unmapped address 0x%x" a
+  in
+  let log = ref [] and r3 = ref 0l in
+  (* the first fetch *)
+  touch text 0;
+  List.iter
+    (fun a ->
+      (try
+         let r = find a.at in
+         let off = a.at - r.lo in
+         let size = if a.wide then 4 else 1 in
+         if a.store && not r.writable then fault "write to read-only %s at 0x%x" r.label a.at;
+         if off + size > Bytes.length r.flat then
+           fault "%s32 spans end of %s at 0x%x" (if a.store then "store" else "load") r.label a.at;
+         touch r off;
+         match (a.store, a.wide) with
+         | true, true -> Bytes.set_int32_le r.flat off (Int32.of_int a.value)
+         | true, false -> Bytes.set_uint8 r.flat off (a.value land 0xff)
+         | false, true -> r3 := Bytes.get_int32_le r.flat off
+         | false, false -> r3 := Int32.of_int (Bytes.get_uint8 r.flat off)
+       with Simos.Addr_space.Fault m -> log := m :: !log);
+      (* a faulting load leaves r3 as it was *)
+      if not a.store then log := Int32.to_string !r3 :: !log)
+    c.accesses;
+  m_summary !log (!soft, !disk) (!user, !system, !io)
+    (List.map (fun r -> (r.label, r.flat)) regions)
+
+let prop_private_memory_matches_model =
+  QCheck.Test.make ~count:500 ~long_factor:50
+    ~name:"private memory matches an eager model" arb_mcase (fun c ->
+      let got = run_private c and want = model_private c in
+      got = want || QCheck.Test.fail_reportf "run:   %s\nmodel: %s" got want)
 
 (* -- translated execution against the reference ------------------------ *)
 
@@ -819,6 +1023,7 @@ let () =
             prop_alu_matches_int32;
             prop_run_matches_reference;
             prop_shared_matches_reference;
+            prop_private_memory_matches_model;
           ] );
       ( "translated",
         [
