@@ -1,18 +1,18 @@
 (* The bench regression gate: compare a fresh BENCH_*.json snapshot
    against a committed baseline and exit non-zero when a simulated cost
-   regressed by more than the tolerance.
+   regressed by more than the tolerance or a work counter changed.
 
      compare.exe BASELINE CURRENT
 
-   Only simulated quantities are gated — the "bench.*" gauges
+   Simulated costs are gated with a tolerance: the "bench.*" gauges
    (simulated seconds of the paper tables) and the sums of the "*.us.*"
    phase histograms (simulated microseconds). Wall-clock numbers vary
    with the host and are reported but never gated. Work counters
-   (links, relocations, cache misses) are compared exactly: they are
-   deterministic, so any drift is a behaviour change worth a look —
-   reported (DRIFT), as is a counter only the baseline has (GONE) or
-   only the snapshot has (NEW), but only cost regressions fail the
-   gate. *)
+   (links, relocations, cache misses) are deterministic, so they are
+   gated exactly: a counter whose value changed (DRIFT), one only the
+   baseline has (GONE) and one only the snapshot has (NEW) each fail
+   the gate. After a deliberate change, re-bless by copying the fresh
+   snapshots over the baselines. *)
 
 let tolerance = 0.20
 
@@ -75,7 +75,7 @@ let counters (j : Telemetry.Json.t) : (string * float) list =
   | None -> []
 
 (* Compare one baseline/current snapshot pair; returns the number of
-   cost regressions found. *)
+   cost regressions and counter differences found. *)
 let compare_pair (baseline_path : string) (current_path : string) : int =
   let b = read_json baseline_path and c = read_json current_path in
   let cur_costs = gated_costs c in
@@ -98,25 +98,30 @@ let compare_pair (baseline_path : string) (current_path : string) : int =
           end
           else Printf.printf "ok       %-52s %12.3f -> %12.3f\n" label base cur)
     (gated_costs b);
-  (* deterministic work counters: report drift, and counters on one side
-     only, don't gate on either *)
+  (* deterministic work counters: exact, on both sides *)
   let base_counters = counters b and cur_counters = counters c in
+  let differences = ref 0 in
+  let differ fmt =
+    incr differences;
+    Printf.printf fmt
+  in
   List.iter
     (fun (k, base) ->
       match List.assoc_opt k cur_counters with
       | Some cur when cur <> base ->
-          Printf.printf "DRIFT    counter %-44s %12.0f -> %12.0f\n" k base cur
+          differ "DRIFT    counter %-44s %12.0f -> %12.0f\n" k base cur
       | Some _ -> ()
-      | None -> Printf.printf "GONE     counter %-44s %12.0f -> %12s\n" k base "-")
+      | None -> differ "GONE     counter %-44s %12.0f -> %12s\n" k base "-")
     base_counters;
   List.iter
     (fun (k, cur) ->
       if not (List.mem_assoc k base_counters) then
-        Printf.printf "NEW      counter %-44s %12s -> %12.0f\n" k "-" cur)
+        differ "NEW      counter %-44s %12s -> %12.0f\n" k "-" cur)
     cur_counters;
-  Printf.printf "compared %d simulated costs, %d regression(s) beyond %.0f%%\n"
-    !compared !regressions (100.0 *. tolerance);
-  !regressions
+  Printf.printf
+    "compared %d simulated costs, %d regression(s) beyond %.0f%%; %d counters, %d differ\n"
+    !compared !regressions (100.0 *. tolerance) (List.length base_counters) !differences;
+  !regressions + !differences
 
 (* Directory mode: every BENCH_*.json in the baseline directory must
    have a fresh counterpart (same file name) in the current directory;

@@ -19,20 +19,22 @@ let klass_src =
    int shape_perimeter(int w, int h) { return client_scale(2 * (w + h)); }\n"
 
 let client_src =
-  "int client_scale(int x) { return x * 10; }\n\
-   char bp[] = \"(merge /obj/shape.o)\";\n\
-   char sym_area[] = \"shape_area\";\n\
-   char sym_perim[] = \"shape_perimeter\";\n\
-   int main() {\n\
-  \  int f; int g;\n\
-  \  putstr(\"loading class /obj/shape.o from OMOS...\\n\");\n\
-  \  f = __syscall(130, &bp, &sym_area);\n\
-  \  g = __syscall(130, &bp, &sym_perim);\n\
-  \  if (f == 0 - 1 || g == 0 - 1) { putstr(\"load failed\\n\"); return 1; }\n\
-  \  putstr(\"area(3,4) = \"); putint(__icall(f, 3, 4)); putstr(\"\\n\");\n\
-  \  putstr(\"perimeter(3,4) = \"); putint(__icall(g, 3, 4)); putstr(\"\\n\");\n\
-  \  return 0;\n\
-   }\n"
+  Printf.sprintf
+    "int client_scale(int x) { return x * 10; }\n\
+     char bp[] = \"(merge /obj/shape.o)\";\n\
+     char sym_area[] = \"shape_area\";\n\
+     char sym_perim[] = \"shape_perimeter\";\n\
+     int main() {\n\
+    \  int f; int g;\n\
+    \  putstr(\"loading class /obj/shape.o from OMOS...\\n\");\n\
+    \  f = __syscall(%d, &bp, &sym_area);\n\
+    \  g = __syscall(%d, &bp, &sym_perim);\n\
+    \  if (f == 0 - 1 || g == 0 - 1) { putstr(\"load failed\\n\"); return 1; }\n\
+    \  putstr(\"area(3,4) = \"); putint(__icall(f, 3, 4)); putstr(\"\\n\");\n\
+    \  putstr(\"perimeter(3,4) = \"); putint(__icall(g, 3, 4)); putstr(\"\\n\");\n\
+    \  return 0;\n\
+     }\n"
+    Simos.Syscall.dynload_syscall Simos.Syscall.dynload_syscall
 
 let () =
   let w = Omos.World.create () in
@@ -50,7 +52,7 @@ let () =
       (Omos.Schemes.graph_of_objs [ Workloads.Crt0.obj (); client ])
   in
   let dl = Omos.Dynload.create s in
-  Omos.Dynload.attach dl w.Omos.World.upcalls ~client_images_of:(fun _ ->
+  Omos.Dynload.attach dl ~client_images_of:(fun _ ->
       [ b.Omos.Server.entry.Omos.Cache.image;
         libc.Omos.Server.entry.Omos.Cache.image ]);
   let loadable = Omos.Server.loadable_entry [ libc; b ] in

@@ -196,13 +196,6 @@ let older (a : entry) (b : entry) : int = compare a.seq b.seq
 (** Every live entry, oldest first. *)
 let by_age (t : t) : entry list = List.sort older (to_list t)
 
-let clear (t : t) : unit =
-  Hashtbl.reset t.entries;
-  memo_clear t;
-  t.hit_count <- 0;
-  t.miss_count <- 0;
-  t.insertions <- 0
-
 (** [evict_to_budget t ~bytes] trims the cache to at most [bytes] of
     serialized image data in the eviction order of the header. Addresses
     the paper's §4.1 concern: "disk space for caching multiple versions

@@ -75,7 +75,7 @@ val invalidate : t -> string -> unit
     Materialized subtree views keyed by {!Analysis.Impact} interface
     digest — the substrate of incremental relinking. The table is
     derived data: it is dropped wholesale whenever {!evict_to_budget}
-    sheds any image, and by {!clear}, and registration drops the
+    sheds any image, and registration drops the
     entries whose digest no bound meta's registration tree names any
     more ({!memo_drop}). *)
 
@@ -103,8 +103,6 @@ val to_list : t -> entry list
 
 (** Every live entry, oldest first. *)
 val by_age : t -> entry list
-
-val clear : t -> unit
 
 (** [evict_to_budget t ~bytes] trims the cache to at most [bytes] of
     serialized image data in the eviction order above. Returns the

@@ -14,12 +14,10 @@
       call back into the client), map it into the running process, and
       return the requested bound values.
 
-    - {!attach}: the in-simulation syscall (number {!dynload_syscall}):
-      the SVM client passes a blueprint string and a symbol name, gets
-      the symbol's bound address back, and can jump to it with
-      [__icall]. *)
-
-let dynload_syscall = 130
+    - {!attach}: the in-simulation syscall (number
+      {!Simos.Syscall.dynload_syscall}): the SVM client passes a
+      blueprint string and a symbol name, gets the symbol's bound
+      address back, and can jump to it with [__icall]. *)
 
 exception Dynload_error of string
 
@@ -144,13 +142,14 @@ let unload (t : t) (p : Simos.Proc.t) (img : Linker.Image.t) : unit =
 let loaded (t : t) (p : Simos.Proc.t) : Linker.Image.t list =
   match Hashtbl.find_opt t.loaded p.Simos.Proc.pid with Some c -> c.images | None -> []
 
-(** Install the in-simulation syscall: r1 = blueprint string address,
-    r2 = symbol name address; returns the bound address in r0 (or -1).
-    [client_images_of] supplies the images the client was launched
-    with, so the loaded class can bind to client symbols. *)
-let attach (t : t) (upcalls : Upcalls.t)
-    ~(client_images_of : Simos.Proc.t -> Linker.Image.t list) : unit =
-  Upcalls.register upcalls dynload_syscall (fun _k p cpu _n ->
+(** Register the in-simulation syscall in the server kernel's table:
+    r1 = blueprint string address, r2 = symbol name address; returns
+    the bound address in r0 (or -1). [client_images_of] supplies the
+    images the client was launched with, so the loaded class can bind
+    to client symbols. *)
+let attach (t : t) ~(client_images_of : Simos.Proc.t -> Linker.Image.t list) : unit =
+  Simos.Kernel.register_syscall (Server.kernel t.server) Simos.Syscall.dynload_syscall
+    (fun _k p cpu ->
       let bp = Svm.Cpu.read_cstring cpu (Int32.to_int (Svm.Cpu.get_reg cpu 1)) in
       let sym = Svm.Cpu.read_cstring cpu (Int32.to_int (Svm.Cpu.get_reg cpu 2)) in
       (try

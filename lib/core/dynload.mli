@@ -1,10 +1,6 @@
 (** Dynamic loading of classes into executing programs (paper §5), and
     the unlinking extension (§9). *)
 
-(** The in-simulation syscall number: r1 = blueprint string address,
-    r2 = symbol name address; returns the bound address in r0. *)
-val dynload_syscall : int
-
 exception Dynload_error of string
 
 type t
@@ -36,8 +32,9 @@ val unload : t -> Simos.Proc.t -> Linker.Image.t -> unit
 (** Images currently loaded into [p] through this loader. *)
 val loaded : t -> Simos.Proc.t -> Linker.Image.t list
 
-(** Install the dynload syscall on the upcall registry.
+(** Register the in-simulation syscall ({!Simos.Syscall.dynload_syscall}:
+    r1 = blueprint string address, r2 = symbol name address; the bound
+    address in r0, or -1) in the server kernel's table.
     [client_images_of] supplies the images a process was launched with,
     so loaded classes can bind to client symbols. *)
-val attach :
-  t -> Upcalls.t -> client_images_of:(Simos.Proc.t -> Linker.Image.t list) -> unit
+val attach : t -> client_images_of:(Simos.Proc.t -> Linker.Image.t list) -> unit

@@ -16,12 +16,9 @@
     - entry+exit: a wrapper that keeps return addresses on a private
       shadow stack in client memory so it can log the return as well.
 
-    Events arrive through the {!Simos.Syscall.omos_base}-range syscalls
-    handled by {!attach}; the recorded call sequence feeds
-    {!Reorder}. *)
-
-let mon_enter = 120
-let mon_exit = 121
+    Events arrive through the {!Simos.Syscall.mon_enter} and
+    {!Simos.Syscall.mon_exit} syscalls, handled once {!attach}ed; the
+    recorded call sequence feeds {!Reorder}. *)
 
 type event = Enter of int | Exit of int
 
@@ -67,7 +64,7 @@ let entry_only_wrappers (names : string list) : Sof.Object_file.t =
     (fun id name ->
       Sof.Asm.label a name;
       Sof.Asm.instr a (Svm.Isa.Movi (1, Int32.of_int id));
-      Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int mon_enter));
+      Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.mon_enter));
       Sof.Asm.jmp_sym a (mangle name))
     names;
   Sof.Asm.finish a
@@ -89,12 +86,12 @@ let entry_exit_wrappers (names : string list) : Sof.Object_file.t =
       Sof.Asm.instr a (Svm.Isa.St (12, 11, 0l));
       (* log entry *)
       Sof.Asm.instr a (Svm.Isa.Movi (1, Int32.of_int id));
-      Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int mon_enter));
+      Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.mon_enter));
       (* the real routine sees sp exactly as the caller left it *)
       Sof.Asm.call a (mangle name);
       (* log exit (r0 preserved: monitor syscalls do not write registers) *)
       Sof.Asm.instr a (Svm.Isa.Movi (1, Int32.of_int id));
-      Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int mon_exit));
+      Sof.Asm.instr a (Svm.Isa.Sys (Int32.of_int Simos.Syscall.mon_exit));
       (* pop ra and return to the original caller *)
       Sof.Asm.lea a 12 "__mon_sp";
       Sof.Asm.instr a (Svm.Isa.Ld (11, 12, 0l));
@@ -146,14 +143,14 @@ let monitored ?(exits = false) (m : Jigsaw.Module_ops.t) :
   ( m',
     { names = Array.of_list names; events = []; stamps = []; count = 0 } )
 
-(** Route the monitor syscalls of [trace] through the upcall registry.
+(** Register the monitor syscalls of [trace] in [k]'s table.
     Each event costs a syscall (already charged by the kernel) — the
     monitoring overhead is real and visible in the measurements, as it
     was for OMOS. With [key] set, every function entry is also fed to
     the continuous hotness store ({!Telemetry.Hotness}) under that key,
     so the aggregate survives the trace itself. *)
-let attach ?key (upcalls : Upcalls.t) (trace : trace) : unit =
-  let record ~enter kind _k _p (cpu : Svm.Cpu.t) _n =
+let attach ?key (k : Simos.Kernel.t) (trace : trace) : unit =
+  let record ~enter kind _k _p (cpu : Svm.Cpu.t) =
     let id = Int32.to_int (Svm.Cpu.get_reg cpu 1) in
     if id >= 0 && id < Array.length trace.names then begin
       trace.events <- kind id :: trace.events;
@@ -168,5 +165,7 @@ let attach ?key (upcalls : Upcalls.t) (trace : trace) : unit =
     end;
     Svm.Cpu.Sys_continue
   in
-  Upcalls.register upcalls mon_enter (record ~enter:true (fun id -> Enter id));
-  Upcalls.register upcalls mon_exit (record ~enter:false (fun id -> Exit id))
+  Simos.Kernel.register_syscall k Simos.Syscall.mon_enter
+    (record ~enter:true (fun id -> Enter id));
+  Simos.Kernel.register_syscall k Simos.Syscall.mon_exit
+    (record ~enter:false (fun id -> Exit id))

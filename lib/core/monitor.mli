@@ -2,11 +2,6 @@
     exported routine of a module is wrapped with a generated logging
     wrapper; the recorded call sequence feeds {!Reorder}. *)
 
-(** Syscall numbers the wrappers raise. *)
-val mon_enter : int
-
-val mon_exit : int
-
 type event = Enter of int | Exit of int
 
 type trace = {
@@ -44,9 +39,11 @@ val functions : Jigsaw.Module_ops.t -> string list
     transformed module and its (empty) trace. *)
 val monitored : ?exits:bool -> Jigsaw.Module_ops.t -> Jigsaw.Module_ops.t * trace
 
-(** Route the monitor syscalls into [trace] via the upcall registry.
-    Each event costs a real syscall — the monitoring overhead is
+(** [attach ?key k trace] registers the wrappers' syscalls
+    ({!Simos.Syscall.mon_enter}, {!Simos.Syscall.mon_exit}) in [k]'s
+    table, recording into [trace]; a later [attach] on [k] takes them
+    over. Each event costs a real syscall — the monitoring overhead is
     visible in measurements, as it was for OMOS. With [key] set, every
     function entry also feeds {!Telemetry.Hotness} under that key, so
     the continuous profile aggregates across requests. *)
-val attach : ?key:string -> Upcalls.t -> trace -> unit
+val attach : ?key:string -> Simos.Kernel.t -> trace -> unit

@@ -75,14 +75,14 @@ let interface_version (imgs : Linker.Image.t list) : string =
   Digest.to_hex (Digest.string (String.concat "," names))
 
 (** The scheme runtime: owns per-process lazy-binding state and the
-    kernel upcall that implements the bind traps. One per kernel. *)
+    kernel syscalls that implement the bind traps. One per kernel. *)
 type t = {
   server : Server.t;
   table : (int, proc_rt) Hashtbl.t; (* pid -> state *)
 }
 
-let handle_bind (rt : t) (k : Simos.Kernel.t) (p : Simos.Proc.t) (cpu : Svm.Cpu.t)
-    (_n : int) : Svm.Cpu.sys_result =
+let handle_bind (rt : t) (k : Simos.Kernel.t) (p : Simos.Proc.t) (cpu : Svm.Cpu.t) :
+    Svm.Cpu.sys_result =
   let cost = k.Simos.Kernel.cost in
   match Hashtbl.find_opt rt.table p.Simos.Proc.pid with
   | None ->
@@ -134,14 +134,14 @@ let handle_bind (rt : t) (k : Simos.Kernel.t) (p : Simos.Proc.t) (cpu : Svm.Cpu.
             (Scheme_error ("unresolved import at runtime: " ^ imp.Stubs.imp_name)));
       Svm.Cpu.Sys_continue
 
-(** Create the runtime and register its bind traps. *)
-let runtime ?(upcalls : Upcalls.t option) (server : Server.t) : t =
+(** Create the runtime, register its bind traps in the kernel's table,
+    and drop a process's state when the kernel reaps it. *)
+let runtime (server : Server.t) : t =
   let rt = { server; table = Hashtbl.create 16 } in
-  let upcalls =
-    match upcalls with Some u -> u | None -> Upcalls.install (Server.kernel server)
-  in
-  Upcalls.register upcalls Simos.Syscall.plt_bind (handle_bind rt);
-  Upcalls.register upcalls Simos.Syscall.omos_load_library (handle_bind rt);
+  let k = Server.kernel server in
+  Simos.Kernel.register_syscall k Simos.Syscall.plt_bind (handle_bind rt);
+  Simos.Kernel.register_syscall k Simos.Syscall.omos_load_library (handle_bind rt);
+  Simos.Kernel.on_reap k (fun p -> Hashtbl.remove rt.table p.Simos.Proc.pid);
   rt
 
 (* -- common pieces ------------------------------------------------------- *)
@@ -470,6 +470,5 @@ let invoke (rt : t) (prog : program) ~(args : string list) : int * string =
   let p = prog.launch ~args in
   let code = Simos.Kernel.run k p () in
   let out = Simos.Proc.stdout_contents p in
-  Hashtbl.remove rt.table p.Simos.Proc.pid;
   Simos.Kernel.reap k p;
   (code, out)

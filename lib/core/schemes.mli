@@ -29,13 +29,17 @@ type proc_rt = {
     versioning safety the paper says "should be implemented" (§4.2). *)
 val interface_version : Linker.Image.t list -> string
 
-(** The scheme runtime: owns per-process lazy-binding state and the
-    bind-trap upcalls. One per kernel. *)
+(** The scheme runtime: owns per-process lazy-binding state (pid →
+    state, for the processes the dynamic and partial-image schemes
+    launched and the kernel has not reaped) and the bind-trap syscalls.
+    One per kernel. *)
 type t = { server : Server.t; table : (int, proc_rt) Hashtbl.t }
 
-(** Create the runtime and register its bind traps (either on the given
-    registry or on a fresh one). *)
-val runtime : ?upcalls:Upcalls.t -> Server.t -> t
+(** Create the runtime for the server's kernel: register its bind traps
+    ({!Simos.Syscall.plt_bind}, {!Simos.Syscall.omos_load_library}) in
+    the kernel's syscall table, and a reap hook ({!Simos.Kernel.on_reap})
+    that drops a process's [table] entry. *)
+val runtime : Server.t -> t
 
 (** A ready-to-run program under some scheme. *)
 type program = {

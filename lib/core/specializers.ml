@@ -20,16 +20,12 @@
       trace is available through {!last_trace} (the server uses it to
       derive reorderings). *)
 
-type t = {
-  server : Server.t;
-  upcalls : Upcalls.t;
-  mutable last_trace : Monitor.trace option;
-}
+type t = { server : Server.t; mutable last_trace : Monitor.trace option }
 
 let last_trace (t : t) : Monitor.trace option = t.last_trace
 
-let install (server : Server.t) (upcalls : Upcalls.t) : t =
-  let t = { server; upcalls; last_trace = None } in
+let install (server : Server.t) : t =
+  let t = { server; last_trace = None } in
   (* lib-dynamic: stubs for every exported function of the operand *)
   Server.register_specializer server "lib-dynamic" (fun env _args node ->
       let r = Blueprint.Mgraph.eval env node in
@@ -58,7 +54,7 @@ let install (server : Server.t) (upcalls : Upcalls.t) : t =
       in
       let r = Blueprint.Mgraph.eval env node in
       let m', trace = Monitor.monitored ~exits r.Blueprint.Mgraph.m in
-      Monitor.attach ~key upcalls trace;
+      Monitor.attach ~key (Server.kernel server) trace;
       t.last_trace <- Some trace;
       { r with Blueprint.Mgraph.m = m' });
   t

@@ -40,7 +40,6 @@ let libc_meta_source =
 type t = {
   kernel : Simos.Kernel.t;
   server : Server.t;
-  upcalls : Upcalls.t;
   rt : Schemes.t;
   specializers : Specializers.t;
   personality : personality;
@@ -74,10 +73,9 @@ let create ?(personality = Hpux) ?(faults : Residency.faults option)
     (fun (path, _) ->
       Server.register_meta_source server path (Printf.sprintf "(merge %s.o)" path))
     (Lazy.force compiled_auxlibs);
-  let upcalls = Upcalls.install kernel in
-  let rt = Schemes.runtime ~upcalls server in
-  let specializers = Specializers.install server upcalls in
-  { kernel; server; upcalls; rt; specializers; personality }
+  let rt = Schemes.runtime server in
+  let specializers = Specializers.install server in
+  { kernel; server; rt; specializers; personality }
 
 (* -- workload program descriptions ------------------------------------- *)
 

@@ -9,10 +9,12 @@ type personality = Hpux | Mach_osf1 | Mach_386
 (** Figure 1's libc meta-object, almost verbatim. *)
 val libc_meta_source : string
 
+(** [rt] has registered the bind traps in [kernel]'s syscall table, and
+    [specializers] registers the monitor's once a "monitor" evaluation
+    runs; a dynamic loader registers its own ({!Dynload.attach}). *)
 type t = {
   kernel : Simos.Kernel.t;
   server : Server.t;
-  upcalls : Upcalls.t;
   rt : Schemes.t;
   specializers : Specializers.t;
   personality : personality;

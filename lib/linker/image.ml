@@ -164,16 +164,3 @@ let decode (b : Bytes.t) : t =
   in
   let reloc_work = get_u32 () in
   { name; segments; bss_vaddr; bss_size; entry; symtab; reloc_work }
-
-let pp ppf (img : t) =
-  Format.fprintf ppf "@[<v>image %s entry=0x%x reloc_work=%d@," img.name img.entry
-    img.reloc_work;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  %-5s 0x%08x +%d %s@," s.seg_name s.vaddr
-        (Bytes.length s.bytes)
-        (if s.writable then "rw" else "ro"))
-    img.segments;
-  if img.bss_size > 0 then
-    Format.fprintf ppf "  bss   0x%08x +%d@," img.bss_vaddr img.bss_size;
-  Format.fprintf ppf "@]"

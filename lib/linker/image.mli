@@ -55,5 +55,3 @@ exception Decode_error of string
 
 (** Parse bytes produced by {!encode}. @raise Decode_error. *)
 val decode : Bytes.t -> t
-
-val pp : Format.formatter -> t -> unit

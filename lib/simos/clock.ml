@@ -36,11 +36,6 @@ let since (c : t) (snap : snapshot) : float * float * float =
   let io = c.io -. snap.s_io in
   (u, s, u +. s +. io)
 
-let reset (c : t) : unit =
-  c.user <- 0.0;
-  c.system <- 0.0;
-  c.io <- 0.0
-
 let pp ppf (c : t) =
   Format.fprintf ppf "user=%.0fus system=%.0fus io=%.0fus elapsed=%.0fus" c.user
     c.system c.io (elapsed c)

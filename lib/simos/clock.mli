@@ -19,5 +19,4 @@ val snapshot : t -> snapshot
 (** Time accumulated since a snapshot, as (user, system, elapsed). *)
 val since : t -> snapshot -> float * float * float
 
-val reset : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,6 @@
-(** The kernel of the simulated OS: processes, syscalls, the
-    traditional exec path, and the hooks OMOS plugs into.
+(** The kernel of the simulated OS: processes, the one syscall table
+    every syscall number is served from, the traditional exec path, and
+    the hooks OMOS plugs into.
 
     Address-space layout convention for executables:
     - text/data wherever the linker put them,
@@ -53,7 +54,8 @@ type t = {
   (* exec'd path -> the file bytes last read there and their image *)
   execs : (string, Bytes.t * mappable) Hashtbl.t;
   read_cached : (string, unit) Hashtbl.t; (* file data brought in by read() *)
-  mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
+  (* syscall number -> its handler; {!no_syscall} where none is set *)
+  mutable syscalls : syscall array;
   (* "#!" interpreter handlers: the paper's `#! /bin/omos` feature.
      Key = interpreter path; the handler receives the script's
      parameter words and the exec arguments and must return a ready
@@ -64,24 +66,7 @@ type t = {
   mutable reap_hooks : (Proc.t -> unit) list; (* newest first *)
 }
 
-let create ?(cost = Cost.hpux) () : t =
-  {
-    fs = Fs.create ();
-    phys = Phys.create ();
-    clock = Clock.create ();
-    cost;
-    next_pid = 1;
-    execs = Hashtbl.create 16;
-    read_cached = Hashtbl.create 16;
-    upcall = None;
-    interpreters = Hashtbl.create 4;
-    syscall_count = 0;
-    reap_hooks = [];
-  }
-
-(** Install the handler for syscalls >= {!Syscall.omos_base} (the OMOS
-    server and scheme runtimes use this). *)
-let set_upcall (k : t) f = k.upcall <- Some f
+and syscall = t -> Proc.t -> Svm.Cpu.t -> Svm.Cpu.sys_result
 
 let charge_sys (k : t) us = Clock.charge_system k.clock us
 let charge_io (k : t) us = Clock.charge_io k.clock us
@@ -140,7 +125,7 @@ let do_write (k : t) (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
     else ret cpu (-1)
   end
 
-let do_stat (k : t) (cpu : Svm.Cpu.t) : unit =
+let do_stat (k : t) (_ : Proc.t) (cpu : Svm.Cpu.t) : unit =
   let path = Svm.Cpu.read_cstring cpu (Int32.to_int (reg cpu 1)) in
   let out = Int32.to_int (reg cpu 2) in
   charge_sys k (k.cost.Cost.open_file *. 0.6);
@@ -155,7 +140,7 @@ let do_stat (k : t) (cpu : Svm.Cpu.t) : unit =
       ret cpu 0
   | None -> ret cpu (-1)
 
-let do_readdir (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
+let do_readdir (_ : t) (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
   let fd = Int32.to_int (reg cpu 1) in
   let idx = Int32.to_int (reg cpu 2) in
   let buf = Int32.to_int (reg cpu 3) in
@@ -166,7 +151,7 @@ let do_readdir (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
       ret cpu (String.length name)
   | Some _ | None -> ret cpu (-1)
 
-let do_argv (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
+let do_argv (_ : t) (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
   let i = Int32.to_int (reg cpu 1) in
   let buf = Int32.to_int (reg cpu 2) in
   let maxlen = Int32.to_int (reg cpu 3) in
@@ -176,38 +161,78 @@ let do_argv (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
       ret cpu (String.length arg)
   | Some _ | None -> ret cpu (-1)
 
+(* The handler of a number nothing is registered for. *)
+let no_syscall (_ : t) (_ : Proc.t) (cpu : Svm.Cpu.t) : Svm.Cpu.sys_result =
+  ret cpu (-1);
+  Svm.Cpu.Sys_continue
+
+(** [register_syscall k n f] makes [f] the handler of syscall [n],
+    replacing any handler [n] had. *)
+let register_syscall (k : t) (n : int) (f : syscall) : unit =
+  if n < 0 then invalid_arg "Kernel.register_syscall: negative number";
+  let len = Array.length k.syscalls in
+  if n >= len then begin
+    let grown = Array.make (n + 1) no_syscall in
+    Array.blit k.syscalls 0 grown 0 len;
+    k.syscalls <- grown
+  end;
+  k.syscalls.(n) <- f
+
+(* A kernel syscall that sets r0 and continues. *)
+let continuing f : syscall =
+ fun k p cpu ->
+  f k p cpu;
+  Svm.Cpu.Sys_continue
+
+let create ?(cost = Cost.hpux) () : t =
+  let k =
+    {
+      fs = Fs.create ();
+      phys = Phys.create ();
+      clock = Clock.create ();
+      cost;
+      next_pid = 1;
+      execs = Hashtbl.create 16;
+      read_cached = Hashtbl.create 16;
+      syscalls = [||];
+      interpreters = Hashtbl.create 4;
+      syscall_count = 0;
+      reap_hooks = [];
+    }
+  in
+  List.iter
+    (fun (n, f) -> register_syscall k n f)
+    [
+      (Syscall.sys_exit, fun _ _ cpu -> Svm.Cpu.Sys_exit (Int32.to_int (reg cpu 1)));
+      (Syscall.sys_write, continuing do_write);
+      (Syscall.sys_open, continuing do_open);
+      (Syscall.sys_read, continuing do_read);
+      ( Syscall.sys_close,
+        continuing (fun _ p cpu ->
+            Proc.close_fd p (Int32.to_int (reg cpu 1));
+            ret cpu 0) );
+      (Syscall.sys_stat, continuing do_stat);
+      (Syscall.sys_readdir, continuing do_readdir);
+      (Syscall.sys_getpid, continuing (fun _ p cpu -> ret cpu p.Proc.pid));
+      (Syscall.sys_argc, continuing (fun _ p cpu -> ret cpu (List.length p.Proc.args)));
+      (Syscall.sys_argv, continuing do_argv);
+    ];
+  k
+
 let tm_syscalls = Telemetry.Counter.make "kernel.syscalls"
 
+(* Runtime-owned numbers run inside a [kernel.upcall] span, whether or
+   not a handler is registered. *)
 let dispatch (k : t) (p : Proc.t) (cpu : Svm.Cpu.t) (n : int) : Svm.Cpu.sys_result =
   k.syscall_count <- k.syscall_count + 1;
   Telemetry.Counter.incr tm_syscalls;
   charge_sys k k.cost.Cost.syscall_overhead;
+  let f = if n >= 0 && n < Array.length k.syscalls then k.syscalls.(n) else no_syscall in
   if n >= Syscall.omos_base then
-    match k.upcall with
-    | Some f ->
-        Telemetry.with_span "kernel.upcall"
-          ~attrs:[ ("syscall", Telemetry.I n) ]
-          (fun () -> f k p cpu n)
-    | None ->
-        ret cpu (-1);
-        Svm.Cpu.Sys_continue
-  else begin
-    (if n = Syscall.sys_exit then ()
-     else if n = Syscall.sys_write then do_write k p cpu
-     else if n = Syscall.sys_open then do_open k p cpu
-     else if n = Syscall.sys_read then do_read k p cpu
-     else if n = Syscall.sys_close then (
-       Proc.close_fd p (Int32.to_int (reg cpu 1));
-       ret cpu 0)
-     else if n = Syscall.sys_stat then do_stat k cpu
-     else if n = Syscall.sys_readdir then do_readdir p cpu
-     else if n = Syscall.sys_getpid then ret cpu p.Proc.pid
-     else if n = Syscall.sys_argc then ret cpu (List.length p.Proc.args)
-     else if n = Syscall.sys_argv then do_argv p cpu
-     else ret cpu (-1));
-    if n = Syscall.sys_exit then Svm.Cpu.Sys_exit (Int32.to_int (reg cpu 1))
-    else Svm.Cpu.Sys_continue
-  end
+    Telemetry.with_span "kernel.upcall"
+      ~attrs:[ ("syscall", Telemetry.I n) ]
+      (fun () -> f k p cpu)
+  else f k p cpu
 
 (* -- process setup ------------------------------------------------------ *)
 

@@ -1,5 +1,6 @@
-(** The kernel of the simulated OS: processes, syscalls, the
-    traditional exec path, and the hooks OMOS plugs into.
+(** The kernel of the simulated OS: processes, the one syscall table
+    every syscall number is served from, the traditional exec path, and
+    the hooks OMOS plugs into.
 
     Address-space layout convention for executables: text/data wherever
     the linker put them; a 256 KB anonymous heap at {!heap_base}; a
@@ -32,21 +33,33 @@ type t = {
   execs : (string, Bytes.t * mappable) Hashtbl.t;
       (* exec'd path -> the file bytes last read there and their image *)
   read_cached : (string, unit) Hashtbl.t; (* file data in the buffer cache *)
-  mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
+  mutable syscalls : syscall array;
+      (* syscall number -> its handler; set through {!register_syscall} *)
   interpreters :
     (string, t -> params:string list -> args:string list -> Proc.t) Hashtbl.t;
   mutable syscall_count : int;
   mutable reap_hooks : (Proc.t -> unit) list; (* run by [reap], newest first *)
 }
 
+(** A syscall handler: it reads its arguments from the CPU's registers,
+    leaves its result in r0, and says whether the process goes on. *)
+and syscall = t -> Proc.t -> Svm.Cpu.t -> Svm.Cpu.sys_result
+
 (** [create ()] builds a kernel with the given cost personality
-    (default {!Cost.hpux}): empty filesystem, no processes. *)
+    (default {!Cost.hpux}): empty filesystem, no processes, and the
+    kernel's own syscalls (every {!Syscall} number below
+    {!Syscall.omos_base}) in its table. *)
 val create : ?cost:Cost.t -> unit -> t
 
-(** Install the handler for syscalls at or above {!Syscall.omos_base}
-    (the OMOS server and scheme runtimes use this). *)
-val set_upcall :
-  t -> (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) -> unit
+(** [register_syscall k n f] makes [f] the handler of syscall [n],
+    replacing any handler [n] had: the scheme runtime, the monitor and
+    the dynamic loader register their {!Syscall.omos_base}-range numbers
+    this way. Every syscall charges the cost model's [syscall_overhead] and
+    counts in [syscall_count] before its handler runs; one at or above
+    {!Syscall.omos_base} runs inside a [kernel.upcall] span. A number
+    with no handler returns -1 in r0 and continues.
+    @raise Invalid_argument if [n] is negative. *)
+val register_syscall : t -> int -> syscall -> unit
 
 (** Charge simulated time (microseconds) to the respective clock
     bucket. *)

@@ -1,9 +1,11 @@
-(** Syscall numbers of the simulated OS.
+(** Syscall numbers of the simulated OS: every number is declared here.
 
-    Numbers at or above {!omos_base} are forwarded to the handler the
-    OMOS server (or a shared-library scheme runtime) installs in the
-    kernel — the simulated equivalents of "contact OMOS via IPC" and of
-    the lazy-binding trap of the baseline dynamic scheme. *)
+    The kernel serves the numbers below {!omos_base} itself. The ones at
+    or above it belong to runtimes that register their handlers in the
+    kernel's table ({!Kernel.register_syscall}): the simulated
+    equivalents of "contact OMOS via IPC", of the lazy-binding trap of
+    the baseline dynamic scheme, of the monitor's wrappers and of
+    dynamic loading. *)
 
 let sys_exit = 0
 let sys_write = 1 (* write(fd, buf, len) -> len *)
@@ -16,7 +18,7 @@ let sys_getpid = 8
 let sys_argc = 9 (* argc() -> n *)
 let sys_argv = 10 (* argv(i, buf, maxlen) -> len | -1 *)
 
-(** First syscall number owned by upcall handlers (OMOS / schemes). *)
+(** First syscall number owned by a runtime (OMOS / schemes). *)
 let omos_base = 100
 
 (** OMOS: load the shared library named by the string at r1; returns
@@ -26,3 +28,13 @@ let omos_load_library = 100
 (** Lazy PLT binding trap of the baseline dynamic scheme: r1 = module
     id, r2 = import index; returns the bound address. *)
 let plt_bind = 110
+
+(** Monitor wrappers: r1 = function id; entry and exit of a wrapped
+    routine. They write no register. *)
+let mon_enter = 120
+
+let mon_exit = 121
+
+(** Dynamic loading: r1 = blueprint string address, r2 = symbol name
+    address; returns the symbol's bound address (or -1). *)
+let dynload_syscall = 130

@@ -18,8 +18,6 @@ type op =
   | Rename_refs of (string -> string option)
       (** rewrite names of {e references} (relocation symbols and
           explicit undefined entries). *)
-  | Localize of (string -> bool)
-      (** demote matching exported definitions to [Local]. *)
   | Undefine of (string -> bool)
       (** remove matching definitions; references to them remain and
           become undefined (the paper's "virtualize"). *)
@@ -61,12 +59,6 @@ let apply_op (symbols, relocs, ctors) (op : op) =
         match f r.symbol with Some n -> { r with Reloc.symbol = n } | None -> r
       in
       (List.map rename_sym symbols, List.map rename_reloc relocs, ctors)
-  | Localize p ->
-      let localize (s : Symbol.t) =
-        if Symbol.is_defined s && p s.name then { s with Symbol.binding = Symbol.Local }
-        else s
-      in
-      (List.map localize symbols, relocs, ctors)
   | Undefine p ->
       let keep (s : Symbol.t) = not (Symbol.is_defined s && p s.name) in
       (List.filter keep symbols, relocs, List.filter (fun c -> not (p c)) ctors)

@@ -18,8 +18,6 @@ type op =
   | Rename_refs of (string -> string option)
       (** rewrite names of {e references} (relocation symbols and
           explicit undefined entries). *)
-  | Localize of (string -> bool)
-      (** demote matching exported definitions to [Local]. *)
   | Undefine of (string -> bool)
       (** remove matching definitions; references to them remain and
           become undefined (the paper's "virtualize"). *)

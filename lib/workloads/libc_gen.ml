@@ -91,7 +91,8 @@ let src_string () =
 
 let src_stdio () =
   gen_section_preamble ~section:"stdio" ~pads:24;
-  line "int write(int fd, int buf, int len) { return __syscall(1, fd, buf, len); }";
+  line "int write(int fd, int buf, int len) { return __syscall(%d, fd, buf, len); }"
+    Simos.Syscall.sys_write;
   line "int putstr(int s) { return write(1, s, strlen(s)); }";
   line "int puts(int s) { putstr(s); return write(1, \"\\n\", 1); }";
   line "int __pc_buf;";
@@ -136,15 +137,18 @@ let src_stdlib () =
 
 let src_gen () =
   gen_section_preamble ~section:"gen" ~pads:20;
-  line "int open(int path) { return __syscall(2, path); }";
-  line "int read(int fd, int buf, int len) { return __syscall(3, fd, buf, len); }";
-  line "int close(int fd) { return __syscall(4, fd); }";
-  line "int stat(int path, int out) { return __syscall(5, path, out); }";
-  line "int readdir(int fd, int idx, int buf) { return __syscall(6, fd, idx, buf); }";
-  line "int getpid() { return __syscall(8); }";
-  line "int argc() { return __syscall(9); }";
-  line "int getarg(int i, int buf, int maxlen) { return __syscall(10, i, buf, maxlen); }";
-  line "int exit(int code) { return __syscall(0, code); }";
+  line "int open(int path) { return __syscall(%d, path); }" Simos.Syscall.sys_open;
+  line "int read(int fd, int buf, int len) { return __syscall(%d, fd, buf, len); }"
+    Simos.Syscall.sys_read;
+  line "int close(int fd) { return __syscall(%d, fd); }" Simos.Syscall.sys_close;
+  line "int stat(int path, int out) { return __syscall(%d, path, out); }" Simos.Syscall.sys_stat;
+  line "int readdir(int fd, int idx, int buf) { return __syscall(%d, fd, idx, buf); }"
+    Simos.Syscall.sys_readdir;
+  line "int getpid() { return __syscall(%d); }" Simos.Syscall.sys_getpid;
+  line "int argc() { return __syscall(%d); }" Simos.Syscall.sys_argc;
+  line "int getarg(int i, int buf, int maxlen) { return __syscall(%d, i, buf, maxlen); }"
+    Simos.Syscall.sys_argv;
+  line "int exit(int code) { return __syscall(%d, code); }" Simos.Syscall.sys_exit;
   take ()
 
 (* Sections hppa/net/quad/rpc carry the "long listing" machinery real

@@ -136,8 +136,7 @@ let test_mach_386_integrated_ratio () =
   Omos.Server.add_fragment server "/lib/crt0.o" (Workloads.Crt0.obj ());
   Omos.Server.add_fragment server "/obj/ls.o" (Workloads.Ls_gen.obj ());
   Omos.Server.register_meta_source server "/lib/libc" Omos.World.libc_meta_source;
-  let upcalls = Omos.Upcalls.install kernel in
-  let rt = Omos.Schemes.runtime ~upcalls server in
+  let rt = Omos.Schemes.runtime server in
   let client = [ Workloads.Crt0.obj (); Workloads.Ls_gen.obj () ] in
   let base = Omos.Schemes.dynamic_program rt ~name:"ls" ~client ~libs:[ "/lib/libc" ] in
   let integ =

@@ -13,8 +13,7 @@ let run_monitored ?(exits = true) ?wrap (src : string) :
   in
   let monitored, trace = Omos.Monitor.monitored ~exits m in
   let k = Simos.Kernel.create () in
-  let upcalls = Omos.Upcalls.install k in
-  Omos.Monitor.attach upcalls trace;
+  Omos.Monitor.attach k trace;
   let img, _ =
     Linker.Link.link
       ~layout:{ Linker.Link.text_base = 0x10000; data_base = 0x400000 }

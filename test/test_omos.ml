@@ -195,8 +195,7 @@ let test_monitor_entry_exit_wrappers_preserve_semantics () =
   in
   let monitored, trace = Omos.Monitor.monitored ~exits:true m in
   let k = Simos.Kernel.create () in
-  let upcalls = Omos.Upcalls.install k in
-  Omos.Monitor.attach upcalls trace;
+  Omos.Monitor.attach k trace;
   let img, _ =
     Linker.Link.link
       ~layout:{ Linker.Link.text_base = 0x10000; data_base = 0x400000 }
@@ -225,8 +224,7 @@ let test_monitor_entry_only_preserves_semantics () =
   in
   let monitored, trace = Omos.Monitor.monitored m in
   let k = Simos.Kernel.create () in
-  let upcalls = Omos.Upcalls.install k in
-  Omos.Monitor.attach upcalls trace;
+  Omos.Monitor.attach k trace;
   let img, _ =
     Linker.Link.link
       ~layout:{ Linker.Link.text_base = 0x10000; data_base = 0x400000 }
@@ -272,7 +270,12 @@ let test_reorder_clusters_used_functions () =
 
 (* -- dynload ------------------------------------------------------------------------ *)
 
-let test_dynload_syscall () =
+(* A world with a dynamic loader attached and a client that loads
+   /obj/klass.o through the dynload syscall and calls its klass_run(5),
+   which calls back into the client: client_base(5) * 7 = 42. The
+   client exits 99 when the syscall returns -1. Returns the world and a
+   thunk that execs and runs the client. *)
+let dynload_fixture () : Omos.World.t * (unit -> int) =
   let w = Omos.World.create () in
   let s = w.Omos.World.server in
   Omos.Server.add_fragment s "/obj/klass.o"
@@ -280,27 +283,40 @@ let test_dynload_syscall () =
        "int klass_run(int x) { return client_base(x) * 7; }");
   let client =
     compile "/obj/dynmain.o"
-      "int client_base(int x) { return x + 1; } \
-       char bp[] = \"(merge /obj/klass.o)\"; \
-       char symname[] = \"klass_run\"; \
-       int main() { \
-         int f; \
-         f = __syscall(130, &bp, &symname); \
-         if (f == 0 - 1) return 99; \
-         return __icall(f, 5); }"
+      (Printf.sprintf
+         "int client_base(int x) { return x + 1; } \
+          char bp[] = \"(merge /obj/klass.o)\"; \
+          char symname[] = \"klass_run\"; \
+          int main() { \
+            int f; \
+            f = __syscall(%d, &bp, &symname); \
+            if (f == 0 - 1) return 99; \
+            return __icall(f, 5); }"
+         Simos.Syscall.dynload_syscall)
   in
   let b =
     Omos.Server.build s @@ Omos.Server.static ~name:"dynmain"
       (Omos.Schemes.graph_of_objs [ Workloads.Crt0.obj (); client ])
   in
   let dl = Omos.Dynload.create s in
-  Omos.Dynload.attach dl w.Omos.World.upcalls ~client_images_of:(fun _ ->
-      [ b.Omos.Server.entry.Omos.Cache.image ]);
-  let loadable = Omos.Server.loadable_entry [ b ] in
-  let p = Omos.Boot.integrated_exec s loadable ~args:[ "dynmain" ] in
-  let code = Simos.Kernel.run w.Omos.World.kernel p () in
-  (* klass_run(5) = client_base(5) * 7 = 42 *)
-  Alcotest.(check int) "dynamically loaded class ran" 42 code
+  Omos.Dynload.attach dl ~client_images_of:(fun _ -> [ b.Omos.Server.entry.Omos.Cache.image ]);
+  let run () =
+    let loadable = Omos.Server.loadable_entry [ b ] in
+    let p = Omos.Boot.integrated_exec s loadable ~args:[ "dynmain" ] in
+    Simos.Kernel.run w.Omos.World.kernel p ()
+  in
+  (w, run)
+
+let test_dynload_syscall () =
+  let _, run = dynload_fixture () in
+  Alcotest.(check int) "dynamically loaded class ran" 42 (run ())
+
+(* Each runtime owns its numbers in the kernel's one table: registering
+   another leaves the dynamic loader's in place. *)
+let test_runtime_leaves_dynload_routed () =
+  let w, run = dynload_fixture () in
+  ignore (Omos.Schemes.runtime w.Omos.World.server);
+  Alcotest.(check int) "dynload still routed" 42 (run ())
 
 let test_dynload_ocaml_api () =
   let w = Omos.World.create () in
@@ -425,6 +441,8 @@ let () =
       ( "dynload",
         [
           Alcotest.test_case "syscall + icall" `Quick test_dynload_syscall;
+          Alcotest.test_case "registering the scheme runtime leaves dynload routed" `Quick
+            test_runtime_leaves_dynload_routed;
           Alcotest.test_case "ocaml api" `Quick test_dynload_ocaml_api;
         ] );
       ( "figure2",

@@ -84,7 +84,6 @@ let test_lazy_binding_counts () =
     let code = Simos.Kernel.run w.Omos.World.kernel p () in
     Alcotest.(check bool) "ran" true (code = 0);
     let st = Hashtbl.find w.Omos.World.rt.Omos.Schemes.table p.Simos.Proc.pid in
-    Hashtbl.remove w.Omos.World.rt.Omos.Schemes.table p.Simos.Proc.pid;
     Simos.Kernel.reap w.Omos.World.kernel p;
     st.Omos.Schemes.binds
   in
@@ -110,6 +109,27 @@ let test_partial_image_lazy_library_mapping () =
   Alcotest.(check bool) "more regions after" true
     (List.length (Simos.Addr_space.regions p.Simos.Proc.aspace) > regions_before);
   Simos.Kernel.reap w.Omos.World.kernel p
+
+(* The kernel's reap drops a process's lazy-binding state, however the
+   process was launched: here without [invoke]. *)
+let test_reap_drops_scheme_state () =
+  let w = Omos.World.create () in
+  let rt = w.Omos.World.rt and k = w.Omos.World.kernel in
+  let client = Omos.World.ls_client w and libs = Omos.World.ls_libs in
+  List.iter
+    (fun (prog : Omos.Schemes.program) ->
+      let p = prog.Omos.Schemes.launch ~args:Omos.World.ls_single_args in
+      let pid = p.Simos.Proc.pid and what = prog.Omos.Schemes.scheme in
+      Alcotest.(check bool) (what ^ ": state while live") true
+        (Hashtbl.mem rt.Omos.Schemes.table pid);
+      Alcotest.(check int) (what ^ ": ran") 0 (Simos.Kernel.run k p ());
+      Simos.Kernel.reap k p;
+      Alcotest.(check bool) (what ^ ": state dropped at reap") false
+        (Hashtbl.mem rt.Omos.Schemes.table pid))
+    [
+      Omos.Schemes.dynamic_program rt ~name:"ls" ~client ~libs;
+      Omos.Schemes.partial_image_program rt ~name:"ls" ~client ~libs;
+    ]
 
 (* -- sharing -------------------------------------------------------------------- *)
 
@@ -361,6 +381,7 @@ let () =
           Alcotest.test_case "dispatch accounting" `Quick test_dispatch_accounting;
           Alcotest.test_case "lazy binding counts" `Quick test_lazy_binding_counts;
           Alcotest.test_case "partial image lazy map" `Quick test_partial_image_lazy_library_mapping;
+          Alcotest.test_case "reap drops scheme state" `Quick test_reap_drops_scheme_state;
         ] );
       ( "sharing",
         [

@@ -538,6 +538,111 @@ let test_syscall_args_and_dirs () =
   (* entries come back sorted *)
   Alcotest.(check string) "dir entries" "afilezfile" (Simos.Proc.stdout_contents p)
 
+(* -- kernel: the syscall table ------------------------------------------------ *)
+
+let sys n = Svm.Isa.Sys (Int32.of_int n)
+
+(* A process of [k] that runs [instrs], then exit(0). *)
+let spawn (k : Simos.Kernel.t) (instrs : Svm.Isa.instr list) : Simos.Proc.t =
+  let a = Sof.Asm.create "sys" in
+  Sof.Asm.label a "_start";
+  List.iter (Sof.Asm.instr a) (instrs @ [ Svm.Isa.Movi (1, 0l); sys Simos.Syscall.sys_exit ]);
+  let img, _ =
+    Linker.Link.link ~layout:{ Linker.Link.text_base = 0x100000; data_base = 0x200000 }
+      [ Sof.Asm.finish a ]
+  in
+  let p = Simos.Kernel.create_process k ~args:[ "sys" ] in
+  Simos.Kernel.map_image k p (Simos.Kernel.cache_image k ~label:"sys" img);
+  Simos.Kernel.finish_exec k p ~entry:img.Linker.Image.entry;
+  p
+
+let run_to_exit k p = Alcotest.(check int) "ran to its exit" 0 (Simos.Kernel.run k p ())
+
+let run_instrs k instrs =
+  let p = spawn k instrs in
+  run_to_exit k p;
+  p
+
+let check_regs (p : Simos.Proc.t) (expected : (int * int32) list) =
+  let cpu = Simos.Proc.cpu_exn p in
+  List.iter
+    (fun (r, v) -> Alcotest.(check int32) (Printf.sprintf "r%d" r) v (Svm.Cpu.get_reg cpu r))
+    expected
+
+let returning (v : int32) : Simos.Kernel.syscall =
+ fun _ _ cpu ->
+  Svm.Cpu.set_reg cpu Svm.Isa.reg_ret v;
+  Svm.Cpu.Sys_continue
+
+(* A number with no handler returns -1 and the process goes on: below
+   omos_base, above it inside the table, past the table's end, and
+   negative. *)
+let test_unknown_syscalls () =
+  let k = Simos.Kernel.create () in
+  Simos.Kernel.register_syscall k 160 (returning 0l);
+  let p =
+    run_instrs k
+      Svm.Isa.
+        [ sys 7; Mov (5, 0); sys 150; Mov (6, 0); sys 100_000; Mov (7, 0); sys (-3); Mov (8, 0) ]
+  in
+  check_regs p [ (5, -1l); (6, -1l); (7, -1l); (8, -1l) ];
+  Alcotest.(check int) "each counted" 5 k.Simos.Kernel.syscall_count
+
+let test_reregister_syscall () =
+  let k = Simos.Kernel.create () in
+  Simos.Kernel.register_syscall k 150 (returning 1l);
+  Simos.Kernel.register_syscall k 151 (returning 2l);
+  Simos.Kernel.register_syscall k 150 (returning 3l);
+  let p =
+    run_instrs k
+      Svm.Isa.[ sys 150; Mov (5, 0); sys 151; Mov (6, 0); sys Simos.Syscall.sys_getpid; Mov (7, 0) ]
+  in
+  check_regs p [ (5, 3l); (6, 2l); (7, Int32.of_int p.Simos.Proc.pid) ]
+
+(* Every number at or above omos_base runs inside one kernel.upcall
+   span, a handled one and an unhandled one alike; a kernel syscall
+   opens none. *)
+let test_upcall_spans () =
+  let k = Simos.Kernel.create () in
+  Simos.Kernel.register_syscall k 150 (returning 0l);
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Telemetry.reset ())
+  @@ fun () ->
+  let spans_of_run instrs =
+    let p = spawn k instrs in
+    Telemetry.reset ();
+    run_to_exit k p;
+    List.map (fun (s : Telemetry.span) -> (s.Telemetry.name, s.Telemetry.attrs)) (Telemetry.spans ())
+  in
+  Alcotest.(check bool) "kernel syscalls open no span" true
+    (spans_of_run [ sys Simos.Syscall.sys_getpid; sys Simos.Syscall.sys_argc ] = []);
+  Alcotest.(check bool) "one kernel.upcall span each" true
+    (spans_of_run [ sys 150; sys 151 ]
+    = [
+        ("kernel.upcall", [ ("syscall", Telemetry.I 150) ]);
+        ("kernel.upcall", [ ("syscall", Telemetry.I 151) ]);
+      ])
+
+let test_syscall_numbers () =
+  let open Simos.Syscall in
+  let kernel =
+    [ sys_exit; sys_write; sys_open; sys_read; sys_close; sys_stat; sys_readdir;
+      sys_getpid; sys_argc; sys_argv ]
+  in
+  let runtime = [ omos_load_library; plt_bind; mon_enter; mon_exit; dynload_syscall ] in
+  let all = kernel @ runtime in
+  Alcotest.(check int) "pairwise distinct" (List.length all)
+    (List.length (List.sort_uniq compare all));
+  List.iter
+    (fun n -> Alcotest.(check bool) (Printf.sprintf "%d is the kernel's" n) true (n < omos_base))
+    kernel;
+  List.iter
+    (fun n -> Alcotest.(check bool) (Printf.sprintf "%d is a runtime's" n) true (n >= omos_base))
+    runtime
+
 let () =
   Alcotest.run "simos"
     [
@@ -578,5 +683,18 @@ let () =
             test_exec_private_data;
           Alcotest.test_case "exec allocates little" `Quick test_exec_allocates_little;
           Alcotest.test_case "args and dirs" `Quick test_syscall_args_and_dirs;
+        ] );
+      (* Group and case names are kept short enough that Alcotest prints
+         every case name of this suite in full on an 80-column line. *)
+      ( "syscalls",
+        [
+          Alcotest.test_case "unknown numbers return -1 and continue" `Quick
+            test_unknown_syscalls;
+          Alcotest.test_case "re-registering leaves other numbers" `Quick
+            test_reregister_syscall;
+          Alcotest.test_case "a kernel.upcall span per runtime syscall" `Quick
+            test_upcall_spans;
+          Alcotest.test_case "numbers distinct, runtime >= omos_base" `Quick
+            test_syscall_numbers;
         ] );
     ]

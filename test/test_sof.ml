@@ -203,15 +203,6 @@ let test_view_undefine () =
   let o' = Sof.View.materialize v in
   Alcotest.(check bool) "f removed" false (Sof.Object_file.defines o' "f")
 
-let test_view_localize () =
-  let o = simple_object () in
-  let v = Sof.View.push (Sof.View.of_object o) (Sof.View.Localize (fun n -> n = "f")) in
-  let o' = Sof.View.materialize v in
-  (match Sof.Object_file.find_symbol o' "f" with
-  | Some s -> Alcotest.(check bool) "local" true (s.Sof.Symbol.binding = Sof.Symbol.Local)
-  | None -> Alcotest.fail "f missing");
-  Alcotest.(check bool) "not exported" true (Sof.Object_file.find_exported o' "f" = None)
-
 let test_view_copy_defs () =
   let o = simple_object () in
   let v = Sof.View.push (Sof.View.of_object o)
@@ -330,7 +321,6 @@ let () =
           Alcotest.test_case "rename defs" `Quick test_view_rename_defs_only;
           Alcotest.test_case "rename refs" `Quick test_view_rename_refs;
           Alcotest.test_case "undefine" `Quick test_view_undefine;
-          Alcotest.test_case "localize" `Quick test_view_localize;
           Alcotest.test_case "copy defs" `Quick test_view_copy_defs;
           Alcotest.test_case "shares bytes" `Quick test_view_shares_bytes;
           Alcotest.test_case "layering order" `Quick test_view_layering_order;
