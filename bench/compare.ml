@@ -6,13 +6,14 @@
 
    Simulated costs are gated with a tolerance: the "bench.*" gauges
    (simulated seconds of the paper tables) and the sums of the "*.us.*"
-   phase histograms (simulated microseconds). Wall-clock numbers vary
-   with the host and are reported but never gated. Work counters
-   (links, relocations, cache misses) are deterministic, so they are
-   gated exactly: a counter whose value changed (DRIFT), one only the
-   baseline has (GONE) and one only the snapshot has (NEW) each fail
-   the gate. After a deliberate change, re-bless by copying the fresh
-   snapshots over the baselines. *)
+   phase histograms (simulated microseconds). A gated cost the baseline
+   has and the snapshot lacks (MISSING) fails the gate as a regression
+   does. Wall-clock numbers vary with the host and are reported but
+   never gated. Work counters (links, relocations, cache misses) are
+   deterministic, so they are gated exactly: a counter whose value
+   changed (DRIFT), one only the baseline has (GONE) and one only the
+   snapshot has (NEW) each fail the gate. After a deliberate change,
+   re-bless by copying the fresh snapshots over the baselines. *)
 
 let tolerance = 0.20
 
@@ -75,7 +76,8 @@ let counters (j : Telemetry.Json.t) : (string * float) list =
   | None -> []
 
 (* Compare one baseline/current snapshot pair; returns the number of
-   cost regressions and counter differences found. *)
+   cost regressions (missing costs among them) and counter differences
+   found. *)
 let compare_pair (baseline_path : string) (current_path : string) : int =
   let b = read_json baseline_path and c = read_json current_path in
   let cur_costs = gated_costs c in
@@ -84,7 +86,9 @@ let compare_pair (baseline_path : string) (current_path : string) : int =
   List.iter
     (fun (label, base) ->
       match List.assoc_opt label cur_costs with
-      | None -> Printf.printf "MISSING  %-52s (was %.3f)\n" label base
+      | None ->
+          incr regressions;
+          Printf.printf "MISSING  %-52s (was %.3f)\n" label base
       | Some cur ->
           incr compared;
           let worse =

@@ -79,6 +79,16 @@ let handle f =
       Printf.eprintf "ofe: %s\n" m;
       1
 
+(* [handle] for a command that checks something: [f] sets the flag it
+   is given when the check fails (a lint error, a verify mismatch, an
+   SLO breach, a residency violation, a blueprint diagnostic, a fuzz
+   failure), and the command then exits 2 unless [handle] already
+   failed with 1. *)
+let handle_flagged f =
+  let flagged = ref false in
+  let code = handle (fun () -> f flagged) in
+  if code = 0 && !flagged then 2 else code
+
 (* The exit convention (also in the EXIT STATUS man section): 0 =
    success, 1 = input/build errors, 2 = residency invariant violation,
    SLO breach, or command-line parse error. *)
@@ -408,8 +418,8 @@ let lint_cmd =
              ~doc:"differential self-check: evaluate each meta-object for real \
                    and assert the predicted export/undefined sets match exactly")
   in
-  let run failed metas all meta_files workload json max_warnings verify =
-    handle (fun () ->
+  let run metas all meta_files workload json max_warnings verify =
+    handle_flagged (fun failed ->
         let w = Omos.World.create () in
         let s = w.Omos.World.server in
         let targets =
@@ -527,11 +537,6 @@ let lint_cmd =
           || match max_warnings with Some n -> !warns > n | None -> false
         then failed := true)
   in
-  let run metas all meta_files workload json max_warnings verify =
-    let failed = ref false in
-    let code = run failed metas all meta_files workload json max_warnings verify in
-    if code = 0 && !failed then 2 else code
-  in
   Cmd.v
     (Cmd.info "lint" ~exits:
        [
@@ -627,8 +632,8 @@ let impact_cmd =
                    disabled) and assert the materializations are \
                    byte-identical")
   in
-  let run failed old_arg new_arg all json verify =
-    handle (fun () ->
+  let run old_arg new_arg all json verify =
+    handle_flagged (fun failed ->
         let w = Omos.World.create () in
         let s = w.Omos.World.server in
         let pairs =
@@ -787,11 +792,6 @@ let impact_cmd =
                     ("pairs", Telemetry.Json.Arr (List.rev !rows));
                   ])))
   in
-  let run old_arg new_arg all json verify =
-    let failed = ref false in
-    let code = run failed old_arg new_arg all json verify in
-    if code = 0 && !failed then 2 else code
-  in
   Cmd.v
     (Cmd.info "impact" ~exits:
        [
@@ -824,13 +824,14 @@ let traced_instantiate (w : Omos.World.t) (meta : string) : Omos.Server.response
   let s = w.Omos.World.server in
   Telemetry.reset ();
   Telemetry.set_enabled true;
-  let root =
-    Telemetry.Span.enter "ofe.trace" ~attrs:[ ("meta", Telemetry.S meta) ]
+  let resp =
+    Telemetry.with_span "ofe.trace" ~attrs:[ ("meta", Telemetry.S meta) ]
+    @@ fun () ->
+    let resp = Omos.Server.instantiate s (Omos.Server.library meta) in
+    let p = Simos.Kernel.create_process (Omos.Server.kernel s) ~args:[ "trace" ] in
+    Omos.Server.map_into s p resp.Omos.Server.built;
+    resp
   in
-  let resp = Omos.Server.instantiate s (Omos.Server.library meta) in
-  let p = Simos.Kernel.create_process (Omos.Server.kernel s) ~args:[ "trace" ] in
-  Omos.Server.map_into s p resp.Omos.Server.built;
-  Telemetry.Span.exit root;
   Telemetry.set_enabled false;
   resp
 
@@ -843,8 +844,8 @@ let trace_cmd =
     Arg.(value & opt string "trace.json"
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Chrome trace_event output file")
   in
-  let run diagnosed meta meta_file out =
-    handle (fun () ->
+  let run meta meta_file out =
+    handle_flagged (fun diagnosed ->
         let w = Omos.World.create () in
         let s = w.Omos.World.server in
         let meta = pick_meta s meta meta_file in
@@ -883,11 +884,6 @@ let trace_cmd =
           (Telemetry.Counter.get "cache.hits" = st.Omos.Cache.hits)
           (Telemetry.Counter.get "cache.misses" = st.Omos.Cache.misses))
   in
-  let run meta meta_file out =
-    let diagnosed = ref false in
-    let code = run diagnosed meta meta_file out in
-    if code = 0 && !diagnosed then 2 else code
-  in
   Cmd.v
     (Cmd.info "trace" ~exits
        ~doc:
@@ -900,8 +896,8 @@ let stats_cmd =
     Arg.(value & pos 0 string "/lib/libc"
          & info [] ~docv:"META" ~doc:"meta-object to instantiate before dumping metrics")
   in
-  let run violated meta =
-    handle (fun () ->
+  let run meta =
+    handle_flagged (fun violated ->
         let w = Omos.World.create () in
         let s = w.Omos.World.server in
         Telemetry.reset ();
@@ -918,11 +914,6 @@ let stats_cmd =
           viols;
         print_endline (Telemetry.Export.metrics_json ());
         violated := viols <> [])
-  in
-  let run meta =
-    let violated = ref false in
-    let code = run violated meta in
-    if code = 0 && !violated then 2 else code
   in
   Cmd.v
     (Cmd.info "stats" ~exits
@@ -946,8 +937,8 @@ let explain_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"emit the provenance record as JSON")
   in
-  let run diagnosed meta meta_file symbol json =
-    handle (fun () ->
+  let run meta meta_file symbol json =
+    handle_flagged (fun diagnosed ->
         let w = Omos.World.create () in
         let s = w.Omos.World.server in
         let meta = pick_meta s meta meta_file in
@@ -1024,11 +1015,6 @@ let explain_cmd =
                     evs)
         end)
   in
-  let run meta meta_file symbol json =
-    let diagnosed = ref false in
-    let code = run diagnosed meta meta_file symbol json in
-    if code = 0 && !diagnosed then 2 else code
-  in
   Cmd.v
     (Cmd.info "explain" ~exits
        ~doc:
@@ -1050,8 +1036,8 @@ let profile_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"emit the cost table as JSON")
   in
-  let run diagnosed meta meta_file folded_out json =
-    handle (fun () ->
+  let run meta meta_file folded_out json =
+    handle_flagged (fun diagnosed ->
         let w = Omos.World.create () in
         let s = w.Omos.World.server in
         let meta =
@@ -1060,15 +1046,13 @@ let profile_cmd =
         with_blueprint_diagnostics s ~meta diagnosed @@ fun () ->
         Telemetry.reset ();
         Telemetry.set_enabled true;
-        Telemetry.Profile.set_enabled true;
-        let root =
-          Telemetry.Span.enter "ofe.profile" ~attrs:[ ("meta", Telemetry.S meta) ]
-        in
-        let resp = Omos.Server.instantiate s (Omos.Server.library meta) in
-        let p = Simos.Kernel.create_process (Omos.Server.kernel s) ~args:[ "profile" ] in
-        Omos.Server.map_into s p resp.Omos.Server.built;
-        Telemetry.Span.exit root;
-        Telemetry.Profile.set_enabled false;
+        Telemetry.with_span "ofe.profile" ~attrs:[ ("meta", Telemetry.S meta) ]
+          (fun () ->
+            let resp = Omos.Server.instantiate s (Omos.Server.library meta) in
+            let p =
+              Simos.Kernel.create_process (Omos.Server.kernel s) ~args:[ "profile" ]
+            in
+            Omos.Server.map_into s p resp.Omos.Server.built);
         Telemetry.set_enabled false;
         let total = Telemetry.Profile.total () in
         let folded = Telemetry.Profile.folded () in
@@ -1115,11 +1099,6 @@ let profile_cmd =
               folded;
             close_out oc;
             Printf.printf "wrote %s\n" file)
-  in
-  let run meta meta_file folded_out json =
-    let diagnosed = ref false in
-    let code = run diagnosed meta meta_file folded_out json in
-    if code = 0 && !diagnosed then 2 else code
   in
   Cmd.v
     (Cmd.info "profile" ~exits
@@ -1440,8 +1419,8 @@ let health_cmd =
     Arg.(required & opt (some file) None
          & info [ "slo" ] ~docv:"FILE" ~doc:"SLO bounds file (key value lines)")
   in
-  let run breached slo_file spec_file =
-    handle (fun () ->
+  let run slo_file spec_file =
+    handle_flagged (fun breached ->
         let ic = open_in slo_file in
         let slo_text = really_input_string ic (in_channel_length ic) in
         close_in ic;
@@ -1459,11 +1438,6 @@ let health_cmd =
           Printf.eprintf "ofe: SLO violated\n";
           breached := true
         end)
-  in
-  let run slo_file spec_file =
-    let breached = ref false in
-    let code = run breached slo_file spec_file in
-    if code = 0 && !breached then 2 else code
   in
   Cmd.v
     (Cmd.info "health" ~exits
@@ -1733,8 +1707,8 @@ let fuzz_cmd =
          & info [ "progress" ] ~docv:"N"
              ~doc:"print a status line every $(docv) iterations (0 = quiet)")
   in
-  let run failed seed iterations max_modules max_libs replay dump progress =
-    handle (fun () ->
+  let run seed iterations max_modules max_libs replay dump progress =
+    handle_flagged (fun failed ->
         if replay <> [] then
           List.iter
             (fun file ->
@@ -1788,11 +1762,6 @@ let fuzz_cmd =
                   close_out oc;
                   Printf.printf "wrote %s\n" file
         end)
-  in
-  let run seed iterations max_modules max_libs replay dump progress =
-    let failed = ref false in
-    let code = run failed seed iterations max_modules max_libs replay dump progress in
-    if code = 0 && !failed then 2 else code
   in
   Cmd.v
     (Cmd.info "fuzz" ~exits

@@ -42,13 +42,14 @@ type t = {
   mutable occupied : interval list; (* sorted by lo, non-overlapping *)
   region_lo : int; (* default allocation region *)
   region_hi : int;
-  align : int; (* base alignment for all placements (page size) *)
 }
 
-let create ?(region_lo = 0x1000) ?(region_hi = 0x7FFF_F000) ?(align = 0x1000) () : t =
-  if align <= 0 || region_lo < 0 || region_hi <= region_lo then
-    invalid_arg "Placement.create";
-  { occupied = []; region_lo; region_hi; align }
+(* the base alignment of every placement: a page *)
+let page = 0x1000
+
+let create ?(region_lo = 0x1000) ?(region_hi = 0x7FFF_F000) () : t =
+  if region_lo < 0 || region_hi <= region_lo then invalid_arg "Placement.create";
+  { occupied = []; region_lo; region_hi }
 
 let intervals (t : t) : (int * int * string) list =
   List.map (fun i -> (i.lo, i.hi, i.owner)) t.occupied
@@ -56,7 +57,7 @@ let intervals (t : t) : (int * int * string) list =
 (** Base alignment of every placement in this arena (callers that
     [reserve] ranges a [place] may later have to coexist with should
     align their sizes the same way). *)
-let align (t : t) : int = t.align
+let align (_ : t) : int = page
 
 let align_up v a = (v + a - 1) / a * a
 
@@ -91,7 +92,7 @@ let release (t : t) ~lo : unit =
 (* Candidate base addresses adjacent to occupied intervals plus region
    start: the classic first-fit gap scan. *)
 let gap_candidates (t : t) : int list =
-  t.region_lo :: List.map (fun i -> align_up i.hi t.align) t.occupied
+  t.region_lo :: List.map (fun i -> align_up i.hi page) t.occupied
 
 let fits t lo size =
   lo >= t.region_lo && lo + size <= t.region_hi && free t ~lo ~hi:(lo + size)
@@ -100,7 +101,7 @@ let fits t lo size =
 let first_fit_from (t : t) ~from ~size : int option =
   let cands =
     List.sort_uniq compare
-      (List.filter (fun c -> c >= from) (align_up from t.align :: gap_candidates t))
+      (List.filter (fun c -> c >= from) (align_up from page :: gap_candidates t))
   in
   List.find_opt (fun c -> fits t c size) cands
 
@@ -109,10 +110,10 @@ let first_fit_from (t : t) ~from ~size : int option =
    interval — the closest position on the low side of a "wall". *)
 let closest_fit (t : t) ~target ~size : int option =
   let below =
-    List.map (fun i -> (i.lo - size) / t.align * t.align) t.occupied
+    List.map (fun i -> (i.lo - size) / page * page) t.occupied
   in
   let cands =
-    List.sort_uniq compare (align_up target t.align :: (gap_candidates t @ below))
+    List.sort_uniq compare (align_up target page :: (gap_candidates t @ below))
   in
   let ok = List.filter (fun c -> fits t c size) cands in
   match ok with
@@ -123,7 +124,7 @@ let closest_fit (t : t) ~target ~size : int option =
               (List.hd ok) ok)
 
 let try_pref (t : t) ~size = function
-  | At a -> if a mod t.align = 0 && fits t a size then Some a else None
+  | At a -> if a mod page = 0 && fits t a size then Some a else None
   | Near a -> closest_fit t ~target:a ~size
   | Within (lo, hi) ->
       Option.bind (first_fit_from t ~from:lo ~size) (fun c ->
@@ -135,7 +136,7 @@ let try_pref (t : t) ~size = function
             if c + size <= lo then Some c else None)
       with
       | Some c -> Some c
-      | None -> first_fit_from t ~from:(align_up hi t.align) ~size)
+      | None -> first_fit_from t ~from:(align_up hi page) ~size)
 
 (** Outcome of a placement decision. *)
 type decision = {
@@ -146,7 +147,7 @@ type decision = {
 let tm_placements = Telemetry.Counter.make "constraints.placements"
 
 let place_raw (t : t) ~size ~owner ~prefs : decision =
-  let size = align_up (max size 1) t.align in
+  let size = align_up (max size 1) page in
   let sorted =
     List.map snd (List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs)
   in
@@ -174,16 +175,10 @@ let place_raw (t : t) ~size ~owner ~prefs : decision =
     priority first. Raises {!No_space} if the arena cannot fit [size]
     at all. Traced: a span per decision plus the arena-level counter. *)
 let place (t : t) ~size ~owner ?(prefs = []) () : decision =
-  let span =
-    Telemetry.Span.enter "constraints.place"
-      ~attrs:[ ("owner", Telemetry.S owner); ("size", Telemetry.I size) ]
-  in
-  match place_raw t ~size ~owner ~prefs with
-  | d ->
-      Telemetry.Counter.incr tm_placements;
-      Telemetry.Span.add_attr span "base" (Telemetry.I d.base);
-      Telemetry.Span.exit span;
-      d
-  | exception e ->
-      Telemetry.Span.exit span;
-      raise e
+  Telemetry.with_span "constraints.place"
+    ~attrs:[ ("owner", Telemetry.S owner); ("size", Telemetry.I size) ]
+  @@ fun () ->
+  let d = place_raw t ~size ~owner ~prefs in
+  Telemetry.Counter.incr tm_placements;
+  Telemetry.add_attr "base" (Telemetry.I d.base);
+  d

@@ -23,9 +23,9 @@ val pp_pref : Format.formatter -> pref -> unit
 type t
 
 (** [create ()] makes an empty arena covering
-    [region_lo, region_hi) with [align]-aligned placements (defaults:
-    4 KB pages over most of a 31-bit space). *)
-val create : ?region_lo:int -> ?region_hi:int -> ?align:int -> unit -> t
+    [region_lo, region_hi) with page-aligned (4 KB) placements (default
+    region: most of a 31-bit space). *)
+val create : ?region_lo:int -> ?region_hi:int -> unit -> t
 
 (** Occupied intervals, as (lo, hi, owner). *)
 val intervals : t -> (int * int * string) list

@@ -86,15 +86,13 @@ and response = {
 
 and built = { entry : Cache.entry }
 
-and target =
+and request =
   | Library of { path : string }
   | Static of {
       name : string;
       graph : Blueprint.Mgraph.node;
-      entry_symbol : string option;
+      externals : Linker.Image.t list;
     }
-
-and request = { target : target; externals : Linker.Image.t list }
 
 exception Overload of string
 
@@ -602,12 +600,11 @@ let rec drop_mapped (t : t) : Cache.entry list -> unit = function
 
 (* -- the unified request API ------------------------------------------------ *)
 
-let library ?(externals = []) (path : string) : request =
-  { target = Library { path }; externals }
+let library (path : string) : request = Library { path }
 
-let static ?entry_symbol ?(externals = []) ~(name : string)
-    (graph : Blueprint.Mgraph.node) : request =
-  { target = Static { name; graph; entry_symbol }; externals }
+let static ?(externals = []) ~(name : string) (graph : Blueprint.Mgraph.node) :
+    request =
+  Static { name; graph; externals }
 
 let target_label = function
   | Library l -> "lib:" ^ l.path
@@ -718,20 +715,20 @@ and stage_link (t : t) (job : job) () : unit =
   let frame = Option.get job.jframe in
   let r = Option.get job.jeval in
   let name = job.jname in
-  let text_base, data_base, entry, allow_undefined, placement, note =
-    match job.jreq.target with
+  let text_base, data_base, externals, allow_undefined, placement, note =
+    match job.jreq with
     | Library _ ->
         let tdec = Option.get job.jtdec and ddec = Option.get job.jddec in
         ( tdec.Constraints.Placement.base,
           ddec.Constraints.Placement.base,
-          None,
+          [],
           Some true,
           placement_summary [ ("text", tdec); ("data", ddec) ],
           Residency.note_placed )
-    | Static { entry_symbol; _ } ->
+    | Static { externals; _ } ->
         ( client_text_base,
           client_data_base,
-          entry_symbol,
+          externals,
           None,
           Printf.sprintf "static text@0x%08x data@0x%08x" client_text_base
             client_data_base,
@@ -739,7 +736,7 @@ and stage_link (t : t) (job : job) () : unit =
   in
   let link () =
     let img, lstats =
-      Linker.Link.link ?entry ~externals:job.jreq.externals ?allow_undefined
+      Linker.Link.link ~externals ?allow_undefined
         ~layout:{ Linker.Link.text_base; data_base }
         (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
     in
@@ -796,7 +793,7 @@ and stage_eval (t : t) (job : job) () : unit =
     eval_with t job.jtree (Option.get job.jgraph)
   in
   job.jeval <- Some r;
-  match job.jreq.target with
+  match job.jreq with
   | Static _ -> spawn_stage t job "link" (stage_link t job)
   | Library _ ->
       let text_size, data_size = module_sizes r.Blueprint.Mgraph.m in
@@ -841,8 +838,8 @@ and stage_lint (t : t) (job : job) () : unit =
    without touching the build stages. A job whose key is already being
    built parks as a waiter (request coalescing). *)
 and stage_parse (t : t) (job : job) () : unit =
-  let name, graph, digest =
-    match job.jreq.target with
+  let name, graph, digest, externals =
+    match job.jreq with
     | Library { path } ->
         (* every bound meta has a tree: [find_meta] says what else [path] is *)
         let tree =
@@ -850,15 +847,19 @@ and stage_parse (t : t) (job : job) () : unit =
           with Not_found -> ignore (find_meta t path); raise Not_found
         in
         job.jtree <- Some tree;
-        (path, tree.Analysis.Impact.t_graph, tree.Analysis.Impact.t_root.Analysis.Lint.i_digest)
-    | Static { name; graph; _ } -> (name, graph, Blueprint.Mgraph.digest graph)
+        ( path,
+          tree.Analysis.Impact.t_graph,
+          tree.Analysis.Impact.t_root.Analysis.Lint.i_digest,
+          [] )
+    | Static { name; graph; externals } ->
+        (name, graph, Blueprint.Mgraph.digest graph, externals)
   in
   job.jname <- name;
   job.jgraph <- Some graph;
   job.jkey <-
     job.jtl.Telemetry.Causal.g_target ^ ":" ^ digest
     ^ String.concat ""
-        (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
+        (List.map (fun i -> ":" ^ Linker.Image.digest i) externals);
   let hit (e : Cache.entry) =
     job.jhit <- true;
     spawn_stage t job "map" (stage_map t job { entry = e })
@@ -881,7 +882,7 @@ and stage_parse (t : t) (job : job) () : unit =
         ~at:(Telemetry.now_us ()) ();
       leader.jfollowers <- job :: leader.jfollowers
   | None -> (
-      match job.jreq.target with
+      match job.jreq with
       | Static _ -> (
           match Cache.find t.cache job.jkey ~acceptable:(fun _ -> true) with
           | Some e -> hit e
@@ -974,7 +975,7 @@ let submit (t : t) (req : request) : ticket =
       jreq = req;
       jtl =
         Telemetry.Causal.begin_request ~id ~client
-          ~target:(target_label req.target) ~at:(Telemetry.now_us ());
+          ~target:(target_label req) ~at:(Telemetry.now_us ());
       jhit = false;
       jname = "";
       jkey = "";
@@ -1057,14 +1058,12 @@ let await (t : t) (tk : ticket) : response =
 let instantiate (t : t) (req : request) : response =
   if Simos.Sched.running t.sched then
     fail "nested instantiate of %s: called from inside a pipeline stage"
-      (target_label req.target);
-  let span =
-    Telemetry.Span.enter "omos.instantiate"
-      ~attrs:[ ("target", Telemetry.S (target_label req.target)) ]
-  in
-  Fun.protect ~finally:(fun () -> Telemetry.Span.exit span) @@ fun () ->
+      (target_label req);
+  Telemetry.with_span "omos.instantiate"
+    ~attrs:[ ("target", Telemetry.S (target_label req)) ]
+  @@ fun () ->
   let resp = await t (submit t req) in
-  Telemetry.Span.add_attr span "cache_hit" (Telemetry.B resp.cache_hit);
+  Telemetry.add_attr "cache_hit" (Telemetry.B resp.cache_hit);
   resp
 
 (** [build t req] = [(instantiate t req).built] — the one-call

@@ -187,19 +187,19 @@ val built_evicted : built -> bool
       registered graph evaluated through the memo table, fully bound,
       placed by the constraint system in the shared arenas, cached,
       shared. Undefined symbols are allowed (libraries may reference
-      client symbols) unless [externals] satisfy them.
+      client symbols).
     - [Static]: an arbitrary m-graph linked at the client base
       addresses — generic instantiation (also the static scheme and the
-      interposition examples). *)
-type target =
+      interposition examples) — against the exported symbols of
+      [externals], already-built images that satisfy its remaining
+      references. *)
+type request =
   | Library of { path : string }
   | Static of {
       name : string;
       graph : Blueprint.Mgraph.node;
-      entry_symbol : string option;
+      externals : Linker.Image.t list;
     }
-
-type request = { target : target; externals : Linker.Image.t list }
 
 type response = {
   built : built;
@@ -214,19 +214,16 @@ type response = {
   coalesce_us : float; (* of sim_us, waiting on a leader's in-flight build *)
 }
 
-(** [library ?externals path] — a [Library] request, keyed by the root
-    interface digest of the meta's {!impact_tree}, which fixes what
-    every name it reaches resolves to; the same tree, looked up once,
-    gives its findings and memo keys. *)
-val library : ?externals:Linker.Image.t list -> string -> request
+(** [library path] — a [Library] request, keyed by the root interface
+    digest of the meta's {!impact_tree}, which fixes what every name it
+    reaches resolves to; the same tree, looked up once, gives its
+    findings and memo keys. *)
+val library : string -> request
 
-(** [static ~name graph] — a [Static] request. *)
+(** [static ?externals ~name graph] — a [Static] request, keyed by the
+    graph's construction digest and the digests of [externals]. *)
 val static :
-  ?entry_symbol:string ->
-  ?externals:Linker.Image.t list ->
-  name:string ->
-  Blueprint.Mgraph.node ->
-  request
+  ?externals:Linker.Image.t list -> name:string -> Blueprint.Mgraph.node -> request
 
 (** {2 The asynchronous pipeline}
 

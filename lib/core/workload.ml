@@ -175,6 +175,9 @@ let run ?(setup = fun (_ : World.t) -> ()) ?(on_event = fun (_ : event) -> ())
         (p, b.Server.entry.Cache.image))
   in
   Telemetry.reset ();
+  (* spans are recorded for the run only: whoever runs next in this
+     process finds the switch as it was *)
+  let was_recording = Telemetry.is_enabled () in
   Telemetry.set_enabled true;
   (* xorshift32: small, pure, and byte-identical across runs *)
   let state = ref (if spec.seed = 0 then 0x9e3779b9 else spec.seed land 0xffffffff) in
@@ -201,7 +204,10 @@ let run ?(setup = fun (_ : World.t) -> ()) ?(on_event = fun (_ : event) -> ())
      silently mask Overload for whoever uses the server next *)
   let orig_limit = Server.queue_limit s in
   if spec.concurrency > orig_limit then Server.set_queue_limit s spec.concurrency;
-  let restore () = Server.set_queue_limit s orig_limit in
+  let restore () =
+    Server.set_queue_limit s orig_limit;
+    Telemetry.set_enabled was_recording
+  in
   let events = ref [] in
   let emit ev =
     on_event ev;

@@ -72,6 +72,8 @@ type event = {
     The server's admission-control queue limit is only ever {e raised}
     (when [concurrency] exceeds the configured limit) and is restored
     when the run returns, so fault scenarios still observe
-    {!Server.Overload} under a limit [setup] configured. *)
+    {!Server.Overload} under a limit [setup] configured. Span recording
+    is on for the run and set back to what it was before it when the
+    run returns or raises. *)
 val run :
   ?setup:(World.t -> unit) -> ?on_event:(event -> unit) -> spec -> event list

@@ -18,13 +18,13 @@ exception Module_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Module_error s)) fmt
 
-(* Every operator runs inside a "jigsaw.<op>" span and bumps the shared
-   operator counter. *)
+(* Every operator runs inside a "jigsaw.<op>" span, [span] being its
+   full name, and bumps the shared operator counter. *)
 let tm_ops = Telemetry.Counter.make "jigsaw.ops"
 
-let traced (op : string) (f : unit -> 'a) : 'a =
+let traced (span : string) (f : unit -> 'a) : 'a =
   Telemetry.Counter.incr tm_ops;
-  Telemetry.with_span ("jigsaw." ^ op) f
+  Telemetry.with_span span f
 
 (* Shorthand for the provenance journal: every call site below is
    gated, so disabled provenance costs one flag test per operator. *)
@@ -149,7 +149,7 @@ let journal_merge (a : string) (b : string) : string =
     references found in the other. Multiple {e global} definitions of a
     symbol constitute an error (weak definitions coexist). *)
 let merge (a : t) (b : t) : t =
-  traced "merge" @@ fun () ->
+  traced "jigsaw.merge" @@ fun () ->
   check_globals (H.create 64) (fragments a @ fragments b);
   { label = journal_merge a.label b.label; fragments = a.fragments @ b.fragments }
 
@@ -166,7 +166,7 @@ let merge_list (ms : t list) : t =
       let seen = H.create 64 in
       (* [first]: the first operand, checked with the second *)
       let step (label, first) (b : t) =
-        traced "merge" @@ fun () ->
+        traced "jigsaw.merge" @@ fun () ->
         check_globals seen
           (match first with Some a -> fragments a @ fragments b | None -> fragments b);
         (journal_merge label b.label, None)
@@ -177,7 +177,7 @@ let merge_list (ms : t list) : t =
 (** [restrict sel m] virtualizes the selected bindings: definitions are
     removed, references to them become (or stay) unbound. *)
 let restrict (sel : Select.t) (m : t) : t =
-  traced "restrict" @@ fun () ->
+  traced "jigsaw.restrict" @@ fun () ->
   let label = Printf.sprintf "(restrict %s %s)" (Select.pattern sel) m.label in
   if prov () then begin
     Telemetry.Provenance.record_op ~op:"restrict" ~detail:label;
@@ -194,7 +194,7 @@ let restrict (sel : Select.t) (m : t) : t =
 (** [project sel m] is the complement: virtualize all {e but} the
     selected bindings. *)
 let project (sel : Select.t) (m : t) : t =
-  traced "project" @@ fun () ->
+  traced "jigsaw.project" @@ fun () ->
   let label = Printf.sprintf "(project %s %s)" (Select.pattern sel) m.label in
   if prov () then Telemetry.Provenance.record_op ~op:"project" ~detail:label;
   let m' = push_all m (Sof.View.Undefine (fun n -> not (Select.matches sel n))) in
@@ -204,7 +204,7 @@ let project (sel : Select.t) (m : t) : t =
     of [b]: [a]'s conflicting definitions are virtualized first, so
     [a]'s references rebind to [b]'s implementations. *)
 let override (a : t) (b : t) : t =
-  traced "override" @@ fun () ->
+  traced "jigsaw.override" @@ fun () ->
   (* name -> defining fragment of [b], for conflict detection and for
      naming the interposition winner in the journal *)
   let b_exports : (string, string) Hashtbl.t = Hashtbl.create 32 in
@@ -242,7 +242,7 @@ let override (a : t) (b : t) : t =
     definition(s) under a new name ([new_name] may use [\1]-style group
     references against [sel]). *)
 let copy_as (sel : Select.t) (new_name : string) (m : t) : t =
-  traced "copy_as" @@ fun () ->
+  traced "jigsaw.copy_as" @@ fun () ->
   check_minted_collisions ~op:"copy_as"
     (fun n ->
       match Select.rewrite sel new_name n with
@@ -311,7 +311,7 @@ let record_selected ~op ~action (sel : Select.t) (m : t) : unit =
     rebound by later [override]/[restrict], while the public definition
     remains exported. *)
 let freeze ~key (sel : Select.t) (m : t) : t =
-  traced "freeze" @@ fun () ->
+  traced "jigsaw.freeze" @@ fun () ->
   let label = Printf.sprintf "(freeze %s %s)" (Select.pattern sel) m.label in
   if prov () then Telemetry.Provenance.record_op ~op:"freeze" ~detail:label;
   record_selected ~op:"freeze" ~action:"binding made permanent (still exported)"
@@ -323,7 +323,7 @@ let freeze ~key (sel : Select.t) (m : t) : t =
     exported symbol table, freezing internal references to them in the
     process. *)
 let hide ~key (sel : Select.t) (m : t) : t =
-  traced "hide" @@ fun () ->
+  traced "jigsaw.hide" @@ fun () ->
   let label = Printf.sprintf "(hide %s %s)" (Select.pattern sel) m.label in
   if prov () then Telemetry.Provenance.record_op ~op:"hide" ~detail:label;
   record_selected ~op:"hide"
@@ -333,7 +333,7 @@ let hide ~key (sel : Select.t) (m : t) : t =
 
 (** [show ~key sel m] hides all but the selected definitions. *)
 let show ~key (sel : Select.t) (m : t) : t =
-  traced "show" @@ fun () ->
+  traced "jigsaw.show" @@ fun () ->
   let label = Printf.sprintf "(show %s %s)" (Select.pattern sel) m.label in
   if prov () then Telemetry.Provenance.record_op ~op:"show" ~detail:label;
   let victim n = not (Select.matches sel n) in
@@ -353,7 +353,7 @@ type rename_scope = Defs_only | Refs_only | Both
 (** [rename sel template m] systematically changes names in the operand
     symbol table. Names may be references, definitions, or both. *)
 let rename ?(scope = Both) (sel : Select.t) (template : string) (m : t) : t =
-  traced "rename" @@ fun () ->
+  traced "jigsaw.rename" @@ fun () ->
   let map = Select.rewrite sel template in
   if scope <> Refs_only then
     check_minted_collisions ~op:"rename"
@@ -391,7 +391,7 @@ let rename ?(scope = Both) (sel : Select.t) (template : string) (m : t) : t =
     order. The synthesized definition is merged in, overriding the weak
     default provided by crt0. *)
 let initializers (m : t) : t =
-  traced "initializers" @@ fun () ->
+  traced "jigsaw.initializers" @@ fun () ->
   if prov () then
     Telemetry.Provenance.record_op ~op:"initializers"
       ~detail:(Printf.sprintf "(initializers %s)" m.label);

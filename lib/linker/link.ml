@@ -103,11 +103,9 @@ end)
     [stats] instead of raising. *)
 let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
     ~(layout : layout) (frags : Sof.Object_file.t list) : Image.t * stats =
-  let span =
-    Telemetry.Span.enter "linker.link"
-      ~attrs:[ ("fragments", Telemetry.I (List.length frags)) ]
-  in
-  Fun.protect ~finally:(fun () -> Telemetry.Span.exit span) @@ fun () ->
+  Telemetry.with_span "linker.link"
+    ~attrs:[ ("fragments", Telemetry.I (List.length frags)) ]
+  @@ fun () ->
   let placed, text_size, data_size, bss_size = place_fragments frags in
   let text_base = layout.text_base and data_base = layout.data_base in
   let bss_base = align_up (data_base + data_size) 4 in
@@ -292,8 +290,8 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
   Telemetry.Counter.incr tm_links;
   Telemetry.Counter.incr tm_relocs ~by:!relocs_applied;
   Telemetry.Counter.incr tm_symbols ~by:!relocs_applied;
-  Telemetry.Span.add_attr span "relocs_applied" (Telemetry.I !relocs_applied);
-  Telemetry.Span.add_attr span "symbols_resolved" (Telemetry.I !relocs_applied);
+  Telemetry.add_attr "relocs_applied" (Telemetry.I !relocs_applied);
+  Telemetry.add_attr "symbols_resolved" (Telemetry.I !relocs_applied);
   ( img,
     {
       fragments = List.length frags;

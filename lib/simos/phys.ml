@@ -16,18 +16,13 @@ type frame_group = {
 type t = {
   mutable resident : int; (* pages of the groups with a reference *)
   mutable mapped : int; (* pages times references, over every group *)
-  page_size : int;
 }
 
-let create ?(page_size = Cost.page_size) () : t =
-  { resident = 0; mapped = 0; page_size }
-
-let pages_for (t : t) (bytes : int) : int =
-  (bytes + t.page_size - 1) / t.page_size
+let create () : t = { resident = 0; mapped = 0 }
 
 (** Allocate a group of frames backing [bytes] bytes. *)
 let alloc (t : t) ~(bytes : int) : frame_group =
-  let pages = max 1 (pages_for t bytes) in
+  let pages = max 1 ((bytes + Cost.page_size - 1) / Cost.page_size) in
   t.resident <- t.resident + pages;
   t.mapped <- t.mapped + pages;
   { pages; refs = 1 }

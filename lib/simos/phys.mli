@@ -14,7 +14,8 @@ type frame_group = {
 
 type t
 
-val create : ?page_size:int -> unit -> t
+(** Empty accounting, in pages of {!Cost.page_size} bytes. *)
+val create : unit -> t
 
 (** Allocate a group of frames backing [bytes] bytes (refcount 1). *)
 val alloc : t -> bytes:int -> frame_group

@@ -8,14 +8,7 @@ type t = {
   mutable in_step : bool;
 }
 
-let create ?(seed = 0) () =
-  {
-    queue = [];
-    ready = [];
-    seed;
-    rng = (if seed = 0 then 0 else seed land 0xffffffff);
-    in_step = false;
-  }
+let create () = { queue = []; ready = []; seed = 0; rng = 0; in_step = false }
 
 let set_seed (t : t) (seed : int) : unit =
   t.seed <- seed;

@@ -23,11 +23,11 @@
 
 type t
 
-(** [create ?seed ()] makes an empty scheduler. [seed = 0] (default)
-    means FIFO order; any other seed shuffles deterministically. *)
-val create : ?seed:int -> unit -> t
+(** [create ()] makes an empty FIFO scheduler (seed 0). *)
+val create : unit -> t
 
-(** Reseed an existing scheduler (takes effect from the next pick). *)
+(** Reseed a scheduler (takes effect from the next pick): [0] means
+    FIFO order; any other seed shuffles deterministically. *)
 val set_seed : t -> int -> unit
 
 (** Enqueue a task. *)

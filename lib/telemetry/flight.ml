@@ -58,8 +58,11 @@ let clear_context () =
 let current_client () = !cur_client
 let current_request () = !cur_request
 
+(* the process's one telemetry clock: spans read it through
+   [Telemetry.now_us] *)
 let clock : (unit -> float) ref = ref (fun () -> 0.0)
 let set_clock f = clock := f
+let now_us () = !clock ()
 
 (* -- recording ------------------------------------------------------ *)
 

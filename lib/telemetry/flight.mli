@@ -1,8 +1,10 @@
 (** The flight recorder: a bounded ring buffer of the last ~4k
     structured telemetry events (spans, counter increments, gauge sets,
     histogram observations, request begin/end, residency transitions,
-    faults, invariant violations), each stamped with the simulated
-    clock and the live [(client, request)] context.
+    faults, invariant violations), each stamped with the telemetry
+    clock and the live [(client, request)] context. That clock lives
+    here and is the only one: span timestamps read it too, and the
+    server points it at the simulated clock.
 
     Appends are O(1) and allocation-free beyond the slot write: the
     ring is a set of parallel pre-allocated arrays indexed by a single
@@ -49,9 +51,13 @@ val clear_context : unit -> unit
 val current_client : unit -> int
 val current_request : unit -> int
 
-(** The recorder's time source (microseconds); [Telemetry.set_clock]
-    forwards here so flight timestamps match span timestamps. *)
+(** The time source (microseconds) of every telemetry timestamp: ring
+    events here, and spans through [Telemetry.now_us], which is
+    {!now_us}. [Telemetry.set_clock] is {!set_clock}. The default
+    returns 0. *)
 val set_clock : (unit -> float) -> unit
+
+val now_us : unit -> float
 
 (** {1 Recording} *)
 

@@ -14,15 +14,20 @@
       process hosts one "world" at a time; a global sink keeps
       instrumentation call sites to a single line.
     - Counters/gauges/histograms are {e always on} (a few word writes).
-      Spans are recorded only while {!set_enabled}[ true], so steady-state
+      Spans are recorded only while {!set_enabled}[ true]; while off,
+      {!with_span} is a direct call of its body, so steady-state
       benchmarks pay nothing for the tracing machinery.
-    - Span timestamps come from a pluggable clock ({!set_clock});
+    - One way to record a span, {!with_span}; {!add_attr} annotates the
+      innermost open one. The simulated-cost profiler rides the same
+      stack: each open span carries its root-to-leaf path, built once
+      when it opens.
+    - Timestamps come from the flight recorder's clock ({!set_clock});
       {!Server.create} points it at the simulated clock, so exported
       traces are in {e simulated} microseconds — the unit every table in
       the paper uses.
-    - Two exporters: line-oriented JSON events ({!Export.events_json})
-      and the Chrome [trace_event] format ({!Export.chrome}) loadable in
-      about://tracing or Perfetto. *)
+    - Exporters: the Chrome [trace_event] format ({!Export.chrome},
+      loadable in about://tracing or Perfetto) and the stable-schema
+      [omos.metrics/1] and [omos.hotspots/1] objects. *)
 
 (* -- attribute values ----------------------------------------------------- *)
 
@@ -42,97 +47,86 @@ type span = {
   mutable attrs : attr list;
 }
 
+(* An open span and its profile path: the root-to-leaf span names
+   joined with ";", the parent's path plus this span's name. *)
+type live = { span : span; path : string }
+
 let enabled = ref false
-let clock : (unit -> float) ref = ref (fun () -> 0.0)
 let next_id = ref 0
-let open_stack : span list ref = ref []
+let open_stack : live list ref = ref []
 let completed : span list ref = ref [] (* reverse completion order *)
 
 let set_enabled b = enabled := b
+let is_enabled () = !enabled
 
-let set_clock f =
-  clock := f;
-  (* flight-recorder timestamps follow the same time source *)
-  Flight.set_clock f
-
-let now_us () = !clock ()
+(* the flight recorder's clock is the only one: span and ring
+   timestamps read the same time source *)
+let set_clock = Flight.set_clock
+let now_us = Flight.now_us
 
 (* -- spans ----------------------------------------------------------------- *)
 
-module Span = struct
-  type t = span option
+let open_span (attrs : attr list) (name : string) : span =
+  incr next_id;
+  let parent, depth, path =
+    match !open_stack with
+    | [] -> (-1, 0, name)
+    | p :: _ -> (p.span.id, p.span.depth + 1, p.path ^ ";" ^ name)
+  in
+  (* spans opened inside a request carry its attribution *)
+  let attrs =
+    let c = Flight.current_client () and r = Flight.current_request () in
+    if r < 0 then attrs else attrs @ [ ("client", I c); ("request", I r) ]
+  in
+  let span =
+    { id = !next_id; parent; depth; name; start_us = now_us ();
+      end_us = Float.nan; attrs }
+  in
+  open_stack := { span; path } :: !open_stack;
+  Flight.emit Flight.Span_enter name "" (float_of_int span.id);
+  span
 
-  let null : t = None
+(* Spans close in the order they opened ([with_span] is the only
+   opener), so closing one pops it and reinstates [outer]. *)
+let close_span (outer : live list) (s : span) : unit =
+  s.end_us <- now_us ();
+  open_stack := outer;
+  completed := s :: !completed;
+  Flight.emit Flight.Span_exit s.name "" (float_of_int s.id)
 
-  let enter ?(attrs = []) (name : string) : t =
-    if not !enabled then None
-    else begin
-      incr next_id;
-      let parent, depth =
-        match !open_stack with [] -> (-1, 0) | p :: _ -> (p.id, p.depth + 1)
-      in
-      (* spans opened inside a request carry its attribution *)
-      let attrs =
-        let c = Flight.current_client () and r = Flight.current_request () in
-        if r < 0 then attrs
-        else attrs @ [ ("client", I c); ("request", I r) ]
-      in
-      let s =
-        { id = !next_id; parent; depth; name; start_us = now_us ();
-          end_us = Float.nan; attrs }
-      in
-      open_stack := s :: !open_stack;
-      Flight.emit Flight.Span_enter name "" (float_of_int s.id);
-      Some s
-    end
+let with_span ?(attrs = []) (name : string) (f : unit -> 'a) : 'a =
+  if not !enabled then f ()
+  else begin
+    let outer = !open_stack in
+    let span = open_span attrs name in
+    match f () with
+    | v ->
+        close_span outer span;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        close_span outer span;
+        Printexc.raise_with_backtrace e bt
+  end
 
-  let add_attr (t : t) (key : string) (v : value) : unit =
-    match t with None -> () | Some s -> s.attrs <- s.attrs @ [ (key, v) ]
-
-  (* Exit [s], force-closing any children left open (exception unwind):
-     they share [s]'s end timestamp so the tree stays well nested. *)
-  let exit (t : t) : unit =
-    match t with
-    | None -> ()
-    | Some s ->
-        if Float.is_nan s.end_us then begin
-          s.end_us <- now_us ();
-          let rec pop = function
-            | [] -> []
-            | x :: rest ->
-                if x == s then rest
-                else begin
-                  if Float.is_nan x.end_us then x.end_us <- s.end_us;
-                  completed := x :: !completed;
-                  pop rest
-                end
-          in
-          open_stack := pop !open_stack;
-          completed := s :: !completed;
-          Flight.emit Flight.Span_exit s.name "" (float_of_int s.id)
-        end
-end
-
-let with_span ?attrs (name : string) (f : unit -> 'a) : 'a =
-  let s = Span.enter ?attrs name in
-  Fun.protect ~finally:(fun () -> Span.exit s) f
+let add_attr (key : string) (v : value) : unit =
+  if !enabled then
+    match !open_stack with
+    | [] -> ()
+    | { span = s; _ } :: _ -> s.attrs <- s.attrs @ [ (key, v) ]
 
 (** Completed spans, in completion order (children before parents). *)
 let spans () : span list = List.rev !completed
 
-(** Completed spans with [name], oldest first. *)
-let spans_named (name : string) : span list =
-  List.filter (fun s -> s.name = name) (spans ())
-
 (* -- simulated-cost profiler ------------------------------------------------ *)
 
 (** Attribution of {!Simos.Cost} charges to the live span stack. Every
-    [Simos.Clock.charge_*] call forwards here; while enabled, the charge
-    is credited to the current span {e path} (root-to-leaf span names
-    joined with [";"] — exactly the folded-stack key flamegraph tools
-    consume). Charges arriving outside any span accumulate under
-    ["(unattributed)"], so the folded output always sums to the total
-    charged. *)
+    [Simos.Clock.charge_*] call forwards here; while spans are
+    recorded, the charge is credited to the innermost open span's
+    {e path} (root-to-leaf span names joined with [";"] — exactly the
+    folded-stack key flamegraph tools consume). Charges arriving
+    outside any span accumulate under ["(unattributed)"], so the folded
+    output always sums to the total charged. *)
 module Profile = struct
   type kind = User | System | Io
 
@@ -142,27 +136,19 @@ module Profile = struct
     mutable p_io : float;
   }
 
-  let prof_enabled = ref false
   let table : (string, cell) Hashtbl.t = Hashtbl.create 32
 
-  let set_enabled b = prof_enabled := b
   let clear () = Hashtbl.reset table
 
   let unattributed = "(unattributed)"
 
-  (* [open_stack] is newest-first; fold right-to-left for root-first. *)
-  let current_path () : string =
-    match !open_stack with
-    | [] -> unattributed
-    | st -> String.concat ";" (List.rev_map (fun s -> s.name) st)
-
   let charge (k : kind) (us : float) : unit =
-    if !prof_enabled && us <> 0.0 then begin
-      let path = current_path () in
+    if !enabled && us <> 0.0 then begin
+      let path = match !open_stack with [] -> unattributed | f :: _ -> f.path in
       let c =
-        match Hashtbl.find_opt table path with
-        | Some c -> c
-        | None ->
+        match Hashtbl.find table path with
+        | c -> c
+        | exception Not_found ->
             let c = { p_user = 0.0; p_system = 0.0; p_io = 0.0 } in
             Hashtbl.replace table path c;
             c
@@ -205,19 +191,6 @@ module Profile = struct
     Hashtbl.fold (fun l v acc -> (l, v) :: acc) leaves []
     |> List.sort (fun (l1, v1) (l2, v2) ->
            match compare v2 v1 with 0 -> compare l1 l2 | c -> c)
-
-  (** Cost charged while a span deeper than the root was open — i.e.
-      attributed to a specific request phase rather than the request as
-      a whole (paths with at least [depth] segments). *)
-  let attributed_at_depth (depth : int) : float =
-    Hashtbl.fold
-      (fun path c acc ->
-        let segs =
-          List.length (String.split_on_char ';' path)
-        in
-        if path <> unattributed && segs >= depth then acc +. cell_total c
-        else acc)
-      table 0.0
 end
 
 (* -- metrics registry ------------------------------------------------------- *)
@@ -741,36 +714,35 @@ module Health = struct
       }
     end
 
-  (** An SLO spec: every bound optional, violated bounds reported by
-      {!check}. *)
-  type slo = {
-    hit_ratio_min : float option;
-    p95_us_max : float option;
-    p99_us_max : float option;
-    conflict_rate_max : float option;
-    violation_rate_max : float option;
-    queue_depth_max : float option;
-    headroom_pages_max : float option;
-    hot_churn_max : float option;
-    wait_frac_max : float option;
-    wait_frac_p95_max : float option;
-  }
+  (* Every SLO key, once: its name, whether it is a lower or an upper
+     bound, and the snapshot field it bounds. [parse_slo] accepts these
+     keys and [check] reports them in this order. *)
+  type side = Lower | Upper
 
-  let empty_slo =
-    { hit_ratio_min = None; p95_us_max = None; p99_us_max = None;
-      conflict_rate_max = None; violation_rate_max = None;
-      queue_depth_max = None; headroom_pages_max = None; hot_churn_max = None;
-      wait_frac_max = None; wait_frac_p95_max = None }
+  let slo_keys : (string * side * (snapshot -> float)) list =
+    [
+      ("hit_ratio_min", Lower, fun s -> s.hit_ratio);
+      ("p95_us_max", Upper, fun s -> s.p95_us);
+      ("p99_us_max", Upper, fun s -> s.p99_us);
+      ("conflict_rate_max", Upper, fun s -> s.conflict_rate);
+      ("violation_rate_max", Upper, fun s -> s.violation_rate);
+      ("queue_depth_max", Upper, fun s -> s.max_queue_depth);
+      ("headroom_pages_max", Upper, fun s -> s.headroom_pages);
+      ("hot_churn_max", Upper, fun s -> s.hot_churn);
+      ("wait_frac_max", Upper, fun s -> s.wait_frac);
+      ("wait_frac_p95_max", Upper, fun s -> s.wait_frac_p95);
+    ]
+
+  (* the configured bounds, newest first: a key given twice keeps its
+     last value *)
+  type slo = (string * float) list
 
   exception Slo_error of string
 
   (** Parse the line-oriented SLO format: one [key value] pair per
-      line, [#] comments and blank lines ignored. Keys: [hit_ratio_min]
-      [p95_us_max] [p99_us_max] [conflict_rate_max] [violation_rate_max]
-      [queue_depth_max] [headroom_pages_max] [hot_churn_max]
-      [wait_frac_max] [wait_frac_p95_max]. *)
+      line, [#] comments and blank lines ignored; the keys are those of
+      [slo_keys]. *)
   let parse_slo (src : string) : slo =
-    let strip s = String.trim s in
     List.fold_left
       (fun acc line ->
         let line =
@@ -780,64 +752,35 @@ module Health = struct
         in
         match
           List.filter (fun w -> w <> "")
-            (String.split_on_char ' ' (strip line))
+            (String.split_on_char ' ' (String.trim line))
         with
         | [] -> acc
-        | [ key; v ] -> (
+        | [ key; v ] ->
             let f =
               match float_of_string_opt v with
               | Some f -> f
               | None -> raise (Slo_error ("bad SLO value: " ^ line))
             in
-            match key with
-            | "hit_ratio_min" -> { acc with hit_ratio_min = Some f }
-            | "p95_us_max" -> { acc with p95_us_max = Some f }
-            | "p99_us_max" -> { acc with p99_us_max = Some f }
-            | "conflict_rate_max" -> { acc with conflict_rate_max = Some f }
-            | "violation_rate_max" -> { acc with violation_rate_max = Some f }
-            | "queue_depth_max" -> { acc with queue_depth_max = Some f }
-            | "headroom_pages_max" -> { acc with headroom_pages_max = Some f }
-            | "hot_churn_max" -> { acc with hot_churn_max = Some f }
-            | "wait_frac_max" -> { acc with wait_frac_max = Some f }
-            | "wait_frac_p95_max" -> { acc with wait_frac_p95_max = Some f }
-            | k -> raise (Slo_error ("unknown SLO key: " ^ k)))
+            if not (List.exists (fun (k, _, _) -> k = key) slo_keys) then
+              raise (Slo_error ("unknown SLO key: " ^ key));
+            (key, f) :: acc
         | _ -> raise (Slo_error ("bad SLO line: " ^ line)))
-      empty_slo
-      (String.split_on_char '\n' src)
+      [] (String.split_on_char '\n' src)
 
   (** Evaluate a snapshot against an SLO: one
       [(name, bound, actual, ok)] row per configured bound. *)
   let check (s : slo) (snap : snapshot) : (string * float * float * bool) list =
-    let lower name bound actual = (name, bound, actual, actual >= bound) in
-    let upper name bound actual = (name, bound, actual, actual <= bound) in
     List.filter_map
-      (fun x -> x)
-      [
-        Option.map (fun b -> lower "hit_ratio_min" b snap.hit_ratio) s.hit_ratio_min;
-        Option.map (fun b -> upper "p95_us_max" b snap.p95_us) s.p95_us_max;
-        Option.map (fun b -> upper "p99_us_max" b snap.p99_us) s.p99_us_max;
+      (fun (key, side, field) ->
         Option.map
-          (fun b -> upper "conflict_rate_max" b snap.conflict_rate)
-          s.conflict_rate_max;
-        Option.map
-          (fun b -> upper "violation_rate_max" b snap.violation_rate)
-          s.violation_rate_max;
-        Option.map
-          (fun b -> upper "queue_depth_max" b snap.max_queue_depth)
-          s.queue_depth_max;
-        Option.map
-          (fun b -> upper "headroom_pages_max" b snap.headroom_pages)
-          s.headroom_pages_max;
-        Option.map
-          (fun b -> upper "hot_churn_max" b snap.hot_churn)
-          s.hot_churn_max;
-        Option.map
-          (fun b -> upper "wait_frac_max" b snap.wait_frac)
-          s.wait_frac_max;
-        Option.map
-          (fun b -> upper "wait_frac_p95_max" b snap.wait_frac_p95)
-          s.wait_frac_p95_max;
-      ]
+          (fun bound ->
+            let actual = field snap in
+            ( key,
+              bound,
+              actual,
+              match side with Lower -> actual >= bound | Upper -> actual <= bound ))
+          (List.assoc_opt key s))
+      slo_keys
 
   let ok (checks : (string * float * float * bool) list) : bool =
     List.for_all (fun (_, _, _, ok) -> ok) checks
@@ -1325,53 +1268,6 @@ module Export = struct
   let sorted_histograms () =
     Hashtbl.fold (fun k (h : Histogram.t) acc -> (k, h) :: acc) Histogram.registry []
     |> List.sort compare
-
-  let span_obj (s : span) : Json.t =
-    Json.Obj
-      ([ ("type", Json.Str "span");
-         ("id", Json.Num (float_of_int s.id));
-         ("parent", if s.parent < 0 then Json.Null else Json.Num (float_of_int s.parent));
-         ("depth", Json.Num (float_of_int s.depth));
-         ("name", Json.Str s.name);
-         ("ts", Json.Num s.start_us);
-         ("dur", Json.Num (s.end_us -. s.start_us)) ]
-      @
-      if s.attrs = [] then []
-      else [ ("attrs", Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) s.attrs)) ])
-
-  (** Line-oriented JSON: one event object per line — spans in
-      completion order, then counters, gauges, and histograms. *)
-  let events_json () : string =
-    let b = Buffer.create 4096 in
-    let line (j : Json.t) =
-      Buffer.add_string b (Json.to_string j);
-      Buffer.add_char b '\n'
-    in
-    List.iter (fun s -> line (span_obj s)) (spans ());
-    List.iter
-      (fun (k, v) ->
-        line (Json.Obj [ ("type", Json.Str "counter"); ("name", Json.Str k);
-                         ("value", Json.Num (float_of_int v)) ]))
-      (sorted_counters ());
-    List.iter
-      (fun (k, v) ->
-        line (Json.Obj [ ("type", Json.Str "gauge"); ("name", Json.Str k);
-                         ("value", Json.Num v) ]))
-      (sorted_gauges ());
-    List.iter
-      (fun (k, (h : Histogram.t)) ->
-        line
-          (Json.Obj
-             [ ("type", Json.Str "histogram"); ("name", Json.Str k);
-               ("count", Json.Num (float_of_int h.Histogram.n));
-               ("sum", Json.Num h.Histogram.sum);
-               ("min", Json.Num (Histogram.min_value h));
-               ("max", Json.Num (Histogram.max_value h));
-               ("p50", Json.Num (Histogram.percentile h 50.0));
-               ("p95", Json.Num (Histogram.percentile h 95.0));
-               ("p99", Json.Num (Histogram.percentile h 99.0)) ]))
-      (sorted_histograms ());
-    Buffer.contents b
 
   (** Chrome [trace_event] JSON (about://tracing, Perfetto): complete
       ("X") events for spans, counter ("C") samples at the trace end,

@@ -1,10 +1,14 @@
 (** Structured tracing and metrics for the OMOS request path.
 
     One global collector: hierarchical spans (recorded only while
-    enabled), plus always-on counters/gauges/histograms, and exporters
-    for line-oriented JSON events and the Chrome [trace_event] format.
-    Span timestamps come from a pluggable clock; the server points it at
-    the simulated clock so traces are in simulated microseconds. *)
+    enabled), a simulated-cost profiler that charges the open span
+    stack, always-on counters/gauges/histograms, and exporters for the
+    Chrome [trace_event] format and the stable-schema [omos.metrics/1]
+    and [omos.hotspots/1] objects. {!with_span} is the only way to
+    record a span and {!add_attr} the only way to annotate one after it
+    opened. Timestamps come from the flight recorder's pluggable clock;
+    the server points it at the simulated clock so traces are in
+    simulated microseconds. *)
 
 (** Attribute values attached to spans. *)
 type value = S of string | I of int | F of float | B of bool
@@ -23,51 +27,45 @@ type span = {
   mutable attrs : attr list;
 }
 
-(** Span recording is off by default; metrics are always on. *)
+(** Span recording (and with it profiling) is off by default; metrics
+    are always on. *)
 val set_enabled : bool -> unit
 
-(** Install the time source (microseconds). The default returns 0. *)
+val is_enabled : unit -> bool
+
+(** Install the time source (microseconds): {!Flight.set_clock}, the
+    one clock spans and flight events share. The default returns 0. *)
 val set_clock : (unit -> float) -> unit
 
 val now_us : unit -> float
 
-module Span : sig
-  type t
-
-  (** The no-op span (what {!enter} returns while disabled). *)
-  val null : t
-
-  val enter : ?attrs:attr list -> string -> t
-  val add_attr : t -> string -> value -> unit
-
-  (** Close the span; children left open by an exception unwind are
-      force-closed at the same timestamp. Idempotent. *)
-  val exit : t -> unit
-end
-
-(** [with_span name f] runs [f] inside a span, closing it on exceptions
-    too. *)
+(** [with_span ?attrs name f] runs [f] inside a span, closing it on
+    exceptions too. Its attributes are [attrs], then the live request's
+    [client] and [request], then whatever {!add_attr} adds. While
+    recording is off it is [f ()]. *)
 val with_span : ?attrs:attr list -> string -> (unit -> 'a) -> 'a
+
+(** Append an attribute to the innermost open span; nothing while
+    recording is off or no span is open. *)
+val add_attr : string -> value -> unit
 
 (** Completed spans, in completion order (children before parents). *)
 val spans : unit -> span list
 
-(** Completed spans with this name, oldest first. *)
-val spans_named : string -> span list
-
 (** Simulated-cost profiler: attributes [Simos.Cost] charges to the
-    live span stack. While enabled, every clock charge is credited to
-    the current root-to-leaf span path (names joined with [";"] — the
-    folded-stack key flamegraph tools consume); charges arriving outside
-    any span land under ["(unattributed)"], so {!Profile.folded} always
-    sums to exactly what the cost model charged. Off by default. *)
+    live span stack. While spans are recorded, every clock charge is
+    credited to the innermost open span's root-to-leaf path (names
+    joined with [";"] — the folded-stack key flamegraph tools consume,
+    built once when the span opens); charges arriving outside any span
+    land under ["(unattributed)"], so {!Profile.folded} always sums to
+    exactly what the cost model charged. Charges while recording is off
+    are dropped. *)
 module Profile : sig
   type kind = User | System | Io
 
-  val set_enabled : bool -> unit
-
   (** Credit [us] microseconds of [kind] to the current span path
-      (called from the simulated clock; no-op while disabled). *)
+      (called from the simulated clock; no-op while recording is
+      off). *)
   val charge : kind -> float -> unit
 
   (** (path, user, system, io) rows, sorted by path. *)
@@ -82,11 +80,6 @@ module Profile : sig
   (** Per-operator totals keyed by innermost span name, sorted by
       descending cost. *)
   val by_leaf : unit -> (string * float) list
-
-  (** Cost credited to paths at least [depth] span names deep —
-      "attributed to a specific phase", as opposed to only the request
-      root or nothing. *)
-  val attributed_at_depth : int -> float
 
   (** Drop all attributions (also part of {!reset}). *)
   val clear : unit -> unit
@@ -307,29 +300,23 @@ module Health : sig
 
   val snapshot : unit -> snapshot
 
-  (** An SLO spec: every bound optional. *)
-  type slo = {
-    hit_ratio_min : float option;
-    p95_us_max : float option;
-    p99_us_max : float option;
-    conflict_rate_max : float option;
-    violation_rate_max : float option;
-    queue_depth_max : float option;
-    headroom_pages_max : float option;
-    hot_churn_max : float option;
-    wait_frac_max : float option;
-    wait_frac_p95_max : float option;
-  }
-
-  val empty_slo : slo
+  (** An SLO spec: a bound on any of the keys {!parse_slo} accepts,
+      each optional. *)
+  type slo
 
   exception Slo_error of string
 
   (** Parse the line-oriented SLO format ([key value] pairs, [#]
-      comments). @raise Slo_error on unknown keys or bad values. *)
+      comments). The keys: [hit_ratio_min] (a lower bound) and the
+      upper bounds [p95_us_max] [p99_us_max] [conflict_rate_max]
+      [violation_rate_max] [queue_depth_max] [headroom_pages_max]
+      [hot_churn_max] [wait_frac_max] [wait_frac_p95_max]; a key given
+      twice keeps its last value. @raise Slo_error on unknown keys or
+      bad values. *)
   val parse_slo : string -> slo
 
-  (** One [(name, bound, actual, ok)] row per configured bound. *)
+  (** One [(name, bound, actual, ok)] row per configured bound, in the
+      key order listed at {!parse_slo}. *)
   val check : slo -> snapshot -> (string * float * float * bool) list
 
   val ok : (string * float * float * bool) list -> bool
@@ -562,10 +549,6 @@ end
 module Flight = Flight
 
 module Export : sig
-  (** One JSON object per line: spans, then counters, gauges,
-      histograms. *)
-  val events_json : unit -> string
-
   (** Chrome [trace_event] JSON for about://tracing / Perfetto. *)
   val chrome : unit -> string
 

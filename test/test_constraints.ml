@@ -79,7 +79,7 @@ let test_no_space () =
   with Placement.No_space _ -> ()
 
 let test_alignment () =
-  let a = Placement.create ~align:0x1000 () in
+  let a = Placement.create () in
   let d = Placement.place a ~size:10 ~owner:"tiny" ~prefs:[ (1, Placement.Near 0x12345) ] () in
   Alcotest.(check int) "page aligned" 0 (d.Placement.base mod 0x1000)
 

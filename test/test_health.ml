@@ -57,21 +57,51 @@ let test_conflict_rate_from_counter () =
   Alcotest.(check (float 1e-6)) "conflict rate" 0.5 s.H.conflict_rate;
   Alcotest.(check (float 1e-6)) "violation rate" 0.0 s.H.violation_rate
 
+(* The parsed bounds, read back through [check] as (key, bound) rows. *)
+let bounds slo =
+  reset ();
+  List.map (fun (k, b, _, _) -> (k, b)) (H.check slo (H.snapshot ()))
+
 let test_parse_slo () =
   let slo =
     H.parse_slo
       "# comment\nhit_ratio_min 0.5\np95_us_max 200\np99_us_max 400\n\
        conflict_rate_max 0.1\nviolation_rate_max 0\n"
   in
-  Alcotest.(check (option (float 0.0))) "hit" (Some 0.5) slo.H.hit_ratio_min;
-  Alcotest.(check (option (float 0.0))) "p95" (Some 200.0) slo.H.p95_us_max;
-  Alcotest.(check (option (float 0.0))) "p99" (Some 400.0) slo.H.p99_us_max;
-  Alcotest.(check (option (float 0.0)))
-    "conflicts" (Some 0.1) slo.H.conflict_rate_max;
-  Alcotest.(check (option (float 0.0)))
-    "violations" (Some 0.0) slo.H.violation_rate_max;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "every bound parsed"
+    [
+      ("hit_ratio_min", 0.5);
+      ("p95_us_max", 200.0);
+      ("p99_us_max", 400.0);
+      ("conflict_rate_max", 0.1);
+      ("violation_rate_max", 0.0);
+    ]
+    (bounds slo);
+  (* rows follow the key table's order, whatever the file's; a key
+     given twice keeps its last value *)
+  Alcotest.(check (list (pair string (float 0.0))))
+    "all ten keys, in order"
+    [
+      ("hit_ratio_min", 0.9);
+      ("p95_us_max", 1.0);
+      ("p99_us_max", 2.0);
+      ("conflict_rate_max", 3.0);
+      ("violation_rate_max", 4.0);
+      ("queue_depth_max", 5.0);
+      ("headroom_pages_max", 6.0);
+      ("hot_churn_max", 7.0);
+      ("wait_frac_max", 8.0);
+      ("wait_frac_p95_max", 9.0);
+    ]
+    (bounds
+       (H.parse_slo
+          "wait_frac_p95_max 9\nwait_frac_max 8\nhot_churn_max 7\n\
+           headroom_pages_max 6\nqueue_depth_max 5\nviolation_rate_max 4\n\
+           conflict_rate_max 3\np99_us_max 2\np95_us_max 1\n\
+           hit_ratio_min 0.1 # superseded\nhit_ratio_min 0.9\n"));
   let empty = H.parse_slo "# only comments\n" in
-  Alcotest.(check bool) "all optional" true (empty = H.empty_slo);
+  Alcotest.(check int) "all optional" 0 (List.length (bounds empty));
   (try
      ignore (H.parse_slo "p95_us_maximum 5\n");
      Alcotest.fail "unknown key accepted"
@@ -96,7 +126,14 @@ let test_check_and_ok () =
   let bad =
     List.filter (fun (_, _, _, ok) -> not ok) checks |> List.map (fun (n, _, _, _) -> n)
   in
-  Alcotest.(check (list string)) "the breached bound" [ "hit_ratio_min" ] bad
+  Alcotest.(check (list string)) "the breached bound" [ "hit_ratio_min" ] bad;
+  (* lower bound on the hit ratio, upper bounds elsewhere: each side
+     passes at equality *)
+  let edge = H.parse_slo "hit_ratio_min 0.5\np95_us_max 500\np99_us_max 499\n" in
+  Alcotest.(check (list (pair string bool)))
+    "bound sides"
+    [ ("hit_ratio_min", true); ("p95_us_max", true); ("p99_us_max", false) ]
+    (List.map (fun (n, _, _, ok) -> (n, ok)) (H.check edge snap))
 
 let () =
   Alcotest.run "health"

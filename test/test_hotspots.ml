@@ -231,12 +231,9 @@ let prop_profile_total_identity =
       let s = w.Omos.World.server in
       Omos.Server.set_sched_seed s seed;
       let k = Omos.Server.kernel s in
-      T.Profile.set_enabled true;
       let snap = Simos.Clock.snapshot k.Simos.Kernel.clock in
       Fun.protect
-        ~finally:(fun () ->
-          T.Profile.set_enabled false;
-          T.set_enabled false)
+        ~finally:(fun () -> T.set_enabled false)
         (fun () ->
           (* interleaved stages: n submissions drain through the
              cooperative scheduler, each suspending and resuming its

@@ -82,8 +82,10 @@ let test_cache_hit_serves_provenance () =
   Alcotest.(check bool) "warm hit" true warm.Omos.Server.cache_hit;
   Alcotest.(check int) "no links performed" 0 (T.Counter.get "linker.links");
   Alcotest.(check int) "no link-phase spans" 0
-    (List.length (T.spans_named "linker.link")
-    + List.length (T.spans_named "server.link"));
+    (List.length
+       (List.filter
+          (fun (sp : T.span) -> sp.T.name = "linker.link" || sp.T.name = "server.link")
+          (T.spans ())));
   let warm_prov = provenance_of warm in
   Alcotest.(check bool) "the stored record itself, not a rebuild" true
     (warm_prov == cold_prov);
@@ -126,14 +128,11 @@ let test_profile_folded_sums_and_attribution () =
   let s = w.Omos.World.server in
   let k = Omos.Server.kernel s in
   T.set_enabled true;
-  T.Profile.set_enabled true;
   let snap = Simos.Clock.snapshot k.Simos.Kernel.clock in
-  let root = T.Span.enter "prof.root" in
-  let resp = Omos.Server.instantiate s (Omos.Server.library "/lib/libc") in
-  let p = Simos.Kernel.create_process k ~args:[ "prof" ] in
-  Omos.Server.map_into s p resp.Omos.Server.built;
-  T.Span.exit root;
-  T.Profile.set_enabled false;
+  T.with_span "prof.root" (fun () ->
+      let resp = Omos.Server.instantiate s (Omos.Server.library "/lib/libc") in
+      let p = Simos.Kernel.create_process k ~args:[ "prof" ] in
+      Omos.Server.map_into s p resp.Omos.Server.built);
   T.set_enabled false;
   let total = T.Profile.total () in
   let folded_sum =
@@ -147,18 +146,21 @@ let test_profile_folded_sums_and_attribution () =
     total;
   (* >= 95% of the cost lands under a named phase span (depth >= 2:
      root;phase;...), not just at the request root or unattributed *)
+  let phased =
+    List.fold_left
+      (fun a (path, v) -> if String.contains path ';' then a +. v else a)
+      0.0 (T.Profile.folded ())
+  in
   Alcotest.(check bool) "per-operator attribution >= 95%" true
-    (T.Profile.attributed_at_depth 2 >= 0.95 *. total)
+    (phased >= 0.95 *. total)
 
 let test_profile_unattributed_and_disabled () =
   T.reset ();
   T.set_enabled true;
-  T.Profile.set_enabled true;
   T.Profile.charge T.Profile.User 7.0;
   T.with_span "phase" (fun () -> T.Profile.charge T.Profile.System 5.0);
-  T.Profile.set_enabled false;
-  T.Profile.charge T.Profile.Io 100.0;
   T.set_enabled false;
+  T.Profile.charge T.Profile.Io 100.0;
   Alcotest.(check (float 0.001)) "disabled charges are dropped" 12.0
     (T.Profile.total ());
   Alcotest.(check bool) "outside-span charge lands under (unattributed)" true
@@ -166,6 +168,28 @@ let test_profile_unattributed_and_disabled () =
   let rows = T.Profile.rows () in
   let _, _, sys, _ = List.find (fun (path, _, _, _) -> path = "phase") rows in
   Alcotest.(check (float 0.001)) "kind split preserved" 5.0 sys
+
+(* A charge lands on the innermost open span's path, the same after a
+   sibling closed; with recording off it is dropped, spans open or
+   not. *)
+let test_profile_innermost_path () =
+  T.reset ();
+  T.set_enabled true;
+  T.with_span "req" (fun () ->
+      T.with_span "eval" (fun () ->
+          T.with_span "merge" (fun () -> T.Profile.charge T.Profile.User 3.0);
+          T.Profile.charge T.Profile.User 2.0);
+      T.Profile.charge T.Profile.Io 1.0;
+      T.with_span "link" (fun () ->
+          T.Profile.charge T.Profile.System 4.0;
+          T.set_enabled false;
+          T.Profile.charge T.Profile.System 50.0;
+          T.set_enabled true));
+  T.set_enabled false;
+  Alcotest.(check (list (pair string (float 0.001))))
+    "one row per innermost path"
+    [ ("req", 1.0); ("req;eval", 2.0); ("req;eval;merge", 3.0); ("req;link", 4.0) ]
+    (T.Profile.folded ())
 
 (* -- percentiles ------------------------------------------------------------- *)
 
@@ -179,15 +203,15 @@ let test_histogram_percentiles () =
   Alcotest.(check (float 0.001)) "p95" 95.0 (T.Histogram.percentile h 95.0);
   Alcotest.(check (float 0.001)) "p99" 99.0 (T.Histogram.percentile h 99.0);
   Alcotest.(check (float 0.001)) "p100" 100.0 (T.Histogram.percentile h 100.0);
-  (* the events exporter carries the same three percentile keys *)
-  let lines = String.split_on_char '\n' (T.Export.events_json ()) in
-  let hist_line =
-    List.find (fun l -> Astring.String.is_infix ~affix:"ztest.us.pctl" l) lines
-  in
-  let j = T.Json.parse hist_line in
-  (match T.Json.member "p95" j with
-  | Some (T.Json.Num v) -> Alcotest.(check (float 0.001)) "events p95" 95.0 v
-  | _ -> Alcotest.fail "events_json histogram line lacks p95");
+  (* the metrics exporter carries the same percentiles *)
+  let j = T.Json.parse (T.Export.metrics_json ()) in
+  (match
+     Option.bind
+       (Option.bind (T.Json.member "histograms" j) (T.Json.member "ztest.us.pctl"))
+       (T.Json.member "p95")
+   with
+  | Some (T.Json.Num v) -> Alcotest.(check (float 0.001)) "metrics p95" 95.0 v
+  | _ -> Alcotest.fail "metrics_json histogram lacks p95");
   (* deterministic reservoir: the same observation stream always yields
      the same percentiles, even past the reservoir size *)
   let obs n seed_name =
@@ -253,6 +277,8 @@ let () =
             test_profile_folded_sums_and_attribution;
           Alcotest.test_case "unattributed and disabled charges" `Quick
             test_profile_unattributed_and_disabled;
+          Alcotest.test_case "charges the innermost span's path" `Quick
+            test_profile_innermost_path;
         ] );
       ( "percentiles",
         [ Alcotest.test_case "histogram and exporters" `Quick test_histogram_percentiles ] );

@@ -19,16 +19,12 @@ let fresh () =
 
 let test_span_nesting () =
   fresh ();
-  let a = T.Span.enter "a" in
-  tick 10.0;
-  let b = T.Span.enter "b" in
-  tick 5.0;
-  let c = T.Span.enter "c" in
-  tick 1.0;
-  T.Span.exit c;
-  T.Span.exit b;
-  tick 4.0;
-  T.Span.exit a;
+  T.with_span "a" (fun () ->
+      tick 10.0;
+      T.with_span "b" (fun () ->
+          tick 5.0;
+          T.with_span "c" (fun () -> tick 1.0));
+      tick 4.0);
   let spans = T.spans () in
   Alcotest.(check int) "three spans" 3 (List.length spans);
   let find n = List.find (fun (s : T.span) -> s.T.name = n) spans in
@@ -44,35 +40,66 @@ let test_span_nesting () =
 let test_span_disabled () =
   fresh ();
   T.set_enabled false;
-  T.with_span "ghost" (fun () -> ());
+  T.with_span "ghost" (fun () -> T.add_attr "k" (T.I 1));
   Alcotest.(check int) "nothing recorded" 0 (List.length (T.spans ()));
   T.set_enabled true
+
+(* While recording is off, with_span is a direct call: it allocates no
+   option, no closure and no exception handler record of its own. *)
+let test_span_disabled_allocates_nothing () =
+  fresh ();
+  T.set_enabled false;
+  let n = ref 0 in
+  let body () = incr n in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    T.with_span "ghost" body
+  done;
+  let w1 = Gc.minor_words () in
+  T.set_enabled true;
+  Alcotest.(check int) "every body ran" 10_000 !n;
+  Alcotest.(check (float 0.0)) "no words allocated" 0.0 (w1 -. w0)
 
 let test_span_exception_unwind () =
   fresh ();
   (try
-     T.with_span "outer" (fun () ->
-         let inner = T.Span.enter "inner" in
-         ignore inner;
-         failwith "boom")
+     T.with_span "outer" ~attrs:[ ("k", T.I 1) ] (fun () ->
+         T.with_span "inner" (fun () ->
+             T.add_attr "seen" (T.B true);
+             tick 2.0;
+             failwith "boom"))
    with Failure _ -> ());
-  (* with_span closed "outer" on the way out; the abandoned "inner" was
-     force-closed with it *)
-  Alcotest.(check int) "both closed" 2 (List.length (T.spans ()));
-  let names =
-    List.sort compare (List.map (fun (s : T.span) -> s.T.name) (T.spans ()))
-  in
-  Alcotest.(check (list string)) "names" [ "inner"; "outer" ] names
+  (* both spans closed on the way out, inner first, and each kept its
+     attributes *)
+  match T.spans () with
+  | [ inner; outer ] ->
+      Alcotest.(check (list string)) "names" [ "inner"; "outer" ]
+        [ inner.T.name; outer.T.name ];
+      Alcotest.(check bool) "inner closed" false (Float.is_nan inner.T.end_us);
+      Alcotest.(check bool) "outer closed" false (Float.is_nan outer.T.end_us);
+      Alcotest.(check (float 0.001)) "outer lasted the raise" 2.0
+        (outer.T.end_us -. outer.T.start_us);
+      Alcotest.(check bool) "inner attribute" true
+        (inner.T.attrs = [ ("seen", T.B true) ]);
+      Alcotest.(check bool) "outer attribute" true (outer.T.attrs = [ ("k", T.I 1) ])
+  | l -> Alcotest.failf "expected two spans, got %d" (List.length l)
 
+(* Entry attributes, then the live request's client and request, then
+   add_attr's; add_attr after a child closed lands on the parent. *)
 let test_span_attrs () =
   fresh ();
-  let s = T.Span.enter "x" ~attrs:[ ("k", T.I 1) ] in
-  T.Span.add_attr s "later" (T.S "v");
-  T.Span.exit s;
-  match T.spans_named "x" with
+  T.Request.within ~client:3 ~id:9 (fun () ->
+      T.with_span "x" ~attrs:[ ("k", T.I 1) ] (fun () ->
+          T.with_span "child" (fun () -> T.add_attr "inner" (T.I 2));
+          T.add_attr "later" (T.S "v")));
+  match List.filter (fun (s : T.span) -> s.T.name = "x") (T.spans ()) with
   | [ sp ] ->
-      Alcotest.(check bool) "k kept" true (List.mem_assoc "k" sp.T.attrs);
-      Alcotest.(check bool) "later kept" true (List.mem_assoc "later" sp.T.attrs)
+      Alcotest.(check (list string)) "attribute order"
+        [ "k"; "client"; "request"; "later" ]
+        (List.map fst sp.T.attrs);
+      Alcotest.(check bool) "values" true
+        (sp.T.attrs
+        = [ ("k", T.I 1); ("client", T.I 3); ("request", T.I 9); ("later", T.S "v") ])
   | l -> Alcotest.failf "expected one span, got %d" (List.length l)
 
 (* -- counters / gauges / histograms ---------------------------------------- *)
@@ -134,28 +161,6 @@ let test_json_errors () =
     [ "{"; "[1,]"; "tru"; "\"unterminated"; "{\"a\" 1}"; "1 2" ]
 
 (* -- exporters --------------------------------------------------------------- *)
-
-let test_events_export () =
-  fresh ();
-  T.with_span "phase" (fun () -> tick 3.0);
-  T.Counter.incr (T.Counter.make "t.ev") ~by:2;
-  T.Gauge.set "t.g" 1.5;
-  T.Histogram.observe (T.Histogram.make "t.evh") 4.0;
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (T.Export.events_json ()))
-  in
-  (* every line parses, and all record kinds appear *)
-  let kinds =
-    List.map
-      (fun l ->
-        match T.Json.member "type" (T.Json.parse l) with
-        | Some (T.Json.Str k) -> k
-        | _ -> Alcotest.fail ("line missing type: " ^ l))
-      lines
-  in
-  List.iter
-    (fun k -> Alcotest.(check bool) ("has " ^ k) true (List.mem k kinds))
-    [ "span"; "counter"; "gauge"; "histogram" ]
 
 let test_chrome_export () =
   fresh ();
@@ -250,6 +255,8 @@ let () =
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "disabled" `Quick test_span_disabled;
+          Alcotest.test_case "disabled allocates nothing" `Quick
+            test_span_disabled_allocates_nothing;
           Alcotest.test_case "exception unwind" `Quick test_span_exception_unwind;
           Alcotest.test_case "attributes" `Quick test_span_attrs;
         ] );
@@ -266,7 +273,6 @@ let () =
         ] );
       ( "exporters",
         [
-          Alcotest.test_case "events" `Quick test_events_export;
           Alcotest.test_case "chrome" `Quick test_chrome_export;
           Alcotest.test_case "metrics" `Quick test_metrics_export;
         ] );

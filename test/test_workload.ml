@@ -129,6 +129,33 @@ let test_queue_limit_preserved () =
   | Some s -> Alcotest.(check int) "untouched" 100 (Omos.Server.queue_limit s)
   | None -> Alcotest.fail "setup did not run"
 
+(* A run records spans, then leaves the switch as it found it, on
+   return and on raise: whatever the process does next records no
+   spans it did not ask for. *)
+let test_recording_restored () =
+  let captured = ref None in
+  let setup w = captured := Some w.Omos.World.server in
+  let spec = { small_spec with W.requests = 4 } in
+  Telemetry.set_enabled false;
+  ignore (W.run ~setup spec);
+  Alcotest.(check bool) "recorded during the run" true (Telemetry.spans () <> []);
+  Alcotest.(check bool) "off again" false (Telemetry.is_enabled ());
+  (match !captured with
+  | Some s ->
+      Telemetry.reset ();
+      ignore (Omos.Server.instantiate s (Omos.Server.library "/lib/libm"));
+      Alcotest.(check int) "no span after the run" 0 (List.length (Telemetry.spans ()))
+  | None -> Alcotest.fail "setup did not run");
+  (try
+     ignore (W.run ~on_event:(fun _ -> raise Exit) spec);
+     Alcotest.fail "on_event's raise was swallowed"
+   with Exit -> ());
+  Alcotest.(check bool) "off after a raise" false (Telemetry.is_enabled ());
+  Telemetry.set_enabled true;
+  ignore (W.run spec);
+  Alcotest.(check bool) "on stays on" true (Telemetry.is_enabled ());
+  Telemetry.set_enabled false
+
 let test_fault_run_trips_flight_dump () =
   let prefix =
     Filename.concat (Filename.get_temp_dir_name ()) "workload_fault_flight"
@@ -181,6 +208,8 @@ let () =
             test_request_ids_strictly_increase;
           Alcotest.test_case "queue limit preserved" `Quick
             test_queue_limit_preserved;
+          Alcotest.test_case "span recording restored" `Quick
+            test_recording_restored;
           Alcotest.test_case "fault trips dump" `Quick
             test_fault_run_trips_flight_dump;
         ] );
