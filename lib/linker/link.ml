@@ -95,13 +95,13 @@ end)
 
 (** [link ~layout frags] fully links [frags].
 
-    [entry] names the entry-point symbol (default ["_start"], falling
-    back to ["main"]). [externals] are already-positioned images whose
+    The entry point is ["_start"], falling back to ["main"] (-1 when
+    neither is defined). [externals] are already-positioned images whose
     exported symbols satisfy remaining references (binding a client
     against self-contained shared libraries). With [allow_undefined],
     unresolved references are left as zero words and reported in
     [stats] instead of raising. *)
-let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
+let link ?(externals : Image.t list = []) ?(allow_undefined = false)
     ~(layout : layout) (frags : Sof.Object_file.t list) : Image.t * stats =
   Telemetry.with_span "linker.link"
     ~attrs:[ ("fragments", Telemetry.I (List.length frags)) ]
@@ -254,12 +254,9 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
     match H.find_opt globals n with Some (a, _, _) -> Some a | None -> None
   in
   let entry_addr =
-    match entry with
-    | Some n -> ( match lookup_global n with Some a -> a | None -> -1)
-    | None -> (
-        match lookup_global "_start" with
-        | Some a -> a
-        | None -> ( match lookup_global "main" with Some a -> a | None -> -1))
+    match lookup_global "_start" with
+    | Some a -> a
+    | None -> ( match lookup_global "main" with Some a -> a | None -> -1)
   in
   let symtab =
     H.fold (fun name (addr, _, _) acc -> (name, addr) :: acc) globals []

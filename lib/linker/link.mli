@@ -30,8 +30,8 @@ type stats = {
 
 (** [link ~layout frags] fully links [frags].
 
-    [entry] names the entry-point symbol (default ["_start"], falling
-    back to ["main"]). [externals] are already-positioned images whose
+    The entry point is ["_start"], falling back to ["main"] (-1 when
+    neither is defined). [externals] are already-positioned images whose
     exported symbols satisfy remaining references — how a client binds
     to a self-contained shared library's fixed addresses. With
     [allow_undefined], unresolved references are left as zero words and
@@ -44,7 +44,6 @@ type stats = {
     @raise Link_error on duplicate globals, unresolved references
     (unless allowed), or overlapping segment layout. *)
 val link :
-  ?entry:string ->
   ?externals:Image.t list ->
   ?allow_undefined:bool ->
   layout:layout ->

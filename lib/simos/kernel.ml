@@ -54,7 +54,8 @@ type t = {
   (* exec'd path -> the file bytes last read there and their image *)
   execs : (string, Bytes.t * mappable) Hashtbl.t;
   read_cached : (string, unit) Hashtbl.t; (* file data brought in by read() *)
-  (* syscall number -> its handler; {!no_syscall} where none is set *)
+  (* syscall number -> its handler ({!no_syscall} where none is set),
+     as {!entry} wraps it *)
   mutable syscalls : syscall array;
   (* "#!" interpreter handlers: the paper's `#! /bin/omos` feature.
      Key = interpreter path; the handler receives the script's
@@ -166,17 +167,24 @@ let no_syscall (_ : t) (_ : Proc.t) (cpu : Svm.Cpu.t) : Svm.Cpu.sys_result =
   ret cpu (-1);
   Svm.Cpu.Sys_continue
 
+(* [f] as the table holds it for number [n]: one at or above
+   [omos_base] runs inside a [kernel.upcall] span, whose attributes are
+   made here, once per registration, not once per call. *)
+let entry (n : int) (f : syscall) : syscall =
+  if n < Syscall.omos_base then f
+  else
+    let attrs = Some [ ("syscall", Telemetry.I n) ] in
+    fun k p cpu -> Telemetry.with_span ?attrs "kernel.upcall" (fun () -> f k p cpu)
+
 (** [register_syscall k n f] makes [f] the handler of syscall [n],
     replacing any handler [n] had. *)
 let register_syscall (k : t) (n : int) (f : syscall) : unit =
   if n < 0 then invalid_arg "Kernel.register_syscall: negative number";
   let len = Array.length k.syscalls in
-  if n >= len then begin
-    let grown = Array.make (n + 1) no_syscall in
-    Array.blit k.syscalls 0 grown 0 len;
-    k.syscalls <- grown
-  end;
-  k.syscalls.(n) <- f
+  if n >= len then
+    k.syscalls <-
+      Array.init (n + 1) (fun i -> if i < len then k.syscalls.(i) else entry i no_syscall);
+  k.syscalls.(n) <- entry n f
 
 (* A kernel syscall that sets r0 and continues. *)
 let continuing f : syscall =
@@ -222,17 +230,14 @@ let create ?(cost = Cost.hpux) () : t =
 let tm_syscalls = Telemetry.Counter.make "kernel.syscalls"
 
 (* Runtime-owned numbers run inside a [kernel.upcall] span, whether or
-   not a handler is registered. *)
+   not a handler is registered: the table's entries open it (see
+   [entry]). *)
 let dispatch (k : t) (p : Proc.t) (cpu : Svm.Cpu.t) (n : int) : Svm.Cpu.sys_result =
   k.syscall_count <- k.syscall_count + 1;
   Telemetry.Counter.incr tm_syscalls;
   charge_sys k k.cost.Cost.syscall_overhead;
-  let f = if n >= 0 && n < Array.length k.syscalls then k.syscalls.(n) else no_syscall in
-  if n >= Syscall.omos_base then
-    Telemetry.with_span "kernel.upcall"
-      ~attrs:[ ("syscall", Telemetry.I n) ]
-      (fun () -> f k p cpu)
-  else f k p cpu
+  let f = if n >= 0 && n < Array.length k.syscalls then k.syscalls.(n) else entry n no_syscall in
+  f k p cpu
 
 (* -- process setup ------------------------------------------------------ *)
 

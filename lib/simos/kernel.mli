@@ -34,7 +34,9 @@ type t = {
       (* exec'd path -> the file bytes last read there and their image *)
   read_cached : (string, unit) Hashtbl.t; (* file data in the buffer cache *)
   mutable syscalls : syscall array;
-      (* syscall number -> its handler; set through {!register_syscall} *)
+      (* syscall number -> its handler; set through {!register_syscall},
+         which wraps a runtime number's handler in its [kernel.upcall]
+         span *)
   interpreters :
     (string, t -> params:string list -> args:string list -> Proc.t) Hashtbl.t;
   mutable syscall_count : int;

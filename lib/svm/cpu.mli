@@ -54,8 +54,10 @@ and mem = {
 
 (** A range of memory the interpreter reads and writes without calling
     its environment: addresses [\[lo, hi)] are the bytes of [bytes] at
-    offset [address - base]. Every address in a window can be accessed
-    with no fault and no charge; stores go through only if [writable].
+    offset [address - base], which must exist, since the interpreter
+    accesses them without a bounds check. Every address in a window can
+    be accessed with no fault and no charge; stores go through only if
+    [writable].
     [page] matters for the code window only: it is [Words] over memory
     a store may change, and otherwise the {!page} of the segment's
     {!translations} that the window covers, starting at [lo]. *)
@@ -83,8 +85,14 @@ and blocks
     from its entry up to and including the first control transfer,
     [halt] or [sys]; it stops before an invalid word and at the end of
     its page, so that entering it touches one page, as one fetch does.
-    Each instruction becomes one op, shared by every equal word of the
-    segment; ops hold no address. *)
+    Each instruction becomes one op, except the stack machine's idioms,
+    which become one op per group: a push ([addi S,S,i; st [S+j],A]), a
+    pop ([ld B,[S+j]; addi S,S,i]), a push, [movi] or [lea], then a pop
+    of the same slot, and a compare followed by [jz] or [jnz] on its
+    result at the block's end. Ops are shared by every equal word, or
+    group of words, of the segment, and hold no address. A block also
+    keeps the block that ran after it last, which the next entry from
+    the same page follows instead of looking the block up. *)
 and translations
 
 (** [translations bytes]: none yet, for a segment holding [bytes]. The
@@ -115,7 +123,10 @@ val set_reg : t -> int -> int32 -> unit
     one check of its fields and one execution would: an instruction
     that raises is counted, with [pc] past it, unless it could not be
     fetched or decoded; fuel may stop a block at any instruction; and a
-    syscall runs with [pc] and [instr_count] up to date.
+    syscall runs with [pc] and [instr_count] up to date. A group run as
+    one op counts, when it raises, its instructions up to the one that
+    raised; a block longer than the fuel left runs one instruction at a
+    time.
     @raise Trap on division by zero, or on a fault in flat memory
     @raise Simos.Addr_space.Fault on a fault in mapped memory
     @raise Encode.Bad_instruction on an unknown opcode or a register

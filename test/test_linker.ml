@@ -350,7 +350,7 @@ let test_combine_matches_reference () =
    fragment's [Object_file.undefined], resolved a second time. The
    provenance journal is left out. [Link.link] must produce the same
    image, statistics and errors. *)
-let reference_link ?entry ?(externals = []) ?(allow_undefined = false)
+let reference_link ?(externals = []) ?(allow_undefined = false)
     ~(layout : Linker.Link.layout) (frags : Sof.Object_file.t list) =
   let open Sof in
   let align4 v = (v + 3) / 4 * 4 in
@@ -452,11 +452,7 @@ let reference_link ?entry ?(externals = []) ?(allow_undefined = false)
   in
   if missing <> [] && not allow_undefined then error (Linker.Link.Undefined missing);
   let global n = Option.map (fun (a, _, _) -> a) (Hashtbl.find_opt globals n) in
-  let entry_addr =
-    match entry with
-    | Some n -> global n
-    | None -> ( match global "_start" with Some a -> Some a | None -> global "main")
-  in
+  let entry_addr = match global "_start" with Some a -> Some a | None -> global "main" in
   let segment seg_name vaddr bytes writable = { Linker.Image.seg_name; vaddr; bytes; writable } in
   ( {
       Linker.Image.name =
@@ -571,18 +567,17 @@ let test_link_matches_reference () =
     | exception Linker.Link.Link_error e -> "Link_error " ^ Linker.Link.error_to_string e
   in
   let big = { Linker.Link.text_base = 0x10000; data_base = 0x200000 } in
-  let same ?entry ?(externals = []) ?(layout = big) what frags =
+  let same ?(externals = []) ?(layout = big) what frags =
     List.iter
       (fun allow_undefined ->
         Alcotest.(check string)
           (Printf.sprintf "%s (allow_undefined=%b)" what allow_undefined)
-          (outcome (fun () -> reference_link ?entry ~externals ~allow_undefined ~layout frags))
-          (outcome (fun () -> Linker.Link.link ?entry ~externals ~allow_undefined ~layout frags)))
+          (outcome (fun () -> reference_link ~externals ~allow_undefined ~layout frags))
+          (outcome (fun () -> Linker.Link.link ~externals ~allow_undefined ~layout frags)))
       [ false; true ]
   in
   let libc = List.map snd (Workloads.Libc_gen.objects ()) in
   same "libc members" libc;
-  same "libc members, entry" ~entry:"malloc" libc;
   let synthetic = synthetic_fragments 500 in
   same "500 synthetic fragments" synthetic;
   same "500 synthetic fragments, externals" ~externals:(external_images [ "ext" ]) synthetic;
@@ -591,7 +586,7 @@ let test_link_matches_reference () =
   same "resolution rules, externals"
     ~externals:(external_images [ "ext_a"; "ext_b"; "unsat"; "sat"; "loop" ])
     resolution;
-  same "resolution rules and libc" ~entry:"nowhere" (resolution @ libc);
+  same "resolution rules and libc" (resolution @ libc);
   same "duplicate global" (g_frag () :: resolution @ [ g_frag () ]);
   same "duplicate global in one fragment"
     [

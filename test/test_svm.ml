@@ -606,12 +606,25 @@ let observe (cpu : Cpu.t) run summary =
     (String.concat " " (Array.to_list (Array.map string_of_int cpu.regs)))
     (summary ())
 
-let agrees machine (c : case) =
-  let cpu, _, summary = machine c in
-  let got = observe cpu (Cpu.run ~fuel:c.fuel) summary in
-  let cpu, fetch, summary = machine c in
-  let want = observe cpu (Reference.run fetch ~fuel:c.fuel) summary in
-  got = want || QCheck.Test.fail_reportf "run:       %s\nreference: %s" got want
+(* Runs [c] on a fresh [machine] once for each fuel in turn, under
+   [Cpu.run], and on another under the reference: the first machine's
+   CPU, and the two lists of observations. *)
+let observations machine (c : case) (fuels : int list) =
+  let runs run =
+    let cpu, fetch, summary = machine c in
+    (cpu, List.map (fun fuel -> observe cpu (run fetch ~fuel) summary) fuels)
+  in
+  let cpu, got = runs (fun _ ~fuel -> Cpu.run ~fuel) in
+  let _, want = runs Reference.run in
+  (cpu, got, want)
+
+(* [c] run under [Cpu.run] as under the reference, in one run of all
+   its fuel or in runs of [fuels] in turn. *)
+let agrees ?fuels machine (c : case) =
+  let _, got, want = observations machine c (Option.value fuels ~default:[ c.fuel ]) in
+  got = want
+  || QCheck.Test.fail_reportf "run:\n%s\nreference:\n%s" (String.concat "\n" got)
+       (String.concat "\n" want)
 
 let prop_run_matches_reference =
   QCheck.Test.make ~count:2000 ~long_factor:50 ~name:"run matches the reference interpreter"
@@ -838,16 +851,10 @@ let case_of ?(regs = []) (words : string list) : case =
 
 let words_of = List.map (fun i -> Bytes.to_string (Encode.encode i))
 
-(* Runs [c] on [machine] under [Cpu.run], once for each fuel in turn,
-   and on a second machine under the reference: each observation must
-   be the reference's. Returns the first machine's CPU. *)
+(* [observations] on [machine], each of which must be the reference's.
+   Returns the machine's CPU. *)
 let against_reference ?(machine = mapped_machine) (c : case) (fuels : int list) : Cpu.t =
-  let cpu, _, summary = machine c in
-  let got = List.map (fun fuel -> observe cpu (Cpu.run ~fuel) summary) fuels in
-  let ref_cpu, fetch, ref_summary = machine c in
-  let want =
-    List.map (fun fuel -> observe ref_cpu (Reference.run fetch ~fuel) ref_summary) fuels
-  in
+  let cpu, got, want = observations machine c fuels in
   Alcotest.(check (list string)) "as the reference" want got;
   cpu
 
@@ -988,6 +995,214 @@ let test_self_modifying () =
       check_stop cpu ~count:14 ~pc:(text + 72))
     [ flat_machine; writable_machine ]
 
+(* -- fused groups ---------------------------------------------------- *)
+
+let sp = Isa.reg_sp
+let push ?(s = sp) ?(j = 0l) ?(i = -4l) a = [ Isa.Addi (s, s, i); Isa.St (s, a, j) ]
+let pop ?(s = sp) ?(j = 0l) ?(i = 4l) b = [ Isa.Ld (b, s, j); Isa.Addi (s, s, i) ]
+
+let compares =
+  [
+    (fun d a b -> Isa.Cmpeq (d, a, b)); (fun d a b -> Isa.Cmplt (d, a, b));
+    (fun d a b -> Isa.Cmple (d, a, b));
+  ]
+
+(* Each branch on a register, with whether a nonzero register takes it. *)
+let branches = [ (false, fun r d -> Isa.Jz (r, d)); (true, fun r d -> Isa.Jnz (r, d)) ]
+
+(* A push whose store falls off the stack's low end, run as one op: the
+   fault counts both of its instructions, with pc past the store and sp
+   lowered. *)
+let test_push_faults () =
+  let c =
+    case_of ~regs:[ (sp, stack_lo); (1, 7) ]
+      (words_of (push 1 @ [ Isa.Movi (2, 1l); Isa.Halt ]))
+  in
+  let cpu = against_reference c [ 100 ] in
+  check_stop cpu ~count:2 ~pc:(text + 16);
+  Alcotest.(check int) "sp lowered" (stack_lo - 4) cpu.Cpu.regs.(sp)
+
+(* Fuel that ends between the two instructions of a push, then of a
+   pop: each stop is the reference's, and the run goes on from there. *)
+let test_fuel_inside_group () =
+  let c =
+    case_of ~regs:[ (1, 5) ]
+      (words_of
+         ((Isa.Movi (3, 9l) :: push 1) @ pop 2 @ [ Isa.Cmpeq (3, 1, 2); Isa.Jnz (3, 8l) ]
+         @ [ Isa.Movi (1, 0l); Isa.Sys 0l ]))
+  in
+  let top = stack_top - 16 in
+  let cpu = against_reference c [ 2 ] in
+  check_stop cpu ~count:2 ~pc:(text + 16);
+  Alcotest.(check int) "sp lowered, nothing stored yet" (top - 4) cpu.Cpu.regs.(sp);
+  let cpu = against_reference c [ 2; 2 ] in
+  check_stop cpu ~count:4 ~pc:(text + 32);
+  Alcotest.(check (pair int int)) "r2 loaded, sp not yet raised" (5, top - 4)
+    (cpu.Cpu.regs.(2), cpu.Cpu.regs.(sp));
+  let cpu = against_reference c [ 2; 2; 1; 100 ] in
+  check_stop cpu ~count:8 ~pc:(text + 72);
+  Alcotest.(check bool) "exited 5" true (cpu.Cpu.outcome = Cpu.Exited 5)
+
+(* Each compare with [jz] and [jnz] as a block's last two
+   instructions, on operands that make it true and false: the run exits
+   where the reference's does, and where r3, the flag, sends it. *)
+let test_compare_and_branch_fused () =
+  List.iter
+    (fun cmp ->
+      List.iter
+        (fun (taken_on, br) ->
+          List.iter
+            (fun (a, b) ->
+              let c =
+                case_of ~regs:[ (1, a); (2, b) ]
+                  (words_of
+                     [
+                       cmp 3 1 2; br 3 16l; Isa.Movi (1, 1l); Isa.Sys 0l; Isa.Movi (1, 2l);
+                       Isa.Sys 0l;
+                     ])
+              in
+              let cpu = against_reference c [ 100 ] in
+              let flag = cpu.Cpu.regs.(3) <> 0 in
+              Alcotest.(check bool) "exited where the flag sends it" true
+                (cpu.Cpu.outcome = Cpu.Exited (if flag = taken_on then 2 else 1)))
+            [ (1, 1); (1, 2); (2, 1) ])
+        branches)
+    compares
+
+(* A block whose link points at the block after it, on a page that a
+   syscall in the block then remaps: syscall 7 remaps the text on its
+   second call only, so the link is set when it does. The next entry
+   fetches from the new region, paying its first touch, and runs the
+   new bytes, not the linked block. *)
+let test_remap_under_link () =
+  let c =
+    case_of
+      (words_of [ Isa.Addi (1, 1, 1l); Isa.Sys 7l; Isa.Addi (1, 1, 10l); Isa.Br (-32l) ])
+  in
+  let other =
+    text_page (case_of (words_of [ Isa.Nop; Isa.Nop; Isa.Addi (1, 1, 100l); Isa.Sys 0l ]))
+  in
+  let other_tr = Cpu.translations other in
+  let code = text_page c in
+  let tr = Some (Cpu.translations code) in
+  let machine c =
+    let space, summary = mapped_space ~code tr in
+    let calls = ref 0 in
+    let sys (cpu : Cpu.t) n =
+      if n <> 7 then sys cpu n
+      else begin
+        incr calls;
+        if !calls = 2 then begin
+          Simos.Addr_space.unmap space ~lo:text;
+          Simos.Addr_space.map_shared space ~vaddr:text ~bytes:other ~code:other_tr
+            ~frames:(Simos.Phys.alloc (Simos.Phys.create ()) ~bytes:0x1000)
+            ~backing:(Simos.Addr_space.disk_backing ~bytes:0x1000) ~label:"other" ()
+        end;
+        Cpu.Sys_continue
+      end
+    in
+    (start ~sys c (Simos.Addr_space.mem space), Reference.mapped_fetch space, summary)
+  in
+  let cpu = against_reference ~machine c [ 100 ] in
+  Alcotest.(check bool) "exited 112" true (cpu.Cpu.outcome = Cpu.Exited 112)
+
+(* -- fused groups against the reference, at random ------------------ *)
+
+(* Programs made of the groups [Cpu.run] fuses, with random registers
+   (the two sides of a group the same or not, S among the operands),
+   displacements and steps, some broken by a field that does not match,
+   between random words. [sp] starts at the stack's low edge, across its
+   page boundary, at its top edge, or in the data or the read-only
+   text, so that a fused store may fault or straddle two pages. A run is
+   cut into fuel slices, often of a few instructions, so that fuel ends
+   inside groups and blocks are entered inside them. *)
+type sliced = { c : case; slices : int list }
+
+let gen_group : string list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let reg = frequency [ (2, return sp); (4, int_range 0 3); (1, int_range 0 15) ] in
+  let some s = frequency [ (1, return s); (3, reg) ] in
+  let disp = oneofl [ 0l; 0l; 0l; 4l; -4l; 8l; 2l; 6l ] in
+  let step = oneofl [ -4l; -4l; 4l; 4l; -8l; 8l; 0l; -2l ] in
+  let pushes =
+    reg >>= fun s ->
+    some s >>= fun a ->
+    disp >>= fun j ->
+    step >|= fun i -> push ~s ~j ~i a
+  in
+  let pops =
+    reg >>= fun s ->
+    some s >>= fun b ->
+    disp >>= fun j ->
+    step >|= fun i -> pop ~s ~j ~i b
+  in
+  let push_imm_pop =
+    frequency [ (3, return sp); (1, reg) ] >>= fun s ->
+    some s >>= fun a ->
+    some s >>= fun b ->
+    frequency [ (2, return a); (3, return b); (1, reg) ] >>= fun x ->
+    disp >>= fun j ->
+    frequency [ (5, return j); (1, disp) ] >>= fun j' ->
+    step >>= fun i ->
+    step >>= fun i' ->
+    map Int32.of_int gen_value >>= fun k ->
+    oneofl [ (fun x k -> Isa.Movi (x, k)); (fun x k -> Isa.Lea (x, k)) ] >|= fun set ->
+    push ~s ~j ~i a @ [ set x k ] @ pop ~s ~j:j' ~i:i' b
+  in
+  let compare_and_branch =
+    reg >>= fun d ->
+    reg >>= fun a ->
+    reg >>= fun b ->
+    frequency [ (4, return d); (1, reg) ] >>= fun tested ->
+    map Int32.of_int gen_displacement >>= fun disp ->
+    oneofl compares >>= fun cmp ->
+    oneofl branches >|= fun (_, br) -> [ cmp d a b; br tested disp ]
+  in
+  frequency
+    [
+      (3, map words_of pushes);
+      (3, map words_of pops);
+      (4, map words_of push_imm_pop);
+      (2, map words_of compare_and_branch);
+      (2, map (fun w -> [ w ]) gen_word);
+    ]
+
+let gen_sliced : sliced QCheck.Gen.t =
+  let open QCheck.Gen in
+  map List.concat (list_size (int_range 1 12) gen_group) >>= fun words ->
+  array_size (return Isa.nregs) (frequency [ (1, return 0); (2, gen_value) ]) >>= fun regs ->
+  oneofl
+    [
+      stack_lo; stack_lo + 2; stack_lo + 4; stack_lo + 0x1000 - 2; stack_lo + 0x1000;
+      stack_top - 2; stack_top - 16; data + 0x2000 - 2; text + 8;
+    ]
+  >>= fun sp0 ->
+  list_size (int_range 1 8)
+    (frequency [ (3, int_range 1 4); (2, int_range 5 40); (1, return 1000) ])
+  >|= fun slices ->
+  regs.(sp) <- sp0;
+  regs.(Isa.reg_ra) <- text;
+  { c = { words; regs; fuel = List.fold_left ( + ) 0 slices }; slices }
+
+let arb_sliced =
+  QCheck.make
+    ~print:(fun s ->
+      Printf.sprintf "slices [%s] %s"
+        (String.concat " " (List.map string_of_int s.slices))
+        (print_case s.c))
+    ~shrink:(fun s ->
+      QCheck.Iter.map
+        (fun words -> { s with c = { s.c with words } })
+        (QCheck.Shrink.list s.c.words))
+    gen_sliced
+
+let prop_fused_groups_match_reference =
+  QCheck.Test.make ~long_factor:50 ~name:"fused groups match the reference" arb_sliced
+    (fun s ->
+      let fuels = s.slices in
+      agrees ~fuels mapped_machine s.c && agrees ~fuels shared_machine s.c
+      && agrees ~fuels writable_machine s.c)
+
 let () =
   Alcotest.run "svm"
     [
@@ -1024,6 +1239,7 @@ let () =
             prop_run_matches_reference;
             prop_shared_matches_reference;
             prop_private_memory_matches_model;
+            prop_fused_groups_match_reference;
           ] );
       ( "translated",
         [
@@ -1035,6 +1251,11 @@ let () =
           Alcotest.test_case "one segment at two addresses" `Quick test_shared_two_addresses;
           Alcotest.test_case "text remapped between blocks" `Quick test_remap_between_blocks;
           Alcotest.test_case "self-modifying writable code" `Quick test_self_modifying;
+          Alcotest.test_case "a fused push faults at the stack's end" `Quick test_push_faults;
+          Alcotest.test_case "fuel ends inside a group" `Quick test_fuel_inside_group;
+          Alcotest.test_case "compare-and-branch taken and not" `Quick
+            test_compare_and_branch_fused;
+          Alcotest.test_case "text remapped under a block's link" `Quick test_remap_under_link;
         ] );
     ]
 
